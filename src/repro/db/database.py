@@ -260,21 +260,34 @@ class Database:
 
     # -- DML convenience ---------------------------------------------------------
 
+    def _triggers_on(self, table_name: str) -> list[Trigger]:
+        """This table's AFTER INSERT triggers, in creation order."""
+        return [t for t in self._triggers.values() if t.table == table_name]
+
     def insert(self, table_name: str, values: Mapping[str, Any]) -> Row:
         """Insert one row, then fire this table's AFTER INSERT triggers."""
-        table = self.table(table_name)
-        row = table.insert(values)
-        for trigger in self._triggers.values():
-            if trigger.table == table_name:
-                trigger.fire(self, row)
+        row = self.table(table_name).insert(values)
+        for trigger in self._triggers_on(table_name):
+            trigger.fire(self, row)
         return row
 
     def insert_many(
         self, table_name: str, rows: Iterable[Mapping[str, Any]]
     ) -> int:
+        """Insert rows in order, firing the table's triggers after each.
+
+        The triggers are resolved once per call; a table without any
+        takes :meth:`Table.insert_many`'s bulk loop.
+        """
+        table = self.table(table_name)
+        triggers = self._triggers_on(table_name)
+        if not triggers:
+            return table.insert_many(rows)
         count = 0
         for values in rows:
-            self.insert(table_name, values)
+            row = table.insert(values)
+            for trigger in triggers:
+                trigger.fire(self, row)
             count += 1
         return count
 
@@ -301,8 +314,7 @@ class Database:
             predicate is not None
             and fastpath.is_enabled()
             and isinstance(predicate, Expression)
-            and predicate.referenced_columns()
-            <= set(table.schema.column_names)
+            and all(map(table.schema.has_column, predicate.referenced_columns()))
         ):
             bindings = _leading_equalities(predicate)
             if bindings:
@@ -313,7 +325,7 @@ class Database:
                     check = predicate.compile()
                     kept = [row for row in candidates if check(row) is True]
                     relation = Relation.from_trusted(
-                        tuple(table.schema.column_names), kept
+                        table.schema.column_names, kept
                     )
         if relation is None:
             relation = table.to_relation()

@@ -9,9 +9,12 @@ and Madison, Fig. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
+from typing import Any, Callable, Mapping
 
-from repro.errors import SchemaError
-from repro.db.types import validate_type_name
+from repro.errors import IntegrityError, SchemaError
+from repro.db.types import EXACT_TYPE, coerce_value, validate_type_name
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,7 @@ class TableSchema:
             raise SchemaError(f"table {name}: needs at least one column")
         self.name = name
         self.columns: tuple[Column, ...] = tuple(columns)
+        self.column_names: tuple[str, ...] = tuple(c.name for c in self.columns)
         self.primary_key: tuple[str, ...] = tuple(primary_key)
         self.foreign_keys: tuple[ForeignKey, ...] = tuple(foreign_keys or ())
 
@@ -96,10 +100,6 @@ class TableSchema:
                 if fk_col not in self._by_name:
                     raise SchemaError(f"table {name}: unknown FK column {fk_col}")
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
-
     def column(self, name: str) -> Column:
         try:
             return self._by_name[name]
@@ -109,9 +109,55 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return name in self._by_name
 
-    def pk_of(self, row: dict) -> tuple:
-        """Extract the primary-key tuple from a row dict."""
-        return tuple(row[pk_col] for pk_col in self.primary_key)
+    @cached_property
+    def pk_of(self) -> Callable[[Mapping[str, Any]], tuple]:
+        """``pk_of(row)``: the primary-key tuple of a row dict."""
+        pk = self.primary_key
+        if len(pk) > 1:
+            return itemgetter(*pk)
+        if not pk:
+            return lambda row: ()
+        (column,) = pk
+        return lambda row: (row[column],)
+
+    @cached_property
+    def normalize(self) -> Callable[[Mapping[str, Any]], dict[str, Any]]:
+        """``normalize(values)``: the full stored row, in column order.
+
+        Rejects unknown columns, fills missing ones with NULL, enforces
+        NOT NULL and coerces every cell.  Compiled at the first write
+        and shared by every table of this schema: what is fixed per
+        column is bound once, and a cell that already has its column's
+        exact Python type skips :func:`coerce_value`, which would return
+        it untouched.
+        """
+        table = self.name
+        known = frozenset(self.column_names)
+        plan = tuple(
+            (c.name, c.sql_type, EXACT_TYPE[c.sql_type], c.nullable)
+            for c in self.columns
+        )
+
+        def normalize(values: Mapping[str, Any]) -> dict[str, Any]:
+            if not known.issuperset(values):
+                raise SchemaError(
+                    f"table {table}: unknown columns {sorted(set(values) - known)}"
+                )
+            get = values.get
+            row = {}
+            for name, sql_type, exact, nullable in plan:
+                value = get(name)
+                if value is None:
+                    if not nullable:
+                        raise IntegrityError(
+                            f"table {table}: column {name} is NOT NULL"
+                        )
+                elif type(value) is not exact:
+                    value = coerce_value(sql_type, value)
+                row[name] = value
+            return row
+
+        return normalize
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.sql_type}" for c in self.columns)

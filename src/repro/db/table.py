@@ -28,7 +28,6 @@ from repro.db import fastpath, partition, vector
 from repro.db.expressions import Expression
 from repro.db.relation import Relation, Row
 from repro.db.schema import TableSchema
-from repro.db.types import coerce_value
 
 #: Signature of the change hook: ``listener(table_name, op, payload)``.
 ChangeListener = Callable[[str, str, tuple], None]
@@ -254,36 +253,18 @@ class Table:
 
     # -- DML -------------------------------------------------------------------
 
-    def _normalize(self, values: Mapping[str, Any]) -> Row:
-        unknown = set(values) - set(self.schema.column_names)
-        if unknown:
-            raise SchemaError(
-                f"table {self.name}: unknown columns {sorted(unknown)}"
-            )
-        row: Row = {}
-        for column in self.schema.columns:
-            value = coerce_value(column.sql_type, values.get(column.name))
-            if value is None and not column.nullable:
-                raise IntegrityError(
-                    f"table {self.name}: column {column.name} is NOT NULL"
-                )
-            row[column.name] = value
-        return row
+    def _append(self, row: Row, key: tuple | None) -> Row:
+        """Store a normalized row whose primary key is known to be free.
 
-    def insert(self, values: Mapping[str, Any]) -> Row:
-        """Insert one row; returns the normalized stored row."""
-        row = self._normalize(values)
-        if self._pk_index is not None:
-            key = self.schema.pk_of(row)
-            if key in self._pk_index:
-                raise IntegrityError(
-                    f"table {self.name}: duplicate primary key {key}"
-                )
-            self._pk_index[key] = len(self._rows)
+        The one append step behind :meth:`insert` and :meth:`upsert`
+        (:meth:`insert_many` runs the same steps with lookups hoisted).
+        """
         position = len(self._rows)
+        if key is not None:
+            self._pk_index[key] = position
         self._rows.append(row)
         for cols, mapping in self._secondary.values():
-            mapping.setdefault(tuple(row[c] for c in cols), []).append(position)
+            mapping.setdefault(tuple([row[c] for c in cols]), []).append(position)
         self.rows_written += 1
         self._generation += 1
         if self.listener is not None:
@@ -292,11 +273,51 @@ class Table:
             self._notify_insert(row)
         return row
 
+    def insert(self, values: Mapping[str, Any]) -> Row:
+        """Insert one row; returns the normalized stored row."""
+        row = self.schema.normalize(values)
+        if self._pk_index is None:
+            return self._append(row, None)
+        key = self.schema.pk_of(row)
+        if key in self._pk_index:
+            raise IntegrityError(
+                f"table {self.name}: duplicate primary key {key}"
+            )
+        return self._append(row, key)
+
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Bulk insert; returns the number of rows inserted."""
+        """Bulk insert; returns the number of rows inserted.
+
+        Row for row the same effects as :meth:`insert`, in the same
+        order (one ``"insert"`` change record and one observer call per
+        row; a failing row leaves its predecessors stored) — only what
+        cannot change during the batch is looked up once.
+        """
+        name, listener, observers = self.name, self.listener, self._observers
+        normalize, pk_of = self.schema.normalize, self.schema.pk_of
+        pk_index, store = self._pk_index, self._rows
+        append = store.append
+        secondary = list(self._secondary.values())
         count = 0
         for values in rows:
-            self.insert(values)
+            row = normalize(values)
+            position = len(store)
+            if pk_index is not None:
+                key = pk_of(row)
+                if key in pk_index:
+                    raise IntegrityError(
+                        f"table {name}: duplicate primary key {key}"
+                    )
+                pk_index[key] = position
+            append(row)
+            for cols, mapping in secondary:
+                mapping.setdefault(tuple([row[c] for c in cols]), []).append(position)
+            self.rows_written += 1
+            self._generation += 1
+            if listener is not None:
+                listener(name, "insert", (row,))
+            for observer in observers:
+                observer.on_insert(name, row)
             count += 1
         return count
 
@@ -308,11 +329,11 @@ class Table:
         """
         if self._pk_index is None:
             raise IntegrityError(f"table {self.name}: upsert needs a primary key")
-        row = self._normalize(values)
+        row = self.schema.normalize(values)
         key = self.schema.pk_of(row)
         position = self._pk_index.get(key)
         if position is None:
-            return self.insert(values)
+            return self._append(row, key)
         self._replace_at(position, row)
         self.rows_written += 1
         if self.listener is not None:
@@ -366,9 +387,10 @@ class Table:
         predicate: Expression | Callable[[Row], Any] | None = None,
     ) -> int:
         """Update matching rows; assignment values may be expressions."""
-        unknown = set(assignments) - set(self.schema.column_names)
+        unknown = [c for c in assignments if not self.schema.has_column(c)]
         if unknown:
             raise SchemaError(f"table {self.name}: unknown columns {sorted(unknown)}")
+        normalize = self.schema.normalize
         fast = fastpath.is_enabled()
         if isinstance(predicate, Expression):
             check = predicate.compile() if fast else predicate.evaluate
@@ -395,7 +417,7 @@ class Table:
             new_values = dict(row)
             for name, is_expr, value in plan:
                 new_values[name] = value(row) if is_expr else value
-            new_row = self._normalize(new_values)
+            new_row = normalize(new_values)
             self._replace_at(position, new_row)
             updated += 1
             if self.listener is not None:
@@ -614,7 +636,7 @@ class Table:
             # contents and isolation as the eager list copy.
             rows = store.view() if store is not None else list(self._rows)
             return Relation.from_trusted(
-                tuple(self.schema.column_names),
+                self.schema.column_names,
                 rows,
                 source=(self, self._generation),
             )

@@ -32,6 +32,22 @@ _SUPPORTED: frozenset[str] = frozenset(
     }
 )
 
+#: Per SQL type, the one Python type whose instances :func:`coerce_value`
+#: returns untouched; the table write path stores such cells as they are
+#: and calls :func:`coerce_value` for everything else.
+EXACT_TYPE: dict[str, type] = {
+    "INTEGER": int,
+    "BIGINT": int,
+    "DECIMAL": Decimal,
+    "DOUBLE": float,
+    "VARCHAR": str,
+    "CHAR": str,
+    "CLOB": str,
+    "DATE": datetime.date,
+    "TIMESTAMP": datetime.datetime,
+    "BOOLEAN": bool,
+}
+
 
 def validate_type_name(name: str) -> str:
     """Return the canonical (upper-case) type name or raise SchemaError."""

@@ -103,6 +103,10 @@ class WorkerPool:
             queue.Queue()
         )
         self._pool = [self._spawn() for _ in range(workers)]
+        # submit() and close() send one empty message here; the collector
+        # waits on the read end together with the busy workers' pipes, so
+        # it sees a submission at once however long the runs take.
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         self._closed = False
         self._lock = threading.Lock()
         self._collector = threading.Thread(
@@ -124,6 +128,7 @@ class WorkerPool:
                 raise SweepError("worker pool is closed")
             future: "Future[RunOutcome]" = Future()
             self._tasks.put((future, spec))
+            self._wake_w.send_bytes(b"")
             return future
 
     def run(self, spec: RunSpec) -> RunOutcome:
@@ -141,7 +146,10 @@ class WorkerPool:
                 return
             self._closed = True
         self._tasks.put(None)
+        self._wake_w.send_bytes(b"")
         self._collector.join(timeout=timeout)
+        self._wake_w.close()
+        self._wake_r.close()
         for worker in self._pool:
             try:
                 worker.conn.send(None)
@@ -182,42 +190,32 @@ class WorkerPool:
     def _collect_loop(self) -> None:
         """Single owner of every worker pipe.
 
-        Alternates between draining the submission queue (dispatching to
-        idle workers in FIFO order) and waiting on busy workers'
-        connections; worker death is contained to the future it was
-        serving.
+        Each round drains the submission queue, dispatches to idle
+        workers in FIFO order, then sleeps until a busy worker answers
+        or :meth:`submit`/:meth:`close` wakes it; worker death is
+        contained to the future it was serving.
         """
         pending: list[tuple[Future, RunSpec]] = []
         while True:
-            busy = [w for w in self._pool if w.current is not None]
-            try:
-                # Block only when there is nothing else to wait for.
-                task = self._tasks.get(
-                    block=not busy and not pending, timeout=None
-                )
-            except queue.Empty:
-                task = False  # nothing new; fall through to the pipes
-            if task is None:
-                break
-            if task is not False:
+            while self._wake_r.poll():
+                self._wake_r.recv_bytes()
+            # Whatever was queued before a wake-up consumed above is
+            # visible now; a later one leaves the pipe readable.
+            while True:
+                try:
+                    task = self._tasks.get_nowait()
+                except queue.Empty:
+                    break
+                if task is None:
+                    self._fail_pending(pending)
+                    return
                 pending.append(task)
-                # Keep draining without blocking: a burst of submissions
-                # should all be visible before dispatch.
-                while True:
-                    try:
-                        task = self._tasks.get_nowait()
-                    except queue.Empty:
-                        break
-                    if task is None:
-                        self._fail_pending(pending)
-                        return
-                    pending.append(task)
             self._dispatch_pending(pending)
             busy = [w for w in self._pool if w.current is not None]
-            if not busy:
-                continue
-            ready = connection.wait([w.conn for w in busy], timeout=0.1)
+            ready = connection.wait([self._wake_r, *(w.conn for w in busy)])
             for conn in ready:
+                if conn is self._wake_r:
+                    continue
                 worker = next(w for w in self._pool if w.conn is conn)
                 assert worker.current is not None
                 future, spec = worker.current
@@ -237,7 +235,6 @@ class WorkerPool:
                 # the run still completed, its result is just dropped.
                 if not future.done():
                     future.set_result(outcome)
-        self._fail_pending(pending)
 
     def _fail_pending(self, pending: list) -> None:
         """Resolve everything still queued or in flight at close time."""

@@ -166,14 +166,12 @@ class DatabaseService(ServiceEndpoint):
         # relation may physically carry before rows reach table storage.
         rows = rows.iter_narrow() if isinstance(rows, Relation) else rows
         if mode == "insert":
-            count = 0
-            for row in rows:
-                self.database.insert(spec["table"], row)
-                count += 1
+            count = self.database.insert_many(spec["table"], rows)
         elif mode == "upsert":
+            upsert = table.upsert
             count = 0
             for row in rows:
-                table.upsert(row)
+                upsert(row)
                 count += 1
         else:
             raise ServiceError(f"unknown update mode {mode!r}")
@@ -262,9 +260,9 @@ class WebService(ServiceEndpoint):
                 f"service {self.name}: update ResultSet lacks a table attribute"
             )
         rows = resultset_to_rows(document, self._types_for(table))
-        target = self.database.table(table)
+        upsert = self.database.table(table).upsert
         for row in rows:
-            target.upsert(row)
+            upsert(row)
         return Envelope("result", len(rows), payload_units=1.0)
 
     def _to_dialect(self, document: XmlElement) -> None:

@@ -209,6 +209,10 @@ class Stylesheet:
         #: Number of events processed over this stylesheet's lifetime
         #: (feeds the engine's processing-cost model).
         self.events_processed = 0
+        #: ``path -> best rule``, filled per distinct path; valid only
+        #: while ``rules`` equals ``_dispatch_rules``.
+        self._dispatch: dict[tuple[str, ...], _Rule | None] = {}
+        self._dispatch_rules: list[_Rule] = []
 
     def _best_rule(self, path: tuple[str, ...]) -> _Rule | None:
         best: _Rule | None = None
@@ -223,68 +227,78 @@ class Stylesheet:
 
         The walk keeps one frame per open (non-dropped) input element.
         A frame is either a real output element, or an *unwrap* marker
-        that re-parents children to the frame below it.
+        that re-parents children to the frame below it.  Each distinct
+        element path is matched against the rule list once per
+        stylesheet; later elements on that path take the remembered rule.
         """
-        path: list[str] = []
-        # Frames: ("elem", element, rule) or ("unwrap", parent_or_None, rule).
-        frames: list[tuple[str, XmlElement | None, _Rule | None]] = []
+        if self.rules != self._dispatch_rules:
+            self._dispatch_rules = list(self.rules)
+            self._dispatch = {}
+        dispatch = self._dispatch
+        # Frames: ("elem", element, rule, path) or
+        # ("unwrap", parent_or_None, rule, path) — either way the top
+        # frame's second slot is where children go.
+        frames: list[tuple[str, XmlElement | None, _Rule | None, tuple]] = []
         dropped_depth = 0
         result: XmlElement | None = None
-
-        def current_parent() -> XmlElement | None:
-            # "elem" frames carry the open output element; "unwrap" frames
-            # recorded the effective parent when they were pushed — either
-            # way the top frame knows where children go.
-            return frames[-1][1] if frames else None
-
-        for event in iter_events(document):
-            self.events_processed += 1
-            kind = event[0]
-            if kind == START:
-                _, tag, attributes = event
-                path.append(tag)
-                if dropped_depth:
-                    dropped_depth += 1
-                    continue
-                rule = self._best_rule(tuple(path))
-                if isinstance(rule, UnwrapRule):
-                    frames.append(("unwrap", current_parent(), rule))
-                    continue
-                if rule is None:
-                    out = XmlElement(tag, attributes)  # identity template
-                else:
-                    out = rule.open_element(tag, attributes)
-                if out is None:
-                    dropped_depth = 1
-                    continue
-                parent = current_parent()
-                if parent is not None:
-                    parent.children.append(out)
-                frames.append(("elem", out, rule))
-            elif kind == TEXT:
-                if dropped_depth:
-                    continue
-                if not frames:
-                    raise StxError("text event outside any element")
-                frame_kind, element, rule = frames[-1]
-                if frame_kind == "unwrap":
-                    continue  # unwrapped containers lose their text
-                assert element is not None
-                text = event[1]
-                element.text = rule.rewrite_text(text) if rule else text
-            else:  # END
-                path.pop()
-                if dropped_depth:
-                    dropped_depth -= 1
-                    continue
-                frame_kind, element, _ = frames.pop()
-                if frame_kind == "elem" and current_parent() is None:
-                    if result is not None:
-                        raise StxError(
-                            f"stylesheet {self.name} produced multiple "
-                            "root elements"
-                        )
-                    result = element
+        events = 0
+        try:
+            for event in iter_events(document):
+                events += 1
+                kind = event[0]
+                if kind == START:
+                    if dropped_depth:
+                        dropped_depth += 1
+                        continue
+                    _, tag, attributes = event
+                    if frames:
+                        _, parent, _, path = frames[-1]
+                        path += (tag,)
+                    else:
+                        parent, path = None, (tag,)
+                    try:
+                        rule = dispatch[path]
+                    except KeyError:
+                        rule = dispatch[path] = self._best_rule(path)
+                    if rule is None:
+                        out = XmlElement(tag, attributes)  # identity template
+                    elif isinstance(rule, UnwrapRule):
+                        frames.append(("unwrap", parent, rule, path))
+                        continue
+                    else:
+                        out = rule.open_element(tag, attributes)
+                        if out is None:
+                            dropped_depth = 1
+                            continue
+                    if parent is not None:
+                        parent.children.append(out)
+                    frames.append(("elem", out, rule, path))
+                elif kind == TEXT:
+                    if dropped_depth:
+                        continue
+                    if not frames:
+                        raise StxError("text event outside any element")
+                    frame_kind, element, rule, _ = frames[-1]
+                    if frame_kind == "unwrap":
+                        continue  # unwrapped containers lose their text
+                    text = event[1]
+                    element.text = rule.rewrite_text(text) if rule else text
+                else:  # END
+                    if dropped_depth:
+                        dropped_depth -= 1
+                        continue
+                    frame_kind, element, _, _ = frames.pop()
+                    if frame_kind == "elem" and (
+                        not frames or frames[-1][1] is None
+                    ):
+                        if result is not None:
+                            raise StxError(
+                                f"stylesheet {self.name} produced multiple "
+                                "root elements"
+                            )
+                        result = element
+        finally:
+            self.events_processed += events
 
         if result is None:
             raise StxError(

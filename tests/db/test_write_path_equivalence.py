@@ -1,0 +1,375 @@
+"""Differential conformance of the compiled write path.
+
+The oracle is the write path as it was before normalization was
+compiled per schema, kept *here*: ``seed_normalize`` is the old
+``Table._normalize`` body and :class:`SeedTable` the old
+``insert``/``insert_many``/``upsert`` bodies, verbatim.  Production code
+must store equal rows (value **and** type), raise the same exception
+types with the same messages, and leave the same indexes, counters,
+change records, observer calls and trigger fire order — on plain list
+storage and under a tiny memory budget (PartitionStore).
+"""
+
+import datetime
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.db import Column, Database, TableSchema
+from repro.db.table import Table, TableObserver
+from repro.db.types import EXACT_TYPE, coerce_value, validate_type_name
+from repro.errors import IntegrityError, SchemaError
+
+# ----------------------------------------------------------------- the oracle
+
+
+def seed_normalize(schema, values):
+    """``Table._normalize`` as of the parent commit."""
+    unknown = set(values) - set(column.name for column in schema.columns)
+    if unknown:
+        raise SchemaError(
+            f"table {schema.name}: unknown columns {sorted(unknown)}"
+        )
+    row = {}
+    for column in schema.columns:
+        value = coerce_value(column.sql_type, values.get(column.name))
+        if value is None and not column.nullable:
+            raise IntegrityError(
+                f"table {schema.name}: column {column.name} is NOT NULL"
+            )
+        row[column.name] = value
+    return row
+
+
+class SeedTable(Table):
+    """``insert``/``insert_many``/``upsert`` as of the parent commit."""
+
+    def insert(self, values):
+        row = seed_normalize(self.schema, values)
+        if self._pk_index is not None:
+            key = tuple(row[c] for c in self.schema.primary_key)
+            if key in self._pk_index:
+                raise IntegrityError(
+                    f"table {self.name}: duplicate primary key {key}"
+                )
+            self._pk_index[key] = len(self._rows)
+        position = len(self._rows)
+        self._rows.append(row)
+        for cols, mapping in self._secondary.values():
+            mapping.setdefault(tuple(row[c] for c in cols), []).append(position)
+        self.rows_written += 1
+        self._generation += 1
+        if self.listener is not None:
+            self.listener(self.name, "insert", (row,))
+        if self._observers:
+            self._notify_insert(row)
+        return row
+
+    def insert_many(self, rows):
+        count = 0
+        for values in rows:
+            self.insert(values)
+            count += 1
+        return count
+
+    def upsert(self, values):
+        if self._pk_index is None:
+            raise IntegrityError(f"table {self.name}: upsert needs a primary key")
+        row = seed_normalize(self.schema, values)
+        key = tuple(row[c] for c in self.schema.primary_key)
+        position = self._pk_index.get(key)
+        if position is None:
+            return self.insert(values)
+        self._replace_at(position, row)
+        self.rows_written += 1
+        if self.listener is not None:
+            self.listener(self.name, "upsert", (row,))
+        if self._observers:
+            self._notify_mutation()
+        return row
+
+
+# ------------------------------------------------------- normalization, per cell
+
+SQL_TYPES = ("INTEGER", "BIGINT", "DECIMAL", "DOUBLE", "VARCHAR", "CHAR",
+             "DATE", "TIMESTAMP", "BOOLEAN", "CLOB")
+
+
+class MyInt(int):
+    pass
+
+
+class MyStr(str):
+    pass
+
+
+class MyDate(datetime.date):
+    pass
+
+
+#: Every kind of value the issue names, the exact type of every column
+#: included, so each SQL type sees its shortcut and every coercion branch.
+VALUES = (
+    None, True, False, 0, 7, -3, 2 ** 70, 1.5, -0.0, 2.00005,
+    Decimal("1.25"), Decimal("7"), "12", "1.5", "abc", "", "2020-01-02",
+    "2020-01-02T03:04:05", "2020-13-45", datetime.date(2021, 3, 4),
+    datetime.datetime(2021, 3, 4, 5, 6, 7), MyInt(9), MyStr("sub"),
+    MyStr("2020-01-02"), MyDate(2022, 2, 2), b"bytes", (1, 2),
+)
+
+#: One nullable and one NOT NULL column per SQL type.
+TYPES_SCHEMA = TableSchema(
+    "every_type",
+    [
+        Column(f"{sql_type.lower()}_{'opt' if nullable else 'req'}",
+               sql_type, nullable=nullable)
+        for sql_type in SQL_TYPES
+        for nullable in (True, False)
+    ],
+)
+
+
+def outcome(fn, *args):
+    """``("ok", [(name, type, repr), ...])`` or ``("raised", type, text)``."""
+    try:
+        row = fn(*args)
+    except Exception as exc:  # compared, not handled
+        return ("raised", type(exc), str(exc))
+    return ("ok", [(k, type(v), repr(v)) for k, v in row.items()])
+
+
+class TestNormalizeMatchesSeed:
+    @pytest.mark.parametrize("sql_type", SQL_TYPES)
+    @pytest.mark.parametrize("nullable", (True, False))
+    def test_every_type_times_every_value(self, sql_type, nullable):
+        schema = TableSchema("t", [Column("c", sql_type, nullable=nullable)])
+        for value in VALUES:
+            assert outcome(schema.normalize, {"c": value}) == outcome(
+                seed_normalize, schema, {"c": value}
+            ), (sql_type, nullable, value)
+
+    def test_every_supported_type_has_its_exact_type(self):
+        assert sorted(EXACT_TYPE) == sorted(SQL_TYPES)
+        for sql_type in SQL_TYPES:
+            assert validate_type_name(sql_type) == sql_type
+
+    def test_exact_typed_cells_are_stored_by_identity(self):
+        schema = TableSchema("t", [Column("c", "VARCHAR"), Column("d", "DECIMAL")])
+        text, amount = "x" * 40, Decimal("3.10")
+        row = schema.normalize({"c": text, "d": amount})
+        assert row["c"] is text and row["d"] is amount
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(
+                [c.name for c in TYPES_SCHEMA.columns] + ["ghost", "zzz"]
+            ),
+            st.sampled_from(VALUES),
+        )
+    )
+    def test_whole_rows_with_missing_and_unknown_columns(self, values):
+        assert outcome(TYPES_SCHEMA.normalize, values) == outcome(
+            seed_normalize, TYPES_SCHEMA, values
+        )
+
+    def test_result_is_in_column_order_whatever_the_input_order(self):
+        schema = TableSchema("t", [Column("a", "INTEGER"), Column("b", "INTEGER")])
+        assert list(schema.normalize({"b": 2, "a": 1})) == ["a", "b"]
+
+    def test_tables_of_one_schema_share_one_normalizer(self):
+        schema = TableSchema("t", [Column("a", "INTEGER")])
+        assert "normalize" not in vars(schema)  # nothing compiled before a write
+        first, second = Table(schema), Table(schema)
+        first.insert({"a": 1})
+        compiled = vars(schema)["normalize"]
+        second.insert({"a": 2})
+        assert vars(schema)["normalize"] is compiled
+
+
+# ----------------------------------------------------- DML sequences, end to end
+
+ORDERS = TableSchema(
+    "orders",
+    [
+        Column("oid", "BIGINT", nullable=False),
+        Column("line", "INTEGER", nullable=False),
+        Column("cust", "BIGINT"),
+        Column("status", "VARCHAR"),
+        Column("amount", "DECIMAL"),
+    ],
+    primary_key=("oid", "line"),
+)
+AUDIT = TableSchema(
+    "audit", [Column("seq", "BIGINT", nullable=False), Column("oid", "BIGINT")],
+    primary_key=("seq",),
+)
+NOTES = TableSchema(
+    "notes",
+    [Column("nid", "INTEGER", nullable=False),
+     Column("text", "VARCHAR", nullable=False)],
+    primary_key=("nid",),
+)
+
+row_strategy = st.fixed_dictionaries(
+    {
+        "oid": st.sampled_from([1, 2, 3, 4, 5, "6", None, "x"]),
+        "line": st.sampled_from([1, 2, True]),
+        "cust": st.sampled_from([10, 20, None, 30.0]),
+        "status": st.sampled_from(["new", "paid", None, 5]),
+        "amount": st.sampled_from([Decimal("1.5"), 2.25, 3, "oops", None]),
+    },
+    optional={"ghost": st.just(1)},
+)
+op_strategy = st.one_of(
+    st.tuples(st.just("insert"), row_strategy),
+    st.tuples(st.just("upsert"), row_strategy),
+    # Table.insert_many directly: the bulk loop over pk + two secondary
+    # indexes + listener + observer (no trigger fires at table level).
+    st.tuples(st.just("table_insert_many"), st.lists(row_strategy, max_size=6)),
+    # Database.insert_many on a table with triggers (row-by-row form) ...
+    st.tuples(st.just("insert_many"), st.lists(row_strategy, max_size=6)),
+    # ... and on one without (bulk form).
+    st.tuples(
+        st.just("notes"),
+        st.lists(
+            st.fixed_dictionaries({
+                "nid": st.integers(min_value=0, max_value=12),
+                "text": st.sampled_from(["a", "b", None, 3]),
+            }),
+            max_size=5,
+        ),
+    ),
+)
+
+
+class Recorder(TableObserver):
+    def __init__(self, log):
+        self.log = log
+
+    def on_insert(self, table_name, row):
+        self.log.append(("insert", table_name, dict(row)))
+
+    def on_mutation(self, table_name):
+        self.log.append(("mutation", table_name))
+
+
+class Landscape:
+    """One database wired with every hook the write path must serve."""
+
+    def __init__(self, table_class, budget):
+        self.db = Database("d")
+        if budget is not None:
+            self.db.set_memory_budget(budget, partition_rows=2)
+        self.records, self.observed, self.fired = [], [], []
+        for schema in (ORDERS, AUDIT, NOTES):
+            self.db.create_table(schema).__class__ = table_class
+        orders = self.db.table("orders")
+        orders.create_index("by_cust", ("cust",))
+        orders.create_index("by_status_cust", ("status", "cust"))
+        notes = self.db.table("notes")
+        notes.create_index("by_text", ("text",))
+        self.db.set_change_listener(
+            lambda table, op, payload: self.records.append(
+                (table, op, tuple(dict(p) if isinstance(p, dict) else p
+                                  for p in payload))
+            )
+        )
+        for table in (orders, notes):
+            table.add_observer(Recorder(self.observed))
+        self.db.create_trigger("first", "orders", self._log_fire)
+        self.db.create_trigger("second", "orders", self._audit)
+
+    def _log_fire(self, db, row):
+        self.fired.append(("first", row["oid"], row["line"]))
+
+    def _audit(self, db, row):
+        self.fired.append(("second", row["oid"], row["line"]))
+        db.insert("audit", {"seq": len(db.table("audit")), "oid": row["oid"]})
+
+    def apply(self, op, argument, bulk):
+        """Run one op; ``bulk=False`` spells the bulk forms row by row."""
+        try:
+            if op == "insert":
+                self.db.insert("orders", argument)
+                return None
+            if op == "upsert":
+                self.db.table("orders").upsert(argument)
+                return None
+            name = "notes" if op == "notes" else "orders"
+            rows = (row for row in argument)  # as the endpoints pass them
+            if op == "table_insert_many":
+                table = self.db.table(name)
+                if bulk:
+                    return table.insert_many(rows)
+                for row in rows:
+                    table.insert(row)
+            elif bulk:
+                return self.db.insert_many(name, rows)
+            else:
+                for row in rows:
+                    self.db.insert(name, row)
+            return len(argument)
+        except Exception as exc:  # compared, not handled
+            return (type(exc), str(exc))
+
+    def state(self):
+        tables = {}
+        for name in self.db.table_names:
+            table = self.db.table(name)
+            tables[name] = (
+                [[(k, type(v), repr(v)) for k, v in row.items()] for row in table],
+                table._pk_index,
+                {index: table._secondary[index] for index in table.index_names},
+                table.rows_read,
+                table.rows_written,
+            )
+        return (tables, self.records, self.observed, self.fired,
+                self.db.statistics())
+
+
+@pytest.mark.parametrize("budget", [None, 4], ids=["resident", "budgeted"])
+class TestDmlSequencesMatchSeed:
+    @settings(max_examples=120, deadline=None)
+    @given(ops=st.lists(op_strategy, max_size=12))
+    def test_bulk_and_single_forms_match_the_seed_row_by_row(self, budget, ops):
+        new = Landscape(Table, budget)
+        seed = Landscape(SeedTable, budget)
+        assert (new.db.table("orders").partition_store is not None) == (
+            budget is not None
+        )
+        for op, argument in ops:
+            assert new.apply(op, argument, bulk=True) == seed.apply(
+                op, argument, bulk=False
+            ), (op, argument)
+            assert new.state() == seed.state()
+
+    def test_a_failing_row_leaves_its_predecessors_stored(self, budget):
+        new = Landscape(Table, budget)
+        rows = [
+            {"oid": 1, "line": 1, "cust": 10},
+            {"oid": 2, "line": 1, "cust": 10},
+            {"oid": 1, "line": 1, "cust": 99},  # duplicate key
+            {"oid": 3, "line": 1},
+        ]
+        result = new.apply("insert_many", rows, bulk=True)
+        assert result == (
+            IntegrityError, "table orders: duplicate primary key (1, 1)"
+        )
+        orders = new.db.table("orders")
+        assert [r["oid"] for r in orders] == [1, 2]
+        assert orders.rows_written == 2
+        assert [r["oid"] for r in orders.lookup("by_cust", 10)] == [1, 2]
+        assert [f for f in new.fired if f[0] == "first"] == [
+            ("first", 1, 1), ("first", 2, 1)
+        ]
+
+    def test_trigger_free_bulk_insert_journals_one_record_per_row(self, budget):
+        new = Landscape(Table, budget)
+        rows = [{"nid": 1, "text": "a"}, {"nid": 2, "text": "b"}]
+        assert new.db.insert_many("notes", rows) == 2
+        assert [(t, op) for t, op, _ in new.records] == [
+            ("notes", "insert"), ("notes", "insert")
+        ]

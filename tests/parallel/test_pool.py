@@ -9,6 +9,8 @@ and keeps serving, and close() never strands a caller.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.parallel import RunSpec, SweepError, WorkerPool, run_spec
@@ -53,6 +55,33 @@ class TestSubmit:
         outcome = pool.run(fast_spec(sabotage="raise"))
         assert outcome.status == "error"
         assert outcome.error_type == "SweepSabotage"
+
+
+class TestDispatchLatency:
+    def test_submission_reaches_an_idle_worker_while_another_runs(self):
+        """The collector must not sit out a poll interval (it used to
+        wait 100 ms on the busy pipes before looking at the queue)."""
+
+        def dispatched(pool):
+            return sum(w.current is not None for w in pool._pool)
+
+        def wait_for(pool, count):
+            started = time.perf_counter()
+            while dispatched(pool) < count:
+                assert time.perf_counter() - started < 5.0, "never dispatched"
+                time.sleep(0.0005)
+            return time.perf_counter() - started
+
+        with WorkerPool(workers=3) as pool:
+            long_run = pool.submit(fast_spec(datasize=0.05, periods=3))
+            wait_for(pool, 1)
+            delays = []
+            for seed in (1, 2):
+                time.sleep(0.02)  # let the collector settle into its wait
+                later = pool.submit(fast_spec(datasize=0.05, periods=3, seed=seed))
+                delays.append(wait_for(pool, 1 + seed))
+            assert not long_run.done() and not later.done()
+            assert max(delays) < 0.05, delays
 
 
 class TestCrashContainment:
