@@ -1,13 +1,15 @@
-"""Relational-kernel fast path: microbenchmarks and operation-count gates.
+"""Relational kernel: microbenchmarks and operation-count gates.
 
 Five families of evidence, all merged into ``BENCH_relops.json``:
 
 * wall-clock microbenchmarks of scan/select, join and group-by at the
-  d=0.1 movement-data scale (~20k fact rows), fast path vs naive —
-  the fast path must win by at least 3x on each;
-* the same shapes **vector vs scalar** within the fast path: the
-  columnar batch kernels (``repro.db.vector``) against the scalar
-  compiled-closure loops they replace, with a ≥2x floor on
+  d=0.1 movement-data scale (~20k fact rows), production vs the
+  reference oracle (``tests/oracle/relational.py``, the ``naive``
+  keys) — production must win by at least 3x on each;
+* the same shapes **vector vs scalar** within production: the columnar
+  batch kernels (``repro.db.vector``) against the scalar
+  compiled-closure loops they replace (reached by patching the batch
+  gate, the one test-only handle), with a ≥2x floor on
   scan/filter/group-by (the join is reported without a floor — its
   production form is the index probe, which beats both);
 * deterministic operation counts (``rows_read``, ``db_rows_copied``,
@@ -21,17 +23,23 @@ Five families of evidence, all merged into ``BENCH_relops.json``:
 * incremental materialized-view maintenance on the scenario's real
   P03/P09 view shapes: one appended order fact must refresh OrdersMV
   without a full recompute.
+
+Plus one ledger row, ``simplicity:tier_switches``: src lines and tier
+knobs before and after the switches were taken out of ``repro.db``.
 """
 
 import json
 import pathlib
 import random
+import re
+import sys
 import time
 
-from benchmarks.conftest import run_cached, write_artifact
+from benchmarks.conftest import ledger_append, run_cached, write_artifact
 
 from repro.db import Column, Database, TableSchema, col, fastpath, lit, vector
 from repro.db.relation import Relation
+from tests.oracle import relational as oracle
 
 ARTIFACT = "BENCH_relops.json"
 SPEEDUP_FLOOR = 3.0
@@ -61,40 +69,46 @@ def flush_results() -> None:
     write_artifact(ARTIFACT, json.dumps(RESULTS, indent=2, sort_keys=True))
 
 
-def build_fact_db(seed: int = 1) -> Database:
+FACT_SCHEMA = TableSchema(
+    "fact",
+    [
+        Column("id", "INTEGER", nullable=False),
+        Column("grp", "INTEGER"),
+        Column("val", "DOUBLE"),
+        Column("tag", "VARCHAR"),
+    ],
+    primary_key=("id",),
+)
+
+
+def fact_rows(seed: int = 1) -> list[dict]:
     rng = random.Random(seed)
+    return [
+        {
+            "id": i,
+            "grp": rng.randrange(N_GROUPS),
+            "val": rng.random() * 100.0,
+            "tag": rng.choice("abcd"),
+        }
+        for i in range(N_FACT)
+    ]
+
+
+def build_fact_db(seed: int = 1) -> Database:
     db = Database("relops_bench")
-    db.create_table(
-        TableSchema(
-            "fact",
-            [
-                Column("id", "INTEGER", nullable=False),
-                Column("grp", "INTEGER"),
-                Column("val", "DOUBLE"),
-                Column("tag", "VARCHAR"),
-            ],
-            primary_key=("id",),
-        )
-    )
-    table = db.table("fact")
-    for i in range(N_FACT):
-        table.insert(
-            {
-                "id": i,
-                "grp": rng.randrange(N_GROUPS),
-                "val": rng.random() * 100.0,
-                "tag": rng.choice("abcd"),
-            }
-        )
+    table = db.create_table(FACT_SCHEMA)
+    for row in fact_rows(seed):
+        table.insert(row)
     return db
 
 
-def probe_relation(seed: int = 1) -> Relation:
+def probe_rows(seed: int = 1) -> list[dict]:
     rng = random.Random(seed + 1)
-    return Relation(
-        ("id", "x"),
-        [{"id": rng.randrange(N_FACT), "x": i} for i in range(N_PROBE)],
-    )
+    return [{"id": rng.randrange(N_FACT), "x": i} for i in range(N_PROBE)]
+
+
+def probe_relation(seed: int = 1) -> Relation:
+    return Relation(("id", "x"), probe_rows(seed))
 
 
 def predicate():
@@ -119,6 +133,18 @@ def workload(db: Database, left: Relation) -> dict[str, int]:
     return {"scan": len(scanned), "join": len(joined), "group_by": len(grouped)}
 
 
+def reference_shapes(fact: oracle.Table, left: oracle.Rel) -> dict:
+    """The same three shapes through the oracle."""
+    pred = predicate()
+    return {
+        "scan": lambda: oracle.select(fact.to_relation(), pred),
+        "join": lambda: oracle.join(left, fact.to_relation(), on=[("id", "id")]),
+        "group_by": lambda: oracle.group_by(
+            oracle.select(fact.to_relation(), pred), ("grp",), AGGREGATES
+        ),
+    }
+
+
 def best_of(fn, rounds: int = 5) -> float:
     best = float("inf")
     for _ in range(rounds):
@@ -141,12 +167,15 @@ def test_relops_speedups(benchmark):
         ),
     }
 
+    reference = reference_shapes(
+        oracle.Table(FACT_SCHEMA, fact_rows()),
+        oracle.relation(("id", "x"), probe_rows()),
+    )
+
     timings = {}
     for name, fn in shapes.items():
-        with fastpath.enabled():
-            fast = best_of(fn)
-        with fastpath.disabled():
-            naive = best_of(fn)
+        fast = best_of(fn)
+        naive = best_of(reference[name])
         timings[name] = {
             "fast_ms": round(fast * 1000.0, 3),
             "naive_ms": round(naive * 1000.0, 3),
@@ -158,12 +187,11 @@ def test_relops_speedups(benchmark):
 
     for name, timing in timings.items():
         assert timing["speedup"] >= SPEEDUP_FLOOR, (
-            f"{name}: fast path only {timing['speedup']}x over naive "
+            f"{name}: production only {timing['speedup']}x over the oracle "
             f"(floor {SPEEDUP_FLOOR}x)"
         )
 
-    with fastpath.enabled():
-        benchmark.pedantic(shapes["group_by"], rounds=3, iterations=1)
+    benchmark.pedantic(shapes["group_by"], rounds=3, iterations=1)
 
 
 def test_relops_operation_count_gate():
@@ -171,40 +199,51 @@ def test_relops_operation_count_gate():
 
     The workload is fully seeded, so every count below is a constant of
     the implementation.  A change that starts copying shared rows,
-    loses the index probe, or reads more rows than the naive path shows
-    up here as an exact-number diff — no timing noise involved.
+    loses the index probe, or reads more rows than the oracle shows up
+    here as an exact-number diff — no timing noise involved.
     """
-    counts = {}
-    for mode in ("fast", "naive"):
-        db = build_fact_db()
-        left = probe_relation()
-        context = fastpath.enabled() if mode == "fast" else fastpath.disabled()
-        with context:
-            base = fastpath.STATS.copy()
-            cardinalities = workload(db, left)
-            delta = fastpath.STATS - base
-        counts[mode] = {
-            "rows_read": db.table("fact").rows_read,
-            "db_rows_copied": delta.rows_copied,
-            "rows_shared": delta.rows_shared,
-            "index_joins": delta.index_joins,
-            "hash_joins": delta.hash_joins,
-            "cardinalities": cardinalities,
-        }
+    db = build_fact_db()
+    left = probe_relation()
+    base = fastpath.STATS.copy()
+    cardinalities = workload(db, left)
+    delta = fastpath.STATS - base
+    fast = {
+        "rows_read": db.table("fact").rows_read,
+        "db_rows_copied": delta.rows_copied,
+        "rows_shared": delta.rows_shared,
+        "index_joins": delta.index_joins,
+        "hash_joins": delta.hash_joins,
+        "cardinalities": cardinalities,
+    }
 
-    fast, naive = counts["fast"], counts["naive"]
-    # Identical answers, identical accounting: the fast path charges
+    fact = oracle.Table(FACT_SCHEMA, fact_rows())
+    shapes = reference_shapes(fact, oracle.relation(("id", "x"), probe_rows()))
+    base = fastpath.STATS.copy()
+    copied_base = oracle.rows_copied
+    cardinalities = {name: len(fn().rows) for name, fn in shapes.items()}
+    delta = fastpath.STATS - base  # all zero: the oracle shares no code path
+    naive = {
+        "rows_read": fact.rows_read,
+        "db_rows_copied": oracle.rows_copied - copied_base,
+        "rows_shared": delta.rows_shared,
+        "index_joins": delta.index_joins,
+        "hash_joins": delta.hash_joins,
+        "cardinalities": cardinalities,
+    }
+    counts = {"fast": fast, "naive": naive}
+
+    # Identical answers, identical accounting: production charges
     # scan-equivalent reads even when an index answered the probe.
     assert fast["cardinalities"] == naive["cardinalities"]
     assert fast["rows_read"] == naive["rows_read"]
-    # The gate proper: selections share instead of copy, so the fast
-    # path's copies are exactly the rows materialized by join + group-by.
+    # The gate proper: selections share instead of copy, so production's
+    # copies are exactly the rows materialized by join + group-by.
     expected_copies = (
         fast["cardinalities"]["join"] + fast["cardinalities"]["group_by"]
     )
     assert fast["db_rows_copied"] == expected_copies
     assert fast["index_joins"] == 1 and fast["hash_joins"] == 0
-    assert naive["index_joins"] == 0
+    assert naive["index_joins"] == 0 and naive["rows_shared"] == 0
     assert fast["db_rows_copied"] < naive["db_rows_copied"]
 
     RESULTS["operation_counts"] = counts
@@ -217,14 +256,13 @@ def plain_copy(relation: Relation) -> Relation:
     return Relation(relation.columns, [dict(r) for r in relation.rows])
 
 
-def test_vector_speedups(benchmark):
-    """Vector kernels vs the scalar fast-path loops they replace."""
+def test_vector_speedups(benchmark, monkeypatch):
+    """Vector kernels vs the scalar loops they replace."""
     db = build_fact_db()
     pred = predicate()
-    with fastpath.enabled():
-        fact_rel = db.query("fact")
-        plain_left = plain_copy(probe_relation())
-        plain_right = plain_copy(fact_rel)
+    fact_rel = db.query("fact")
+    plain_left = plain_copy(probe_relation())
+    plain_right = plain_copy(fact_rel)
 
     shapes = {
         "scan": lambda: db.table("fact").scan(pred),
@@ -234,18 +272,17 @@ def test_vector_speedups(benchmark):
     }
 
     timings = {}
-    with fastpath.enabled():
-        for name, fn in shapes.items():
-            with vector.enabled(0):
-                fn()  # warm the mask cache and the columnar image
-                vectored = best_of(fn)
-            with vector.disabled():
-                scalar = best_of(fn)
-            timings[name] = {
-                "vector_ms": round(vectored * 1000.0, 3),
-                "scalar_ms": round(scalar * 1000.0, 3),
-                "speedup": round(scalar / vectored, 2),
-            }
+    for name, fn in shapes.items():
+        monkeypatch.setattr(vector, "BATCH_THRESHOLD", 1)
+        fn()  # warm the mask cache and the columnar image
+        vectored = best_of(fn)
+        monkeypatch.setattr(vector, "BATCH_THRESHOLD", sys.maxsize)
+        scalar = best_of(fn)
+        timings[name] = {
+            "vector_ms": round(vectored * 1000.0, 3),
+            "scalar_ms": round(scalar * 1000.0, 3),
+            "speedup": round(scalar / vectored, 2),
+        }
     RESULTS["vector_microbenchmarks"] = timings
     flush_results()
     print("\n" + json.dumps(timings, indent=2))
@@ -253,11 +290,11 @@ def test_vector_speedups(benchmark):
     for name in ("scan", "filter", "group_by"):
         assert timings[name]["speedup"] >= VECTOR_SPEEDUP_FLOOR, (
             f"{name}: vector kernel only {timings[name]['speedup']}x over "
-            f"the scalar fast path (floor {VECTOR_SPEEDUP_FLOOR}x)"
+            f"the scalar loop (floor {VECTOR_SPEEDUP_FLOOR}x)"
         )
 
-    with fastpath.enabled(), vector.enabled(0):
-        benchmark.pedantic(shapes["group_by"], rounds=3, iterations=1)
+    monkeypatch.setattr(vector, "BATCH_THRESHOLD", 1)
+    benchmark.pedantic(shapes["group_by"], rounds=3, iterations=1)
 
 
 def vector_workload_counts() -> dict:
@@ -265,17 +302,16 @@ def vector_workload_counts() -> dict:
     db = build_fact_db()
     left = probe_relation()
     pred = predicate()
-    with fastpath.enabled(), vector.enabled(0):
-        base = fastpath.STATS.copy()
-        scanned = db.table("fact").scan(pred)
-        fact_rel = db.query("fact")
-        filtered = fact_rel.select(pred)
-        plain_left = plain_copy(left)
-        plain_right = plain_copy(fact_rel)
-        joined = plain_left.join(plain_right, on=[("id", "id")])
-        index_joined = left.join(db.query("fact"), on=[("id", "id")])
-        grouped = fact_rel.group_by(("grp",), AGGREGATES)
-        delta = fastpath.STATS - base
+    base = fastpath.STATS.copy()
+    scanned = db.table("fact").scan(pred)
+    fact_rel = db.query("fact")
+    filtered = fact_rel.select(pred)
+    plain_left = plain_copy(left)
+    plain_right = plain_copy(fact_rel)
+    joined = plain_left.join(plain_right, on=[("id", "id")])
+    index_joined = left.join(db.query("fact"), on=[("id", "id")])
+    grouped = fact_rel.group_by(("grp",), AGGREGATES)
+    delta = fastpath.STATS - base
     return {
         "cardinalities": {
             "scan": len(scanned),
@@ -297,7 +333,7 @@ def vector_workload_counts() -> dict:
     }
 
 
-def test_vector_operation_count_gate(update_golden):
+def test_vector_operation_count_gate(update_golden, monkeypatch):
     """Machine-independent CI gate on the batch kernels.
 
     The workload is fully seeded, so every counter below is a constant
@@ -307,6 +343,7 @@ def test_vector_operation_count_gate(update_golden):
     committed ``golden_vector_opcounts.json``; regenerate after an
     intentional kernel change with ``--update-golden``.
     """
+    monkeypatch.setattr(vector, "BATCH_THRESHOLD", 1)
     counts = vector_workload_counts()
 
     # Structural invariants, independent of the golden numbers.
@@ -343,12 +380,11 @@ def single_insert_refresh(database: Database) -> dict[str, int]:
         max(row[pk_column] for row in orders.scan()) + 1
     )
     view = database.materialized_view("OrdersMV")
-    with fastpath.enabled():
-        view.refresh(database)  # ensure a current snapshot to fold into
-        base = fastpath.STATS.copy()
-        database.insert("orders", template)
-        view.refresh(database)
-        delta = fastpath.STATS - base
+    view.refresh(database)  # ensure a current snapshot to fold into
+    base = fastpath.STATS.copy()
+    database.insert("orders", template)
+    view.refresh(database)
+    delta = fastpath.STATS - base
     return {
         "mv_incremental": delta.mv_incremental,
         "mv_full_recompute": delta.mv_full_recompute,
@@ -369,3 +405,36 @@ def test_mv_incremental_on_scenario_views():
         assert delta["mv_delta_rows"] == 1, (name, delta)
     RESULTS["materialized_views"] = mv_results
     flush_results()
+
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
+
+
+def test_tier_switch_ledger_row():
+    """``simplicity:tier_switches``: what taking the switches out bought.
+
+    The *before* side is the parent commit (one reference per tier,
+    toggled in-process); the *after* side is read from the tree, so the
+    row — and this test — moves if a tier knob comes back.
+    """
+    env_knobs = sorted(
+        {
+            name
+            for path in (SRC / "db").glob("*.py")
+            for name in re.findall(r"REPRO_[A-Z_]+", path.read_text("utf-8"))
+        }
+    )
+    assert env_knobs == ["REPRO_MEM_BUDGET", "REPRO_PARTITION_ROWS", "REPRO_SPILL_DIR"]
+    src_lines = sum(
+        len(path.read_text("utf-8").splitlines()) for path in SRC.rglob("*.py")
+    )
+    ledger_append(
+        "simplicity:tier_switches",
+        {
+            "src_loc": {"before": 29001, "after": src_lines},
+            "db_env_vars": {"before": 7, "after": len(env_knobs)},
+            "cli_tier_flags": {"before": 5, "after": 0},
+            "engine_ctor_tier_params": {"before": 5, "after": 0},
+            "switch_functions": {"before": 10, "after": 0},
+        },
+    )

@@ -39,7 +39,6 @@ import sys
 from typing import Sequence
 
 from repro.db import partition as db_partition
-from repro.db import vector
 from repro.engine import ENGINES
 from repro.errors import FaultSpecError, ServeError
 from repro.ioutil import write_json_atomic, write_text_atomic
@@ -112,15 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-every", type=float, metavar="TU",
                      help="checkpoint cadence in tu for "
                           "--durability snapshot+wal")
-    run.add_argument("--no-vector", action="store_true",
-                     help="disable the columnar batch kernels and run "
-                          "every relational operator on the scalar "
-                          "row-at-a-time fast path")
-    run.add_argument("--batch-threshold", type=int, metavar="ROWS",
-                     help="minimum input rows before the columnar batch "
-                          "kernels engage (default "
-                          f"{vector.DEFAULT_BATCH_THRESHOLD}; 0 = always "
-                          "batch)")
     run.add_argument("--mem-budget", type=int, metavar="ROWS",
                      help="per-database resident-row budget: tables "
                           "partition and spill cold partitions to disk "
@@ -253,21 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--periods", type=int, default=2)
     profile.add_argument("--seed", type=int, default=42)
     profile.add_argument("--workers", type=int, default=4)
-    profile.add_argument("--no-vector", action="store_true",
-                         help="disable the columnar batch kernels "
-                              "(profile the scalar fast path)")
-    profile.add_argument("--batch-threshold", type=int, metavar="ROWS",
-                         help="minimum input rows before the columnar "
-                              "batch kernels engage (default "
-                              f"{vector.DEFAULT_BATCH_THRESHOLD}; "
-                              "0 = always batch)")
     profile.add_argument("--mem-budget", type=int, metavar="ROWS",
                          help="per-database resident-row budget (spill "
                               "partitions past it); adds partition_* "
                               "spill counters to the report")
-    profile.add_argument("--naive", action="store_true",
-                         help="disable the relational fast path for this "
-                              "run (baseline comparison)")
     profile.add_argument("--synth", default="", metavar="KNOBS",
                          help="profile a synthesized workload instead of "
                               "the classic scenario; adds a per-family "
@@ -494,7 +473,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = build_scenario(jitter=args.jitter, seed=args.seed)
     engine = ENGINES[args.engine](
         scenario.registry, worker_count=args.workers,
-        batch_threshold=args.batch_threshold,
         mem_budget=args.mem_budget,
     )
     observability = (
@@ -522,11 +500,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: invalid fault spec {args.faults}: {exc}",
               file=sys.stderr)
         return 2
-    if args.no_vector:
-        with vector.disabled():
-            result = client.run()
-    else:
-        result = client.run()
+    result = client.run()
 
     table = result.metrics.as_table()
     print(
@@ -996,7 +970,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         workload = synthesize(synth_spec, f=args.distribution)
         engine = ENGINES[args.engine](
             workload.scenario.registry, worker_count=args.workers,
-            batch_threshold=args.batch_threshold,
             mem_budget=args.mem_budget,
         )
         client = SynthClient(
@@ -1007,7 +980,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scenario = build_scenario(seed=args.seed)
         engine = ENGINES[args.engine](
             scenario.registry, worker_count=args.workers,
-            batch_threshold=args.batch_threshold,
             mem_budget=args.mem_budget,
         )
         client = BenchmarkClient(
@@ -1016,14 +988,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     stats_base = fastpath.STATS.copy()
     partition_base = db_partition.STATS.copy()
-    if args.naive:
-        with fastpath.disabled():
-            result = client.run()
-    elif args.no_vector:
-        with vector.disabled():
-            result = client.run()
-    else:
-        result = client.run()
+    result = client.run()
     stats = (fastpath.STATS - stats_base).snapshot()
     partition_stats = {
         key: value
@@ -1063,15 +1028,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             span.attributes.get("db_vector_fallbacks", 0)
         )
 
-    if args.naive:
-        mode = "naive"
-    elif args.no_vector:
-        mode = "fast-scalar"
-    else:
-        mode = "fast"
     print(
         f"engine={result.engine_name} d={args.datasize} t={args.time} "
-        f"periods={result.periods} path={mode}"
+        f"periods={result.periods}"
         + (f" workload={args.synth}" if args.synth else "")
     )
     if args.synth:
@@ -1108,8 +1067,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "distribution": args.distribution,
             },
             "periods": result.periods,
-            "path": mode,
-            "batch_threshold": vector.batch_threshold(),
             "mem_budget": args.mem_budget,
             "operators": breakdown,
             "fastpath": stats,

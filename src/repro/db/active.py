@@ -153,7 +153,7 @@ class ViewQuery:
 class _Aggregator:
     """Running group-by state shared by full and incremental refreshes.
 
-    Mirrors ``Relation._group_by_fast``: one ``[count, value]``
+    Mirrors ``Relation._group_by_scalar``: one ``[count, value]``
     accumulator per aggregate per group, groups in first-appearance
     order.  Feeding the same rows in the same order as a full recompute
     therefore finalizes to the same output rows.
@@ -315,7 +315,6 @@ class MaterializedView:
             self.observe(database)
         if (
             query is not None
-            and fastpath.is_enabled()
             and self._observing
             and self._snapshot is not None
             and not self._delta_dirty
@@ -330,21 +329,12 @@ class MaterializedView:
 
     def _refresh_full(self, database: "Database") -> None:
         query = self._query
-        if query is not None and self._observing:
-            fastpath.STATS.mv_full_recompute += 1
-        if query is None or not fastpath.is_enabled():
-            self._snapshot = (
-                query.run_full(database)
-                if query is not None
-                else self._definition(database)
-            )
-            self._aggregator = None
-            self._plain_rows = None
-            self._plain_columns = None
-            # A naive-path recompute leaves no delta state to build on.
-            self._delta_dirty = True
-            self._pending.clear()
+        if query is None:
+            # Opaque definition: nothing observed, no delta state kept.
+            self._snapshot = self._definition(database)
             return
+        if self._observing:
+            fastpath.STATS.mv_full_recompute += 1
         joined = query.join_stream(database)
         if query.aggregates:
             aggregator = _Aggregator(query.group_keys, query.aggregates)

@@ -300,10 +300,10 @@ class Database:
         """Snapshot a table as a relation (the building block of EXTRACT).
 
         With a ``predicate``/``columns``, equivalent to
-        ``query(t).select(predicate).keep(*columns)`` — but on the fast
-        path, leading ``column = literal`` conjuncts that are covered by
-        the table's primary key or a secondary index are answered by an
-        index probe instead of a scan.  The full predicate is still
+        ``query(t).select(predicate).keep(*columns)`` — but leading
+        ``column = literal`` conjuncts that are covered by the table's
+        primary key or a secondary index are answered by an index probe
+        instead of a scan.  The full predicate is still
         re-checked on every candidate row, and the table is charged the
         same scan-equivalent ``rows_read`` a full scan would cost, so
         results and cost accounting are byte-identical either way.
@@ -312,7 +312,6 @@ class Database:
         relation: Relation | None = None
         if (
             predicate is not None
-            and fastpath.is_enabled()
             and isinstance(predicate, Expression)
             and all(map(table.schema.has_column, predicate.referenced_columns()))
         ):

@@ -1,25 +1,24 @@
-"""Fast-path switchboard and operation counters for :mod:`repro.db`.
+"""Operation counters for the relational kernel of :mod:`repro.db`.
 
-The relational kernel has two execution strategies for every operator:
+Every operator has one implementation, built on four techniques:
+operators share row dicts (copy-on-write: only ``project``/``extend``/
+``join``/``group_by`` build new dicts because only they produce new
+values), predicates run as compiled closures or columnar mask kernels,
+joins probe existing table indexes, and materialized views maintain
+their snapshots incrementally.  Which rung of an operator's ladder runs
+(index probe → partition-wise → mask/column kernel → compiled scalar
+loop) is decided only from what the code observes — input size, the
+source table's generation, residency, the predicate's grammar — never
+from a user-settable switch.
 
-* the **naive path** — every operator re-materializes every row dict and
-  every predicate walks the expression tree per row (the original,
-  obviously-correct implementation); and
-* the **fast path** — operators share row dicts (copy-on-write: only
-  ``project``/``extend``/``join``/``group_by`` build new dicts because
-  only they produce new values), predicates run as compiled closures,
-  joins probe existing table indexes, and materialized views maintain
-  their snapshots incrementally.
-
-Both paths produce byte-identical relations *and* byte-identical
-``rows_read``/``rows_written`` counters — the engine's cost model and
-the golden NAVG+ tables must not move when the fast path is toggled.
-The differential suite in ``tests/db/test_fastpath_equivalence.py``
-pins that equivalence on randomized inputs.
-
-The fast path is on by default; export ``REPRO_FASTPATH=0`` (or use
-:func:`disabled`) to fall back to the naive path, e.g. for the
-microbenchmark baselines in ``benchmarks/test_bench_relops.py``.
+The reference the implementation is held to lives outside ``src/``:
+``tests/oracle/relational.py`` re-materializes every row per operator
+and walks the expression tree per row (the original, obviously-correct
+implementation).  Production must produce byte-identical relations
+*and* byte-identical ``rows_read``/``rows_written`` counters — the
+engine's cost model and the golden NAVG+ tables are pinned on them.
+The differential suites under ``tests/db/`` hold every rung to that
+oracle on randomized inputs.
 
 :data:`STATS` counts *operations*, not time: how many row dicts were
 materialized, how many expressions were lowered to closures, how many
@@ -31,10 +30,7 @@ on shared runners.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 
 @dataclass
@@ -93,39 +89,3 @@ class FastpathStats:
 
 #: Process-global operation counters (read via ``STATS.snapshot()``).
 STATS = FastpathStats()
-
-_enabled = os.environ.get("REPRO_FASTPATH", "1") not in ("0", "false", "off")
-
-
-def is_enabled() -> bool:
-    """Whether relational operators take the fast path."""
-    return _enabled
-
-
-def set_enabled(on: bool) -> None:
-    global _enabled
-    _enabled = bool(on)
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the naive path (differential tests, baselines)."""
-    global _enabled
-    previous = _enabled
-    _enabled = False
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
-@contextmanager
-def enabled() -> Iterator[None]:
-    """Force the fast path on inside a block regardless of the env toggle."""
-    global _enabled
-    previous = _enabled
-    _enabled = True
-    try:
-        yield
-    finally:
-        _enabled = previous

@@ -13,10 +13,8 @@ a real storage hierarchy:
 * the budget counts **table-resident rows** across all stores of one
   database and evicts least-recently-used partitions once the limit is
   exceeded (pinned partitions — currently being iterated — are skipped);
-* spill segments are columnar: one packed column per schema column,
-  reusing :func:`repro.db.vector.pack_column` (and therefore the
-  ``REPRO_VECTOR_ARRAY`` typed-array format), pickled together with the
-  partition's **generation tag**.  A partition mutated after its last
+* spill segments are columnar: one value list per schema column,
+  pickled together with the partition's **generation tag**.  A partition mutated after its last
   spill is *dirty* and rewrites its segment on the next eviction;
   reload verifies the tag so a stale segment can never silently serve
   old rows;
@@ -33,7 +31,7 @@ and row order, ``rows_read``/``rows_written`` charging, landscape
 digests, run fingerprints — is identical to the fully-resident
 baseline; only the :data:`STATS` spill counters (and wall clock) tell
 the difference.  Unbudgeted tables keep using a plain ``list``; no
-per-row overhead is added to the resident fast path.
+per-row overhead is added to resident storage.
 
 Why *range* partitioning by insertion position rather than hashing row
 keys: stored row order is part of the determinism contract (digests and
@@ -321,27 +319,19 @@ class Partition:
         self.generation += 1
         self._slices = None
 
-    def column_slices(
-        self, schema: "TableSchema", names: Sequence[str]
-    ) -> list[Sequence[Any]]:
+    def column_slices(self, names: Sequence[str]) -> list[Sequence[Any]]:
         """Per-partition columnar views of ``names`` (resident only).
 
         Cached on the partition keyed by its generation; dropped on
         eviction with the rows themselves.
         """
-        from repro.db import vector
-
         if self._slices is None or self._slices_generation != self.generation:
             self._slices = {}
             self._slices_generation = self.generation
-        missing = [n for n in names if n not in self._slices]
-        if missing:
-            rows = self.rows
-            types = {c.name: c.sql_type for c in schema.columns}
-            for name in missing:
-                self._slices[name] = vector.pack_column(
-                    types[name], [row[name] for row in rows]
-                )
+        rows = self.rows
+        for name in names:
+            if name not in self._slices:
+                self._slices[name] = [row[name] for row in rows]
         return [self._slices[name] for name in names]
 
 
@@ -575,8 +565,6 @@ class PartitionStore:
         self.budget._forgotten(self, index)
 
     def _write_segment(self, part: Partition) -> None:
-        from repro.db import vector
-
         if part.path is None:
             part.path = _spill_root() / f"s{self.store_id}p{part.index}.seg"
         names = self.schema.column_names
@@ -585,10 +573,7 @@ class PartitionStore:
         for row in rows:
             for name in names:
                 gathered[name].append(row[name])
-        columns = [
-            vector.pack_column(column.sql_type, gathered[column.name])
-            for column in self.schema.columns
-        ]
+        columns = [gathered[name] for name in names]
         payload = (part.generation, len(rows), columns)
         with open(part.path, "wb") as fh:
             pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
@@ -651,7 +636,7 @@ class PartitionView:
     """A lazy, immutable snapshot of a store at a point in time.
 
     Stands in for the ``list(self._rows)`` snapshot ``Table.to_relation``
-    takes on the fast path: same contents, same ``Sequence`` surface,
+    takes of a plain list: same contents, same ``Sequence`` surface,
     but partitions stay spillable until (a) an operator materializes the
     view by iterating it, or (b) the store is about to mutate
     destructively and freezes the snapshot first (copy-on-write via
@@ -753,7 +738,7 @@ def spilled_view(rows: Any) -> PartitionView | None:
 def partitioned_filter(
     store: PartitionStore, kernel: Any, limit: int | None = None
 ) -> list[Row] | None:
-    """Partition-wise vectorized selection (the spilled ``filter_table``).
+    """Partition-wise vectorized selection (the spilled ``filter_rows``).
 
     Applies the mask kernel per partition over its cached column slices
     and concatenates the survivors — masks are row-local, so the result
@@ -763,7 +748,7 @@ def partitioned_filter(
     out: list[Row] = []
     for part, rows in store.iter_partition_rows(limit):
         if rows is part.rows:
-            columns = part.column_slices(store.schema, kernel.columns)
+            columns = part.column_slices(kernel.columns)
         else:  # clipped snapshot tail: ad-hoc gather, don't poison the cache
             columns = [[row[name] for row in rows] for name in kernel.columns]
         try:
@@ -805,7 +790,6 @@ def partitioned_group(
         if in_col is not None and in_col not in needed:
             needed.append(in_col)
 
-    store = view.store
     single_key = keys[0] if len(keys) == 1 else None
     # group key -> per-spec accumulators: COUNT -> int,
     # SUM/AVG -> [non-null count, running total], MIN/MAX -> value.
@@ -816,7 +800,7 @@ def partitioned_group(
         if not rows:
             continue
         if part is not None and rows is part.rows:
-            gathered = part.column_slices(store.schema, needed)
+            gathered = part.column_slices(needed)
         else:
             gathered = [[row[name] for row in rows] for name in needed]
         columns = dict(zip(needed, gathered))

@@ -11,13 +11,13 @@ Every operator returns a new Relation and leaves its inputs untouched,
 which keeps operator graphs side-effect free (a property the optimizer
 rewrites rely on).
 
-Operators run on one of two strategies (see :mod:`repro.db.fastpath`):
-the naive path re-materializes every row per operator; the fast path
-shares row dicts between relations and only copies where an operator
-produces new values (``project``/``extend``/``join``/``group_by``).
-Sharing is safe because nothing in the kernel ever mutates a stored row
-dict in place — :class:`~repro.db.table.Table` replaces rows wholesale
-on update.  Two consequences the fast path tracks explicitly:
+Operators share row dicts between relations and only copy where an
+operator produces new values (``project``/``extend``/``join``/
+``group_by``); the reference that re-materializes every row per
+operator lives in ``tests/oracle/relational.py``.  Sharing is safe
+because nothing in the kernel ever mutates a stored row dict in place —
+:class:`~repro.db.table.Table` replaces rows wholesale on update.  Two
+consequences the operators track explicitly:
 
 * a relation produced by ``keep`` may *share* rows that physically carry
   more keys than ``columns`` declares (the ``_wide`` flag); the declared
@@ -130,7 +130,7 @@ class Relation:
     ) -> "Relation":
         """Wrap already-validated rows without copying them.
 
-        The fast path's constructor: ``rows`` is adopted by reference, so
+        The operators' constructor: ``rows`` is adopted by reference, so
         callers must hand over a list they will not mutate, of dicts that
         each carry at least the declared ``columns``.  ``wide`` marks
         rows that may carry *more* keys than declared (``keep`` sharing);
@@ -169,11 +169,11 @@ class Relation:
             raise QueryError(f"unknown columns {unknown}; have {self.columns}")
 
     def _guard_expression(self, expr: Expression) -> None:
-        """Match naive error behavior on width-shared rows.
+        """Match exact-width error behavior on width-shared rows.
 
-        Naive rows physically hold exactly ``columns``, so an expression
-        referencing anything else fails at evaluation time (only when
-        rows exist).  Fast-path rows may carry extra keys the expression
+        Rows that physically hold exactly ``columns`` fail an expression
+        referencing anything else at evaluation time (only when rows
+        exist).  Width-shared rows may carry extra keys the expression
         could silently read — reject those references up front instead.
         """
         if not self._wide or not self.rows:
@@ -184,6 +184,13 @@ class Relation:
             raise QueryError(
                 f"unknown column {name!r}; row has {sorted(self.columns)}"
             )
+
+    def _live_table(self) -> Any:
+        """The source table, while it is still at the snapshot's generation."""
+        source = self._source
+        if source is not None and source[0]._generation == source[1]:
+            return source[0]
+        return None
 
     def _narrow_row(self, row: Row) -> Row:
         """One row as an exact-width dict (copy-on-write helper)."""
@@ -196,25 +203,17 @@ class Relation:
 
         NULL (None) predicate results count as *not satisfied*, per SQL.
         """
-        if fastpath.is_enabled():
-            if isinstance(predicate, Expression):
-                self._guard_expression(predicate)
-                if vector.should_batch(len(self.rows)):
-                    keep = vector.filter_rows(self, predicate)
-                    if keep is not None:
-                        return Relation.from_trusted(
-                            self.columns, keep, wide=self._wide
-                        )
+        if isinstance(predicate, Expression):
+            self._guard_expression(predicate)
+            keep = vector.filter_rows(
+                self.rows, self.columns, predicate, self._live_table()
+            )
+            if keep is None:
                 fn = predicate.compile()
                 keep = [row for row in self.rows if fn(row) is True]
-            else:
-                keep = [row for row in self.rows if predicate(row)]
-            return Relation.from_trusted(self.columns, keep, wide=self._wide)
-        if isinstance(predicate, Expression):
-            keep = [row for row in self.rows if predicate.evaluate(row) is True]
         else:
             keep = [row for row in self.rows if predicate(row)]
-        return Relation(self.columns, keep)
+        return Relation.from_trusted(self.columns, keep, wide=self._wide)
 
     def project(
         self,
@@ -237,42 +236,27 @@ class Relation:
         self._require_columns(plain.values())
         out_columns = tuple(mapping.keys())
         out_rows: list[Row] = []
-        if fastpath.is_enabled():
-            compiled: list[tuple[str, Callable[[Row], Any]]] = []
-            for out_name, expr in computed.items():
-                self._guard_expression(expr)
-                compiled.append((out_name, expr.compile()))
-            plain_items = list(plain.items())
-            for row in self.rows:
-                new_row: Row = {}
-                for out_name, in_name in plain_items:
-                    new_row[out_name] = row[in_name]
-                for out_name, fn in compiled:
-                    new_row[out_name] = fn(row)
-                out_rows.append(new_row)
-            fastpath.STATS.rows_copied += len(out_rows)
-            return Relation.from_trusted(out_columns, out_rows)
+        compiled: list[tuple[str, Callable[[Row], Any]]] = []
+        for out_name, expr in computed.items():
+            self._guard_expression(expr)
+            compiled.append((out_name, expr.compile()))
+        plain_items = list(plain.items())
         for row in self.rows:
-            new_row = {}
-            for out_name, in_name in plain.items():
+            new_row: Row = {}
+            for out_name, in_name in plain_items:
                 new_row[out_name] = row[in_name]
-            for out_name, expr in computed.items():
-                new_row[out_name] = expr.evaluate(row)
+            for out_name, fn in compiled:
+                new_row[out_name] = fn(row)
             out_rows.append(new_row)
         fastpath.STATS.rows_copied += len(out_rows)
-        return Relation(out_columns, out_rows)
+        return Relation.from_trusted(out_columns, out_rows)
 
     def keep(self, *names: str) -> "Relation":
         """Projection without renaming: keep the named columns."""
         self._require_columns(names)
-        if fastpath.is_enabled():
-            wide = self._wide or tuple(names) != self.columns
-            return Relation.from_trusted(
-                names, self.rows, wide=wide, source=self._source
-            )
-        fastpath.STATS.rows_copied += len(self.rows)
-        return Relation(
-            names, [{n: row[n] for n in names} for row in self.rows]
+        wide = self._wide or tuple(names) != self.columns
+        return Relation.from_trusted(
+            names, self.rows, wide=wide, source=self._source
         )
 
     def extend(self, name: str, expr: Expression | Callable[[Row], Any]) -> "Relation":
@@ -280,31 +264,23 @@ class Relation:
         if name in self.columns:
             raise QueryError(f"column {name!r} already exists")
         rows: list[Row] = []
-        if fastpath.is_enabled():
-            if isinstance(expr, Expression):
-                self._guard_expression(expr)
-                fn: Callable[[Row], Any] = expr.compile()
-            else:
-                fn = expr
-            if self._wide:
-                for row in self.rows:
-                    new_row = self._narrow_row(row)
-                    new_row[name] = fn(row)
-                    rows.append(new_row)
-            else:
-                for row in self.rows:
-                    new_row = dict(row)
-                    new_row[name] = fn(row)
-                    rows.append(new_row)
-            fastpath.STATS.rows_copied += len(rows)
-            return Relation.from_trusted(self.columns + (name,), rows)
-        for row in self.rows:
-            value = expr.evaluate(row) if isinstance(expr, Expression) else expr(row)
-            new_row = dict(row)
-            new_row[name] = value
-            rows.append(new_row)
+        if isinstance(expr, Expression):
+            self._guard_expression(expr)
+            fn: Callable[[Row], Any] = expr.compile()
+        else:
+            fn = expr
+        if self._wide:
+            for row in self.rows:
+                new_row = self._narrow_row(row)
+                new_row[name] = fn(row)
+                rows.append(new_row)
+        else:
+            for row in self.rows:
+                new_row = dict(row)
+                new_row[name] = fn(row)
+                rows.append(new_row)
         fastpath.STATS.rows_copied += len(rows)
-        return Relation(self.columns + (name,), rows)
+        return Relation.from_trusted(self.columns + (name,), rows)
 
     def distinct(self, key_columns: Sequence[str] | None = None) -> "Relation":
         """Remove duplicates; with ``key_columns``, the *first* row per key wins.
@@ -322,12 +298,10 @@ class Relation:
             if key not in seen:
                 seen.add(key)
                 out.append(row)
-        if fastpath.is_enabled():
-            source = self._source if len(out) == len(self.rows) else None
-            return Relation.from_trusted(
-                self.columns, out, wide=self._wide, source=source
-            )
-        return Relation(self.columns, out)
+        source = self._source if len(out) == len(self.rows) else None
+        return Relation.from_trusted(
+            self.columns, out, wide=self._wide, source=source
+        )
 
     def union_all(self, other: "Relation") -> "Relation":
         """Bag union; both inputs must have identical column tuples."""
@@ -335,13 +309,11 @@ class Relation:
             raise QueryError(
                 f"union over different schemas: {self.columns} vs {other.columns}"
             )
-        if fastpath.is_enabled():
-            return Relation.from_trusted(
-                self.columns,
-                self.rows + other.rows,
-                wide=self._wide or other._wide,
-            )
-        return Relation(self.columns, self.rows + other.rows)
+        return Relation.from_trusted(
+            self.columns,
+            self.rows + other.rows,
+            wide=self._wide or other._wide,
+        )
 
     def union_distinct(
         self, other: "Relation", key_columns: Sequence[str] | None = None
@@ -362,9 +334,9 @@ class Relation:
         with left-side names get ``suffix`` appended (join keys from the
         right are dropped since they equal the left's).
 
-        On the fast path, a right side still backed by an unmodified
-        table snapshot (``Table.to_relation``, optionally narrowed with
-        ``keep``/``distinct``) is joined by probing the table's existing
+        A right side still backed by an unmodified table snapshot
+        (``Table.to_relation``, optionally narrowed with ``keep``/
+        ``distinct``) is joined by probing the table's existing
         pk/secondary index covering the right key columns — no per-call
         hash index, same output.
         """
@@ -385,30 +357,23 @@ class Relation:
             rename[name] = name + suffix if name in self.columns else name
 
         out_columns = self.columns + tuple(rename.values())
-        fast = fastpath.is_enabled()
 
-        probe: Callable[[tuple], Sequence[int]] | None = None
-        if fast and other._source is not None:
-            table, generation = other._source
-            if table._generation == generation:
-                probe = table._probe_for(tuple(right_keys))
+        table = other._live_table()
+        probe = table._probe_for(tuple(right_keys)) if table is not None else None
 
         if probe is None:
-            if fast:
-                # Either side still streaming over spilled partitions:
-                # bucket both sides to disk and join bucket-at-a-time
-                # (grace hash join) — same rows, same order, bounded
-                # residency.
-                graced = partition.maybe_grace_join(
-                    self, other, left_keys, right_keys, rename, how
-                )
-                if graced is not None:
-                    fastpath.STATS.rows_copied += len(graced)
-                    return Relation.from_trusted(out_columns, graced)
-            if (
-                fast
-                and not self._wide
-                and vector.should_batch(len(self.rows) + len(other.rows))
+            # Either side still streaming over spilled partitions:
+            # bucket both sides to disk and join bucket-at-a-time
+            # (grace hash join) — same rows, same order, bounded
+            # residency.
+            graced = partition.maybe_grace_join(
+                self, other, left_keys, right_keys, rename, how
+            )
+            if graced is not None:
+                fastpath.STATS.rows_copied += len(graced)
+                return Relation.from_trusted(out_columns, graced)
+            if not self._wide and vector.should_batch(
+                len(self.rows) + len(other.rows)
             ):
                 batched = vector.join_rows(
                     self, other, left_keys, right_keys, rename, how
@@ -416,8 +381,7 @@ class Relation:
                 if batched is not None:
                     fastpath.STATS.rows_copied += len(batched)
                     return Relation.from_trusted(out_columns, batched)
-            if fast:
-                fastpath.STATS.hash_joins += 1
+            fastpath.STATS.hash_joins += 1
             index: dict[tuple, list[Row]] = {}
             for row in other.rows:
                 key = tuple(row[k] for k in right_keys)
@@ -437,7 +401,7 @@ class Relation:
 
         out_rows: list[Row] = []
         null_right = {out: None for out in rename.values()}
-        narrow_left = fast and self._wide
+        narrow_left = self._wide
         for row in self.rows:
             key = tuple(row[k] for k in left_keys)
             matches = [] if any(part is None for part in key) else lookup(key, [])
@@ -452,9 +416,7 @@ class Relation:
                 combined.update(null_right)
                 out_rows.append(combined)
         fastpath.STATS.rows_copied += len(out_rows)
-        if fast:
-            return Relation.from_trusted(out_columns, out_rows)
-        return Relation(out_columns, out_rows)
+        return Relation.from_trusted(out_columns, out_rows)
 
     def group_by(
         self,
@@ -475,71 +437,31 @@ class Relation:
             if in_col is not None:
                 self._require_columns([in_col])
 
-        if fastpath.is_enabled():
-            view = partition.spilled_view(self.rows)
-            if view is not None:
-                # Spilled input: stream partitions into running
-                # accumulators instead of materializing the snapshot.
-                out_columns, out_rows = partition.partitioned_group(
-                    view, keys, aggregates
-                )
+        view = partition.spilled_view(self.rows)
+        if view is not None:
+            # Spilled input: stream partitions into running
+            # accumulators instead of materializing the snapshot.
+            out_columns, out_rows = partition.partitioned_group(
+                view, keys, aggregates
+            )
+            fastpath.STATS.rows_copied += len(out_rows)
+            return Relation.from_trusted(out_columns, out_rows)
+        if vector.should_batch(len(self.rows)):
+            batched = vector.group_rows(self, keys, aggregates)
+            if batched is not None:
+                out_columns, out_rows = batched
                 fastpath.STATS.rows_copied += len(out_rows)
                 return Relation.from_trusted(out_columns, out_rows)
-            if vector.should_batch(len(self.rows)):
-                batched = vector.group_rows(self, keys, aggregates)
-                if batched is not None:
-                    out_columns, out_rows = batched
-                    fastpath.STATS.rows_copied += len(out_rows)
-                    return Relation.from_trusted(out_columns, out_rows)
-            return self._group_by_fast(keys, aggregates)
+        return self._group_by_scalar(keys, aggregates)
 
-        groups: dict[tuple, list[Row]] = {}
-        order: list[tuple] = []
-        for row in self.rows:
-            key = self.key_tuple(row, keys)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-
-        out_columns = keys + tuple(aggregates.keys())
-        out_rows: list[Row] = []
-        for key in order:
-            members = groups[key]
-            out_row: Row = dict(zip(keys, key))
-            for out_name, (fn_name, in_col) in aggregates.items():
-                fn = fn_name.upper()
-                if fn == "COUNT":
-                    if in_col is None:
-                        out_row[out_name] = len(members)
-                    else:
-                        out_row[out_name] = sum(
-                            1 for m in members if m[in_col] is not None
-                        )
-                    continue
-                values = [m[in_col] for m in members if m[in_col] is not None]
-                if not values:
-                    out_row[out_name] = None
-                elif fn == "SUM":
-                    out_row[out_name] = sum(values)
-                elif fn == "MIN":
-                    out_row[out_name] = min(values)
-                elif fn == "MAX":
-                    out_row[out_name] = max(values)
-                else:  # AVG
-                    out_row[out_name] = sum(values) / len(values)
-            out_rows.append(out_row)
-        fastpath.STATS.rows_copied += len(out_rows)
-        return Relation(out_columns, out_rows)
-
-    def _group_by_fast(
+    def _group_by_scalar(
         self,
         keys: tuple[str, ...],
         aggregates: Mapping[str, tuple[str, str | None]],
     ) -> "Relation":
         """Single-pass grouping with running accumulators.
 
-        Equivalent to the naive member-list implementation because every
+        Equivalent to the oracle's member-list implementation because every
         aggregate is a left fold over members in first-appearance order:
         ``sum`` starts at 0 exactly like :func:`sum`, ``min``/``max``
         keep the earlier value on ties exactly like their builtin
@@ -653,18 +575,14 @@ class Relation:
                 return tuple((row[k] is not None, row[k]) for k in keys)
 
         ordered = sorted(self.rows, key=sort_key)
-        if fastpath.is_enabled():
-            return Relation.from_trusted(self.columns, ordered, wide=self._wide)
-        return Relation(self.columns, ordered)
+        return Relation.from_trusted(self.columns, ordered, wide=self._wide)
 
     def limit(self, n: int) -> "Relation":
         if n < 0:
             raise QueryError(f"limit must be >= 0, got {n}")
-        if fastpath.is_enabled():
-            return Relation.from_trusted(
-                self.columns, self.rows[:n], wide=self._wide
-            )
-        return Relation(self.columns, self.rows[:n])
+        return Relation.from_trusted(
+            self.columns, self.rows[:n], wide=self._wide
+        )
 
     # -- conversion helpers -----------------------------------------------------
 
@@ -672,7 +590,7 @@ class Relation:
         """Deep-enough copy of all rows as plain dicts.
 
         Always projects through the declared columns, so width-shared
-        fast-path rows never leak extra keys across this boundary.
+        rows never leak extra keys across this boundary.
         """
         columns = self.columns
         fastpath.STATS.rows_copied += len(self.rows)

@@ -357,11 +357,7 @@ class Table:
                     self._notify_mutation()
             return removed
         if isinstance(predicate, Expression):
-            matches = (
-                predicate.compile()
-                if fastpath.is_enabled()
-                else predicate.evaluate
-            )
+            matches = predicate.compile()
             removed_at = [
                 p for p, r in enumerate(self._rows) if matches(r) is True
             ]
@@ -391,9 +387,8 @@ class Table:
         if unknown:
             raise SchemaError(f"table {self.name}: unknown columns {sorted(unknown)}")
         normalize = self.schema.normalize
-        fast = fastpath.is_enabled()
         if isinstance(predicate, Expression):
-            check = predicate.compile() if fast else predicate.evaluate
+            check = predicate.compile()
             matches: Callable[[Row], bool] = lambda row: check(row) is True
         elif predicate is not None:
             matches = predicate
@@ -404,9 +399,7 @@ class Table:
             (
                 name,
                 isinstance(value, Expression),
-                (value.compile() if fast else value.evaluate)
-                if isinstance(value, Expression)
-                else value,
+                value.compile() if isinstance(value, Expression) else value,
             )
             for name, value in assignments.items()
         ]
@@ -504,8 +497,8 @@ class Table:
     def get(self, key: tuple | Any) -> Row | None:
         """Primary-key point lookup; scalar keys may be passed bare.
 
-        Fast path returns the stored row by reference — safe because the
-        table replaces rows wholesale on mutation and callers treat read
+        Returns the stored row by reference — safe because the table
+        replaces rows wholesale on mutation and callers treat read
         results as immutable.
         """
         if self._pk_index is None:
@@ -516,11 +509,8 @@ class Table:
         self.rows_read += 1
         if position is None:
             return None
-        if fastpath.is_enabled():
-            fastpath.STATS.rows_shared += 1
-            return self._rows[position]
-        fastpath.STATS.rows_copied += 1
-        return dict(self._rows[position])
+        fastpath.STATS.rows_shared += 1
+        return self._rows[position]
 
     def lookup(self, index_name: str, key: tuple | Any) -> list[Row]:
         """Equality lookup via a secondary index."""
@@ -538,11 +528,8 @@ class Table:
             )
         positions = mapping.get(key, [])
         self.rows_read += len(positions)
-        if fastpath.is_enabled():
-            fastpath.STATS.rows_shared += len(positions)
-            return [self._rows[p] for p in positions]
-        fastpath.STATS.rows_copied += len(positions)
-        return [dict(self._rows[p]) for p in positions]
+        fastpath.STATS.rows_shared += len(positions)
+        return [self._rows[p] for p in positions]
 
     def column_data(self) -> dict[str, Any]:
         """The table as per-column value sequences (columnar image).
@@ -551,9 +538,7 @@ class Table:
         mutation bumps ``_generation``.  Purely a physical layout for
         the vector kernels: building it never charges ``rows_read``
         (callers charge logical reads exactly as the scalar path does).
-        Values are the stored objects by reference, except numeric
-        columns optionally packed value-exactly under
-        ``REPRO_VECTOR_ARRAY=1`` (see :func:`repro.db.vector.pack_column`).
+        Values are the stored objects by reference.
         """
         if (
             self._column_cache is not None
@@ -573,19 +558,12 @@ class Table:
             for row in self._rows:
                 for name in names:
                     gathered[name].append(row[name])
-            return {
-                column.name: vector.pack_column(
-                    column.sql_type, gathered[column.name]
-                )
-                for column in self.schema.columns
-            }
+            return gathered
         rows = self._rows
-        image: dict[str, Any] = {}
-        for column in self.schema.columns:
-            name = column.name
-            image[name] = vector.pack_column(
-                column.sql_type, [row[name] for row in rows]
-            )
+        image: dict[str, Any] = {
+            name: [row[name] for row in rows]
+            for name in self.schema.column_names
+        }
         self._column_cache = image
         self._column_cache_generation = self._generation
         return image
@@ -595,63 +573,51 @@ class Table:
     ) -> list[Row]:
         """Full scan, optionally filtered."""
         self.rows_read += len(self._rows)
-        if fastpath.is_enabled():
-            if predicate is None:
-                rows = list(self._rows)
-            elif isinstance(predicate, Expression):
-                if vector.should_batch(len(self._rows)):
-                    batched = vector.filter_table(self, predicate)
-                    if batched is not None:
-                        fastpath.STATS.rows_shared += len(batched)
-                        return batched
+        if predicate is None:
+            rows = list(self._rows)
+        elif isinstance(predicate, Expression):
+            rows = vector.filter_rows(
+                self._rows, self.schema.column_names, predicate, self
+            )
+            if rows is None:
                 fn = predicate.compile()
                 rows = [r for r in self._rows if fn(r) is True]
-            else:
-                rows = [r for r in self._rows if predicate(r)]
-            fastpath.STATS.rows_shared += len(rows)
-            return rows
-        if predicate is None:
-            rows = [dict(r) for r in self._rows]
-        elif isinstance(predicate, Expression):
-            rows = [dict(r) for r in self._rows if predicate.evaluate(r) is True]
         else:
-            rows = [dict(r) for r in self._rows if predicate(r)]
-        fastpath.STATS.rows_copied += len(rows)
+            rows = [r for r in self._rows if predicate(r)]
+        fastpath.STATS.rows_shared += len(rows)
         return rows
 
     def to_relation(self) -> Relation:
         """Snapshot the table contents as a :class:`Relation`.
 
-        Fast path shares the row dicts (fresh list, so later inserts and
-        deletes cannot grow or shrink the snapshot; updates replace dicts
+        Shares the row dicts (fresh list, so later inserts and deletes
+        cannot grow or shrink the snapshot; updates replace dicts
         wholesale, so shared dicts keep their snapshot values) and links
         the relation back to this table for index-aware joins.
         """
         self.rows_read += len(self._rows)
         store = self.partition_store
-        if fastpath.is_enabled():
-            # A store-backed snapshot stays lazy: the view reads through
-            # spillable partitions until an operator materializes it (or
-            # the store mutates, which freezes it copy-on-write) — same
-            # contents and isolation as the eager list copy.
-            rows = store.view() if store is not None else list(self._rows)
-            return Relation.from_trusted(
-                self.schema.column_names,
-                rows,
-                source=(self, self._generation),
-            )
-        return Relation(self.schema.column_names, [dict(r) for r in self._rows])
+        # A store-backed snapshot stays lazy: the view reads through
+        # spillable partitions until an operator materializes it (or
+        # the store mutates, which freezes it copy-on-write) — same
+        # contents and isolation as the eager list copy.
+        rows = store.view() if store is not None else list(self._rows)
+        return Relation.from_trusted(
+            self.schema.column_names,
+            rows,
+            source=(self, self._generation),
+        )
 
-    # -- index probing (fast path) --------------------------------------------------
+    # -- index probing ---------------------------------------------------------------
 
     def charge_scan(self) -> None:
         """Charge ``rows_read`` as a full scan would, without reading.
 
-        Index-backed fast paths (predicate pushdown, incremental MV
+        Index-backed rungs (predicate pushdown, incremental MV
         maintenance) answer queries without touching every row, but the
         engine's cost model — and the golden NAVG+ tables pinned on it —
         price the *logical* work.  Charging scan-equivalent reads keeps
-        counters byte-identical between the naive and fast paths.
+        counters byte-identical to the full-scan reference.
         """
         self.rows_read += len(self._rows)
 

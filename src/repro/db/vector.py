@@ -1,6 +1,6 @@
 """Columnar batch execution for the relational kernel (ROADMAP item 1).
 
-The fast path of :mod:`repro.db` (PR 5) removed per-operator row
+Sharing row dicts between operators (PR 5) removed per-operator row
 copies; this module removes the per-row *interpreter* overhead on top:
 when a batch is large enough, selections run as fused bitmask kernels
 over per-column value lists, joins build and probe their hash index
@@ -13,11 +13,7 @@ Three layers:
 * **Columnar images** — ``Table.column_data()`` lazily transposes the
   row store into per-column lists, cached per table generation (any
   mutation invalidates).  Relations not backed by a table gather the
-  referenced columns ad hoc.  With ``REPRO_VECTOR_ARRAY=1``, numeric
-  NOT NULL columns additionally pack into ``array('q')``/``array('d')``
-  (value-exact: only homogeneous ``int``/``float`` columns pack, so
-  round-trips are bit-identical) — a memory optimization that trades a
-  little per-access boxing cost.
+  referenced columns ad hoc.
 * **Mask kernels** — :func:`compile_mask` lowers a predicate tree to a
   single generated list comprehension over zipped columns.  SQL
   three-valued logic collapses safely under *strict* masks: the kernel
@@ -26,23 +22,22 @@ Three layers:
   ``select`` does.  Predicates outside the supported grammar
   (function calls, arithmetic, bare column truthiness) return None and
   the caller keeps the compiled scalar closure.
-* **Batch gating** — kernels engage only when the fast path is on,
-  vectorization is enabled (``REPRO_VECTOR``, default on) and the
-  input has at least ``batch_threshold()`` rows
-  (``REPRO_VECTOR_THRESHOLD``, default 64); tiny inputs stay on the
-  scalar loop where closure dispatch is already cheaper than building
-  column views.
+* **Batch gating** — kernels engage only when the input has at least
+  :data:`BATCH_THRESHOLD` rows; tiny inputs stay on the scalar loop
+  where closure dispatch is already cheaper than building column
+  views.  The gate is a constant, not a setting: input size is the only
+  thing that selects between the two rungs.
 
 Correctness contract: every vector kernel either produces exactly the
 rows (same dict objects, same order) and the same ``STATS`` charges
-(``rows_copied``/``rows_shared``) as the scalar fast path, or it
-declines (returns None) and the scalar path runs.  A kernel that trips
-a ``TypeError`` mid-batch declines the same way, so type errors
-surface through the scalar loop with the usual
+(``rows_copied``/``rows_shared``) as the scalar loop, or it declines
+(returns None) and the scalar loop runs.  A kernel that trips a
+``TypeError`` mid-batch declines the same way, so type errors surface
+through the scalar loop with the usual
 :class:`~repro.errors.QueryError`.  (One deliberate relaxation: a
 predicate that would raise only on rows the mask short-circuits away
-may succeed where the naive path raises; schema-coerced data never
-hits this.)  The differential suite in
+may succeed where the reference oracle raises; schema-coerced data
+never hits this.)  The differential suite in
 ``tests/db/test_vector_equivalence.py`` pins the equivalence; the
 ``vector_*`` counters in :data:`repro.db.fastpath.STATS` feed the
 deterministic op-count gates in ``benchmarks/test_bench_relops.py``.
@@ -50,12 +45,9 @@ deterministic op-count gates in ``benchmarks/test_bench_relops.py``.
 
 from __future__ import annotations
 
-import os
-from array import array
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import compress
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.db import fastpath, partition
 from repro.db.expressions import (
@@ -71,104 +63,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.relation import Relation, Row
     from repro.db.table import Table
 
-#: Minimum batch size before columnar kernels engage by default.
-DEFAULT_BATCH_THRESHOLD = 64
-
-_enabled = os.environ.get("REPRO_VECTOR", "1") not in ("0", "false", "off")
-_array_backend = os.environ.get("REPRO_VECTOR_ARRAY", "0") in ("1", "true", "on")
-
-
-def _initial_threshold() -> int:
-    raw = os.environ.get("REPRO_VECTOR_THRESHOLD", "")
-    try:
-        return max(1, int(raw)) if raw else DEFAULT_BATCH_THRESHOLD
-    except ValueError:
-        return DEFAULT_BATCH_THRESHOLD
-
-
-_batch_threshold = _initial_threshold()
-
-
-def is_enabled() -> bool:
-    """Whether batch kernels may engage (fast path must also be on)."""
-    return _enabled
-
-
-def set_enabled(on: bool) -> None:
-    global _enabled
-    _enabled = bool(on)
-
-
-def batch_threshold() -> int:
-    """Current minimum batch size for columnar kernels."""
-    return _batch_threshold
-
-
-def set_batch_threshold(n: int) -> None:
-    """Set the batch threshold (engine deploy knob; clamps to >= 1)."""
-    global _batch_threshold
-    _batch_threshold = max(1, int(n))
+#: Minimum batch size before columnar kernels engage.
+BATCH_THRESHOLD = 64
 
 
 def should_batch(n: int) -> bool:
     """Whether a batch of ``n`` rows takes the columnar kernels."""
-    return _enabled and n >= _batch_threshold
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the scalar path (differential tests, baselines)."""
-    global _enabled
-    previous = _enabled
-    _enabled = False
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
-@contextmanager
-def enabled(threshold: int | None = None) -> Iterator[None]:
-    """Force vectorization on inside a block, optionally re-thresholded."""
-    global _enabled, _batch_threshold
-    previous = (_enabled, _batch_threshold)
-    _enabled = True
-    if threshold is not None:
-        _batch_threshold = max(1, int(threshold))
-    try:
-        yield
-    finally:
-        _enabled, _batch_threshold = previous
+    return n >= BATCH_THRESHOLD
 
 
 # -- columnar images -------------------------------------------------------------
-
-#: SQL types whose columns may pack into an ``array`` when homogeneous.
-#: (DECIMAL stores :class:`~decimal.Decimal` objects, so it never packs.)
-_ARRAY_CODES = {"INTEGER": "q", "BIGINT": "q", "DOUBLE": "d"}
-
-
-def pack_column(sql_type: str, values: list) -> Sequence[Any]:
-    """Optionally pack one column into a typed ``array`` (value-exact).
-
-    Packing only happens under ``REPRO_VECTOR_ARRAY=1`` and only when
-    every value is exactly ``int`` (code ``q``) or exactly ``float``
-    (code ``d``) — ``bool``, NULLs or mixed types keep the plain list,
-    so values gathered back out of the image are bit-identical to the
-    stored row values.
-    """
-    if not _array_backend or not values:
-        return values
-    code = _ARRAY_CODES.get(str(sql_type).upper())
-    if code is None:
-        return values
-    kind = int if code == "q" else float
-    if any(type(v) is not kind for v in values):
-        return values
-    try:
-        return array(code, values)
-    except (OverflowError, TypeError):  # e.g. ints beyond 64 bits
-        return values
 
 
 def columns_of(rows: list["Row"], names: Sequence[str]) -> list[list] | None:
@@ -178,6 +82,17 @@ def columns_of(rows: list["Row"], names: Sequence[str]) -> list[list] | None:
         return [[row[name] for row in rows] for name in names]
     except KeyError:
         return None
+
+
+def _column_views(
+    rows: Sequence["Row"], table: "Table | None", names: Sequence[str]
+) -> list[Sequence[Any]] | None:
+    """Column views for ``names``: the cached image of the ``table``
+    the rows are a current snapshot of, else an ad-hoc gather."""
+    if table is not None:
+        data = table.column_data()
+        return [data[name] for name in names]
+    return columns_of(rows, names)
 
 
 def _resolve_columns(
@@ -192,13 +107,7 @@ def _resolve_columns(
     declared = relation.columns
     if any(name not in declared for name in names):
         return None
-    source = relation._source
-    if source is not None:
-        table, generation = source
-        if table._generation == generation:
-            data = table.column_data()
-            return [data[name] for name in names]
-    return columns_of(relation.rows, names)
+    return _column_views(relation.rows, relation._live_table(), names)
 
 
 # -- mask kernels ---------------------------------------------------------------
@@ -376,62 +285,49 @@ def compile_mask(expr: Expression) -> MaskKernel | None:
 
 def warm_mask(expr: Expression) -> None:
     """Pre-compile one predicate's mask kernel (engine deploy warm-up)."""
-    if _enabled:
-        compile_mask(expr)
+    compile_mask(expr)
 
 
 # -- batch operators -------------------------------------------------------------
 
 
-def filter_rows(relation: "Relation", predicate: Expression) -> list["Row"] | None:
-    """Vectorized selection over a relation; None defers to scalar."""
+def filter_rows(
+    rows: Sequence["Row"],
+    declared: Sequence[str],
+    predicate: Expression,
+    table: "Table | None" = None,
+) -> list["Row"] | None:
+    """Mask-kernel selection over ``rows``; None defers to the scalar loop.
+
+    The one filter ladder behind ``Relation.select`` and ``Table.scan``:
+    ``rows`` is a relation's row list (or still-streaming partition
+    view) or a table's row store, ``declared`` the columns a predicate
+    may reference, ``table`` the table whose current contents ``rows``
+    are (its cached columnar image then replaces the ad-hoc gather).
+    """
+    if not should_batch(len(rows)):
+        return None
     kernel = compile_mask(predicate)
     if kernel is None:
         return None
-    rows = relation.rows
     if not kernel.columns:
         fastpath.STATS.vector_filters += 1
         return list(rows) if kernel.constant else []
+    if any(name not in declared for name in kernel.columns):
+        return None  # scalar loop raises the exact unknown-column error
+    if isinstance(rows, partition.PartitionStore):
+        # Budget-governed table: filter partition-by-partition over the
+        # per-partition column slices (cached on the partitions), never
+        # materializing a whole-table columnar image.
+        return partition.partitioned_filter(rows, kernel)
     view = partition.spilled_view(rows)
-    if view is not None and all(
-        name in relation.columns for name in kernel.columns
-    ):
-        return partition.partitioned_filter(
-            view.store, kernel, limit=len(view)
-        )
-    columns = _resolve_columns(relation, kernel.columns)
+    if view is not None:
+        return partition.partitioned_filter(view.store, kernel, limit=len(view))
+    columns = _column_views(rows, table, kernel.columns)
     if columns is None:
         return None
     try:
         mask = kernel.fn(*columns)
-    except TypeError:
-        fastpath.STATS.vector_fallbacks += 1
-        return None
-    fastpath.STATS.vector_filters += 1
-    return list(compress(rows, mask))
-
-
-def filter_table(table: "Table", predicate: Expression) -> list["Row"] | None:
-    """Vectorized ``Table.scan`` filter; None defers to scalar."""
-    kernel = compile_mask(predicate)
-    if kernel is None:
-        return None
-    rows = table._rows
-    if not kernel.columns:
-        fastpath.STATS.vector_filters += 1
-        return list(rows) if kernel.constant else []
-    schema_columns = table.schema.column_names
-    if any(name not in schema_columns for name in kernel.columns):
-        return None  # scalar loop raises the exact unknown-column error
-    store = partition.store_of(table)
-    if store is not None:
-        # Budget-governed table: filter partition-by-partition over the
-        # per-partition column slices (cached on the partitions), never
-        # materializing a whole-table columnar image.
-        return partition.partitioned_filter(store, kernel)
-    data = table.column_data()
-    try:
-        mask = kernel.fn(*(data[name] for name in kernel.columns))
     except TypeError:
         fastpath.STATS.vector_fallbacks += 1
         return None
@@ -449,7 +345,7 @@ def join_rows(
 ) -> list["Row"] | None:
     """Vectorized hash join: column-array index build + probe.
 
-    Produces exactly the scalar fast path's output — same combined-dict
+    Produces exactly the scalar hash join's output — same combined-dict
     construction, left order preserved, right matches in storage order,
     NULL keys never joining — but builds and probes the key index over
     column views instead of per-row tuple materialization.
@@ -518,11 +414,11 @@ def group_rows(
 ) -> tuple[tuple[str, ...], list["Row"]] | None:
     """Vectorized grouping: position lists per key, aggregated gathers.
 
-    Equivalent to both scalar implementations because positions stay in
-    row order: ``sum``/``min``/``max`` over the gathered non-NULL
-    values are the same left folds the running accumulators perform,
-    AVG divides the same sum by the same count, and groups emit in
-    first-appearance order.
+    Equivalent to the scalar group-by because positions stay in row
+    order: ``sum``/``min``/``max`` over the gathered non-NULL values are
+    the same left folds the running accumulators perform, AVG divides
+    the same sum by the same count, and groups emit in first-appearance
+    order.
     """
     specs = [
         (out_name, fn_name.upper(), in_col)

@@ -136,15 +136,10 @@ class IntegrationEngine:
         parallel_efficiency: float = 1.0,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
         mem_budget: int | None = None,
     ):
         if worker_count < 1:
             raise EngineError(f"worker count must be >= 1, got {worker_count}")
-        if batch_threshold is not None and batch_threshold < 0:
-            raise EngineError(
-                f"batch threshold must be >= 0, got {batch_threshold}"
-            )
         if mem_budget is not None and mem_budget < 1:
             raise EngineError(
                 f"memory budget must be >= 1 row, got {mem_budget}"
@@ -162,14 +157,10 @@ class IntegrationEngine:
         self.cost_parameters = costs or CostParameters()
         self.worker_count = worker_count
         self.parallel_efficiency = parallel_efficiency
-        #: Minimum input size before the columnar batch kernels engage
-        #: (see :mod:`repro.db.vector`); None keeps the process default.
-        #: Applied at deploy time so one engine configures the whole run.
-        self.batch_threshold = batch_threshold
         #: Per-database resident-row budget for spillable table
         #: partitions (see :mod:`repro.db.partition`); None keeps plain
         #: fully-resident storage.  Applied by the clients to every
-        #: scenario database, mirroring batch_threshold's knob shape.
+        #: scenario database.
         self.mem_budget = mem_budget
         self._processes: dict[str, ProcessType] = {}
         self._next_instance_id = 1
@@ -266,8 +257,6 @@ class IntegrationEngine:
 
     def deploy(self, process: ProcessType) -> None:
         """Validate and install one process type."""
-        if self.batch_threshold is not None:
-            vector.set_batch_threshold(self.batch_threshold)
         if process.process_id in self._processes:
             raise DeploymentError(
                 f"{self.engine_name}: {process.process_id} already deployed"
@@ -291,10 +280,8 @@ class IntegrationEngine:
         instead of the first instance of each type paying compilation.
         Predicates are additionally lowered to columnar mask kernels
         (``repro.db.vector.warm_mask``) so the batch path never compiles
-        mid-run either.  A no-op on the naive path.
+        mid-run either.
         """
-        if not fastpath.is_enabled():
-            return
 
         def warm(expression: Expression) -> None:
             expression.compile()

@@ -22,15 +22,8 @@ exists to tell.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine.costs import CostParameters
 from repro.engine.interpreter import MtmInterpreterEngine
-from repro.observability import Observability
-from repro.services.registry import ServiceRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.policy import ResilienceContext
 
 #: Cost profile of a message-oriented EAI server: native XML pipeline
 #: (cheap, streaming), lightweight routing (cheap control), but
@@ -69,32 +62,8 @@ class EaiEngine(MtmInterpreterEngine):
     """
 
     engine_name = "eai-server"
-
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        host: str = "IS",
-        costs: CostParameters | None = None,
-        worker_count: int = 8,
-        parallel_efficiency: float = 1.0,
-        trace: bool = False,
-        observability: Observability | None = None,
-        resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
-        mem_budget: int | None = None,
-    ):
-        super().__init__(
-            registry,
-            host,
-            costs or EAI_COSTS,
-            worker_count,
-            parallel_efficiency,
-            trace,
-            observability=observability,
-            resilience=resilience,
-            batch_threshold=batch_threshold,
-            mem_budget=mem_budget,
-        )
+    default_costs = EAI_COSTS
+    default_worker_count = 8
 
 
 class EtlEngine(MtmInterpreterEngine):
@@ -107,32 +76,9 @@ class EtlEngine(MtmInterpreterEngine):
     """
 
     engine_name = "etl-tool"
-
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        host: str = "IS",
-        costs: CostParameters | None = None,
-        worker_count: int = 2,
-        parallel_efficiency: float = 0.8,
-        trace: bool = False,
-        observability: Observability | None = None,
-        resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
-        mem_budget: int | None = None,
-    ):
-        super().__init__(
-            registry,
-            host,
-            costs or ETL_COSTS,
-            worker_count,
-            parallel_efficiency,
-            trace,
-            observability=observability,
-            resilience=resilience,
-            batch_threshold=batch_threshold,
-            mem_budget=mem_budget,
-        )
+    default_costs = ETL_COSTS
+    default_worker_count = 2
+    default_parallel_efficiency = 0.8
 
     def _execute_instance(self, process, event, queue_length):
         costs, operators, failures = super()._execute_instance(

@@ -54,7 +54,6 @@ class FederatedEngine(IntegrationEngine):
         trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
         mem_budget: int | None = None,
     ):
         super().__init__(
@@ -65,7 +64,6 @@ class FederatedEngine(IntegrationEngine):
             parallel_efficiency,
             observability=observability,
             resilience=resilience,
-            batch_threshold=batch_threshold,
             mem_budget=mem_budget,
         )
         #: The engine's own catalog: queue tables, triggers, procedures.

@@ -29,28 +29,34 @@ class MtmInterpreterEngine(IntegrationEngine):
 
     engine_name = "mtm-interpreter"
 
+    #: The profile an argument left at None falls back to; subclasses
+    #: that model another kind of integration system override these.
+    default_costs = INTERPRETER_COSTS
+    default_worker_count = 4
+    default_parallel_efficiency = 1.0
+
     def __init__(
         self,
         registry: ServiceRegistry,
         host: str = "IS",
         costs: CostParameters | None = None,
-        worker_count: int = 4,
-        parallel_efficiency: float = 1.0,
+        worker_count: int | None = None,
+        parallel_efficiency: float | None = None,
         trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
         mem_budget: int | None = None,
     ):
         super().__init__(
             registry,
             host,
-            costs or INTERPRETER_COSTS,
-            worker_count,
-            parallel_efficiency,
+            costs or self.default_costs,
+            self.default_worker_count if worker_count is None else worker_count,
+            self.default_parallel_efficiency
+            if parallel_efficiency is None
+            else parallel_efficiency,
             observability=observability,
             resilience=resilience,
-            batch_threshold=batch_threshold,
             mem_budget=mem_budget,
         )
         self.trace = trace
@@ -62,7 +68,7 @@ class MtmInterpreterEngine(IntegrationEngine):
 
         Compiling every expression of the plan at deploy time is the
         interpreter's plan cache: instances then run entirely on
-        compiled closures (the relational kernel's fast path).
+        compiled closures.
         """
         super().deploy(process)
         self._warm_plan_cache(process)

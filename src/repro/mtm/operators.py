@@ -462,17 +462,10 @@ class ValidateRows(Operator):
         context.charge_work(
             WORK_RELATIONAL, float(len(relation) * len(self.checks))
         )
-        fast = fastpath.is_enabled()
-        if fast:
-            compiled = []
-            for rule_name, predicate in self.checks.items():
-                relation._guard_expression(predicate)
-                compiled.append((rule_name, predicate.compile()))
-        else:
-            compiled = [
-                (rule_name, predicate.evaluate)
-                for rule_name, predicate in self.checks.items()
-            ]
+        compiled = []
+        for rule_name, predicate in self.checks.items():
+            relation._guard_expression(predicate)
+            compiled.append((rule_name, predicate.compile()))
         narrow = relation._wide
         violations: list[str] = []
         good_rows = []
@@ -495,12 +488,9 @@ class ValidateRows(Operator):
             )
         if violations:
             context.validation_failures.append(violations)
-        if fast:
-            result = Relation.from_trusted(
-                relation.columns, good_rows, wide=relation._wide
-            )
-        else:
-            result = Relation(relation.columns, good_rows)
+        result = Relation.from_trusted(
+            relation.columns, good_rows, wide=relation._wide
+        )
         context.set(self.output, Message(result))
 
 

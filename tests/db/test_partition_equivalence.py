@@ -16,6 +16,7 @@ import pytest
 from repro.db import Column, Database, TableSchema, col, fastpath, lit
 from repro.db import partition
 from repro.parallel.spec import RunSpec, run_spec
+from tests.oracle import relational as oracle
 
 SCHEMA_A = TableSchema(
     "orders",
@@ -149,11 +150,53 @@ def test_tight_budget_engages_partitioned_operators():
     assert delta.partitioned_group_bys > 0
 
 
-def test_naive_path_unaffected_by_budget():
-    with fastpath.disabled():
-        resident = run_workload(build_db(None, seed=1))
-        budgeted = run_workload(build_db(16, seed=1))
-    assert budgeted == resident
+def reference_workload(seed):
+    """:func:`run_workload` through the oracle (it has no budget)."""
+    orders_rows, customer_rows = seed_rows(seed)
+    orders = oracle.Table(SCHEMA_A, orders_rows)
+    customers = oracle.Table(SCHEMA_B, customer_rows)
+    group_aggregates = {
+        "n": ("COUNT", "oid"),
+        "total": ("SUM", "amount"),
+        "avg": ("AVG", "amount"),
+        "lo": ("MIN", "amount"),
+        "hi": ("MAX", "amount"),
+    }
+    out = {}
+    out["select"] = oracle.select(
+        orders.to_relation(), col("amount") > lit(100.0)
+    ).rows
+    joined = oracle.join(
+        orders.to_relation(), customers.to_relation(), on=[("cust", "cid")]
+    )
+    out["join_inner"] = joined.rows
+    out["join_left"] = oracle.join(
+        orders.to_relation(),
+        customers.to_relation(),
+        on=[("cust", "cid")],
+        how="left",
+    ).rows
+    out["join_nonindexed"] = oracle.join(
+        orders.to_relation(), customers.to_relation(), on=[("cust", "tier")]
+    ).rows
+    out["group"] = oracle.group_by(
+        orders.to_relation(), ["status"], group_aggregates
+    ).rows
+    out["multi_key_group"] = oracle.group_by(
+        joined, ["region", "status"], {"n": ("COUNT", "oid")}
+    ).rows
+    out["scan"] = [r["oid"] for r in orders.scan()]
+    out["rows_read"] = orders.rows_read + customers.rows_read
+    out["rows_written"] = orders.rows_written + customers.rows_written
+    return out
+
+
+def test_budgeted_outputs_match_oracle(rungs):
+    expected = reference_workload(seed=1)
+    for _ in rungs():
+        for budget in BUDGETS:
+            got = run_workload(build_db(budget, seed=1))
+            assert got == expected, f"budget={budget} diverged"
 
 
 @pytest.mark.parametrize("engine", ["interpreter", "federated"])

@@ -236,11 +236,11 @@ class TestColumnCacheCoherence:
     def test_partition_slices_keyed_by_generation(self):
         store, _ = make_store(n=20, limit=100, capacity=10)
         part = store._partitions[0]
-        first = part.column_slices(store.schema, ("v",))
-        assert part.column_slices(store.schema, ("v",)) is not None
+        first = part.column_slices(("v",))
+        assert part.column_slices(("v",)) is not None
         part.rows[0]["v"] = "changed"
         part.mutated()
-        second = part.column_slices(store.schema, ("v",))
+        second = part.column_slices(("v",))
         assert list(second[0])[0] == "changed"
         assert first is not second
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.db import fastpath
 from repro.db.expressions import col, func, lit
 from repro.db.relation import Relation, strict_rows
 from repro.errors import QueryError
+from tests.oracle import relational as oracle
 
 
 def rel(*rows, columns=("k", "v")):
@@ -259,12 +259,15 @@ class TestOrderAndLimit:
             (1, "b"),
         ]
 
-    def test_descending_matches_naive_path(self):
+    def test_descending_matches_oracle(self):
         rows = [(3, "a"), (1, "x"), (None, "y"), (3, "b"), (2, None)]
-        fast = rel(*rows).order_by(("k", "v"), descending=True)
-        with fastpath.disabled():
-            naive = rel(*rows).order_by(("k", "v"), descending=True)
-        assert fast.to_dicts() == naive.to_dicts()
+        got = rel(*rows).order_by(("k", "v"), descending=True)
+        expected = oracle.order_by(
+            oracle.relation(got.columns, rel(*rows).rows),
+            ("k", "v"),
+            descending=True,
+        )
+        assert got.to_dicts() == expected.rows
 
     def test_limit(self):
         assert len(rel((1, "a"), (2, "b")).limit(1)) == 1

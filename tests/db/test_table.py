@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.db import fastpath
 from repro.db.expressions import col, lit
 from repro.db.schema import Column, TableSchema
 from repro.db.table import Table
 from repro.errors import IntegrityError, QueryError, SchemaError
+from tests.oracle import relational as oracle
 
 
 @pytest.fixture()
@@ -126,12 +126,11 @@ class TestReads:
         customers.insert_many({"custkey": i, "city": "B"} for i in range(3))
         assert len(customers.scan(col("custkey") > lit(0))) == 2
 
-    def test_scan_returns_copies_on_naive_path(self, customers):
-        customers.insert({"custkey": 1, "name": "x"})
-        with fastpath.disabled():
-            rows = customers.scan()
+    def test_oracle_scan_returns_copies(self, customers):
+        reference = oracle.Table(customers.schema, [{"custkey": 1, "name": "x"}])
+        rows = reference.scan()
         rows[0]["name"] = "mutated"
-        assert customers.get(1)["name"] == "x"
+        assert reference.get(1)["name"] == "x"
 
     def test_scan_shares_rows_on_fast_path(self, customers):
         # Zero-copy contract: reads hand out the stored dicts by
@@ -139,9 +138,8 @@ class TestReads:
         # update()/upsert() for writes (the table itself never mutates a
         # stored dict in place, so sharing is safe).
         customers.insert({"custkey": 1, "name": "x"})
-        with fastpath.enabled():
-            rows = customers.scan()
-            assert rows[0] is customers.get(1)
+        rows = customers.scan()
+        assert rows[0] is customers.get(1)
 
     def test_to_relation(self, customers):
         customers.insert({"custkey": 1})

@@ -1,22 +1,25 @@
-"""Differential conformance: columnar batch kernels vs the scalar fast path.
+"""Differential conformance: columnar batch kernels vs scalar loops vs oracle.
 
 ``repro.db.vector`` answers selections with compiled bitmask kernels,
 joins with column-array probes and group-bys with position-gathered
 folds.  Every batch kernel must be observationally identical to the
-scalar fast path it replaces: same ``columns``, same rows in the same
-order, same ``rows_read``/``rows_copied``/``rows_shared`` accounting,
-same errors.  Every test here runs the same operation on both paths —
-scalar (``vector.disabled()``) and batched (``vector.enabled(0)``, so
-the threshold never masks a kernel) — over seeded random inputs
+scalar loop it replaces and to the reference model in
+``tests/oracle/relational.py``: same ``columns``, same rows in the same
+order, same ``rows_read`` accounting, same errors — and the two
+production rungs must also agree on ``rows_copied``/``rows_shared``.
+Every test here runs the same operation on both rungs — scalar (the
+default batch gate; inputs here stay below it) and batched (the gate
+patched to 1, so it never masks a kernel) — over seeded random inputs
 including NULL keys, duplicate keys and empty relations, and compares
 outputs and counters exactly.
 
 The suite ends with whole-benchmark differentials: full runs at
 d ∈ {0.05, 0.1} whose result fingerprints and landscape digests must be
-byte-identical with the kernels on and off.
+byte-identical whichever rung every operator takes.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -30,12 +33,13 @@ from repro.db import (
     fastpath,
     func,
     lit,
-    vector,
 )
 from repro.db.expressions import UnaryOp
 from repro.db.relation import Relation
 from repro.parallel import RunSpec
 from repro.parallel.spec import run_spec
+from tests.db.conftest import DEFAULT_GATE
+from tests.oracle import relational as oracle
 
 
 def is_null(expr):
@@ -52,7 +56,9 @@ K_VALUES = [None, 0, 1, 2, 3, 3]  # duplicates and NULLs on purpose
 V_VALUES = [None, "a", "b", "c", "a"]
 W_VALUES = [None, -1.5, 0.0, 2.5, 10.0]
 
-#: Kernel counters both paths must charge identically: they feed the
+COLUMNS = ("k", "v", "w")
+
+#: Kernel counters both rungs must charge identically: they feed the
 #: accounting the NAVG+ work model observes.  (masks_compiled and
 #: expr_compiled legitimately differ — they count which compiler ran,
 #: not work done; per-table rows_read/rows_written parity is asserted in
@@ -72,44 +78,48 @@ def random_rows(rng, max_rows=40):
 
 
 def relation(rows):
-    return Relation(("k", "v", "w"), [dict(r) for r in rows])
+    return Relation(COLUMNS, [dict(r) for r in rows])
 
 
-def both_paths(operation, rows, *more_rows):
-    """Run ``operation`` per path; return (vector, scalar, deltas)."""
-    with fastpath.enabled():
-        with vector.enabled(0):
-            base = fastpath.STATS.copy()
-            vectored = operation(relation(rows), *[relation(r) for r in more_rows])
-            vector_delta = fastpath.STATS - base
-        with vector.disabled():
-            base = fastpath.STATS.copy()
-            scalar = operation(relation(rows), *[relation(r) for r in more_rows])
-            scalar_delta = fastpath.STATS - base
-    return vectored, scalar, vector_delta, scalar_delta
+def assert_identical(got, expected):
+    assert got.columns == expected.columns
+    assert got.to_dicts() == expected.rows
 
 
-def assert_identical(vectored, scalar, vector_delta=None, scalar_delta=None):
-    assert vectored.columns == scalar.columns
-    assert vectored.to_dicts() == scalar.to_dicts()
-    if vector_delta is not None:
-        for counter in PARITY_COUNTERS:
-            assert getattr(vector_delta, counter) == getattr(
-                scalar_delta, counter
-            ), f"{counter} diverged between vector and scalar paths"
+def both_rungs(rungs, produce, expect, *inputs):
+    """Run ``produce`` per rung against ``expect``; return the STATS
+    deltas ``(vector, scalar)`` after asserting their parity."""
+    expected = expect(*[oracle.relation(COLUMNS, rows) for rows in inputs])
+    deltas = {}
+    for gate in rungs():
+        relations = [relation(rows) for rows in inputs]
+        base = fastpath.STATS.copy()
+        got = produce(*relations)
+        deltas[gate] = fastpath.STATS - base
+        assert_identical(got, expected)
+    scalar_delta, vector_delta = deltas[DEFAULT_GATE], deltas[1]
+    for counter in PARITY_COUNTERS:
+        assert getattr(vector_delta, counter) == getattr(
+            scalar_delta, counter
+        ), f"{counter} diverged between vector and scalar rungs"
+    return vector_delta, scalar_delta
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestVectorOperatorEquivalence:
-    def test_select_simple(self, seed):
+    def test_select_simple(self, seed, rungs):
         rows = random_rows(random.Random(seed))
         predicate = (col("k") > lit(0)) & (col("v") == lit("a"))
-        vec, scalar, vd, sd = both_paths(lambda r: r.select(predicate), rows)
-        assert_identical(vec, scalar, vd, sd)
+        vd, sd = both_rungs(
+            rungs,
+            lambda r: r.select(predicate),
+            lambda r: oracle.select(r, predicate),
+            rows,
+        )
         assert vd.vector_filters == 1
         assert sd.vector_filters == 0
 
-    def test_select_null_semantics(self, seed):
+    def test_select_null_semantics(self, seed, rungs):
         rows = random_rows(random.Random(seed))
         predicates = [
             (col("k") == lit(None)) | is_null(col("v")),
@@ -117,60 +127,75 @@ class TestVectorOperatorEquivalence:
             ~((col("v") == lit("a")) | (col("k") < lit(2))),
         ]
         for predicate in predicates:
-            vec, scalar, vd, sd = both_paths(
-                lambda r: r.select(predicate), rows
+            vd, _ = both_rungs(
+                rungs,
+                lambda r: r.select(predicate),
+                lambda r: oracle.select(r, predicate),
+                rows,
             )
-            assert_identical(vec, scalar, vd, sd)
             assert vd.vector_filters == 1
 
-    def test_select_column_column(self, seed):
+    def test_select_column_column(self, seed, rungs):
         rows = random_rows(random.Random(seed))
         predicate = col("k") == col("w")
-        vec, scalar, vd, sd = both_paths(lambda r: r.select(predicate), rows)
-        assert_identical(vec, scalar, vd, sd)
+        vd, _ = both_rungs(
+            rungs,
+            lambda r: r.select(predicate),
+            lambda r: oracle.select(r, predicate),
+            rows,
+        )
         assert vd.vector_filters == 1
 
-    def test_select_unsupported_falls_back(self, seed):
+    def test_select_unsupported_falls_back(self, seed, rungs):
         """Grammar the mask compiler rejects runs the scalar loop."""
         rows = random_rows(random.Random(seed))
         predicate = func("COALESCE", col("w"), lit(0.0)) > lit(1.0)
-        vec, scalar, vd, sd = both_paths(lambda r: r.select(predicate), rows)
-        assert_identical(vec, scalar, vd, sd)
+        vd, _ = both_rungs(
+            rungs,
+            lambda r: r.select(predicate),
+            lambda r: oracle.select(r, predicate),
+            rows,
+        )
         assert vd.vector_filters == 0  # declined, not answered
 
-    def test_join_inner_and_left(self, seed):
+    def test_join_inner_and_left(self, seed, rungs):
         rng = random.Random(seed)
         rows, other = random_rows(rng), random_rows(rng)
         for how in ("inner", "left"):
-            vec, scalar, vd, sd = both_paths(
+            vd, sd = both_rungs(
+                rungs,
                 lambda r, o: r.join(o, on=[("k", "k")], how=how),
+                lambda r, o: oracle.join(r, o, on=[("k", "k")], how=how),
                 rows,
                 other,
             )
-            assert_identical(vec, scalar, vd, sd)
             assert vd.vector_joins == 1
             assert vd.hash_joins == 0  # the batch kernel replaced it
             assert sd.hash_joins == 1
 
-    def test_join_multi_key(self, seed):
+    def test_join_multi_key(self, seed, rungs):
         rng = random.Random(seed)
         rows, other = random_rows(rng), random_rows(rng)
-        vec, scalar, vd, sd = both_paths(
-            lambda r, o: r.join(o, on=[("k", "k"), ("v", "v")]),
+        on = [("k", "k"), ("v", "v")]
+        vd, _ = both_rungs(
+            rungs,
+            lambda r, o: r.join(o, on=on),
+            lambda r, o: oracle.join(r, o, on=on),
             rows,
             other,
         )
-        assert_identical(vec, scalar, vd, sd)
         assert vd.vector_joins == 1
 
-    def test_join_self(self, seed):
+    def test_join_self(self, seed, rungs):
         rows = random_rows(random.Random(seed))
-        vec, scalar, vd, sd = both_paths(
-            lambda r: r.join(r, on=[("k", "k")]), rows
+        both_rungs(
+            rungs,
+            lambda r: r.join(r, on=[("k", "k")]),
+            lambda r: oracle.join(r, r, on=[("k", "k")]),
+            rows,
         )
-        assert_identical(vec, scalar, vd, sd)
 
-    def test_group_by_all_aggregates(self, seed):
+    def test_group_by_all_aggregates(self, seed, rungs):
         rows = random_rows(random.Random(seed))
         aggregates = {
             "n": ("COUNT", None),
@@ -180,110 +205,135 @@ class TestVectorOperatorEquivalence:
             "hi": ("MAX", "w"),
             "mean": ("AVG", "w"),
         }
-        vec, scalar, vd, sd = both_paths(
-            lambda r: r.group_by(("k",), aggregates), rows
+        vd, _ = both_rungs(
+            rungs,
+            lambda r: r.group_by(("k",), aggregates),
+            lambda r: oracle.group_by(r, ("k",), aggregates),
+            rows,
         )
-        assert_identical(vec, scalar, vd, sd)
         assert vd.vector_group_bys == 1
 
-    def test_group_by_multi_key(self, seed):
+    def test_group_by_multi_key(self, seed, rungs):
         rows = random_rows(random.Random(seed))
-        vec, scalar, vd, sd = both_paths(
-            lambda r: r.group_by(("k", "v"), {"n": ("COUNT", None)}), rows
+        aggregates = {"n": ("COUNT", None)}
+        vd, _ = both_rungs(
+            rungs,
+            lambda r: r.group_by(("k", "v"), aggregates),
+            lambda r: oracle.group_by(r, ("k", "v"), aggregates),
+            rows,
         )
-        assert_identical(vec, scalar, vd, sd)
         assert vd.vector_group_bys == 1
 
-    def test_chained_pipeline(self, seed):
+    def test_chained_pipeline(self, seed, rungs):
         rows = random_rows(random.Random(seed))
+        aggregates = {"n": ("COUNT", None), "hi": ("MAX", "w")}
 
         def pipeline(r):
             return (
                 r.select(is_not_null(col("k")))
                 .join(r, on=[("k", "k")], how="left")
-                .group_by(("k",), {"n": ("COUNT", None), "hi": ("MAX", "w")})
+                .group_by(("k",), aggregates)
                 .order_by(("k",))
             )
 
-        assert_identical(*both_paths(pipeline, rows))
+        def reference(r):
+            joined = oracle.join(
+                oracle.select(r, is_not_null(col("k"))),
+                r,
+                on=[("k", "k")],
+                how="left",
+            )
+            return oracle.order_by(
+                oracle.group_by(joined, ("k",), aggregates), ("k",)
+            )
 
-    def test_threshold_gates_the_kernels(self, seed):
+        both_rungs(rungs, pipeline, reference, rows)
+
+    def test_threshold_gates_the_kernels(self, seed, rungs):
         rows = random_rows(random.Random(seed))
         predicate = col("k") > lit(0)
-        with fastpath.enabled(), vector.enabled(10**9):
+        expected = oracle.select(oracle.relation(COLUMNS, rows), predicate)
+        for _ in rungs(len(rows) + 1):
             base = fastpath.STATS.copy()
             gated = relation(rows).select(predicate)
             delta = fastpath.STATS - base
-        with fastpath.enabled(), vector.disabled():
-            scalar = relation(rows).select(predicate)
-        assert_identical(gated, scalar)
+        assert_identical(gated, expected)
         assert delta.vector_filters == 0  # below threshold: scalar loop
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_error_parity_on_mixed_type_comparison(seed):
-    """A predicate that raises must raise identically on both paths."""
+def test_error_parity_on_mixed_type_comparison(seed, rungs):
+    """A predicate that raises must raise identically on every rung."""
     rows = random_rows(random.Random(seed))
     if not any(r["v"] is not None for r in rows):
         rows.append({"k": 1, "v": "a", "w": 0.0})
     predicate = col("v") > lit(0)  # str > int raises
 
-    def attempt(path):
-        with fastpath.enabled(), path:
-            try:
-                relation(rows).select(predicate)
-                return None
-            except Exception as exc:  # noqa: BLE001 - parity capture
-                return type(exc), str(exc)
+    def attempt(select):
+        try:
+            select()
+            return None
+        except Exception as exc:  # noqa: BLE001 - parity capture
+            return type(exc), str(exc)
 
-    assert attempt(vector.enabled(0)) == attempt(vector.disabled())
+    expected = attempt(
+        lambda: oracle.select(oracle.relation(COLUMNS, rows), predicate)
+    )
+    assert expected is not None
+    for _ in rungs():
+        assert attempt(lambda: relation(rows).select(predicate)) == expected
+
+
+TABLE_SCHEMA = TableSchema(
+    "t",
+    [
+        Column("pk", "INTEGER", nullable=False),
+        Column("k", "INTEGER"),
+        Column("v", "VARCHAR"),
+        Column("w", "DOUBLE"),
+    ],
+    primary_key=("pk",),
+)
 
 
 def make_table(rows, with_index=False):
-    table_rows = [dict(r, pk=i) for i, r in enumerate(rows)]
-    schema = TableSchema(
-        "t",
-        [
-            Column("pk", "INTEGER", nullable=False),
-            Column("k", "INTEGER"),
-            Column("v", "VARCHAR"),
-            Column("w", "DOUBLE"),
-        ],
-        primary_key=("pk",),
-    )
     db = Database("eq")
-    table = db.create_table(schema)
-    for row in table_rows:
-        table.insert(row)
+    table = db.create_table(TABLE_SCHEMA)
+    for i, row in enumerate(rows):
+        table.insert(dict(row, pk=i))
     if with_index:
         table.create_index("by_k", ["k"])
     return db, table
 
 
+def make_reference(rows):
+    """The oracle's twin of :func:`make_table` (it has no indexes)."""
+    return oracle.Table(TABLE_SCHEMA, [dict(r, pk=i) for i, r in enumerate(rows)])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 class TestTableBackedVectorEquivalence:
-    def test_scan_with_predicate(self, seed):
+    def test_scan_with_predicate(self, seed, rungs):
         rng = random.Random(seed)
         rows = random_rows(rng)
         predicate = (col("k") > lit(0)) | is_null(col("v"))
-        _, t_vec = make_table(rows)
-        _, t_scalar = make_table(rows)
-        with fastpath.enabled(), vector.enabled(0):
+        reference = make_reference(rows)
+        expected = reference.scan(predicate)
+        for gate in rungs():
+            _, table = make_table(rows)
             base = fastpath.STATS.copy()
-            vec = t_vec.scan(predicate)
+            assert table.scan(predicate) == expected
             delta = fastpath.STATS - base
-        with fastpath.enabled(), vector.disabled():
-            scalar = t_scalar.scan(predicate)
-        assert vec == scalar
-        assert t_vec.rows_read == t_scalar.rows_read
-        assert delta.vector_filters == 1
+            assert table.rows_read == reference.rows_read
+            assert delta.vector_filters == (1 if gate == 1 and rows else 0)
 
-    def test_columnar_image_is_cached_until_mutation(self, seed):
+    def test_columnar_image_is_cached_until_mutation(self, seed, rungs):
         rng = random.Random(seed)
         rows = random_rows(rng)
-        _, table = make_table(rows)
+        reference = make_reference(rows)
         predicate = col("k") == lit(1)
-        with fastpath.enabled(), vector.enabled(0):
+        for _ in rungs(1):
+            _, table = make_table(rows)
             base = fastpath.STATS.copy()
             first = table.scan(predicate)
             second = table.scan(predicate)
@@ -291,53 +341,57 @@ class TestTableBackedVectorEquivalence:
             table.insert({"pk": 10_000, "k": 1, "v": "z", "w": 1.0})
             third = table.scan(predicate)
             rebuilt = fastpath.STATS - base
-        assert first == second
-        assert cached.column_builds == 1  # second scan reused the image
-        assert rebuilt.column_builds == 2  # the insert invalidated it
-        with fastpath.enabled(), vector.disabled():
-            assert third == table.scan(predicate)
+        assert first == second == reference.scan(predicate)
+        if rows:
+            assert cached.column_builds == 1  # second scan reused the image
+            assert rebuilt.column_builds == 2  # the insert invalidated it
+        reference.insert({"pk": 10_000, "k": 1, "v": "z", "w": 1.0})
+        assert third == reference.scan(predicate)
 
-    def test_update_invalidates_columnar_image(self, seed):
+    def test_update_invalidates_columnar_image(self, seed, rungs):
         rng = random.Random(seed)
         rows = random_rows(rng)
         if not rows:
             rows = [{"k": 1, "v": "a", "w": 0.0}]
-        _, table = make_table(rows)
         predicate = col("v") == lit("z")
-        with fastpath.enabled(), vector.enabled(0):
+        for _ in rungs(1):
+            _, table = make_table(rows)
             assert table.scan(predicate) == []
             table.update({"v": lit("z")}, col("pk") == lit(0))
             changed = table.scan(predicate)
         assert [row["pk"] for row in changed] == [0]
 
-    def test_query_pushdown_parity(self, seed):
+    def test_query_pushdown_parity(self, seed, rungs):
         rng = random.Random(seed)
         rows = random_rows(rng)
         predicate = col("k") == lit(rng.choice([0, 1, 2, 3, 7]))
-        db_vec, t_vec = make_table(rows, with_index=True)
-        db_scalar, t_scalar = make_table(rows, with_index=True)
-        with fastpath.enabled(), vector.enabled(0):
-            vec = db_vec.query("t", predicate=predicate)
-        with fastpath.enabled(), vector.disabled():
-            scalar = db_scalar.query("t", predicate=predicate)
-        assert_identical(vec, scalar)
-        assert t_vec.rows_read == t_scalar.rows_read
+        reference = make_reference(rows)
+        expected = oracle.select(reference.to_relation(), predicate)
+        for _ in rungs():
+            db, table = make_table(rows, with_index=True)
+            assert_identical(db.query("t", predicate=predicate), expected)
+            assert table.rows_read == reference.rows_read
 
-    def test_index_probe_beats_vector_join(self, seed):
+    def test_index_probe_beats_vector_join(self, seed, rungs):
         """Table-snapshot right sides keep taking the index probe."""
         rng = random.Random(seed)
-        db, _ = make_table(random_rows(rng), with_index=True)
-        left = relation(random_rows(rng))
-        with fastpath.enabled(), vector.enabled(0):
+        table_rows, left_rows = random_rows(rng), random_rows(rng)
+        expected = oracle.join(
+            oracle.relation(COLUMNS, left_rows),
+            oracle.keep(make_reference(table_rows).to_relation(), "k", "v"),
+            on=[("k", "k")],
+        )
+        for _ in rungs():
+            db, _ = make_table(table_rows, with_index=True)
             base = fastpath.STATS.copy()
-            vec = left.join(db.query("t").keep("k", "v"), on=[("k", "k")])
+            got = relation(left_rows).join(
+                db.query("t").keep("k", "v"), on=[("k", "k")]
+            )
             delta = fastpath.STATS - base
-        with fastpath.enabled(), vector.disabled():
-            scalar = left.join(db.query("t").keep("k", "v"), on=[("k", "k")])
-        assert_identical(vec, scalar)
-        if len(left) and len(db.table("t")):
-            assert delta.index_joins == 1
-            assert delta.vector_joins == 0
+            assert_identical(got, expected)
+            if left_rows and table_rows:
+                assert delta.index_joins == 1
+                assert delta.vector_joins == 0
 
 
 # ---------------------------------------------------------------- MV sequences
@@ -423,88 +477,89 @@ def random_order(rng, orderkey):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_mv_sequences_vector_vs_scalar(seed):
+def test_mv_sequences_vector_vs_scalar(seed, rungs):
     """Random mutate/refresh sequences: snapshots and reads identical."""
     rng = random.Random(seed)
-    db_vec = star_schema()
-    db_scalar = star_schema()
-    view_vec = db_vec.create_materialized_view("MV", grouped_view_query())
-    view_scalar = db_scalar.create_materialized_view("MV", grouped_view_query())
-
     next_key = 1
-    ops = [
+    ops = []  # (op, argument): drawn once, replayed per rung and on the oracle
+    for op in [
         rng.choice(["insert", "insert", "insert", "update", "delete", "refresh"])
         for _ in range(rng.randrange(4, 14))
-    ]
-    ops.append("refresh")
-
-    for op in ops:
+    ] + ["refresh"]:
         if op == "insert":
-            row = random_order(rng, next_key)
+            ops.append((op, random_order(rng, next_key)))
             next_key += 1
-            with fastpath.enabled(), vector.enabled(0):
-                db_vec.insert("orders", dict(row))
-            with fastpath.enabled(), vector.disabled():
-                db_scalar.insert("orders", dict(row))
-        elif op == "update" and next_key > 1:
-            key = rng.randrange(1, next_key)
-            predicate = col("orderkey") == lit(key)
-            with fastpath.enabled(), vector.enabled(0):
-                db_vec.table("orders").update({"totalprice": lit(50.0)}, predicate)
-            with fastpath.enabled(), vector.disabled():
-                db_scalar.table("orders").update(
-                    {"totalprice": lit(50.0)}, predicate
-                )
-        elif op == "delete" and next_key > 1:
-            key = rng.randrange(1, next_key)
-            predicate = col("orderkey") == lit(key)
-            with fastpath.enabled(), vector.enabled(0):
-                db_vec.table("orders").delete(predicate)
-            with fastpath.enabled(), vector.disabled():
-                db_scalar.table("orders").delete(predicate)
-        else:  # refresh
-            with fastpath.enabled(), vector.enabled(0):
-                view_vec.refresh(db_vec)
-            with fastpath.enabled(), vector.disabled():
-                view_scalar.refresh(db_scalar)
-            assert view_vec.snapshot.columns == view_scalar.snapshot.columns
-            assert (
-                view_vec.snapshot.to_dicts() == view_scalar.snapshot.to_dicts()
+        elif op in ("update", "delete") and next_key > 1:
+            ops.append((op, col("orderkey") == lit(rng.randrange(1, next_key))))
+        else:
+            ops.append(("refresh", None))
+
+    query = grouped_view_query()
+    reference = oracle.mirror(star_schema())
+    expected = []  # (snapshot, rows_read per table) at every refresh
+    for op, argument in ops:
+        if op == "insert":
+            reference["orders"].insert(dict(argument))
+        elif op == "update":
+            reference["orders"].update({"totalprice": lit(50.0)}, argument)
+        elif op == "delete":
+            reference["orders"].delete(argument)
+        else:
+            snapshot = oracle.view(query, reference)
+            expected.append(
+                (snapshot, {name: t.rows_read for name, t in reference.items()})
             )
-            for name in ("orders", "customer", "nation"):
-                assert (
-                    db_vec.table(name).rows_read
-                    == db_scalar.table(name).rows_read
-                ), f"rows_read diverged on {name} after {op}"
+
+    for _ in rungs():
+        db = star_schema()
+        view = db.create_materialized_view("MV", query)
+        refreshes = iter(expected)
+        for op, argument in ops:
+            if op == "insert":
+                db.insert("orders", dict(argument))
+            elif op == "update":
+                db.table("orders").update({"totalprice": lit(50.0)}, argument)
+            elif op == "delete":
+                db.table("orders").delete(argument)
+            else:
+                view.refresh(db)
+                snapshot, rows_read = next(refreshes)
+                assert_identical(view.snapshot, snapshot)
+                for name, reads in rows_read.items():
+                    assert (
+                        db.table(name).rows_read == reads
+                    ), f"rows_read diverged on {name} after {op}"
 
 
 # ------------------------------------------------------- whole-benchmark runs
 
+#: Default gate, every batch on the kernels, every batch on the scalar loop.
+GATES = (DEFAULT_GATE, 1, sys.maxsize)
+
+
+def assert_one_fingerprint(rungs, spec):
+    outcomes = [run_spec(spec) for _ in rungs(*GATES)]
+    for outcome in outcomes:
+        assert outcome.status == "ok"
+        assert outcome.result.verification.ok
+    assert len({outcome.fingerprint() for outcome in outcomes}) == 1
+    assert len({outcome.landscape_digest for outcome in outcomes}) == 1
+
 
 @pytest.mark.parametrize("datasize", [0.05, 0.1])
 @pytest.mark.parametrize("seed", [42, 7])
-def test_full_run_fingerprints_identical(seed, datasize):
+def test_full_run_fingerprints_identical(seed, datasize, rungs):
     """ISSUE acceptance: byte-identical fingerprints at d ∈ {0.05, 0.1}."""
-    spec = RunSpec(
-        engine="interpreter", datasize=datasize, periods=1, seed=seed
+    assert_one_fingerprint(
+        rungs,
+        RunSpec(engine="interpreter", datasize=datasize, periods=1, seed=seed),
     )
-    with vector.disabled():
-        scalar = run_spec(spec)
-    with vector.enabled(0):
-        vectored = run_spec(spec)
-    assert scalar.status == vectored.status == "ok"
-    assert vectored.fingerprint() == scalar.fingerprint()
-    assert vectored.landscape_digest == scalar.landscape_digest
-    assert vectored.result.verification.ok
-    assert scalar.result.verification.ok
 
 
-def test_full_run_fingerprints_identical_federated():
+def test_full_run_fingerprints_identical_federated(rungs):
     """The federated realization is byte-identical too."""
-    spec = RunSpec(engine="federated", datasize=0.05, periods=1, seed=42)
-    with vector.disabled():
-        scalar = run_spec(spec)
-    with vector.enabled(0):
-        vectored = run_spec(spec)
-    assert vectored.fingerprint() == scalar.fingerprint()
-    assert vectored.landscape_digest == scalar.landscape_digest
+    for datasize in (0.05, 0.1):
+        assert_one_fingerprint(
+            rungs,
+            RunSpec(engine="federated", datasize=datasize, periods=1, seed=42),
+        )
