@@ -8,13 +8,15 @@ the pure ``wal`` mode pays the whole period's tail.  Every configuration
 must still converge byte-identically to the fault-free baseline.
 """
 
+from unittest import mock
+
 from repro.engine import MtmInterpreterEngine
 from repro.resilience import FaultEvent, FaultSpec
 from repro.scenario import build_scenario
-from repro.storage import landscape_digest
+from repro.storage import StorageManager, landscape_digest
 from repro.toolsuite import BenchmarkClient, ScaleFactors
 
-from benchmarks.conftest import write_artifact
+from benchmarks.conftest import RESULTS_DIR, ledger_append, write_artifact
 
 CRASH_AT = 300.0
 
@@ -43,6 +45,69 @@ def run_once(durability=None, checkpoint_every=None):
     )
     result = client.run()
     return client, result, landscape_digest(scenario.all_databases.values())
+
+
+def shared_rows_ledger_row(curve_unchanged):
+    """``storage:shared_rows+wal_runs``: what a period's durability copies.
+
+    One ``snapshot+wal``/50 crash run with every checkpoint and every
+    journaled change inspected as it is taken.  *before* is what the
+    deep-copy checkpoint and the copying WAL made of the same run (one
+    ``dict()`` per captured row, per checkpoint, and one per row
+    payload); *after* counts the row dicts that are not the stored
+    objects themselves.
+    """
+    tally = {"checkpoints": 0, "rows": 0, "row_copies": 0,
+             "payload_rows": 0, "payload_copies": 0}
+    take_checkpoint = StorageManager.take_checkpoint
+    sink = StorageManager._sink
+
+    def counted_checkpoint(storage, engine, at):
+        checkpoint = take_checkpoint(storage, engine, at)
+        tally["checkpoints"] += 1
+        for name, snapshot in checkpoint.databases.items():
+            for table_name, snap in snapshot.tables.items():
+                live = storage.databases[name].table(table_name)
+                tally["rows"] += len(snap.rows)
+                tally["row_copies"] += sum(
+                    held is not stored for held, stored in zip(snap.rows, live)
+                )
+        return checkpoint
+
+    def counted_sink(storage, db_name):
+        listener = sink(storage, db_name)
+        wal = storage.wals[db_name]
+
+        def counting(target, op, payload):
+            listener(target, op, payload)
+            if storage.recording and payload and isinstance(payload[-1], dict):
+                tally["payload_rows"] += 1
+                tally["payload_copies"] += wal._open[-1][2][-1] is not payload[-1]
+
+        return counting
+
+    with mock.patch.object(StorageManager, "take_checkpoint", counted_checkpoint), \
+            mock.patch.object(StorageManager, "_sink", counted_sink):
+        client, _, _ = run_once("snapshot+wal", 50.0)
+    assert tally["row_copies"] == 0 and tally["payload_copies"] == 0, tally
+    ledger_append(
+        "storage:shared_rows+wal_runs",
+        {
+            "config": "interpreter d=0.05 seed 42, snapshot+wal every 50 tu, "
+                      f"commit-point crash at t={CRASH_AT}",
+            "checkpoints": tally["checkpoints"],
+            "wal_records": client.storage.wal_records_total,
+            "checkpoint_row_copies": {
+                "before": tally["rows"], "after": tally["row_copies"]
+            },
+            "wal_payload_row_copies": {
+                "before": tally["payload_rows"], "after": tally["payload_copies"]
+            },
+            # ``git diff --numstat -- src/`` of the change, added - deleted.
+            "src_net_lines": 2,
+            "modeled_curve_unchanged": curve_unchanged,
+        },
+    )
 
 
 def test_recovery_time_vs_checkpoint_cadence(benchmark):
@@ -74,7 +139,12 @@ def test_recovery_time_vs_checkpoint_cadence(benchmark):
         assert identical, f"{mode}/{every} diverged from the baseline"
 
     table = "\n".join(rows)
+    committed = RESULTS_DIR / "recovery_time_vs_cadence.txt"
+    curve_unchanged = (
+        committed.exists() and committed.read_text(encoding="utf-8") == table
+    )
     write_artifact("recovery_time_vs_cadence.txt", table)
+    shared_rows_ledger_row(curve_unchanged)
     print("\n" + table)
 
     # The trade-off must actually materialize: the pure-WAL tail redoes

@@ -18,7 +18,7 @@ from repro.cluster.failover import (
 )
 from repro.cluster.logship import REPLICATION_MODES, LogShipper, ReplicationStats
 from repro.cluster.manager import ClusterConfig, ClusterManager
-from repro.cluster.replica import DatabaseReplica, restore_tables
+from repro.cluster.replica import DatabaseReplica
 from repro.cluster.ring import (
     LARGE_TABLE_ROWS,
     SHARDS_PER_LARGE_TABLE,
@@ -41,5 +41,4 @@ __all__ = [
     "ReplicationStats",
     "ShardMap",
     "elect",
-    "restore_tables",
 ]

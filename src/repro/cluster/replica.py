@@ -34,30 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _VIEW_OPS = ("mv_refresh", "mv_invalidate")
 
 
-def restore_tables(db: Database, snapshot: DatabaseSnapshot) -> int:
-    """Restore a snapshot's tables (not views) into ``db``; returns rows.
-
-    The table half of :meth:`DatabaseSnapshot.restore_into`, reusable
-    against databases that have no view objects (replicas).
-    """
-    restored = 0
-    for name, snap in snapshot.tables.items():
-        if db.has_table(name):
-            table = db.table(name)
-        else:
-            table = db.create_table(snap.schema)
-        table.restore_rows(snap.rows)
-        restored += len(snap.rows)
-        wanted = dict(snap.indexes)
-        for index_name in table.index_names:
-            if table.index_columns(index_name) != wanted.get(index_name):
-                table.drop_index(index_name)
-        for index_name, columns in snap.indexes:
-            if not table.has_index(index_name):
-                table.create_index(index_name, columns)
-    return restored
-
-
 class DatabaseReplica:
     """One follower copy of one database, on one virtual host."""
 
@@ -83,7 +59,7 @@ class DatabaseReplica:
         self.view_state = dict(snapshot.views)
         self.applied_lsn = as_of_lsn
         self.seeds += 1
-        return restore_tables(self.db, snapshot)
+        return snapshot.restore_tables(self.db)
 
     def apply(self, records: Iterable[WalRecord]) -> int:
         """Replay shipped redo records in LSN order; returns #applied."""
@@ -124,7 +100,7 @@ class DatabaseReplica:
         for name in list(target.table_names):
             if name not in snapshot.tables:
                 target.drop_table(name)
-        restored = restore_tables(target, snapshot)
+        restored = snapshot.restore_tables(target)
         for name in target.view_names:
             view = target.materialized_view(name)
             if self.view_state.get(name, False):

@@ -428,13 +428,16 @@ class Table:
     # -- durability support ------------------------------------------------------
 
     def dump_rows(self) -> list[Row]:
-        """Copy all rows *without* counting reads.
+        """All stored rows, by reference, *without* counting reads.
 
         Checkpoint capture uses this instead of :meth:`scan` so taking a
         snapshot never perturbs ``rows_read`` — the cost model must see
-        the same counters with and without durability enabled.
+        the same counters with and without durability enabled.  The
+        list is fresh, the row dicts are the stored ones: every write
+        path replaces a row with a new dict and never mutates one in
+        place, so a holder sees the rows as they were at the call.
         """
-        return [dict(row) for row in self._rows]
+        return list(self._rows)
 
     def restore_rows(self, rows: Iterable[Row]) -> None:
         """Bulk-load a snapshot's rows, bypassing journaling and counters.
@@ -442,9 +445,11 @@ class Table:
         Used exclusively by crash recovery: the WAL/snapshot already
         accounts for these rows, so reloading them must neither re-journal
         nor inflate ``rows_written`` (the engine's cost model would
-        otherwise double-count the replayed work).
+        otherwise double-count the replayed work).  The row dicts are
+        adopted by reference (see :meth:`dump_rows`): the snapshot they
+        came from stays valid because no write path mutates them.
         """
-        self._set_rows([dict(row) for row in rows])
+        self._set_rows(list(rows))
         self._rebuild_indexes()
         self._generation += 1
         if self._observers:
@@ -458,12 +463,12 @@ class Table:
         snapshot converges regardless of where the checkpoint fell.
         """
         if op == "insert":
-            self.insert(dict(payload[0]))
+            self.insert(payload[0])
         elif op == "upsert":
-            self.upsert(dict(payload[0]))
+            self.upsert(payload[0])
         elif op == "set":
             position, row = payload
-            self._replace_at(position, dict(row))
+            self._replace_at(position, row)
             if self._observers:
                 self._notify_mutation()
         elif op == "delete_at":

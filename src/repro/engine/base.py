@@ -163,6 +163,9 @@ class IntegrationEngine:
         #: scenario database.
         self.mem_budget = mem_budget
         self._processes: dict[str, ProcessType] = {}
+        #: Deployed definitions still waiting for a subprocess reference
+        #: to resolve, hence not validated yet (see :meth:`deploy`).
+        self._unvalidated: dict[str, ProcessType] = {}
         self._next_instance_id = 1
         #: Completion times of busy workers (virtual-time worker pool).
         self._worker_free: list[float] = []
@@ -262,13 +265,14 @@ class IntegrationEngine:
                 f"{self.engine_name}: {process.process_id} already deployed"
             )
         self._processes[process.process_id] = process
-        # Subprocess references may point at processes deployed later, so
-        # re-validate the whole set.
-        known = set(self._processes)
-        for deployed in self._processes.values():
-            unknown = [s for s in deployed.subprocess_ids() if s not in known]
-            if not unknown:
-                assert_valid_definition(deployed)
+        # Subprocess references may point at processes deployed later:
+        # a definition is validated once, at the deploy that resolves
+        # the last of its references, in deployment order.
+        self._unvalidated[process.process_id] = process
+        for waiting in list(self._unvalidated.values()):
+            if all(s in self._processes for s in waiting.subprocess_ids()):
+                assert_valid_definition(waiting)
+                del self._unvalidated[waiting.process_id]
 
     def _warm_plan_cache(self, process: ProcessType) -> None:
         """Compile every expression of a process tree at deploy time.
@@ -312,7 +316,7 @@ class IntegrationEngine:
         for process in processes:
             self.deploy(process)
         missing: list[str] = []
-        for process in self._processes.values():
+        for process in self._unvalidated.values():
             missing.extend(
                 s for s in process.subprocess_ids() if s not in self._processes
             )
@@ -413,6 +417,7 @@ class IntegrationEngine:
         durable logs and checkpoints survive by definition.
         """
         self._processes.clear()
+        self._unvalidated.clear()
         self.records = []
         self.reset_workers()
         self._next_instance_id = 1

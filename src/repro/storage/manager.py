@@ -166,12 +166,8 @@ class StorageManager:
         """Start a period: baseline checkpoint over the freshly
         initialized landscape, empty WALs, recording on."""
         self.period = period
-        if self.replication is not None:
-            self.replication.before_truncate()
         for wal in self.wals.values():
             wal.discard_open()
-            wal.truncate()
-        self.commits.clear()
         self._flush_window_end = None
         self.take_checkpoint(engine, at=0.0)
         self._next_checkpoint_due = (

@@ -1,9 +1,13 @@
 """Deterministic snapshots: per-database captures and run checkpoints.
 
-A :class:`DatabaseSnapshot` deep-copies one database's table rows, index
-declarations and materialized-view population state.  View *content* is
-not copied: a view is a pure function of its base tables, so restore
-recomputes it — cheaper, and it keeps snapshots purely logical.
+A :class:`DatabaseSnapshot` holds one database's table rows, index
+declarations and materialized-view population state.  Rows are held *by
+reference*: :class:`~repro.db.table.Table` replaces a changed row with a
+new dict and never mutates a stored one, so the dicts a snapshot shares
+with the live table (and with every later restore) cannot change under
+it.  View *content* is not held: a view is a pure function of its base
+tables, so restore recomputes it — cheaper, and it keeps snapshots
+purely logical.
 
 A :class:`Checkpoint` bundles the snapshots of every attached database
 with the exact I/O counters and the owning engine's volatile state
@@ -27,7 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover
 @dataclass
 class TableSnapshot:
     """Rows + index declarations of one table (schema by reference:
-    :class:`TableSchema` is immutable)."""
+    :class:`TableSchema` is immutable; rows by reference: stored row
+    dicts are never mutated)."""
 
     schema: Any
     rows: list[dict]
@@ -74,6 +79,23 @@ class DatabaseSnapshot:
         drop/create.  Populated views are recomputed from the restored
         base tables, which is deterministic by construction.
         """
+        restored = self.restore_tables(db)
+        for name, populated in self.views.items():
+            try:
+                view = db.materialized_view(name)
+            except Exception as exc:
+                raise RecoveryError(
+                    f"{db.name}: view {name!r} missing after redeploy"
+                ) from exc
+            if populated:
+                view.refresh(db)
+            else:
+                view.invalidate()
+        return restored
+
+    def restore_tables(self, db: "Database") -> int:
+        """The table half of :meth:`restore_into` — all of it for a
+        database that has no view objects (a replica)."""
         restored = 0
         for name, snap in self.tables.items():
             if db.has_table(name):
@@ -89,17 +111,6 @@ class DatabaseSnapshot:
             for index_name, columns in snap.indexes:
                 if not table.has_index(index_name):
                     table.create_index(index_name, columns)
-        for name, populated in self.views.items():
-            try:
-                view = db.materialized_view(name)
-            except Exception as exc:
-                raise RecoveryError(
-                    f"{db.name}: view {name!r} missing after redeploy"
-                ) from exc
-            if populated:
-                view.refresh(db)
-            else:
-                view.invalidate()
         return restored
 
 

@@ -8,18 +8,24 @@ side-effects are journaled as their own records when they originally
 run, so redo never re-fires active logic.
 
 Write path: statements append into an *open buffer*; an instance commit
-seals the buffer into the durable log under monotonically increasing
-LSNs.  Commits are durable by definition (no committed work is ever
-lost); the virtual-time *group-commit window* only batches the modeled
-fsync accounting, so ``flushes <= commits`` — the classic group-commit
-amortization, measurable without perturbing the schedule.
+seals the buffer, as it is, into the durable log as one *run* of
+consecutive LSNs.  :class:`WalRecord` objects are built only when a
+reader (recovery, log shipping) asks for them.  Commits are durable by
+definition (no committed work is ever lost); the virtual-time
+*group-commit window* only batches the modeled fsync accounting, so
+``flushes <= commits`` — the classic group-commit amortization,
+measurable without perturbing the schedule.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import WalError
+
+_FIRST_LSN = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -33,20 +39,14 @@ class WalRecord:
     payload: tuple
 
 
-def _copy_payload(payload: tuple) -> tuple:
-    """Detach mutable payload members (row dicts) from live table state."""
-    return tuple(
-        dict(part) if isinstance(part, dict) else part for part in payload
-    )
-
-
 class WriteAheadLog:
     """The logical WAL of one attached :class:`Database`."""
 
     def __init__(self, db_name: str):
         self.db_name = db_name
         self._open: list[tuple[str, str, tuple]] = []
-        self._records: list[WalRecord] = []
+        #: The redo tail: sealed ``(first_lsn, commit_id, entries)`` runs.
+        self._runs: list[tuple[int, int, list[tuple[str, str, tuple]]]] = []
         self._next_lsn = 1
         # Lifetime counters (survive checkpoint truncation).
         self.records_appended = 0
@@ -56,19 +56,20 @@ class WriteAheadLog:
     # -- write path -------------------------------------------------------------
 
     def append(self, target: str, op: str, payload: tuple) -> None:
-        """Buffer one logical change record in the open transaction."""
-        self._open.append((target, op, _copy_payload(payload)))
+        """Buffer one logical change record in the open transaction.
+
+        The payload is kept as handed over: its row dicts are stored
+        rows, which no :class:`~repro.db.table.Table` write path mutates.
+        """
+        self._open.append((target, op, payload))
 
     def commit(self, commit_id: int) -> int:
         """Seal the open buffer into the durable log; returns #records."""
-        sealed = 0
-        for target, op, payload in self._open:
-            self._records.append(
-                WalRecord(self._next_lsn, commit_id, target, op, payload)
-            )
-            self._next_lsn += 1
-            sealed += 1
-        self._open.clear()
+        sealed = len(self._open)
+        if sealed:
+            self._runs.append((self._next_lsn, commit_id, self._open))
+            self._open = []
+            self._next_lsn += sealed
         self.records_appended += sealed
         self.commits += 1
         return sealed
@@ -93,11 +94,11 @@ class WriteAheadLog:
     @property
     def tail_size(self) -> int:
         """Committed records since the last checkpoint (the redo tail)."""
-        return len(self._records)
+        return self._next_lsn - self.oldest_available_lsn
 
     def committed_records(self) -> list[WalRecord]:
         """The redo tail, in LSN order."""
-        return list(self._records)
+        return self.records_since(self.oldest_available_lsn - 1)
 
     @property
     def last_lsn(self) -> int:
@@ -112,7 +113,7 @@ class WriteAheadLog:
         log-shipping follower lagging past it has a replication hole and
         must be re-seeded from the checkpoint.
         """
-        return self._records[0].lsn if self._records else self._next_lsn
+        return self._runs[0][0] if self._runs else self._next_lsn
 
     def records_since(self, lsn: int) -> list[WalRecord]:
         """Committed records with LSN strictly above ``lsn``, in order.
@@ -126,7 +127,16 @@ class WriteAheadLog:
                 f"but the tail starts at LSN {self.oldest_available_lsn} "
                 f"(truncated by a checkpoint)"
             )
-        return [record for record in self._records if record.lsn > lsn]
+        # The run holding LSN ``lsn + 1`` is the last one starting at or
+        # below it; a record's LSN is its run's first LSN plus its offset.
+        holder = bisect_right(self._runs, lsn + 1, key=_FIRST_LSN) - 1
+        records = []
+        for first_lsn, commit_id, entries in self._runs[max(holder, 0):]:
+            for offset in range(max(lsn + 1 - first_lsn, 0), len(entries)):
+                records.append(
+                    WalRecord(first_lsn + offset, commit_id, *entries[offset])
+                )
+        return records
 
     def truncate(self) -> int:
         """Checkpoint truncation: drop the committed tail.
@@ -139,6 +149,6 @@ class WriteAheadLog:
                 f"wal[{self.db_name}]: cannot truncate with "
                 f"{len(self._open)} uncommitted record(s) open"
             )
-        dropped = len(self._records)
-        self._records.clear()
+        dropped = self.tail_size
+        self._runs.clear()
         return dropped

@@ -243,6 +243,41 @@ class TestShippedReplicas:
         shipper.flush_all(lambda name: PRIMARY)
         assert shipper.divergence_report() == []
 
+    def test_period_boundary_runs_the_barrier_once_and_leaves_no_hole(self):
+        # A follower that lags out of period 0 (huge async batch, no
+        # end-of-period drain) must be brought level by begin_period's
+        # single barrier before the tail is dropped, so period 1 ships
+        # on from there without a hole.
+        storage, db, engine = _rig(mode="wal")
+        shipper = LogShipper(
+            storage, make_network(), mode="async", lag=1e9, batch=10_000
+        )
+        hook = ShipperHook(shipper)
+        barriers = []
+        flush = hook.before_truncate
+        hook.before_truncate = lambda: (barriers.append(1), flush())
+        storage.replication = hook
+        replica = DatabaseReplica(db.name, FOLLOWERS[0])
+        replica.seed(storage.checkpoint_state.databases[db.name],
+                     as_of_lsn=0)
+        shipper.add_replica(replica)
+        *_, (last_lsn, digest) = seeded_workload(db, storage, engine, seed=5)
+        assert replica.applied_lsn == 0 < last_lsn  # lagging, all of it
+
+        storage.begin_period(1, engine)
+        assert barriers == [1]
+        assert replica.applied_lsn == last_lsn
+        assert replica.digest() == digest
+        wal = storage.wals[db.name]
+        assert wal.tail_size == 0 and wal.oldest_available_lsn == last_lsn + 1
+
+        for k in (5000, 5001):
+            db.insert("t", {"k": k, "v": "period 1"})
+            storage.commit_instance(engine, FakeRecord(completion=float(k)))
+        shipper.flush_all(lambda name: PRIMARY)  # no WalError, no hole
+        assert replica.applied_lsn == wal.last_lsn > last_lsn
+        assert shipper.divergence_report() == []
+
     def test_without_the_barrier_truncation_strands_the_follower(self):
         # The negative twin: skip the flush barrier and the checkpoint
         # truncates records the lagging follower still needs — its next

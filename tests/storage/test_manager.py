@@ -150,6 +150,38 @@ class TestCommitPath:
         assert storage.checkpoint_state.at == 60.0
 
 
+class TestCheckpointAfterRecovery:
+    def test_rebuilt_catalog_is_captured_not_the_dead_one(self):
+        """A crashed federated engine comes back with a *fresh* catalog
+        database whose tables restart their generation count: the
+        checkpoint after recovery must hold the rebuilt tables' rows,
+        although the dead objects had the same names and generation
+        numbers."""
+        storage = StorageManager(mode="wal")
+        engine = FakeEngine(make_db())
+        storage.attach_engine(engine)
+        dead = engine._db.table("t")
+        dead.insert({"k": 1, "v": "a"})
+        dead.insert({"k": 2, "v": "b"})
+        storage.begin_period(0, engine)
+        assert storage.checkpoint_state.total_rows == 2
+
+        storage.on_crash(engine)
+        engine._db = make_db()  # the redeployed, empty catalog
+        storage.reattach_engine(engine)
+        RecoveryManager(storage).recover(engine)
+        rebuilt = engine._db.table("t")
+        rebuilt.insert({"k": 3, "v": "c"})
+        storage.commit_instance(engine, FakeRecord(completion=1.0))
+        assert rebuilt is not dead
+        assert rebuilt._generation == dead._generation
+
+        after = storage.take_checkpoint(engine, at=1.0)
+        assert [r["k"] for r in after.databases["cdb"].tables["t"].rows] == [
+            1, 2, 3
+        ]
+
+
 class TestCrashAndMetrics:
     def test_crash_discards_open_buffers_and_pauses(self):
         storage = StorageManager(mode="wal")

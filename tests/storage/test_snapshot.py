@@ -110,3 +110,81 @@ class TestDigest:
         a1, a2 = make_db(), make_db()
         b1, b2 = Database("other"), Database("other")
         assert landscape_digest([a1, b1]) == landscape_digest([b2, a2])
+
+
+class TestSharedRows:
+    """Checkpoints hold stored rows by reference; each test pins one
+    reason that is safe, or one trap a snapshot that skipped "unchanged"
+    tables would fall into."""
+
+    def test_resident_snapshot_holds_the_stored_row_objects(self):
+        # A reintroduced per-row copy fails here, not on a stopwatch.
+        db = make_db()
+        table = db.table("orders")
+        rows = DatabaseSnapshot.capture(db).tables["orders"].rows
+        assert len(rows) == len(table._rows) == 3
+        assert all(a is b for a, b in zip(rows, table._rows))
+        DatabaseSnapshot.capture(db).restore_into(db)
+        assert all(a is b for a, b in zip(rows, table._rows))
+
+    def test_later_writes_never_show_through_a_snapshot(self):
+        # Copy-on-write: every write path replaces the dict it changes.
+        db = make_db()
+        table = db.table("orders")
+        snapshot = DatabaseSnapshot.capture(db)
+        expected = [dict(row) for row in table]
+        table.update({"status": "updated"}, lambda row: row["orderkey"] == 1)
+        table.upsert({"orderkey": 2, "status": "upsert-hit"})
+        table.redo("set", (2, {"orderkey": 3, "status": "redone"}))
+        table.delete(lambda row: row["orderkey"] == 1)
+        table.upsert({"orderkey": 1, "status": "upsert-miss"})
+        assert snapshot.tables["orders"].rows == expected
+
+    def test_second_recovery_from_one_checkpoint_restores_the_same_bytes(self):
+        db = make_db()
+        snapshot = DatabaseSnapshot.capture(db)
+        expected = database_digest(db)
+        for status in ("first", "second"):
+            db.table("orders").update({"status": status})
+            db.table("orders").upsert({"orderkey": 2, "status": status + "!"})
+            db.table("orders").delete(lambda row: row["orderkey"] == 3)
+            assert database_digest(db) != expected
+            snapshot.restore_into(db)
+            assert database_digest(db) == expected
+
+    def test_index_ddl_between_checkpoints_is_captured(self):
+        # create_index / drop_index do not bump the table's generation,
+        # so "same generation" does not mean "same snapshot".
+        db = make_db()
+        table = db.table("orders")
+        first = DatabaseSnapshot.capture(db)
+        generation = table._generation
+        table.create_index("idx_key_status", ("orderkey", "status"))
+        second = DatabaseSnapshot.capture(db)
+        table.drop_index("idx_status")
+        third = DatabaseSnapshot.capture(db)
+        assert table._generation == generation
+        assert first.tables["orders"].indexes == [("idx_status", ("status",))]
+        assert second.tables["orders"].indexes == [
+            ("idx_key_status", ("orderkey", "status")),
+            ("idx_status", ("status",)),
+        ]
+        assert third.tables["orders"].indexes == [
+            ("idx_key_status", ("orderkey", "status"))
+        ]
+
+    def test_recreated_table_is_captured_not_its_namesake(self):
+        # A fresh table restarts its generation count and reaches
+        # numbers the dropped one already had under the same name.
+        db = make_db()
+        old = db.table("orders")
+        first = DatabaseSnapshot.capture(db)
+        db.drop_table("orders")
+        fresh = db.create_table(old.schema)
+        fresh.create_index("idx_status", ("status",))
+        for k in (7, 8, 9):
+            fresh.insert({"orderkey": k, "status": "fresh"})
+        assert fresh._generation == old._generation
+        second = DatabaseSnapshot.capture(db)
+        assert [r["orderkey"] for r in first.tables["orders"].rows] == [1, 2, 3]
+        assert [r["orderkey"] for r in second.tables["orders"].rows] == [7, 8, 9]

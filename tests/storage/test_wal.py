@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.db.schema import Column, TableSchema
+from repro.db.table import Table
 from repro.errors import WalError
 from repro.storage import WriteAheadLog
 
@@ -43,12 +45,36 @@ class TestWritePath:
         assert wal.tail_size == 0
 
     def test_payload_rows_detached_from_caller(self, wal):
-        row = {"k": 1, "v": "a"}
-        wal.append("t", "insert", (row,))
-        row["v"] = "mutated-after-append"
+        """The caller is a ``Table``: payload rows are its stored rows,
+        kept by reference, and no table-level mutation made after a
+        change was journaled may show through the record."""
+        table = Table(
+            TableSchema(
+                "t",
+                [Column("k", "BIGINT", nullable=False), Column("v", "VARCHAR")],
+                primary_key=("k",),
+            )
+        )
+        table.listener = wal.append
+        table.insert({"k": 1, "v": "a"})
+        table.upsert({"k": 1, "v": "b"})
+        table.update({"v": "c"}, lambda row: row["k"] == 1)
+        journaled = len(wal.committed_records()) + wal.open_size
+        table.listener = None
+        table.upsert({"k": 1, "v": "upserted"})
+        table.update({"v": "updated"})
+        table.redo("set", (0, {"k": 1, "v": "redone"}))
+        table.delete(lambda row: row["k"] == 1)
+        table.insert({"k": 1, "v": "reinserted"})
+        table.truncate()
         wal.commit(1)
-        (record,) = wal.committed_records()
-        assert record.payload[0]["v"] == "a"
+        records = wal.committed_records()
+        assert len(records) == journaled == 3
+        assert [(r.op, r.payload[-1]) for r in records] == [
+            ("insert", {"k": 1, "v": "a"}),
+            ("upsert", {"k": 1, "v": "b"}),
+            ("set", {"k": 1, "v": "c"}),
+        ]
 
 
 class TestCrashPath:
