@@ -1,30 +1,43 @@
-"""Write path and STX dispatch: per-row and per-transform microbenchmarks.
+"""Write path and STX walk: per-row and per-transform microbenchmarks,
+and the per-item work a period no longer does, counted.
 
 Two layers carry most of a classic period (``bench/README.md``):
 ``db.write`` — normalizing a row into a table — and ``xmlkit.stx`` —
-finding each element's template.  This file times exactly those two on
-the scenario's own shapes and lands one row in ``results/LEDGER.jsonl``:
+translating a document.  This file times exactly those two on the
+scenario's own shapes and lands two rows in ``results/LEDGER.jsonl``:
 
-* ns/row for ``insert``, ``insert_many``, ``upsert`` (miss and hit) of
+* ns/row for ``insert``, ``insert_many``, ``upsert`` (miss and hit) and
+  the bulk upsert ``insert_many(rows, replace=True)`` (miss and hit) of
   generated orders into the scenario's ``eu_order`` table (pk, DATE and
   CHAR columns, a float total coerced into DECIMAL — the Initializer's
   exact input);
 * µs/transform for every scenario stylesheet, on the first document a
-  benchmark period feeds it.
+  benchmark period feeds it;
+* ``xml_path:compiled_walk+bulk_upsert`` — deterministic counts of one
+  ``interpreter`` d=0.05 seed-5 period: CdbOrder parses per message,
+  per-row ``Table.upsert`` calls, elements allocated per transform.
 
-The numbers explain the end-to-end ``python3 -m bench`` result; they
-claim nothing by themselves (docs/performance.md, "Write path and STX
-dispatch").
+The timings explain the end-to-end ``python3 -m bench`` result; they
+claim nothing by themselves and gate nothing.  The counts repeat
+exactly and are asserted (docs/performance.md, "The XML walk and the
+upsert loop").
 """
 
+import functools
+import pathlib
+import sys
 import time
 
 from benchmarks.conftest import ledger_append
 
 from repro.datagen.generators import DataGenerator
 from repro.db import Database
+from repro.db.table import Table
 from repro.parallel.spec import RunSpec, run_spec
 from repro.scenario import build_scenario
+from repro.scenario.processes import helpers
+from repro.toolsuite import BenchmarkClient
+from repro.xmlkit.doc import XmlElement
 from repro.xmlkit.stx import Stylesheet
 
 N_ROWS = 5_000
@@ -72,6 +85,11 @@ def per_row(method):
     return write
 
 
+def bulk_upsert(table, rows):
+    table.insert_many(rows, replace=True)
+
+
+@functools.cache
 def first_documents() -> dict[str, tuple[Stylesheet, object]]:
     """``{stylesheet name: (sheet, first document it transformed)}`` over
     one period of the two engines that translate messages."""
@@ -112,6 +130,8 @@ def test_write_path_and_stx_dispatch():
         ),
         "upsert_miss_ns_per_row": best_ns_per_row(empty, per_row("upsert"), rows),
         "upsert_hit_ns_per_row": best_ns_per_row(filled, per_row("upsert"), rows),
+        "bulk_upsert_miss_ns_per_row": best_ns_per_row(empty, bulk_upsert, rows),
+        "bulk_upsert_hit_ns_per_row": best_ns_per_row(filled, bulk_upsert, rows),
     }
 
     stx: dict[str, float] = {}
@@ -129,3 +149,94 @@ def test_write_path_and_stx_dispatch():
     print("\nwrite path, ns/row:", {k: v for k, v in summary.items() if k.endswith("row")})
     print("stx, us/transform:", stx)
     ledger_append("write_path:eu_order+stx", summary)
+
+
+# ------------------------------------------------ the same work, counted
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
+
+
+def elements_allocated(fn, *args):
+    """``(result, XmlElement allocations)`` of one call: every
+    ``XmlElement(...)`` and every bare ``XmlElement.__new__``."""
+    init, bare_new = XmlElement.__init__.__code__, object.__new__
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if (event == "call" and frame.f_code is init) or (
+            event == "c_call" and arg is bare_new
+        ):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+def test_a_period_parses_upserts_and_allocates_once():
+    """One ``interpreter`` d=0.05 seed-5 period, counted where the
+    per-item work used to be.  Before: 294 CdbOrder parses of 147
+    messages, 5 128 per-row ``Table.upsert`` calls, and the event loop."""
+    parses: list[object] = []
+    upserts = 0
+    split, upsert = helpers.cdb_order_to_rows, Table.upsert
+
+    def counting_split(document):
+        parses.append(document)
+        return split(document)
+
+    def counting_upsert(table, values):
+        nonlocal upserts
+        upserts += 1
+        return upsert(table, values)
+
+    helpers.cdb_order_to_rows, Table.upsert = counting_split, counting_upsert
+    try:
+        client = BenchmarkClient.from_spec(
+            RunSpec(engine="interpreter", datasize=0.05, periods=1, seed=5)
+        )
+        client.run_period(0)
+    finally:
+        helpers.cdb_order_to_rows, Table.upsert = split, upsert
+    factory = client._last_factory
+    order_messages = (
+        factory.vienna_sent
+        + factory.hongkong_sent
+        + factory.sandiego_sent
+        - factory.sandiego_invalid
+    )
+    rows_written = sum(
+        db.statistics().rows_written
+        for db in client.scenario.all_databases.values()
+    )
+    assert order_messages == 147
+    assert len(parses) == len({id(document) for document in parses}) == 147
+    assert upserts == 0
+    assert rows_written == 8175
+
+    allocations = {}
+    for name, (sheet, document) in sorted(first_documents().items()):
+        output, allocated = elements_allocated(sheet.transform, document)
+        assert allocated == output.size(), (name, allocated, output.size())
+        allocations[name] = allocated
+    assert len(allocations) >= 7, sorted(allocations)
+
+    src_lines = sum(
+        len(path.read_text("utf-8").splitlines()) for path in SRC.rglob("*.py")
+    )
+    ledger_append(
+        "xml_path:compiled_walk+bulk_upsert",
+        {
+            "config": "interpreter d=0.05 seed 5, period 0",
+            "order_messages": order_messages,
+            "cdb_order_parses": {"before": 294, "after": len(parses)},
+            "per_row_upsert_calls": {"before": 5128, "after": upserts},
+            "rows_written": {"before": 8175, "after": rows_written},
+            "elements_allocated_per_transform": allocations,
+            "src_loc": {"before": 28600, "after": src_lines},
+        },
+    )

@@ -285,29 +285,46 @@ class Table:
             )
         return self._append(row, key)
 
-    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Bulk insert; returns the number of rows inserted.
+    def insert_many(
+        self, rows: Iterable[Mapping[str, Any]], replace: bool = False
+    ) -> int:
+        """Bulk insert — or, with ``replace``, bulk upsert; returns the
+        number of rows written.
 
-        Row for row the same effects as :meth:`insert`, in the same
-        order (one ``"insert"`` change record and one observer call per
-        row; a failing row leaves its predecessors stored) — only what
-        cannot change during the batch is looked up once.
+        Row for row the same effects as :meth:`insert` (``replace``:
+        :meth:`upsert`, so a row whose primary key is taken replaces the
+        stored one instead of raising), in the same order: one change
+        record, one observer call and one ``rows_written`` step per row;
+        a failing row leaves its predecessors stored.  Only what cannot
+        change during the batch is looked up once.
         """
         name, listener, observers = self.name, self.listener, self._observers
         normalize, pk_of = self.schema.normalize, self.schema.pk_of
         pk_index, store = self._pk_index, self._rows
         append = store.append
         secondary = list(self._secondary.values())
+        keyless_upsert = replace and pk_index is None
         count = 0
         for values in rows:
+            if keyless_upsert:
+                raise IntegrityError(f"table {name}: upsert needs a primary key")
             row = normalize(values)
             position = len(store)
             if pk_index is not None:
                 key = pk_of(row)
                 if key in pk_index:
-                    raise IntegrityError(
-                        f"table {name}: duplicate primary key {key}"
-                    )
+                    if not replace:
+                        raise IntegrityError(
+                            f"table {name}: duplicate primary key {key}"
+                        )
+                    self._replace_at(pk_index[key], row)
+                    self.rows_written += 1
+                    if listener is not None:
+                        listener(name, "upsert", (row,))
+                    for observer in observers:
+                        observer.on_mutation(name)
+                    count += 1
+                    continue
                 pk_index[key] = position
             append(row)
             for cols, mapping in secondary:

@@ -11,6 +11,7 @@ systems, and injects the schema violations that make San Diego the
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -77,6 +78,16 @@ class MessageFactory:
 
     # -- helpers ---------------------------------------------------------------
 
+    @functools.cached_property
+    def _europe_customers(self) -> list[int]:
+        """Every region-Europe customer key; the population is planted
+        before the factory is built and fixed for its lifetime."""
+        return (
+            self.population.customers_of("berlin")
+            + self.population.customers_of("paris")
+            + self.population.customers_of("trondheim")
+        )
+
     def _order_lines(self, parent: XmlElement, line_tag: str, build_line) -> float:
         count = self.distribution.sample_int(1, 4)
         total = 0.0
@@ -97,11 +108,7 @@ class MessageFactory:
 
     def vienna_order(self) -> Message:
         """A ``<ViennaOrder>`` referencing a region-Europe customer."""
-        europe_customers = (
-            self.population.customers_of("berlin")
-            + self.population.customers_of("paris")
-            + self.population.customers_of("trondheim")
-        )
+        europe_customers = self._europe_customers
         orderkey = next(self._vienna_orders)
         custkey = self.distribution.choice(europe_customers)
         root = XmlElement("ViennaOrder")
@@ -129,12 +136,7 @@ class MessageFactory:
 
     def mdm_customer_update(self) -> Message:
         """An ``<MDMCustomerMessage>``: changed Europe master data."""
-        europe_customers = (
-            self.population.customers_of("berlin")
-            + self.population.customers_of("paris")
-            + self.population.customers_of("trondheim")
-        )
-        custkey = self.distribution.choice(europe_customers)
+        custkey = self.distribution.choice(self._europe_customers)
         cities = self.population.city_keys.get("europe", [1])
         root = XmlElement("MDMCustomerMessage")
         kunde = root.add(XmlElement("Kunde", {"nr": str(custkey)}))

@@ -29,43 +29,54 @@ ORDERLINE_COLUMNS = (
 )
 
 
-def _text(element: XmlElement, tag: str) -> str | None:
-    """Child text, searching one nested level (Head blocks)."""
-    direct = element.child_text(tag)
-    if direct is not None:
-        return direct
-    for child in element.children:
-        nested = child.child_text(tag)
-        if nested is not None:
-            return nested
-    return None
-
-
 def cdb_order_to_rows(document: XmlElement) -> tuple[dict, list[dict]]:
-    """Parse a canonical ``<CdbOrder>`` message into order + line rows."""
-    orderkey = int(_text(document, "Orderkey"))
+    """Parse a canonical ``<CdbOrder>`` message into order + line rows.
+
+    Head fields are direct children, or sit one level down (Head
+    blocks); the first element in document order carries a field.
+    """
+    direct: dict[str, str] = {}
+    nested: dict[str, str] = {}
+    lines_parent: XmlElement | None = None
+    for child in document.children:
+        direct.setdefault(child.tag, child.text or "")
+        if lines_parent is None and child.tag == "Lines":
+            lines_parent = child
+        for below in child.children:
+            nested.setdefault(below.tag, below.text or "")
+
+    def text(tag: str) -> str | None:
+        found = direct.get(tag)
+        return nested.get(tag) if found is None else found
+
+    orderkey = int(text("Orderkey"))
     order = {
         "orderkey": orderkey,
-        "custkey": int(_text(document, "Custkey")),
-        "orderdate": datetime.date.fromisoformat(_text(document, "Orderdate")),
-        "status": _text(document, "Status"),
-        "priority": _text(document, "Priority"),
+        "custkey": int(text("Custkey")),
+        "orderdate": datetime.date.fromisoformat(text("Orderdate")),
+        "status": text("Status"),
+        "priority": text("Priority"),
         "totalprice": None,
     }
-    total_text = _text(document, "Totalprice")
+    total_text = text("Totalprice")
     lines: list[dict] = []
     computed_total = Decimal("0")
-    lines_parent = document.find("Lines")
-    for line in (lines_parent.find_all("Line") if lines_parent else []):
-        extended = Decimal(line.child_text("Extendedprice") or "0")
+    for line in lines_parent.children if lines_parent is not None else ():
+        if line.tag != "Line":
+            continue
+        # First child with a tag wins, as in the head.
+        field = {
+            cell.tag: cell.text or "" for cell in reversed(line.children)
+        }.get
+        extended = Decimal(field("Extendedprice") or "0")
         computed_total += extended
-        discount_text = line.child_text("Discount")
+        discount_text = field("Discount")
         lines.append(
             {
                 "orderkey": orderkey,
-                "linenumber": int(line.child_text("Linenumber")),
-                "prodkey": int(line.child_text("Prodkey")),
-                "quantity": int(line.child_text("Quantity")),
+                "linenumber": int(field("Linenumber")),
+                "prodkey": int(field("Prodkey")),
+                "quantity": int(field("Quantity")),
                 "extendedprice": extended,
                 "discount": Decimal(discount_text) if discount_text else None,
             }
@@ -75,14 +86,27 @@ def cdb_order_to_rows(document: XmlElement) -> tuple[dict, list[dict]]:
 
 
 def extract_cdb_order(input_var: str, order_var: str, lines_var: str):
-    """Assign-callables splitting a CdbOrder message into two relations."""
+    """Assign-callables splitting a CdbOrder message into two relations.
+
+    The order callable parses the message; the lines callable, which a
+    process runs right after it on the same document, takes the lines
+    of that parse instead of parsing again.
+    """
+    split: list = [None, None]  # the document last split, its line rows
 
     def order_value(context: ExecutionContext) -> Message:
-        order, _ = cdb_order_to_rows(context.get(input_var).xml())
+        document = context.get(input_var).xml()
+        order, lines = cdb_order_to_rows(document)
+        split[:] = document, lines
         return Message(Relation(ORDER_COLUMNS, [order]))
 
     def lines_value(context: ExecutionContext) -> Message:
-        _, lines = cdb_order_to_rows(context.get(input_var).xml())
+        document = context.get(input_var).xml()
+        if split[0] is document:
+            lines = split[1]
+            split[:] = None, None
+        else:
+            _, lines = cdb_order_to_rows(document)
         return Message(Relation(ORDERLINE_COLUMNS, lines))
 
     return order_value, lines_value

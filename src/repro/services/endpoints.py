@@ -168,11 +168,7 @@ class DatabaseService(ServiceEndpoint):
         if mode == "insert":
             count = self.database.insert_many(spec["table"], rows)
         elif mode == "upsert":
-            upsert = table.upsert
-            count = 0
-            for row in rows:
-                upsert(row)
-                count += 1
+            count = table.insert_many(rows, replace=True)
         else:
             raise ServiceError(f"unknown update mode {mode!r}")
         return Envelope("result", count, payload_units=1.0)
@@ -247,9 +243,10 @@ class WebService(ServiceEndpoint):
     def op_update(self, request: Envelope) -> Envelope:
         document: XmlElement = request.body
         if document.tag == self.result_tag:
-            document = document.copy()
-            self._from_dialect(document)
-        elif document.tag != "ResultSet":
+            row_tag = self.row_tag
+        elif document.tag == "ResultSet":
+            row_tag = "Row"
+        else:
             raise ServiceError(
                 f"service {self.name}: update expects <{self.result_tag}> "
                 f"or canonical <ResultSet>, got <{document.tag}>"
@@ -259,19 +256,13 @@ class WebService(ServiceEndpoint):
             raise ServiceError(
                 f"service {self.name}: update ResultSet lacks a table attribute"
             )
-        rows = resultset_to_rows(document, self._types_for(table))
-        upsert = self.database.table(table).upsert
-        for row in rows:
-            upsert(row)
+        rows = resultset_to_rows(
+            document, self._types_for(table), document.tag, row_tag
+        )
+        self.database.table(table).insert_many(rows, replace=True)
         return Envelope("result", len(rows), payload_units=1.0)
 
     def _to_dialect(self, document: XmlElement) -> None:
         document.tag = self.result_tag
         for row in document.children:
             row.tag = self.row_tag
-
-    def _from_dialect(self, document: XmlElement) -> None:
-        document.tag = "ResultSet"
-        for row in document.children:
-            if row.tag == self.row_tag:
-                row.tag = "Row"

@@ -249,10 +249,8 @@ class Initializer:
             if not subset:
                 subset = pool[:1]
             population.customer_keys[ws_name] = [c["custkey"] for c in subset]
-            for customer in subset:
-                db.table("customer").upsert(customer)
-            for product in products:
-                db.table("product").upsert(product)
+            db.table("customer").insert_many(subset, replace=True)
+            db.table("product").insert_many(products, replace=True)
             kept = {c["custkey"] for c in subset}
             my_orders = [o for o in order_pool if o["custkey"] in kept]
             my_keys = {o["orderkey"] for o in my_orders}
@@ -266,10 +264,8 @@ class Initializer:
         hk = self.scenario.web_service_databases["hongkong"]
         hk_subset = self._subset(gen.distribution, pool, 0.5) or pool[:1]
         population.customer_keys["hongkong"] = [c["custkey"] for c in hk_subset]
-        for customer in hk_subset:
-            hk.table("customer").upsert(customer)
-        for product in products:
-            hk.table("product").upsert(product)
+        hk.table("customer").insert_many(hk_subset, replace=True)
+        hk.table("product").insert_many(products, replace=True)
 
     # -- region America -----------------------------------------------------------
 

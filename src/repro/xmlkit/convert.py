@@ -22,17 +22,11 @@ from __future__ import annotations
 
 import datetime
 from decimal import Decimal
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import XmlParseError
 from repro.db.relation import Relation
 from repro.xmlkit.doc import XmlElement
-
-
-def _render(value: Any) -> str:
-    if isinstance(value, (datetime.date, datetime.datetime)):
-        return value.isoformat()
-    return str(value)
 
 
 def rows_to_resultset(
@@ -41,16 +35,33 @@ def rows_to_resultset(
     table: str = "",
 ) -> XmlElement:
     """Serialize rows into the generic result-set shape."""
-    attrs = {"table": table} if table else {}
-    result = XmlElement("ResultSet", attrs)
+    result = XmlElement("ResultSet", {"table": table} if table else None)
+    add_row = result.children.append
+    new = XmlElement.__new__
     for row in rows:
-        row_el = result.add(XmlElement("Row"))
+        # Cells are built in place: one allocation each, nothing copied.
+        cells = []
         for name in columns:
+            if not name:
+                raise XmlParseError("element tag must be non-empty")
             value = row.get(name)
+            cell = new(XmlElement)
+            cell.tag = name
             if value is None:
-                row_el.add(XmlElement(name, {"null": "true"}))
+                cell.attributes = {"null": "true"}
+                cell.text = None
             else:
-                row_el.add_text_child(name, _render(value))
+                cell.attributes = {}
+                cell.text = (
+                    value.isoformat()
+                    if isinstance(value, datetime.date)  # datetimes too
+                    else str(value)
+                )
+            cell.children = []
+            cells.append(cell)
+        row_el = XmlElement("Row")
+        row_el.children = cells
+        add_row(row_el)
     return result
 
 
@@ -59,48 +70,61 @@ def relation_to_resultset(relation: Relation, table: str = "") -> XmlElement:
     return rows_to_resultset(relation.columns, relation.rows, table)
 
 
+def _parse_boolean(text: str) -> bool:
+    return text in ("true", "1", "True")
+
+
+#: SQL type -> text parser; a type not listed here stays a string.
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "INTEGER": int,
+    "BIGINT": int,
+    "DECIMAL": Decimal,
+    "DOUBLE": float,
+    "DATE": datetime.date.fromisoformat,
+    "TIMESTAMP": datetime.datetime.fromisoformat,
+    "BOOLEAN": _parse_boolean,
+}
+
+
 def resultset_to_rows(
     document: XmlElement,
     types: Mapping[str, str] | None = None,
+    result_tag: str = "ResultSet",
+    row_tag: str = "Row",
 ) -> list[dict[str, Any]]:
     """Parse the generic result-set shape back into row dicts.
 
     ``types`` optionally maps column names to SQL types so values come
     back typed (``{"orderkey": "BIGINT", "total": "DECIMAL"}``); untyped
-    columns stay strings.
+    columns stay strings.  ``result_tag``/``row_tag`` name a service's
+    dialect of the shape; canonical ``<Row>`` elements are read in every
+    dialect.
     """
-    if document.tag != "ResultSet":
+    if document.tag != result_tag:
         raise XmlParseError(
-            f"expected <ResultSet>, got <{document.tag}>"
+            f"expected <{result_tag}>, got <{document.tag}>"
         )
-    types = dict(types or {})
+    types = types or {}
+    #: Column -> parser (None: keep the text), chosen at its first cell.
+    parsers: dict[str, Callable[[str], Any] | None] = {}
     rows: list[dict[str, Any]] = []
-    for row_el in document.find_all("Row"):
+    for row_el in document.children:
+        if row_el.tag != row_tag and row_el.tag != "Row":
+            continue
         row: dict[str, Any] = {}
         for cell in row_el.children:
+            name = cell.tag
             if cell.attributes.get("null") == "true":
-                row[cell.tag] = None
+                row[name] = None
                 continue
+            try:
+                parse = parsers[name]
+            except KeyError:
+                sql_type = types.get(name)
+                parse = parsers[name] = (
+                    None if sql_type is None else _PARSERS.get(sql_type.upper())
+                )
             text = cell.text or ""
-            row[cell.tag] = _parse_typed(text, types.get(cell.tag))
+            row[name] = parse(text) if parse else text
         rows.append(row)
     return rows
-
-
-def _parse_typed(text: str, sql_type: str | None) -> Any:
-    if sql_type is None:
-        return text
-    sql_type = sql_type.upper()
-    if sql_type in ("INTEGER", "BIGINT"):
-        return int(text)
-    if sql_type == "DECIMAL":
-        return Decimal(text)
-    if sql_type == "DOUBLE":
-        return float(text)
-    if sql_type == "DATE":
-        return datetime.date.fromisoformat(text)
-    if sql_type == "TIMESTAMP":
-        return datetime.datetime.fromisoformat(text)
-    if sql_type == "BOOLEAN":
-        return text in ("true", "1", "True")
-    return text

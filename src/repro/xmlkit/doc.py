@@ -37,9 +37,9 @@ class XmlElement:
         if not tag:
             raise XmlParseError("element tag must be non-empty")
         self.tag = tag
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.attributes: dict[str, str] = dict(attributes) if attributes else {}
         self.text = text
-        self.children: list[XmlElement] = list(children or [])
+        self.children: list[XmlElement] = list(children) if children else []
 
     # -- construction -----------------------------------------------------------
 
@@ -50,8 +50,9 @@ class XmlElement:
 
     def add_text_child(self, tag: str, value: Any) -> "XmlElement":
         """Append ``<tag>value</tag>``; None becomes an empty element."""
-        text = None if value is None else str(value)
-        return self.add(XmlElement(tag, text=text))
+        child = XmlElement(tag, None, None if value is None else str(value))
+        self.children.append(child)
+        return child
 
     # -- navigation -------------------------------------------------------------
 
@@ -94,16 +95,17 @@ class XmlElement:
 
     def copy(self) -> "XmlElement":
         """Deep copy."""
-        return XmlElement(
-            self.tag,
-            dict(self.attributes),
-            self.text,
-            [child.copy() for child in self.children],
-        )
+        duplicate = XmlElement(self.tag, self.attributes, self.text)
+        duplicate.children = [child.copy() for child in self.children]
+        return duplicate
 
     def size(self) -> int:
         """Total number of elements in this subtree (cost-model input)."""
-        return 1 + sum(child.size() for child in self.children)
+        count, level = 1, self.children
+        while level:
+            count += len(level)
+            level = [below for element in level for below in element.children]
+        return count
 
     def __repr__(self) -> str:
         return f"<{self.tag}>"
@@ -112,7 +114,7 @@ class XmlElement:
 def _lift(node: ET.Element) -> XmlElement:
     element = XmlElement(
         node.tag,
-        dict(node.attrib),
+        node.attrib,
         node.text.strip() if node.text and node.text.strip() else None,
     )
     for child in node:

@@ -8,9 +8,10 @@ current element stack.
 
 We reproduce that model: a :class:`Stylesheet` is an ordered list of
 template rules matched against the element *path* of the event stream.
-The transformer walks the input tree as a stream of start/text/end events,
-keeps only the path stack plus the output under construction, and applies
-the first matching rule per element:
+The transformer walks the input tree in stream order, keeps only the
+stack of open containers plus the output under construction, *accounts*
+the start/text/end events the walk stands for (:func:`iter_events` is
+the event view of a tree) and applies the best matching rule per element:
 
 * :class:`RenameRule` — rename the element (and optionally its attributes),
 * :class:`DropRule` — drop the whole subtree,
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from repro.errors import StxError
+from repro.errors import StxError, XmlParseError
 from repro.xmlkit.doc import XmlElement
 
 # ------------------------------------------------------------------ event model
@@ -40,7 +41,11 @@ Event = tuple  # (kind, payload) tuples; see iter_events.
 
 
 def iter_events(root: XmlElement) -> Iterator[Event]:
-    """Stream a tree as (START, tag, attrs) / (TEXT, text) / (END, tag)."""
+    """Stream a tree as (START, tag, attrs) / (TEXT, text) / (END, tag).
+
+    The event view of a tree: what :meth:`Stylesheet.transform` counts
+    into ``events_processed``, one for one and in this order.
+    """
     stack: list[tuple[XmlElement, int]] = [(root, 0)]
     yield (START, root.tag, dict(root.attributes))
     if root.text:
@@ -193,6 +198,43 @@ class TemplateRule(_Rule):
 
 # ------------------------------------------------------------------- stylesheet
 
+#: What the walk does at an element, decided once per element path.  The
+#: three built-in rewrites run inline, reading the rule's fields at each
+#: element; every other rule (templates, drops, subclasses) is called.
+_IDENTITY, _RENAME, _VALUE, _UNWRAP, _CALL = range(5)
+
+
+class _PathPlan:
+    """The compiled step for one element path: the rule that wins there,
+    what the walk does with it, and the steps of the child paths seen so
+    far (by tag, each resolved at its first element)."""
+
+    __slots__ = ("path", "rule", "action", "children")
+
+    def __init__(self, path: tuple[str, ...], rule: _Rule | None):
+        self.path = path
+        self.rule = rule
+        if rule is None:
+            self.action = _IDENTITY
+        elif isinstance(rule, UnwrapRule):
+            self.action = _UNWRAP
+        elif type(rule) is RenameRule:
+            self.action = _RENAME
+        elif type(rule) is ValueRule:
+            self.action = _VALUE
+        else:
+            self.action = _CALL
+        self.children: dict[str, _PathPlan] = {}
+
+
+def _events_below_start(element: XmlElement) -> int:
+    """Events of ``element``'s subtree after its own START."""
+    events, level = -1, [element]
+    while level:
+        events += sum(3 if node.text else 2 for node in level)
+        level = [below for node in level for below in node.children]
+    return events
+
 
 class Stylesheet:
     """An ordered collection of template rules.
@@ -209,10 +251,11 @@ class Stylesheet:
         #: Number of events processed over this stylesheet's lifetime
         #: (feeds the engine's processing-cost model).
         self.events_processed = 0
-        #: ``path -> best rule``, filled per distinct path; valid only
-        #: while ``rules`` equals ``_dispatch_rules``.
-        self._dispatch: dict[tuple[str, ...], _Rule | None] = {}
-        self._dispatch_rules: list[_Rule] = []
+        #: The compiled plan: a trie of :class:`_PathPlan` under a rootless
+        #: top node, grown per distinct path; valid only while ``rules``
+        #: equals ``_plan_rules``.
+        self._plan = _PathPlan((), None)
+        self._plan_rules: list[_Rule] = []
 
     def _best_rule(self, path: tuple[str, ...]) -> _Rule | None:
         best: _Rule | None = None
@@ -222,81 +265,117 @@ class Stylesheet:
                     best = rule
         return best
 
+    def _compile(self, parent: _PathPlan, tag: str) -> _PathPlan:
+        path = parent.path + (tag,)
+        step = parent.children[tag] = _PathPlan(path, self._best_rule(path))
+        return step
+
     def transform(self, document: XmlElement) -> XmlElement:
         """Run the stylesheet over ``document`` and return the new tree.
 
-        The walk keeps one frame per open (non-dropped) input element.
-        A frame is either a real output element, or an *unwrap* marker
-        that re-parents children to the frame below it.  Each distinct
+        One walk over the input tree, in document order.  Each distinct
         element path is matched against the rule list once per
-        stylesheet; later elements on that path take the remembered rule.
+        stylesheet and compiled into a step; later elements on that path
+        take the step.  Every output element is allocated once, with one
+        copy of its attributes.  The SAX events the walk stands for are
+        *accounted*, in stream order — START, TEXT only for truthy text,
+        END; every event of a dropped subtree; on an exception exactly
+        the events up to it (:func:`iter_events` is that stream).
+
+        Only containers open a stack entry; a leaf is finished where it
+        is met.  An unwrapped container has no output element of its
+        own: its children attach where it would have.
         """
-        if self.rules != self._dispatch_rules:
-            self._dispatch_rules = list(self.rules)
-            self._dispatch = {}
-        dispatch = self._dispatch
-        # Frames: ("elem", element, rule, path) or
-        # ("unwrap", parent_or_None, rule, path) — either way the top
-        # frame's second slot is where children go.
-        frames: list[tuple[str, XmlElement | None, _Rule | None, tuple]] = []
-        dropped_depth = 0
+        if self.rules != self._plan_rules:
+            self._plan_rules = list(self.rules)
+            self._plan = _PathPlan((), None)
+        plan = self._plan
+        steps = plan.children
+        new = XmlElement.__new__
+        nodes = iter((document,))
+        #: ``append`` of the child list the elements of ``nodes`` go to;
+        #: None at document level, where an element is the result.
+        attach = None
+        # Per open container: its remaining siblings, their plan, their
+        # ``attach``, and its own output element (None if unwrapped).
+        stack: list[tuple] = []
         result: XmlElement | None = None
         events = 0
         try:
-            for event in iter_events(document):
-                events += 1
-                kind = event[0]
-                if kind == START:
-                    if dropped_depth:
-                        dropped_depth += 1
-                        continue
-                    _, tag, attributes = event
-                    if frames:
-                        _, parent, _, path = frames[-1]
-                        path += (tag,)
-                    else:
-                        parent, path = None, (tag,)
+            while True:
+                for node in nodes:
+                    events += 1  # START
+                    tag = node.tag
                     try:
-                        rule = dispatch[path]
+                        step = steps[tag]
                     except KeyError:
-                        rule = dispatch[path] = self._best_rule(path)
-                    if rule is None:
-                        out = XmlElement(tag, attributes)  # identity template
-                    elif isinstance(rule, UnwrapRule):
-                        frames.append(("unwrap", parent, rule, path))
-                        continue
+                        step = self._compile(plan, tag)
+                    action = step.action
+                    text = node.text
+                    if action == _UNWRAP:
+                        out = None
+                        if text:
+                            events += 1  # unwrapped containers lose their text
                     else:
-                        out = rule.open_element(tag, attributes)
-                        if out is None:
-                            dropped_depth = 1
-                            continue
-                    if parent is not None:
-                        parent.children.append(out)
-                    frames.append(("elem", out, rule, path))
-                elif kind == TEXT:
-                    if dropped_depth:
-                        continue
-                    if not frames:
-                        raise StxError("text event outside any element")
-                    frame_kind, element, rule, _ = frames[-1]
-                    if frame_kind == "unwrap":
-                        continue  # unwrapped containers lose their text
-                    text = event[1]
-                    element.text = rule.rewrite_text(text) if rule else text
-                else:  # END
-                    if dropped_depth:
-                        dropped_depth -= 1
-                        continue
-                    frame_kind, element, _, _ = frames.pop()
-                    if frame_kind == "elem" and (
-                        not frames or frames[-1][1] is None
-                    ):
-                        if result is not None:
-                            raise StxError(
-                                f"stylesheet {self.name} produced multiple "
-                                "root elements"
-                            )
-                        result = element
+                        if action == _CALL:
+                            rule = step.rule
+                            out = rule.open_element(tag, node.attributes.copy())
+                            if out is None:  # dropped with its whole subtree
+                                events += _events_below_start(node)
+                                continue
+                            rewrite = rule.rewrite_text
+                        else:
+                            if action == _IDENTITY:
+                                name = tag
+                                attributes = node.attributes.copy()
+                                rewrite = None
+                            elif action == _RENAME:
+                                rule = step.rule
+                                name = rule.to
+                                renames = rule.attribute_renames
+                                if renames:
+                                    attributes = {
+                                        renames.get(key, key): value
+                                        for key, value in node.attributes.items()
+                                    }
+                                else:
+                                    attributes = node.attributes.copy()
+                                rewrite = None
+                            else:
+                                rule = step.rule
+                                name = rule.to or tag
+                                attributes = node.attributes.copy()
+                                rewrite = rule._rewrite
+                            if not name:
+                                raise XmlParseError("element tag must be non-empty")
+                            out = new(XmlElement)
+                            out.tag = name
+                            out.attributes = attributes
+                            out.text = None
+                            out.children = []
+                        if attach is not None:
+                            attach(out)
+                        if text:
+                            events += 1  # TEXT
+                            out.text = rewrite(text) if rewrite else text
+                    below = node.children
+                    if below:
+                        stack.append((nodes, plan, attach, out))
+                        nodes, plan, steps = iter(below), step, step.children
+                        if out is not None:
+                            attach = out.children.append
+                        break
+                    events += 1  # END of a leaf
+                    if attach is None and out is not None:
+                        result = self._only_root(result, out)
+                else:
+                    if not stack:
+                        break
+                    nodes, plan, attach, out = stack.pop()
+                    steps = plan.children
+                    events += 1  # END of a container
+                    if attach is None and out is not None:
+                        result = self._only_root(result, out)
         finally:
             self.events_processed += events
 
@@ -306,3 +385,10 @@ class Stylesheet:
                 "no output produced"
             )
         return result
+
+    def _only_root(self, result: XmlElement | None, out: XmlElement) -> XmlElement:
+        if result is not None:
+            raise StxError(
+                f"stylesheet {self.name} produced multiple root elements"
+            )
+        return out

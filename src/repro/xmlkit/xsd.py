@@ -93,6 +93,17 @@ class XsdChild:
             raise XsdValidationError("max_occurs must be >= min_occurs")
 
 
+def _render(path: str | tuple) -> str:
+    """``Order/Lines[1]/Line[2]`` from the root tag or a ``(parent's
+    path, tag, 1-based occurrence)`` chain."""
+    segments: list[str] = []
+    while not isinstance(path, str):
+        path, name, occurrence = path
+        segments.append(f"{name}[{occurrence}]")
+    segments.append(path)
+    return "/".join(reversed(segments))
+
+
 class XsdSchema:
     """A named schema with a single root element declaration.
 
@@ -107,17 +118,23 @@ class XsdSchema:
     def __init__(self, name: str, root: XsdElement):
         self.name = name
         self.root = root
+        #: ``id(declaration) -> (attributes by name, child tags)`` for
+        #: every declaration under ``root``, derived at the first
+        #: validation; valid while ``_derived_from`` still describes
+        #: the declarations.
+        self._tables: dict[int, tuple[dict[str, XsdAttribute], frozenset[str]]] = {}
+        self._derived_from: list[tuple[XsdElement, str, tuple, tuple]] = []
 
     def validate(self, document: XmlElement) -> list[str]:
         """Return a list of human-readable violations (empty = valid)."""
-        violations: list[str] = []
         if document.tag != self.root.name:
-            violations.append(
-                f"root element is <{document.tag}>, expected <{self.root.name}>"
-            )
-            return violations
+            return [f"root element is <{document.tag}>, expected <{self.root.name}>"]
+        self._derive_tables()
+        # Collected as (where, what): a path is spelled out only for an
+        # element that has something wrong with it.
+        violations: list[tuple] = []
         self._validate_element(document, self.root, document.tag, violations)
-        return violations
+        return [_render(path) + problem for path, problem in violations]
 
     def assert_valid(self, document: XmlElement) -> None:
         """Raise :class:`XsdValidationError` carrying all violations."""
@@ -134,60 +151,106 @@ class XsdSchema:
 
     # -- internals -------------------------------------------------------------
 
+    def _derive_tables(self) -> None:
+        """(Re)build the per-declaration lookup tables when needed.
+
+        Declarations are mutable: a table is only as good as the name,
+        ``attributes`` and ``children`` it was derived from, so each
+        validation first checks those still stand (the two tuples and
+        their members are immutable, so identity is enough).
+        """
+        derived_from = self._derived_from
+        if derived_from and derived_from[0][0] is self.root and all(
+            decl.name is name
+            and decl.attributes is attributes
+            and decl.children is children
+            for decl, name, attributes, children in derived_from
+        ):
+            return
+        self._tables = {}
+        self._derived_from = []
+        pending = [self.root]
+        while pending:
+            decl = pending.pop()
+            if id(decl) in self._tables:
+                continue
+            self._tables[id(decl)] = (
+                {attr.name: attr for attr in decl.attributes},
+                frozenset(slot.element.name for slot in decl.children),
+            )
+            self._derived_from.append(
+                (decl, decl.name, decl.attributes, decl.children)
+            )
+            pending.extend(slot.element for slot in decl.children)
+
     def _validate_element(
         self,
         node: XmlElement,
         decl: XsdElement,
-        path: str,
-        violations: list[str],
+        path: str | tuple,
+        violations: list[tuple],
     ) -> None:
         self._validate_attributes(node, decl, path, violations)
         self._validate_content(node, decl, path, violations)
         self._validate_children(node, decl, path, violations)
 
     def _validate_attributes(
-        self, node: XmlElement, decl: XsdElement, path: str, violations: list[str]
+        self,
+        node: XmlElement,
+        decl: XsdElement,
+        path: str | tuple,
+        violations: list[tuple],
     ) -> None:
-        declared = {attr.name: attr for attr in decl.attributes}
+        declared = self._tables[id(decl)][0]
         for attr_name, value in node.attributes.items():
             attr_decl = declared.get(attr_name)
             if attr_decl is None:
-                violations.append(f"{path}: undeclared attribute {attr_name!r}")
+                violations.append((path, f": undeclared attribute {attr_name!r}"))
             elif not _check_simple(attr_decl.type_name, value):
-                violations.append(
-                    f"{path}@{attr_name}: {value!r} is not a valid "
-                    f"{attr_decl.type_name}"
-                )
+                violations.append((
+                    path,
+                    f"@{attr_name}: {value!r} is not a valid {attr_decl.type_name}",
+                ))
         for attr_decl in decl.attributes:
             if attr_decl.required and attr_decl.name not in node.attributes:
                 violations.append(
-                    f"{path}: missing required attribute {attr_decl.name!r}"
+                    (path, f": missing required attribute {attr_decl.name!r}")
                 )
 
     def _validate_content(
-        self, node: XmlElement, decl: XsdElement, path: str, violations: list[str]
+        self,
+        node: XmlElement,
+        decl: XsdElement,
+        path: str | tuple,
+        violations: list[tuple],
     ) -> None:
         text = (node.text or "").strip()
         if decl.content is None:
             if text:
-                violations.append(f"{path}: unexpected text content {text!r}")
+                violations.append((path, f": unexpected text content {text!r}"))
             return
         if not text:
             if not decl.allow_empty_content:
-                violations.append(f"{path}: empty content, expected {decl.content}")
+                violations.append(
+                    (path, f": empty content, expected {decl.content}")
+                )
             return
         if not _check_simple(decl.content, text):
             violations.append(
-                f"{path}: {text!r} is not a valid {decl.content}"
+                (path, f": {text!r} is not a valid {decl.content}")
             )
 
     def _validate_children(
-        self, node: XmlElement, decl: XsdElement, path: str, violations: list[str]
+        self,
+        node: XmlElement,
+        decl: XsdElement,
+        path: str | tuple,
+        violations: list[tuple],
     ) -> None:
-        declared_tags = {child.element.name for child in decl.children}
+        declared_tags = self._tables[id(decl)][1]
         for child_node in node.children:
             if child_node.tag not in declared_tags:
-                violations.append(f"{path}: undeclared child <{child_node.tag}>")
+                violations.append((path, f": undeclared child <{child_node.tag}>"))
         position = 0
         total = len(node.children)
         for slot in decl.children:
@@ -196,7 +259,7 @@ class XsdSchema:
                 position < total
                 and node.children[position].tag == slot.element.name
             ):
-                child_path = f"{path}/{slot.element.name}[{count + 1}]"
+                child_path = (path, slot.element.name, count + 1)
                 self._validate_element(
                     node.children[position], slot.element, child_path, violations
                 )
@@ -205,18 +268,20 @@ class XsdSchema:
                 if slot.max_occurs is not None and count > slot.max_occurs:
                     break
             if count < slot.min_occurs:
-                violations.append(
-                    f"{path}: <{slot.element.name}> occurs {count} time(s), "
-                    f"minimum is {slot.min_occurs}"
-                )
+                violations.append((
+                    path,
+                    f": <{slot.element.name}> occurs {count} time(s), "
+                    f"minimum is {slot.min_occurs}",
+                ))
             if slot.max_occurs is not None and count > slot.max_occurs:
-                violations.append(
-                    f"{path}: <{slot.element.name}> occurs more than "
-                    f"{slot.max_occurs} time(s)"
-                )
+                violations.append((
+                    path,
+                    f": <{slot.element.name}> occurs more than "
+                    f"{slot.max_occurs} time(s)",
+                ))
         if position < total:
             leftover = node.children[position].tag
             if leftover in declared_tags:
                 violations.append(
-                    f"{path}: child <{leftover}> appears out of sequence"
+                    (path, f": child <{leftover}> appears out of sequence")
                 )

@@ -7,7 +7,10 @@ compiled per schema, kept *here*: ``seed_normalize`` is the old
 must store equal rows (value **and** type), raise the same exception
 types with the same messages, and leave the same indexes, counters,
 change records, observer calls and trigger fire order — on plain list
-storage and under a tiny memory budget (PartitionStore).
+storage and under a tiny memory budget (PartitionStore).  The bulk
+upsert (``insert_many(rows, replace=True)``) is held to a row-by-row
+loop over the seed's ``upsert``, which is what the endpoints and the
+Initializer ran before it.
 """
 
 import datetime
@@ -231,6 +234,21 @@ op_strategy = st.one_of(
     st.tuples(st.just("table_insert_many"), st.lists(row_strategy, max_size=6)),
     # Database.insert_many on a table with triggers (row-by-row form) ...
     st.tuples(st.just("insert_many"), st.lists(row_strategy, max_size=6)),
+    # Bulk upsert: hits and misses in one batch, over the same indexes.
+    st.tuples(st.just("upsert_many"), st.lists(row_strategy, max_size=6)),
+    st.tuples(
+        st.just("notes_upsert_many"),
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "nid": st.integers(min_value=0, max_value=5),
+                    "text": st.sampled_from(["a", "b", None, 3]),
+                },
+                optional={"ghost": st.just(1)},
+            ),
+            max_size=5,
+        ),
+    ),
     # ... and on one without (bulk form).
     st.tuples(
         st.just("notes"),
@@ -298,9 +316,15 @@ class Landscape:
             if op == "upsert":
                 self.db.table("orders").upsert(argument)
                 return None
-            name = "notes" if op == "notes" else "orders"
+            name = "notes" if op.startswith("notes") else "orders"
             rows = (row for row in argument)  # as the endpoints pass them
-            if op == "table_insert_many":
+            if op.endswith("upsert_many"):
+                table = self.db.table(name)
+                if bulk:
+                    return table.insert_many(rows, replace=True)
+                for row in rows:
+                    table.upsert(row)
+            elif op == "table_insert_many":
                 table = self.db.table(name)
                 if bulk:
                     return table.insert_many(rows)
@@ -325,6 +349,7 @@ class Landscape:
                 {index: table._secondary[index] for index in table.index_names},
                 table.rows_read,
                 table.rows_written,
+                table._generation,
             )
         return (tables, self.records, self.observed, self.fired,
                 self.db.statistics())
@@ -373,3 +398,55 @@ class TestDmlSequencesMatchSeed:
         assert [(t, op) for t, op, _ in new.records] == [
             ("notes", "insert"), ("notes", "insert")
         ]
+
+    def test_a_failing_upsert_row_leaves_its_predecessors_stored(self, budget):
+        """Unknown column, then NOT NULL, each in the middle of a batch
+        of a hit and misses: same error, same rows kept, as row by row."""
+        for bad in ({"nid": 3, "text": "c", "ghost": 1}, {"nid": 3, "text": None}):
+            new, seed = Landscape(Table, budget), Landscape(SeedTable, budget)
+            rows = [
+                {"nid": 1, "text": "a"},
+                {"nid": 2, "text": "b"},
+                {"nid": 1, "text": "hit"},
+                bad,
+                {"nid": 4, "text": "never"},
+            ]
+            result = new.apply("notes_upsert_many", rows, bulk=True)
+            assert result == seed.apply("notes_upsert_many", rows, bulk=False)
+            assert result[0] in (SchemaError, IntegrityError), result
+            assert new.state() == seed.state()
+            notes = new.db.table("notes")
+            assert [(r["nid"], r["text"]) for r in notes] == [(1, "hit"), (2, "b")]
+            assert notes.rows_written == 3
+            assert [op for _, op, _ in new.records] == ["insert", "insert", "upsert"]
+            assert [event[0] for event in new.observed] == [
+                "insert", "insert", "mutation"
+            ]
+
+    def test_bulk_upsert_needs_a_primary_key_at_its_first_row(self, budget):
+        keyless = TableSchema("log", [Column("line", "VARCHAR")])
+        outcomes = []
+        for table_class, bulk in ((Table, True), (SeedTable, False)):
+            db = Database("d")
+            if budget is not None:
+                db.set_memory_budget(budget, partition_rows=2)
+            table = db.create_table(keyless)
+            table.__class__ = table_class
+            consumed = []
+
+            def rows():
+                for line in ("a", "b"):
+                    consumed.append(line)
+                    yield {"line": line}
+
+            if bulk:
+                assert table.insert_many(iter(()), replace=True) == 0
+                attempt = lambda: table.insert_many(rows(), replace=True)
+            else:
+                attempt = lambda: [table.upsert(row) for row in rows()]
+            with pytest.raises(IntegrityError) as raised:
+                attempt()
+            outcomes.append((str(raised.value), consumed, len(table),
+                             table.rows_written, table._generation))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == ("table log: upsert needs a primary key", ["a"])

@@ -127,6 +127,30 @@ class TestMessageFactory:
         with pytest.raises(ValueError):
             empty.customers_of("berlin")
 
+    def test_europe_keys_are_gathered_once_and_only_when_needed(self, initialized):
+        _, population = initialized
+        factory = MessageFactory(population, seed=9)
+        assert "_europe_customers" not in vars(factory)
+        factory.vienna_order()
+        gathered = vars(factory)["_europe_customers"]
+        assert gathered == [
+            key
+            for source in ("berlin", "paris", "trondheim")
+            for key in population.customers_of(source)
+        ]
+        factory.mdm_customer_update()
+        assert vars(factory)["_europe_customers"] is gathered
+        # A population without Europe still fails at the message, not before.
+        asia_only = MessageFactory(
+            Population(customer_keys={"beijing": [1]}), seed=9
+        )
+        for send in (asia_only.vienna_order, asia_only.mdm_customer_update):
+            with pytest.raises(ValueError, match="no customers for 'berlin'"):
+                send()
+        assert asia_only.vienna_sent == 0 and next(asia_only._vienna_orders) == (
+            KEY_RANGES["vienna_orders"] + 1
+        )
+
     def test_deterministic_with_seed(self, initialized):
         _, population = initialized
         a = MessageFactory(population, seed=9)

@@ -7,7 +7,7 @@ from repro.db.relation import Relation
 from repro.errors import OperationNotSupported, ServiceError
 from repro.services.endpoints import DatabaseService, Envelope, WebService
 from repro.xmlkit.convert import rows_to_resultset
-from repro.xmlkit.doc import XmlElement
+from repro.xmlkit.doc import XmlElement, serialize_xml
 
 
 @pytest.fixture()
@@ -114,6 +114,26 @@ class TestWebService:
         resp = ws.handle(Envelope.for_xml("update", doc))
         assert resp.body == 1
         assert db.table("t").get(9)["v"] == "x"
+
+    def test_update_reads_the_dialect_in_place(self, ws, db):
+        """Dialect and canonical rows of a dialect document are stored,
+        rows under any other tag are not, and the sender's document is
+        neither copied nor renamed on the way."""
+        doc = XmlElement("BJData", {"table": "t"})
+        for tag, key in (("Tuple", 21), ("Row", 22), ("Record", 23)):
+            doc.add(XmlElement(tag)).add_text_child("k", key)
+        before = serialize_xml(doc)
+        resp = ws.handle(Envelope.for_xml("update", doc))
+        assert resp.body == 2
+        assert serialize_xml(doc) == before
+        table = db.table("t")
+        assert (table.get(21), table.get(23)) == ({"k": 21, "v": None}, None)
+        assert table.get(22) is not None
+        # A canonical document is read by its canonical row tag only.
+        doc.tag = "ResultSet"
+        doc.children[0].children[0].text = "31"
+        assert ws.handle(Envelope.for_xml("update", doc)).body == 1
+        assert table.get(31) is None
 
     def test_update_accepts_canonical(self, ws, db):
         doc = rows_to_resultset(("k", "v"), [{"k": 8, "v": "y"}], "t")

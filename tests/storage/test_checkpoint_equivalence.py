@@ -65,8 +65,11 @@ def _row(k, v):
     return {"k": k, "v": v, "g": k % 2}
 
 
-def apply(db, op):
-    """Run one statement; a refused one reports its error instead."""
+def apply(db, op, bulk=True):
+    """Run one statement; a refused one reports its error instead.
+
+    ``bulk=False`` spells the bulk upsert as the row-by-row loop it
+    replaced (the twin under the oracle runs it that way)."""
     kind, *args = op
     try:
         if kind == "insert":
@@ -78,6 +81,14 @@ def apply(db, op):
         elif kind == "upsert":
             table, k, v = args
             db.table(table).upsert(_row(k, v))
+        elif kind == "upsert_many":
+            table, pairs = args
+            rows = (_row(k, v) for k, v in pairs)
+            if bulk:
+                db.table(table).insert_many(rows, replace=True)
+            else:
+                for row in rows:
+                    db.table(table).upsert(row)
         elif kind == "update":
             table, k, v = args
             db.table(table).update({"v": v}, lambda row: row["k"] <= k)
@@ -215,7 +226,7 @@ class Pair:
         elif op == ("crash",):
             self.crash_and_recover()
         else:
-            assert apply(self.db, op) == apply(self.twin, op), op
+            assert apply(self.db, op) == apply(self.twin, op, bulk=False), op
         self.check()
 
 
@@ -231,6 +242,11 @@ op_strategy = st.one_of(
         st.lists(st.tuples(keys, values), max_size=4),
     ),
     st.tuples(st.just("upsert"), tables, keys, values),
+    st.tuples(
+        st.just("upsert_many"),
+        tables,
+        st.lists(st.tuples(keys, values), max_size=4),
+    ),
     st.tuples(st.just("update"), tables, keys, values),
     st.tuples(st.just("delete"), tables, keys),
     st.tuples(st.just("truncate"), tables),
@@ -267,6 +283,8 @@ class TestDurabilityMatchesTheOracle:
             ("commit",),
             ("upsert", "t1", 2, "hit"),
             ("upsert", "t1", 5, "miss"),
+            ("upsert_many", "t1", [(3, "hit"), (6, "miss"), (6, "again")]),
+            ("upsert_many", "t0", [(1, "hit"), (4, "miss")]),
             ("create_index", "t1", "by_g_v"),
             ("checkpoint",),
             ("drop_index", "t1", "by_g_v"),

@@ -1,17 +1,25 @@
-"""The per-stylesheet ``path -> rule`` dispatch of Stylesheet.transform.
+"""The per-stylesheet compiled plan of Stylesheet.transform.
 
-The dispatch dict is a memo of ``_best_rule``: for every scenario
-stylesheet and every element path of the documents a benchmark period
-feeds it, it must hold exactly what a fresh scan of the rule list
-answers, and it must not outlive a change to ``sheet.rules``.
+The plan is a memo of ``_best_rule``, one step per distinct element
+path: for every scenario stylesheet and every element path of the
+documents a benchmark period feeds it, it must hold exactly what a
+fresh scan of the rule list answers and the action that rule's kind
+calls for, and it must not outlive a change to ``sheet.rules``.
 """
 
 import pytest
 
 from repro.errors import StxError
-from repro.parallel.spec import RunSpec, run_spec
+from repro.xmlkit import stx
 from repro.xmlkit.doc import parse_xml, serialize_xml
-from repro.xmlkit.stx import DropRule, RenameRule, Stylesheet, UnwrapRule
+from repro.xmlkit.stx import (
+    DropRule,
+    RenameRule,
+    Stylesheet,
+    TemplateRule,
+    UnwrapRule,
+    ValueRule,
+)
 
 
 def element_paths(document):
@@ -24,28 +32,41 @@ def element_paths(document):
     return paths
 
 
+def compiled(sheet):
+    """``{path: step}`` of every step ``sheet`` has compiled so far."""
+    steps, pending = {}, list(sheet._plan.children.values())
+    while pending:
+        step = pending.pop()
+        steps[step.path] = step
+        pending.extend(step.children.values())
+    return steps
+
+
+def dispatch(sheet):
+    """``{path: winning rule}``, as the plan remembers it."""
+    return {path: step.rule for path, step in compiled(sheet).items()}
+
+
+#: The action a rule of exactly this type compiles to; anything else —
+#: templates, drops, subclasses — is called.
+ACTIONS = {
+    type(None): stx._IDENTITY,
+    RenameRule: stx._RENAME,
+    ValueRule: stx._VALUE,
+    UnwrapRule: stx._UNWRAP,
+    TemplateRule: stx._CALL,
+    DropRule: stx._CALL,
+}
+
+
 @pytest.fixture(scope="module")
-def scenario_sheets():
+def scenario_sheets(period_xml):
     """``{id(sheet): (sheet, paths of every document it transformed)}``
     from one full benchmark period of each of the two XML-heavy engines."""
-    seen = {}
-    original = Stylesheet.transform
-
-    def recording(sheet, document):
-        entry = seen.setdefault(id(sheet), (sheet, set()))
-        entry[1].update(element_paths(document))
-        return original(sheet, document)
-
-    Stylesheet.transform = recording
-    try:
-        for engine in ("interpreter", "eai"):
-            outcome = run_spec(
-                RunSpec(engine=engine, datasize=0.02, periods=1, seed=3)
-            )
-            assert outcome.status == "ok", outcome
-    finally:
-        Stylesheet.transform = original
-    return seen
+    return {
+        key: (sheet, set().union(*map(element_paths, documents)))
+        for key, (sheet, documents) in period_xml.sheets.items()
+    }
 
 
 class TestScenarioDispatch:
@@ -55,19 +76,22 @@ class TestScenarioDispatch:
 
     def test_dispatch_equals_a_fresh_rule_scan(self, scenario_sheets):
         for sheet, paths in scenario_sheets.values():
-            assert sheet._dispatch, sheet.name
+            steps = compiled(sheet)
+            assert steps, sheet.name
             # Only paths of real input elements are remembered (those
             # under a dropped subtree are never looked up).
-            assert set(sheet._dispatch) <= paths, sheet.name
+            assert set(steps) <= paths, sheet.name
             for path in paths:
-                if path in sheet._dispatch:
-                    assert sheet._dispatch[path] is sheet._best_rule(path), (
+                if path in steps:
+                    rule = sheet._best_rule(path)
+                    assert steps[path].rule is rule, (sheet.name, path)
+                    assert steps[path].action == ACTIONS[type(rule)], (
                         sheet.name, path,
                     )
 
     def test_a_few_dozen_paths_serve_the_whole_period(self, scenario_sheets):
         for sheet, _ in scenario_sheets.values():
-            assert len(sheet._dispatch) <= 60, (sheet.name, len(sheet._dispatch))
+            assert len(compiled(sheet)) <= 60, (sheet.name, len(compiled(sheet)))
 
 
 DOC = "<a><b>1</b><c><b>2</b></c></a>"
@@ -102,15 +126,17 @@ class TestRuleListMutation:
         assert run(sheet) == "<a><b>1</b><b>2</b></a>"
         sheet.rules = []
         assert run(sheet) == DOC
-        assert sheet._dispatch == {("a",): None, ("a", "b"): None,
+        assert dispatch(sheet) == {("a",): None, ("a", "b"): None,
                                    ("a", "c"): None, ("a", "c", "b"): None}
 
     def test_unchanged_rules_keep_the_dispatch_between_transforms(self):
         sheet = Stylesheet("s", [RenameRule("//b", "x")])
         run(sheet)
-        remembered = sheet._dispatch
+        remembered = sheet._plan
+        steps = compiled(sheet)
         run(sheet)
-        assert sheet._dispatch is remembered
+        assert sheet._plan is remembered
+        assert all(compiled(sheet)[path] is step for path, step in steps.items())
 
     def test_events_are_counted_as_before(self):
         sheet = Stylesheet("s", [DropRule("//c")])
