@@ -11,7 +11,11 @@ merges the evidence into ``BENCH_partition.json``:
 * wall-clock and ``ru_maxrss`` per budget, so the paid I/O premium and
   the memory actually saved are inspectable side by side;
 * the unbudgeted run stores tables as plain lists — zero partition
-  overhead when no budget is set.
+  overhead when no budget is set;
+* at d=0.05 the fault counts — deterministic per seed, unlike the wall
+  clock — stay under :data:`COUNT_CEILINGS`, so an eviction order or a
+  join rung that starts thrashing again fails here (the CI
+  ``spill-smoke`` job runs this file for exactly that).
 
 Each configuration also lands one row in ``results/LEDGER.jsonl`` via
 :func:`benchmarks.conftest.ledger_append`.
@@ -22,13 +26,26 @@ import resource
 import time
 from dataclasses import replace
 
-from benchmarks.conftest import ledger_append, write_artifact
+from benchmarks.conftest import ledger_append, src_lines, write_artifact
 
 from repro.parallel.spec import RunOutcome, RunSpec
 from repro.toolsuite.client import BenchmarkClient
 
 ARTIFACT = "BENCH_partition.json"
 DATASIZES = (0.05, 0.1)
+
+#: d=0.05, seed 7, per budget divisor, under plain LRU with a grace
+#: join on either spilled side (6 of them at ws/4) — the ledger row's
+#: ``before`` column.
+COUNTS_BEFORE = {
+    4: {"reloads": 107, "spills": 42, "wall_overhead": 1.81},
+    16: {"reloads": 556, "spills": 188, "wall_overhead": 2.92},
+}
+#: What the same runs may count now (they read 26 / 8 and 394 / 118).
+COUNT_CEILINGS = {
+    4: {"reloads": 40, "spills": 15, "grace_joins": 0},
+    16: {"reloads": 480, "spills": 150},
+}
 
 RESULTS: dict = {"config": {"datasizes": list(DATASIZES), "periods": 1, "seed": 7}}
 
@@ -107,6 +124,12 @@ def test_partition_scale_past_memory():
                 f"d={datasize} budget=ws/{divisor}: fingerprint diverged"
             )
             assert delta.spills > 0, "the budget never forced a spill"
+            if datasize == 0.05:
+                for counter, ceiling in COUNT_CEILINGS[divisor].items():
+                    assert getattr(delta, counter) <= ceiling, (
+                        f"ws/{divisor}: {counter} "
+                        f"{getattr(delta, counter)} > {ceiling}"
+                    )
             for db in client.scenario.all_databases.values():
                 b = db.memory_budget
                 assert b is not None
@@ -142,4 +165,23 @@ def test_partition_scale_past_memory():
 
         RESULTS[f"d={datasize}"] = point
         flush_results()
+
+    at_005 = RESULTS["d=0.05"]
+    ledger_append(
+        "partition:stream_probe+scan_resistant",
+        {
+            "config": "interpreter d=0.05 seed 7, one period",
+            **{
+                f"ws/{divisor}": {
+                    counter: {
+                        "before": before,
+                        "after": at_005[f"budget_ws_over_{divisor}"][counter],
+                    }
+                    for counter, before in COUNTS_BEFORE[divisor].items()
+                }
+                for divisor in COUNTS_BEFORE
+            },
+            "src_loc": {"before": 28807, "after": src_lines()},
+        },
+    )
     print("\n" + json.dumps(RESULTS, indent=2, sort_keys=True))

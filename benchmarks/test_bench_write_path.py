@@ -24,11 +24,10 @@ upsert loop").
 """
 
 import functools
-import pathlib
 import sys
 import time
 
-from benchmarks.conftest import ledger_append
+from benchmarks.conftest import ledger_append, src_lines
 
 from repro.datagen.generators import DataGenerator
 from repro.db import Database
@@ -153,8 +152,6 @@ def test_write_path_and_stx_dispatch():
 
 # ------------------------------------------------ the same work, counted
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
-
 
 def elements_allocated(fn, *args):
     """``(result, XmlElement allocations)`` of one call: every
@@ -225,9 +222,6 @@ def test_a_period_parses_upserts_and_allocates_once():
         allocations[name] = allocated
     assert len(allocations) >= 7, sorted(allocations)
 
-    src_lines = sum(
-        len(path.read_text("utf-8").splitlines()) for path in SRC.rglob("*.py")
-    )
     ledger_append(
         "xml_path:compiled_walk+bulk_upsert",
         {
@@ -237,6 +231,6 @@ def test_a_period_parses_upserts_and_allocates_once():
             "per_row_upsert_calls": {"before": 5128, "after": upserts},
             "rows_written": {"before": 8175, "after": rows_written},
             "elements_allocated_per_transform": allocations,
-            "src_loc": {"before": 28600, "after": src_lines},
+            "src_loc": {"before": 28600, "after": src_lines()},
         },
     )

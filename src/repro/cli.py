@@ -997,6 +997,26 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         .items()
         if value
     }
+    # Which table thrashes: each store's own share of the counters
+    # above, for every store-backed table that faulted at all.
+    partition_tables = sorted(
+        (
+            {
+                "table": f"{db.name}.{name}",
+                "reloads": store.reloads,
+                "spills": store.spills,
+                "segment_reuses": store.segment_reuses,
+            }
+            for db in (
+                *client.scenario.all_databases.values(),
+                *engine.durable_databases(),
+            )
+            for name in db.table_names
+            if (store := db.table(name).partition_store) is not None
+            and (store.reloads or store.spills or store.segment_reuses)
+        ),
+        key=lambda entry: (-entry["reloads"], entry["table"]),
+    )
 
     breakdown: dict[str, dict[str, float]] = {}
     for span in observability.tracer.spans_of_kind("operator"):
@@ -1058,6 +1078,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("partition spill counters:")
         for key, value in partition_stats.items():
             print(f"  {key:<20}{value:>10}")
+        for entry in partition_tables:
+            print(
+                f"  {entry['table']:<34}reloads={entry['reloads']:<6}"
+                f"spills={entry['spills']:<6}"
+                f"segment_reuses={entry['segment_reuses']}"
+            )
     if args.out:
         payload = {
             "engine": result.engine_name,
@@ -1071,6 +1097,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "operators": breakdown,
             "fastpath": stats,
             "partition": partition_stats,
+            "partition_tables": partition_tables,
         }
         if args.synth:
             payload["workload"] = args.synth

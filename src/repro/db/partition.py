@@ -11,8 +11,12 @@ a real storage hierarchy:
   ``[i*cap, (i+1)*cap)``), each independently resident or spilled to a
   disk segment;
 * the budget counts **table-resident rows** across all stores of one
-  database and evicts least-recently-used partitions once the limit is
-  exceeded (pinned partitions — currently being iterated — are skipped);
+  database and, once the limit is exceeded, evicts *full* partitions
+  first, least recently point-accessed first, and partial ones (a write
+  tail, a table smaller than one partition) only when no full one is
+  left; streaming scans do not count as accesses, so a scan larger than
+  the budget recycles one cold slot instead of flushing the rest
+  (pinned partitions — currently being iterated — are skipped);
 * spill segments are columnar: one value list per schema column,
   pickled together with the partition's **generation tag**.  A partition mutated after its last
   spill is *dirty* and rewrites its segment on the next eviction;
@@ -21,9 +25,10 @@ a real storage hierarchy:
 * partition-wise operators keep the working set bounded: vectorized
   scans filter partition-by-partition over per-partition column slices
   (cached on the partition, keyed by its generation), group-by streams
-  partitions into running accumulators, and joins against a spilled
-  snapshot run as a grace hash join — both sides bucketed to disk by a
-  deterministic key hash, joined bucket-at-a-time, with the output
+  partitions into running accumulators, a spilled *probe* side streams
+  partition-at-a-time through the ordinary hash join, and a spilled
+  *build* side runs as a grace hash join — both sides bucketed to disk
+  by a deterministic key hash, joined bucket-at-a-time, with the output
   re-sorted into exactly the row order the monolithic join produces.
 
 **Byte-identity contract.**  Everything observable — relation contents
@@ -196,11 +201,23 @@ class MemoryBudget:
     Counts *store-resident* rows (rows whose partition currently holds
     them in memory; rows additionally referenced by live relations are
     the caller's snapshots, exactly as in the unbudgeted kernel).  The
-    eviction loop spills least-recently-touched partitions until the
-    total fits, skipping pinned partitions; a single partition larger
-    than the budget is allowed to stay resident (the floor of one
-    working partition), which bounds peak residency by
-    ``limit_rows + partition_rows``.
+    eviction loop spills partitions until the total fits, skipping
+    pinned ones; a single partition larger than the budget is allowed
+    to stay resident (the floor of one working partition), which bounds
+    peak residency by ``limit_rows + partition_rows``.
+
+    The order is recency of *point* access (``store[i]``, ``store[i] =``,
+    ``append``), with two corrections the row counts and access kinds
+    already show.  A streaming scan touches every partition exactly
+    once, so it says nothing about reuse: it leaves resident partitions
+    where they are and hands a partition it had to fault in back at the
+    cold end, which makes a scan larger than the budget recycle one slot
+    (evicting the clean partition it just finished) instead of flushing
+    every partition it is about to need.  And a partial partition — a
+    write tail, or a table smaller than one partition — frees few rows
+    for a whole segment write and is usually the next thing written or
+    joined against, so full partitions go first and partial ones only
+    when no unpinned full partition is left.
     """
 
     def __init__(self, limit_rows: int, partition_rows: int | None = None):
@@ -217,8 +234,8 @@ class MemoryBudget:
         self.resident_rows = 0
         #: High-water mark of resident rows (the bench's bound check).
         self.peak_resident_rows = 0
-        # LRU over resident partitions: (store id, partition index) ->
-        # (store, index), oldest first.
+        # Resident partitions, coldest first: (store id, partition
+        # index) -> (store, index).
         self._lru: "OrderedDict[tuple[int, int], tuple[PartitionStore, int]]" = (
             OrderedDict()
         )
@@ -237,6 +254,12 @@ class MemoryBudget:
         else:
             lru[key] = (store, index)
 
+    def _cooled(self, store: "PartitionStore", index: int) -> None:
+        """A scan is done with a partition it faulted in: next out."""
+        key = (store.store_id, index)
+        if key in self._lru:
+            self._lru.move_to_end(key, last=False)
+
     def _forgotten(self, store: "PartitionStore", index: int) -> None:
         self._lru.pop((store.store_id, index), None)
 
@@ -249,27 +272,29 @@ class MemoryBudget:
         self.resident_rows -= rows
 
     def rebalance(self) -> None:
-        """Evict LRU partitions until the resident total fits the limit."""
+        """Evict until the resident total fits the limit: full
+        partitions coldest first, then partial ones coldest first."""
         if self.resident_rows <= self.limit_rows:
             return
-        for key in list(self._lru):
-            entry = self._lru.get(key)
-            if entry is None:
-                continue
-            store, index = entry
-            part = (
-                store._partitions[index]
-                if index < len(store._partitions)
-                else None
-            )
-            if part is None or part.rows is None:
-                self._lru.pop(key, None)
-                continue
-            if part.pins:
-                continue
-            store.spill_partition(index)
-            if self.resident_rows <= self.limit_rows:
-                return
+        for full in (True, False):
+            for key in list(self._lru):
+                entry = self._lru.get(key)
+                if entry is None:
+                    continue
+                store, index = entry
+                part = (
+                    store._partitions[index]
+                    if index < len(store._partitions)
+                    else None
+                )
+                if part is None or part.rows is None:
+                    self._lru.pop(key, None)
+                    continue
+                if part.pins or (len(part.rows) >= store.capacity) is not full:
+                    continue
+                store.spill_partition(index)
+                if self.resident_rows <= self.limit_rows:
+                    return
 
 
 # -- partitions ----------------------------------------------------------------
@@ -352,8 +377,13 @@ class PartitionStore:
         "store_id",
         "_partitions",
         "_length",
+        "_spilled",
+        "_spilled_rows",
         "_epoch",
         "_views",
+        "reloads",
+        "spills",
+        "segment_reuses",
     )
 
     def __init__(
@@ -368,6 +398,14 @@ class PartitionStore:
         self.store_id = next(_store_ids)
         self._partitions: list[Partition] = []
         self._length = 0
+        #: Partitions (and the rows in them) currently on disk only.
+        self._spilled = 0
+        self._spilled_rows = 0
+        #: This store's share of ``STATS.reloads`` / ``spills`` /
+        #: ``segment_reuses`` — which table thrashes (``repro profile``).
+        self.reloads = 0
+        self.spills = 0
+        self.segment_reuses = 0
         #: Bumped on every spill/reload/rebuild — the residency epoch
         #: feeding cache keys and the coherence regression tests.
         self._epoch = 0
@@ -395,20 +433,18 @@ class PartitionStore:
 
     @property
     def resident_rows(self) -> int:
-        return sum(
-            len(p.rows) for p in self._partitions if p.rows is not None
-        )
+        return self._length - self._spilled_rows
 
     @property
     def spilled_partitions(self) -> int:
-        return sum(1 for p in self._partitions if p.rows is None)
+        return self._spilled
 
     @property
     def epoch(self) -> int:
         return self._epoch
 
     def has_spilled(self) -> bool:
-        return any(p.rows is None for p in self._partitions)
+        return self._spilled > 0
 
     # -- list protocol ---------------------------------------------------------
 
@@ -421,8 +457,7 @@ class PartitionStore:
         capacity = self.capacity
         while position < self._length:
             index = position // capacity
-            part = self._ensure_resident(index)
-            part.pins += 1
+            part, faulted = self._scan_pin(index)
             try:
                 rows = part.rows
                 offset = position - index * capacity
@@ -431,7 +466,7 @@ class PartitionStore:
                     offset += 1
                     position += 1
             finally:
-                part.pins -= 1
+                self._scan_unpin(part, faulted)
 
     def __getitem__(self, position: int) -> Row:
         if not isinstance(position, int):
@@ -457,18 +492,30 @@ class PartitionStore:
         part.mutated()
 
     def append(self, row: Row) -> None:
+        # The write path's per-row call: everything a resident tail
+        # with room needs is inline (touch, mutate, charge), and the
+        # eviction loop is entered only once the limit is exceeded.
         parts = self._partitions
-        if parts and parts[-1].n_rows() < self.capacity:
-            part = self._ensure_resident(len(parts) - 1)
-        else:
+        budget = self.budget
+        part = parts[-1] if parts else None
+        rows = part.rows if part is not None else None
+        if rows is not None and len(rows) < self.capacity:
+            budget._lru.move_to_end((self.store_id, part.index))
+        elif part is None or part.n_rows() >= self.capacity:
             part = Partition(len(parts), [])
             parts.append(part)
-            self.budget._touched(self, part.index)
+            budget._touched(self, part.index)
+        else:
+            self._reload(part)
         part.rows.append(row)
-        part.mutated()
+        part.generation += 1
+        part._slices = None
         self._length += 1
-        self.budget._charged(1)
-        self.budget.rebalance()
+        budget.resident_rows = resident = budget.resident_rows + 1
+        if resident > budget.peak_resident_rows:
+            budget.peak_resident_rows = resident
+        if resident > budget.limit_rows:
+            budget.rebalance()
 
     def clear(self) -> None:
         self.replace_all([])
@@ -503,6 +550,8 @@ class PartitionStore:
                 part.path.unlink(missing_ok=True)
         self._partitions = []
         self._length = 0
+        self._spilled = 0
+        self._spilled_rows = 0
         self._epoch += 1
 
     def _ensure_resident(self, index: int) -> Partition:
@@ -512,6 +561,26 @@ class PartitionStore:
         else:
             self.budget._touched(self, index)
         return part
+
+    def _scan_pin(self, index: int) -> tuple[Partition, bool]:
+        """Pin partition ``index`` for a streaming scan.
+
+        Unlike :meth:`_ensure_resident` this is not an access the
+        eviction order learns from: a resident partition keeps its
+        place, and the flag says the scan had to fault this one in, so
+        :meth:`_scan_unpin` hands it back as the next to go.
+        """
+        part = self._partitions[index]
+        faulted = part.rows is None
+        if faulted:
+            self._reload(part)
+        part.pins += 1
+        return part, faulted
+
+    def _scan_unpin(self, part: Partition, faulted: bool) -> None:
+        part.pins -= 1
+        if faulted:
+            self.budget._cooled(self, part.index)
 
     def _reload(self, part: Partition) -> None:
         with open(part.path, "rb") as fh:
@@ -529,6 +598,9 @@ class PartitionStore:
             part.rows = []
         STATS.reloads += 1
         STATS.rows_reloaded += row_count
+        self.reloads += 1
+        self._spilled -= 1
+        self._spilled_rows -= row_count
         self._epoch += 1
         self.budget._charged(row_count)
         self.budget._touched(self, part.index)
@@ -554,11 +626,15 @@ class PartitionStore:
             self._write_segment(part)
             STATS.spills += 1
             STATS.rows_spilled += row_count
+            self.spills += 1
         else:
             STATS.segment_reuses += 1
+            self.segment_reuses += 1
         part.count = row_count
         part.rows = None
         part._slices = None
+        self._spilled += 1
+        self._spilled_rows += row_count
         self._epoch += 1
         STATS.evictions += 1
         self.budget._released(row_count)
@@ -611,8 +687,7 @@ class PartitionStore:
         while index < len(self._partitions):
             if limit is not None and yielded >= limit:
                 return
-            part = self._ensure_resident(index)
-            part.pins += 1
+            part, faulted = self._scan_pin(index)
             try:
                 rows = part.rows
                 if limit is not None and yielded + len(rows) > limit:
@@ -621,7 +696,7 @@ class PartitionStore:
                 yield part, rows
                 yielded += len(rows)
             finally:
-                part.pins -= 1
+                self._scan_unpin(part, faulted)
             index += 1
 
     def detach(self) -> list[Row]:
@@ -880,18 +955,18 @@ def maybe_grace_join(
     rename: Mapping[str, str],
     how: str,
 ) -> list[Row] | None:
-    """Grace hash join when either input is a spilled table snapshot.
+    """Grace hash join when the build (right) side is a spilled table
+    snapshot — the one input a hash join must hold whole.
 
     Returns the joined rows (exactly the monolithic hash join's output
-    order) or None when neither side is spilled — the caller then takes
-    the usual vector/scalar path.
+    order) or None when the right rows are already in memory — the
+    caller then builds its ordinary index over them and streams the
+    left side through the probe loop, spilled or not.
     """
-    left_view = spilled_view(left.rows)
     right_view = spilled_view(right.rows)
-    if left_view is None and right_view is None:
+    if right_view is None:
         return None
-    anchor = left_view if left_view is not None else right_view
-    capacity = anchor.store.capacity
+    capacity = right_view.store.capacity
     largest = max(len(left.rows), len(right.rows))
     buckets = max(1, min(MAX_GRACE_BUCKETS, -(-largest // max(1, capacity))))
 

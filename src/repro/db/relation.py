@@ -362,18 +362,24 @@ class Relation:
         probe = table._probe_for(tuple(right_keys)) if table is not None else None
 
         if probe is None:
-            # Either side still streaming over spilled partitions:
-            # bucket both sides to disk and join bucket-at-a-time
-            # (grace hash join) — same rows, same order, bounded
-            # residency.
+            # Build side still streaming over spilled partitions: bucket
+            # both sides to disk and join bucket-at-a-time (grace hash
+            # join) — same rows, same order, bounded residency.
             graced = partition.maybe_grace_join(
                 self, other, left_keys, right_keys, rename, how
             )
             if graced is not None:
                 fastpath.STATS.rows_copied += len(graced)
                 return Relation.from_trusted(out_columns, graced)
-            if not self._wide and vector.should_batch(
-                len(self.rows) + len(other.rows)
+            # Only the probe side spilled: the right rows are in memory
+            # already, so index them as usual and stream the left view
+            # through the scalar probe loop below, one pinned partition
+            # at a time — the columnar kernel would walk the whole
+            # store again for its key columns.
+            if (
+                not self._wide
+                and partition.spilled_view(self.rows) is None
+                and vector.should_batch(len(self.rows) + len(other.rows))
             ):
                 batched = vector.join_rows(
                     self, other, left_keys, right_keys, rename, how

@@ -373,18 +373,27 @@ class Table:
                 if self._observers:
                     self._notify_mutation()
             return removed
+        # One walk decides both lists (on a partition store every walk
+        # may fault partitions in): a matching row records its position
+        # — ``append`` returns None, so the row is dropped — and every
+        # other row survives.
+        removed_at: list[int] = []
+        removed = removed_at.append
         if isinstance(predicate, Expression):
             matches = predicate.compile()
-            removed_at = [
-                p for p, r in enumerate(self._rows) if matches(r) is True
+            survivors = [
+                r
+                for p, r in enumerate(self._rows)
+                if matches(r) is not True or removed(p)
             ]
         else:
-            removed_at = [p for p, r in enumerate(self._rows) if predicate(r)]
+            survivors = [
+                r
+                for p, r in enumerate(self._rows)
+                if not predicate(r) or removed(p)
+            ]
         if removed_at:
-            removed_set = set(removed_at)
-            self._set_rows(
-                [r for p, r in enumerate(self._rows) if p not in removed_set]
-            )
+            self._set_rows(survivors)
             self._rebuild_indexes()
             self.rows_written += len(removed_at)
             self._generation += 1

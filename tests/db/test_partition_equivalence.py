@@ -150,6 +150,165 @@ def test_tight_budget_engages_partitioned_operators():
     assert delta.partitioned_group_bys > 0
 
 
+# -- the join ladder, rung by rung ---------------------------------------------
+
+JOIN_LEFT = TableSchema(
+    "facts",
+    [
+        Column("fid", "BIGINT", nullable=False),
+        Column("k", "BIGINT"),
+        Column("note", "VARCHAR"),
+        Column("qty", "DOUBLE"),
+    ],
+    primary_key=("fid",),
+)
+JOIN_RIGHT = TableSchema(
+    "dims",
+    [
+        Column("did", "BIGINT", nullable=False),
+        Column("k2", "BIGINT"),
+        Column("note", "VARCHAR"),
+    ],
+    primary_key=("did",),
+)
+
+#: How one side's table is stored: a plain list, a partition store that
+#: fits its budget (a streaming view, nothing spilled), or a store
+#: squeezed to one resident partition.
+RESIDENCIES = {"list": None, "resident": 10_000, "spilled": 16}
+
+
+def join_inputs(shape):
+    """``(left rows, right rows)`` for one input shape; the join key
+    (``k`` = ``k2``) is covered by no index, so no probe rung applies."""
+    rng = random.Random(shape)
+    null_share = 0.25 if shape == "null_keys" else 0.0
+    key_space = 6 if shape == "duplicate_keys" else 60
+
+    def key():
+        return None if rng.random() < null_share else rng.randrange(key_space)
+
+    left = [
+        {"fid": i, "k": key(), "note": f"f{i % 5}", "qty": i / 4}
+        for i in range(0 if shape == "empty_left" else 112)
+    ]
+    right = [
+        {"did": i, "k2": key(), "note": f"d{i % 3}"}
+        for i in range(0 if shape == "empty_right" else 72)
+    ]
+    return left, right
+
+
+def join_side(schema, rows, residency):
+    db = Database(f"{schema.name}_{residency}")
+    if RESIDENCIES[residency] is not None:
+        db.set_memory_budget(RESIDENCIES[residency], partition_rows=16)
+    db.create_table(schema).insert_many(rows)
+    return db
+
+
+def run_join(shape, how, left_residency, right_residency):
+    """One non-indexed join; returns its rows plus every counter the
+    residency of the inputs must not (or must) show up in."""
+    left_rows, right_rows = join_inputs(shape)
+    left_db = join_side(JOIN_LEFT, left_rows, left_residency)
+    right_db = join_side(JOIN_RIGHT, right_rows, right_residency)
+    left_store = left_db.table("facts").partition_store
+    right_store = right_db.table("dims").partition_store
+    spilled = {
+        side: store is not None and store.has_spilled()
+        for side, store in (("left", left_store), ("right", right_store))
+    }
+    fast_base = fastpath.STATS.copy()
+    part_base = partition.STATS.copy()
+    left = left_db.query("facts")
+    if shape == "wide_left":
+        left = left.keep("fid", "k", "note")
+    joined = left.join(right_db.query("dims"), on=[("k", "k2")], how=how)
+    fast = fastpath.STATS - fast_base
+    for db in (left_db, right_db):
+        budget = db.memory_budget
+        if budget is not None:
+            assert budget.peak_resident_rows <= (
+                budget.limit_rows + budget.partition_rows
+            )
+    return {
+        "columns": joined.columns,
+        "rows": joined.to_dicts(),
+        "rows_read": left_db.statistics().rows_read
+        + right_db.statistics().rows_read,
+        "rows_copied": fast.rows_copied,
+        "rows_shared": fast.rows_shared,
+    }, spilled, fast, partition.STATS - part_base
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize(
+    "shape",
+    ["null_keys", "duplicate_keys", "wide_left", "empty_left", "empty_right"],
+)
+def test_join_rungs_agree_with_the_oracle(shape, how):
+    """{left, right, both, neither spilled} x {inner, left} x input
+    shapes: every rung emits the oracle's rows in the oracle's order and
+    charges what the unbudgeted run charges; grace engages iff the build
+    (right) side is spilled, and a spilled probe side streams through
+    the scalar loop, never the columnar kernel."""
+    left_rows, right_rows = join_inputs(shape)
+    expected_left = oracle.Table(JOIN_LEFT, left_rows).to_relation()
+    if shape == "wide_left":
+        expected_left = oracle.keep(expected_left, "fid", "k", "note")
+    expected = oracle.join(
+        expected_left,
+        oracle.Table(JOIN_RIGHT, right_rows).to_relation(),
+        on=[("k", "k2")],
+        how=how,
+    )
+    unbudgeted, _, _, _ = run_join(shape, how, "list", "list")
+    assert unbudgeted["columns"] == expected.columns
+    assert unbudgeted["rows"] == expected.rows
+    assert [list(r) for r in unbudgeted["rows"]] == [
+        list(r) for r in expected.rows
+    ]
+    for left_residency in RESIDENCIES:
+        for right_residency in RESIDENCIES:
+            got, spilled, fast, part = run_join(
+                shape, how, left_residency, right_residency
+            )
+            where = f"left={left_residency} right={right_residency}"
+            assert got == unbudgeted, where
+            assert [list(r) for r in got["rows"]] == [
+                list(r) for r in expected.rows
+            ], where
+            assert spilled["left"] == (
+                left_residency == "spilled" and shape != "empty_left"
+            ), where
+            assert spilled["right"] == (
+                right_residency == "spilled" and shape != "empty_right"
+            ), where
+            assert part.grace_joins == (1 if spilled["right"] else 0), where
+            if spilled["left"]:
+                assert fast.vector_joins == 0, where
+            if spilled["left"] and not spilled["right"]:
+                # Stream-probe: the ordinary hash join, no spools.
+                assert fast.hash_joins == 1, where
+                assert part.grace_rows_spilled == 0, where
+
+
+def test_grace_join_end_to_end_with_a_spilled_build_side():
+    """No scenario process has a spilled build side, so the grace rung
+    is driven here: both sides bucketed through ``_BucketSpool`` files
+    (chunks of one partition), output in monolithic order."""
+    got, spilled, fast, part = run_join(
+        "duplicate_keys", "left", "list", "spilled"
+    )
+    expected, _, _, _ = run_join("duplicate_keys", "left", "list", "list")
+    assert spilled == {"left": False, "right": True}
+    assert part.grace_joins == 1
+    assert part.grace_rows_spilled > 0
+    assert part.reloads > 0
+    assert got == expected
+
+
 def reference_workload(seed):
     """:func:`run_workload` through the oracle (it has no budget)."""
     orders_rows, customer_rows = seed_rows(seed)
@@ -201,16 +360,18 @@ def test_budgeted_outputs_match_oracle(rungs):
 
 @pytest.mark.parametrize("engine", ["interpreter", "federated"])
 def test_run_fingerprint_identical_under_budget(engine):
-    """The tentpole contract: one full benchmark run, same fingerprint."""
+    """The tentpole contract: one full benchmark run, same fingerprint —
+    at a tight budget and at the bench's quarter-working-set one."""
     spec = RunSpec(engine=engine, datasize=0.05, periods=1, seed=7)
     unbudgeted = run_spec(spec)
     assert unbudgeted.ok, unbudgeted.error
-    base = partition.STATS.copy()
-    budgeted = run_spec(replace(spec, mem_budget=500))
-    delta = partition.STATS - base
-    assert budgeted.ok, budgeted.error
-    assert delta.evictions > 0, "budget of 500 rows must force spilling"
-    assert budgeted.fingerprint() == unbudgeted.fingerprint()
+    for mem_budget in (500, 1296):
+        base = partition.STATS.copy()
+        budgeted = run_spec(replace(spec, mem_budget=mem_budget))
+        delta = partition.STATS - base
+        assert budgeted.ok, budgeted.error
+        assert delta.evictions > 0, f"budget of {mem_budget} rows must spill"
+        assert budgeted.fingerprint() == unbudgeted.fingerprint()
 
 
 def test_synth_scenario_4x_working_set_fingerprint_identical():

@@ -1,20 +1,25 @@
 """Unit tests for :mod:`repro.db.partition` storage primitives.
 
 Covers the list-protocol drop-in contract of :class:`PartitionStore`,
-LRU residency bounds under a :class:`MemoryBudget`, dirty-vs-clean
-re-spill behaviour (segment reuse), generation-stale segment detection,
-copy-on-write snapshot semantics of :class:`PartitionView`, and the
+residency bounds and the eviction order of a :class:`MemoryBudget`
+(scan-resistant, full partitions first), dirty-vs-clean re-spill
+behaviour (segment reuse), generation-stale segment detection,
+copy-on-write snapshot semantics of :class:`PartitionView`, the
 column-cache coherence regression (a spill/reload cycle must never
-serve a stale columnar image).
+serve a stale columnar image), and a Hypothesis model test of the whole
+store against the pre-inlining ``append`` body.
 """
 
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import Column, Database, TableSchema, partition
 from repro.db.partition import (
     MemoryBudget,
+    Partition,
     PartitionStore,
     budget_rows_from_env,
     default_capacity,
@@ -177,6 +182,216 @@ class TestResidency:
         assert plain == rows(50)
         assert isinstance(plain, list)
         assert budget.resident_rows == 0
+
+
+def resident(store):
+    return [p.index for p in store._partitions if p.rows is not None]
+
+
+class TestEvictionOrder:
+    @pytest.mark.parametrize(
+        "scan",
+        [list, lambda store: list(store.view())],
+        ids=["iter", "view"],
+    )
+    def test_cyclic_scan_recycles_one_slot(self, scan):
+        """Seven full partitions under a budget of five: once warm, a
+        full scan faults at most three partitions and writes nothing.
+
+        A scan does not promote what it finds resident and hands what it
+        faulted in back at the cold end, so the next fault evicts the
+        clean partition just read — a segment reuse — instead of one the
+        scan is about to need.  (Under plain LRU, as at the parent
+        commit, the same loop is sequential flooding: all 7 partitions
+        reload on every scan.)
+        """
+        store, budget = make_store(n=70, limit=50, capacity=10)
+        assert scan(store) == rows(70)  # warm-up
+        for _ in range(3):
+            base = partition.STATS.copy()
+            assert scan(store) == rows(70)
+            delta = partition.STATS - base
+            assert delta.reloads <= 3
+            assert delta.spills == 0
+            assert delta.segment_reuses == delta.evictions == delta.reloads
+        assert budget.peak_resident_rows <= 50 + 10
+
+    def test_point_access_still_promotes(self):
+        store, _ = make_store(n=50, limit=50, capacity=10)
+        store[0]  # partition 0 is now the most recently used
+        store.budget.limit_rows = 40
+        store.budget.rebalance()
+        assert resident(store) == [0, 2, 3, 4]
+
+    def test_partials_outlive_full_partitions(self):
+        budget = MemoryBudget(40, partition_rows=10)
+        small = PartitionStore(schema(), budget, rows(3))
+        big = PartitionStore(schema(), budget, rows(35, start=100))
+        assert budget.resident_rows == 38
+        # Fill the write tail past the limit: the coldest entries are
+        # the 3-row table and (older than the tail's appends) the full
+        # partitions — the full ones go, both partials stay.
+        for row in rows(5, start=135):
+            big.append(row)
+        assert resident(small) == [0]
+        assert resident(big) == [1, 2, 3]
+        big.append(rows(1, start=140)[0])  # opens a new, partial tail
+        for index in (0, 1, 2):  # keep faulting full partitions in
+            assert big[index * 10]["id"] == 100 + index * 10
+            assert resident(small) == [0]
+            assert 4 in resident(big)
+        assert budget.peak_resident_rows <= 40 + 10
+
+    def test_partials_go_once_only_partials_remain(self):
+        budget = MemoryBudget(10, partition_rows=10)
+        stores = [
+            PartitionStore(schema(), budget, rows(3, start=10 * i))
+            for i in range(5)
+        ]
+        # 15 rows of partial partitions under a limit of 10: coldest first.
+        assert [s.has_spilled() for s in stores] == [
+            True, True, False, False, False,
+        ]
+        assert budget.resident_rows == 9
+        assert budget.peak_resident_rows <= 10 + 10
+
+    def test_pinned_partition_is_never_evicted(self):
+        store, budget = make_store(n=60, limit=20, capacity=10)
+        scan = iter(store)
+        assert next(scan) == rows(60)[0]  # partition 0 pinned mid-scan
+        for position in (15, 25, 35, 45, 55, 15, 25):
+            store[position]
+            assert 0 in resident(store)
+            assert budget.resident_rows <= 20 + 10
+        scan.close()
+        store[35], store[45]
+        assert 0 not in resident(store)
+        assert budget.peak_resident_rows <= 20 + 10
+
+    def test_per_store_fault_counters_sum_to_stats(self):
+        base = partition.STATS.copy()
+        budget = MemoryBudget(20, partition_rows=10)
+        a = PartitionStore(schema(), budget, rows(30))
+        b = PartitionStore(schema(), budget, rows(30, start=30))
+        list(a), list(b), a[0], b[0]
+        delta = partition.STATS - base
+        assert a.reloads + b.reloads == delta.reloads > 0
+        assert a.spills + b.spills == delta.spills > 0
+        assert a.segment_reuses + b.segment_reuses == delta.segment_reuses > 0
+
+
+class SeedAppendStore(PartitionStore):
+    """The model's store: ``append`` as it stood before it was inlined
+    into one body (six calls a row), everything else inherited."""
+
+    __slots__ = ()
+
+    def append(self, row):
+        parts = self._partitions
+        if parts and parts[-1].n_rows() < self.capacity:
+            part = self._ensure_resident(len(parts) - 1)
+        else:
+            part = Partition(len(parts), [])
+            parts.append(part)
+            self.budget._touched(self, part.index)
+        part.rows.append(row)
+        part.mutated()
+        self._length += 1
+        self.budget._charged(1)
+        self.budget.rebalance()
+
+
+#: One step of the model test: (operation, position as a fraction of the
+#: current length, row id / row count).
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["append", "append", "append", "set", "get", "scan", "clipped",
+             "replace_all", "view"]
+        ),
+        st.floats(min_value=0, max_value=1, exclude_max=True),
+        st.integers(min_value=0, max_value=30),
+    ),
+    max_size=40,
+)
+
+
+class TestStoreAgainstModel:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 30), st.integers(4, 16), STEPS)
+    def test_random_sequences_match_the_model(self, initial, limit, steps):
+        """Any interleaving of appends, point reads and writes, full and
+        clipped scans, rebuilds and snapshots leaves the store exactly
+        where the model is, and both where a plain list would be."""
+        stores = [
+            cls(schema(), MemoryBudget(limit, partition_rows=4), rows(initial))
+            for cls in (PartitionStore, SeedAppendStore)
+        ]
+        plain = rows(initial)
+        snapshots = []  # (views of both stores, the list they froze)
+        for op, fraction, n in steps:
+            position = int(fraction * len(plain))
+            row = {"id": 1000 + n, "v": f"n{n}", "w": None}
+            if op == "append":
+                plain.append(row)
+                for store in stores:
+                    store.append(row)
+            elif op == "set" and plain:
+                plain[position] = row
+                for store in stores:
+                    store[position] = row
+            elif op == "get" and plain:
+                for store in stores:
+                    assert store[position] == plain[position]
+            elif op == "scan":
+                for store in stores:
+                    assert list(store) == plain
+            elif op == "clipped":
+                for store in stores:
+                    chunks = store.iter_partition_rows(position)
+                    got = [row for _, chunk in chunks for row in chunk]
+                    assert got == plain[:position]
+            elif op == "replace_all":
+                plain = rows(n, start=2000)
+                for store in stores:
+                    store.replace_all(list(plain))
+            elif op == "view":
+                snapshots.append(([s.view() for s in stores], list(plain)))
+
+            real, model = stores
+            assert len(real) == len(model) == len(plain)
+            for store in stores:
+                parts = store._partitions
+                assert store.spilled_partitions == sum(
+                    p.rows is None for p in parts
+                )
+                assert store.has_spilled() == any(p.rows is None for p in parts)
+                assert store.resident_rows == store.budget.resident_rows == sum(
+                    len(p.rows) for p in parts if p.rows is not None
+                )
+                budget = store.budget
+                assert budget.peak_resident_rows <= limit + 4
+                # A spilled partition's segment is the generation it
+                # holds, so the reload below can only serve current rows.
+                assert all(
+                    p.spilled_generation == p.generation
+                    for p in parts
+                    if p.rows is None
+                )
+            assert [p.generation for p in real._partitions] == [
+                p.generation for p in model._partitions
+            ]
+            assert resident(real) == resident(model)
+            assert real.budget.resident_rows == model.budget.resident_rows
+            assert (
+                real.budget.peak_resident_rows
+                == model.budget.peak_resident_rows
+            )
+        for views, frozen in snapshots:
+            for view in views:
+                assert list(view) == frozen
+        for store in stores:
+            assert list(store) == plain
 
 
 class TestViews:

@@ -10,7 +10,9 @@ change records, observer calls and trigger fire order — on plain list
 storage and under a tiny memory budget (PartitionStore).  The bulk
 upsert (``insert_many(rows, replace=True)``) is held to a row-by-row
 loop over the seed's ``upsert``, which is what the endpoints and the
-Initializer ran before it.
+Initializer ran before it.  ``Table.delete(predicate)`` is held to the
+two-scan body it had before it collected removed positions and
+survivors in one walk.
 """
 
 import datetime
@@ -20,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Column, Database, TableSchema
+from repro.db import Column, Database, TableSchema, col, lit
+from repro.db.expressions import Expression
 from repro.db.table import Table, TableObserver
 from repro.db.types import EXACT_TYPE, coerce_value, validate_type_name
 from repro.errors import IntegrityError, SchemaError
@@ -92,6 +95,29 @@ class SeedTable(Table):
         if self._observers:
             self._notify_mutation()
         return row
+
+    def delete(self, predicate):
+        """The predicate form as it was while it scanned twice."""
+        if isinstance(predicate, Expression):
+            matches = predicate.compile()
+            removed_at = [
+                p for p, r in enumerate(self._rows) if matches(r) is True
+            ]
+        else:
+            removed_at = [p for p, r in enumerate(self._rows) if predicate(r)]
+        if removed_at:
+            removed_set = set(removed_at)
+            self._set_rows(
+                [r for p, r in enumerate(self._rows) if p not in removed_set]
+            )
+            self._rebuild_indexes()
+            self.rows_written += len(removed_at)
+            self._generation += 1
+            if self.listener is not None:
+                self.listener(self.name, "delete_at", (tuple(removed_at),))
+            if self._observers:
+                self._notify_mutation()
+        return len(removed_at)
 
 
 # ------------------------------------------------------- normalization, per cell
@@ -263,6 +289,21 @@ op_strategy = st.one_of(
 )
 
 
+#: Predicates over NOTES for the delete differential: expressions whose
+#: verdict is True / False / NULL, and callables returning non-bool
+#: truthy and falsy values.
+DELETE_PREDICATES = {
+    "expr_eq": col("text") == lit("a"),
+    "expr_null_verdict": col("text") == lit(None),
+    "expr_range": (col("nid") > lit(3)) & (col("nid") <= lit(8)),
+    "expr_none": col("nid") < lit(0),
+    "callable_bool": lambda row: row["text"] == "b",
+    "callable_truthy_int": lambda row: row["nid"] % 3,
+    "callable_none": lambda row: None,
+    "callable_all": lambda row: "yes",
+}
+
+
 class Recorder(TableObserver):
     def __init__(self, log):
         self.log = log
@@ -370,6 +411,37 @@ class TestDmlSequencesMatchSeed:
                 op, argument, bulk=False
             ), (op, argument)
             assert new.state() == seed.state()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.fixed_dictionaries(
+                {
+                    "nid": st.integers(min_value=0, max_value=12),
+                    "text": st.sampled_from(["a", "b", "c"]),
+                }
+            ),
+            max_size=12,
+        ),
+        predicates=st.lists(st.sampled_from(sorted(DELETE_PREDICATES)), max_size=3),
+    )
+    def test_one_pass_delete_matches_the_two_scan_seed(
+        self, budget, rows, predicates
+    ):
+        """Same rows gone, same ``delete_at`` positions journaled, same
+        counters, generation step, observer calls and rebuilt indexes —
+        for expression predicates (only ``True`` deletes, NULL does not)
+        and callables (any truthy verdict deletes)."""
+        new, seed = Landscape(Table, budget), Landscape(SeedTable, budget)
+        for side in (new, seed):
+            side.apply("notes_upsert_many", rows, bulk=side is new)
+        assert len(new.db.table("notes")) == len({r["nid"] for r in rows})
+        for name in predicates:
+            predicate = DELETE_PREDICATES[name]
+            assert new.db.table("notes").delete(predicate) == seed.db.table(
+                "notes"
+            ).delete(predicate), name
+            assert new.state() == seed.state(), name
 
     def test_a_failing_row_leaves_its_predecessors_stored(self, budget):
         new = Landscape(Table, budget)

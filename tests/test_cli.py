@@ -118,6 +118,42 @@ class TestTraceCommand:
             main(["fly"])
 
 
+class TestProfileCommand:
+    def test_budgeted_profile_names_the_tables_that_faulted(
+        self, capsys, tmp_path
+    ):
+        out_file = tmp_path / "prof.json"
+        status = main([
+            "profile", "--periods", "1", "--datasize", "0.02",
+            "--mem-budget", "300", "--out", str(out_file),
+        ])
+        assert status == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out_file.read_text())
+        tables = doc["partition_tables"]
+        assert tables, "a 300-row budget must make some table fault"
+        assert [t["reloads"] for t in tables] == sorted(
+            (t["reloads"] for t in tables), reverse=True
+        )
+        # Each store's slots are its share of the process-wide counters.
+        for counter in ("reloads", "spills", "segment_reuses"):
+            assert sum(t[counter] for t in tables) == doc["partition"].get(
+                counter, 0
+            )
+        block = out.split("partition spill counters:")[1]
+        for entry in tables:
+            assert f"{entry['table']:<34}reloads={entry['reloads']}" in block
+
+    def test_unbudgeted_profile_lists_no_tables(self, capsys, tmp_path):
+        out_file = tmp_path / "prof.json"
+        assert main([
+            "profile", "--periods", "1", "--datasize", "0.02",
+            "--out", str(out_file),
+        ]) == 0
+        assert "partition spill counters:" not in capsys.readouterr().out
+        assert json.loads(out_file.read_text())["partition_tables"] == []
+
+
 class TestFaultsCommand:
     def test_valid_spec_described(self, capsys):
         assert main(["faults", "examples/faults_basic.json"]) == 0
