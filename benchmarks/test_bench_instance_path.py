@@ -1,0 +1,137 @@
+"""The instance path, counted: what a steady synth period no longer does.
+
+``synth`` at the bench knobs (``bench/workloads.py::SYNTH_KNOBS``) runs
+1 166 small instances a period; per-instance overhead is its cost.  This
+file counts — no timer — what periods 2–3 of seed 5 on the interpreter
+do *after* period 0–1 bound every plan:
+
+* plans built: 0 ``ProjectionPlan`` / ``ColumnParsers`` constructions
+  (the seed re-derived 2 380 mappings and 2 304 parser tables over the
+  two periods);
+* ``fastpath.expr_compiled``: the parent's own 578 cache misses (the
+  request builders' fresh predicates), none beyond;
+* Python-level heap comparisons: 0 ``ScheduledEvent.__lt__`` calls (the
+  seed: 22 176) and no comparison of a payload on the tuple heap;
+* message ids: one consecutive run of the process-global sequence, one
+  id per ``Message`` constructed;
+* Python-level calls per instance (``sys.setprofile`` ``call`` events,
+  C calls not counted, this file's payload wrapper — one call per E1
+  message — included), Python 3.11: **parent 195.0, change 165.4**.  The
+  count repeats exactly per seed *and interpreter version* (3.12 inlines
+  comprehensions and counts fewer), so the ceiling is kept per version,
+  at the change's figure plus one call — the smallest part, the
+  projection plan, is worth 1.1, ``Sequence``'s inline loop with the
+  trace guard 9.7 — and gates only where a figure was recorded: CI runs
+  this file on 3.11 for that reason.  The other four counts are asserted
+  on every version.
+
+The end-to-end claim belongs to ``python3 -m bench``
+(docs/performance.md, "The instance path").
+"""
+
+import sys
+
+from benchmarks.conftest import ledger_append
+
+from repro.db import fastpath
+from repro.db.relation import ProjectionPlan
+from repro.mtm import message as message_module
+from repro.parallel.spec import RunSpec
+from repro.simtime.scheduler import EventScheduler, ScheduledEvent
+from repro.synth.runner import SynthClient
+from repro.xmlkit.convert import ColumnParsers
+
+SYNTH_KNOBS = (
+    "sources=4,depth=6,fan_out=4,mix=relational,update=0.8,"
+    "scale=3,rounds=2,msgs=16"
+)
+#: ``fastpath.expr_compiled`` over periods 2–3 at the parent commit.
+PARENT_EXPR_COMPILED = 578
+#: Python-level calls per instance, by interpreter version: see the
+#: module docstring.  Record a version's figure before adding it here.
+CALLS_PER_INSTANCE_CEILING = {(3, 11): 166.4}
+
+
+class _Payload(tuple):
+    """The runner's ``(process_id, kind, row)`` payload, un-orderable."""
+
+    def __lt__(self, other):
+        raise AssertionError("the event heap compared two payloads")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_steady_synth_periods_rebind_nothing():
+    client = SynthClient.from_spec(
+        RunSpec(engine="interpreter", datasize=0.05, periods=4, seed=5,
+                synth=SYNTH_KNOBS)
+    )
+    for period in (0, 1):
+        client.run_period(period)
+
+    built = {"ProjectionPlan": 0, "ColumnParsers": 0}
+    counted = {
+        ProjectionPlan.__init__.__code__: "ProjectionPlan",
+        ColumnParsers.__init__.__code__: "ColumnParsers",
+    }
+    event_lt = ScheduledEvent.__lt__.__code__
+    message_init = message_module.Message.__init__.__code__
+    calls = heap_comparisons = messages = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls, heap_comparisons, messages
+        if event != "call":
+            return
+        calls += 1
+        code = frame.f_code
+        if code is event_lt:
+            heap_comparisons += 1
+        elif code is message_init:
+            messages += 1
+        elif code in counted:
+            built[counted[code]] += 1
+
+    push = EventScheduler.push
+    EventScheduler.push = lambda self, deadline, payload: push(
+        self, deadline, _Payload(payload)
+    )
+    compiled_before = fastpath.STATS.expr_compiled
+    first_id = next(message_module._message_counter)
+    sys.setprofile(profiler)
+    try:
+        records = client.run_period(2) + client.run_period(3)
+    finally:
+        sys.setprofile(None)
+        EventScheduler.push = push
+    last_id = next(message_module._message_counter)
+    expr_compiled = fastpath.STATS.expr_compiled - compiled_before
+
+    instances = len(records)
+    assert instances == 2 * 1166
+    assert all(r.status == "ok" for r in records)
+    assert built == {"ProjectionPlan": 0, "ColumnParsers": 0}
+    assert expr_compiled <= PARENT_EXPR_COMPILED
+    assert heap_comparisons == 0
+    # One id per message, nothing else drew from the sequence.
+    assert last_id - first_id - 1 == messages > instances
+    calls_per_instance = round(calls / instances, 1)
+    ceiling = CALLS_PER_INSTANCE_CEILING.get(sys.version_info[:2])
+    if ceiling is not None:
+        assert calls_per_instance <= ceiling
+
+    print(f"\npython calls/instance {calls_per_instance}, "
+          f"expr_compiled {expr_compiled}, messages {messages}")
+    ledger_append(
+        "instance_path:synth_counts",
+        {
+            "config": "interpreter synth bench knobs seed 5, periods 2-3",
+            "instances": instances,
+            "plans_built": {"before": 2380 + 2304, "after": 0},
+            "expr_compiled": {"before": PARENT_EXPR_COMPILED, "after": expr_compiled},
+            "heap_comparisons": {"before": 22176, "after": heap_comparisons},
+            "python_calls_per_instance": {
+                "before": 195.0, "after": calls_per_instance,
+                "python": ".".join(map(str, sys.version_info[:2])),
+            },
+        },
+    )

@@ -30,6 +30,7 @@ consequences the operators track explicitly:
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -84,6 +85,41 @@ class _Desc:
         return isinstance(other, _Desc) and other.value == self.value
 
     __hash__ = None  # type: ignore[assignment]
+
+
+class ProjectionPlan:
+    """What :meth:`Relation.project` derives from a mapping, derived once.
+
+    ``columns`` are the output columns in mapping order, ``plain`` the
+    ``(out, in)`` renames and ``inputs`` the columns they read,
+    ``computed`` the ``(out, expression, compiled closure)`` triples.
+    The plan describes the mapping as it was when the plan was built;
+    whoever keeps one drops it when the mapping changes (:meth:`matches`).
+    """
+
+    __slots__ = ("columns", "plain", "inputs", "computed", "_sources")
+
+    def __init__(self, mapping: Mapping[str, "str | Expression"]):
+        self.columns: tuple[str, ...] = tuple(mapping)
+        self.plain: list[tuple[str, str]] = []
+        self.computed: list[tuple[str, Expression, Callable[[Row], Any]]] = []
+        for out_name, source in mapping.items():
+            if isinstance(source, Expression):
+                self.computed.append((out_name, source, source.compile()))
+            else:
+                self.plain.append((out_name, source))
+        self.inputs = [in_name for _, in_name in self.plain]
+        self._sources = list(mapping.values())
+
+    def matches(self, mapping: Mapping[str, "str | Expression"]) -> bool:
+        """Whether ``mapping`` is still what this plan was built from.
+
+        Sources are compared by identity: ``Expression`` overloads ``==``
+        to build a comparison tree, which is always truthy.
+        """
+        return tuple(mapping) == self.columns and all(
+            map(operator.is_, mapping.values(), self._sources)
+        )
 
 
 class Relation:
@@ -217,7 +253,7 @@ class Relation:
 
     def project(
         self,
-        mapping: Mapping[str, str | Expression],
+        mapping: "Mapping[str, str | Expression] | ProjectionPlan",
     ) -> "Relation":
         """Projection with renaming and computed columns.
 
@@ -225,31 +261,29 @@ class Relation:
         name (pure rename/keep) or an :class:`Expression` (computed).
         This is the "projection … in order to rename the attributes"
         of process types P05–P07 and the schema mappings of P11/P14.
+        A caller that projects many relations through one mapping may
+        pass the mapping's :class:`ProjectionPlan` instead.
         """
-        plain: dict[str, str] = {}
-        computed: dict[str, Expression] = {}
-        for out_name, source in mapping.items():
-            if isinstance(source, Expression):
-                computed[out_name] = source
-            else:
-                plain[out_name] = source
-        self._require_columns(plain.values())
-        out_columns = tuple(mapping.keys())
-        out_rows: list[Row] = []
-        compiled: list[tuple[str, Callable[[Row], Any]]] = []
-        for out_name, expr in computed.items():
+        plan = (
+            mapping
+            if type(mapping) is ProjectionPlan
+            else ProjectionPlan(mapping)
+        )
+        plain_items = plan.plain
+        self._require_columns(plan.inputs)
+        compiled = plan.computed
+        for _, expr, _ in compiled:
             self._guard_expression(expr)
-            compiled.append((out_name, expr.compile()))
-        plain_items = list(plain.items())
+        out_rows: list[Row] = []
         for row in self.rows:
-            new_row: Row = {}
-            for out_name, in_name in plain_items:
-                new_row[out_name] = row[in_name]
-            for out_name, fn in compiled:
+            new_row: Row = {
+                out_name: row[in_name] for out_name, in_name in plain_items
+            }
+            for out_name, _, fn in compiled:
                 new_row[out_name] = fn(row)
             out_rows.append(new_row)
         fastpath.STATS.rows_copied += len(out_rows)
-        return Relation.from_trusted(out_columns, out_rows)
+        return Relation.from_trusted(plan.columns, out_rows)
 
     def keep(self, *names: str) -> "Relation":
         """Projection without renaming: keep the named columns."""

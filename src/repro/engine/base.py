@@ -197,6 +197,10 @@ class IntegrationEngine:
         #: exact pre-storage behavior.
         self.storage: "StorageManager | None" = None
         self.observability = observability
+        #: Whether instances keep an operator trace log, and the logs of
+        #: completed instances when they do.
+        self.trace = False
+        self.traces: list[tuple[str, list[str]]] = []
 
     # -- observability ---------------------------------------------------------
 
@@ -435,7 +439,9 @@ class IntegrationEngine:
         with exponential backoff in virtual time and non-retryable or
         exhausted failures are dead-lettered instead of ending the
         instance as a bare error; without one, behavior is the classic
-        single-attempt fail-fast path.
+        single-attempt fail-fast path.  Resilience, storage and
+        observability are read here at every event, so attaching one to
+        a running engine takes effect at the next.
         """
         process = self.process_type(event.process_id)
         if process.event_type is not event.event_type:
@@ -451,70 +457,37 @@ class IntegrationEngine:
         while True:
             attempt += 1
             self._current_attempt = attempt
+            armed: EngineCrashed | None = None
             if res is not None:
                 # Apply due fault events (partitions heal, endpoints come
                 # back ...) and move the breaker clock before each attempt.
                 res.at(attempt_time)
-                if res.injector is not None and res.injector.take_crash(
-                    "arrival"
-                ):
+                injector = res.injector
+                if injector is not None and injector.take_crash("arrival"):
                     self.crash()
                     raise EngineCrashed(
                         f"{self.engine_name} crashed before admitting "
                         f"{event.process_id}",
                         at=attempt_time,
                     )
-            # An armed commit-point crash is consumed *before* execution:
-            # the instance runs, then dies with its effects uncommitted.
-            # The pristine message copy lets the client re-dispatch the
-            # instance with exactly the original input after recovery.
-            crash_at_commit = (
-                res is not None
-                and res.injector is not None
-                and res.injector.take_crash("commit")
-            )
-            pristine = (
-                event.message.copy()
-                if crash_at_commit and event.message is not None
-                else None
-            )
-            queue_length = self._queue_length(attempt_time)
-            status, error, error_type = "ok", "", ""
-            violations: tuple[str, ...] = ()
-            inbound_cost = 0.0
-            self._last_profile = None
-            try:
-                self._raise_injected_faults(event, res)
-                costs, operators, failures = self._execute_instance(
-                    process, event, queue_length
-                )
-                if crash_at_commit:
-                    self.crash()
-                    raise EngineCrashed(
+                # An armed commit-point crash is consumed *before*
+                # execution: the instance runs, then dies with its
+                # effects uncommitted.  The pristine message copy lets
+                # the client re-dispatch the instance with exactly the
+                # original input after recovery.
+                if injector is not None and injector.take_crash("commit"):
+                    armed = EngineCrashed(
                         f"{self.engine_name} lost an in-flight "
                         f"{event.process_id} instance at commit",
-                        pristine_message=pristine,
+                        pristine_message=event.message.copy()
+                        if event.message is not None
+                        else None,
                         at=attempt_time,
                     )
-                if (
-                    res is not None
-                    and res.policy.timeout is not None
-                    and costs.total > res.policy.timeout
-                ):
-                    raise AttemptTimeout(
-                        f"{event.process_id}: attempt cost {costs.total:.2f} "
-                        f"exceeded the {res.policy.timeout:.2f} budget"
-                    )
-                # Inbound message delivery is itself a network transfer
-                # (C_c includes waiting for external systems, Section V).
-                if event.message is not None and self.registry.network.has_host(
-                    self.message_source_host
-                ):
-                    inbound_cost = self.registry.network.transfer_cost(
-                        self.message_source_host, self.host,
-                        event.message.size_units,
-                    )
-                    costs.communication += inbound_cost
+            queue_length = self._queue_length(attempt_time)
+            outcome, status, failure = None, "ok", None
+            try:
+                outcome = self._attempt(process, event, queue_length, res, armed)
                 break
             except EngineCrashed:
                 # Not an instance failure: the engine itself is gone.
@@ -522,19 +495,12 @@ class IntegrationEngine:
                 # benchmark client, which owns durable recovery.
                 raise
             except Exception as exc:  # instance failure, not engine crash
-                costs = CostBreakdown(
-                    management=self.cost_parameters.management_cost(queue_length)
-                )
-                operators, failures = 0, 0
-                error_type = type(exc).__name__
-                error = f"{error_type}: {exc}"
-                violations = tuple(getattr(exc, "violations", ()) or ())
-                inbound_cost = 0.0
+                failure = exc
                 self._last_profile = None
                 if res is None:
                     status = "error"
                     break
-                fault_types.append(error_type)
+                fault_types.append(type(exc).__name__)
                 if first_failure is None:
                     first_failure = attempt_time
                 if res.retryable(exc) and attempt < res.policy.max_attempts:
@@ -545,29 +511,10 @@ class IntegrationEngine:
                 status = "dead-letter"
                 break
         self._current_attempt = 1
-        start, completion = self._admit(
-            attempt_time, costs.management + costs.processing + costs.communication
+        record = self._record(
+            event, attempt_time, queue_length, outcome, failure, status,
+            attempt, tuple(fault_types),
         )
-        record = InstanceRecord(
-            instance_id=self._new_instance_id(),
-            process_id=event.process_id,
-            period=event.period,
-            stream=event.stream,
-            arrival=event.deadline,
-            start=start,
-            completion=completion,
-            costs=costs,
-            status=status,
-            error=error,
-            queue_length_at_arrival=queue_length,
-            operators_executed=operators,
-            validation_failures=failures,
-            error_type=error_type,
-            error_violations=violations,
-            attempts=attempt,
-            fault_types=tuple(fault_types),
-        )
-        self.records.append(record)
         if self.storage is not None:
             self.storage.commit_instance(self, record)
         if res is not None:
@@ -578,7 +525,92 @@ class IntegrationEngine:
             )
             res.account(record, mttr)
         if self._observability.enabled:
-            self._observe_instance(record, self._last_profile, inbound_cost)
+            self._observe_instance(
+                record, self._last_profile, outcome[3] if outcome else 0.0
+            )
+        return record
+
+    def _attempt(
+        self,
+        process: ProcessType,
+        event: ProcessEvent,
+        queue_length: int,
+        res: "ResilienceContext | None",
+        armed: EngineCrashed | None,
+    ) -> tuple[CostBreakdown, int, int, float]:
+        """One execution attempt: (costs, operators executed, validation
+        failures, inbound delivery cost); raises what the instance raised.
+
+        ``armed`` is the commit-point crash this attempt dies of after
+        running, when the injector scheduled one.
+        """
+        self._last_profile = None
+        if res is not None:
+            self._raise_injected_faults(event, res)
+        costs, operators, failures = self._execute_instance(
+            process, event, queue_length
+        )
+        if armed is not None:
+            self.crash()
+            raise armed
+        if (
+            res is not None
+            and res.policy.timeout is not None
+            and costs.total > res.policy.timeout
+        ):
+            raise AttemptTimeout(
+                f"{event.process_id}: attempt cost {costs.total:.2f} "
+                f"exceeded the {res.policy.timeout:.2f} budget"
+            )
+        # Inbound message delivery is itself a network transfer
+        # (C_c includes waiting for external systems, Section V).
+        inbound_cost = 0.0
+        message = event.message
+        if message is not None:
+            network = self.registry.network
+            if network.has_host(self.message_source_host):
+                inbound_cost = network.transfer_cost(
+                    self.message_source_host, self.host, message.size_units
+                )
+                costs.communication += inbound_cost
+        return costs, operators, failures, inbound_cost
+
+    def _record(
+        self,
+        event: ProcessEvent,
+        attempt_time: float,
+        queue_length: int,
+        outcome: tuple[CostBreakdown, int, int, float] | None,
+        exc: Exception | None,
+        status: str,
+        attempts: int,
+        fault_types: tuple[str, ...],
+    ) -> InstanceRecord:
+        """Admit and record one finished instance: the outcome of its
+        last attempt, or — given the exception that ended it — a failure
+        that cost its management share only."""
+        error = error_type = ""
+        violations: tuple[str, ...] = ()
+        if outcome is not None:
+            costs, operators, failures, _ = outcome
+        else:
+            costs = CostBreakdown(
+                management=self.cost_parameters.management_cost(queue_length)
+            )
+            operators = failures = 0
+            error_type = type(exc).__name__
+            error = f"{error_type}: {exc}"
+            violations = tuple(getattr(exc, "violations", ()) or ())
+        start, completion = self._admit(
+            attempt_time, costs.management + costs.processing + costs.communication
+        )
+        record = InstanceRecord(
+            self._new_instance_id(), event.process_id, event.period,
+            event.stream, event.deadline, start, completion, costs, status,
+            error, queue_length, operators, failures, error_type, violations,
+            attempts, fault_types,
+        )
+        self.records.append(record)
         return record
 
     def _raise_injected_faults(
@@ -642,6 +674,38 @@ class IntegrationEngine:
         self, process: ProcessType, event: ProcessEvent, queue_length: int
     ) -> tuple[CostBreakdown, int, int]:
         raise NotImplementedError
+
+    def _new_context(self) -> ExecutionContext:
+        context = ExecutionContext(
+            self.registry,
+            self.host,
+            subprocess_runner=self._run_subprocess,
+            trace=self.trace,
+        )
+        context.parallel_efficiency = self.parallel_efficiency
+        context.attempt = self._current_attempt
+        return context
+
+    def _run_subprocess(
+        self, process_id: str, message: Message | None, parent: ExecutionContext
+    ) -> Message | None:
+        """Run a child process inline; costs accumulate into the parent.
+
+        Children execute with a fresh variable scope (their own ``__in``)
+        but share the parent's cost accounting, so a P14 instance carries
+        the full cost of its four subprocesses.
+        """
+        child_type = self.process_type(process_id)
+        saved_variables = parent.variables
+        parent.variables = {}
+        if message is not None:
+            parent.variables["__in"] = message
+        try:
+            child_type.root._run(parent)
+            result = parent.variables.get("__out")
+        finally:
+            parent.variables = saved_variables
+        return result
 
     # -- span/metric emission ------------------------------------------------------
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import EngineError
-from repro.mtm.context import WORK_CONTROL, WORK_RELATIONAL, WORK_XML
+from repro.mtm.context import WORK_CONTROL, WORK_KINDS, WORK_RELATIONAL, WORK_XML
+
+_KNOWN_KINDS = frozenset(WORK_KINDS)
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class CostParameters:
 
     def processing_cost(self, work_units: dict[str, float]) -> float:
         """Price reported work units into C_p."""
-        unknown = set(work_units) - {WORK_RELATIONAL, WORK_XML, WORK_CONTROL}
-        if unknown:
+        if not _KNOWN_KINDS.issuperset(work_units):
+            unknown = set(work_units) - _KNOWN_KINDS
             raise EngineError(f"unknown work kinds {sorted(unknown)}")
         return (
             work_units.get(WORK_RELATIONAL, 0.0) * self.relational_unit

@@ -74,7 +74,6 @@ class FederatedEngine(IntegrationEngine):
         #: (written by the cluster layer's failover rerouting).
         self.catalog_routes: dict[str, str] = {}
         self.trace = trace
-        self.traces: list[tuple[str, list[str]]] = []
         self._next_tid = 1
         # Per-execution scratch: the context used by the running trigger or
         # procedure body (triggers receive only (db, row), so the engine
@@ -152,32 +151,6 @@ class FederatedEngine(IntegrationEngine):
         )
 
     # -- execution ---------------------------------------------------------------
-
-    def _new_context(self) -> ExecutionContext:
-        context = ExecutionContext(
-            self.registry,
-            self.host,
-            subprocess_runner=self._run_subprocess,
-            trace=self.trace,
-        )
-        context.parallel_efficiency = self.parallel_efficiency
-        context.attempt = self._current_attempt
-        return context
-
-    def _run_subprocess(
-        self, process_id: str, message: Message | None, parent: ExecutionContext
-    ) -> Message | None:
-        child_type = self.process_type(process_id)
-        saved = parent.variables
-        parent.variables = {}
-        if message is not None:
-            parent.variables["__in"] = message
-        try:
-            child_type.root._run(parent)
-            result = parent.variables.get("__out")
-        finally:
-            parent.variables = saved
-        return result
 
     def _execute_instance(
         self, process: ProcessType, event: ProcessEvent, queue_length: int

@@ -11,8 +11,6 @@ from typing import TYPE_CHECKING
 
 from repro.engine.base import IntegrationEngine, ProcessEvent
 from repro.engine.costs import CostBreakdown, INTERPRETER_COSTS, CostParameters
-from repro.mtm.context import ExecutionContext
-from repro.mtm.message import Message
 from repro.mtm.process import ProcessType
 from repro.observability import Observability
 from repro.services.registry import ServiceRegistry
@@ -60,8 +58,6 @@ class MtmInterpreterEngine(IntegrationEngine):
             mem_budget=mem_budget,
         )
         self.trace = trace
-        #: Trace logs of completed instances, when tracing is on.
-        self.traces: list[tuple[str, list[str]]] = []
 
     def deploy(self, process: ProcessType) -> None:
         """Install one process and warm its plan cache.
@@ -72,38 +68,6 @@ class MtmInterpreterEngine(IntegrationEngine):
         """
         super().deploy(process)
         self._warm_plan_cache(process)
-
-    def _new_context(self) -> ExecutionContext:
-        context = ExecutionContext(
-            self.registry,
-            self.host,
-            subprocess_runner=self._run_subprocess,
-            trace=self.trace,
-        )
-        context.parallel_efficiency = self.parallel_efficiency
-        context.attempt = self._current_attempt
-        return context
-
-    def _run_subprocess(
-        self, process_id: str, message: Message | None, parent: ExecutionContext
-    ) -> Message | None:
-        """Run a child process inline; costs accumulate into the parent.
-
-        Children execute with a fresh variable scope (their own ``__in``)
-        but share the parent's cost accounting, so a P14 instance carries
-        the full cost of its four subprocesses.
-        """
-        child_type = self.process_type(process_id)
-        saved_variables = parent.variables
-        parent.variables = {}
-        if message is not None:
-            parent.variables["__in"] = message
-        try:
-            child_type.root._run(parent)
-            result = parent.variables.get("__out")
-        finally:
-            parent.variables = saved_variables
-        return result
 
     def _execute_instance(
         self, process: ProcessType, event: ProcessEvent, queue_length: int

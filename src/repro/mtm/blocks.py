@@ -40,8 +40,15 @@ class Sequence(Operator):
 
     def execute(self, context: ExecutionContext) -> None:
         try:
-            for step in self.steps:
-                step._run(context)
+            if context.operator_log is None and not context.trace_enabled:
+                # Nothing observes the steps: what is left of
+                # ``Operator._run`` is the count.
+                for step in self.steps:
+                    context.operators_executed += 1
+                    step.execute(context)
+            else:
+                for step in self.steps:
+                    step._run(context)
         except _ValidationHandled:
             context.trace(f"sequence:{self.name}: stopped by failed validation")
 
@@ -89,11 +96,13 @@ class Switch(Operator):
         context.charge_work(WORK_CONTROL, 1.0)
         for case in self.cases:
             if case.guard(context):
-                context.trace(f"switch:{self.name} -> {case.label or 'case'}")
+                if context.trace_enabled:
+                    context.trace(f"switch:{self.name} -> {case.label or 'case'}")
                 case.body._run(context)
                 return
         if self.otherwise is not None:
-            context.trace(f"switch:{self.name} -> otherwise")
+            if context.trace_enabled:
+                context.trace(f"switch:{self.name} -> otherwise")
             self.otherwise._run(context)
 
 
@@ -173,10 +182,11 @@ class Fork(Operator):
                 kind_sum = sum(w[kind] for _, w in branch_costs)
                 kind_max = max(w[kind] for _, w in branch_costs)
                 context.work_units[kind] -= (kind_sum - kind_max) * efficiency
-        context.trace(
-            f"fork:{self.name}: {len(self.branches)} branches, "
-            f"costs={[round(c, 3) for c, _ in branch_costs]}"
-        )
+        if context.trace_enabled:
+            context.trace(
+                f"fork:{self.name}: {len(self.branches)} branches, "
+                f"costs={[round(c, 3) for c, _ in branch_costs]}"
+            )
 
 
 class Subprocess(Operator):

@@ -49,7 +49,7 @@ class ExecutionContext:
         self.caller_host = caller_host
         self.variables: dict[str, Message] = {}
         self.communication_cost = 0.0
-        self.work_units: dict[str, float] = {kind: 0.0 for kind in WORK_KINDS}
+        self.work_units: dict[str, float] = dict.fromkeys(WORK_KINDS, 0.0)
         self.operators_executed = 0
         self._subprocess_runner = subprocess_runner
         self.trace_enabled = trace

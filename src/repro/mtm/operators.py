@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import ProcessDefinitionError, ProcessRuntimeError, ValidationError
 from repro.db import fastpath
 from repro.db.expressions import Expression
-from repro.db.relation import Relation
+from repro.db.relation import ProjectionPlan, Relation
 from repro.mtm.context import (
     WORK_CONTROL,
     WORK_RELATIONAL,
@@ -27,7 +27,7 @@ from repro.mtm.context import (
 from repro.mtm.message import Message
 from repro.observability.profile import OperatorObservation
 from repro.services.endpoints import Envelope
-from repro.xmlkit.convert import resultset_to_rows, rows_to_resultset
+from repro.xmlkit.convert import ColumnParsers, resultset_to_rows, rows_to_resultset
 from repro.xmlkit.stx import Stylesheet
 from repro.xmlkit.xpath import xpath_text
 from repro.xmlkit.xsd import XsdSchema
@@ -63,7 +63,8 @@ class Operator:
 
     def _run(self, context: ExecutionContext) -> None:
         context.operators_executed += 1
-        context.trace(f"{self.kind}:{self.name}")
+        if context.trace_enabled:
+            context.trace(f"{self.kind}:{self.name}")
         log = context.operator_log
         if log is None or not self.profile_leaf:
             self.execute(context)
@@ -244,11 +245,17 @@ class Projection(Operator):
         self.input = input
         self.output = output
         self.mapping = dict(mapping)
+        #: ``mapping`` as :meth:`Relation.project` runs it, built at the
+        #: first instance and rebuilt when ``mapping`` changes.
+        self._plan: ProjectionPlan | None = None
 
     def execute(self, context: ExecutionContext) -> None:
         relation = context.get(self.input).relation()
         context.charge_work(WORK_RELATIONAL, float(len(relation)))
-        context.set(self.output, Message(relation.project(self.mapping)))
+        plan = self._plan
+        if plan is None or not plan.matches(self.mapping):
+            plan = self._plan = ProjectionPlan(self.mapping)
+        context.set(self.output, Message(relation.project(plan)))
 
 
 class Join(Operator):
@@ -404,13 +411,19 @@ class Convert(Operator):
         self.columns = list(columns) if columns else None
         self.types = dict(types) if types else None
         self.table = table
+        #: The column -> parser table of ``types``, kept across
+        #: instances and rebuilt when ``types`` changes.
+        self._parsers: ColumnParsers | None = None
 
     def execute(self, context: ExecutionContext) -> None:
         message = context.get(self.input)
         if self.direction == "xml_to_relation":
             document = message.xml()
             context.charge_work(WORK_XML, float(document.size()))
-            rows = resultset_to_rows(document, self.types)
+            parsers = self._parsers
+            if parsers is None or parsers.types != (self.types or {}):
+                parsers = self._parsers = ColumnParsers(self.types)
+            rows = resultset_to_rows(document, parsers)
             if self.columns is None:
                 if not rows:
                     raise ProcessRuntimeError(

@@ -182,11 +182,14 @@ class Network:
         benchmark's communication numbers).  Raises :class:`NetworkError`
         when the pair is partitioned.
         """
-        self._require(src)
-        self._require(dst)
+        hosts = self._hosts
+        if src not in hosts or dst not in hosts:
+            self._require(src)
+            self._require(dst)
         if payload_units < 0:
             raise NetworkError(f"negative payload: {payload_units}")
-        if (src, dst) in self._partitioned:
+        pair = (src, dst)
+        if pair in self._partitioned:
             self._m_partition_errors.inc()
             raise NetworkError(f"network partition between {src} and {dst}")
         if src == dst:
@@ -194,12 +197,12 @@ class Network:
         self._m_transfers.inc()
         self._m_payload.inc(payload_units)
         self._m_payload_hist.observe(payload_units)
-        link = self.link_between(src, dst)
+        link = self._links.get(pair, self.default_link)
         cost = link.latency + payload_units / link.bandwidth
         if self.jitter:
             # Multiplicative jitter in [1 - j, 1 + j].
             cost *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        degradation = self._degraded.get((src, dst))
+        degradation = self._degraded.get(pair)
         if degradation is not None:
             cost *= degradation
             self._m_degraded.inc()

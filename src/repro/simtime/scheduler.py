@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -41,7 +42,10 @@ class EventScheduler:
         metrics: MetricsRegistry | None = None,
     ):
         self.clock = clock if clock is not None else VirtualClock()
-        self._heap: list[ScheduledEvent] = []
+        #: ``(deadline, seqno, event)`` entries: the unique seqno decides
+        #: every tie, so the heap orders plain tuples at C level and never
+        #: compares events or payloads.
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._metrics = metrics
         if metrics is not None:
@@ -63,10 +67,13 @@ class EventScheduler:
 
     def push(self, deadline: float, payload: Any) -> ScheduledEvent:
         """Schedule ``payload`` for ``deadline`` (absolute, in tu)."""
-        if deadline < 0:
-            raise ValueError(f"deadline must be >= 0, got {deadline}")
-        event = ScheduledEvent(deadline, next(self._counter), payload)
-        heapq.heappush(self._heap, event)
+        if not 0 <= deadline < math.inf:  # also false for nan
+            raise ValueError(
+                f"deadline must be finite and >= 0, got {deadline}"
+            )
+        seqno = next(self._counter)
+        event = ScheduledEvent(deadline, seqno, payload)
+        heapq.heappush(self._heap, (deadline, seqno, event))
         if self._metrics is not None:
             self._m_pushed.inc()
             self._m_peak.set_max(len(self._heap))
@@ -78,14 +85,14 @@ class EventScheduler:
 
     def peek(self) -> ScheduledEvent | None:
         """Return the next event without removing it, or None if empty."""
-        return self._heap[0] if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     def pop(self) -> ScheduledEvent:
         """Remove and return the next event, advancing the clock to it."""
         if not self._heap:
             raise IndexError("pop from an empty event scheduler")
-        event = heapq.heappop(self._heap)
-        self.clock.advance_to(event.deadline)
+        deadline, _, event = heapq.heappop(self._heap)
+        self.clock.advance_to(deadline)
         if self._metrics is not None:
             self._m_dispatched.inc()
         return event
@@ -111,7 +118,7 @@ class EventScheduler:
         absolute deadlines for the same relative delay, and worker-local
         schedules could diverge from the serial run.
         """
-        while self._heap and self._heap[0].deadline <= deadline:
+        while self._heap and self._heap[0][0] <= deadline:
             yield self.pop()
         self.clock.advance_to(deadline)
 

@@ -86,9 +86,33 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
 }
 
 
+class ColumnParsers(dict):
+    """Column -> parser (None: keep the text) under one ``types`` mapping,
+    each entry chosen at the column's first cell.
+
+    :func:`resultset_to_rows` builds one per call from a plain mapping; a
+    caller converting many documents under the same ``types`` passes the
+    table itself and drops it when ``types`` no longer equals the
+    mapping it reads.
+    """
+
+    __slots__ = ("types",)
+
+    def __init__(self, types: Mapping[str, str] | None):
+        super().__init__()
+        self.types = dict(types or {})
+
+    def __missing__(self, name: str) -> Callable[[str], Any] | None:
+        sql_type = self.types.get(name)
+        parse = self[name] = (
+            None if sql_type is None else _PARSERS.get(sql_type.upper())
+        )
+        return parse
+
+
 def resultset_to_rows(
     document: XmlElement,
-    types: Mapping[str, str] | None = None,
+    types: Mapping[str, str] | ColumnParsers | None = None,
     result_tag: str = "ResultSet",
     row_tag: str = "Row",
 ) -> list[dict[str, Any]]:
@@ -104,9 +128,7 @@ def resultset_to_rows(
         raise XmlParseError(
             f"expected <{result_tag}>, got <{document.tag}>"
         )
-    types = types or {}
-    #: Column -> parser (None: keep the text), chosen at its first cell.
-    parsers: dict[str, Callable[[str], Any] | None] = {}
+    parsers = types if type(types) is ColumnParsers else ColumnParsers(types)
     rows: list[dict[str, Any]] = []
     for row_el in document.children:
         if row_el.tag != row_tag and row_el.tag != "Row":
@@ -117,13 +139,7 @@ def resultset_to_rows(
             if cell.attributes.get("null") == "true":
                 row[name] = None
                 continue
-            try:
-                parse = parsers[name]
-            except KeyError:
-                sql_type = types.get(name)
-                parse = parsers[name] = (
-                    None if sql_type is None else _PARSERS.get(sql_type.upper())
-                )
+            parse = parsers[name]
             text = cell.text or ""
             row[name] = parse(text) if parse else text
         rows.append(row)
