@@ -61,6 +61,10 @@ class Expression(ABC):
         """This expression as a per-row closure (identity-cached)."""
         return compile_expression(self)
 
+    def operands(self) -> "tuple[Expression, ...]":
+        """The sub-expressions :meth:`_compile` compiles, in that order."""
+        return ()
+
     # -- operator sugar ------------------------------------------------------
 
     def _binop(self, op_name: str, other: Any) -> "BinaryOp":
@@ -243,6 +247,9 @@ class BinaryOp(Expression):
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
 
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
+
     def _compile(self) -> CompiledExpression:
         lf = self.left.compile()
         rf = self.right.compile()
@@ -338,6 +345,9 @@ class UnaryOp(Expression):
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()
 
+    def operands(self) -> tuple[Expression, ...]:
+        return (self.operand,)
+
     def _compile(self) -> CompiledExpression:
         operand = self.operand.compile()
         if self.op == "NOT":
@@ -395,6 +405,9 @@ class FunctionCall(Expression):
         for arg in self.args:
             out |= arg.referenced_columns()
         return out
+
+    def operands(self) -> tuple[Expression, ...]:
+        return self.args
 
     def _compile(self) -> CompiledExpression:
         name = self.name

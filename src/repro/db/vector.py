@@ -252,6 +252,14 @@ def _mask_sources(expr: Expression, builder: _MaskBuilder) -> tuple[str, str]:
 
 
 @lru_cache(maxsize=512)
+def _mask_code(source: str, mode: str) -> Any:
+    """Bytecode of one kernel source: predicates of one shape generate
+    the same text (bindings are named by position), and every deploy of
+    a plan generates the texts of the deploy before."""
+    return compile(source, "<repro.db.vector mask>", mode)
+
+
+@lru_cache(maxsize=512)
 def compile_mask(expr: Expression) -> MaskKernel | None:
     """Lower a predicate to a fused mask kernel (identity-cached).
 
@@ -269,7 +277,8 @@ def compile_mask(expr: Expression) -> MaskKernel | None:
     names = tuple(builder.columns)
     fastpath.STATS.masks_compiled += 1
     if not names:
-        value = bool(eval(true_source, dict(builder.consts)))  # noqa: S307
+        code = _mask_code(true_source, "eval")
+        value = bool(eval(code, dict(builder.consts)))  # noqa: S307
         return MaskKernel((), None, value)
     variables = ", ".join(builder.columns[name] for name in names)
     params = ", ".join(f"c{i}" for i in range(len(names)))
@@ -279,13 +288,8 @@ def compile_mask(expr: Expression) -> MaskKernel | None:
         body = f"[{true_source} for ({variables},) in zip({params})]"
     source = f"def __mask({params}):\n    return {body}\n"
     namespace = dict(builder.consts)
-    exec(compile(source, "<repro.db.vector mask>", "exec"), namespace)  # noqa: S102
+    exec(_mask_code(source, "exec"), namespace)  # noqa: S102
     return MaskKernel(names, namespace["__mask"], None)
-
-
-def warm_mask(expr: Expression) -> None:
-    """Pre-compile one predicate's mask kernel (engine deploy warm-up)."""
-    compile_mask(expr)
 
 
 # -- batch operators -------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import (
     AttemptTimeout,
@@ -22,7 +22,7 @@ from repro.errors import (
     TransientEngineFault,
 )
 from repro.db import fastpath, partition, vector
-from repro.db.expressions import Expression
+from repro.db.expressions import Expression, compile_expression
 from repro.engine.costs import CostBreakdown, CostParameters
 from repro.mtm.context import ExecutionContext
 from repro.mtm.message import Message
@@ -117,6 +117,15 @@ class InstanceRecord:
         return self.costs.total
 
 
+def _compile_anew(cached: Any, expression: Expression) -> None:
+    """Run an identity-cached compiler as on an expression it has not
+    seen: a lookup that hits is compiled (and counted) once more."""
+    misses = cached.cache_info().misses
+    cached(expression)
+    if cached.cache_info().misses == misses:
+        cached.__wrapped__(expression)
+
+
 class IntegrationEngine:
     """Base engine: deployment, the worker queue, instance bookkeeping.
 
@@ -166,6 +175,9 @@ class IntegrationEngine:
         #: Deployed definitions still waiting for a subprocess reference
         #: to resolve, hence not validated yet (see :meth:`deploy`).
         self._unvalidated: dict[str, ProcessType] = {}
+        #: Expressions this deployment has compiled (definitions share
+        #: some: see :meth:`_warm_plan_cache`).
+        self._compiled: set[Expression] = set()
         self._next_instance_id = 1
         #: Completion times of busy workers (virtual-time worker pool).
         self._worker_free: list[float] = []
@@ -287,34 +299,21 @@ class IntegrationEngine:
         engine's analogue of preparing trigger/procedure bodies —
         instead of the first instance of each type paying compilation.
         Predicates are additionally lowered to columnar mask kernels
-        (``repro.db.vector.warm_mask``) so the batch path never compiles
-        mid-run either.
+        (``repro.db.vector.compile_mask``) so the batch path never
+        compiles mid-run either.
+
+        A deployment compiles each distinct expression once, also one
+        whose closure an earlier deployment of the same tree left in
+        the cache: what a deploy compiles, and counts, is fixed by the
+        definitions and not by what ran before in the process.
         """
-
-        def warm(expression: Expression) -> None:
-            expression.compile()
-            vector.warm_mask(expression)
-
-        for node in process.root.iter_tree():
-            for value in vars(node).values():
-                if isinstance(value, Expression):
-                    warm(value)
-                elif isinstance(value, Mapping):
-                    for item in value.values():
-                        if isinstance(item, Expression):
-                            warm(item)
-                elif isinstance(value, (list, tuple)):
-                    for item in value:
-                        if isinstance(item, Expression):
-                            warm(item)
-                        else:  # e.g. SwitchCase guards
-                            guard = getattr(item, "guard", None)
-                            if isinstance(guard, Expression):
-                                warm(guard)
-                else:  # e.g. Invoke request builders carrying a predicate
-                    embedded = getattr(value, "predicate", None)
-                    if isinstance(embedded, Expression):
-                        warm(embedded)
+        compiled = self._compiled
+        for expression, held in process.expressions():
+            if expression not in compiled:
+                compiled.add(expression)
+                _compile_anew(compile_expression, expression)
+                if held:
+                    _compile_anew(vector.compile_mask, expression)
 
     def deploy_all(self, processes: Iterable[ProcessType]) -> None:
         for process in processes:
@@ -422,6 +421,7 @@ class IntegrationEngine:
         """
         self._processes.clear()
         self._unvalidated.clear()
+        self._compiled.clear()
         self.records = []
         self.reset_workers()
         self._next_instance_id = 1

@@ -13,8 +13,9 @@ referenced subprocesses must exist in the accompanying registry.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
+from repro.db.expressions import Expression
 from repro.errors import ProcessDefinitionError
 from repro.mtm.blocks import Fork, Sequence, Subprocess, Switch
 from repro.mtm.operators import (
@@ -84,6 +85,28 @@ class ProcessType:
         #: the inbound ``__in`` regardless of event type, and may use
         #: RECEIVE to bind it.
         self.subprocess_only = subprocess_only
+        #: ``(root, expressions())`` of the tree last scanned.
+        self._expressions: tuple[Operator, list[tuple[Expression, bool]]] | None = None
+
+    def expressions(self) -> list[tuple[Expression, bool]]:
+        """Every distinct expression of the plan, operands before the
+        expression holding them, each with whether an operator field
+        holds it (the plan's predicates and computed columns).
+
+        Scanned at the first call and again when ``root`` is replaced: a
+        built tree is not edited in place (docs/architecture.md), so a
+        deploy reads this list instead of every field of every operator.
+        """
+        memo = self._expressions
+        if memo is None or memo[0] is not self.root:
+            held = dict.fromkeys(_held_expressions(self.root))
+            ordered: dict[Expression, None] = {}
+            for expression in held:
+                _operands_first(expression, ordered)
+            memo = self._expressions = (
+                self.root, [(e, e in held) for e in ordered]
+            )
+        return memo[1]
 
     def operators(self) -> list[Operator]:
         return self.root.iter_tree()
@@ -101,6 +124,36 @@ class ProcessType:
             f"ProcessType({self.process_id}, group={self.group.name}, "
             f"event={self.event_type.value}, operators={self.operator_count()})"
         )
+
+
+#: Field types that cannot hold an expression: skipped unexamined.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _held_expressions(root: Operator) -> Iterator[Expression]:
+    """The expressions operator fields of a tree hold: directly, as
+    values of a mapping, as items of a sequence (or their ``guard``:
+    SwitchCase), or as the ``predicate`` of a request builder."""
+    for node in root.iter_tree():
+        for value in vars(node).values():
+            if type(value) in _PLAIN:
+                continue
+            if isinstance(value, Mapping):
+                candidates = value.values()
+            elif isinstance(value, (list, tuple)):
+                candidates = [getattr(item, "guard", item) for item in value]
+            else:
+                candidates = (getattr(value, "predicate", value),)
+            for candidate in candidates:
+                if isinstance(candidate, Expression):
+                    yield candidate
+
+
+def _operands_first(expression: Expression, ordered: dict) -> None:
+    if expression not in ordered:
+        for operand in expression.operands():
+            _operands_first(operand, ordered)
+        ordered[expression] = None
 
 
 def _writes_of(op: Operator) -> list[str]:

@@ -420,9 +420,9 @@ class BenchmarkClient:
     def _phase_pre(self) -> None:
         """Deploy the benchmark processes if the engine lacks them."""
         if not self.engine.deployed_ids:
-            from repro.scenario.processes import build_processes
+            from repro.scenario.processes import resident_processes
 
-            self.engine.deploy_all(build_processes().values())
+            self.engine.deploy_all(resident_processes().values())
 
     def _phase_post(self, verify: bool) -> VerificationReport:
         if not verify:

@@ -20,12 +20,19 @@ without their policy (modes, cadence, group commit, metrics).
 Independence is the point: nothing here may import
 ``repro.storage.snapshot`` or ``repro.storage.wal`` (the database,
 process and error types are shared vocabulary, not implementation).
+
+:func:`database_digest` / :func:`landscape_digest` are the digest as it
+was when every row was sorted, ``repr``-ed and hashed on its own; the
+production digest formats rows from the schema's column names and
+hashes them in chunks, and ``tests/storage/test_digest_equivalence.py``
+holds it to the same hex.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.db.database import Database
 from repro.errors import DeploymentError, RecoveryError, WalError
@@ -277,3 +284,44 @@ class Deployment:
             raise DeploymentError(
                 f"{self.engine_name}: unresolved subprocesses {sorted(set(missing))}"
             )
+
+
+# ---------------------------------------------------------------------- digest
+
+
+def database_digest(db: "Database", include_views: bool = True) -> str:
+    """Hex digest of one database's full logical content.
+
+    ``include_views=False`` digests table content only — the comparison
+    basis between a primary and its table-only cluster replicas (view
+    content is a pure function of the tables and replicas don't hold
+    view objects).
+    """
+    hasher = hashlib.sha256()
+    hasher.update(db.name.encode())
+    for table_name in db.table_names:
+        table = db.table(table_name)
+        hasher.update(f"\x00t:{table_name}\x00".encode())
+        for row in table.dump_rows():
+            hasher.update(repr(sorted(row.items())).encode())
+            hasher.update(b"\x01")
+    if not include_views:
+        return hasher.hexdigest()
+    for view_name in db.view_names:
+        view = db.materialized_view(view_name)
+        hasher.update(f"\x00v:{view_name}:{int(view.is_populated)}\x00".encode())
+        if view.is_populated:
+            for row in view.snapshot:
+                hasher.update(repr(sorted(row.items())).encode())
+                hasher.update(b"\x01")
+    return hasher.hexdigest()
+
+
+def landscape_digest(databases: Iterable["Database"]) -> str:
+    """Hex digest over many databases, order-independent (by name)."""
+    hasher = hashlib.sha256()
+    for db in sorted(databases, key=lambda d: d.name):
+        hasher.update(db.name.encode())
+        hasher.update(database_digest(db).encode())
+        hasher.update(b"\x02")
+    return hasher.hexdigest()

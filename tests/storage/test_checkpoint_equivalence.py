@@ -326,5 +326,6 @@ def test_oracle_is_independent_of_the_code_it_checks():
         "repro.storage.wal",
         "repro.storage.manager",
         "repro.storage.recovery",
+        "repro.storage.digest",
         "repro.engine.base",
     }
