@@ -6,12 +6,13 @@ Five families of evidence, all merged into ``BENCH_relops.json``:
   d=0.1 movement-data scale (~20k fact rows), production vs the
   reference oracle (``tests/oracle/relational.py``, the ``naive``
   keys) — production must win by at least 3x on each;
-* the same shapes **vector vs scalar** within production: the columnar
-  batch kernels (``repro.db.vector``) against the scalar
+* scan, filter and join **vector vs scalar** within production: the
+  columnar batch kernels (``repro.db.vector``) against the scalar
   compiled-closure loops they replace (reached by patching the batch
-  gate, the one test-only handle), with a ≥2x floor on
-  scan/filter/group-by (the join is reported without a floor — its
-  production form is the index probe, which beats both);
+  gate, the one test-only handle), with a ≥2x floor on scan/filter
+  (the join is reported without a floor — its production form is the
+  index probe, which beats both; group-by has one body and no rung to
+  compare);
 * deterministic operation counts (``rows_read``, ``db_rows_copied``,
   MV full-recompute count) under a fixed seeded workload — these are
   exact, machine-independent numbers, so CI gates on them instead of
@@ -24,8 +25,11 @@ Five families of evidence, all merged into ``BENCH_relops.json``:
   P03/P09 view shapes: one appended order fact must refresh OrdersMV
   without a full recompute.
 
-Plus one ledger row, ``simplicity:tier_switches``: src lines and tier
-knobs before and after the switches were taken out of ``repro.db``.
+Plus two ledger rows: ``simplicity:tier_switches`` (src lines and tier
+knobs before and after the switches were taken out of ``repro.db``) and
+``simplicity:unreached_plans_and_rungs`` (what the five ``bench``
+workloads reached of the cost planner, the index hints and the group-by
+bodies before they were deleted).
 """
 
 import json
@@ -267,7 +271,6 @@ def test_vector_speedups(benchmark, monkeypatch):
     shapes = {
         "scan": lambda: db.table("fact").scan(pred),
         "filter": lambda: fact_rel.select(pred),
-        "group_by": lambda: fact_rel.group_by(("grp",), AGGREGATES),
         "join": lambda: plain_left.join(plain_right, on=[("id", "id")]),
     }
 
@@ -287,14 +290,14 @@ def test_vector_speedups(benchmark, monkeypatch):
     flush_results()
     print("\n" + json.dumps(timings, indent=2))
 
-    for name in ("scan", "filter", "group_by"):
+    for name in ("scan", "filter"):
         assert timings[name]["speedup"] >= VECTOR_SPEEDUP_FLOOR, (
             f"{name}: vector kernel only {timings[name]['speedup']}x over "
             f"the scalar loop (floor {VECTOR_SPEEDUP_FLOOR}x)"
         )
 
     monkeypatch.setattr(vector, "BATCH_THRESHOLD", 1)
-    benchmark.pedantic(shapes["group_by"], rounds=3, iterations=1)
+    benchmark.pedantic(shapes["filter"], rounds=3, iterations=1)
 
 
 def vector_workload_counts() -> dict:
@@ -310,7 +313,6 @@ def vector_workload_counts() -> dict:
     plain_right = plain_copy(fact_rel)
     joined = plain_left.join(plain_right, on=[("id", "id")])
     index_joined = left.join(db.query("fact"), on=[("id", "id")])
-    grouped = fact_rel.group_by(("grp",), AGGREGATES)
     delta = fastpath.STATS - base
     return {
         "cardinalities": {
@@ -318,11 +320,9 @@ def vector_workload_counts() -> dict:
             "filter": len(filtered),
             "join": len(joined),
             "index_join": len(index_joined),
-            "group_by": len(grouped),
         },
         "vector_filters": delta.vector_filters,
         "vector_joins": delta.vector_joins,
-        "vector_group_bys": delta.vector_group_bys,
         "vector_fallbacks": delta.vector_fallbacks,
         "masks_compiled": delta.masks_compiled,
         "column_builds": delta.column_builds,
@@ -350,7 +350,6 @@ def test_vector_operation_count_gate(update_golden, monkeypatch):
     assert counts["vector_fallbacks"] == 0
     assert counts["vector_filters"] == 2  # table scan + relation select
     assert counts["vector_joins"] == 1  # the detached-copy join only
-    assert counts["vector_group_bys"] == 1
     assert counts["index_joins"] == 1 and counts["hash_joins"] == 0
     assert counts["cardinalities"]["scan"] == counts["cardinalities"]["filter"]
     assert counts["cardinalities"]["join"] == counts["cardinalities"]["index_join"]
@@ -410,6 +409,12 @@ def test_mv_incremental_on_scenario_views():
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 
 
+def count_src_lines() -> int:
+    return sum(
+        len(path.read_text("utf-8").splitlines()) for path in SRC.rglob("*.py")
+    )
+
+
 def test_tier_switch_ledger_row():
     """``simplicity:tier_switches``: what taking the switches out bought.
 
@@ -424,10 +429,8 @@ def test_tier_switch_ledger_row():
             for name in re.findall(r"REPRO_[A-Z_]+", path.read_text("utf-8"))
         }
     )
-    assert env_knobs == ["REPRO_MEM_BUDGET", "REPRO_PARTITION_ROWS", "REPRO_SPILL_DIR"]
-    src_lines = sum(
-        len(path.read_text("utf-8").splitlines()) for path in SRC.rglob("*.py")
-    )
+    assert env_knobs == ["REPRO_MEM_BUDGET", "REPRO_SPILL_DIR"]
+    src_lines = count_src_lines()
     ledger_append(
         "simplicity:tier_switches",
         {
@@ -436,5 +439,63 @@ def test_tier_switch_ledger_row():
             "cli_tier_flags": {"before": 5, "after": 0},
             "engine_ctor_tier_params": {"before": 5, "after": 0},
             "switch_functions": {"before": 10, "after": 0},
+        },
+    )
+
+
+def test_unreached_plans_ledger_row():
+    """``simplicity:unreached_plans_and_rungs``: what was deleted, and
+    the traffic that decided it.
+
+    The counts were taken on the parent tree (seed 5; 6 periods each of
+    ``classic`` / ``synth`` / ``budget`` / ``durable`` at the ``bench``
+    knobs, 4 ``served`` session specs, one per engine;
+    docs/perf-log/PR-23.md has the scripts' output) and cannot be taken
+    again — the planner is gone.  The *after* side is read from the
+    tree, so the row, and this test, moves if a second group-by body or
+    the planner comes back.
+    """
+    import repro.optimizer
+
+    assert not (SRC / "optimizer" / "cost.py").exists()
+    assert sorted(repro.optimizer.__all__) == [
+        "OptimizationReport", "merge_projections", "optimize_process",
+        "parallelize_extracts", "push_down_selections",
+    ]
+    assert not [name for name in vars(vector) if "group" in name]
+    assert not hasattr(Relation, "_group_by_scalar")
+    workloads = ("classic", "synth", "budget", "durable", "served")
+    ledger_append(
+        "simplicity:unreached_plans_and_rungs",
+        {
+            "src_loc": {"before": 29150, "after": count_src_lines()},
+            "db_env_vars": {"before": 3, "after": 2},
+            "process_global_switches": {"before": 1, "after": 0},
+            "group_by_bodies": {"before": 4, "after": 1},
+            "deleted": {
+                "cost planner with full statistics, 19 classic definitions": {
+                    "joins": 11, "reordered": 0, "routed": 0,
+                },
+                "index-hint routing rule, same definitions": {"routed": 0},
+                "Join operators in 45 synth processes of 3 knob strings": 0,
+                "readers of the hint on Join": 0,
+                "Relation.group_by calls": dict.fromkeys(workloads, 0),
+            },
+            "kept (the one grouped aggregation the traffic reaches)": {
+                "MaterializedView full refreshes": {
+                    "classic": 24, "synth": 0, "budget": 24, "durable": 24,
+                    "served": 16,
+                },
+            },
+            "unit_ms_p50 (seed 5, 10 pairs, parent -> change, claimed nothing)": {
+                "classic": "72.1 -> 72.3", "synth": "89.3 -> 88.5",
+                "budget": "96.8 -> 97.1", "durable": "125.3 -> 125.4",
+                "served": "49.0 -> 48.6",
+            },
+            "also 0, left for a benchmark PR (bench/layers.py wraps them)": {
+                "grace_joins": dict.fromkeys(workloads, 0),
+                "partitioned_filters": dict.fromkeys(workloads, 0),
+                "mv_incremental": dict.fromkeys(workloads, 0),
+            },
         },
     )

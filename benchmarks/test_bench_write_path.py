@@ -19,8 +19,7 @@ scenario's own shapes and lands two rows in ``results/LEDGER.jsonl``:
 
 The timings explain the end-to-end ``python3 -m bench`` result; they
 claim nothing by themselves and gate nothing.  The counts repeat
-exactly and are asserted (docs/performance.md, "The XML walk and the
-upsert loop").
+exactly and are asserted (docs/perf-log/PR-19.md).
 """
 
 import functools

@@ -1040,9 +1040,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         # fast-path counter deltas the operator charged).
         entry["vectorized"] += sum(
             int(span.attributes.get(f"db_{counter}", 0))
-            for counter in (
-                "vector_filters", "vector_joins", "vector_group_bys"
-            )
+            for counter in ("vector_filters", "vector_joins")
         )
         entry["fallbacks"] += int(
             span.attributes.get("db_vector_fallbacks", 0)

@@ -436,19 +436,3 @@ class ClusterManager:
             "reseeds": ship.reseeds,
             "rpo_records": sum(r.rpo_records for r in self.failover_reports),
         }
-
-    def describe_topology(self) -> str:
-        lines = [
-            f"cluster: {self.config.hosts} host(s) x "
-            f"{self.config.replicas} replica(s), {self.config.mode} "
-            f"shipping, seed {self.seed}"
-        ]
-        for name in sorted(self.placement):
-            placement = self.placement[name]
-            lines.append(
-                f"  {name}: primary {placement[0]}, "
-                f"followers {', '.join(placement[1:]) or 'none'}"
-            )
-        if self.shard_map is not None:
-            lines.append(self.shard_map.describe())
-        return "\n".join(lines)

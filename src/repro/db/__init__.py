@@ -39,7 +39,7 @@ from repro.db.expressions import (
     func,
     lit,
 )
-from repro.db.relation import Relation, set_strict_rows, strict_rows
+from repro.db.relation import Relation
 from repro.db.table import Table, TableObserver
 from repro.db.active import (
     MaterializedView,
@@ -68,8 +68,6 @@ __all__ = [
     "func",
     "compile_expression",
     "Relation",
-    "set_strict_rows",
-    "strict_rows",
     "Table",
     "TableObserver",
     "Trigger",

@@ -28,12 +28,12 @@ numbers — cannot tell the two strategies apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ProcedureError, SchemaError
 from repro.db import fastpath
 from repro.db.expressions import Expression
-from repro.db.relation import Relation, Row
+from repro.db.relation import GroupAccumulator, Relation, Row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
@@ -150,77 +150,6 @@ class ViewQuery:
         return self.run_full(db)
 
 
-class _Aggregator:
-    """Running group-by state shared by full and incremental refreshes.
-
-    Mirrors ``Relation._group_by_scalar``: one ``[count, value]``
-    accumulator per aggregate per group, groups in first-appearance
-    order.  Feeding the same rows in the same order as a full recompute
-    therefore finalizes to the same output rows.
-    """
-
-    __slots__ = ("keys", "specs", "groups", "order")
-
-    def __init__(
-        self,
-        keys: Sequence[str],
-        aggregates: Sequence[tuple[str, tuple[str, str | None]]],
-    ):
-        self.keys = tuple(keys)
-        self.specs = [
-            (out_name, fn_name.upper(), in_col)
-            for out_name, (fn_name, in_col) in aggregates
-        ]
-        self.groups: dict[tuple, list[list[Any]]] = {}
-        self.order: list[tuple] = []
-
-    def add(self, row: Mapping[str, Any]) -> None:
-        key = tuple(row[k] for k in self.keys)
-        accs = self.groups.get(key)
-        if accs is None:
-            accs = self.groups[key] = [[0, 0] for _ in self.specs]
-            self.order.append(key)
-        for i, (_, fn, in_col) in enumerate(self.specs):
-            acc = accs[i]
-            if fn == "COUNT":
-                if in_col is None or row[in_col] is not None:
-                    acc[0] += 1
-                continue
-            value = row[in_col]
-            if value is None:
-                continue
-            if fn in ("SUM", "AVG"):
-                acc[1] = acc[1] + value
-            elif acc[0] == 0:
-                acc[1] = value
-            elif fn == "MIN":
-                acc[1] = min(acc[1], value)
-            else:  # MAX
-                acc[1] = max(acc[1], value)
-            acc[0] += 1
-
-    def columns(self) -> tuple[str, ...]:
-        return self.keys + tuple(out for out, _, _ in self.specs)
-
-    def rows(self) -> list[Row]:
-        out_rows: list[Row] = []
-        for key in self.order:
-            accs = self.groups[key]
-            out_row: Row = dict(zip(self.keys, key))
-            for i, (out_name, fn, _) in enumerate(self.specs):
-                count, value = accs[i]
-                if fn == "COUNT":
-                    out_row[out_name] = count
-                elif count == 0:
-                    out_row[out_name] = None
-                elif fn == "AVG":
-                    out_row[out_name] = value / count
-                else:
-                    out_row[out_name] = value
-            out_rows.append(out_row)
-        return out_rows
-
-
 class MaterializedView:
     """A named, explicitly refreshed materialization of a query.
 
@@ -259,7 +188,7 @@ class MaterializedView:
         #: True when delta maintenance cannot reproduce a full recompute.
         self._delta_dirty = True
         #: Aggregation state carried across incremental refreshes.
-        self._aggregator: _Aggregator | None = None
+        self._aggregator: GroupAccumulator | None = None
         #: Joined-but-ungrouped snapshot rows (plain view shapes).
         self._plain_rows: list[Row] | None = None
         self._plain_columns: tuple[str, ...] | None = None
@@ -337,7 +266,7 @@ class MaterializedView:
             fastpath.STATS.mv_full_recompute += 1
         joined = query.join_stream(database)
         if query.aggregates:
-            aggregator = _Aggregator(query.group_keys, query.aggregates)
+            aggregator = GroupAccumulator(query.group_keys, query.aggregates)
             for row in joined.rows:
                 aggregator.add(row)
             self._aggregator = aggregator

@@ -136,7 +136,7 @@ class Database:
         ``limit_rows`` is the database-wide resident-row budget (None
         detaches every store and returns to plain list storage);
         ``partition_rows`` optionally fixes the partition size (default
-        derives from the budget, ``REPRO_PARTITION_ROWS`` overrides).
+        derives from the budget).
         Attaching or detaching never changes observable contents,
         counters or fingerprints — only physical residency.
         """

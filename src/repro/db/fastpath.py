@@ -59,7 +59,8 @@ class FastpathStats:
     vector_filters: int = 0
     #: Joins built and probed over column arrays instead of row dicts.
     vector_joins: int = 0
-    #: Group-bys aggregated over gathered column arrays.
+    #: Always 0 (group-by has one row-streaming body); the field stays
+    #: because ``bench/metrics.py`` reads it by name.
     vector_group_bys: int = 0
     #: Predicates lowered to fused mask kernels (cache misses).
     masks_compiled: int = 0

@@ -46,9 +46,9 @@ bucket fan-out.
 
 Float caveat folded into the design: per-partition *partial* SUM/AVG
 merged tree-wise would change IEEE addition order.  The streaming
-group-by therefore folds values strictly in position order across
-partitions (COUNT/MIN/MAX partials are merged, sums are accumulated
-sequentially), so aggregates are bit-identical to the whole-table fold.
+group-by therefore keeps no partials: it feeds rows strictly in position
+order across partitions into the one accumulator every group-by uses,
+so aggregates are bit-identical to the whole-table fold.
 """
 
 from __future__ import annotations
@@ -155,19 +155,9 @@ def budget_rows_from_env() -> int | None:
 
 
 def default_capacity(limit_rows: int) -> int:
-    """Rows per partition for a given budget (``REPRO_PARTITION_ROWS``
-    overrides).  An eighth of the budget keeps several partitions
-    co-resident so iteration doesn't thrash, clamped to sane bounds."""
-    raw = os.environ.get("REPRO_PARTITION_ROWS", "").strip()
-    if raw:
-        try:
-            forced = int(raw)
-        except ValueError:
-            raise StorageError(
-                f"REPRO_PARTITION_ROWS must be an integer, got {raw!r}"
-            ) from None
-        if forced > 0:
-            return forced
+    """Rows per partition for a given budget.  An eighth of the budget
+    keeps several partitions co-resident so iteration doesn't thrash,
+    clamped to sane bounds."""
     return max(MIN_PARTITION_ROWS, min(MAX_PARTITION_ROWS, limit_rows // 8))
 
 
@@ -837,114 +827,18 @@ def partitioned_filter(
     return out
 
 
-#: MIN/MAX "no value yet" sentinel (None is a legal emitted result).
-_MISSING = object()
+def partitioned_group(view: PartitionView, accumulator: Any) -> None:
+    """Stream a spilled snapshot into a group-by accumulator (the
+    spilled ``Relation.group_by``).
 
-
-def partitioned_group(
-    view: PartitionView,
-    keys: tuple[str, ...],
-    aggregates: Mapping[str, tuple[str, str | None]],
-) -> tuple[tuple[str, ...], list[Row]]:
-    """Streaming per-partition aggregation with an exact merge step.
-
-    Each partition contributes to running per-group accumulators while
-    only that partition is resident.  Every accumulator is the same left
-    fold the monolithic paths perform: SUM/AVG totals start at 0 and add
-    values strictly in position order (``sum()`` is a left fold from 0,
-    so floats stay bit-identical), MIN/MAX fold with the binary
-    ``min``/``max`` (list ``min()`` is that same fold), COUNT counts
-    non-NULL values.  Groups emit in global first-appearance order.
+    Iterating a streaming view pins one partition at a time, so only
+    that partition need be resident; rows reach ``accumulator.add`` in
+    position order, which keeps every fold — float sums included —
+    bit-identical to the pass over a resident list.
     """
-    specs = [
-        (out_name, fn_name.upper(), in_col)
-        for out_name, (fn_name, in_col) in aggregates.items()
-    ]
-    needed = list(keys)
-    for _, _, in_col in specs:
-        if in_col is not None and in_col not in needed:
-            needed.append(in_col)
-
-    single_key = keys[0] if len(keys) == 1 else None
-    # group key -> per-spec accumulators: COUNT -> int,
-    # SUM/AVG -> [non-null count, running total], MIN/MAX -> value.
-    state: dict[Any, list[Any]] = {}
-    order: list[Any] = []
-
-    for part, rows in view.iter_chunks():
-        if not rows:
-            continue
-        if part is not None and rows is part.rows:
-            gathered = part.column_slices(needed)
-        else:
-            gathered = [[row[name] for row in rows] for name in needed]
-        columns = dict(zip(needed, gathered))
-        if single_key is not None:
-            chunk_keys: Sequence[Any] = columns[single_key]
-        else:
-            chunk_keys = list(zip(*(columns[k] for k in keys)))
-        spec_columns = [
-            columns[in_col] if in_col is not None else None
-            for _, _, in_col in specs
-        ]
-        for position, key in enumerate(chunk_keys):
-            slots = state.get(key)
-            if slots is None:
-                state[key] = slots = [
-                    [0, 0] if fn in ("SUM", "AVG") else (0 if fn == "COUNT" else _MISSING)
-                    for _, fn, _ in specs
-                ]
-                order.append(key)
-            for spec_index, (_, fn, in_col) in enumerate(specs):
-                column = spec_columns[spec_index]
-                if fn == "COUNT":
-                    if in_col is None or column[position] is not None:
-                        slots[spec_index] += 1
-                    continue
-                value = column[position]
-                if value is None:
-                    continue
-                if fn in ("SUM", "AVG"):
-                    accumulator = slots[spec_index]
-                    accumulator[0] += 1
-                    accumulator[1] = accumulator[1] + value
-                elif fn == "MIN":
-                    current = slots[spec_index]
-                    slots[spec_index] = (
-                        value if current is _MISSING else min(current, value)
-                    )
-                else:  # MAX
-                    current = slots[spec_index]
-                    slots[spec_index] = (
-                        value if current is _MISSING else max(current, value)
-                    )
-
-    fastpath.STATS.vector_group_bys += 1
+    for row in view:
+        accumulator.add(row)
     STATS.partitioned_group_bys += 1
-
-    out_columns = keys + tuple(aggregates.keys())
-    out_rows: list[Row] = []
-    for key in order:
-        if single_key is not None:
-            out_row: Row = {single_key: key}
-        else:
-            out_row = dict(zip(keys, key))
-        slots = state[key]
-        for spec_index, (out_name, fn, in_col) in enumerate(specs):
-            slot = slots[spec_index]
-            if fn == "COUNT":
-                out_row[out_name] = slot
-            elif fn in ("SUM", "AVG"):
-                if slot[0] == 0:
-                    out_row[out_name] = None
-                elif fn == "SUM":
-                    out_row[out_name] = slot[1]
-                else:
-                    out_row[out_name] = slot[1] / slot[0]
-            else:  # MIN / MAX
-                out_row[out_name] = None if slot is _MISSING else slot
-        out_rows.append(out_row)
-    return out_columns, out_rows
 
 
 def maybe_grace_join(

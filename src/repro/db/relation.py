@@ -31,7 +31,6 @@ consequences the operators track explicitly:
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
@@ -41,29 +40,6 @@ from repro.db.expressions import Expression
 Row = dict[str, Any]
 
 _AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
-
-#: Debug mode: when on, the validating constructor rejects rows carrying
-#: keys beyond the declared columns instead of silently dropping them.
-_strict_rows = False
-
-
-def set_strict_rows(on: bool) -> None:
-    """Toggle strict row validation (reject extra keys) globally."""
-    global _strict_rows
-    _strict_rows = bool(on)
-
-
-@contextmanager
-def strict_rows() -> Iterator[None]:
-    """Enable strict row validation inside a block (debug/test aid)."""
-    global _strict_rows
-    previous = _strict_rows
-    _strict_rows = True
-    try:
-        yield
-    finally:
-        _strict_rows = previous
-
 
 class _Desc:
     """Inverts comparison of one sort-key component (stable DESC sorts).
@@ -122,6 +98,85 @@ class ProjectionPlan:
         )
 
 
+class GroupAccumulator:
+    """Running group-by state: the one body behind grouped aggregation.
+
+    One ``[count, value]`` accumulator per aggregate per group — count
+    of non-NULL inputs (rows for COUNT(*)), value the running
+    SUM/MIN/MAX — and groups in first-appearance order.  Equivalent to
+    the oracle's member-list implementation because every aggregate is
+    a left fold over members in the order they are added: ``sum``
+    starts at 0 exactly like :func:`sum`, ``min``/``max`` keep the
+    earlier value on ties exactly like their builtin sequence forms,
+    and AVG divides the same sum by the same count.
+
+    Resumable: :meth:`rows` finalizes without consuming the state, so a
+    materialized view keeps adding appended rows across refreshes and
+    finalizes to what one pass over all of them would.
+    """
+
+    __slots__ = ("keys", "specs", "groups", "order")
+
+    def __init__(
+        self,
+        keys: Sequence[str],
+        aggregates: Iterable[tuple[str, tuple[str, str | None]]],
+    ):
+        self.keys = tuple(keys)
+        self.specs = [
+            (out_name, fn_name.upper(), in_col)
+            for out_name, (fn_name, in_col) in aggregates
+        ]
+        self.groups: dict[tuple, list[list[Any]]] = {}
+        self.order: list[tuple] = []
+
+    def add(self, row: Mapping[str, Any]) -> None:
+        key = tuple(row[k] for k in self.keys)
+        accs = self.groups.get(key)
+        if accs is None:
+            accs = self.groups[key] = [[0, 0] for _ in self.specs]
+            self.order.append(key)
+        for i, (_, fn, in_col) in enumerate(self.specs):
+            acc = accs[i]
+            if fn == "COUNT":
+                if in_col is None or row[in_col] is not None:
+                    acc[0] += 1
+                continue
+            value = row[in_col]
+            if value is None:
+                continue
+            if fn in ("SUM", "AVG"):
+                acc[1] = acc[1] + value
+            elif acc[0] == 0:
+                acc[1] = value
+            elif fn == "MIN":
+                acc[1] = min(acc[1], value)
+            else:  # MAX
+                acc[1] = max(acc[1], value)
+            acc[0] += 1
+
+    def columns(self) -> tuple[str, ...]:
+        return self.keys + tuple(out for out, _, _ in self.specs)
+
+    def rows(self) -> list[Row]:
+        out_rows: list[Row] = []
+        for key in self.order:
+            accs = self.groups[key]
+            out_row: Row = dict(zip(self.keys, key))
+            for i, (out_name, fn, _) in enumerate(self.specs):
+                count, value = accs[i]
+                if fn == "COUNT":
+                    out_row[out_name] = count
+                elif count == 0:
+                    out_row[out_name] = None
+                elif fn == "AVG":
+                    out_row[out_name] = value / count
+                else:
+                    out_row[out_name] = value
+            out_rows.append(out_row)
+        return out_rows
+
+
 class Relation:
     """An ordered-column bag of rows.
 
@@ -138,18 +193,10 @@ class Relation:
             raise QueryError(f"duplicate columns in relation: {self.columns}")
         materialized: list[Row] = []
         column_set = set(self.columns)
-        strict = _strict_rows
         for row in rows:
             missing = column_set - row.keys()
             if missing:
                 raise QueryError(f"row is missing columns {sorted(missing)}")
-            if strict:
-                extra = row.keys() - column_set
-                if extra:
-                    raise QueryError(
-                        f"row has extra columns {sorted(extra)}; "
-                        f"declared {self.columns}"
-                    )
             materialized.append({name: row[name] for name in self.columns})
         fastpath.STATS.rows_copied += len(materialized)
         self.rows: list[Row] = materialized
@@ -195,9 +242,6 @@ class Relation:
     @classmethod
     def empty(cls, columns: Sequence[str]) -> "Relation":
         return cls(columns, [])
-
-    def key_tuple(self, row: Row, key_columns: Sequence[str]) -> tuple:
-        return tuple(row[k] for k in key_columns)
 
     def _require_columns(self, names: Iterable[str]) -> None:
         unknown = [n for n in names if n not in self.columns]
@@ -477,117 +521,16 @@ class Relation:
             if in_col is not None:
                 self._require_columns([in_col])
 
+        accumulator = GroupAccumulator(keys, aggregates.items())
         view = partition.spilled_view(self.rows)
         if view is not None:
-            # Spilled input: stream partitions into running
-            # accumulators instead of materializing the snapshot.
-            out_columns, out_rows = partition.partitioned_group(
-                view, keys, aggregates
-            )
-            fastpath.STATS.rows_copied += len(out_rows)
-            return Relation.from_trusted(out_columns, out_rows)
-        if vector.should_batch(len(self.rows)):
-            batched = vector.group_rows(self, keys, aggregates)
-            if batched is not None:
-                out_columns, out_rows = batched
-                fastpath.STATS.rows_copied += len(out_rows)
-                return Relation.from_trusted(out_columns, out_rows)
-        return self._group_by_scalar(keys, aggregates)
-
-    def _group_by_scalar(
-        self,
-        keys: tuple[str, ...],
-        aggregates: Mapping[str, tuple[str, str | None]],
-    ) -> "Relation":
-        """Single-pass grouping with running accumulators.
-
-        Equivalent to the oracle's member-list implementation because every
-        aggregate is a left fold over members in first-appearance order:
-        ``sum`` starts at 0 exactly like :func:`sum`, ``min``/``max``
-        keep the earlier value on ties exactly like their builtin
-        sequence forms, and AVG divides the same sum by the same count.
-        """
-        specs = [
-            (out_name, fn_name.upper(), in_col)
-            for out_name, (fn_name, in_col) in aggregates.items()
-        ]
-        n_aggs = len(specs)
-
-        # One updater closure per aggregate: the per-row loop then
-        # dispatches straight into the right arithmetic instead of
-        # re-branching on the aggregate kind for every row.
-        def make_updater(fn: str, in_col: str | None):
-            if fn == "COUNT" and in_col is None:
-                def update(acc: list, row: Row) -> None:
-                    acc[0] += 1
-            elif fn == "COUNT":
-                def update(acc: list, row: Row) -> None:
-                    if row[in_col] is not None:
-                        acc[0] += 1
-            elif fn in ("SUM", "AVG"):
-                def update(acc: list, row: Row) -> None:
-                    value = row[in_col]
-                    if value is not None:
-                        acc[1] = acc[1] + value
-                        acc[0] += 1
-            elif fn == "MIN":
-                def update(acc: list, row: Row) -> None:
-                    value = row[in_col]
-                    if value is not None:
-                        if acc[0]:
-                            acc[1] = min(acc[1], value)
-                        else:
-                            acc[1] = value
-                        acc[0] += 1
-            else:  # MAX
-                def update(acc: list, row: Row) -> None:
-                    value = row[in_col]
-                    if value is not None:
-                        if acc[0]:
-                            acc[1] = max(acc[1], value)
-                        else:
-                            acc[1] = value
-                        acc[0] += 1
-            return update
-
-        updaters = [make_updater(fn, in_col) for _, fn, in_col in specs]
-        if len(keys) == 1:
-            only_key = keys[0]
-            key_of = lambda row: (row[only_key],)  # noqa: E731
+            partition.partitioned_group(view, accumulator)
         else:
-            key_of = lambda row: tuple(row[k] for k in keys)  # noqa: E731
-
-        # Accumulator per aggregate: [count, value] — count of non-NULL
-        # inputs (rows for COUNT(*)), value the running SUM/MIN/MAX/sum.
-        groups: dict[tuple, list[list[Any]]] = {}
-        order: list[tuple] = []
-        for row in self.rows:
-            key = key_of(row)
-            accs = groups.get(key)
-            if accs is None:
-                accs = groups[key] = [[0, 0] for _ in range(n_aggs)]
-                order.append(key)
-            for i in range(n_aggs):
-                updaters[i](accs[i], row)
-
-        out_columns = keys + tuple(aggregates.keys())
-        out_rows: list[Row] = []
-        for key in order:
-            accs = groups[key]
-            out_row: Row = dict(zip(keys, key))
-            for i, (out_name, fn, _) in enumerate(specs):
-                count, value = accs[i]
-                if fn == "COUNT":
-                    out_row[out_name] = count
-                elif count == 0:
-                    out_row[out_name] = None
-                elif fn == "AVG":
-                    out_row[out_name] = value / count
-                else:
-                    out_row[out_name] = value
-            out_rows.append(out_row)
+            for row in self.rows:
+                accumulator.add(row)
+        out_rows = accumulator.rows()
         fastpath.STATS.rows_copied += len(out_rows)
-        return Relation.from_trusted(out_columns, out_rows)
+        return Relation.from_trusted(accumulator.columns(), out_rows)
 
     def order_by(
         self, key_columns: Sequence[str], descending: bool = False

@@ -3,10 +3,10 @@
 Sharing row dicts between operators (PR 5) removed per-operator row
 copies; this module removes the per-row *interpreter* overhead on top:
 when a batch is large enough, selections run as fused bitmask kernels
-over per-column value lists, joins build and probe their hash index
-over column arrays, and group-bys aggregate gathered column slices —
-all behind the existing :class:`~repro.db.relation.Relation` /
-:class:`~repro.db.table.Table` API.
+over per-column value lists and joins build and probe their hash index
+over column arrays — all behind the existing
+:class:`~repro.db.relation.Relation` / :class:`~repro.db.table.Table`
+API.
 
 Three layers:
 
@@ -409,80 +409,3 @@ def join_rows(
             combined.update(null_right)
             append(combined)
     return out_rows
-
-
-def group_rows(
-    relation: "Relation",
-    keys: tuple[str, ...],
-    aggregates: Mapping[str, tuple[str, str | None]],
-) -> tuple[tuple[str, ...], list["Row"]] | None:
-    """Vectorized grouping: position lists per key, aggregated gathers.
-
-    Equivalent to the scalar group-by because positions stay in row
-    order: ``sum``/``min``/``max`` over the gathered non-NULL values are
-    the same left folds the running accumulators perform, AVG divides
-    the same sum by the same count, and groups emit in first-appearance
-    order.
-    """
-    specs = [
-        (out_name, fn_name.upper(), in_col)
-        for out_name, (fn_name, in_col) in aggregates.items()
-    ]
-    needed = list(keys)
-    for _, _, in_col in specs:
-        if in_col is not None and in_col not in needed:
-            needed.append(in_col)
-    resolved = _resolve_columns(relation, needed)
-    if resolved is None:
-        return None
-    columns = dict(zip(needed, resolved))
-
-    fastpath.STATS.vector_group_bys += 1
-    positions_of: dict[Any, list[int]] = {}
-    order: list[Any] = []
-    if len(keys) == 1:
-        for position, key in enumerate(columns[keys[0]]):
-            bucket = positions_of.get(key)
-            if bucket is None:
-                positions_of[key] = [position]
-                order.append(key)
-            else:
-                bucket.append(position)
-    else:
-        for position, key in enumerate(zip(*(columns[k] for k in keys))):
-            bucket = positions_of.get(key)
-            if bucket is None:
-                positions_of[key] = [position]
-                order.append(key)
-            else:
-                bucket.append(position)
-
-    single_key = keys[0] if len(keys) == 1 else None
-    out_columns = keys + tuple(aggregates.keys())
-    out_rows: list[Row] = []
-    for key in order:
-        positions = positions_of[key]
-        if single_key is not None:
-            out_row: Row = {single_key: key}
-        else:
-            out_row = dict(zip(keys, key))
-        for out_name, fn, in_col in specs:
-            if in_col is None:  # COUNT(*)
-                out_row[out_name] = len(positions)
-                continue
-            column = columns[in_col]
-            values = [v for v in map(column.__getitem__, positions) if v is not None]
-            if fn == "COUNT":
-                out_row[out_name] = len(values)
-            elif not values:
-                out_row[out_name] = None
-            elif fn == "SUM":
-                out_row[out_name] = sum(values)
-            elif fn == "MIN":
-                out_row[out_name] = min(values)
-            elif fn == "MAX":
-                out_row[out_name] = max(values)
-            else:  # AVG
-                out_row[out_name] = sum(values) / len(values)
-        out_rows.append(out_row)
-    return out_columns, out_rows

@@ -278,13 +278,6 @@ class Join(Operator):
         self.output = output
         self.on = list(on)
         self.how = how
-        #: Set by the optimizer's route_joins_through_indexes rewrite:
-        #: ``"table.index"`` when the right input is a table extract whose
-        #: pk/secondary index covers the join key.  The relational kernel
-        #: discovers this dynamically anyway (``Relation.join`` probes
-        #: table-backed right sides); the hint records the plan decision
-        #: for ablation studies and ``repro profile`` output.
-        self.index_hint: str | None = None
 
     def execute(self, context: ExecutionContext) -> None:
         left = context.get(self.left).relation()

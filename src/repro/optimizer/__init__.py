@@ -13,56 +13,24 @@ system would gain on the very same workload:
 * **projection merge** — adjacent Projections compose into one pass;
 * **extract parallelization** — independent extract+load pipelines in a
   Sequence (P03's three sources) are regrouped into a Fork, letting the
-  engine price them as concurrent work;
-* **index join routing** — Joins whose right input is a table extract
-  covered by a pk/secondary index are annotated with the index the
-  relational kernel's fast path will probe (``Join.index_hint``).
+  engine price them as concurrent work.
 
 All rewrites are *semantics-preserving*: the optimized process produces
 the same target-system state (pinned by tests that run both variants).
-
-:mod:`repro.optimizer.cost` layers a **cost-based planner** on top:
-:func:`collect_statistics` gathers per-table cardinalities and
-:func:`plan_process` orders join chains by estimated cost — superseding
-the purely rule-based ``route_joins_through_indexes`` as the planning
-entry point while keeping it as the fallback when statistics are
-absent (see :class:`PlanReport.fallback`).
 """
 
 from repro.optimizer.rules import (
-    IndexCatalog,
     OptimizationReport,
     merge_projections,
     optimize_process,
     parallelize_extracts,
     push_down_selections,
-    route_joins_through_indexes,
-)
-from repro.optimizer.cost import (
-    PlanReport,
-    StatisticsCatalog,
-    TableStatistics,
-    collect_statistics,
-    index_catalog_of,
-    merge_catalogs,
-    plan_process,
-    selectivity,
 )
 
 __all__ = [
-    "IndexCatalog",
     "OptimizationReport",
     "optimize_process",
     "push_down_selections",
     "merge_projections",
     "parallelize_extracts",
-    "route_joins_through_indexes",
-    "PlanReport",
-    "StatisticsCatalog",
-    "TableStatistics",
-    "collect_statistics",
-    "index_catalog_of",
-    "merge_catalogs",
-    "plan_process",
-    "selectivity",
 ]

@@ -7,18 +7,11 @@ the original process object is never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
 from repro.db.expressions import Expression
 from repro.mtm.blocks import Fork, Sequence, Subprocess, Switch, SwitchCase
-from repro.mtm.operators import Invoke, Join, Operator, Projection, Selection, Validate
+from repro.mtm.operators import Invoke, Operator, Projection, Selection, Validate
 from repro.mtm.process import ProcessType
 from repro.scenario.processes import helpers
-
-#: Index catalog for route_joins_through_indexes: table -> {index: columns}.
-#: Build it from ``Database.list_indexes()`` plus the primary keys.
-IndexCatalog = Mapping[str, Mapping[str, tuple[str, ...]]]
-
 
 @dataclass
 class OptimizationReport:
@@ -27,7 +20,6 @@ class OptimizationReport:
     selections_pushed: int = 0
     projections_merged: int = 0
     forks_introduced: int = 0
-    joins_routed: int = 0
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -36,7 +28,6 @@ class OptimizationReport:
             self.selections_pushed
             + self.projections_merged
             + self.forks_introduced
-            + self.joins_routed
         )
 
 
@@ -123,50 +114,6 @@ def _merge_projections_in_steps(
     return out
 
 
-# ----------------------------------------------------------- index join routing
-
-def _route_joins_in_steps(
-    steps: list[Operator], report: OptimizationReport, catalog: IndexCatalog
-) -> list[Operator]:
-    """Annotate Joins whose right input is an index-covered table extract.
-
-    A plain-query Invoke materializes the table as a table-backed
-    relation; when the table has a pk or secondary index over exactly
-    the join-key columns, ``Relation.join`` answers the probe from that
-    index.  The rewrite records the routing decision on the Join
-    (``index_hint``) so plans can be compared in ablations and
-    ``repro profile`` output — the kernel behaves the same either way.
-    """
-    extracts: dict[str, str] = {}
-    out: list[Operator] = []
-    for op in steps:
-        if _is_plain_query(op):
-            extracts[op.output] = op.request_builder.table
-        elif isinstance(op, Join) and op.right in extracts:
-            table = extracts[op.right]
-            right_cols = frozenset(right for _, right in op.on)
-            for index_name, index_cols in catalog.get(table, {}).items():
-                if frozenset(index_cols) == right_cols:
-                    routed = Join(
-                        op.left,
-                        op.right,
-                        op.output,
-                        op.on,
-                        how=op.how,
-                        name=op.name,
-                    )
-                    routed.index_hint = f"{table}.{index_name}"
-                    op = routed
-                    report.joins_routed += 1
-                    report.notes.append(
-                        f"routed join {op.name or op.output} through "
-                        f"{routed.index_hint}"
-                    )
-                    break
-        out.append(op)
-    return out
-
-
 # -------------------------------------------------------- extract parallelization
 
 def _op_reads_writes(op: Operator) -> tuple[set[str], set[str]]:
@@ -233,19 +180,16 @@ def _rewrite_tree(
     pushdown: bool,
     merge: bool,
     parallelize: bool,
-    route_catalog: IndexCatalog | None = None,
 ) -> Operator:
     if isinstance(op, Sequence):
         steps = [
-            _rewrite_tree(step, report, pushdown, merge, parallelize, route_catalog)
+            _rewrite_tree(step, report, pushdown, merge, parallelize)
             for step in op.steps
         ]
         if pushdown:
             steps = _push_down_in_steps(steps, report)
         if merge:
             steps = _merge_projections_in_steps(steps, report)
-        if route_catalog is not None:
-            steps = _route_joins_in_steps(steps, report, route_catalog)
         if parallelize:
             steps = _parallelize_in_steps(steps, report)
         return Sequence(steps, name=op.name)
@@ -253,17 +197,13 @@ def _rewrite_tree(
         cases = [
             SwitchCase(
                 case.guard,
-                _rewrite_tree(
-                    case.body, report, pushdown, merge, parallelize, route_catalog
-                ),
+                _rewrite_tree(case.body, report, pushdown, merge, parallelize),
                 case.label,
             )
             for case in op.cases
         ]
         otherwise = (
-            _rewrite_tree(
-                op.otherwise, report, pushdown, merge, parallelize, route_catalog
-            )
+            _rewrite_tree(op.otherwise, report, pushdown, merge, parallelize)
             if op.otherwise is not None
             else None
         )
@@ -271,9 +211,7 @@ def _rewrite_tree(
     if isinstance(op, Fork):
         return Fork(
             [
-                _rewrite_tree(
-                    branch, report, pushdown, merge, parallelize, route_catalog
-                )
+                _rewrite_tree(branch, report, pushdown, merge, parallelize)
                 for branch in op.branches
             ],
             name=op.name,
@@ -296,43 +234,20 @@ def parallelize_extracts(process: ProcessType) -> tuple[ProcessType, Optimizatio
     return optimize_process(process, pushdown=False, merge=False, parallelize=True)
 
 
-def route_joins_through_indexes(
-    process: ProcessType, catalog: IndexCatalog
-) -> tuple[ProcessType, OptimizationReport]:
-    """Apply only the index join-routing rule against ``catalog``.
-
-    Superseded as the planning entry point by
-    :func:`repro.optimizer.cost.plan_process`, which orders joins by
-    estimated cost when statistics are available; this rule remains its
-    statistics-free fallback.
-    """
-    return optimize_process(
-        process,
-        pushdown=False,
-        merge=False,
-        parallelize=False,
-        route_catalog=catalog,
-    )
-
-
 def optimize_process(
     process: ProcessType,
     pushdown: bool = True,
     merge: bool = True,
     parallelize: bool = False,
-    route_catalog: IndexCatalog | None = None,
 ) -> tuple[ProcessType, OptimizationReport]:
     """Rewrite one process; returns (new process, report).
 
     Parallelization is off by default: it changes the engine's pricing
     model (fork branches cost max instead of sum) and is meant for the
-    dedicated ablation rather than blanket use.  Join routing runs only
-    when an index catalog is supplied (see :data:`IndexCatalog`).
+    dedicated ablation rather than blanket use.
     """
     report = OptimizationReport()
-    new_root = _rewrite_tree(
-        process.root, report, pushdown, merge, parallelize, route_catalog
-    )
+    new_root = _rewrite_tree(process.root, report, pushdown, merge, parallelize)
     optimized = ProcessType(
         process.process_id,
         process.group,

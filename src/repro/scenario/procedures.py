@@ -28,7 +28,6 @@ from typing import Mapping
 from repro.db.active import ViewJoin, ViewQuery
 from repro.db.database import Database
 from repro.db.expressions import col, func, lit
-from repro.db.relation import Relation
 
 _CUSTOMER_NAME_RE = re.compile(r"^Customer#\d+$")
 
@@ -106,10 +105,10 @@ def sp_clear_movement_data(db: Database) -> dict[str, int]:
 def orders_mv_query() -> ViewQuery:
     """OrdersMV (Fig. 3) as a declarative :class:`ViewQuery`.
 
-    Same query as :func:`orders_mv_definition`, but in the declarative
-    form the database can maintain incrementally: P03 appends order
-    facts between refreshes, so sp_refreshOrdersMV (P13) folds only the
-    new rows into the aggregate instead of recomputing the view.
+    The declarative form the database can maintain incrementally: P03
+    appends order facts between refreshes, so sp_refreshOrdersMV (P13)
+    folds only the new rows into the aggregate instead of recomputing
+    the view.
     Built fresh per database so compiled-expression cache hits stay
     deterministic per run.
     """
@@ -157,43 +156,6 @@ def mart_revenue_view_query() -> ViewQuery:
             ("order_count", ("COUNT", None)),
             ("revenue", ("SUM", "totalprice")),
         ),
-    )
-
-
-def orders_mv_definition(db: Database) -> Relation:
-    """OrdersMV as an opaque callable (naive reference for equivalence tests)."""
-    orders = db.query("orders")
-    customer = db.query("customer").keep("custkey", "citykey")
-    city = db.query("city").project({"citykey": "citykey", "nationkey": "nationkey"})
-    nation = db.query("nation").project(
-        {"nationkey": "nationkey", "nation_name": "name"}
-    )
-    joined = (
-        orders.join(customer, on=[("custkey", "custkey")])
-        .join(city, on=[("citykey", "citykey")])
-        .join(nation, on=[("nationkey", "nationkey")])
-        .extend("orderyear", func("YEAR", col("orderdate")))
-    )
-    return joined.group_by(
-        ("nation_name", "orderyear"),
-        {
-            "order_count": ("COUNT", None),
-            "revenue": ("SUM", "totalprice"),
-        },
-    )
-
-
-def mart_revenue_view_definition(db: Database) -> Relation:
-    """Per-mart OrdersMV as an opaque callable (naive reference)."""
-    orders = db.query("orders")
-    customer = db.query("customer").keep("custkey", "segment")
-    joined = orders.join(customer, on=[("custkey", "custkey")])
-    return joined.group_by(
-        ("segment",),
-        {
-            "order_count": ("COUNT", None),
-            "revenue": ("SUM", "totalprice"),
-        },
     )
 
 

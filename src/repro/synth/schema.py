@@ -115,14 +115,6 @@ class SourceDialect:
     def columns(self, entity: str) -> dict[str, str]:
         return self.column_maps[entity]
 
-    def dialect_types(self, entity: str) -> dict[str, str]:
-        """SQL types keyed by *dialect* column name."""
-        mapping = self.column_maps[entity]
-        return {
-            mapping[name]: sql_type
-            for name, sql_type in CANONICAL_TYPES[entity].items()
-        }
-
 
 def dialect_for(index: int) -> SourceDialect:
     """The (fixed, deterministic) dialect of source ``index``."""

@@ -519,6 +519,57 @@ def test_mv_incremental_vs_full_recompute(seed, make_query):
                 ), f"rows_read diverged on {name} after {op}"
 
 
+def all_aggregates_view_query():
+    """``orders_view_query`` with every aggregate over the float price."""
+    query = orders_view_query()
+    return ViewQuery(
+        fact_table=query.fact_table,
+        joins=query.joins,
+        extend=query.extend,
+        group_keys=query.group_keys,
+        aggregates=(
+            ("n", ("COUNT", None)),
+            ("n_price", ("COUNT", "totalprice")),
+            ("revenue", ("SUM", "totalprice")),
+            ("lo", ("MIN", "totalprice")),
+            ("hi", ("MAX", "totalprice")),
+            ("mean", ("AVG", "totalprice")),
+        ),
+    )
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 500])
+def test_mv_full_and_delta_refresh_fold_like_the_oracle(size):
+    """The view's accumulator is ``Relation.group_by``'s: a full refresh
+    over ``size`` facts, then a delta refresh over ``size`` more, each
+    equal the oracle's group-by over all facts so far — rows,
+    first-appearance order, float sums bit-equal."""
+    rng = random.Random(size)
+    db = star_schema()
+    reference = oracle.mirror(db)
+    query = all_aggregates_view_query()
+    view = db.create_materialized_view("MV", query)
+
+    def append_facts(first_key):
+        for orderkey in range(first_key, first_key + size):
+            row = random_order(rng, orderkey)
+            row["totalprice"] = rng.choice([None, rng.random() * 100.0])
+            db.insert("orders", dict(row))
+            reference["orders"].insert(dict(row))
+
+    for first_key, refreshed_by in (
+        (1, "mv_full_recompute"),
+        (size + 1, "mv_incremental"),
+    ):
+        append_facts(first_key)
+        base = fastpath.STATS.copy()
+        view.refresh(db)
+        assert getattr(fastpath.STATS - base, refreshed_by) == 1
+        expected = oracle.view(query, reference)
+        assert_identical(view.snapshot, expected)
+        assert repr(view.snapshot.to_dicts()) == repr(expected.rows)
+
+
 @pytest.mark.parametrize(
     "make_query", [orders_view_query, plain_view_query], ids=["grouped", "plain"]
 )

@@ -140,6 +140,52 @@ def test_operator_outputs_identical_across_budgets(seed):
             assert got == baseline, f"budget={budget} diverged"
 
 
+@pytest.mark.parametrize("size", [1, 63, 64, 500])
+def test_group_by_over_a_spilled_view_folds_like_the_oracle(size):
+    """A still-streaming spilled snapshot goes through the accumulator
+    every group-by uses, one pinned partition at a time: the oracle's
+    rows in the oracle's order, float sums bit-equal, residency within
+    one partition of the budget."""
+    rng = random.Random(size)
+    rows = [
+        {
+            "oid": i,
+            "cust": rng.randrange(7) if rng.random() > 0.1 else None,
+            "status": rng.choice(["new", "paid", None]),
+            "amount": rng.choice([None, rng.random() * 100.0]),
+        }
+        for i in range(size)
+    ]
+    aggregates = {
+        "n": ("COUNT", None),
+        "n_amount": ("COUNT", "amount"),
+        "total": ("SUM", "amount"),
+        "avg": ("AVG", "amount"),
+        "lo": ("MIN", "amount"),
+        "hi": ("MAX", "amount"),
+    }
+    expected = oracle.group_by(
+        oracle.Table(SCHEMA_A, rows).to_relation(), ("cust", "status"), aggregates
+    )
+
+    db = Database("grouped")
+    db.set_memory_budget(16, partition_rows=16)
+    table = db.create_table(SCHEMA_A)
+    table.insert_many(rows)
+    store = table.partition_store
+    if not store.has_spilled():  # a table smaller than its budget
+        store.spill_partition(0)
+    base = partition.STATS.copy()
+    snapshot = db.query("orders")
+    assert partition.spilled_view(snapshot.rows) is not None
+    got = snapshot.group_by(("cust", "status"), aggregates)
+    assert (partition.STATS - base).partitioned_group_bys == 1
+    assert got.columns == expected.columns
+    assert repr(got.to_dicts()) == repr(expected.rows)
+    budget = db.memory_budget
+    assert budget.peak_resident_rows <= budget.limit_rows + budget.partition_rows
+
+
 def test_tight_budget_engages_partitioned_operators():
     base = partition.STATS.copy()
     db = build_db(16, seed=0)

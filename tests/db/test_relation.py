@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db.expressions import col, func, lit
-from repro.db.relation import Relation, strict_rows
+from repro.db.relation import Relation
 from repro.errors import QueryError
 from tests.oracle import relational as oracle
 
@@ -27,25 +27,6 @@ class TestConstruction:
 
     def test_empty(self):
         assert len(Relation.empty(("x",))) == 0
-
-    def test_strict_mode_rejects_extra_keys(self):
-        # By default extra keys are silently dropped (normalization);
-        # strict mode turns them into errors for debugging zero-copy
-        # boundaries.
-        with strict_rows():
-            with pytest.raises(QueryError, match="extra columns"):
-                Relation(("a", "b"), [{"a": 1, "b": 2, "extra": 9}])
-
-    def test_strict_mode_accepts_exact_rows(self):
-        with strict_rows():
-            r = Relation(("a", "b"), [{"b": 2, "a": 1}])
-        assert r.to_dicts() == [{"a": 1, "b": 2}]
-
-    def test_strict_mode_restores_on_exit(self):
-        with strict_rows():
-            pass
-        r = Relation(("a",), [{"a": 1, "extra": 2}])
-        assert list(r.rows[0].keys()) == ["a"]
 
 
 class TestSelect:

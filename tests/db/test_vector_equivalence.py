@@ -1,8 +1,9 @@
 """Differential conformance: columnar batch kernels vs scalar loops vs oracle.
 
-``repro.db.vector`` answers selections with compiled bitmask kernels,
-joins with column-array probes and group-bys with position-gathered
-folds.  Every batch kernel must be observationally identical to the
+``repro.db.vector`` answers selections with compiled bitmask kernels
+and joins with column-array probes; group-by has one body (the
+accumulator in ``repro.db.relation``) whatever the size.  Every batch
+kernel must be observationally identical to the
 scalar loop it replaces and to the reference model in
 ``tests/oracle/relational.py``: same ``columns``, same rows in the same
 order, same ``rows_read`` accounting, same errors — and the two
@@ -77,6 +78,23 @@ def random_rows(rng, max_rows=40):
     ]
 
 
+#: Group-by input sizes: one row, either side of the batch gate, and
+#: far enough past it that float sums round many times.
+GROUP_SIZES = (1, 63, 64, 500)
+
+
+def sized_rows(rng, n_rows):
+    """Exactly ``n_rows`` rows whose ``w`` sums depend on fold order."""
+    return [
+        {
+            "k": rng.choice(K_VALUES),
+            "v": rng.choice(V_VALUES),
+            "w": rng.choice([None, rng.random() * 100.0]),
+        }
+        for _ in range(n_rows)
+    ]
+
+
 def relation(rows):
     return Relation(COLUMNS, [dict(r) for r in rows])
 
@@ -84,6 +102,8 @@ def relation(rows):
 def assert_identical(got, expected):
     assert got.columns == expected.columns
     assert got.to_dicts() == expected.rows
+    # Floats bit-equal: ``repr`` round-trips them (and tells -0.0 from 0.0).
+    assert repr(got.to_dicts()) == repr(expected.rows)
 
 
 def both_rungs(rungs, produce, expect, *inputs):
@@ -196,7 +216,7 @@ class TestVectorOperatorEquivalence:
         )
 
     def test_group_by_all_aggregates(self, seed, rungs):
-        rows = random_rows(random.Random(seed))
+        rng = random.Random(seed)
         aggregates = {
             "n": ("COUNT", None),
             "n_w": ("COUNT", "w"),
@@ -205,24 +225,28 @@ class TestVectorOperatorEquivalence:
             "hi": ("MAX", "w"),
             "mean": ("AVG", "w"),
         }
-        vd, _ = both_rungs(
-            rungs,
-            lambda r: r.group_by(("k",), aggregates),
-            lambda r: oracle.group_by(r, ("k",), aggregates),
-            rows,
-        )
-        assert vd.vector_group_bys == 1
+        inputs = [random_rows(rng)]
+        inputs += [sized_rows(rng, n_rows) for n_rows in GROUP_SIZES]
+        for rows in inputs:
+            both_rungs(
+                rungs,
+                lambda r: r.group_by(("k",), aggregates),
+                lambda r: oracle.group_by(r, ("k",), aggregates),
+                rows,
+            )
 
     def test_group_by_multi_key(self, seed, rungs):
-        rows = random_rows(random.Random(seed))
-        aggregates = {"n": ("COUNT", None)}
-        vd, _ = both_rungs(
-            rungs,
-            lambda r: r.group_by(("k", "v"), aggregates),
-            lambda r: oracle.group_by(r, ("k", "v"), aggregates),
-            rows,
-        )
-        assert vd.vector_group_bys == 1
+        rng = random.Random(seed)
+        aggregates = {"n": ("COUNT", None), "total": ("SUM", "w")}
+        inputs = [random_rows(rng)]
+        inputs += [sized_rows(rng, n_rows) for n_rows in GROUP_SIZES]
+        for rows in inputs:
+            both_rungs(
+                rungs,
+                lambda r: r.group_by(("k", "v"), aggregates),
+                lambda r: oracle.group_by(r, ("k", "v"), aggregates),
+                rows,
+            )
 
     def test_chained_pipeline(self, seed, rungs):
         rows = random_rows(random.Random(seed))

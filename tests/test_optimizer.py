@@ -8,7 +8,6 @@ from repro.mtm import (
     EventType,
     Fork,
     Invoke,
-    Join,
     ProcessGroup,
     ProcessType,
     Projection,
@@ -22,7 +21,6 @@ from repro.optimizer import (
     optimize_process,
     parallelize_extracts,
     push_down_selections,
-    route_joins_through_indexes,
 )
 from repro.scenario import build_processes, build_scenario
 from repro.scenario.processes import helpers
@@ -199,88 +197,3 @@ class TestReport:
         processes = build_processes()
         optimized, _ = optimize_process(processes["P14_S1"])
         assert optimized.subprocess_only
-
-
-def extract_join_process():
-    return ProcessType(
-        "P_XJ", ProcessGroup.B, "extract-join", EventType.E2_SCHEDULE,
-        Sequence([
-            Invoke("src", helpers.query_request("orders"), output="orders"),
-            Invoke("src", helpers.query_request("customer"),
-                   output="customers"),
-            Join("orders", "customers", "joined",
-                 on=[("custkey", "custkey")]),
-            Signal(),
-        ]),
-    )
-
-
-class TestJoinRouting:
-    CATALOG = {"customer": {"pk": ("custkey",)}}
-
-    def test_routes_join_through_matching_index(self):
-        optimized, report = route_joins_through_indexes(
-            extract_join_process(), self.CATALOG
-        )
-        assert report.joins_routed == 1
-        join = next(op for op in optimized.operators()
-                    if isinstance(op, Join))
-        assert join.index_hint == "customer.pk"
-        assert any("customer.pk" in note for note in report.notes)
-
-    def test_original_process_untouched(self):
-        process = extract_join_process()
-        route_joins_through_indexes(process, self.CATALOG)
-        join = next(op for op in process.operators()
-                    if isinstance(op, Join))
-        assert join.index_hint is None
-
-    def test_no_route_without_covering_index(self):
-        optimized, report = route_joins_through_indexes(
-            extract_join_process(), {"customer": {"by_city": ("citykey",)}}
-        )
-        assert report.joins_routed == 0
-        join = next(op for op in optimized.operators()
-                    if isinstance(op, Join))
-        assert join.index_hint is None
-
-    def test_no_route_when_right_is_not_an_extract(self):
-        process = ProcessType(
-            "P_J", ProcessGroup.B, "join-only", EventType.E2_SCHEDULE,
-            Sequence([
-                Invoke("src", helpers.query_request("orders"),
-                       output="orders"),
-                Join("orders", "somewhere_else", "joined",
-                     on=[("custkey", "custkey")]),
-                Signal(),
-            ]),
-        )
-        _, report = route_joins_through_indexes(process, self.CATALOG)
-        assert report.joins_routed == 0
-
-    def test_counts_into_total_rewrites(self):
-        _, report = route_joins_through_indexes(
-            extract_join_process(), self.CATALOG
-        )
-        assert report.total_rewrites == 1
-
-    def test_catalog_from_live_database(self):
-        scenario = build_scenario()
-        dwh = scenario.databases["dwh"]
-        catalog = {
-            name: dict(
-                list(dwh.list_indexes().get(name, {}).items())
-                + [("pk", schema.primary_key)]
-            )
-            for name, schema in (
-                (t, dwh.table(t).schema) for t in ("customer", "orders")
-            )
-            if schema.primary_key
-        }
-        optimized, report = route_joins_through_indexes(
-            extract_join_process(), catalog
-        )
-        assert report.joins_routed == 1
-        join = next(op for op in optimized.operators()
-                    if isinstance(op, Join))
-        assert join.index_hint == "customer.pk"
