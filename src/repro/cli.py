@@ -36,6 +36,7 @@ import argparse
 import asyncio
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from repro.db import partition as db_partition
@@ -43,20 +44,81 @@ from repro.engine import ENGINES
 from repro.errors import FaultSpecError, ServeError
 from repro.ioutil import write_json_atomic, write_text_atomic
 from repro.mtm.process import validate_definition
-from repro.observability import Observability
 from repro.observability.export import export_prometheus
 from repro.parallel import (
     RunSpec,
     SweepError,
     SweepExecutor,
+    client_from_spec,
     grid_from_axes,
     parse_grid_axes,
+    prove_convergence,
 )
-from repro.resilience import FaultEvent, FaultSpec, RetryPolicy
+from repro.parallel.spec import KNOBS, knob_type
+from repro.resilience import FaultEvent, FaultSpec
 from repro.scenario import PROCESS_TABLE, build_processes, build_scenario
 from repro.storage import DURABILITY_MODES, landscape_digest
-from repro.toolsuite import BenchmarkClient, ScaleFactors, sweep_table
+from repro.toolsuite import ScaleFactors, sweep_table
 from repro.toolsuite.schedule import build_schedule
+
+
+class _UsageError(Exception):
+    """What the user typed cannot be run: printed as ``error: ...``, exit 2."""
+
+
+def _spec_options(parser, names: str, **overrides) -> None:
+    """Add the options of the named :class:`RunSpec` fields to ``parser``.
+
+    Flag, type, choices, default and help come from the field's
+    declaration; ``overrides`` holds what this command does differently —
+    a bare value is its default, a dict is merged into the
+    ``add_argument`` keywords (``flag`` respells the option).
+    :func:`_spec_from_args` reads the values back by the same names.
+    """
+    dests = {}
+    for name in names.split():
+        knob = KNOBS[name].metadata
+        override = overrides.get(name, {})
+        if not isinstance(override, dict):
+            override = {"default": override}
+        options = {"default": KNOBS[name].default, "help": knob["help"]}
+        choices = knob.get("choices")
+        if choices is not None:
+            options["choices"] = choices() if callable(choices) else choices
+        if "metavar" in knob:
+            options["metavar"] = knob["metavar"]
+        options.update(override)
+        flag = options.pop("flag", knob["flag"])
+        parsed_as = knob_type(name)
+        if parsed_as in (int, float):
+            options["type"] = parsed_as
+        if parsed_as is bool:
+            options.update(action="store_true", default=False)
+        elif options["default"] not in (None, "", []):
+            options["help"] += " (default %(default)s)"
+        dests[name] = parser.add_argument(flag, **options).dest
+    parser.set_defaults(spec_dests=dests)
+
+
+def _spec_from_args(args: argparse.Namespace, **fixed) -> RunSpec:
+    """The RunSpec a namespace filled by :func:`_spec_options` describes."""
+    values = {
+        name: getattr(args, dest) for name, dest in args.spec_dests.items()
+    }
+    if "verify" in values:
+        values["verify"] = not values["verify"]  # the flag is --no-verify
+    if values.get("faults"):
+        try:
+            values["faults"] = FaultSpec.load(values["faults"])
+        except (OSError, FaultSpecError) as exc:
+            raise _UsageError(
+                f"cannot load fault spec {values['faults']}: {exc}"
+            ) from None
+    spec = RunSpec(**{**values, **fixed})
+    problems = spec.problems()
+    if problems:
+        raise _UsageError("invalid run spec: " + "; ".join(problems))
+    return spec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,24 +127,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DIPBench: benchmark data-intensive integration processes",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    #: Crash-and-converge commands always run durable.
+    durable = {"default": "snapshot+wal", "choices": DURABILITY_MODES}
 
     run = commands.add_parser("run", help="execute the benchmark")
-    run.add_argument("--engine", choices=sorted(ENGINES), default="interpreter")
-    run.add_argument("--datasize", type=float, default=0.05,
-                     help="scale factor d (default 0.05)")
-    run.add_argument("--time", type=float, default=1.0,
-                     help="scale factor t (default 1.0)")
-    run.add_argument("--distribution", type=int, default=0,
-                     choices=(0, 1, 2, 3),
-                     help="scale factor f: 0 uniform, 1 zipf, 2 normal, "
-                          "3 exponential")
-    run.add_argument("--periods", type=int, default=5,
-                     help="benchmark periods to execute (1-100, default 5)")
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--jitter", type=float, default=0.0,
-                     help="network jitter fraction in [0, 1)")
-    run.add_argument("--workers", type=int, default=4,
-                     help="engine worker count")
+    _spec_options(
+        run,
+        "engine datasize time distribution periods seed jitter "
+        "engine_workers faults max_attempts durability checkpoint_every "
+        "mem_budget",
+        periods=5,
+    )
     run.add_argument("--plot", metavar="FILE.svg",
                      help="write the performance plot as SVG")
     run.add_argument("--report", metavar="FILE.txt",
@@ -95,27 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-out", metavar="FILE.prom",
                      help="write the run's metrics registry as "
                           "Prometheus text")
-    run.add_argument("--faults", metavar="SPEC.json",
-                     help="inject the deterministic fault schedule from "
-                          "this spec file and run with resilience "
-                          "policies (retry/backoff, circuit breakers, "
-                          "dead-letter queue) enabled")
-    run.add_argument("--max-attempts", type=int, default=4,
-                     help="retry budget per process instance when "
-                          "--faults is given (default 4)")
-    run.add_argument("--durability", choices=("off",) + DURABILITY_MODES,
-                     default="off",
-                     help="durability mode: off (default), wal "
-                          "(period-baseline checkpoint + redo log) or "
-                          "snapshot+wal (plus periodic checkpoints)")
-    run.add_argument("--checkpoint-every", type=float, metavar="TU",
-                     help="checkpoint cadence in tu for "
-                          "--durability snapshot+wal")
-    run.add_argument("--mem-budget", type=int, metavar="ROWS",
-                     help="per-database resident-row budget: tables "
-                          "partition and spill cold partitions to disk "
-                          "past this many rows (default unlimited; env "
-                          "REPRO_MEM_BUDGET)")
 
     sweep = commands.add_parser(
         "sweep",
@@ -135,25 +169,15 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(choose from {','.join(sorted(ENGINES))})")
     sweep.add_argument("--seeds", default="42",
                        help="comma-separated seed replicas (default 42)")
-    sweep.add_argument("--periods", type=int, default=1,
-                       help="benchmark periods per grid point (default 1)")
-    sweep.add_argument("--jitter", type=float, default=0.0)
-    sweep.add_argument("--engine-workers", type=int, default=4,
-                       help="engine worker-pool size inside each run "
-                            "(default 4; this is the engine's virtual "
-                            "concurrency, not the sweep's)")
-    sweep.add_argument("--faults", metavar="SPEC.json",
-                       help="fault spec injected into every grid point")
-    sweep.add_argument("--max-attempts", type=int, default=4)
-    sweep.add_argument("--durability", choices=("off",) + DURABILITY_MODES,
-                       default="off")
-    sweep.add_argument("--checkpoint-every", type=float, metavar="TU")
-    sweep.add_argument("--mem-budget", type=int, metavar="ROWS",
-                       help="per-database resident-row budget applied "
-                            "to every grid point (spillable disk-backed "
-                            "partitions; results stay byte-identical)")
-    sweep.add_argument("--no-verify", action="store_true",
-                       help="skip phase-post verification per grid point")
+    # Every grid point shares these; --synth is repeatable and sweeps as
+    # one more grid axis (also spellable as --grid synth=K1/K2).
+    _spec_options(
+        sweep,
+        "periods jitter engine_workers faults max_attempts durability "
+        "checkpoint_every mem_budget verify synth",
+        engine_workers={"flag": "--engine-workers"},
+        synth={"action": "append", "default": []},
+    )
     sweep.add_argument("--out", metavar="FILE.json",
                        help="write the merged sweep (digests, NAVG+, "
                             "fingerprints; no wall-clock fields) as JSON")
@@ -161,12 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="collect per-worker metrics shards, merge "
                             "them in grid order and write Prometheus "
                             "text")
-    sweep.add_argument("--synth", action="append", default=[],
-                       metavar="KNOBS",
-                       help="synthesized-workload knob string (e.g. "
-                            "sources=3,depth=2,families=cdc+scd); "
-                            "repeatable — sweeps as one more grid axis "
-                            "(also spellable as --grid synth=K1/K2)")
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress the per-point table")
 
@@ -175,29 +193,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="crash the engine mid-period, recover from snapshot+WAL and "
              "verify byte-identical convergence against a fault-free run",
     )
-    recover.add_argument("--engine", choices=sorted(ENGINES),
-                         default="interpreter")
-    recover.add_argument("--datasize", type=float, default=0.05)
-    recover.add_argument("--time", type=float, default=1.0)
-    recover.add_argument("--periods", type=int, default=1)
-    recover.add_argument("--seed", type=int, default=42)
-    recover.add_argument("--workers", type=int, default=4)
-    recover.add_argument("--durability", choices=DURABILITY_MODES,
-                         default="snapshot+wal")
-    recover.add_argument("--checkpoint-every", type=float, default=50.0,
-                         metavar="TU",
-                         help="checkpoint cadence in tu (default 50)")
+    _spec_options(
+        recover,
+        "engine datasize time periods seed engine_workers durability "
+        "checkpoint_every faults",
+        durability=durable, checkpoint_every=50.0,
+    )
     recover.add_argument("--crash-at", type=float, default=300.0,
                          metavar="T",
-                         help="engine time of the crash in period 0 "
-                              "(default 300)")
+                         help="engine time of the crash in period 0, "
+                              "unless --faults is given (default 300)")
     recover.add_argument("--crash-point", choices=("arrival", "commit"),
                          default="commit",
                          help="kill before admission or right after the "
                               "instance commits (default commit)")
-    recover.add_argument("--faults", metavar="SPEC.json",
-                         help="use this fault spec instead of the "
-                              "synthesized single crash")
     recover.add_argument("--metrics-out", metavar="FILE.prom",
                          help="write the crash run's metrics registry "
                               "as Prometheus text")
@@ -210,16 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run the benchmark with tracing on and export the span tree",
     )
-    trace.add_argument("--engine", choices=sorted(ENGINES),
-                       default="interpreter")
-    trace.add_argument("--datasize", type=float, default=0.05)
-    trace.add_argument("--time", type=float, default=1.0)
-    trace.add_argument("--distribution", type=int, default=0,
-                       choices=(0, 1, 2, 3))
-    trace.add_argument("--periods", type=int, default=2)
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--workers", type=int, default=4)
-    trace.add_argument("--jitter", type=float, default=0.0)
+    _spec_options(
+        trace,
+        "engine datasize time distribution periods seed engine_workers "
+        "jitter",
+        periods=2,
+    )
     trace.add_argument("--out", metavar="FILE", default="trace.json",
                        help="trace output path (default trace.json)")
     trace.add_argument("--format", choices=("chrome", "jsonl"),
@@ -232,25 +237,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser(
         "profile",
-        help="run the benchmark and print a per-operator cost breakdown",
+        help="run the benchmark and print a per-operator cost breakdown "
+             "(plus partition_* spill counters under --mem-budget and a "
+             "per-family breakdown under --synth)",
     )
-    profile.add_argument("--engine", choices=sorted(ENGINES),
-                         default="interpreter")
-    profile.add_argument("--datasize", type=float, default=0.05)
-    profile.add_argument("--time", type=float, default=1.0)
-    profile.add_argument("--distribution", type=int, default=0,
-                         choices=(0, 1, 2, 3))
-    profile.add_argument("--periods", type=int, default=2)
-    profile.add_argument("--seed", type=int, default=42)
-    profile.add_argument("--workers", type=int, default=4)
-    profile.add_argument("--mem-budget", type=int, metavar="ROWS",
-                         help="per-database resident-row budget (spill "
-                              "partitions past it); adds partition_* "
-                              "spill counters to the report")
-    profile.add_argument("--synth", default="", metavar="KNOBS",
-                         help="profile a synthesized workload instead of "
-                              "the classic scenario; adds a per-family "
-                              "cost breakdown to the report")
+    _spec_options(
+        profile,
+        "engine datasize time distribution periods seed engine_workers "
+        "mem_budget synth",
+        periods=2,
+    )
     profile.add_argument("--out", metavar="FILE.json",
                          help="also write the breakdown as JSON")
 
@@ -258,8 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "schedule", help="print the Table II event series for one period"
     )
     schedule.add_argument("--period", type=int, default=0)
-    schedule.add_argument("--datasize", type=float, default=0.05)
-    schedule.add_argument("--time", type=float, default=1.0)
+    _spec_options(schedule, "datasize time")
 
     serve = commands.add_parser(
         "serve",
@@ -309,20 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="open-loop arrivals per second (default 500)")
     storm.add_argument("--concurrency", type=int, default=16,
                        help="closed-loop client population (default 16)")
-    storm.add_argument("--seed", type=int, default=7,
-                       help="storm seed: tenants, specs, arrival times "
-                            "and think times all derive from it")
     storm.add_argument("--distinct", type=int, default=4,
                        help="distinct specs in the client pool "
                             "(default 4; repeats are cache hits)")
-    storm.add_argument("--engine", choices=sorted(ENGINES),
-                       default="interpreter")
-    storm.add_argument("--datasize", type=float, default=0.02)
-    storm.add_argument("--time", type=float, default=1.0)
-    storm.add_argument("--synth", default="", metavar="KNOBS",
-                       help="storm synthesized workloads: every pooled "
-                            "spec carries this knob string (pool seeds "
-                            "keep the scenarios distinct)")
+    # The shape every pooled spec shares; tenants, arrival and think
+    # times derive from --seed too, pool seeds are seed * 1000 + k.
+    _spec_options(storm, "seed engine datasize time synth",
+                  seed=7, datasize=0.02)
     storm.add_argument("--host",
                        help="target a running server instead of "
                             "self-hosting one in-process")
@@ -366,40 +354,23 @@ def _build_parser() -> argparse.ArgumentParser:
              "to log-shipped replicas and verify byte-identical "
              "convergence against a fault-free single-host run",
     )
-    crun.add_argument("--engine", choices=sorted(ENGINES),
-                      default="federated")
-    crun.add_argument("--datasize", type=float, default=0.05)
-    crun.add_argument("--time", type=float, default=1.0)
-    crun.add_argument("--periods", type=int, default=1)
-    crun.add_argument("--seed", type=int, default=42)
-    crun.add_argument("--workers", type=int, default=4)
-    crun.add_argument("--hosts", type=int, default=3,
-                      help="virtual cluster hosts (default 3)")
-    crun.add_argument("--replicas", type=int, default=1,
-                      help="follower replicas per database (default 1)")
-    crun.add_argument("--mode", choices=("sync", "async"), default="sync",
-                      help="log-shipping mode (default sync; RPO=0)")
-    crun.add_argument("--repl-lag", type=float, default=0.0, metavar="TU",
-                      help="async replication lag window in tu (default 0)")
-    crun.add_argument("--repl-batch", type=int, default=1,
-                      help="async shipping batch size in records "
-                           "(default 1)")
-    crun.add_argument("--durability", choices=DURABILITY_MODES,
-                      default="snapshot+wal")
-    crun.add_argument("--checkpoint-every", type=float, default=200.0,
-                      metavar="TU",
-                      help="checkpoint cadence in tu (default 200)")
+    _spec_options(
+        crun,
+        "engine datasize time periods seed engine_workers cluster_hosts "
+        "cluster_replicas repl_mode repl_lag repl_batch durability "
+        "checkpoint_every faults",
+        engine="federated", cluster_hosts=3, durability=durable,
+        checkpoint_every=200.0,
+    )
     crun.add_argument("--crashes", type=int, default=2,
                       help="primary crashes to schedule in period 0 "
                            "(default 2)")
     crun.add_argument("--crash-at", type=float, default=40.0, metavar="T",
-                      help="time of the first crash in tu (default 40)")
+                      help="time of the first crash in tu, unless "
+                           "--faults is given (default 40)")
     crun.add_argument("--crash-spacing", type=float, default=80.0,
                       metavar="TU",
                       help="tu between scheduled crashes (default 80)")
-    crun.add_argument("--faults", metavar="SPEC.json",
-                      help="use this fault spec instead of the "
-                           "synthesized crash series")
     crun.add_argument("--metrics-out", metavar="FILE.prom",
                       help="write the cluster run's metrics registry as "
                            "Prometheus text")
@@ -414,11 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the consistent-hash ring placement and shard map "
              "of the initialized landscape",
     )
-    ctopo.add_argument("--hosts", type=int, default=3)
-    ctopo.add_argument("--replicas", type=int, default=1)
-    ctopo.add_argument("--seed", type=int, default=42)
+    _spec_options(ctopo, "cluster_hosts cluster_replicas seed datasize",
+                  cluster_hosts=3)
     ctopo.add_argument("--vnodes", type=int, default=8)
-    ctopo.add_argument("--datasize", type=float, default=0.05)
 
     synth = commands.add_parser(
         "synth",
@@ -434,22 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="knob string, e.g. sources=3,depth=2,"
                             "noise=0.3,families=cdc+scd+dirty "
                             "(empty = all defaults)")
-    synth.add_argument("--engine", choices=sorted(ENGINES),
-                       default="interpreter")
-    synth.add_argument("--distribution", type=int, default=0,
-                       choices=(0, 1, 2, 3),
-                       help="scale factor f driving the generator's "
-                            "value skew (0 uniform, 1 zipf, 2 normal, "
-                            "3 exponential)")
-    synth.add_argument("--time", type=float, default=1.0,
-                       help="scale factor t (default 1.0)")
-    synth.add_argument("--periods", type=int, default=1,
-                       help="benchmark periods for run (default 1)")
-    synth.add_argument("--seed", type=int, default=42,
-                       help="generator seed unless the knob string "
-                            "pins one (default 42)")
-    synth.add_argument("--workers", type=int, default=4,
-                       help="engine worker count for run")
+    _spec_options(
+        synth, "engine distribution time periods seed engine_workers"
+    )
     synth.add_argument("--conformance", action="store_true",
                        help="run differentially on every engine and "
                             "assert digest/status/verification equality")
@@ -467,39 +423,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    factors = ScaleFactors(
-        datasize=args.datasize, time=args.time, distribution=args.distribution
+    observed = bool(args.trace_out or args.metrics_out)
+    spec = _spec_from_args(
+        args, collect_metrics=observed, collect_trace=observed
     )
-    scenario = build_scenario(jitter=args.jitter, seed=args.seed)
-    engine = ENGINES[args.engine](
-        scenario.registry, worker_count=args.workers,
-        mem_budget=args.mem_budget,
-    )
-    observability = (
-        Observability() if (args.trace_out or args.metrics_out) else None
-    )
-    faults = None
-    resilience = None
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
-        resilience = RetryPolicy(max_attempts=args.max_attempts)
     try:
-        client = BenchmarkClient(
-            scenario, engine, factors, periods=args.periods, seed=args.seed,
-            observability=observability,
-            faults=faults, resilience=resilience,
-            durability=args.durability,
-            checkpoint_every=args.checkpoint_every,
-        )
+        client = client_from_spec(spec)
     except FaultSpecError as exc:
-        print(f"error: invalid fault spec {args.faults}: {exc}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"invalid fault spec {args.faults}: {exc}") from None
+    observability = client.observability
     result = client.run()
 
     table = result.metrics.as_table()
@@ -509,7 +441,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"instances={result.total_instances} errors={result.error_instances}"
     )
     print(result.verification.summary())
-    if faults is not None:
+    if spec.faults is not None:
         print(client.monitor.resilience_summary().describe())
         if result.dead_letters:
             print("  dead letters:")
@@ -538,8 +470,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"sfDatasize={args.datasize}] ({result.engine_name})"
         ))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(result.verification.summary() + "\n\n" + table + "\n")
+        write_text_atomic(
+            args.report, result.verification.summary() + "\n\n" + table + "\n"
+        )
         print(f"\nreport written to {args.report}")
     if args.plot:
         client.monitor.save_plot(args.plot)
@@ -557,20 +490,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Parallel scale-grid sweep with deterministic merged output."""
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     unknown = [e for e in engines if e not in ENGINES]
     if unknown:
-        print(f"error: unknown engines {unknown}; choose from "
-              f"{sorted(ENGINES)}", file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"unknown engines {unknown}; choose from {sorted(ENGINES)}"
+        )
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         axes = parse_grid_axes(args.grid)
@@ -584,25 +509,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         f"bad --synth {knobs!r}: " + "; ".join(problems)
                     )
             axes["synth"] = axes.get("synth", []) + list(args.synth)
+        # What every grid point shares, checked once as a spec of its own.
+        common = _spec_from_args(args, synth="")
         specs = grid_from_axes(
             axes,
             engines=engines,
             seeds=seeds,
-            periods=args.periods,
-            jitter=args.jitter,
-            engine_workers=args.engine_workers,
-            faults=faults,
-            max_attempts=args.max_attempts,
-            durability=args.durability,
-            checkpoint_every=args.checkpoint_every,
-            verify=not args.no_verify,
             collect_metrics=bool(args.metrics_out),
-            mem_budget=args.mem_budget,
+            **{
+                name: getattr(common, name)
+                for name in args.spec_dests if name != "synth"
+            },
         )
         executor = SweepExecutor(workers=args.workers)
     except (SweepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     result = executor.run(specs)
 
     print(
@@ -629,6 +550,51 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _crash_series(args: argparse.Namespace, name: str, crashes) -> FaultSpec:
+    """The crash timeline a convergence command synthesizes from its flags."""
+    return FaultSpec(
+        name=name,
+        seed=args.seed,
+        events=tuple(
+            FaultEvent(at=at, kind="crash", point=point, period=0)
+            for at, point in crashes
+        ),
+    )
+
+
+def _faulted_vs_baseline(
+    args: argparse.Namespace, spec: RunSpec, name: str, counter: str
+):
+    """Run ``spec`` against its fault-free twin; print what both commands
+    print: the two summaries, every recovery / failover event of the
+    faulted run, the metrics export.  None when a run did not complete.
+    """
+    report = prove_convergence(spec, jobs=args.jobs)
+    if report.incomplete is not None:
+        outcome = report.incomplete
+        print(f"error: {outcome.label} did not complete: "
+              f"[{outcome.error_type}] {outcome.error}", file=sys.stderr)
+        return None
+    base, faulted = report.baseline.result, report.faulted.result
+    print(f"  baseline: instances={base.total_instances} "
+          f"verification={'ok' if base.verification.ok else 'FAILED'}")
+    print(f"  {name}: instances={faulted.total_instances} "
+          f"{counter}={getattr(faulted, counter)} "
+          f"verification={'ok' if faulted.verification.ok else 'FAILED'}")
+    for event in (*faulted.recovery_reports, *faulted.failover_reports):
+        print(f"  {event.describe()}")
+    if faulted.replication is not None:
+        print(f"  {faulted.replication.describe()}")
+    if args.metrics_out and report.faulted.metrics_shard is not None:
+        write_text_atomic(
+            args.metrics_out, export_prometheus(report.faulted.metrics_shard)
+        )
+        print(f"  metrics written to {args.metrics_out}")
+    print(f"records byte-identical: {'yes' if report.records_equal else 'NO'}")
+    print(f"landscape digest equal: {'yes' if report.digests_equal else 'NO'}")
+    return report
+
+
 def _cmd_recover(args: argparse.Namespace) -> int:
     """Crash + recover, then prove convergence against a clean run.
 
@@ -636,82 +602,25 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     that hard-kills the engine at ``--crash-at`` and recovers from the
     durability logs.  Convergence is byte-identity of the final landscape
     digest and of every per-instance record (hence identical NAVG+).
-    Both runs are expressed as picklable RunSpecs, so ``--jobs 2``
-    executes them concurrently through the sweep executor.
     """
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        faults = FaultSpec(
-            name="recover-cli",
-            seed=args.seed,
-            events=(FaultEvent(at=args.crash_at, kind="crash",
-                               point=args.crash_point, period=0),),
-        )
-
-    baseline_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
-    )
-    crash_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
-        faults=faults,
-        durability=args.durability,
-        checkpoint_every=args.checkpoint_every,
-        collect_metrics=bool(args.metrics_out),
-    )
+    spec = _spec_from_args(args, collect_metrics=bool(args.metrics_out))
+    if spec.faults is None:
+        spec = replace(spec, faults=_crash_series(
+            args, "recover-cli", [(args.crash_at, args.crash_point)]
+        ))
     print(f"baseline: engine={args.engine} seed={args.seed} "
           f"d={args.datasize} t={args.time} periods={args.periods}")
     print(f"crash run: kind=crash point={args.crash_point} "
           f"at={args.crash_at} durability={args.durability} "
           f"checkpoint_every={args.checkpoint_every} jobs={args.jobs}")
-    sweep = SweepExecutor(workers=args.jobs).run(
-        [baseline_spec, crash_spec]
-    )
-    base_outcome, crash_outcome = sweep.outcomes
-    for outcome in sweep.outcomes:
-        if outcome.result is None:
-            print(f"error: {outcome.label} did not complete: "
-                  f"[{outcome.error_type}] {outcome.error}",
-                  file=sys.stderr)
-            return 2
-    base, base_digest = base_outcome.result, base_outcome.landscape_digest
-    crashed, digest = crash_outcome.result, crash_outcome.landscape_digest
-    print(f"  baseline: instances={base.total_instances} "
-          f"verification={'ok' if base.verification.ok else 'FAILED'}")
-    print(f"  crash run: instances={crashed.total_instances} "
-          f"recoveries={crashed.recoveries} "
-          f"verification={'ok' if crashed.verification.ok else 'FAILED'}")
-    for report in crashed.recovery_reports:
-        print(f"  {report.describe()}")
-    if args.metrics_out and crash_outcome.metrics_shard is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(export_prometheus(crash_outcome.metrics_shard))
-        print(f"  metrics written to {args.metrics_out}")
-
-    records_equal = crashed.records == base.records
-    digests_equal = digest == base_digest
-    print(f"records byte-identical: {'yes' if records_equal else 'NO'}")
-    print(f"landscape digest equal: {'yes' if digests_equal else 'NO'}")
-    if crashed.recoveries == 0:
+    report = _faulted_vs_baseline(args, spec, "crash run", "recoveries")
+    if report is None:
+        return 2
+    if report.faulted.result.recoveries == 0:
         print("DIVERGED: the fault schedule produced no recovery "
               "(crash time outside the period?)")
         return 1
-    if records_equal and digests_equal and crashed.verification.ok:
+    if report.converged:
         print("CONVERGED: crash recovery reproduced the fault-free run "
               "byte-identically")
         return 0
@@ -761,102 +670,34 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     additionally reports RTO per failover and asserts RPO=0 under
     synchronous shipping.
     """
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
+    spec = _spec_from_args(args, collect_metrics=bool(args.metrics_out))
+    if spec.faults is None:
         if args.crashes < 1:
-            print("error: --crashes must be >= 1", file=sys.stderr)
-            return 2
-        points = ("arrival", "commit")
-        faults = FaultSpec(
-            name="cluster-cli",
-            seed=args.seed,
-            events=tuple(
-                FaultEvent(
-                    at=args.crash_at + index * args.crash_spacing,
-                    kind="crash",
-                    point=points[index % 2],
-                    period=0,
-                )
+            raise _UsageError("--crashes must be >= 1")
+        spec = replace(spec, faults=_crash_series(
+            args, "cluster-cli",
+            [
+                (args.crash_at + index * args.crash_spacing,
+                 ("arrival", "commit")[index % 2])
                 for index in range(args.crashes)
-            ),
-        )
-
-    baseline_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
-    )
-    cluster_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
-        faults=faults,
-        durability=args.durability,
-        checkpoint_every=args.checkpoint_every,
-        cluster_hosts=args.hosts,
-        cluster_replicas=args.replicas,
-        repl_mode=args.mode,
-        repl_lag=args.repl_lag,
-        repl_batch=args.repl_batch,
-        collect_metrics=bool(args.metrics_out),
-    )
+            ],
+        ))
+    crashes = sum(1 for e in spec.faults.events if e.kind == "crash")
     print(f"baseline: engine={args.engine} seed={args.seed} "
           f"d={args.datasize} t={args.time} periods={args.periods} "
           f"(single host, fault-free)")
     print(f"cluster run: hosts={args.hosts} replicas={args.replicas} "
           f"mode={args.mode} repl_lag={args.repl_lag} "
-          f"crashes={len([e for e in faults.events if e.kind == 'crash'])} "
+          f"crashes={crashes} "
           f"durability={args.durability} jobs={args.jobs}")
-    sweep = SweepExecutor(workers=args.jobs).run(
-        [baseline_spec, cluster_spec]
-    )
-    base_outcome, cluster_outcome = sweep.outcomes
-    for outcome in sweep.outcomes:
-        if outcome.result is None:
-            print(f"error: {outcome.label} did not complete: "
-                  f"[{outcome.error_type}] {outcome.error}",
-                  file=sys.stderr)
-            return 2
-    base = base_outcome.result
-    clustered = cluster_outcome.result
-    print(f"  baseline: instances={base.total_instances} "
-          f"verification={'ok' if base.verification.ok else 'FAILED'}")
-    print(f"  cluster run: instances={clustered.total_instances} "
-          f"failovers={clustered.failovers} "
-          f"verification={'ok' if clustered.verification.ok else 'FAILED'}")
-    for report in clustered.failover_reports:
-        print(f"  {report.describe()}")
-    if clustered.replication is not None:
-        print(f"  {clustered.replication.describe()}")
-    if args.metrics_out and cluster_outcome.metrics_shard is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(export_prometheus(cluster_outcome.metrics_shard))
-        print(f"  metrics written to {args.metrics_out}")
-
-    records_equal = clustered.records == base.records
-    digests_equal = (
-        cluster_outcome.landscape_digest == base_outcome.landscape_digest
-    )
-    fingerprints_equal = (
-        cluster_outcome.fingerprint() == base_outcome.fingerprint()
-    )
+    report = _faulted_vs_baseline(args, spec, "cluster run", "failovers")
+    if report is None:
+        return 2
+    clustered = report.faulted.result
+    fingerprints_equal = report.fingerprints_equal
     rpo_total = sum(r.rpo_records for r in clustered.failover_reports)
     rtos = [r.rto_eu for r in clustered.failover_reports
             if r.rto_eu is not None]
-    print(f"records byte-identical: {'yes' if records_equal else 'NO'}")
-    print(f"landscape digest equal: {'yes' if digests_equal else 'NO'}")
     print(f"fingerprints equal: {'yes' if fingerprints_equal else 'NO'}")
     print(f"RPO total: {rpo_total} record(s); "
           f"RTO: {', '.join(f'{r * args.time:.2f}tu' for r in rtos) or 'n/a'}")
@@ -879,11 +720,11 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
                 for r in clustered.failover_reports
             ],
             "rpo_total": rpo_total,
-            "records_equal": records_equal,
-            "digests_equal": digests_equal,
+            "records_equal": report.records_equal,
+            "digests_equal": report.digests_equal,
             "fingerprints_equal": fingerprints_equal,
-            "baseline_fingerprint": base_outcome.fingerprint(),
-            "cluster_fingerprint": cluster_outcome.fingerprint(),
+            "baseline_fingerprint": report.baseline.fingerprint(),
+            "cluster_fingerprint": report.faulted.fingerprint(),
         })
         print(f"  summary written to {args.out}")
     if clustered.failovers == 0:
@@ -894,8 +735,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         print(f"DIVERGED: synchronous shipping must have RPO=0, "
               f"measured {rpo_total}")
         return 1
-    if (records_equal and digests_equal and fingerprints_equal
-            and clustered.verification.ok):
+    if report.converged and fingerprints_equal:
         print("CONVERGED: cluster failover reproduced the fault-free "
               "single-host run byte-identically")
         return 0
@@ -904,18 +744,10 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    factors = ScaleFactors(
-        datasize=args.datasize, time=args.time, distribution=args.distribution
+    client = client_from_spec(
+        _spec_from_args(args, collect_metrics=True, collect_trace=True)
     )
-    scenario = build_scenario(jitter=args.jitter, seed=args.seed)
-    engine = ENGINES[args.engine](
-        scenario.registry, worker_count=args.workers
-    )
-    observability = Observability()
-    client = BenchmarkClient(
-        scenario, engine, factors, periods=args.periods, seed=args.seed,
-        observability=observability,
-    )
+    observability = client.observability
     result = client.run()
 
     if args.format == "chrome":
@@ -954,38 +786,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """
     from repro.db import fastpath
 
-    factors = ScaleFactors(
-        datasize=args.datasize, time=args.time, distribution=args.distribution
+    client = client_from_spec(
+        _spec_from_args(args, collect_metrics=True, collect_trace=True)
     )
-    observability = Observability()
-    if args.synth:
-        from repro.synth import SynthSpec, SynthSpecError, synthesize
-        from repro.synth.runner import SynthClient
-
-        try:
-            synth_spec = SynthSpec.parse(args.synth).resolve(args.seed)
-        except SynthSpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        workload = synthesize(synth_spec, f=args.distribution)
-        engine = ENGINES[args.engine](
-            workload.scenario.registry, worker_count=args.workers,
-            mem_budget=args.mem_budget,
-        )
-        client = SynthClient(
-            workload, engine, factors, periods=args.periods,
-            observability=observability,
-        )
-    else:
-        scenario = build_scenario(seed=args.seed)
-        engine = ENGINES[args.engine](
-            scenario.registry, worker_count=args.workers,
-            mem_budget=args.mem_budget,
-        )
-        client = BenchmarkClient(
-            scenario, engine, factors, periods=args.periods, seed=args.seed,
-            observability=observability,
-        )
+    observability = client.observability
     stats_base = fastpath.STATS.copy()
     partition_base = db_partition.STATS.copy()
     result = client.run()
@@ -1009,7 +813,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             }
             for db in (
                 *client.scenario.all_databases.values(),
-                *engine.durable_databases(),
+                *client.engine.durable_databases(),
             )
             for name in db.table_names
             if (store := db.table(name).partition_store) is not None
@@ -1099,8 +903,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         }
         if args.synth:
             payload["workload"] = args.synth
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        write_json_atomic(args.out, payload)
         print(f"breakdown written to {args.out}")
     return 0 if result.verification.ok else 1
 
@@ -1191,13 +994,9 @@ async def _storm_identity_check(config, client) -> list[str]:
     fingerprint, NAVG+ table, latency percentiles).
     """
     from repro.parallel.spec import run_spec
-    from repro.serve import CONTRACT_V1, parse_session_request
+    from repro.serve import CONTRACT_V1, parse_session_request, report_core
     from repro.toolsuite.monitor import Monitor
 
-    core_fields = (
-        "landscape_digest", "fingerprint", "instances", "errors",
-        "verification_ok", "navg_plus", "navg_plus_total", "latency_tu",
-    )
     loop = asyncio.get_running_loop()
     problems: list[str] = []
     for spec_doc in config.spec_pool():
@@ -1219,27 +1018,17 @@ async def _storm_identity_check(config, client) -> list[str]:
             continue
         spec = parse_session_request(doc).spec
         outcome = await loop.run_in_executor(None, run_spec, spec)
-        monitor = Monitor.merged([outcome])
-        direct = {
-            "landscape_digest": outcome.landscape_digest,
-            "fingerprint": outcome.fingerprint(),
-            "instances": outcome.result.total_instances,
-            "errors": outcome.result.error_instances,
-            "verification_ok": outcome.result.verification.ok,
-            "navg_plus": {
-                m.process_id: round(m.navg_plus, 6)
-                for m in monitor.metrics().rows()
-            },
-            "navg_plus_total": round(outcome.navg_plus_total(), 6),
-            "latency_tu": monitor.latency_percentiles(),
-        }
-        served_core = {k: served.doc.get(k) for k in core_fields}
-        if (json.dumps(served_core, sort_keys=True)
-                != json.dumps(direct, sort_keys=True)):
+        direct = json.dumps(
+            report_core(outcome, Monitor.merged([outcome])), sort_keys=True
+        )
+        served_core = json.dumps(
+            {k: served.doc.get(k) for k in json.loads(direct)},
+            sort_keys=True,
+        )
+        if served_core != direct:
             problems.append(
                 f"served report diverges from direct run for {spec.label}: "
-                f"served={json.dumps(served_core, sort_keys=True)} "
-                f"direct={json.dumps(direct, sort_keys=True)}"
+                f"served={served_core} direct={direct}"
             )
     return problems
 
@@ -1282,8 +1071,7 @@ def _cmd_storm(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.host is not None and args.port is None:
-        print("error: --host needs --port", file=sys.stderr)
-        return 2
+        raise _UsageError("--host needs --port")
 
     async def _run():
         server = None
@@ -1385,7 +1173,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         synthesize,
     )
     from repro.synth.families import label_process
-    from repro.synth.runner import SynthClient
 
     try:
         spec = SynthSpec.parse(args.knobs).resolve(args.seed)
@@ -1477,12 +1264,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         return 0
 
     # action == "run"
-    factors = ScaleFactors(time=args.time, distribution=args.distribution)
-    engine = ENGINES[args.engine](
-        workload.scenario.registry, worker_count=args.workers
-    )
-    client = SynthClient(
-        workload, engine, factors, periods=args.periods
+    client = client_from_spec(
+        _spec_from_args(args, synth=args.knobs), workload=workload
     )
     result = client.run()
     digest = landscape_digest(workload.scenario.all_databases.values())
@@ -1566,7 +1349,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "processes": _cmd_processes,
         "validate": _cmd_validate,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

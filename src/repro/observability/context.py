@@ -9,6 +9,7 @@ point a no-op.
 
 from __future__ import annotations
 
+from repro.ioutil import write_text_atomic
 from repro.observability.export import (
     export_chrome_trace,
     export_prometheus,
@@ -56,16 +57,13 @@ class Observability:
         return export_prometheus(self.metrics)
 
     def write_chrome_trace(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.chrome_trace())
+        write_text_atomic(path, self.chrome_trace())
 
     def write_spans_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.spans_jsonl())
+        write_text_atomic(path, self.spans_jsonl())
 
     def write_prometheus(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.prometheus())
+        write_text_atomic(path, self.prometheus())
 
 
 #: Shared disabled bundle for subsystems constructed without one.  Null

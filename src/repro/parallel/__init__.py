@@ -10,13 +10,21 @@ grid order, so a parallel sweep is byte-identical to the serial one at
 the same seeds.
 
 * :class:`RunSpec` — one picklable benchmark configuration,
+* :func:`client_from_spec` — the one place a spec becomes a wired client,
 * :func:`run_spec` — execute one spec, failures contained per point,
 * :func:`expand_grid` / :func:`parse_grid_axes` — grid construction,
 * :class:`SweepExecutor` / :func:`run_sweep` — the worker pool,
-* :class:`SweepResult` — grid-ordered outcomes + merged shards.
+* :class:`SweepResult` — grid-ordered outcomes + merged shards,
+* :func:`prove_convergence` — a faulted run against its fault-free twin.
 """
 
-from repro.parallel.executor import SweepExecutor, SweepResult, run_sweep
+from repro.parallel.executor import (
+    ConvergenceReport,
+    SweepExecutor,
+    SweepResult,
+    prove_convergence,
+    run_sweep,
+)
 from repro.parallel.grid import expand_grid, grid_from_axes, parse_grid_axes
 from repro.parallel.pool import WorkerPool
 from repro.parallel.spec import (
@@ -24,6 +32,7 @@ from repro.parallel.spec import (
     RunSpec,
     SweepError,
     SweepSabotage,
+    client_from_spec,
     run_spec,
 )
 
@@ -31,6 +40,7 @@ __all__ = [
     "RunSpec",
     "RunOutcome",
     "run_spec",
+    "client_from_spec",
     "SweepError",
     "SweepSabotage",
     "expand_grid",
@@ -39,5 +49,7 @@ __all__ = [
     "SweepExecutor",
     "SweepResult",
     "run_sweep",
+    "ConvergenceReport",
+    "prove_convergence",
     "WorkerPool",
 ]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.observability.metrics import MetricsRegistry
@@ -209,3 +209,66 @@ def run_sweep(
 ) -> SweepResult:
     """Convenience wrapper: build an executor and run the sweep."""
     return SweepExecutor(workers=workers, start_method=start_method).run(specs)
+
+
+@dataclass
+class ConvergenceReport:
+    """A run under faults next to its fault-free twin.
+
+    Convergence is byte-identity of every per-instance record (hence of
+    NAVG+) and of the final landscape digest, with the faulted run's
+    verification passing; ``fingerprints_equal`` folds the NAVG+ table
+    and both verification outcomes in as well.
+    """
+
+    baseline: RunOutcome
+    faulted: RunOutcome
+
+    @property
+    def incomplete(self) -> RunOutcome | None:
+        """The first of the two runs that produced no result, if any."""
+        for outcome in (self.baseline, self.faulted):
+            if outcome.result is None:
+                return outcome
+        return None
+
+    @property
+    def records_equal(self) -> bool:
+        return self.faulted.result.records == self.baseline.result.records
+
+    @property
+    def digests_equal(self) -> bool:
+        return self.faulted.landscape_digest == self.baseline.landscape_digest
+
+    @property
+    def fingerprints_equal(self) -> bool:
+        return self.faulted.fingerprint() == self.baseline.fingerprint()
+
+    @property
+    def converged(self) -> bool:
+        return (
+            self.records_equal
+            and self.digests_equal
+            and self.faulted.result.verification.ok
+        )
+
+
+def prove_convergence(faulted: RunSpec, jobs: int = 1) -> ConvergenceReport:
+    """Run ``faulted`` and its fault-free twin; report whether they agree.
+
+    The twin is the same grid point with no fault timeline, durability
+    off and a single host — what ``repro recover`` and ``repro cluster
+    run`` compare their crashed runs against.  Both are plain RunSpecs,
+    so ``jobs=2`` executes them concurrently.
+    """
+    baseline = replace(
+        faulted,
+        faults=None,
+        durability="off",
+        checkpoint_every=None,
+        cluster_hosts=0,
+        collect_metrics=False,
+        collect_trace=False,
+    )
+    outcomes = SweepExecutor(workers=jobs).run([baseline, faulted]).outcomes
+    return ConvergenceReport(*outcomes)

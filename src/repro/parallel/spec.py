@@ -19,12 +19,18 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
+from repro.cluster import ClusterConfig
+from repro.engine import ENGINES
 from repro.engine.base import InstanceRecord
-from repro.errors import ReproError
-from repro.observability.metrics import MetricsRegistry
-from repro.resilience import FaultSpec
+from repro.errors import BenchmarkError, ReproError
+from repro.observability import Observability
+from repro.observability.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.observability.tracer import NullTracer, Tracer
+from repro.resilience import FaultSpec, RetryPolicy
+from repro.scenario import build_scenario
+from repro.storage import DURABILITY_MODES
 from repro.toolsuite.client import BenchmarkClient, BenchmarkResult
 from repro.toolsuite.schedule import ScaleFactors
 
@@ -37,9 +43,31 @@ class SweepSabotage(ReproError):
     """Deterministic self-inflicted failure (the ``sabotage`` test hook)."""
 
 
+def _knob(default, flag: str = "", help: str = "", **declared):
+    """One RunSpec field with what every edge of the program reads off it.
+
+    ``flag`` / ``help`` / ``metavar`` are the CLI spelling; ``wire`` says
+    the field is part of ``dipbench.session/v1`` (``"rw"``: accepted and
+    echoed, ``"r"``: accepted only); ``physical`` marks a knob that
+    changes where rows live and never what a run computes, so it is in
+    neither :meth:`RunSpec.grid_key` nor :attr:`RunSpec.label`;
+    ``choices`` (a tuple, or a callable for a registry that can grow)
+    and ``bounds`` (interval notation) are what :meth:`RunSpec.problems`
+    checks, ``complaint`` its wording where the default does not fit.
+    """
+    return field(
+        default=default, metadata={"flag": flag, "help": help, **declared}
+    )
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One benchmark configuration, as plain picklable data.
+
+    Every field declares its own CLI flag, ``session/v1`` membership and
+    valid range (see :func:`_knob`); the CLI parsers, the serving
+    translator and the knob table in docs/parallel.md are derived from
+    these declarations, so a new knob is added here and nowhere else.
 
     ``sabotage`` is a test hook for the sweep executor's containment
     paths: ``"raise"`` makes :func:`run_spec` fail deterministically
@@ -47,42 +75,111 @@ class RunSpec:
     without a Python traceback (simulating an OOM kill / segfault).
     """
 
-    engine: str = "interpreter"
-    datasize: float = 0.05
-    time: float = 1.0
-    distribution: int = 0
-    periods: int = 1
-    seed: int = 42
-    jitter: float = 0.0
-    engine_workers: int = 4
-    sandiego_error_rate: float = 0.15
-    faults: FaultSpec | None = None
-    max_attempts: int = 4
-    durability: str = "off"
-    checkpoint_every: float | None = None
+    engine: str = _knob(
+        "interpreter", "--engine", "engine realization to run", wire="rw",
+        choices=lambda: sorted(ENGINES),
+        complaint="unknown engine {value!r} (choose from {choices})",
+    )
+    datasize: float = _knob(
+        0.05, "--datasize", "scale factor d", wire="rw", bounds="(0, 10]"
+    )
+    time: float = _knob(
+        1.0, "--time", "scale factor t", wire="rw", bounds="(0, 100]"
+    )
+    distribution: int = _knob(
+        0, "--distribution",
+        "scale factor f: 0 uniform, 1 zipf, 2 normal, 3 exponential",
+        wire="rw", choices=(0, 1, 2, 3),
+    )
+    periods: int = _knob(
+        1, "--periods", "benchmark periods to execute (1-100)",
+        wire="rw", bounds="[1, 100]",
+    )
+    seed: int = _knob(
+        42, "--seed", "seed of everything the run draws at random",
+        wire="rw",
+    )
+    jitter: float = _knob(
+        0.0, "--jitter", "network jitter fraction in [0, 1)",
+        wire="rw", bounds="[0, 1)",
+    )
+    engine_workers: int = _knob(
+        4, "--workers",
+        "engine worker-pool size: the engine's virtual concurrency",
+        wire="rw", bounds="[1, inf)", complaint="must be >= 1: {value}",
+    )
+    sandiego_error_rate: float = _knob(0.15, wire="rw", bounds="[0, 1]")
+    faults: FaultSpec | None = _knob(
+        None, "--faults",
+        "fault spec file: its deterministic fault schedule is injected "
+        "and the run gets resilience policies (retry/backoff, circuit "
+        "breakers, dead-letter queue)",
+        metavar="SPEC.json",
+    )
+    max_attempts: int = _knob(
+        4, "--max-attempts",
+        "retry budget per process instance under --faults",
+    )
+    durability: str = _knob(
+        "off", "--durability",
+        "durability mode: off, wal (period-baseline checkpoint + redo "
+        "log) or snapshot+wal (plus periodic checkpoints)",
+        wire="rw", choices=("off",) + DURABILITY_MODES,
+    )
+    #: In tu.  Below the lower bound every cadence means the same thing
+    #: (a checkpoint at every commit), so it is refused as a typo.
+    checkpoint_every: float | None = _knob(
+        None, "--checkpoint-every",
+        "checkpoint cadence in tu under --durability snapshot+wal",
+        metavar="TU", wire="rw", bounds="[1e-06, 1e+09]",
+    )
     #: Cluster overlay: 0 hosts = single-host classic run; >= 2 builds a
     #: consistent-hash cluster with ``cluster_replicas`` log-shipped
     #: followers per database (``repl_lag`` in tu, async mode only).
-    cluster_hosts: int = 0
-    cluster_replicas: int = 1
-    repl_mode: str = "sync"
-    repl_lag: float = 0.0
-    repl_batch: int = 1
-    verify: bool = True
+    cluster_hosts: int = _knob(
+        0, "--hosts", "virtual cluster hosts (0 = single host)"
+    )
+    cluster_replicas: int = _knob(
+        1, "--replicas", "follower replicas per database"
+    )
+    repl_mode: str = _knob(
+        "sync", "--mode", "log-shipping mode (sync has RPO=0)",
+        choices=("sync", "async"),
+    )
+    repl_lag: float = _knob(
+        0.0, "--repl-lag", "async replication lag window in tu",
+        metavar="TU",
+    )
+    repl_batch: int = _knob(
+        1, "--repl-batch", "async shipping batch size in records"
+    )
+    verify: bool = _knob(
+        True, "--no-verify", "skip phase-post verification", wire="rw"
+    )
     collect_metrics: bool = False
     collect_trace: bool = False
-    sabotage: str = ""
-    #: Synthesized-workload knob string (``repro.synth``); empty runs the
-    #: classic DIPBench scenario.  The spec's own ``seed`` is inherited
-    #: by the synthesizer unless the knob string pins one.
-    synth: str = ""
-    #: Partition memory budget in resident rows per database (see
-    #: :mod:`repro.db.partition`); None keeps fully-resident storage.
-    #: Physical-residency knob only — deliberately NOT part of
-    #: :meth:`grid_key` or :attr:`label`, so a budgeted run occupies the
-    #: same grid point (and must fingerprint identically) as its
-    #: unbudgeted twin.
-    mem_budget: int | None = None
+    sabotage: str = _knob(
+        "", wire="r", choices=("", "raise", "hard-exit"),
+        complaint="unknown hook {value!r}",
+    )
+    #: The spec's own ``seed`` is inherited by the synthesizer unless
+    #: the knob string pins one.
+    synth: str = _knob(
+        "", "--synth",
+        "synthesized-workload knob string (repro.synth), e.g. "
+        "sources=3,depth=2,families=cdc+scd; empty runs the classic "
+        "DIPBench scenario",
+        metavar="KNOBS", wire="rw",
+    )
+    #: A budgeted run occupies the same grid point (and must
+    #: fingerprint identically) as its unbudgeted twin.
+    mem_budget: int | None = _knob(
+        None, "--mem-budget",
+        "per-database resident-row budget: tables partition and spill "
+        "cold partitions to disk past this many rows, results stay "
+        "byte-identical (default unlimited; env REPRO_MEM_BUDGET)",
+        metavar="ROWS", physical=True,
+    )
 
     @property
     def factors(self) -> ScaleFactors:
@@ -118,6 +215,64 @@ class RunSpec:
     def with_engine(self, engine: str) -> "RunSpec":
         """The same grid point on another engine (conformance pairs)."""
         return replace(self, engine=engine)
+
+    def problems(self) -> list[str]:
+        """Every reason this is not a valid run, as ``field: complaint``.
+
+        The one range check of the program: the serving translator
+        prefixes each entry with ``spec.`` for its 400 body, the CLI
+        prints them and exits 2, :func:`client_from_spec` refuses to
+        build anything while the list is non-empty.
+        """
+        found = []
+        for name, knob in KNOBS.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            choices = knob.metadata.get("choices")
+            bounds = knob.metadata.get("bounds")
+            if callable(choices):
+                choices = choices()
+            if choices is not None:
+                valid = value in choices
+                complaint = "must be {menu}: {value!r}"
+            elif bounds is not None:
+                valid = _within(bounds, value)
+                complaint = "out of range {bounds}: {value}"
+            else:
+                continue
+            if not valid:
+                found.append(f"{name}: " + knob.metadata.get(
+                    "complaint", complaint
+                ).format(
+                    value=value, bounds=bounds, choices=choices,
+                    menu="|".join(map(str, choices or ())),
+                ))
+        if self.synth:
+            from repro.synth.spec import knob_problems
+
+            found.extend(f"synth: {p}" for p in knob_problems(self.synth))
+        return found
+
+
+#: RunSpec's declarations by field name, in field order.
+KNOBS = {knob.name: knob for knob in fields(RunSpec)}
+
+
+_SCALARS = {"str": str, "float": float, "int": int, "bool": bool}
+
+
+def knob_type(name: str) -> type | None:
+    """The scalar type a knob is parsed as (None: not a scalar)."""
+    return _SCALARS.get(KNOBS[name].type.split(" | ")[0])
+
+
+def _within(bounds: str, value: float) -> bool:
+    """``value`` against interval notation; NaN is inside nothing."""
+    low, high = (float(edge) for edge in bounds[1:-1].split(", "))
+    above = value > low if bounds[0] == "(" else value >= low
+    below = value < high if bounds[-1] == ")" else value <= high
+    return above and below
 
 
 @dataclass
@@ -230,6 +385,94 @@ class RunOutcome:
         return row
 
 
+def client_from_spec(spec: RunSpec, workload=None):
+    """Build the fully wired client of one picklable :class:`RunSpec`.
+
+    The one place a run's landscape is wired: scenario (or synthesized
+    workload) -> engine -> observability -> memory budget on every
+    landscape database.  A sweep worker, a served session and every CLI
+    command receive nothing but the spec and construct their *own*
+    landscape, engine and virtual clocks from it, so no state is shared
+    between runs — which is what makes a parallel sweep byte-identical
+    to the serial one.  ``workload`` hands over an already synthesized
+    workload (``repro synth run`` has built one for its manifest).
+    """
+    problems = spec.problems()
+    if problems:
+        raise BenchmarkError("invalid run spec: " + "; ".join(problems))
+    observability = None
+    if spec.collect_metrics or spec.collect_trace:
+        observability = Observability(
+            tracer=Tracer() if spec.collect_trace else NullTracer(),
+            metrics=(
+                MetricsRegistry()
+                if spec.collect_metrics
+                else NullMetricsRegistry()
+            ),
+        )
+    if spec.synth and workload is None:
+        from repro.synth import SynthSpec, synthesize
+
+        workload = synthesize(
+            SynthSpec.parse(spec.synth).resolve(spec.seed),
+            f=spec.distribution,
+            jitter=spec.jitter,
+        )
+    scenario = (
+        workload.scenario
+        if workload is not None
+        else build_scenario(jitter=spec.jitter, seed=spec.seed)
+    )
+    engine = ENGINES[spec.engine](
+        scenario.registry,
+        worker_count=spec.engine_workers,
+        mem_budget=spec.mem_budget,
+    )
+    if spec.mem_budget is not None:
+        # The engine budgets its own catalog; the landscape's databases
+        # are governed here.
+        for db in scenario.all_databases.values():
+            db.set_memory_budget(spec.mem_budget)
+    if workload is not None:
+        from repro.synth.runner import SynthClient
+
+        return SynthClient(
+            workload,
+            engine,
+            spec.factors,
+            periods=spec.periods,
+            observability=observability,
+        )
+    return BenchmarkClient(
+        scenario,
+        engine,
+        spec.factors,
+        periods=spec.periods,
+        seed=spec.seed,
+        sandiego_error_rate=spec.sandiego_error_rate,
+        observability=observability,
+        faults=spec.faults,
+        resilience=(
+            RetryPolicy(max_attempts=spec.max_attempts)
+            if spec.faults is not None
+            else None
+        ),
+        durability=spec.durability,
+        checkpoint_every=spec.checkpoint_every,
+        cluster=(
+            ClusterConfig(
+                hosts=spec.cluster_hosts,
+                replicas=spec.cluster_replicas,
+                mode=spec.repl_mode,
+                repl_lag=spec.repl_lag,
+                repl_batch=spec.repl_batch,
+            )
+            if spec.cluster_hosts
+            else None
+        ),
+    )
+
+
 def run_spec(spec: RunSpec) -> RunOutcome:
     """Execute one :class:`RunSpec` in-process and contain its failures.
 
@@ -244,12 +487,7 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     try:
         if spec.sabotage == "raise":
             raise SweepSabotage(f"sabotaged grid point: {spec.label}")
-        if spec.synth:
-            from repro.synth.runner import SynthClient
-
-            client = SynthClient.from_spec(spec)
-        else:
-            client = BenchmarkClient.from_spec(spec)
+        client = client_from_spec(spec)
         result = client.run(verify=spec.verify)
         digest = landscape_digest(client.scenario.all_databases.values())
         metrics_shard = None

@@ -49,6 +49,7 @@ from repro.serve.translate import (
     SUPPORTED_CONTRACTS,
     SessionRequest,
     parse_session_request,
+    report_core,
     report_to_json,
     session_to_json,
     spec_to_json,
@@ -86,6 +87,7 @@ __all__ = [
     "TranslationError",
     "UnknownTenant",
     "parse_session_request",
+    "report_core",
     "report_to_json",
     "run_storm",
     "serve",

@@ -37,9 +37,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ServeError
+from repro.parallel.spec import RunSpec
 from repro.serve.client import ServeClient
+from repro.serve.translate import CONTRACT_V1, spec_to_json
 from repro.toolsuite.monitor import latency_percentiles
-from repro.serve.translate import CONTRACT_V1
 
 ARRIVAL_MODELS = ("open", "closed")
 
@@ -65,8 +66,8 @@ class StormConfig:
     datasize: float = 0.02
     time: float = 1.0
     #: Synthesized-workload knob string shared by every pooled spec;
-    #: empty storms the classic scenario.  Validated up front so a bad
-    #: knob string fails at config time, not as N HTTP 400s.
+    #: empty storms the classic scenario.  The shared shape is checked
+    #: up front so a bad one fails at config time, not as N HTTP 400s.
     synth: str = ""
     #: Per-session completion wait (long-poll bound, seconds).
     wait_s: float = 30.0
@@ -87,15 +88,18 @@ class StormConfig:
             raise ServeError(f"concurrency must be >= 1: {self.concurrency}")
         if self.distinct < 1:
             raise ServeError(f"spec pool must be >= 1: {self.distinct}")
-        if self.synth:
-            from repro.synth.spec import knob_problems
+        problems = self._pooled(0).problems()
+        if problems:
+            raise ServeError("bad storm spec: " + "; ".join(problems))
 
-            problems = knob_problems(self.synth)
-            if problems:
-                raise ServeError(
-                    f"bad storm synth knobs {self.synth!r}: "
-                    + "; ".join(problems)
-                )
+    def _pooled(self, k: int) -> RunSpec:
+        return RunSpec(
+            engine=self.engine,
+            datasize=self.datasize,
+            time=self.time,
+            seed=self.seed * 1000 + k,
+            synth=self.synth,
+        )
 
     def spec_pool(self) -> list[dict]:
         """The ``distinct`` spec documents clients draw from.
@@ -105,18 +109,7 @@ class StormConfig:
         distinct-but-deterministic generated scenario (distinct cache
         keys server-side, repeatable across storms).
         """
-        pool = []
-        for k in range(self.distinct):
-            doc = {
-                "engine": self.engine,
-                "datasize": self.datasize,
-                "time": self.time,
-                "seed": self.seed * 1000 + k,
-            }
-            if self.synth:
-                doc["synth"] = self.synth
-            pool.append(doc)
-        return pool
+        return [spec_to_json(self._pooled(k)) for k in range(self.distinct)]
 
 
 @dataclass

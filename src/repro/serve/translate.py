@@ -34,31 +34,21 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import TranslationError
-from repro.parallel.spec import RunSpec
+from repro.parallel.spec import KNOBS, RunSpec, knob_type
 
 #: The one contract this server speaks today.  A v2 adds a new entry
 #: here plus its own translator; v1 requests keep working untouched.
 CONTRACT_V1 = "dipbench.session/v1"
 SUPPORTED_CONTRACTS = (CONTRACT_V1,)
 
-#: v1 ``spec`` fields → (python type, validator).  This is the explicit
-#: boundary whitelist; RunSpec fields deliberately *not* listed here
-#: (fault timelines, observability shard flags) are server-internal.
+#: v1 ``spec`` fields → python type: the boundary whitelist, read off
+#: the fields :class:`RunSpec` declares part of the contract.  What it
+#: does not declare (fault timelines, observability shard flags, the
+#: memory budget) is server-internal.
 _V1_SPEC_FIELDS: dict[str, type] = {
-    "engine": str,
-    "datasize": float,
-    "time": float,
-    "distribution": int,
-    "periods": int,
-    "seed": int,
-    "jitter": float,
-    "engine_workers": int,
-    "sandiego_error_rate": float,
-    "durability": str,
-    "checkpoint_every": float,
-    "verify": bool,
-    "sabotage": str,
-    "synth": str,
+    name: knob_type(name)
+    for name, knob in KNOBS.items()
+    if knob.metadata.get("wire")
 }
 
 
@@ -85,46 +75,6 @@ def _coerce(name: str, value: Any, target: type, problems: list[str]):
         )
         return None
     return value
-
-
-def _validate_spec(spec: RunSpec, problems: list[str]) -> None:
-    from repro.engine import ENGINES
-    from repro.storage import DURABILITY_MODES
-
-    if spec.engine not in ENGINES:
-        problems.append(
-            f"spec.engine: unknown engine {spec.engine!r} "
-            f"(choose from {sorted(ENGINES)})"
-        )
-    if not 0 < spec.datasize <= 10.0:
-        problems.append(f"spec.datasize: out of range (0, 10]: {spec.datasize}")
-    if not 0 < spec.time <= 100.0:
-        problems.append(f"spec.time: out of range (0, 100]: {spec.time}")
-    if spec.distribution not in (0, 1, 2, 3):
-        problems.append(
-            f"spec.distribution: must be 0|1|2|3: {spec.distribution}"
-        )
-    if not 1 <= spec.periods <= 100:
-        problems.append(f"spec.periods: out of range [1, 100]: {spec.periods}")
-    if not 0 <= spec.jitter < 1:
-        problems.append(f"spec.jitter: out of range [0, 1): {spec.jitter}")
-    if spec.engine_workers < 1:
-        problems.append(
-            f"spec.engine_workers: must be >= 1: {spec.engine_workers}"
-        )
-    if spec.durability not in ("off",) + DURABILITY_MODES:
-        problems.append(
-            f"spec.durability: must be off|{'|'.join(DURABILITY_MODES)}: "
-            f"{spec.durability!r}"
-        )
-    if spec.sabotage not in ("", "raise", "hard-exit"):
-        problems.append(f"spec.sabotage: unknown hook {spec.sabotage!r}")
-    if spec.synth:
-        from repro.synth.spec import knob_problems
-
-        problems.extend(
-            f"spec.synth: {problem}" for problem in knob_problems(spec.synth)
-        )
 
 
 def parse_session_request(
@@ -170,7 +120,7 @@ def parse_session_request(
             if name not in spec_doc:
                 continue
             value = spec_doc[name]
-            if name == "checkpoint_every" and value is None:
+            if value is None and KNOBS[name].default is None:
                 continue
             coerced = _coerce(name, value, target, problems)
             if coerced is not None:
@@ -181,7 +131,7 @@ def parse_session_request(
             problems=problems,
         )
     spec = RunSpec(**fields)
-    _validate_spec(spec, problems)
+    problems = [f"spec.{problem}" for problem in spec.problems()]
     if problems:
         raise TranslationError(
             f"request violates {CONTRACT_V1}: {len(problems)} problem(s)",
@@ -194,24 +144,16 @@ def parse_session_request(
 
 
 def spec_to_json(spec: RunSpec) -> dict:
-    """Render the canonical spec back into v1 external form."""
-    doc = {
-        "engine": spec.engine,
-        "datasize": spec.datasize,
-        "time": spec.time,
-        "distribution": spec.distribution,
-        "periods": spec.periods,
-        "seed": spec.seed,
-        "jitter": spec.jitter,
-        "engine_workers": spec.engine_workers,
-        "sandiego_error_rate": spec.sandiego_error_rate,
-        "durability": spec.durability,
-        "checkpoint_every": spec.checkpoint_every,
-        "verify": spec.verify,
+    """Render the canonical spec back into v1 external form.
+
+    Every field the contract echoes, in declaration order; a knob string
+    left empty (``synth`` on a classic run) is left out.
+    """
+    return {
+        name: getattr(spec, name)
+        for name, knob in KNOBS.items()
+        if knob.metadata.get("wire") == "rw" and getattr(spec, name) != ""
     }
-    if spec.synth:
-        doc["synth"] = spec.synth
-    return doc
 
 
 def session_to_json(session) -> dict:
@@ -244,39 +186,38 @@ def session_to_json(session) -> dict:
     return doc
 
 
-def report_to_json(session, monitor) -> dict:
-    """The v1 session-report document (``GET /sessions/{id}/report``).
+def report_core(outcome, monitor) -> dict:
+    """What a report says about the run itself, whoever asked for it.
 
-    Built from the session's :class:`RunOutcome` — the same NAVG+,
-    verification and landscape digest a direct
-    :class:`BenchmarkClient` run at this spec produces, byte for byte.
+    The same NAVG+, verification and landscape digest a direct
+    :func:`~repro.parallel.run_spec` at this spec produces, byte for
+    byte — ``repro storm --identity-check`` compares exactly this.
     """
-    outcome = session.outcome
-    if outcome is None or outcome.result is None:
-        return {
-            "contract": CONTRACT_V1,
-            "id": session.id,
-            "tenant": session.tenant,
-            "state": session.state,
-            "error_type": session.error_type,
-            "error": session.error,
-        }
-    result = outcome.result
+    row = outcome.to_json()  # the sweep's row of the same run
     return {
-        "contract": CONTRACT_V1,
-        "id": session.id,
-        "tenant": session.tenant,
-        "state": session.state,
-        "cached": session.cached,
-        "landscape_digest": outcome.landscape_digest,
-        "fingerprint": outcome.fingerprint(),
-        "instances": result.total_instances,
-        "errors": result.error_instances,
-        "verification_ok": result.verification.ok,
-        "navg_plus": {
-            m.process_id: round(m.navg_plus, 6)
-            for m in result.metrics.rows()
+        **{
+            key: row[key]
+            for key in ("landscape_digest", "fingerprint", "instances",
+                        "errors", "verification_ok", "navg_plus")
         },
         "navg_plus_total": round(outcome.navg_plus_total(), 6),
         "latency_tu": monitor.latency_percentiles(),
     }
+
+
+def report_to_json(session, monitor) -> dict:
+    """The v1 session-report document (``GET /sessions/{id}/report``)."""
+    doc = {
+        "contract": CONTRACT_V1,
+        "id": session.id,
+        "tenant": session.tenant,
+        "state": session.state,
+    }
+    outcome = session.outcome
+    if outcome is None or outcome.result is None:
+        return {
+            **doc,
+            "error_type": session.error_type,
+            "error": session.error,
+        }
+    return {**doc, "cached": session.cached, **report_core(outcome, monitor)}

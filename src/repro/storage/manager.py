@@ -27,6 +27,7 @@ virtual-time schedule, so fault-free runs stay byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -74,9 +75,10 @@ class StorageManager:
             raise StorageError(
                 f"unknown durability mode {mode!r}; known: {DURABILITY_MODES}"
             )
-        if checkpoint_every is not None and checkpoint_every <= 0:
+        if checkpoint_every is not None and not 0 < checkpoint_every < math.inf:
             raise StorageError(
-                f"checkpoint interval must be > 0, got {checkpoint_every}"
+                "checkpoint interval must be finite and > 0, "
+                f"got {checkpoint_every}"
             )
         if group_commit_window < 0:
             raise StorageError(
@@ -261,8 +263,15 @@ class StorageManager:
                 ).inc()
         if self._next_checkpoint_due is not None and at >= self._next_checkpoint_due:
             self.take_checkpoint(engine, at)
-            while self._next_checkpoint_due <= at:
-                self._next_checkpoint_due += self.checkpoint_every
+            every = self.checkpoint_every
+            due = self._next_checkpoint_due + every
+            if due <= at:
+                # Several cadences passed since the last commit: skip
+                # them with one division.  Adding ``every`` until the
+                # sum passes ``at`` never ends for a cadence below the
+                # float spacing at ``due``.
+                due += every * ((at - due) // every + 1)
+            self._next_checkpoint_due = due
 
     # -- crash path --------------------------------------------------------------
 

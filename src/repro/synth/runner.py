@@ -3,9 +3,9 @@
 The client mirrors :class:`~repro.toolsuite.client.BenchmarkClient`'s
 contract exactly — ``from_spec(RunSpec)``, ``run(verify) →
 BenchmarkResult``, ``.scenario`` / ``.observability`` / ``.monitor``
-attributes — so ``repro.parallel.run_spec`` only has to pick the client
-class when ``RunSpec.synth`` is set; containment, landscape digesting,
-metric shard collection and fingerprints are shared code paths.
+attributes — so ``repro.parallel.client_from_spec`` only has to pick the
+client class when ``RunSpec.synth`` is set; containment, landscape
+digesting, metric shard collection and fingerprints are shared code paths.
 
 Each period uninitializes the landscape (change feeds rebase with their
 tables), replants the plan's initial populations, then executes
@@ -18,22 +18,16 @@ correct results", exactly like streams C and D of the classic schedule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine.base import InstanceRecord, IntegrationEngine, ProcessEvent
 from repro.errors import BenchmarkError
 from repro.observability import Observability
 from repro.simtime.clock import VirtualClock
 from repro.simtime.scheduler import EventScheduler
-from repro.synth.generator import SynthWorkload, synthesize
-from repro.synth.spec import SynthSpec
-from repro.toolsuite.client import BenchmarkResult
+from repro.synth.generator import SynthWorkload
+from repro.toolsuite.client import BenchmarkClient, BenchmarkResult
 from repro.toolsuite.monitor import Monitor
 from repro.toolsuite.schedule import ScaleFactors
 from repro.toolsuite.verification import VerificationReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.spec import RunSpec
 
 #: Virtual-time layout of one period, in tu: rounds are spaced far
 #: enough apart that a round's E1 arrivals never collide with the
@@ -67,61 +61,12 @@ class SynthClient:
             self.scenario.registry.network.bind_metrics(
                 self.observability.metrics
             )
-        mem_budget = getattr(engine, "mem_budget", None)
-        if mem_budget is not None:
-            for db in self.scenario.all_databases.values():
-                db.set_memory_budget(mem_budget)
         self.monitor = Monitor(
             time_scale=self.factors.time, observability=self.observability
         )
 
-    @classmethod
-    def from_spec(cls, spec: "RunSpec") -> "SynthClient":
-        """Build a fully wired synth client from one picklable RunSpec.
-
-        Symmetric to ``BenchmarkClient.from_spec``: a sweep worker
-        receives nothing but the spec and synthesizes its own landscape,
-        engine and observability, so parallel grid points share no state
-        and reproduce the serial run byte-identically.
-        """
-        from repro.engine import ENGINES
-        from repro.observability.metrics import (
-            MetricsRegistry,
-            NullMetricsRegistry,
-        )
-        from repro.observability.tracer import NullTracer, Tracer
-
-        if spec.engine not in ENGINES:
-            raise BenchmarkError(
-                f"unknown engine {spec.engine!r}; "
-                f"choose from {sorted(ENGINES)}"
-            )
-        synth_spec = SynthSpec.parse(spec.synth).resolve(spec.seed)
-        workload = synthesize(
-            synth_spec, f=spec.distribution, jitter=spec.jitter
-        )
-        engine = ENGINES[spec.engine](
-            workload.scenario.registry,
-            worker_count=spec.engine_workers,
-            mem_budget=spec.mem_budget,
-        )
-        observability = None
-        if spec.collect_metrics or spec.collect_trace:
-            observability = Observability(
-                tracer=Tracer() if spec.collect_trace else NullTracer(),
-                metrics=(
-                    MetricsRegistry()
-                    if spec.collect_metrics
-                    else NullMetricsRegistry()
-                ),
-            )
-        return cls(
-            workload,
-            engine,
-            spec.factors,
-            periods=spec.periods,
-            observability=observability,
-        )
+    #: A spec with a knob string builds this class; one name, one body.
+    from_spec = BenchmarkClient.from_spec
 
     # -- execution --------------------------------------------------------------
 

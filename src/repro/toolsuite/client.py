@@ -154,13 +154,6 @@ class BenchmarkClient:
             self.scenario.registry.network.bind_metrics(
                 self.observability.metrics
             )
-        # Partition memory budget: an engine constructed with
-        # ``mem_budget`` governs every landscape database of the run
-        # (its own internal catalog is budgeted at engine construction).
-        mem_budget = getattr(engine, "mem_budget", None)
-        if mem_budget is not None:
-            for db in self.scenario.all_databases.values():
-                db.set_memory_budget(mem_budget)
         self.initializer = Initializer(
             scenario,
             d=self.factors.datasize,
@@ -270,75 +263,13 @@ class BenchmarkClient:
         self._run_span: Span | None = None
         self._stream_spans: dict[str, Span] = {}
 
-    @classmethod
-    def from_spec(cls, spec: "RunSpec") -> "BenchmarkClient":
-        """Build a fully wired client from one picklable :class:`RunSpec`.
+    @staticmethod
+    def from_spec(spec: "RunSpec"):
+        """The client of one :class:`RunSpec`: see
+        :func:`repro.parallel.spec.client_from_spec`."""
+        from repro.parallel.spec import client_from_spec
 
-        This is the parallel-sweep entrypoint: a worker process receives
-        nothing but the spec and constructs its *own* landscape, engine,
-        virtual clocks and (when requested) observability bundle from it,
-        so no state is ever shared between grid points — which is what
-        makes a parallel sweep byte-identical to the serial one.
-        """
-        from repro.engine import ENGINES
-        from repro.observability.metrics import (
-            MetricsRegistry,
-            NullMetricsRegistry,
-        )
-        from repro.observability.tracer import NullTracer, Tracer
-        from repro.scenario import build_scenario
-
-        if spec.engine not in ENGINES:
-            raise BenchmarkError(
-                f"unknown engine {spec.engine!r}; "
-                f"choose from {sorted(ENGINES)}"
-            )
-        scenario = build_scenario(jitter=spec.jitter, seed=spec.seed)
-        engine = ENGINES[spec.engine](
-            scenario.registry,
-            worker_count=spec.engine_workers,
-            mem_budget=spec.mem_budget,
-        )
-        observability = None
-        if spec.collect_metrics or spec.collect_trace:
-            observability = Observability(
-                tracer=Tracer() if spec.collect_trace else NullTracer(),
-                metrics=(
-                    MetricsRegistry()
-                    if spec.collect_metrics
-                    else NullMetricsRegistry()
-                ),
-            )
-        resilience = (
-            RetryPolicy(max_attempts=spec.max_attempts)
-            if spec.faults is not None
-            else None
-        )
-        cluster = (
-            ClusterConfig(
-                hosts=spec.cluster_hosts,
-                replicas=spec.cluster_replicas,
-                mode=spec.repl_mode,
-                repl_lag=spec.repl_lag,
-                repl_batch=spec.repl_batch,
-            )
-            if spec.cluster_hosts
-            else None
-        )
-        return cls(
-            scenario,
-            engine,
-            spec.factors,
-            periods=spec.periods,
-            seed=spec.seed,
-            sandiego_error_rate=spec.sandiego_error_rate,
-            observability=observability,
-            faults=spec.faults,
-            resilience=resilience,
-            durability=spec.durability,
-            checkpoint_every=spec.checkpoint_every,
-            cluster=cluster,
-        )
+        return client_from_spec(spec)
 
     # -- phase work ---------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engine.base import InstanceRecord
 from repro.errors import BenchmarkError
+from repro.ioutil import write_text_atomic
 from repro.metrics.navg import MetricReport, compute_metrics
 from repro.observability import Observability
 from repro.storage.recovery import RecoveryReport
@@ -509,8 +510,7 @@ class Monitor:
 
     def save_plot(self, path: str, title: str = "DIPBench Performance Plot") -> None:
         """Write the SVG plot to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.performance_plot_svg(title))
+        write_text_atomic(path, self.performance_plot_svg(title))
 
     def export_dat(self) -> str:
         """Gnuplot-style whitespace-separated data of the metric series.

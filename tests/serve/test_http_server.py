@@ -155,6 +155,21 @@ class TestSessionFlow:
 
         serve_scenario(scenario)
 
+    def test_the_cadence_that_never_returned_is_a_400(self):
+        # No stub: were the document accepted, the real engine would
+        # spin in the checkpoint catch-up and the wait below time out.
+        async def scenario(client):
+            reply = await client.post_session(_doc(
+                datasize=0.02, durability="snapshot+wal",
+                checkpoint_every=1e-15,
+            ))
+            assert reply.status == 400
+            assert reply.doc["problems"] == [
+                "spec.checkpoint_every: out of range [1e-06, 1e+09]: 1e-15"
+            ]
+
+        serve_scenario(scenario)
+
     def test_unknown_spec_field_rejected(self, fast_runs):
         async def scenario(client):
             reply = await client.post_session({

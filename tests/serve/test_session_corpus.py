@@ -8,12 +8,14 @@ the 400 a tenant reads.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.errors import TranslationError
-from repro.serve import parse_session_request, spec_to_json
+from repro.parallel.spec import KNOBS
+from repro.serve import CONTRACT_V1, parse_session_request, spec_to_json
 
 CORPUS = json.loads(
     Path(__file__).with_name("session_v1_corpus.json").read_text("utf-8")
@@ -37,6 +39,21 @@ def test_accepted_document(case):
         "spec": spec_to_json(request.spec),
     }
     assert json.dumps(answer) == json.dumps(case["accepted"])
+
+
+@pytest.mark.parametrize("case", ACCEPTED, ids=lambda case: case["name"])
+def test_the_echo_round_trips(case):
+    """Posting a session's echoed ``spec`` back asks for the same run —
+    up to the fields the contract accepts but never echoes."""
+    spec = _parse(case).spec
+    echoed = parse_session_request(
+        {"contract": CONTRACT_V1, "tenant": "t", "spec": spec_to_json(spec)}
+    ).spec
+    accepted_only = {
+        name: knob.default
+        for name, knob in KNOBS.items() if knob.metadata.get("wire") == "r"
+    }
+    assert echoed == replace(spec, **accepted_only)
 
 
 @pytest.mark.parametrize("case", REJECTED, ids=lambda case: case["name"])

@@ -1,5 +1,7 @@
 """StorageManager policy tests: recording, checkpoints, group commit."""
 
+import math
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -148,6 +150,53 @@ class TestCommitPath:
         assert storage.checkpoints == baseline + 1
         assert storage.wal_tail_size == 0  # checkpoint truncated the tail
         assert storage.checkpoint_state.at == 60.0
+
+
+class TestCheckpointCatchUp:
+    """After a checkpoint the next one is due one cadence later — or,
+    when several cadences passed in one commit gap, past the commit."""
+
+    def _dues(self, every, commits):
+        storage = StorageManager(mode="snapshot+wal", checkpoint_every=every)
+        engine = FakeEngine()
+        storage.begin_period(0, engine)
+        dues = []
+        for at in commits:
+            storage.commit_instance(engine, FakeRecord(completion=at))
+            dues.append(storage._next_checkpoint_due)
+        return dues, storage.checkpoints
+
+    def test_non_finite_cadence_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(StorageError, match="checkpoint interval"):
+                StorageManager(checkpoint_every=bad)
+
+    def test_terminates_for_a_cadence_below_the_float_spacing(self):
+        # ``300.0 + 1e-15 == 300.0``: adding the cadence until the sum
+        # passes the commit time would never end.
+        started = time.perf_counter()
+        dues, checkpoints = self._dues(1e-15, [300.0, 300.5, 4096.0])
+        assert checkpoints == 1 + 3  # the baseline, then one per commit
+        assert all(math.isfinite(due) for due in dues)
+        assert time.perf_counter() - started < 0.5
+
+    def test_a_single_step_is_the_sum_it_always_was(self):
+        every = 0.1  # not a binary fraction: additions round
+        commits = [0.05, 0.1, 0.19, 0.25, 0.31, 0.4, 0.47, 0.5]
+        due, expected = every, []
+        for at in commits:
+            if at >= due:
+                due += every
+                assert due > at, "the case under test is the single step"
+            expected.append(due)
+        assert self._dues(every, commits)[0] == expected
+
+    def test_many_cadences_in_one_gap_are_skipped_at_once(self):
+        dues, checkpoints = self._dues(
+            50.0, [10.0, 60.0, 70.0, 400.0, 420.0, 455.0]
+        )
+        assert dues == [50.0, 100.0, 100.0, 450.0, 450.0, 500.0]
+        assert checkpoints == 1 + 3
 
 
 class TestCheckpointAfterRecovery:

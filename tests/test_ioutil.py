@@ -75,3 +75,42 @@ class TestSweepOutIsAtomic:
         main(["sweep", "--grid", "d=0.02", "--seeds", "11", "--quiet",
               "--out", str(out)])
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+class TestEveryCliFileGoesThroughIoutil:
+    """One per command that used a bare ``open``: the target directory
+    does not exist yet."""
+
+    def test_run_report(self, tmp_path, capsys):
+        report = tmp_path / "new" / "dir" / "report.txt"
+        assert main([
+            "run", "--periods", "1", "--datasize", "0.02", "--quiet",
+            "--report", str(report),
+        ]) == 0
+        assert "P04" in report.read_text()
+
+    def test_profile_out(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "prof.json"
+        assert main([
+            "profile", "--periods", "1", "--datasize", "0.02",
+            "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["operators"]
+
+    def test_recover_metrics_out(self, tmp_path, capsys):
+        metrics = tmp_path / "new" / "dir" / "recover.prom"
+        assert main([
+            "recover", "--datasize", "0.02", "--crash-at", "100",
+            "--metrics-out", str(metrics),
+        ]) == 0
+        assert "storage_recoveries_total 1" in metrics.read_text()
+
+    def test_cluster_run_metrics_out(self, tmp_path, capsys):
+        metrics = tmp_path / "new" / "dir" / "cluster.prom"
+        assert main([
+            "cluster", "run", "--datasize", "0.02", "--crashes", "1",
+            "--crash-at", "40", "--metrics-out", str(metrics),
+        ]) == 0
+        assert "CONVERGED" in capsys.readouterr().out
+        assert "storage_crashes_total" in metrics.read_text()
+        assert [p.name for p in metrics.parent.iterdir()] == ["cluster.prom"]
