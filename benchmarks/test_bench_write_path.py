@@ -4,7 +4,7 @@ and the per-item work a period no longer does, counted.
 Two layers carry most of a classic period (``bench/README.md``):
 ``db.write`` — normalizing a row into a table — and ``xmlkit.stx`` —
 translating a document.  This file times exactly those two on the
-scenario's own shapes and lands two rows in ``results/LEDGER.jsonl``:
+scenario's own shapes and lands three rows in ``results/LEDGER.jsonl``:
 
 * ns/row for ``insert``, ``insert_many``, ``upsert`` (miss and hit) and
   the bulk upsert ``insert_many(rows, replace=True)`` (miss and hit) of
@@ -15,14 +15,19 @@ scenario's own shapes and lands two rows in ``results/LEDGER.jsonl``:
   benchmark period feeds it;
 * ``xml_path:compiled_walk+bulk_upsert`` — deterministic counts of one
   ``interpreter`` d=0.05 seed-5 period: CdbOrder parses per message,
-  per-row ``Table.upsert`` calls, elements allocated per transform.
+  per-row ``Table.upsert`` calls, elements allocated per transform;
+* ``xml_path:rows_backed_resultsets`` — the same period's ``XmlElement``
+  allocations against the parent's, P09's result-set elements, and the
+  collector's runs per period.
 
 The timings explain the end-to-end ``python3 -m bench`` result; they
 claim nothing by themselves and gate nothing.  The counts repeat
-exactly and are asserted (docs/perf-log/PR-19.md).
+exactly and are asserted (docs/perf-log/PR-19.md, PR-25.md); the
+collections per period repeat per interpreter version.
 """
 
 import functools
+import gc
 import sys
 import time
 
@@ -34,8 +39,9 @@ from repro.db.table import Table
 from repro.parallel.spec import RunSpec, run_spec
 from repro.scenario import build_scenario
 from repro.scenario.processes import helpers
+from repro.services.endpoints import WebService
 from repro.toolsuite import BenchmarkClient
-from repro.xmlkit.doc import XmlElement
+from repro.xmlkit.doc import ResultSetRoot, XmlElement
 from repro.xmlkit.stx import Stylesheet
 
 N_ROWS = 5_000
@@ -153,24 +159,57 @@ def test_write_path_and_stx_dispatch():
 
 
 def elements_allocated(fn, *args):
-    """``(result, XmlElement allocations)`` of one call: every
-    ``XmlElement(...)`` and every bare ``XmlElement.__new__``."""
-    init, bare_new = XmlElement.__init__.__code__, object.__new__
-    count = 0
+    """``(result, elements, roots)`` of one call: ``elements`` counts every
+    ``XmlElement(...)`` and every bare ``XmlElement.__new__`` (made only by
+    ``repro.xmlkit``), ``roots`` every rows-backed :class:`ResultSetRoot`."""
+    init, root_init = XmlElement.__init__.__code__, ResultSetRoot.__init__.__code__
+    bare_new = object.__new__
+    elements = roots = 0
 
     def profiler(frame, event, arg):
-        nonlocal count
-        if (event == "call" and frame.f_code is init) or (
-            event == "c_call" and arg is bare_new
+        nonlocal elements, roots
+        if event == "call":
+            if frame.f_code is init:
+                elements += 1
+            elif frame.f_code is root_init:
+                roots += 1
+        elif event == "c_call" and arg is bare_new and (
+            "xmlkit" in frame.f_code.co_filename
         ):
-            count += 1
+            elements += 1
 
     sys.setprofile(profiler)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(None)
-    return result, count
+    return result, elements, roots
+
+
+#: The two stylesheets P09 translates Beijing's and Seoul's result sets
+#: with: they only rename the root and the row tag.
+RESULTSET_SHEETS = ("stx_beijing_resultset", "stx_seoul_resultset")
+
+
+@functools.cache
+def transform_allocations() -> dict[str, int]:
+    """Elements each scenario stylesheet allocates on its first document.
+
+    A result-set stylesheet on a rows-backed result set builds no element:
+    its output is one :class:`ResultSetRoot` over the same rows.  Every
+    other stylesheet allocates exactly its output tree."""
+    allocations = {}
+    for name, (sheet, document) in sorted(first_documents().items()):
+        output, elements, roots = elements_allocated(sheet.transform, document)
+        if name in RESULTSET_SHEETS:
+            assert type(document) is ResultSetRoot and document.rows is not None
+            assert (elements, roots) == (0, 1), name
+            assert type(output) is ResultSetRoot and output.rows is not None
+        else:
+            assert (elements, roots) == (output.size(), 0), name
+        allocations[name] = elements
+    assert len(allocations) >= 7, sorted(allocations)
+    return allocations
 
 
 def test_a_period_parses_upserts_and_allocates_once():
@@ -214,12 +253,7 @@ def test_a_period_parses_upserts_and_allocates_once():
     assert upserts == 0
     assert rows_written == 8175
 
-    allocations = {}
-    for name, (sheet, document) in sorted(first_documents().items()):
-        output, allocated = elements_allocated(sheet.transform, document)
-        assert allocated == output.size(), (name, allocated, output.size())
-        allocations[name] = allocated
-    assert len(allocations) >= 7, sorted(allocations)
+    allocations = transform_allocations()
 
     ledger_append(
         "xml_path:compiled_walk+bulk_upsert",
@@ -231,5 +265,87 @@ def test_a_period_parses_upserts_and_allocates_once():
             "rows_written": {"before": 8175, "after": rows_written},
             "elements_allocated_per_transform": allocations,
             "src_loc": {"before": 28600, "after": src_lines()},
+        },
+    )
+
+
+# ------------------------------------- a result set stays rows, counted
+
+#: ``XmlElement`` allocations of the period below at the parent, where
+#: every result set was built as a tree (PR 19 counted 10 953 on the
+#: scenario of its day).
+PARENT_PERIOD_ELEMENTS = 12_606
+#: Collections per period, generations 0/1/2, over periods 1-20 after a
+#: ``gc.collect()``: the parent on Python 3.11.
+PARENT_COLLECTIONS = (38.45, 3.45, 0.3)
+#: The ceiling per interpreter version: how often the collector runs
+#: depends on it, so a version without a recorded figure is not gated.
+COLLECTIONS_CEILING = {(3, 11): (25.0, 2.5, 0.2)}
+GC_PERIODS = 20
+PARENT_SRC_LOC = 27_944
+
+
+def test_a_classic_period_keeps_result_sets_as_rows():
+    """P09's eight extracts and their eight translations stay rows: one
+    ``interpreter`` d=0.05 seed-5 period allocates at least P09's two
+    trees fewer elements, and the collector runs less often."""
+    p09_elements = 0
+    query = WebService.op_query
+
+    def measuring_query(service, request):
+        nonlocal p09_elements
+        response = query(service, request)
+        p09_elements += response.body.size()
+        return response
+
+    client = BenchmarkClient.from_spec(
+        RunSpec(engine="interpreter", datasize=0.05, periods=GC_PERIODS + 1, seed=5)
+    )
+    WebService.op_query = measuring_query
+    try:
+        _, elements, roots = elements_allocated(client.run_period, 0)
+    finally:
+        WebService.op_query = query
+    assert roots == 16  # 8 extracts, 8 translations
+    assert 0 < 2 * p09_elements <= PARENT_PERIOD_ELEMENTS - elements
+
+    collections = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "stop":
+            collections[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for period in range(1, GC_PERIODS + 1):
+            client.run_period(period)
+    finally:
+        gc.callbacks.remove(count)
+    per_period = tuple(round(n / GC_PERIODS, 2) for n in collections)
+    ceiling = COLLECTIONS_CEILING.get(sys.version_info[:2])
+    if ceiling is not None:
+        assert all(n <= c for n, c in zip(per_period, ceiling)), per_period
+
+    print(f"\nelements/period {elements}, P09 result sets {p09_elements}, "
+          f"collections/period {per_period}")
+    ledger_append(
+        "xml_path:rows_backed_resultsets",
+        {
+            "config": "interpreter d=0.05 seed 5; elements: period 0, "
+                      f"collections: periods 1-{GC_PERIODS} after gc.collect()",
+            "elements_per_period": {"before": PARENT_PERIOD_ELEMENTS, "after": elements},
+            "p09_result_set_elements": p09_elements,
+            "result_set_roots_per_period": roots,
+            "resultset_stylesheet_elements": {
+                "before": {"stx_beijing_resultset": 183, "stx_seoul_resultset": 162},
+                "after": {name: transform_allocations()[name]
+                          for name in RESULTSET_SHEETS},
+            },
+            "collections_per_period_gen0_gen1_gen2": {
+                "before": list(PARENT_COLLECTIONS), "after": list(per_period),
+                "python": ".".join(map(str, sys.version_info[:2])),
+            },
+            "src_loc": {"before": PARENT_SRC_LOC, "after": src_lines()},
         },
     )

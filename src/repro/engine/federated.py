@@ -21,6 +21,7 @@ relational bulk processes stay cheap (optimizer-covered).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.errors import EngineError
@@ -98,6 +99,9 @@ class FederatedEngine(IntegrationEngine):
 
     def _deploy_queue_table(self, process: ProcessType) -> None:
         """Fig. 9a: queue table + AFTER INSERT trigger."""
+        # Weakly: a strong reference makes the engine and the landscape it
+        # serves a cycle, which outlives its run until a full collection.
+        engine = weakref.proxy(self)
         table_name = self.queue_table_name(process.process_id)
         self.internal_db.create_table(
             TableSchema(
@@ -111,7 +115,7 @@ class FederatedEngine(IntegrationEngine):
         )
 
         def trigger_body(db: Database, row: dict) -> None:
-            context = self._active_context
+            context = engine._active_context
             if context is None:
                 raise EngineError(
                     f"trigger for {process.process_id} fired outside an "
@@ -134,9 +138,10 @@ class FederatedEngine(IntegrationEngine):
 
     def _deploy_procedure(self, process: ProcessType) -> None:
         """Fig. 9b: the process body as a stored procedure."""
+        engine = weakref.proxy(self)  # as in _deploy_queue_table
 
         def procedure_body(db: Database) -> None:
-            context = self._active_context
+            context = engine._active_context
             if context is None:
                 raise EngineError(
                     f"procedure {process.process_id} called outside an "

@@ -49,10 +49,6 @@ class Envelope:
         return cls(operation, relation, payload_units=float(len(relation)))
 
     @classmethod
-    def for_rows(cls, operation: str, rows: Sequence[Mapping[str, Any]]) -> "Envelope":
-        return cls(operation, list(rows), payload_units=float(len(rows)))
-
-    @classmethod
     def for_xml(cls, operation: str, document: XmlElement) -> "Envelope":
         return cls(operation, document, payload_units=float(document.size()))
 
@@ -237,7 +233,7 @@ class WebService(ServiceEndpoint):
         table = spec["table"]
         relation = self.database.query(table)
         document = relation_to_resultset(relation, table)
-        self._to_dialect(document)
+        document.tag, document.row_tag = self.result_tag, self.row_tag
         return Envelope.for_xml("result", document)
 
     def op_update(self, request: Envelope) -> Envelope:
@@ -261,8 +257,3 @@ class WebService(ServiceEndpoint):
         )
         self.database.table(table).insert_many(rows, replace=True)
         return Envelope("result", len(rows), payload_units=1.0)
-
-    def _to_dialect(self, document: XmlElement) -> None:
-        document.tag = self.result_tag
-        for row in document.children:
-            row.tag = self.row_tag

@@ -26,46 +26,21 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import XmlParseError
 from repro.db.relation import Relation
-from repro.xmlkit.doc import XmlElement
+from repro.xmlkit.doc import ResultSetRoot, XmlElement, cell_text
 
 
 def rows_to_resultset(
     columns: Sequence[str],
     rows: Iterable[Mapping[str, Any]],
     table: str = "",
-) -> XmlElement:
-    """Serialize rows into the generic result-set shape."""
-    result = XmlElement("ResultSet", {"table": table} if table else None)
-    add_row = result.children.append
-    new = XmlElement.__new__
-    for row in rows:
-        # Cells are built in place: one allocation each, nothing copied.
-        cells = []
-        for name in columns:
-            if not name:
-                raise XmlParseError("element tag must be non-empty")
-            value = row.get(name)
-            cell = new(XmlElement)
-            cell.tag = name
-            if value is None:
-                cell.attributes = {"null": "true"}
-                cell.text = None
-            else:
-                cell.attributes = {}
-                cell.text = (
-                    value.isoformat()
-                    if isinstance(value, datetime.date)  # datetimes too
-                    else str(value)
-                )
-            cell.children = []
-            cells.append(cell)
-        row_el = XmlElement("Row")
-        row_el.children = cells
-        add_row(row_el)
-    return result
+) -> ResultSetRoot:
+    """Serialize rows into the generic result-set shape: a
+    :class:`~repro.xmlkit.doc.ResultSetRoot`, rows until read as a tree."""
+    attributes = {"table": table} if table else None
+    return ResultSetRoot("ResultSet", attributes, columns, rows)
 
 
-def relation_to_resultset(relation: Relation, table: str = "") -> XmlElement:
+def relation_to_resultset(relation: Relation, table: str = "") -> ResultSetRoot:
     """Serialize a :class:`Relation` into the generic result-set shape."""
     return rows_to_resultset(relation.columns, relation.rows, table)
 
@@ -85,10 +60,18 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
     "BOOLEAN": _parse_boolean,
 }
 
+#: SQL type -> the type its parser returns where a value's own text parses
+#: back to it (not TIMESTAMP: the text drops ``fold`` and a named tzinfo).
+_ROUND_TRIPS: dict[str, type] = {
+    "INTEGER": int, "BIGINT": int, "DECIMAL": Decimal, "DOUBLE": float,
+    "DATE": datetime.date, "BOOLEAN": bool,
+}
+
 
 class ColumnParsers(dict):
     """Column -> parser (None: keep the text) under one ``types`` mapping,
-    each entry chosen at the column's first cell.
+    each entry chosen at the column's first cell; ``kept`` maps the
+    column to the one value type its text round-trips (or None).
 
     :func:`resultset_to_rows` builds one per call from a plain mapping; a
     caller converting many documents under the same ``types`` passes the
@@ -96,17 +79,18 @@ class ColumnParsers(dict):
     mapping it reads.
     """
 
-    __slots__ = ("types",)
+    __slots__ = ("types", "kept")
 
     def __init__(self, types: Mapping[str, str] | None):
         super().__init__()
         self.types = dict(types or {})
+        self.kept: dict[str, type | None] = {}
 
     def __missing__(self, name: str) -> Callable[[str], Any] | None:
         sql_type = self.types.get(name)
-        parse = self[name] = (
-            None if sql_type is None else _PARSERS.get(sql_type.upper())
-        )
+        sql_type = None if sql_type is None else sql_type.upper()
+        self.kept[name] = _ROUND_TRIPS.get(sql_type)
+        parse = self[name] = _PARSERS.get(sql_type)
         return parse
 
 
@@ -123,6 +107,10 @@ def resultset_to_rows(
     columns stay strings.  ``result_tag``/``row_tag`` name a service's
     dialect of the shape; canonical ``<Row>`` elements are read in every
     dialect.
+
+    A document still held as rows is read without its tree: a value of
+    exactly the type its parser returns is kept (its text would parse
+    back to it), any other goes through its text as the tree's would.
     """
     if document.tag != result_tag:
         raise XmlParseError(
@@ -130,6 +118,24 @@ def resultset_to_rows(
         )
     parsers = types if type(types) is ColumnParsers else ColumnParsers(types)
     rows: list[dict[str, Any]] = []
+    if type(document) is ResultSetRoot and document.rows is not None:
+        if document.row_tag != row_tag and document.row_tag != "Row":
+            return rows
+        columns, kept = document.columns, parsers.kept
+        for source in document.rows:
+            row = {}
+            for name in columns:
+                value = source.get(name)
+                if value is not None:
+                    parse = parsers[name]
+                    if parse is None:
+                        if type(value) is not str:
+                            value = cell_text(value)
+                    elif type(value) is not kept[name]:
+                        value = parse(cell_text(value))
+                row[name] = value
+            rows.append(row)
+        return rows
     for row_el in document.children:
         if row_el.tag != row_tag and row_el.tag != "Row":
             continue

@@ -9,8 +9,10 @@ parser and then lifts the result into our model.
 
 from __future__ import annotations
 
+import datetime
 import xml.etree.ElementTree as ET
-from typing import Any, Iterator
+from decimal import Decimal
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import XmlParseError
 
@@ -109,6 +111,107 @@ class XmlElement:
 
     def __repr__(self) -> str:
         return f"<{self.tag}>"
+
+
+def cell_text(value: Any) -> str:
+    """The text of a non-NULL result-set cell (a datetime is a date too)."""
+    return value.isoformat() if isinstance(value, datetime.date) else str(value)
+
+
+#: Cell types whose text is never empty.
+_NEVER_BLANK = frozenset({int, bool, float, Decimal, datetime.date, datetime.datetime})
+
+#: The ``children`` slot, read and written past ResultSetRoot's property.
+_children = XmlElement.children
+
+
+class ResultSetRoot(XmlElement):
+    """A result-set document that is still its rows.
+
+    ``columns``, ``rows`` and ``row_tag`` stand for the children of the
+    generic result-set shape (:mod:`repro.xmlkit.convert`).  The first
+    read of ``children`` builds that tree and ``rows`` becomes None;
+    until then :meth:`size`, :meth:`copy`, ``resultset_to_rows`` and a
+    renaming ``Stylesheet`` answer from the rows.  ``blank`` is the text
+    of a cell that renders empty: ``""`` as built, None once translated
+    (the walk copies only non-empty text).  The row dicts are shared, so
+    whoever hands them over may not mutate them in place afterwards
+    (docs/performance.md, "Zero-copy operators"); a value that cannot be
+    rendered raises where the tree is built.
+    """
+
+    __slots__ = ("columns", "rows", "row_tag", "blank")
+
+    def __init__(self, tag: str, attributes: dict[str, str] | None,
+                 columns: Sequence[str], rows: Iterable[Mapping[str, Any]],
+                 row_tag: str = "Row"):
+        self.tag, self.text = tag, None
+        self.attributes = dict(attributes) if attributes else {}
+        self.columns, self.rows = tuple(columns), list(rows)
+        self.row_tag, self.blank = row_tag, ""
+        if self.rows and not all(self.columns):
+            raise XmlParseError("element tag must be non-empty")
+
+    @property
+    def children(self) -> list[XmlElement]:
+        if self.rows is not None:
+            self._materialize()
+        return _children.__get__(self)
+
+    @children.setter
+    def children(self, value: list[XmlElement]) -> None:
+        self.rows = None
+        _children.__set__(self, value)
+
+    def _materialize(self) -> None:
+        columns, row_tag, blank = self.columns, self.row_tag, self.blank
+        new = XmlElement.__new__
+        built = []
+        for row in self.rows:
+            # Cells are built in place: one allocation each, nothing copied.
+            cells = []
+            for name in columns:
+                value = row.get(name)
+                cell = new(XmlElement)
+                cell.tag, cell.children = name, []
+                if value is None:
+                    cell.attributes, cell.text = {"null": "true"}, None
+                else:
+                    cell.attributes, cell.text = {}, cell_text(value) or blank
+                cells.append(cell)
+            row_el = new(XmlElement)
+            row_el.tag, row_el.attributes, row_el.text = row_tag, {}, None
+            row_el.children = cells
+            built.append(row_el)
+        self.children = built
+
+    def size(self) -> int:
+        if self.rows is None:
+            return XmlElement.size(self)
+        return 1 + len(self.rows) * (1 + len(self.columns))
+
+    def copy(self) -> XmlElement:
+        if self.rows is None:
+            return XmlElement.copy(self)
+        duplicate = ResultSetRoot(
+            self.tag, self.attributes, self.columns, self.rows, self.row_tag
+        )
+        duplicate.text, duplicate.blank = self.text, self.blank
+        return duplicate
+
+    def event_count(self) -> int:
+        """What ``stx.iter_events`` yields for the tree the rows stand for."""
+        columns, rows = self.columns, self.rows
+        texts = 0
+        for row in rows:
+            for name in columns:
+                value = row.get(name)
+                if value is not None and (
+                    value if type(value) is str
+                    else type(value) in _NEVER_BLANK or cell_text(value)
+                ):
+                    texts += 1
+        return 2 + bool(self.text) + 2 * len(rows) * (1 + len(columns)) + texts
 
 
 def _lift(node: ET.Element) -> XmlElement:

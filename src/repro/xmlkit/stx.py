@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import StxError, XmlParseError
-from repro.xmlkit.doc import XmlElement
+from repro.xmlkit.doc import ResultSetRoot, XmlElement
 
 # ------------------------------------------------------------------ event model
 
@@ -227,6 +227,15 @@ class _PathPlan:
         self.children: dict[str, _PathPlan] = {}
 
 
+def _renamed(step: _PathPlan, tag: str) -> str | None:
+    """The tag ``step`` gives an element if it renames it and nothing else."""
+    if step.action == _IDENTITY:
+        return tag
+    if step.action == _RENAME and not step.rule.attribute_renames:
+        return step.rule.to
+    return None
+
+
 def _events_below_start(element: XmlElement) -> int:
     """Events of ``element``'s subtree after its own START."""
     events, level = -1, [element]
@@ -266,9 +275,38 @@ class Stylesheet:
         return best
 
     def _compile(self, parent: _PathPlan, tag: str) -> _PathPlan:
-        path = parent.path + (tag,)
-        step = parent.children[tag] = _PathPlan(path, self._best_rule(path))
+        """The step of ``tag`` below ``parent``, compiled at first use."""
+        step = parent.children.get(tag)
+        if step is None:
+            path = parent.path + (tag,)
+            step = parent.children[tag] = _PathPlan(path, self._best_rule(path))
         return step
+
+    def _rename_rows(self, document: ResultSetRoot) -> ResultSetRoot | None:
+        """``document`` translated without its tree when the plan renames
+        the root and row tags and nothing else (each step identity or a
+        :class:`RenameRule` without attribute renames) and keeps every
+        column; else None.  Steps are resolved in walk order and no
+        further than the first that does not qualify, so the walk finds
+        the plan as it would have left it."""
+        root = self._compile(self._plan, document.tag)
+        name, row_tag = _renamed(root, document.tag), document.row_tag
+        if name and document.rows:
+            row = self._compile(root, row_tag)
+            row_tag = _renamed(row, row_tag)
+            if row_tag and any(
+                self._compile(row, column).action != _IDENTITY
+                for column in document.columns
+            ):
+                row_tag = None
+        if not (name and row_tag):
+            return None
+        out = ResultSetRoot(
+            name, document.attributes, document.columns, document.rows, row_tag
+        )
+        out.text, out.blank = document.text or None, None
+        self.events_processed += document.event_count()
+        return out
 
     def transform(self, document: XmlElement) -> XmlElement:
         """Run the stylesheet over ``document`` and return the new tree.
@@ -285,10 +323,17 @@ class Stylesheet:
         Only containers open a stack entry; a leaf is finished where it
         is met.  An unwrapped container has no output element of its
         own: its children attach where it would have.
+
+        A result set still held as rows and a plan that only renames it
+        give a result set over the same rows (:meth:`_rename_rows`).
         """
         if self.rules != self._plan_rules:
             self._plan_rules = list(self.rules)
             self._plan = _PathPlan((), None)
+        if type(document) is ResultSetRoot and document.rows is not None:
+            renamed = self._rename_rows(document)
+            if renamed is not None:
+                return renamed
         plan = self._plan
         steps = plan.children
         new = XmlElement.__new__

@@ -5,18 +5,20 @@ before the walk stopped paying per element, verbatim:
 :class:`Stylesheet` pulls every element through :func:`iter_events`
 tuples and one frame tuple per open element, and builds each output
 element through ``open_element`` and ``XmlElement.__init__``;
-:func:`size` recurses; :func:`rows_to_resultset` builds every cell
-through ``add``/``add_text_child``; :func:`resultset_to_rows` walks a
-seven-way type chain per cell; :func:`cdb_order_to_rows` searches the
-children once per field; :func:`validate` re-derives the declared
-attribute and child tables and formats a path for every element.
-Production compiles a stylesheet per path and walks the tree directly,
-counts with an explicit stack, builds cells in place, picks one parser
-per column, reads children in one pass and derives declaration tables
-once; ``tests/xmlkit/test_transform_equivalence.py`` holds it to *this*
-module: same serialized output, same ``events_processed`` (on every
-error path too), same rows, same violation text in the same order, same
-exception types and messages.
+:func:`size` recurses; :func:`rows_to_resultset` builds the whole tree
+at the call; :func:`resultset_to_rows` walks a seven-way type chain per
+cell; :func:`cdb_order_to_rows` searches the children once per field;
+:func:`validate` re-derives the declared attribute and child tables and
+formats a path for every element.  Production compiles a stylesheet per
+path and walks the tree directly, counts with an explicit stack, keeps
+a result set as its rows until something reads it as a tree (renaming
+stylesheets, ``size()`` and ``resultset_to_rows`` never do), picks one
+parser per column, reads children in one pass and derives declaration
+tables once; ``tests/xmlkit/test_transform_equivalence.py`` and
+``test_resultset_equivalence.py`` hold it to *this* module: same
+serialized output, same ``events_processed`` (on every error path too),
+same rows, same violation text in the same order, same exception types
+and messages.
 
 Independence is the point: nothing here may import ``Stylesheet``,
 ``repro.xmlkit.convert``, ``repro.xmlkit.xsd`` or the process helpers
@@ -157,28 +159,39 @@ def size(element: XmlElement) -> int:
 # ---------------------------------------------------------------- result sets
 
 
-def _render(value: Any) -> str:
-    if isinstance(value, (datetime.date, datetime.datetime)):
-        return value.isoformat()
-    return str(value)
-
-
 def rows_to_resultset(
     columns: Sequence[str],
     rows: Iterable[Mapping[str, Any]],
     table: str = "",
 ) -> XmlElement:
     """Serialize rows into the generic result-set shape."""
-    attrs = {"table": table} if table else {}
-    result = XmlElement("ResultSet", attrs)
+    result = XmlElement("ResultSet", {"table": table} if table else None)
+    add_row = result.children.append
+    new = XmlElement.__new__
     for row in rows:
-        row_el = result.add(XmlElement("Row"))
+        # Cells are built in place: one allocation each, nothing copied.
+        cells = []
         for name in columns:
+            if not name:
+                raise XmlParseError("element tag must be non-empty")
             value = row.get(name)
+            cell = new(XmlElement)
+            cell.tag = name
             if value is None:
-                row_el.add(XmlElement(name, {"null": "true"}))
+                cell.attributes = {"null": "true"}
+                cell.text = None
             else:
-                row_el.add_text_child(name, _render(value))
+                cell.attributes = {}
+                cell.text = (
+                    value.isoformat()
+                    if isinstance(value, datetime.date)  # datetimes too
+                    else str(value)
+                )
+            cell.children = []
+            cells.append(cell)
+        row_el = XmlElement("Row")
+        row_el.children = cells
+        add_row(row_el)
     return result
 
 

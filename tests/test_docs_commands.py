@@ -1,13 +1,15 @@
-"""The prose and the CI cannot outlive a flag.
+"""The prose and the CI cannot outlive a flag or a name.
 
 Every ``python -m repro ...`` / ``repro ...`` command line in the CI
 workflow and in the fenced code blocks of README.md, DESIGN.md and
 ``docs/*.md`` (``docs/perf-log/`` is history, not documentation) must be
 accepted by the parser as written; every inline ```repro <command>
---flag``` mention must name a command and flags that exist.
+--flag``` mention must name a command and flags that exist; every
+backticked ```repro.x.y``` dotted name must import or resolve.
 """
 
 import argparse
+import importlib
 import itertools
 import re
 import shlex
@@ -109,8 +111,34 @@ def test_inline_mention_names_real_flags(argv):
         assert flag in known, f"{parser.prog} has no {flag}"
 
 
+def _dotted_names():
+    for path in DOCS:
+        names = re.findall(r"`(repro(?:\.\w+)+)", path.read_text("utf-8"))
+        for name in sorted(set(names)):
+            yield pytest.param(name, id=f"{path.name}:{name}")
+
+
+@pytest.mark.parametrize("name", list(_dotted_names()))
+def test_dotted_name_resolves(name):
+    """The longest importable prefix, then attributes for the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name != module:
+                raise
+            continue
+        for attribute in parts[cut:]:
+            assert hasattr(target, attribute), f"{name}: no {attribute!r}"
+            target = getattr(target, attribute)
+        return
+
+
 def test_the_extractors_find_the_commands():
     """A regex that silently matches nothing would pass everything."""
     assert len(list(_ci_commands())) >= 20
     assert len(list(_doc_commands())) >= 40
     assert len(list(_inline_mentions())) >= 15
+    assert len(list(_dotted_names())) >= 60
