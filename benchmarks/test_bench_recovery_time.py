@@ -6,11 +6,18 @@ different checkpoint cadences and reports the trade-off curve: frequent
 checkpoints shorten the redo tail (fast recovery, many checkpoints);
 the pure ``wal`` mode pays the whole period's tail.  Every configuration
 must still converge byte-identically to the fault-free baseline.
+
+It also holds the run-length gate: what durability keeps per checkpoint
+and per commit does not grow with the number of periods run or of
+commits made (counted, not timed).
 """
 
+import gc
+import tracemalloc
 from unittest import mock
 
 from repro.engine import MtmInterpreterEngine
+from repro.parallel.spec import RunSpec
 from repro.resilience import FaultEvent, FaultSpec
 from repro.scenario import build_scenario
 from repro.storage import StorageManager, landscape_digest
@@ -161,3 +168,105 @@ def test_recovery_time_vs_checkpoint_cadence(benchmark):
 
     # The timed unit: one full recovery cycle (capture is in run_once).
     benchmark(lambda: run_once("snapshot+wal", 50.0)[1].recoveries)
+
+
+#: The two period-baseline checkpoints the run-length gate compares.
+EARLY_PERIOD, LATE_PERIOD = 2, 30
+#: What a baseline checkpoint may retain beyond the early one's.
+RETAINED_SLACK_BYTES = 1024
+#: The same gate on the code that copied the record history at every
+#: checkpoint and kept a capture per commit (commit 0a09caf, CPython
+#: 3.11): bytes retained at periods 2 / 30, and GC-tracked objects
+#: the commit log held at its smallest / largest size (1 / 17 commits)
+#: in period 1.
+COPYING_CHECKPOINTS = {
+    "retained_bytes": {"early": 32696, "late": 70776},
+    "held_by_commits": {"smallest": 106, "largest": 545},
+}
+
+
+def _reachable(roots) -> dict[int, object]:
+    """GC-tracked objects reachable from ``roots``, not through a class."""
+    seen: dict[int, object] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not gc.is_tracked(obj) or isinstance(obj, type):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_durability_cost_does_not_grow_with_the_run():
+    """Run-length gate, clock-free: on a ``snapshot+wal`` d=0.05 run with
+    one commit-point crash a period, the period-baseline checkpoint at
+    period 30 retains no more memory than the one at period 2 (+1 KiB),
+    and the commit log holds no GC-tracked object beyond its commit
+    shells and the instance records the engine already holds, however
+    many commits it has.  The first breaks when a checkpoint copies the
+    run's record history, the second when a commit keeps its own runtime
+    or counter capture."""
+    retained: dict[int, int] = {}
+    held: dict[int, int] = {}
+    take_checkpoint = StorageManager.take_checkpoint
+    commit_instance = StorageManager.commit_instance
+
+    def traced_checkpoint(storage, engine, at):
+        if at != 0.0 or storage.period not in (EARLY_PERIOD, LATE_PERIOD):
+            return take_checkpoint(storage, engine, at)
+        tracemalloc.start()
+        try:
+            checkpoint = take_checkpoint(storage, engine, at)
+            retained[storage.period] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return checkpoint
+
+    def counted_commit(storage, engine, record):
+        commit_instance(storage, engine, record)
+        if storage.period == 1 and storage.commits:
+            shells = {id(storage.commits)} | {id(c) for c in storage.commits}
+            own = (
+                _reachable([storage.commits]).keys()
+                - _reachable([engine.records]).keys()
+                - shells
+            )
+            held[len(storage.commits)] = len(own)
+
+    spec = RunSpec(
+        engine="interpreter", datasize=0.05, periods=LATE_PERIOD + 1,
+        seed=5, jitter=0.0, durability="snapshot+wal", checkpoint_every=50.0,
+        faults=FaultSpec(name="gate", events=(
+            FaultEvent(at=CRASH_AT, kind="crash", point="commit"),
+        )),
+    )
+    with mock.patch.object(StorageManager, "take_checkpoint", traced_checkpoint), \
+            mock.patch.object(StorageManager, "commit_instance", counted_commit):
+        client = BenchmarkClient.from_spec(spec)
+        client.run(verify=False)
+    assert client.storage.recoveries == LATE_PERIOD + 1
+    smallest, largest = min(held), max(held)
+    assert largest >= 10, held
+    ledger_append(
+        "storage:checkpoint_watermark",
+        {
+            "config": "interpreter d=0.05 seed 5, snapshot+wal every 50 tu, "
+                      f"commit-point crash at t={CRASH_AT} every period, "
+                      f"{LATE_PERIOD + 1} periods",
+            "retained_bytes": {
+                "early": retained[EARLY_PERIOD], "late": retained[LATE_PERIOD]
+            },
+            "held_by_commits": {
+                "smallest": held[smallest], "largest": held[largest],
+                "commits": [smallest, largest],
+            },
+            "copying_checkpoints": COPYING_CHECKPOINTS,
+            "checkpoints": client.storage.checkpoints,
+            "instance_records": len(client.engine.records),
+        },
+    )
+    assert (
+        retained[LATE_PERIOD] <= retained[EARLY_PERIOD] + RETAINED_SLACK_BYTES
+    ), retained
+    assert held[largest] == held[smallest], held

@@ -345,23 +345,7 @@ class ClusterManager:
                 reseeded += 1
         self.shipper.stats.reseeds += reseeded
 
-        # Engine volatile state: records, runtime and exact counters as of
-        # the last commit — identical to RecoveryManager's protocol.
-        commits = storage.commits
-        engine.records = list(checkpoint.engine_records) + [
-            commit.record for commit in commits
-        ]
-        last_runtime = (
-            commits[-1].runtime if commits else checkpoint.engine_runtime
-        )
-        engine.restore_runtime_state(last_runtime)
-        last_counters = (
-            commits[-1].counters if commits else checkpoint.counters
-        )
-        for name, state in last_counters.items():
-            db = storage.databases.get(name)
-            if db is not None:
-                db.restore_counter_state(state)
+        storage.restore_engine_state(engine)
         storage.resume()
 
         routes = {name: placement[0] for name, placement in self.placement.items()}

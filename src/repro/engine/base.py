@@ -189,6 +189,9 @@ class IntegrationEngine:
         #: per-instance management cost (admission control keeps the
         #: self-management effect bounded).
         self.management_queue_cap = 16
+        #: Append-only: a durability checkpoint holds this list and its
+        #: length as a watermark, so nothing may change it in place
+        #: except by appending; clearing rebinds a new list.
         self.records: list[InstanceRecord] = []
         #: Execution profile of the most recent ``_execute_instance``,
         #: captured by subclasses via :meth:`_capture_profile`.
@@ -845,7 +848,7 @@ class IntegrationEngine:
         return [r for r in self.records if r.process_id == process_id]
 
     def clear_records(self) -> None:
-        self.records.clear()
+        self.records = []
 
     def error_records(self) -> list[InstanceRecord]:
         return [r for r in self.records if r.status != "ok"]

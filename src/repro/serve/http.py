@@ -64,6 +64,7 @@ REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     200: "OK",
@@ -107,9 +108,17 @@ def _text_response(status: int, text: str) -> bytes:
     return head.encode() + body
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line; a line over the reader's limit is a 431, not a 500."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the stream's LimitOverrunError, re-raised
+        raise _HttpError(431, "request line or header line too long")
+
+
 async def _read_request(reader: asyncio.StreamReader):
     """Parse one request → (method, target, headers, body)."""
-    request_line = await reader.readline()
+    request_line = await _readline(reader)
     if not request_line:
         return None
     try:
@@ -118,12 +127,17 @@ async def _read_request(reader: asyncio.StreamReader):
         raise _HttpError(400, "malformed request line")
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HttpError(
+            400, f"Content-Length is not a non-negative integer: {raw_length!r}"
+        )
+    length = int(raw_length)
     if length > MAX_BODY:
         raise _HttpError(413, f"body exceeds {MAX_BODY} bytes")
     body = await reader.readexactly(length) if length else b""

@@ -1,12 +1,14 @@
 """The StorageManager: durability policy for one benchmark run.
 
 Owns one :class:`WriteAheadLog` per attached database, the latest
-:class:`Checkpoint`, and the *commit log* — one :class:`EngineCommit`
-per finished process instance, carrying the instance record, the
-engine's volatile runtime state and the exact per-database counters at
-commit time.  Together these are sufficient for
+:class:`Checkpoint`, the *commit log* — one :class:`EngineCommit` per
+finished process instance, carrying its instance record — and the
+engine's volatile runtime state and exact per-database counters as of
+the *last* commit (recovery restores exactly that state, so no earlier
+commit keeps a capture).  Together these are sufficient for
 :class:`~repro.storage.recovery.RecoveryManager` to rebuild everything
-a crash destroys.
+a crash destroys, at a cost in the commits since the checkpoint, not in
+the length of the run.
 
 Durability modes:
 
@@ -57,8 +59,6 @@ class EngineCommit:
     commit_id: int
     at: float
     record: "InstanceRecord"
-    runtime: dict
-    counters: dict[str, dict]
 
 
 class StorageManager:
@@ -98,6 +98,9 @@ class StorageManager:
         self.replication = None
         self.checkpoint_state: Checkpoint | None = None
         self.commits: list[EngineCommit] = []
+        #: ``(runtime_state, per-database counter_state)`` as of the last
+        #: commit, or of the checkpoint when none followed it.
+        self._committed: tuple[dict, dict[str, dict]] = ({}, {})
         self.period = -1
         self._recording = False
         self._next_commit_id = 1
@@ -194,7 +197,8 @@ class StorageManager:
                 name: db.counter_state()
                 for name, db in self.databases.items()
             },
-            engine_records=list(engine.records),
+            engine_records=engine.records,
+            engine_record_count=len(engine.records),
             engine_runtime=engine.runtime_state(),
         )
         if self.replication is not None:
@@ -202,6 +206,7 @@ class StorageManager:
         for wal in self.wals.values():
             wal.truncate()
         self.commits.clear()
+        self._committed = (checkpoint.engine_runtime, checkpoint.counters)
         self.checkpoint_state = checkpoint
         self.checkpoints += 1
         if self._metrics is not None:
@@ -224,17 +229,10 @@ class StorageManager:
         sealed = 0
         for wal in self.wals.values():
             sealed += wal.commit(commit_id)
-        self.commits.append(
-            EngineCommit(
-                commit_id=commit_id,
-                at=record.completion,
-                record=record,
-                runtime=engine.runtime_state(),
-                counters={
-                    name: db.counter_state()
-                    for name, db in self.databases.items()
-                },
-            )
+        self.commits.append(EngineCommit(commit_id, record.completion, record))
+        self._committed = (
+            engine.runtime_state(),
+            {name: db.counter_state() for name, db in self.databases.items()},
         )
         self.commit_count += 1
         at = record.completion
@@ -292,6 +290,25 @@ class StorageManager:
                     "storage_wal_discarded_total",
                     help="Uncommitted WAL records lost to crashes",
                 ).inc(discarded)
+
+    def restore_engine_state(self, engine: "IntegrationEngine") -> None:
+        """Put the engine's volatile state back as of the last commit:
+        the checkpoint's record list cut back to its watermark and
+        extended by one record per commit since, in place (O(commits
+        since the checkpoint)); the runtime state; and last the exact
+        counters, overwriting what restore and redo accumulated (no
+        double counting).  Recovery and failover both end with this."""
+        checkpoint = self.checkpoint_state
+        records = checkpoint.engine_records
+        del records[checkpoint.engine_record_count:]
+        records.extend(commit.record for commit in self.commits)
+        engine.records = records
+        runtime, counters = self._committed
+        engine.restore_runtime_state(runtime)
+        for name, state in counters.items():
+            db = self.databases.get(name)
+            if db is not None:
+                db.restore_counter_state(state)
 
     def note_recovery(self, report: "RecoveryReport") -> None:
         """Book one completed recovery (called by the RecoveryManager)."""

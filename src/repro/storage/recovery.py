@@ -102,21 +102,8 @@ class RecoveryManager:
                 db.redo(record.target, record.op, record.payload)
                 redo_records += 1
 
+        storage.restore_engine_state(engine)
         commits = storage.commits
-        engine.records = list(checkpoint.engine_records) + [
-            commit.record for commit in commits
-        ]
-        last_runtime = commits[-1].runtime if commits else checkpoint.engine_runtime
-        engine.restore_runtime_state(last_runtime)
-
-        # Counters last: overwrite whatever restore/redo accumulated with
-        # the exact committed values (the no-double-counting guarantee).
-        last_counters = commits[-1].counters if commits else checkpoint.counters
-        for name, state in last_counters.items():
-            db = storage.databases.get(name)
-            if db is not None:
-                db.restore_counter_state(state)
-
         storage.resume()
         report = RecoveryReport(
             period=storage.period,

@@ -11,7 +11,11 @@ purely logical.
 
 A :class:`Checkpoint` bundles the snapshots of every attached database
 with the exact I/O counters and the owning engine's volatile state
-(instance records, worker heaps, id counters) at one instant.  Taking a
+(worker heaps, id counters) at one instant.  The engine's instance
+records are held as a *watermark*, not a copy: the engine's record list
+is append-only (:meth:`IntegrationEngine.clear_records` and a crash
+rebind it rather than clear it), so the list plus its length at capture
+time names the history exactly, at O(1) per checkpoint.  Taking a
 checkpoint never reads through the counted query paths
 (:meth:`Table.dump_rows`), so checkpoint cadence cannot perturb the
 cost model — the determinism contract of :mod:`repro.storage`.
@@ -122,7 +126,10 @@ class Checkpoint:
     period: int
     databases: dict[str, DatabaseSnapshot]
     counters: dict[str, dict]
+    #: The engine's live, append-only record list and its length at
+    #: capture time: the history is ``engine_records[:engine_record_count]``.
     engine_records: list
+    engine_record_count: int
     engine_runtime: dict
 
     @property

@@ -15,7 +15,11 @@ and counters, same errors at the same calls.
 
 :class:`Durability` is the checkpoint / commit / crash / recover
 protocol of ``StorageManager`` + ``RecoveryManager`` for one database,
-without their policy (modes, cadence, group commit, metrics).
+without their policy (modes, cadence, group commit, metrics).  It keeps
+the engine's volatile state the way it was kept before checkpoints held
+a watermark into the record list: every checkpoint copies the engine's
+whole record history, and every commit keeps its own runtime and
+counter capture.
 
 Independence is the point: nothing here may import
 ``repro.storage.snapshot`` or ``repro.storage.wal`` (the database,
@@ -202,47 +206,91 @@ class WriteAheadLog:
 # ----------------------------------------------------- checkpoint and recovery
 
 
-class Durability:
-    """Checkpoint, commit, crash and redo recovery of one database."""
+@dataclass
+class Commit:
+    """One commit with its own capture of the engine and the counters."""
 
-    def __init__(self, db: Database):
+    at: float
+    record: Any
+    runtime: dict
+    counters: dict
+
+
+class Durability:
+    """Checkpoint, commit, crash and redo recovery of one database, and
+    of an engine's records, runtime state and the counters."""
+
+    def __init__(self, db: Database, engine: Any):
         self.db = db
+        self.engine = engine
         self.wal = WriteAheadLog(db.name)
         self.recording = False
         self.checkpoint: DatabaseCapture | None = None
+        self.checkpoint_at = 0.0
         self.counters: dict | None = None
+        self.engine_records: list = []
+        self.engine_runtime: dict | None = None
+        self.commits: list[Commit] = []
         db.set_change_listener(self._listen)
 
     def _listen(self, target: str, op: str, payload: tuple) -> None:
         if self.recording:
             self.wal.append(target, op, payload)
 
-    def take_checkpoint(self) -> DatabaseCapture:
+    def take_checkpoint(self, at: float = 0.0) -> DatabaseCapture:
         self.checkpoint = capture(self.db)
+        self.checkpoint_at = at
         self.counters = self.db.counter_state()
+        self.engine_records = list(self.engine.records)
+        self.engine_runtime = self.engine.runtime_state()
         self.wal.truncate()
+        self.commits = []
         self.recording = True
         return self.checkpoint
 
-    def commit(self, commit_id: int) -> int:
+    def begin_period(self) -> DatabaseCapture:
+        """A period starts: uncommitted buffers go, a baseline is taken."""
+        self.wal.discard_open()
+        return self.take_checkpoint(at=0.0)
+
+    def commit(self, commit_id: int, record: Any, at: float) -> int:
         sealed = self.wal.commit(commit_id)
-        self.counters = self.db.counter_state()
+        self.commits.append(
+            Commit(at, record, self.engine.runtime_state(),
+                   self.db.counter_state())
+        )
         return sealed
 
     def crash(self) -> None:
         self.wal.discard_open()
         self.recording = False
 
-    def recover(self) -> tuple[int, int]:
-        """Restore + redo; returns ``(snapshot_rows, redo_records)``."""
+    def recover(self) -> dict:
+        """Restore + redo + engine state; returns what a recovery report
+        states (``snapshot_rows``, ``redo_records``, ``commits_replayed``,
+        ``records_restored``, ``checkpoint_at``, ``recovered_to``)."""
         snapshot_rows = restore(self.checkpoint, self.db)
         redo_records = 0
         for record in self.wal.committed_records():
             self.db.redo(record.target, record.op, record.payload)
             redo_records += 1
-        self.db.restore_counter_state(self.counters)
+        last = self.commits[-1] if self.commits else Commit(
+            self.checkpoint_at, None, self.engine_runtime, self.counters
+        )
+        self.engine.records = list(self.engine_records) + [
+            commit.record for commit in self.commits
+        ]
+        self.engine.restore_runtime_state(last.runtime)
+        self.db.restore_counter_state(last.counters)
         self.recording = True
-        return snapshot_rows, redo_records
+        return {
+            "snapshot_rows": snapshot_rows,
+            "redo_records": redo_records,
+            "commits_replayed": len(self.commits),
+            "records_restored": len(self.engine.records),
+            "checkpoint_at": self.checkpoint_at,
+            "recovered_to": last.at,
+        }
 
 
 # ------------------------------------------------------------------ deployment

@@ -117,6 +117,33 @@ class TestRouting:
 
         serve_scenario(scenario)
 
+    @pytest.mark.parametrize("head, status", [
+        (b"Content-Length: abc\r\n", 400),
+        (b"Content-Length: -3\r\n", 400),
+        (b"X-Long: " + b"a" * (1 << 17) + b"\r\n", 431),
+    ], ids=["length-not-a-number", "length-negative", "header-over-limit"])
+    def test_malformed_head_is_a_4xx_and_the_server_stays_up(
+        self, fast_runs, head, status
+    ):
+        async def scenario(client):
+            reader, writer = await asyncio.open_connection(
+                client.host, client.port
+            )
+            writer.write(
+                b"POST /sessions HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n{}"
+            )
+            await writer.drain()
+            answered = int((await reader.readline()).split()[1])
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:  # the server closed with bytes unread
+                pass
+            assert answered == status
+            assert (await client.healthz()).status == 200
+
+        serve_scenario(scenario)
+
 
 class TestSessionFlow:
     def test_submit_wait_report(self, fast_runs):

@@ -2,13 +2,17 @@
 
 The oracle is ``tests/oracle/storage.py``: the durability layer as it
 was when every checkpoint deep-copied every row, the WAL copied every
-payload and built every record at commit, and reads scanned the tail.
-Two identical databases take the same random statement sequence, one
-under production ``StorageManager`` / ``RecoveryManager``, one under the
-oracle; after every step the WALs must read the same record for record,
-every checkpoint must equal the oracle's full capture, and every
-recovery must land on the same digest, counters and report — on plain
-list storage and store-backed, switched in mid-sequence.
+payload and built every record at commit, and reads scanned the tail,
+and when every checkpoint copied the engine's record history and every
+commit kept its own runtime and counter capture.  Two identical
+databases and engines take the same random sequence of statements,
+commits, checkpoints, periods, cleared histories, crashes and
+failovers, one under production ``StorageManager`` / ``RecoveryManager``
+/ ``ClusterManager``, one under the oracle; after every step the WALs
+must read the same record for record, every checkpoint must equal the
+oracle's full capture, and every recovery must land on the same digest,
+counters, engine records, runtime state and report — on plain list
+storage and store-backed, switched in mid-sequence.
 """
 
 import ast
@@ -17,16 +21,19 @@ import pathlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig, ClusterManager
 from repro.db import Column, Database, TableSchema
 from repro.db.active import ViewQuery
-from repro.errors import IntegrityError, WalError
+from repro.errors import EngineCrashed, IntegrityError, WalError
+from repro.services.network import Network
 from repro.storage import (
     LOAD_COST_PER_ROW,
     REDO_COST_PER_RECORD,
     RecoveryManager,
     StorageManager,
-    database_digest,
+    landscape_digest,
 )
+from repro.toolsuite import ScaleFactors
 from tests.oracle import storage as oracle
 from tests.storage.test_manager import FakeEngine, FakeRecord
 
@@ -122,7 +129,7 @@ def apply(db, op, bulk=True):
 
 
 def live_state(db):
-    return (database_digest(db), db.counter_state(), db.list_indexes())
+    return (landscape_digest([db]), db.counter_state(), db.list_indexes())
 
 
 def fields(records):
@@ -162,23 +169,42 @@ def assert_same_snapshot(production, reference):
     assert production.row_count == reference.row_count
 
 
-class Pair:
-    """One database under production durability, its twin under the oracle."""
+def fresh_runtime():
+    return {"worker_free": [], "in_system": [], "next_instance_id": 1}
 
-    def __init__(self):
+
+def engine_state(engine):
+    return engine.records, engine.runtime_state()
+
+
+class Pair:
+    """One database and engine under production durability, their twins
+    under the oracle.
+
+    ``clustered`` puts a three-host ``ClusterManager`` on the production
+    side, so that a ``failover`` step runs its promotion and engine
+    restore instead of the ``RecoveryManager``; the oracle recovers the
+    twin the one way it knows, and both must land on the same state.
+    """
+
+    def __init__(self, clustered=False):
         self.db = make_db()
         self.engine = FakeEngine(self.db)
         self.storage = StorageManager(mode="wal")
         self.storage.attach_engine(self.engine)
+        self.cluster = None
+        if clustered:
+            self.cluster = ClusterManager(
+                ClusterConfig(hosts=3, replicas=1), self.storage,
+                Network(seed=0), ScaleFactors(), seed=0,
+            )
         self.twin = make_db()
-        self.reference = oracle.Durability(self.twin)
+        self.twin_engine = FakeEngine(self.twin)
+        self.reference = oracle.Durability(self.twin, self.twin_engine)
         self.clock = 0.0
         self.commit_id = 0
-        self.storage.begin_period(0, self.engine)
-        self.snapshots = (
-            self.storage.checkpoint_state.databases["d"],
-            self.reference.take_checkpoint(),
-        )
+        self.period = -1
+        self.begin_period()
         self.check()
 
     @property
@@ -188,14 +214,39 @@ class Pair:
     def check(self):
         assert live_state(self.db) == live_state(self.twin)
         assert wal_reading(self.wal) == wal_reading(self.reference.wal)
-        # The latest checkpoint still reads as it did when it was taken.
+        assert engine_state(self.engine) == engine_state(self.twin_engine)
+        # The latest checkpoint still reads as it did when it was taken:
+        # its rows, and the record history below its watermark.
         assert_same_snapshot(*self.snapshots)
+        checkpoint = self.storage.checkpoint_state
+        assert (
+            checkpoint.engine_records[: checkpoint.engine_record_count]
+            == self.reference.engine_records
+        )
+
+    def begin_period(self):
+        self.period += 1
+        self.storage.begin_period(self.period, self.engine)
+        if self.cluster is not None:
+            self.cluster.begin_period(self.period)
+        self.snapshots = (
+            self.storage.checkpoint_state.databases["d"],
+            self.reference.begin_period(),
+        )
 
     def commit(self):
+        """One instance finishes on both engines: its record is
+        appended, the runtime moves on, and the commit is made."""
         self.clock += 1.0
         self.commit_id += 1
-        self.storage.commit_instance(self.engine, FakeRecord(self.clock))
-        self.reference.commit(self.commit_id)
+        record = FakeRecord(self.clock)
+        runtime = {"worker_free": [self.clock], "in_system": [self.clock],
+                   "next_instance_id": self.commit_id + 1}
+        for engine in (self.engine, self.twin_engine):
+            engine.records.append(record)
+            engine.restore_runtime_state(runtime)
+        self.storage.commit_instance(self.engine, record)
+        self.reference.commit(self.commit_id, record, self.clock)
         assert self.storage.commits[-1].commit_id == self.commit_id
 
     def checkpoint(self):
@@ -203,20 +254,43 @@ class Pair:
             self.commit()
         self.snapshots = (
             self.storage.take_checkpoint(self.engine, self.clock).databases["d"],
-            self.reference.take_checkpoint(),
+            self.reference.take_checkpoint(self.clock),
         )
 
-    def crash_and_recover(self):
+    def clear_records(self):
+        self.engine.clear_records()
+        self.twin_engine.records.clear()  # the oracle copied what it keeps
+
+    def crash(self):
+        """What ``IntegrationEngine.crash`` does to the volatile state."""
+        for engine in (self.engine, self.twin_engine):
+            engine.records = []
+            engine.restore_runtime_state(fresh_runtime())
         self.storage.on_crash(self.engine)
         self.reference.crash()
+
+    def crash_and_recover(self):
+        self.crash()
         report = RecoveryManager(self.storage).recover(self.engine)
-        snapshot_rows, redo_records = self.reference.recover()
-        assert report.snapshot_rows == snapshot_rows
-        assert report.redo_records == redo_records
+        expected = self.reference.recover()
         assert report.modeled_cost == (
-            snapshot_rows * LOAD_COST_PER_ROW
-            + redo_records * REDO_COST_PER_RECORD
+            expected["snapshot_rows"] * LOAD_COST_PER_ROW
+            + expected["redo_records"] * REDO_COST_PER_RECORD
         )
+        stated = {
+            name: value for name, value in vars(report).items()
+            if name not in ("wall_ms", "modeled_cost")
+        }
+        assert stated == {"period": self.period, "databases": 1, **expected}
+
+    def crash_and_fail_over(self):
+        if self.cluster is None or len(self.cluster.alive_hosts) < 2:
+            self.crash_and_recover()
+            return
+        self.crash()
+        self.storage.reattach_engine(self.engine)
+        self.cluster.failover(self.engine, EngineCrashed("x", at=self.clock))
+        self.reference.recover()
 
     def step(self, op):
         if op == ("commit",):
@@ -225,6 +299,12 @@ class Pair:
             self.checkpoint()
         elif op == ("crash",):
             self.crash_and_recover()
+        elif op == ("failover",):
+            self.crash_and_fail_over()
+        elif op == ("period",):
+            self.begin_period()
+        elif op == ("clear_records",):
+            self.clear_records()
         else:
             assert apply(self.db, op) == apply(self.twin, op, bulk=False), op
         self.check()
@@ -259,16 +339,24 @@ op_strategy = st.one_of(
     st.just(("commit",)),
     st.just(("checkpoint",)),
     st.just(("crash",)),
+    st.just(("failover",)),
+    st.just(("period",)),
+    st.just(("clear_records",)),
 )
+
+
+def walk(ops, clustered=False):
+    pair = Pair(clustered)
+    for op in ops:
+        pair.step(op)
+    return pair
 
 
 class TestDurabilityMatchesTheOracle:
     @settings(max_examples=250, deadline=None)
-    @given(ops=st.lists(op_strategy, max_size=40))
-    def test_random_sequences(self, ops):
-        pair = Pair()
-        for op in ops:
-            pair.step(op)
+    @given(ops=st.lists(op_strategy, max_size=40), clustered=st.booleans())
+    def test_random_sequences(self, ops, clustered):
+        pair = walk(ops, clustered)
         # Whatever happened, one more crash converges on the same state.
         pair.crash_and_recover()
         pair.check()
@@ -309,6 +397,66 @@ class TestDurabilityMatchesTheOracle:
             pair.step(op)
         assert pair.wal.records_appended == pair.reference.wal.records_appended > 0
         assert pair.storage.recoveries == 2
+
+
+class TestRecordHistoryAcrossTheWatermark:
+    """Fixed walks over what the watermark must get right: a history
+    spanning earlier periods, a prefix truncated twice, a history that
+    was cleared, and the failover's engine restore."""
+
+    def test_crash_after_two_periods_and_two_checkpoints(self):
+        pair = walk([
+            ("insert", "t1", 1, "a"), ("commit",), ("commit",),
+            ("period",),
+            ("insert", "t1", 2, "b"), ("commit",), ("checkpoint",),
+            ("period",),
+            ("update", "t1", 2, "c"), ("commit",), ("checkpoint",),
+            ("insert", "t0", 4, "d"), ("commit",),
+            ("crash",),
+        ])
+        assert pair.storage.checkpoints == 5 and pair.period == 2
+        assert len(pair.engine.records) == 5
+
+    def test_two_crashes_in_one_checkpoint_interval(self):
+        pair = walk([
+            ("commit",), ("checkpoint",),
+            ("insert", "t1", 1, "a"), ("commit",),
+            ("crash",),
+            ("insert", "t1", 2, "b"), ("commit",),
+            ("insert", "t1", 3, "c"),  # never committed
+            ("crash",),
+        ])
+        assert pair.storage.recoveries == 2
+        assert pair.storage.checkpoint_state.engine_record_count == 1
+        assert [r.completion for r in pair.engine.records] == [1.0, 2.0, 3.0]
+
+    def test_cleared_history_then_a_crash(self):
+        pair = walk([
+            ("commit",), ("commit",),
+            ("period",),
+            ("clear_records",),
+            ("commit",),
+            ("crash",),
+            ("commit",), ("checkpoint",), ("clear_records",), ("commit",),
+            ("crash",),
+        ])
+        # A crash restores the history the checkpoint saw, clearing or not.
+        assert [r.completion for r in pair.engine.records] == [
+            1.0, 2.0, 3.0, 4.0, 5.0
+        ]
+
+    def test_failover_restores_the_engine_like_recovery(self):
+        pair = walk([
+            ("insert", "t1", 1, "a"), ("commit",), ("period",),
+            ("insert", "t1", 2, "b"), ("commit",), ("checkpoint",),
+            ("update", "t1", 2, "c"), ("commit",),
+            ("failover",),
+            ("insert", "t0", 5, "e"), ("commit",),
+            ("failover",),
+        ], clustered=True)
+        assert len(pair.cluster.failover_reports) == 2
+        assert pair.storage.recoveries == 0
+        assert len(pair.engine.records) == 4
 
 
 def test_oracle_is_independent_of_the_code_it_checks():

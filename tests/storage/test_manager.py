@@ -8,6 +8,7 @@ import pytest
 
 from repro.db.database import Database
 from repro.db.schema import Column, TableSchema
+from repro.engine.base import IntegrationEngine
 from repro.errors import RecoveryError, StorageError
 from repro.observability.export import export_prometheus
 from repro.observability.metrics import MetricsRegistry
@@ -37,6 +38,10 @@ class FakeEngine:
 
     def restore_runtime_state(self, state):
         self._runtime = dict(state)
+
+    # The production bodies: clearing rebinds the append-only list.
+    clear_records = IntegrationEngine.clear_records
+    note_catalog_reroute = IntegrationEngine.note_catalog_reroute
 
 
 def make_db(name="cdb"):
