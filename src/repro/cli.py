@@ -41,7 +41,8 @@ from typing import Sequence
 
 from repro.db import partition as db_partition
 from repro.engine import ENGINES
-from repro.errors import FaultSpecError, ServeError
+from repro.declare import choices_of, fields_of, from_text, knob_type
+from repro.errors import FaultSpecError, ReproError, ServeError
 from repro.ioutil import write_json_atomic, write_text_atomic
 from repro.mtm.process import validate_definition
 from repro.observability.export import export_prometheus
@@ -54,9 +55,10 @@ from repro.parallel import (
     parse_grid_axes,
     prove_convergence,
 )
-from repro.parallel.spec import KNOBS, knob_type
 from repro.resilience import FaultEvent, FaultSpec
 from repro.scenario import PROCESS_TABLE, build_processes, build_scenario
+from repro.serve.manager import ServeConfig
+from repro.serve.storm import StormConfig
 from repro.storage import DURABILITY_MODES, landscape_digest
 from repro.toolsuite import ScaleFactors, sweep_table
 from repro.toolsuite.schedule import build_schedule
@@ -66,30 +68,36 @@ class _UsageError(Exception):
     """What the user typed cannot be run: printed as ``error: ...``, exit 2."""
 
 
-def _spec_options(parser, names: str, **overrides) -> None:
-    """Add the options of the named :class:`RunSpec` fields to ``parser``.
+def _spec_options(parser, spec, names: str, **overrides) -> None:
+    """Add the options of the named fields of a declared ``spec`` class.
 
     Flag, type, choices, default and help come from the field's
-    declaration; ``overrides`` holds what this command does differently —
-    a bare value is its default, a dict is merged into the
-    ``add_argument`` keywords (``flag`` respells the option).
-    :func:`_spec_from_args` reads the values back by the same names.
+    declaration (:func:`repro.declare.knob`); ``overrides`` holds what
+    this command does differently — a bare value is its default, a dict
+    is merged into the ``add_argument`` keywords (``flag`` respells the
+    option).  :func:`_spec_from_args` reads the values back by the same
+    names.
     """
     dests = {}
     for name in names.split():
-        knob = KNOBS[name].metadata
+        declared = fields_of(spec)[name]
+        knob = declared.metadata
         override = overrides.get(name, {})
         if not isinstance(override, dict):
             override = {"default": override}
-        options = {"default": KNOBS[name].default, "help": knob["help"]}
-        choices = knob.get("choices")
+        default = declared.default
+        if knob.get("action") == "append":
+            default = []
+        elif isinstance(default, tuple):
+            default = knob["split"].join(default)
+        options = {"default": default, "help": knob["help"]}
+        choices = choices_of(declared)
         if choices is not None:
-            options["choices"] = choices() if callable(choices) else choices
-        if "metavar" in knob:
-            options["metavar"] = knob["metavar"]
+            options["choices"] = choices
+        options.update((k, knob[k]) for k in ("metavar", "action") if k in knob)
         options.update(override)
         flag = options.pop("flag", knob["flag"])
-        parsed_as = knob_type(name)
+        parsed_as = knob_type(declared)
         if parsed_as in (int, float):
             options["type"] = parsed_as
         if parsed_as is bool:
@@ -97,28 +105,34 @@ def _spec_options(parser, names: str, **overrides) -> None:
         elif options["default"] not in (None, "", []):
             options["help"] += " (default %(default)s)"
         dests[name] = parser.add_argument(flag, **options).dest
-    parser.set_defaults(spec_dests=dests)
+    parser.set_defaults(
+        spec_dests={**(parser.get_default("spec_dests") or {}), spec: dests}
+    )
 
 
-def _spec_from_args(args: argparse.Namespace, **fixed) -> RunSpec:
-    """The RunSpec a namespace filled by :func:`_spec_options` describes."""
-    values = {
-        name: getattr(args, dest) for name, dest in args.spec_dests.items()
-    }
-    if "verify" in values:
-        values["verify"] = not values["verify"]  # the flag is --no-verify
-    if values.get("faults"):
-        try:
-            values["faults"] = FaultSpec.load(values["faults"])
-        except (OSError, FaultSpecError) as exc:
-            raise _UsageError(
-                f"cannot load fault spec {values['faults']}: {exc}"
-            ) from None
-    spec = RunSpec(**{**values, **fixed})
-    problems = spec.problems()
+def _spec_from_args(args: argparse.Namespace, spec: type = RunSpec, **fixed):
+    """The ``spec`` a namespace filled by :func:`_spec_options` describes."""
+    values, found = {}, []
+    try:
+        for name, dest in args.spec_dests[spec].items():
+            knob, value = fields_of(spec)[name], getattr(args, dest)
+            if knob_type(knob) is bool and knob.default is True:
+                value = not value  # spelled --no-...
+            elif isinstance(value, str) and "split" in knob.metadata:
+                value = from_text(knob, value, found)
+            if "parse" in knob.metadata and value is not None:
+                value = knob.metadata["parse"](value)
+            values[name] = value
+        # The serve configs refuse bad values; a RunSpec lists them.
+        built = spec(**{**values, **fixed})
+    except ReproError as exc:
+        raise _UsageError(str(exc)) from None
+    if found:
+        raise _UsageError("; ".join(found))
+    problems = built.problems() if isinstance(built, RunSpec) else []
     if problems:
         raise _UsageError("invalid run spec: " + "; ".join(problems))
-    return spec
+    return built
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="execute the benchmark")
     _spec_options(
-        run,
+        run, RunSpec,
         "engine datasize time distribution periods seed jitter "
         "engine_workers faults max_attempts durability checkpoint_every "
         "mem_budget",
@@ -172,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # Every grid point shares these; --synth is repeatable and sweeps as
     # one more grid axis (also spellable as --grid synth=K1/K2).
     _spec_options(
-        sweep,
+        sweep, RunSpec,
         "periods jitter engine_workers faults max_attempts durability "
         "checkpoint_every mem_budget verify synth",
         engine_workers={"flag": "--engine-workers"},
@@ -194,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "verify byte-identical convergence against a fault-free run",
     )
     _spec_options(
-        recover,
+        recover, RunSpec,
         "engine datasize time periods seed engine_workers durability "
         "checkpoint_every faults",
         durability=durable, checkpoint_every=50.0,
@@ -220,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the benchmark with tracing on and export the span tree",
     )
     _spec_options(
-        trace,
+        trace, RunSpec,
         "engine datasize time distribution periods seed engine_workers "
         "jitter",
         periods=2,
@@ -242,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "per-family breakdown under --synth)",
     )
     _spec_options(
-        profile,
+        profile, RunSpec,
         "engine datasize time distribution periods seed engine_workers "
         "mem_budget synth",
         periods=2,
@@ -254,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "schedule", help="print the Table II event series for one period"
     )
     schedule.add_argument("--period", type=int, default=0)
-    _spec_options(schedule, "datasize time")
+    _spec_options(schedule, RunSpec, "datasize time")
 
     serve = commands.add_parser(
         "serve",
@@ -264,25 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321,
                        help="listen port (default 8321; 0 picks a free one)")
-    serve.add_argument("--slots", type=int, default=2,
-                       help="concurrent engine executions (default 2)")
-    serve.add_argument("--queue", type=int, default=64,
-                       help="request queue bound; past it sessions are "
-                            "rejected with 429 queue-full (default 64)")
-    serve.add_argument("--dispatcher", choices=("pool", "inline"),
-                       default="pool",
-                       help="pool = worker processes (default), "
-                            "inline = threads in the server process")
-    serve.add_argument("--tenant", action="append", default=[],
-                       metavar="NAME[:rate=R][:burst=B][:active=N]",
-                       help="declare a tenant with its admission policy; "
-                            "repeatable (e.g. acme:rate=20:burst=5:active=4)")
+    _spec_options(
+        serve, ServeConfig,
+        "engine_slots queue_capacity dispatcher tenants cache",
+    )
     serve.add_argument("--closed", action="store_true",
                        help="closed enrollment: reject tenants not "
                             "declared via --tenant (default: open, any "
                             "tenant gets the default policy)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the deterministic result cache")
 
     storm = commands.add_parser(
         "storm",
@@ -290,40 +293,23 @@ def _build_parser() -> argparse.ArgumentParser:
              "report per-tenant throughput, latency percentiles and "
              "backpressure accounting",
     )
-    storm.add_argument("--clients", type=int, default=1000,
-                       help="virtual clients to launch (default 1000)")
-    storm.add_argument("--tenants", default="acme,globex",
-                       help="comma-separated tenant names (default "
-                            "acme,globex)")
-    storm.add_argument("--model", choices=("open", "closed"),
-                       default="open",
-                       help="arrival model: open = seeded Poisson "
-                            "arrivals at --rate (default), closed = "
-                            "fixed population of --concurrency clients")
-    storm.add_argument("--rate", type=float, default=500.0,
-                       help="open-loop arrivals per second (default 500)")
-    storm.add_argument("--concurrency", type=int, default=16,
-                       help="closed-loop client population (default 16)")
-    storm.add_argument("--distinct", type=int, default=4,
-                       help="distinct specs in the client pool "
-                            "(default 4; repeats are cache hits)")
-    # The shape every pooled spec shares; tenants, arrival and think
-    # times derive from --seed too, pool seeds are seed * 1000 + k.
-    _spec_options(storm, "seed engine datasize time synth",
-                  seed=7, datasize=0.02)
+    # Tenants, arrival and think times derive from --seed; pool seeds
+    # are seed * 1000 + k.
+    _spec_options(
+        storm, StormConfig,
+        "clients tenants model rate concurrency seed distinct engine "
+        "datasize time synth",
+        clients=1000, rate=500.0,
+    )
     storm.add_argument("--host",
                        help="target a running server instead of "
                             "self-hosting one in-process")
     storm.add_argument("--port", type=int)
-    storm.add_argument("--slots", type=int, default=2,
-                       help="self-hosted server engine slots (default 2)")
-    storm.add_argument("--queue", type=int, default=64,
-                       help="self-hosted server queue bound (default 64)")
-    storm.add_argument("--tenant-policy", action="append", default=[],
-                       metavar="NAME[:rate=R][:burst=B][:active=N]",
-                       dest="tenant_policies",
-                       help="self-hosted per-tenant admission policy "
-                            "(same syntax as serve --tenant)")
+    # The self-hosted server's own knobs.
+    _spec_options(
+        storm, ServeConfig, "engine_slots queue_capacity tenants",
+        tenants={"flag": "--tenant-policy", "dest": "tenant_policies"},
+    )
     storm.add_argument("--identity-check", action="store_true",
                        help="after the storm, run every pooled spec "
                             "directly through BenchmarkClient and fail "
@@ -355,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "convergence against a fault-free single-host run",
     )
     _spec_options(
-        crun,
+        crun, RunSpec,
         "engine datasize time periods seed engine_workers cluster_hosts "
         "cluster_replicas repl_mode repl_lag repl_batch durability "
         "checkpoint_every faults",
@@ -385,8 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the consistent-hash ring placement and shard map "
              "of the initialized landscape",
     )
-    _spec_options(ctopo, "cluster_hosts cluster_replicas seed datasize",
-                  cluster_hosts=3)
+    _spec_options(
+        ctopo, RunSpec, "cluster_hosts cluster_replicas seed datasize",
+        cluster_hosts=3,
+    )
     ctopo.add_argument("--vnodes", type=int, default=8)
 
     synth = commands.add_parser(
@@ -399,12 +387,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="generate = print the scenario manifest and "
                             "its content digest; describe = human "
                             "summary; run = execute the workload")
-    synth.add_argument("--knobs", default="", metavar="KNOBS",
-                       help="knob string, e.g. sources=3,depth=2,"
-                            "noise=0.3,families=cdc+scd+dirty "
-                            "(empty = all defaults)")
     _spec_options(
-        synth, "engine distribution time periods seed engine_workers"
+        synth, RunSpec,
+        "synth engine distribution time periods seed engine_workers",
+        synth={"flag": "--knobs", "help": "knob string, e.g. sources=3,"
+               "depth=2,noise=0.3,families=cdc+scd+dirty (empty = all "
+               "defaults)"},
     )
     synth.add_argument("--conformance", action="store_true",
                        help="run differentially on every engine and "
@@ -500,15 +488,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         axes = parse_grid_axes(args.grid)
         if args.synth:
-            from repro.synth.spec import knob_problems
-
-            for knobs in args.synth:
-                problems = knob_problems(knobs)
-                if problems:
-                    raise SweepError(
-                        f"bad --synth {knobs!r}: " + "; ".join(problems)
-                    )
-            axes["synth"] = axes.get("synth", []) + list(args.synth)
+            axes["synth"] = axes.get("synth", []) + args.synth
         # What every grid point shares, checked once as a spec of its own.
         common = _spec_from_args(args, synth="")
         specs = grid_from_axes(
@@ -518,9 +498,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             collect_metrics=bool(args.metrics_out),
             **{
                 name: getattr(common, name)
-                for name in args.spec_dests if name != "synth"
+                for name in args.spec_dests[RunSpec] if name != "synth"
             },
         )
+        # Each grid point is checked before any worker is spawned.
+        problems = dict.fromkeys(p for spec in specs for p in spec.problems())
+        if problems:
+            raise SweepError("invalid grid point: " + "; ".join(problems))
         executor = SweepExecutor(workers=args.workers)
     except (SweepError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
@@ -908,57 +892,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0 if result.verification.ok else 1
 
 
-def _parse_tenant_policies(items: Sequence[str]) -> dict:
-    """``NAME[:rate=R][:burst=B][:active=N]`` → {name: TenantPolicy}."""
-    from repro.serve import TenantPolicy
-
-    keys = {"rate": float, "burst": float, "active": int}
-    policies = {}
-    for item in items:
-        name, _, rest = item.partition(":")
-        if not name:
-            raise ServeError(f"tenant policy needs a name: {item!r}")
-        kwargs = {}
-        for part in rest.split(":") if rest else ():
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ServeError(
-                    f"unknown tenant policy knob {key!r} in {item!r} "
-                    f"(choose from {sorted(keys)})"
-                )
-            try:
-                kwargs["max_active" if key == "active" else key] = (
-                    keys[key](value)
-                )
-            except ValueError:
-                raise ServeError(f"bad value for {key} in {item!r}: {value!r}")
-        policies[name] = TenantPolicy(name=name, **kwargs)
-    return policies
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the benchmark-as-a-service HTTP front end until interrupted."""
-    from repro.serve import (
-        HttpServer,
-        ServeConfig,
-        SessionManager,
-        TenantPolicy,
-    )
+    from repro.serve import HttpServer, SessionManager
 
-    try:
-        config = ServeConfig(
-            queue_capacity=args.queue,
-            engine_slots=args.slots,
-            dispatcher=args.dispatcher,
-            cache=not args.no_cache,
-            tenants=_parse_tenant_policies(args.tenant),
-            default_policy=(
-                None if args.closed else TenantPolicy(name="default")
-            ),
-        )
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _spec_from_args(
+        args, ServeConfig, **({"default_policy": None} if args.closed else {})
+    )
 
     async def _serve() -> None:
         server = HttpServer(SessionManager(config))
@@ -1035,41 +975,10 @@ async def _storm_identity_check(config, client) -> list[str]:
 
 def _cmd_storm(args: argparse.Namespace) -> int:
     """Seeded virtual-client storm; self-hosts a server unless --host."""
-    from repro.serve import (
-        HttpServer,
-        ServeClient,
-        ServeConfig,
-        SessionManager,
-        Storm,
-        StormConfig,
-        TenantPolicy,
-    )
+    from repro.serve import HttpServer, ServeClient, SessionManager, Storm
 
-    try:
-        config = StormConfig(
-            clients=args.clients,
-            tenants=tuple(
-                t.strip() for t in args.tenants.split(",") if t.strip()
-            ),
-            model=args.model,
-            rate=args.rate,
-            concurrency=args.concurrency,
-            seed=args.seed,
-            distinct=args.distinct,
-            engine=args.engine,
-            datasize=args.datasize,
-            time=args.time,
-            synth=args.synth,
-        )
-        serve_config = ServeConfig(
-            queue_capacity=args.queue,
-            engine_slots=args.slots,
-            tenants=_parse_tenant_policies(args.tenant_policies),
-            default_policy=TenantPolicy(name="default"),
-        )
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _spec_from_args(args, StormConfig)
+    serve_config = _spec_from_args(args, ServeConfig)
     if args.host is not None and args.port is None:
         raise _UsageError("--host needs --port")
 
@@ -1139,9 +1048,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     try:
         spec = FaultSpec.load(args.spec)
-    except (OSError, FaultSpecError) as exc:
-        print(f"error: cannot load fault spec {args.spec}: {exc}",
-              file=sys.stderr)
+    except FaultSpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     scenario = build_scenario()
     problems = spec.validate(
@@ -1265,7 +1173,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
     # action == "run"
     client = client_from_spec(
-        _spec_from_args(args, synth=args.knobs), workload=workload
+        _spec_from_args(args), workload=workload
     )
     result = client.run()
     digest = landscape_digest(workload.scenario.all_databases.values())

@@ -204,7 +204,7 @@ class ClusterManager:
             snapshot = checkpoint.databases[name]
             as_of = self.storage.wals[name].last_lsn
             for host in followers:
-                replica = DatabaseReplica(name, host)
+                replica = DatabaseReplica(name, host, self.storage.databases[name])
                 replica.seed(snapshot, as_of_lsn=as_of)
                 self.shipper.add_replica(replica)
         self.shard_map = ShardMap.build(
@@ -223,8 +223,12 @@ class ClusterManager:
 
     def before_truncate(self) -> None:
         """Checkpoint barrier: flush every follower before the WAL tails
-        are dropped (see :class:`LogShipper`)."""
+        are dropped (see :class:`LogShipper`), then recompute its views
+        as restoring this checkpoint would."""
         self.shipper.flush_all(self.home_of)
+        for followers in self.shipper.replicas.values():
+            for replica in followers:
+                replica.recompute_views()
 
     # -- failover ------------------------------------------------------------------
 
@@ -339,8 +343,8 @@ class ClusterManager:
                     continue
                 if snapshot is None:
                     snapshot = DatabaseSnapshot.capture(db)
-                replica = DatabaseReplica(name, host)
-                replica.seed(snapshot, as_of_lsn=wal.last_lsn)
+                replica = DatabaseReplica(name, host, db)
+                replica.seed(snapshot, as_of_lsn=wal.last_lsn, views_from=db)
                 self.shipper.add_replica(replica)
                 reseeded += 1
         self.shipper.stats.reseeds += reseeded

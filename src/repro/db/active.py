@@ -173,7 +173,7 @@ class MaterializedView:
         if not name:
             raise SchemaError("materialized view needs a name")
         self.name = name
-        self._definition = definition
+        self.definition = definition
         self._snapshot: Relation | None = None
         self.refresh_count = 0
         #: Durability hook (same signature as Table.listener); refreshes
@@ -260,7 +260,7 @@ class MaterializedView:
         query = self._query
         if query is None:
             # Opaque definition: nothing observed, no delta state kept.
-            self._snapshot = self._definition(database)
+            self._snapshot = self.definition(database)
             return
         if self._observing:
             fastpath.STATS.mv_full_recompute += 1
@@ -387,11 +387,21 @@ class MaterializedView:
 
     def invalidate(self) -> None:
         """Drop the snapshot (used by the Initializer's uninitialize step)."""
+        self._drop_state()
+        if self.listener is not None:
+            self.listener(self.name, "mv_invalidate", ())
+
+    def adopt(self, other: "MaterializedView") -> None:
+        """Take ``other``'s content as this view's (a promoted replica's
+        copy of the same view), unjournaled; the next refresh recomputes
+        fully."""
+        self._drop_state()
+        self._snapshot = other._snapshot
+
+    def _drop_state(self) -> None:
         self._snapshot = None
         self._aggregator = None
         self._plain_rows = None
         self._plain_columns = None
         self._pending.clear()
         self._delta_dirty = True
-        if self.listener is not None:
-            self.listener(self.name, "mv_invalidate", ())

@@ -56,18 +56,7 @@ def parse_grid_axes(items: Iterable[str]) -> dict[str, list]:
             if axis == "f":
                 parsed = [int(v) for v in values.split(",") if v.strip()]
             elif axis == "synth":
-                # Validate each knob string up front so a bad sweep axis
-                # fails before any worker is spawned.
-                from repro.synth.spec import knob_problems
-
                 parsed = [v.strip() for v in values.split("/") if v.strip()]
-                for knobs in parsed:
-                    problems = knob_problems(knobs)
-                    if problems:
-                        raise SweepError(
-                            f"bad synth axis value {knobs!r}: "
-                            + "; ".join(problems)
-                        )
             else:
                 parsed = [float(v) for v in values.split(",") if v.strip()]
         except ValueError as exc:

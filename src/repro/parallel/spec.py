@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.cluster import ClusterConfig
+from repro.declare import fields_of, knob, problems
 from repro.engine import ENGINES
 from repro.engine.base import InstanceRecord
 from repro.errors import BenchmarkError, ReproError
@@ -43,31 +44,16 @@ class SweepSabotage(ReproError):
     """Deterministic self-inflicted failure (the ``sabotage`` test hook)."""
 
 
-def _knob(default, flag: str = "", help: str = "", **declared):
-    """One RunSpec field with what every edge of the program reads off it.
-
-    ``flag`` / ``help`` / ``metavar`` are the CLI spelling; ``wire`` says
-    the field is part of ``dipbench.session/v1`` (``"rw"``: accepted and
-    echoed, ``"r"``: accepted only); ``physical`` marks a knob that
-    changes where rows live and never what a run computes, so it is in
-    neither :meth:`RunSpec.grid_key` nor :attr:`RunSpec.label`;
-    ``choices`` (a tuple, or a callable for a registry that can grow)
-    and ``bounds`` (interval notation) are what :meth:`RunSpec.problems`
-    checks, ``complaint`` its wording where the default does not fit.
-    """
-    return field(
-        default=default, metadata={"flag": flag, "help": help, **declared}
-    )
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One benchmark configuration, as plain picklable data.
 
-    Every field declares its own CLI flag, ``session/v1`` membership and
-    valid range (see :func:`_knob`); the CLI parsers, the serving
-    translator and the knob table in docs/parallel.md are derived from
-    these declarations, so a new knob is added here and nowhere else.
+    Every field declares its own CLI flag, range (:func:`repro.declare.knob`)
+    and ``session/v1`` membership (``wire``: ``"rw"`` accepted and echoed,
+    ``"r"`` accepted only); ``physical`` marks a knob that changes where rows
+    live, never what a run computes, so it is in neither :meth:`grid_key`
+    nor :attr:`label`.  The CLI parsers, the serving translator and the
+    knob table in docs/parallel.md derive from these declarations.
 
     ``sabotage`` is a test hook for the sweep executor's containment
     paths: ``"raise"`` makes :func:`run_spec` fail deterministically
@@ -75,52 +61,52 @@ class RunSpec:
     without a Python traceback (simulating an OOM kill / segfault).
     """
 
-    engine: str = _knob(
+    engine: str = knob(
         "interpreter", "--engine", "engine realization to run", wire="rw",
         choices=lambda: sorted(ENGINES),
-        complaint="unknown engine {value!r} (choose from {choices})",
+        complaint="{name}: unknown engine {value!r} (choose from {choices})",
     )
-    datasize: float = _knob(
+    datasize: float = knob(
         0.05, "--datasize", "scale factor d", wire="rw", bounds="(0, 10]"
     )
-    time: float = _knob(
+    time: float = knob(
         1.0, "--time", "scale factor t", wire="rw", bounds="(0, 100]"
     )
-    distribution: int = _knob(
+    distribution: int = knob(
         0, "--distribution",
         "scale factor f: 0 uniform, 1 zipf, 2 normal, 3 exponential",
         wire="rw", choices=(0, 1, 2, 3),
     )
-    periods: int = _knob(
+    periods: int = knob(
         1, "--periods", "benchmark periods to execute (1-100)",
         wire="rw", bounds="[1, 100]",
     )
-    seed: int = _knob(
+    seed: int = knob(
         42, "--seed", "seed of everything the run draws at random",
         wire="rw",
     )
-    jitter: float = _knob(
+    jitter: float = knob(
         0.0, "--jitter", "network jitter fraction in [0, 1)",
         wire="rw", bounds="[0, 1)",
     )
-    engine_workers: int = _knob(
+    engine_workers: int = knob(
         4, "--workers",
         "engine worker-pool size: the engine's virtual concurrency",
-        wire="rw", bounds="[1, inf)", complaint="must be >= 1: {value}",
+        wire="rw", bounds="[1, inf)", complaint="{name}: must be >= 1: {value}",
     )
-    sandiego_error_rate: float = _knob(0.15, wire="rw", bounds="[0, 1]")
-    faults: FaultSpec | None = _knob(
+    sandiego_error_rate: float = knob(0.15, wire="rw", bounds="[0, 1]")
+    faults: FaultSpec | None = knob(
         None, "--faults",
         "fault spec file: its deterministic fault schedule is injected "
         "and the run gets resilience policies (retry/backoff, circuit "
         "breakers, dead-letter queue)",
-        metavar="SPEC.json",
+        metavar="SPEC.json", parse=FaultSpec.load,
     )
-    max_attempts: int = _knob(
+    max_attempts: int = knob(
         4, "--max-attempts",
         "retry budget per process instance under --faults",
     )
-    durability: str = _knob(
+    durability: str = knob(
         "off", "--durability",
         "durability mode: off, wal (period-baseline checkpoint + redo "
         "log) or snapshot+wal (plus periodic checkpoints)",
@@ -128,7 +114,7 @@ class RunSpec:
     )
     #: In tu.  Below the lower bound every cadence means the same thing
     #: (a checkpoint at every commit), so it is refused as a typo.
-    checkpoint_every: float | None = _knob(
+    checkpoint_every: float | None = knob(
         None, "--checkpoint-every",
         "checkpoint cadence in tu under --durability snapshot+wal",
         metavar="TU", wire="rw", bounds="[1e-06, 1e+09]",
@@ -136,35 +122,35 @@ class RunSpec:
     #: Cluster overlay: 0 hosts = single-host classic run; >= 2 builds a
     #: consistent-hash cluster with ``cluster_replicas`` log-shipped
     #: followers per database (``repl_lag`` in tu, async mode only).
-    cluster_hosts: int = _knob(
+    cluster_hosts: int = knob(
         0, "--hosts", "virtual cluster hosts (0 = single host)"
     )
-    cluster_replicas: int = _knob(
+    cluster_replicas: int = knob(
         1, "--replicas", "follower replicas per database"
     )
-    repl_mode: str = _knob(
+    repl_mode: str = knob(
         "sync", "--mode", "log-shipping mode (sync has RPO=0)",
         choices=("sync", "async"),
     )
-    repl_lag: float = _knob(
+    repl_lag: float = knob(
         0.0, "--repl-lag", "async replication lag window in tu",
         metavar="TU",
     )
-    repl_batch: int = _knob(
+    repl_batch: int = knob(
         1, "--repl-batch", "async shipping batch size in records"
     )
-    verify: bool = _knob(
+    verify: bool = knob(
         True, "--no-verify", "skip phase-post verification", wire="rw"
     )
     collect_metrics: bool = False
     collect_trace: bool = False
-    sabotage: str = _knob(
+    sabotage: str = knob(
         "", wire="r", choices=("", "raise", "hard-exit"),
-        complaint="unknown hook {value!r}",
+        complaint="{name}: unknown hook {value!r}",
     )
     #: The spec's own ``seed`` is inherited by the synthesizer unless
     #: the knob string pins one.
-    synth: str = _knob(
+    synth: str = knob(
         "", "--synth",
         "synthesized-workload knob string (repro.synth), e.g. "
         "sources=3,depth=2,families=cdc+scd; empty runs the classic "
@@ -173,7 +159,7 @@ class RunSpec:
     )
     #: A budgeted run occupies the same grid point (and must
     #: fingerprint identically) as its unbudgeted twin.
-    mem_budget: int | None = _knob(
+    mem_budget: int | None = knob(
         None, "--mem-budget",
         "per-database resident-row budget: tables partition and spill "
         "cold partitions to disk past this many rows, results stay "
@@ -219,35 +205,12 @@ class RunSpec:
     def problems(self) -> list[str]:
         """Every reason this is not a valid run, as ``field: complaint``.
 
-        The one range check of the program: the serving translator
-        prefixes each entry with ``spec.`` for its 400 body, the CLI
-        prints them and exits 2, :func:`client_from_spec` refuses to
-        build anything while the list is non-empty.
+        The declared ranges plus the synth knob string's own problems:
+        the serving translator prefixes each with ``spec.`` for its 400
+        body, the CLI prints them and exits 2, :func:`client_from_spec`
+        refuses to build anything while the list is non-empty.
         """
-        found = []
-        for name, knob in KNOBS.items():
-            value = getattr(self, name)
-            if value is None:
-                continue
-            choices = knob.metadata.get("choices")
-            bounds = knob.metadata.get("bounds")
-            if callable(choices):
-                choices = choices()
-            if choices is not None:
-                valid = value in choices
-                complaint = "must be {menu}: {value!r}"
-            elif bounds is not None:
-                valid = _within(bounds, value)
-                complaint = "out of range {bounds}: {value}"
-            else:
-                continue
-            if not valid:
-                found.append(f"{name}: " + knob.metadata.get(
-                    "complaint", complaint
-                ).format(
-                    value=value, bounds=bounds, choices=choices,
-                    menu="|".join(map(str, choices or ())),
-                ))
+        found = problems(self)
         if self.synth:
             from repro.synth.spec import knob_problems
 
@@ -256,23 +219,7 @@ class RunSpec:
 
 
 #: RunSpec's declarations by field name, in field order.
-KNOBS = {knob.name: knob for knob in fields(RunSpec)}
-
-
-_SCALARS = {"str": str, "float": float, "int": int, "bool": bool}
-
-
-def knob_type(name: str) -> type | None:
-    """The scalar type a knob is parsed as (None: not a scalar)."""
-    return _SCALARS.get(KNOBS[name].type.split(" | ")[0])
-
-
-def _within(bounds: str, value: float) -> bool:
-    """``value`` against interval notation; NaN is inside nothing."""
-    low, high = (float(edge) for edge in bounds[1:-1].split(", "))
-    above = value > low if bounds[0] == "(" else value >= low
-    below = value < high if bounds[-1] == ")" else value <= high
-    return above and below
+KNOBS = fields_of(RunSpec)
 
 
 @dataclass

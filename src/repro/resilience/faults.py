@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Mapping
 
+from repro.declare import knob, load, problems
 from repro.errors import FaultSpecError
 from repro.xmlkit.doc import XmlElement
 
@@ -103,58 +104,53 @@ class _FaultWindow:
 class FaultEvent:
     """One fault on the period timeline (``at`` in tu)."""
 
-    at: float
-    kind: str
-    src: str = ""
-    dst: str = ""
-    service: str = ""
-    process: str = ""
-    count: int = 1
-    factor: float = 2.0
-    duration: float | None = None
-    period: int | None = None
-    #: Crash boundary: "arrival" or "commit" (``crash`` events only).
-    point: str = "arrival"
+    at: float = knob(bounds="[0, inf)", help="time on the period timeline, in tu",
+                     complaint="time must be >= 0 and finite, got at={value}")
+    kind: str = knob(choices=FAULT_KINDS, help="what happens (table above)",
+                     complaint="unknown kind {value!r}; known: {choices}")
+    src: str = knob("", help="one end of the link (link kinds)")
+    dst: str = knob("", help="the other end of the link (link kinds)")
+    service: str = knob("", help="the endpoint (service kinds)")
+    process: str = knob("", help="the process id (process kinds)")
+    count: int = knob(
+        1, bounds="[1, inf)", help="failures to arm / messages to corrupt "
+        "(process kinds)", complaint="count must be >= 1, got {value}",
+    )
+    factor: float = knob(
+        2.0, bounds="[1, inf)", help="transfer-cost multiplier (`degrade`)",
+        complaint="degradation factor must be >= 1 and finite, got {value}",
+    )
+    duration: float | None = knob(
+        None, bounds="(0, inf)", help="expands into the paired recovery event "
+        "at `at + duration`", complaint="duration must be > 0 and finite, got {value}",
+    )
+    period: int | None = knob(
+        None, bounds="[0, inf)", help="pins the event to one benchmark period; "
+        "unset, it recurs every period", complaint="period must be >= 0, got {value}",
+    )
+    point: str = knob(
+        "arrival", choices=CRASH_POINTS, help="crash boundary (`crash`)",
+        complaint="crash point must be one of {choices}, got {value!r}",
+    )
 
     def validate(self) -> list[str]:
-        """Static problems with this event (empty list = valid)."""
-        problems: list[str] = []
+        """Static problems with this event (empty list = valid): the
+        declared ranges, then what each kind needs."""
         where = f"event at t={self.at} ({self.kind or '?'})"
+        found = [f"{where}: {problem}" for problem in problems(self)]
         if self.kind not in FAULT_KINDS:
-            problems.append(
-                f"{where}: unknown kind {self.kind!r}; known: {FAULT_KINDS}"
-            )
-            return problems
-        if self.at < 0:
-            problems.append(f"{where}: time must be >= 0")
+            return found
         if self.kind in _LINK_KINDS and not (self.src and self.dst):
-            problems.append(f"{where}: needs src and dst hosts")
+            found.append(f"{where}: needs src and dst hosts")
         if self.kind in _SERVICE_KINDS and not self.service:
-            problems.append(f"{where}: needs a service name")
+            found.append(f"{where}: needs a service name")
         if self.kind in _PROCESS_KINDS and not self.process:
-            problems.append(f"{where}: needs a process id")
-        if self.kind in _PROCESS_KINDS and self.count < 1:
-            problems.append(f"{where}: count must be >= 1, got {self.count}")
-        if self.kind == "degrade" and self.factor < 1.0:
-            problems.append(
-                f"{where}: degradation factor must be >= 1, got {self.factor}"
+            found.append(f"{where}: needs a process id")
+        if self.duration is not None and self.kind not in _RECOVERY_OF:
+            found.append(
+                f"{where}: duration only applies to {sorted(_RECOVERY_OF)}"
             )
-        if self.kind in _CRASH_KINDS and self.point not in CRASH_POINTS:
-            problems.append(
-                f"{where}: crash point must be one of {CRASH_POINTS}, "
-                f"got {self.point!r}"
-            )
-        if self.duration is not None:
-            if self.duration <= 0:
-                problems.append(f"{where}: duration must be > 0")
-            if self.kind not in _RECOVERY_OF:
-                problems.append(
-                    f"{where}: duration only applies to "
-                    f"{sorted(_RECOVERY_OF)}"
-                )
-        if self.period is not None and self.period < 0:
-            problems.append(f"{where}: period must be >= 0")
-        return problems
+        return found
 
     def recovery(self) -> "FaultEvent | None":
         """The paired recovery event implied by ``duration``, if any."""
@@ -202,45 +198,18 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
-        known = {
-            "at", "kind", "src", "dst", "service", "process",
-            "count", "factor", "duration", "period", "point",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise FaultSpecError(
-                f"fault event has unknown keys {sorted(unknown)}"
-            )
-        if "at" not in data or "kind" not in data:
-            raise FaultSpecError(f"fault event needs 'at' and 'kind': {data}")
-        return cls(
-            at=float(data["at"]),
-            kind=str(data["kind"]),
-            src=str(data.get("src", "")),
-            dst=str(data.get("dst", "")),
-            service=str(data.get("service", "")),
-            process=str(data.get("process", "")),
-            count=int(data.get("count", 1)),
-            factor=float(data.get("factor", 2.0)),
-            duration=(
-                float(data["duration"]) if data.get("duration") is not None
-                else None
-            ),
-            period=(
-                int(data["period"]) if data.get("period") is not None
-                else None
-            ),
-            point=str(data.get("point", "arrival")),
-        )
+        return load(cls, data, FaultSpecError)
 
 
 @dataclass(frozen=True)
 class FaultSpec:
     """A named, seeded fault schedule (the JSON file the CLI consumes)."""
 
-    name: str = "faults"
-    seed: int = 0
-    events: tuple[FaultEvent, ...] = ()
+    name: str = knob("faults", help="the spec's name in reports")
+    seed: int = knob(0, help="seed of the injector's own draws")
+    events: tuple[FaultEvent, ...] = knob(
+        (), help="the fault events (table below)", of=FaultEvent
+    )
 
     def validate(
         self,
@@ -398,17 +367,16 @@ class FaultSpec:
         (such runs must enable durability)."""
         return any(event.kind in _CRASH_KINDS for event in self.events)
 
-    def timeline(self, period: int) -> list[FaultEvent]:
-        """The effective events of one period (recoveries expanded),
-        in (time, declaration order)."""
-        expanded: list[FaultEvent] = []
-        for event in self.events:
-            if event.period is not None and event.period != period:
-                continue
-            expanded.append(event)
-            recovery = event.recovery()
-            if recovery is not None:
-                expanded.append(recovery)
+    def timeline(self, period: int | None = None) -> list[FaultEvent]:
+        """The effective events of one period (every period's when None),
+        recoveries expanded, in (time, declaration order)."""
+        expanded = [
+            effective
+            for event in self.events
+            if period is None or event.period is None or event.period == period
+            for effective in (event, event.recovery())
+            if effective is not None
+        ]
         # Python's sort is stable: ties keep declaration/expansion order.
         return sorted(expanded, key=lambda e: e.at)
 
@@ -417,14 +385,7 @@ class FaultSpec:
             f"fault spec {self.name!r} (seed {self.seed}): "
             f"{len(self.events)} declared event(s)"
         ]
-        expanded: list[FaultEvent] = []
-        for event in self.events:
-            expanded.append(event)
-            recovery = event.recovery()
-            if recovery is not None:
-                expanded.append(recovery)
-        for event in sorted(expanded, key=lambda e: e.at):
-            lines.append("  " + event.describe())
+        lines.extend("  " + event.describe() for event in self.timeline())
         return "\n".join(lines)
 
     # -- JSON ------------------------------------------------------------------
@@ -441,18 +402,9 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        if not isinstance(data, Mapping):
-            raise FaultSpecError(
-                f"fault spec must be a JSON object, got {type(data).__name__}"
-            )
-        events_raw = data.get("events", [])
-        if not isinstance(events_raw, Sequence) or isinstance(events_raw, str):
-            raise FaultSpecError("fault spec 'events' must be a list")
-        return cls(
-            name=str(data.get("name", "faults")),
-            seed=int(data.get("seed", 0)),
-            events=tuple(FaultEvent.from_dict(e) for e in events_raw),
-        )
+        """A parsed JSON document as a spec; raises one
+        :class:`FaultSpecError` listing every structural problem."""
+        return load(cls, data, FaultSpecError)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSpec":
@@ -464,8 +416,13 @@ class FaultSpec:
 
     @classmethod
     def load(cls, path: str) -> "FaultSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return cls.from_json(handle.read())
+        except (OSError, FaultSpecError) as exc:
+            raise FaultSpecError(
+                f"cannot load fault spec {path}: {exc}"
+            ) from None
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -22,9 +22,10 @@ the server passes ``time.monotonic``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
+from repro.declare import knob, parse_pairs, problems, refuse
 from repro.errors import AdmissionRejected, ServeError, UnknownTenant
 
 
@@ -32,21 +33,34 @@ from repro.errors import AdmissionRejected, ServeError, UnknownTenant
 class TenantPolicy:
     """Admission knobs of one tenant."""
 
-    name: str
-    #: Sustained session admissions per second.
-    rate: float = 50.0
-    #: Bucket capacity: how many sessions may arrive back-to-back.
-    burst: float = 10.0
-    #: Maximum sessions in flight (queued + running) at once.
-    max_active: int = 8
+    name: str = knob(help="the tenant")
+    rate: float = knob(50.0, help="sustained session admissions per second",
+                       bounds="(0, inf)")
+    burst: float = knob(10.0, help="bucket capacity: sessions that may arrive back "
+                        "to back", bounds="[1, inf)")
+    max_active: int = knob(8, help="sessions in flight (queued + running) at once",
+                           bounds="[1, inf)", alias=("active",))
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ServeError(f"tenant {self.name!r}: rate must be > 0")
-        if self.burst < 1:
-            raise ServeError(f"tenant {self.name!r}: burst must be >= 1")
-        if self.max_active < 1:
-            raise ServeError(f"tenant {self.name!r}: max_active must be >= 1")
+        refuse(ServeError, f"tenant {self.name!r}", problems(self))
+
+
+def parse_tenant_policies(items: Sequence[str]) -> dict[str, TenantPolicy]:
+    """``NAME[:rate=R][:burst=B][:active=N]`` items as {name: policy}."""
+    policies = {}
+    for item in items:
+        # The leading NAME is the policy's ``name`` knob, key left out.
+        values, found = parse_pairs(
+            TenantPolicy, f"name={item}", sep=":", noun="tenant policy knob"
+        )
+        if not values.get("name"):
+            found.append("tenant policy needs a name")
+        if found:
+            raise ServeError(
+                f"bad tenant policy {item!r}: " + "; ".join(found)
+            )
+        policies[values["name"]] = TenantPolicy(**values)
+    return policies
 
 
 class TokenBucket:
@@ -99,8 +113,6 @@ class AdmissionController:
         default_policy: TenantPolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if queue_capacity < 1:
-            raise ServeError(f"queue capacity must be >= 1: {queue_capacity}")
         self.policies = dict(policies)
         self.queue_capacity = queue_capacity
         #: When set, unknown tenants are admitted under this policy
@@ -118,12 +130,7 @@ class AdmissionController:
                 f"unknown tenant {tenant!r} "
                 f"(known: {', '.join(sorted(self.policies)) or 'none'})"
             )
-        policy = TenantPolicy(
-            name=tenant,
-            rate=self.default_policy.rate,
-            burst=self.default_policy.burst,
-            max_active=self.default_policy.max_active,
-        )
+        policy = replace(self.default_policy, name=tenant)
         self.policies[tenant] = policy
         return policy
 

@@ -60,4 +60,4 @@ class PoolDispatcher:
         self._pool.close()
 
 
-DISPATCHERS = {"inline": InlineDispatcher, "pool": PoolDispatcher}
+DISPATCHERS = {"pool": PoolDispatcher, "inline": InlineDispatcher}

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
+from repro.declare import knob, problems, refuse
 from repro.errors import (
     AdmissionRejected,
     CircuitOpenError,
@@ -47,7 +48,11 @@ from repro.resilience import (
     DeadLetter,
     DeadLetterQueue,
 )
-from repro.serve.admission import AdmissionController, TenantPolicy
+from repro.serve.admission import (
+    AdmissionController,
+    TenantPolicy,
+    parse_tenant_policies,
+)
 from repro.serve.dispatch import DISPATCHERS
 from repro.serve.session import DONE, FAILED, QUEUED, RUNNING, Session, SessionStore
 from repro.serve.translate import parse_session_request
@@ -72,41 +77,35 @@ BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 class ServeConfig:
     """Everything one server instance is allowed to do."""
 
-    #: Server-wide request queue bound (backpressure past this).
-    queue_capacity: int = 64
-    #: Concurrent engine executions (worker processes / threads).
-    engine_slots: int = 2
-    #: ``pool`` (worker processes, production) or ``inline`` (threads).
-    dispatcher: str = "pool"
-    start_method: str | None = None
-    #: Serve byte-identical repeat specs from the deterministic cache.
-    cache: bool = True
-    #: Explicit per-tenant policies, by tenant name.
-    tenants: dict[str, TenantPolicy] = dataclass_field(default_factory=dict)
+    queue_capacity: int = knob(64, "--queue", "request queue bound; past it "
+                               "sessions are rejected with 429 queue-full",
+                               bounds="[1, inf)")
+    engine_slots: int = knob(2, "--slots", "concurrent engine executions (worker "
+                             "processes / threads)", bounds="[1, inf)")
+    dispatcher: str = knob("pool", "--dispatcher", "pool = worker processes, inline "
+                           "= threads in the server process",
+                           choices=tuple(DISPATCHERS))
+    start_method: str | None = knob(None)
+    cache: bool = knob(True, "--no-cache", "disable the deterministic result cache")
+    tenants: dict[str, TenantPolicy] = knob(
+        factory=dict, flag="--tenant", help="declare a tenant with its admission "
+        "policy; repeatable (e.g. acme:rate=20:burst=5:active=4)", action="append",
+        metavar="NAME[:rate=R][:burst=B][:active=N]", parse=parse_tenant_policies,
+    )
     #: Policy applied to tenants not listed in ``tenants`` (open
     #: enrollment).  None → unknown tenants are rejected.
-    default_policy: TenantPolicy | None = dataclass_field(
-        default_factory=lambda: TenantPolicy(name="default")
+    default_policy: TenantPolicy | None = knob(
+        factory=lambda: TenantPolicy(name="default")
     )
     #: Per-tenant circuit breaker (times in wall seconds here).
-    breaker: BreakerPolicy = dataclass_field(
-        default_factory=lambda: BreakerPolicy(
-            failure_threshold=3, reset_timeout=5.0
-        )
+    breaker: BreakerPolicy = knob(
+        factory=lambda: BreakerPolicy(failure_threshold=3, reset_timeout=5.0)
     )
-    #: Hard per-session execution ceiling (wall seconds).
-    session_timeout_s: float = 300.0
+    session_timeout_s: float = knob(300.0, help="hard per-session execution ceiling "
+                                    "(wall seconds)", bounds="(0, inf)")
 
     def __post_init__(self) -> None:
-        if self.dispatcher not in DISPATCHERS:
-            raise ServeError(
-                f"unknown dispatcher {self.dispatcher!r} "
-                f"(choose from {sorted(DISPATCHERS)})"
-            )
-        if self.engine_slots < 1:
-            raise ServeError(
-                f"engine_slots must be >= 1: {self.engine_slots}"
-            )
+        refuse(ServeError, "serve config", problems(self))
 
 
 class SessionManager:

@@ -36,8 +36,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.declare import knob, problems, refuse
 from repro.errors import ServeError
-from repro.parallel.spec import RunSpec
+from repro.parallel.spec import KNOBS, RunSpec
 from repro.serve.client import ServeClient
 from repro.serve.translate import CONTRACT_V1, spec_to_json
 from repro.toolsuite.monitor import latency_percentiles
@@ -49,48 +50,38 @@ ARRIVAL_MODELS = ("open", "closed")
 class StormConfig:
     """One storm, fully determined by these knobs plus the wall clock."""
 
-    clients: int = 100
-    tenants: tuple[str, ...] = ("acme", "globex")
-    model: str = "open"
-    #: Open loop: target arrivals per second across all tenants.
-    rate: float = 200.0
-    #: Closed loop: concurrent client population.
-    concurrency: int = 16
-    #: Closed loop: mean seeded think time between sessions (seconds).
-    think_s: float = 0.0
-    seed: int = 7
-    #: Size of the deterministic spec pool clients draw from.
-    distinct: int = 4
-    #: Benchmark shape every pooled spec shares.
-    engine: str = "interpreter"
-    datasize: float = 0.02
-    time: float = 1.0
-    #: Synthesized-workload knob string shared by every pooled spec;
-    #: empty storms the classic scenario.  The shared shape is checked
-    #: up front so a bad one fails at config time, not as N HTTP 400s.
-    synth: str = ""
-    #: Per-session completion wait (long-poll bound, seconds).
-    wait_s: float = 30.0
+    clients: int = knob(100, "--clients", "virtual clients to launch",
+                        bounds="[1, inf)")
+    tenants: tuple[str, ...] = knob(("acme", "globex"), "--tenants", "comma-separated "
+                                    "tenant names", bounds="[1, inf)", split=",")
+    model: str = knob("open", "--model", "arrival model: open = seeded Poisson "
+                      "arrivals at --rate, closed = fixed population of "
+                      "--concurrency clients", choices=ARRIVAL_MODELS)
+    rate: float = knob(200.0, "--rate", "open-loop arrivals per second across all "
+                       "tenants", bounds="(0, inf)")
+    concurrency: int = knob(16, "--concurrency", "closed-loop client population",
+                            bounds="[1, inf)")
+    think_s: float = knob(0.0, help="closed loop: mean seeded think time between "
+                          "sessions (seconds)", bounds="[0, inf)")
+    seed: int = knob(7, "--seed", "seed of every client's tenant, spec, arrival and "
+                     "think time; pool seeds are seed * 1000 + k")
+    distinct: int = knob(4, "--distinct", "distinct specs in the client pool "
+                         "(repeats are cache hits)", bounds="[1, inf)",
+                         complaint="{name}: spec pool must be >= 1: {value}")
+    #: The benchmark shape every pooled spec shares, declared as RunSpec
+    #: declares it; empty ``synth`` storms the classic scenario.
+    engine: str = knob("interpreter", **KNOBS["engine"].metadata)
+    datasize: float = knob(0.02, **KNOBS["datasize"].metadata)
+    time: float = knob(1.0, **KNOBS["time"].metadata)
+    synth: str = knob("", **KNOBS["synth"].metadata)
+    wait_s: float = knob(30.0, help="per-session completion wait (long-poll bound, "
+                         "seconds)", bounds="[0, inf)")
 
     def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ServeError(f"storm needs >= 1 client: {self.clients}")
-        if not self.tenants:
-            raise ServeError("storm needs at least one tenant")
-        if self.model not in ARRIVAL_MODELS:
-            raise ServeError(
-                f"unknown arrival model {self.model!r} "
-                f"(choose from {ARRIVAL_MODELS})"
-            )
-        if self.rate <= 0:
-            raise ServeError(f"arrival rate must be > 0: {self.rate}")
-        if self.concurrency < 1:
-            raise ServeError(f"concurrency must be >= 1: {self.concurrency}")
-        if self.distinct < 1:
-            raise ServeError(f"spec pool must be >= 1: {self.distinct}")
-        problems = self._pooled(0).problems()
-        if problems:
-            raise ServeError("bad storm spec: " + "; ".join(problems))
+        # The shared shape is checked up front, so a bad one fails at
+        # config time and not as N HTTP 400s.
+        found = problems(self) or self._pooled(0).problems()
+        refuse(ServeError, "storm config", found)
 
     def _pooled(self, k: int) -> RunSpec:
         return RunSpec(

@@ -33,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.declare import coerce, knob_type
 from repro.errors import TranslationError
-from repro.parallel.spec import KNOBS, RunSpec, knob_type
+from repro.parallel.spec import KNOBS, RunSpec
 
 #: The one contract this server speaks today.  A v2 adds a new entry
 #: here plus its own translator; v1 requests keep working untouched.
@@ -46,7 +47,7 @@ SUPPORTED_CONTRACTS = (CONTRACT_V1,)
 #: does not declare (fault timelines, observability shard flags, the
 #: memory budget) is server-internal.
 _V1_SPEC_FIELDS: dict[str, type] = {
-    name: knob_type(name)
+    name: knob_type(knob)
     for name, knob in KNOBS.items()
     if knob.metadata.get("wire")
 }
@@ -59,22 +60,6 @@ class SessionRequest:
     tenant: str
     spec: RunSpec
     contract: str = CONTRACT_V1
-
-
-def _coerce(name: str, value: Any, target: type, problems: list[str]):
-    """Strictly typed coercion: ints may widen to float, nothing else."""
-    if target is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if target is int and isinstance(value, bool):
-        problems.append(f"spec.{name}: expected {target.__name__}, got bool")
-        return None
-    if not isinstance(value, target):
-        problems.append(
-            f"spec.{name}: expected {target.__name__}, "
-            f"got {type(value).__name__}"
-        )
-        return None
-    return value
 
 
 def parse_session_request(
@@ -122,7 +107,7 @@ def parse_session_request(
             value = spec_doc[name]
             if value is None and KNOBS[name].default is None:
                 continue
-            coerced = _coerce(name, value, target, problems)
+            coerced = coerce(f"spec.{name}", value, target, problems)
             if coerced is not None:
                 fields[name] = coerced
     if problems:

@@ -69,9 +69,9 @@ def database_digest(db: "Database", include_views: bool = True) -> str:
     """Hex digest of one database's full logical content.
 
     ``include_views=False`` digests table content only — the comparison
-    basis between a primary and its table-only cluster replicas (view
-    content is a pure function of the tables and replicas don't hold
-    view objects).
+    basis between a primary and its cluster replicas (a replica seeded
+    from a checkpoint recomputes its views, which may make them fresher
+    than the primary's).
     """
     hasher = hashlib.sha256()
     hasher.update(db.name.encode())

@@ -98,8 +98,7 @@ class DatabaseSnapshot:
         return restored
 
     def restore_tables(self, db: "Database") -> int:
-        """The table half of :meth:`restore_into` — all of it for a
-        database that has no view objects (a replica)."""
+        """The table half of :meth:`restore_into`."""
         restored = 0
         for name, snap in self.tables.items():
             if db.has_table(name):

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
+from repro.declare import knob, parse_pairs, problems
 from repro.errors import ReproError
 
 #: The synthesized process families, in canonical order.
@@ -41,27 +42,6 @@ from repro.errors import ReproError
 #:   over overlapping noisy sources and schema matching over heterogeneous
 #:   source dialects, with exact generated ground truth.
 FAMILIES = ("pipeline", "cdc", "scd", "dirty")
-
-_TRANSFORM_MIXES = ("relational", "xml", "balanced")
-
-#: Knob-string aliases → canonical field names.
-_ALIASES = {
-    "sources": "sources",
-    "depth": "depth",
-    "fan_out": "fan_out",
-    "fanout": "fan_out",
-    "transform_mix": "transform_mix",
-    "mix": "transform_mix",
-    "update_ratio": "update_ratio",
-    "update": "update_ratio",
-    "scale": "scale",
-    "noise": "noise",
-    "rounds": "rounds",
-    "messages": "messages",
-    "msgs": "messages",
-    "families": "families",
-    "seed": "seed",
-}
 
 
 class SynthSpecError(ReproError):
@@ -81,80 +61,42 @@ class SynthSpec:
     ``--seeds`` produces a different-but-deterministic scenario per seed.
     """
 
-    #: Number of heterogeneous source systems (each gets its own schema
-    #: dialect and its own E1 message streams).
-    sources: int = 2
-    #: Extra transform stages in each consolidation DAG (DAG depth).
-    depth: int = 1
-    #: Sources consumed per consolidation process (DAG fan-in/fan-out).
-    fan_out: int = 2
-    #: What the extra stages do: "relational", "xml" (XML round-trips),
-    #: or "balanced" (alternating).
-    transform_mix: str = "relational"
-    #: Fraction of E1 messages that update existing entities instead of
-    #: inserting new ones (the update/query ratio knob).
-    update_ratio: float = 0.5
-    #: Multiplies population sizes and messages per stream.
-    scale: float = 1.0
-    #: Dirtiness: duplicate rate for entity matching, corruption rate for
-    #: cleansing, invalid-amount rate for row validation.
-    noise: float = 0.2
-    #: Rounds per benchmark period; each round runs the E1 streams and
-    #: then the dependent E2 processes, so SCD version churn and CDC
-    #: incremental pulls happen *within* one period.
-    rounds: int = 2
-    #: E1 messages per stream per round (before ``scale``).
-    messages: int = 3
-    #: Enabled process families, canonically ordered.
-    families: tuple[str, ...] = FAMILIES
-    #: Explicit generator seed; None inherits the RunSpec seed.
-    seed: int | None = None
-
-    # -- validation -------------------------------------------------------------
+    sources: int = knob(2, bounds="[1, 8]", help="heterogeneous source systems, "
+                        "each with its own schema dialect and E1 message streams")
+    depth: int = knob(1, bounds="[0, 6]", help="extra transform stages per "
+                      "consolidation DAG")
+    fan_out: int = knob(2, bounds="[1, 8]", alias=("fanout",), help="sources "
+                        "consumed per consolidation process")
+    transform_mix: str = knob(
+        "relational", choices=("relational", "xml", "balanced"), alias=("mix",),
+        help="what the extra stages do (XML stages round-trip through the "
+        "document model; balanced alternates)",
+    )
+    update_ratio: float = knob(0.5, bounds="[0, 1]", alias=("update",), help="share "
+                               "of E1 messages updating entities, not inserting")
+    scale: float = knob(1.0, bounds="(0, 10]", help="multiplies population sizes "
+                        "and messages per stream")
+    noise: float = knob(0.2, bounds="[0, 0.9]", help="dirtiness: duplicate, "
+                        "corruption and invalid-amount rates")
+    rounds: int = knob(2, bounds="[1, 6]", help="E1 then E2 waves per period, so "
+                       "SCD churn and CDC pulls happen within one period")
+    messages: int = knob(3, bounds="[1, 64]", alias=("msgs",), help="E1 messages "
+                         "per stream per round (before `scale`)")
+    families: tuple[str, ...] = knob(
+        FAMILIES, choices=FAMILIES, bounds="[1, inf)", split="+",
+        help="enabled process families, held in canonical order",
+    )
+    seed: int | None = knob(None, bounds="[0, inf)", help="pins the generator "
+                            "seed; unset, the RunSpec seed is inherited")
 
     def validate(self) -> list[str]:
         """Range-check every knob; returns all problems (empty = valid)."""
-        problems: list[str] = []
-        if not 1 <= self.sources <= 8:
-            problems.append(f"sources must be in [1, 8]: {self.sources}")
-        if not 0 <= self.depth <= 6:
-            problems.append(f"depth must be in [0, 6]: {self.depth}")
-        if not 1 <= self.fan_out <= 8:
-            problems.append(f"fan_out must be in [1, 8]: {self.fan_out}")
-        if self.transform_mix not in _TRANSFORM_MIXES:
-            problems.append(
-                f"transform_mix must be one of {_TRANSFORM_MIXES}: "
-                f"{self.transform_mix!r}"
-            )
-        if not 0.0 <= self.update_ratio <= 1.0:
-            problems.append(
-                f"update_ratio must be in [0, 1]: {self.update_ratio}"
-            )
-        if not 0.0 < self.scale <= 10.0:
-            problems.append(f"scale must be in (0, 10]: {self.scale}")
-        if not 0.0 <= self.noise <= 0.9:
-            problems.append(f"noise must be in [0, 0.9]: {self.noise}")
-        if not 1 <= self.rounds <= 6:
-            problems.append(f"rounds must be in [1, 6]: {self.rounds}")
-        if not 1 <= self.messages <= 64:
-            problems.append(f"messages must be in [1, 64]: {self.messages}")
-        if not self.families:
-            problems.append("families must name at least one family")
-        for family in self.families:
-            if family not in FAMILIES:
-                problems.append(
-                    f"unknown family {family!r}; choose from {FAMILIES}"
-                )
-        if len(set(self.families)) != len(self.families):
-            problems.append(f"duplicate families: {self.families}")
-        if self.seed is not None and self.seed < 0:
-            problems.append(f"seed must be >= 0: {self.seed}")
-        return problems
+        return problems(self)
 
     def assert_valid(self) -> "SynthSpec":
-        problems = self.validate()
-        if problems:
-            raise SynthSpecError(problems)
+        found = self.validate()
+        if found:
+            raise SynthSpecError(found)
         return self
 
     # -- identity ---------------------------------------------------------------
@@ -162,17 +104,8 @@ class SynthSpec:
     def canonical(self) -> dict:
         """Deterministic plain-JSON form (the digest input)."""
         return {
-            "sources": self.sources,
-            "depth": self.depth,
-            "fan_out": self.fan_out,
-            "transform_mix": self.transform_mix,
-            "update_ratio": self.update_ratio,
-            "scale": self.scale,
-            "noise": self.noise,
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "families": list(self.families),
-            "seed": self.seed,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(self).items()
         }
 
     def digest(self) -> str:
@@ -206,8 +139,9 @@ class SynthSpec:
             value = getattr(self, spec_field.name)
             if value == getattr(defaults, spec_field.name):
                 continue
-            if spec_field.name == "families":
-                parts.append("families=" + "+".join(value))
+            if isinstance(value, tuple):
+                split = spec_field.metadata["split"]
+                parts.append(f"{spec_field.name}={split.join(value)}")
             elif isinstance(value, float):
                 parts.append(f"{spec_field.name}={value:g}")
             else:
@@ -219,61 +153,17 @@ class SynthSpec:
         """Parse a knob string; raises :class:`SynthSpecError` listing
         *every* problem (unknown knobs, uncoercible values, range
         violations) rather than stopping at the first."""
-        values, problems = _parse_pairs(text)
-        if problems:
-            raise SynthSpecError(problems)
-        spec = cls(**values)
-        return spec.assert_valid()
+        values, found = parse_pairs(cls, text)
+        if found:
+            raise SynthSpecError(found)
+        return cls(**values).assert_valid()
 
 
 def knob_problems(text: str) -> list[str]:
-    """Every problem with a knob string, without raising (serve boundary)."""
-    values, problems = _parse_pairs(text)
-    if problems:
-        return problems
-    return SynthSpec(**values).validate()
+    """Every problem with a knob string, without raising (serve boundary).
 
-
-_INT_KNOBS = {"sources", "depth", "fan_out", "rounds", "messages", "seed"}
-_FLOAT_KNOBS = {"update_ratio", "scale", "noise"}
-
-
-def _parse_pairs(text: str) -> tuple[dict, list[str]]:
-    values: dict = {}
-    problems: list[str] = []
-    for raw in filter(None, (p.strip() for p in text.split(","))):
-        key, sep, value = raw.partition("=")
-        key = key.strip()
-        if not sep:
-            problems.append(f"knob {raw!r} is not a key=value pair")
-            continue
-        name = _ALIASES.get(key)
-        if name is None:
-            problems.append(
-                f"unknown knob {key!r}; choose from "
-                + ", ".join(sorted(set(_ALIASES.values())))
-            )
-            continue
-        if name in values:
-            problems.append(f"knob {name!r} given more than once")
-            continue
-        value = value.strip()
-        if name == "families":
-            names = tuple(f for f in value.split("+") if f)
-            # Canonical order regardless of how the user listed them.
-            ordered = tuple(f for f in FAMILIES if f in names)
-            extras = tuple(f for f in names if f not in FAMILIES)
-            values[name] = ordered + extras
-        elif name == "transform_mix":
-            values[name] = value
-        elif name in _INT_KNOBS:
-            try:
-                values[name] = int(value)
-            except ValueError:
-                problems.append(f"knob {name}: not an integer: {value!r}")
-        elif name in _FLOAT_KNOBS:
-            try:
-                values[name] = float(value)
-            except ValueError:
-                problems.append(f"knob {name}: not a number: {value!r}")
-    return values, problems
+    Parse problems come alone: a range check of half-parsed knobs would
+    only repeat them.
+    """
+    values, found = parse_pairs(SynthSpec, text)
+    return found or SynthSpec(**values).validate()

@@ -1,11 +1,12 @@
-"""Adding a knob is a one-site change: :class:`RunSpec` declares it.
+"""Adding a knob is a one-site change: its spec declares it.
 
 Each test here names one edge that used to re-declare the knobs — the
 CLI parsers, the ``session/v1`` whitelist and echo, the engine + client
-wiring, the docs — and fails when a second declaration comes back.
+wiring, the synth knob-string and tenant-policy grammars, the fault-spec
+loader, the serve/storm range checks, the docs — and fails when a second
+declaration comes back.
 
-Regenerate the knob table of docs/parallel.md after a declaration
-changes::
+Regenerate the declared tables in docs/ after a declaration changes::
 
     PYTHONPATH=src python tests/parallel/test_knob_schema.py
 """
@@ -14,23 +15,43 @@ import ast
 import math
 import re
 import time
-from dataclasses import replace
+from dataclasses import MISSING, replace
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.errors import TranslationError
+from repro.declare import fields_of, knob_type, problems
+from repro.errors import ServeError, TranslationError
 from repro.parallel import RunSpec, run_spec
-from repro.parallel.spec import KNOBS, knob_type
-from repro.serve import CONTRACT_V1, parse_session_request
+from repro.parallel.spec import KNOBS
+from repro.resilience import FaultEvent, FaultSpec
+from repro.serve import (
+    CONTRACT_V1,
+    ServeConfig,
+    StormConfig,
+    TenantPolicy,
+    parse_session_request,
+)
 from repro.serve.translate import _V1_SPEC_FIELDS
+from repro.synth import SynthSpec
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 PARALLEL_MD = ROOT / "docs" / "parallel.md"
 
-DECLARED_FLAGS = {k.metadata["flag"] for k in KNOBS.values() if k.metadata.get("flag")}
+SPECS = (
+    RunSpec, SynthSpec, FaultEvent, FaultSpec,
+    TenantPolicy, ServeConfig, StormConfig,
+)
+RUN_FLAGS = {k.metadata["flag"] for k in KNOBS.values() if k.metadata.get("flag")}
+DECLARED_FLAGS = {
+    spec_field.metadata["flag"]
+    for spec in SPECS
+    for spec_field in fields_of(spec).values()
+    if spec_field.metadata.get("flag")
+}
+FIELD_NAMES = {name for spec in SPECS for name in fields_of(spec)}
 WIRE = {name for name, k in KNOBS.items() if k.metadata.get("wire")}
 PHYSICAL = {name for name, k in KNOBS.items() if k.metadata.get("physical")}
 
@@ -43,6 +64,7 @@ NOT_A_SPEC_KNOB = {("sweep", "--workers")}
 
 
 def test_no_parser_writes_out_a_flag_runspec_declares():
+    """Nor a flag any other declared spec names."""
     tree = ast.parse((SRC / "cli.py").read_text("utf-8"))
     hand_written = [
         (call.func.value.id, arg.value)
@@ -58,9 +80,61 @@ def test_no_parser_writes_out_a_flag_runspec_declares():
 
 
 def test_counts_before_equal_counts_after():
-    """The PR that introduced the declarations added no knob."""
+    """The PRs that introduced the declarations added no knob."""
     assert len(KNOBS) == 24
-    assert len(DECLARED_FLAGS) == 20
+    assert len(RUN_FLAGS) == 20
+    assert {spec.__name__: len(fields_of(spec)) for spec in SPECS[1:]} == {
+        "SynthSpec": 11, "FaultEvent": 11, "FaultSpec": 3,
+        "TenantPolicy": 4, "ServeConfig": 9, "StormConfig": 13,
+    }
+
+
+# -- no second declaration ----------------------------------------------------------
+
+HAND_WRITTEN_SITES = sorted(
+    [SRC / "synth" / "spec.py", SRC / "resilience" / "faults.py"]
+    + list((SRC / "serve").glob("*.py"))
+)
+
+
+def _field_names(node) -> set:
+    return {
+        c.value for c in ast.walk(node)
+        if isinstance(c, ast.Constant) and c.value in FIELD_NAMES
+    }
+
+
+@pytest.mark.parametrize(
+    "path", HAND_WRITTEN_SITES, ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_alias_table_type_set_or_range_check_by_hand(path):
+    tree = ast.parse(path.read_text("utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        # {"fanout": "fan_out", ...} or {"rate": float, ...}
+        if isinstance(node, ast.Dict) and node.keys and all(
+            isinstance(v, ast.Name) and v.id in ("int", "float", "str")
+            or isinstance(v, ast.Constant) and v.value in FIELD_NAMES
+            for v in node.values
+        ) and len(_field_names(node)) >= 2:
+            found.append(f"table at line {node.lineno}")
+        # {"sources", "depth", ...}: a set of field names
+        if isinstance(node, ast.Set) and len(_field_names(node)) >= 2:
+            found.append(f"set at line {node.lineno}")
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            found.extend(
+                f"__post_init__ compares at line {c.lineno}"
+                for c in ast.walk(node)
+                if isinstance(c, ast.Compare)
+            )
+        # int(data["count"]), float(value): a cast instead of a declaration
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("int", "float", "str") and node.args
+            and path.parent.name != "serve"
+        ):
+            found.append(f"{node.func.id}() at line {node.lineno}")
+    assert found == []
 
 
 # -- session/v1 -----------------------------------------------------------------
@@ -68,7 +142,7 @@ def test_counts_before_equal_counts_after():
 
 def test_the_whitelist_is_the_declared_wire_fields():
     assert set(_V1_SPEC_FIELDS) == WIRE
-    assert all(_V1_SPEC_FIELDS[name] is knob_type(name) for name in WIRE)
+    assert all(_V1_SPEC_FIELDS[name] is knob_type(KNOBS[name]) for name in WIRE)
     assert PHYSICAL.isdisjoint(WIRE)
 
 
@@ -104,27 +178,63 @@ def test_an_engine_is_constructed_in_two_places():
     assert sites == ["parallel/spec.py", "synth/conformance.py"]
 
 
-# -- the two ranges nobody checked ------------------------------------------------------
+# -- the ranges nobody checked ------------------------------------------------------------
+
+#: What a spec needs before any one field can be moved out of range.
+REQUIRED = {
+    FaultEvent: {"at": 0.0, "kind": "outage", "service": "dwh"},
+    TenantPolicy: {"name": "t"},
+}
+
+
+def _case(spec, field, value):
+    prefix = "" if spec is RunSpec else f"{spec.__name__}."
+    return pytest.param(spec, field, value, id=f"{prefix}{field}-{value}")
 
 
 @pytest.mark.parametrize(
-    "field,value",
+    "spec,field,value",
     [
-        ("checkpoint_every", 1e-15), ("checkpoint_every", 0.0),
-        ("checkpoint_every", -1.0), ("checkpoint_every", math.nan),
-        ("checkpoint_every", math.inf),
-        ("sandiego_error_rate", 7.5), ("sandiego_error_rate", -1.0),
-        ("sandiego_error_rate", math.nan),
+        _case(RunSpec, "checkpoint_every", 1e-15),
+        _case(RunSpec, "checkpoint_every", 0.0),
+        _case(RunSpec, "checkpoint_every", -1.0),
+        _case(RunSpec, "checkpoint_every", math.nan),
+        _case(RunSpec, "checkpoint_every", math.inf),
+        _case(RunSpec, "sandiego_error_rate", 7.5),
+        _case(RunSpec, "sandiego_error_rate", -1.0),
+        _case(RunSpec, "sandiego_error_rate", math.nan),
+        *(
+            _case(FaultEvent, field, value)
+            for field in ("at", "factor", "duration")
+            for value in (math.nan, math.inf, -math.inf)
+        ),
+        _case(TenantPolicy, "rate", math.nan),
+        _case(TenantPolicy, "burst", math.nan),
+        _case(StormConfig, "rate", math.nan),
+        _case(StormConfig, "think_s", math.nan),
+        _case(StormConfig, "wait_s", math.nan),
+        _case(ServeConfig, "session_timeout_s", math.nan),
+        _case(ServeConfig, "queue_capacity", 0),
+        _case(ServeConfig, "queue_capacity", -1),
+        _case(SynthSpec, "noise", math.nan),
     ],
 )
-def test_out_of_range_is_a_problem(field, value):
-    problems = RunSpec(**{field: value}).problems()
-    assert len(problems) == 1 and problems[0].startswith(f"{field}: ")
+def test_out_of_range_is_a_problem(spec, field, value):
+    values = {**REQUIRED.get(spec, {}), field: value}
+    try:
+        found = problems(spec(**values))
+    except ServeError as refused:  # the serve configs refuse to exist
+        found = [str(refused)]
+    assert len(found) == 1 and "; " not in found[0]
+    assert re.search(rf"\b{field}\b", found[0]), found
+    if spec is not RunSpec:
+        return
+    assert found[0].startswith(f"{field}: ")
     with pytest.raises(TranslationError) as err:
         parse_session_request(
             {"contract": CONTRACT_V1, "tenant": "t", "spec": {field: value}}
         )
-    assert err.value.problems == [f"spec.{problems[0]}"]
+    assert err.value.problems == [f"spec.{found[0]}"]
 
 
 def test_boundaries_are_inside():
@@ -187,10 +297,60 @@ def test_the_knob_table_in_the_docs_is_current():
     assert text.split(BEGIN)[1].split(END)[0].strip() == knob_table()
 
 
-if __name__ == "__main__":
-    text = PARALLEL_MD.read_text("utf-8")
-    head, rest = text.split(BEGIN)
-    PARALLEL_MD.write_text(
-        f"{head}{BEGIN}\n{knob_table()}\n{END}{rest.split(END)[1]}", "utf-8"
+def spec_table(spec) -> str:
+    """The markdown table of a spec's keys, as declared: a tuple's range
+    names its entries and how many of them it holds."""
+    rows = ["| key | type | default | range | meaning |", "|---|---|---|---|---|"]
+    for name, spec_field in fields_of(spec).items():
+        meta = spec_field.metadata
+        key = ", ".join(f"`{k}`" for k in (name, *meta.get("alias", ())))
+        valid = [" \\| ".join(f"`{c}`" for c in meta.get("choices", ()))]
+        if meta.get("bounds"):
+            entries = " entries" if spec_field.type.startswith("tuple") else ""
+            valid.append(f"`{meta['bounds']}`{entries}")
+        default = (
+            "required" if spec_field.default is MISSING
+            else f"`{spec_field.default!r}`"
+        )
+        rows.append(
+            f"| {key} | `{spec_field.type.replace('|', chr(92) + '|')}` "
+            f"| {default} | {'; '.join(filter(None, valid)) or '—'} "
+            f"| {meta['help']} |"
+        )
+    return "\n".join(rows)
+
+
+#: (doc, spec): each doc holds the spec's table between its markers.
+SPEC_TABLES = [
+    ("workloads.md", SynthSpec),
+    ("resilience.md", FaultEvent),
+    ("serving.md", TenantPolicy),
+]
+
+
+def _markers(spec) -> tuple[str, str]:
+    return (
+        f"<!-- {spec.__name__}-table:begin -->",
+        f"<!-- {spec.__name__}-table:end -->",
     )
-    print(f"wrote the knob table into {PARALLEL_MD}")
+
+
+@pytest.mark.parametrize(
+    "doc,spec", SPEC_TABLES, ids=lambda x: getattr(x, "__name__", x)
+)
+def test_the_spec_tables_in_the_docs_are_current(doc, spec):
+    begin, end = _markers(spec)
+    text = (ROOT / "docs" / doc).read_text("utf-8")
+    assert text.split(begin)[1].split(end)[0].strip() == spec_table(spec)
+
+
+def _rewrite(path: Path, begin: str, end: str, table: str) -> None:
+    head, rest = path.read_text("utf-8").split(begin)
+    path.write_text(f"{head}{begin}\n{table}\n{end}{rest.split(end)[1]}", "utf-8")
+    print(f"wrote the table into {path}")
+
+
+if __name__ == "__main__":
+    _rewrite(PARALLEL_MD, BEGIN, END, knob_table())
+    for doc, spec in SPEC_TABLES:
+        _rewrite(ROOT / "docs" / doc, *_markers(spec), spec_table(spec))

@@ -1,9 +1,13 @@
 """Fault specs: validation, JSON round-trips, timelines, corruption."""
 
+import json
+import math
 import random
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.errors import FaultSpecError
 from repro.resilience import FAULT_KINDS, FaultEvent, FaultSpec, corrupt_document
 from repro.xmlkit.doc import XmlElement
@@ -173,6 +177,55 @@ class TestJsonRoundTrip:
         )
         text = spec.describe()
         assert "'d'" in text and "outage" in text and "restore" in text
+
+
+OUTAGE = {"at": 1.0, "kind": "outage", "service": "sales_cleaning"}
+
+
+@pytest.mark.parametrize(
+    "doc,problem",
+    [
+        ({"events": [{**OUTAGE, "count": "x"}]}, "count: expected int"),
+        ({"seed": None}, "seed: expected int"),
+        ({"events": [1]}, "events[0]: expected a JSON object"),
+        ({"events": [{**OUTAGE, "at": "abc"}]}, "at: expected float"),
+        ({"events": [{**OUTAGE, "kind": 5}]}, "kind: expected str"),
+        ({"name": ["n"]}, "name: expected str"),
+    ],
+    ids=["count-x", "seed-null", "event-1", "at-abc", "kind-5", "name-list"],
+)
+def test_a_malformed_spec_fails_closed(doc, problem, tmp_path, capsys):
+    with pytest.raises(FaultSpecError, match=re.escape(problem)):
+        FaultSpec.from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["faults", str(path)]) == 1
+    assert main(["run", "--periods", "1", "--quiet", "--faults", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(
+        line.startswith(f"error: cannot load fault spec {path}: ")
+        and problem in line
+        for line in err
+    )
+
+
+def test_every_problem_of_a_file_in_one_error():
+    with pytest.raises(FaultSpecError) as err:
+        FaultSpec.from_dict({"seed": None, "events": [1, {"kind": 5}]})
+    assert str(err.value).count("; ") == 3
+
+
+def test_a_nan_time_is_invalid_not_a_crash(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"name": "nan", "events": [{**OUTAGE, "at": math.nan}]}
+    ))
+    assert "NaN" in path.read_text()
+    assert main(["faults", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID: 1 problem(s)" in out
+    assert "got at=nan" in out
 
 
 class TestSpecCrossValidation:

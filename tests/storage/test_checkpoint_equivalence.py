@@ -181,13 +181,13 @@ class Pair:
     """One database and engine under production durability, their twins
     under the oracle.
 
-    ``clustered`` puts a three-host ``ClusterManager`` on the production
+    ``clustered`` puts a ``hosts``-host ``ClusterManager`` on the production
     side, so that a ``failover`` step runs its promotion and engine
     restore instead of the ``RecoveryManager``; the oracle recovers the
     twin the one way it knows, and both must land on the same state.
     """
 
-    def __init__(self, clustered=False):
+    def __init__(self, clustered=False, hosts=3):
         self.db = make_db()
         self.engine = FakeEngine(self.db)
         self.storage = StorageManager(mode="wal")
@@ -195,7 +195,7 @@ class Pair:
         self.cluster = None
         if clustered:
             self.cluster = ClusterManager(
-                ClusterConfig(hosts=3, replicas=1), self.storage,
+                ClusterConfig(hosts=hosts, replicas=1), self.storage,
                 Network(seed=0), ScaleFactors(), seed=0,
             )
         self.twin = make_db()
@@ -345,8 +345,8 @@ op_strategy = st.one_of(
 )
 
 
-def walk(ops, clustered=False):
-    pair = Pair(clustered)
+def walk(ops, clustered=False, hosts=3):
+    pair = Pair(clustered, hosts)
     for op in ops:
         pair.step(op)
     return pair
@@ -457,6 +457,21 @@ class TestRecordHistoryAcrossTheWatermark:
         assert len(pair.cluster.failover_reports) == 2
         assert pair.storage.recoveries == 0
         assert len(pair.engine.records) == 4
+
+    def test_failover_hands_over_views_like_recovery(self):
+        """A view refreshed before later writes keeps the content of its
+        refresh, a checkpoint recomputes it, and a follower reseeded by
+        one failover hands over the promoted content at the next."""
+        stale = [("mv_refresh",), ("delete", "t0", 0), ("commit",)]
+        pair = walk(stale + [("failover",)] * 4, clustered=True, hosts=5)
+        reports = pair.cluster.failover_reports
+        assert reports[2].replicas_reseeded == 1 and reports[3].promoted
+        pair = walk([
+            ("mv_refresh",), ("upsert", "t0", 0, "a"), ("checkpoint",),
+            ("failover",),
+        ], clustered=True)
+        rows = pair.db.materialized_view("mv").snapshot.rows
+        assert [row["v"] for row in rows] == ["a", "seed", "seed"]
 
 
 def test_oracle_is_independent_of_the_code_it_checks():

@@ -94,6 +94,9 @@ class TestSpecIdentity:
         assert knob_problems("") == []
         assert knob_problems("depth=2") == []
         assert len(knob_problems("depth=99,families=martian")) == 2
+        assert knob_problems("families=cdc+cdc") == [
+            "knob 'families' given 'cdc' more than once"
+        ]
 
 
 # ---------------------------------------------------------------------------

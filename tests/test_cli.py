@@ -349,9 +349,9 @@ class TestRecoverCommand:
 
 class TestParseTenantPolicies:
     def test_full_syntax(self):
-        from repro.cli import _parse_tenant_policies
+        from repro.serve.admission import parse_tenant_policies
 
-        policies = _parse_tenant_policies(
+        policies = parse_tenant_policies(
             ["acme:rate=20:burst=5:active=4", "globex"]
         )
         assert policies["acme"].rate == 20.0
@@ -360,18 +360,18 @@ class TestParseTenantPolicies:
         assert policies["globex"].name == "globex"
 
     def test_unknown_knob_rejected(self):
-        from repro.cli import _parse_tenant_policies
+        from repro.serve.admission import parse_tenant_policies
         from repro.errors import ServeError
 
         with pytest.raises(ServeError, match="unknown tenant policy knob"):
-            _parse_tenant_policies(["acme:speed=9"])
+            parse_tenant_policies(["acme:speed=9"])
 
     def test_bad_value_rejected(self):
-        from repro.cli import _parse_tenant_policies
+        from repro.serve.admission import parse_tenant_policies
         from repro.errors import ServeError
 
         with pytest.raises(ServeError, match="bad value"):
-            _parse_tenant_policies(["acme:rate=fast"])
+            parse_tenant_policies(["acme:rate=fast"])
 
 
 class TestServeCommand:
