@@ -25,11 +25,20 @@ do *after* period 0–1 bound every plan:
   this file on 3.11 for that reason.  The other four counts are asserted
   on every version.
 
+A second gate runs 141 units and counts what the collector walks: after
+``gc.collect()``, the tracked objects at period 40 exceed those at
+period 5 by at most 2 000 (the parent: 83 337, two per instance kept),
+and no stored history row is tracked.  Collections and full-collection
+ms over the last 100 units go to the ledger beside the parent's, as
+measurements, not gates.
+
 The end-to-end claim belongs to ``python3 -m bench``
-(docs/performance.md, "The instance path").
+(docs/performance.md, "The instance path", "The instance history").
 """
 
+import gc
 import sys
+import time
 
 from benchmarks.conftest import ledger_append
 
@@ -131,6 +140,88 @@ def test_steady_synth_periods_rebind_nothing():
             "heap_comparisons": {"before": 22176, "after": heap_comparisons},
             "python_calls_per_instance": {
                 "before": 195.0, "after": calls_per_instance,
+                "python": ".".join(map(str, sys.version_info[:2])),
+            },
+        },
+    )
+
+
+# ------------------------------------ the history the collector skips
+
+#: ``len(gc.get_objects())`` after ``gc.collect()``, period 40 minus
+#: period 5, at the parent: an ``InstanceRecord`` and its
+#: ``CostBreakdown`` held per instance, twice 1 166 a period.
+PARENT_OBJECT_GROWTH = 83_337
+#: What may still grow: ``SynthWorkload`` memoizes one plan per distinct
+#: period (≈ 49 tracked objects each, 1 715 over these 35 periods).
+OBJECT_GROWTH_CEILING = 2_000
+#: Units the collector is watched over, after period 40.
+GC_UNITS = 100
+#: The same units at the parent (CPython 3.11, 2-core container).
+PARENT_COLLECTOR = {"collections_gen0_gen1_gen2": [759, 68, 6], "gen2_ms": 871.2}
+
+
+def collector_runs(client, periods) -> dict:
+    """Collections per generation, and ms spent in full collections,
+    while ``client`` runs ``periods`` (``gc.callbacks``; wall time is
+    reported, never gated)."""
+    runs = [0, 0, 0]
+    gen2_ns = started = 0
+
+    def observe(phase, info):
+        nonlocal gen2_ns, started
+        if phase == "start":
+            started = time.perf_counter_ns()
+            return
+        runs[info["generation"]] += 1
+        if info["generation"] == 2:
+            gen2_ns += time.perf_counter_ns() - started
+
+    gc.callbacks.append(observe)
+    try:
+        for period in periods:
+            client.run_period(period % 100)
+    finally:
+        gc.callbacks.remove(observe)
+    return {"collections_gen0_gen1_gen2": runs, "gen2_ms": round(gen2_ns / 1e6, 1)}
+
+
+def test_the_instance_history_is_invisible_to_the_collector():
+    """A synth unit stops paying for the run so far: the history is rows
+    the collector untracks, so what a full collection walks does not
+    grow with the instances kept (docs/performance.md, "The instance
+    history")."""
+    client = SynthClient.from_spec(
+        RunSpec(engine="interpreter", datasize=0.05, periods=4, seed=5,
+                synth=SYNTH_KNOBS)
+    )
+    tracked = {}
+    for period in range(41):
+        client.run_period(period)
+        if period in (5, 40):
+            gc.collect()
+            tracked[period] = len(gc.get_objects())
+    growth = tracked[40] - tracked[5]
+    rows = client.engine.records.rows + client.monitor.records.rows
+    assert len(rows) == 2 * 41 * 1166
+    assert not any(gc.is_tracked(row) for row in rows)
+    assert growth <= OBJECT_GROWTH_CEILING
+
+    collector = collector_runs(client, range(41, 41 + GC_UNITS))
+    print(f"\ntracked objects +{growth} over periods 5-40, "
+          f"collector over {GC_UNITS} units {collector}")
+    ledger_append(
+        "history:untracked_rows",
+        {
+            "config": "interpreter synth bench knobs seed 5; objects: "
+                      "gc.get_objects() after gc.collect(), period 40 - "
+                      f"period 5; collector: units 41-{40 + GC_UNITS}",
+            "tracked_object_growth": {
+                "before": PARENT_OBJECT_GROWTH, "after": growth,
+            },
+            "tracked_objects_at_period_40": tracked[40],
+            "collector_per_100_units": {
+                "before": PARENT_COLLECTOR, "after": collector,
                 "python": ".".join(map(str, sys.version_info[:2])),
             },
         },

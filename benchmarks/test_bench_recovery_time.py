@@ -203,10 +203,10 @@ def test_durability_cost_does_not_grow_with_the_run():
     one commit-point crash a period, the period-baseline checkpoint at
     period 30 retains no more memory than the one at period 2 (+1 KiB),
     and the commit log holds no GC-tracked object beyond its commit
-    shells and the instance records the engine already holds, however
-    many commits it has.  The first breaks when a checkpoint copies the
-    run's record history, the second when a commit keeps its own runtime
-    or counter capture."""
+    shells and the instance records they carry (the engine keeps those
+    records as untracked rows), however many commits it has.  The first
+    breaks when a checkpoint copies the run's record history, the second
+    when a commit keeps its own runtime or counter capture."""
     retained: dict[int, int] = {}
     held: dict[int, int] = {}
     take_checkpoint = StorageManager.take_checkpoint
@@ -226,7 +226,10 @@ def test_durability_cost_does_not_grow_with_the_run():
     def counted_commit(storage, engine, record):
         commit_instance(storage, engine, record)
         if storage.period == 1 and storage.commits:
-            shells = {id(storage.commits)} | {id(c) for c in storage.commits}
+            shells = {id(storage.commits)} | {
+                id(part) for c in storage.commits
+                for part in (c, c.record, c.record.costs)
+            }
             own = (
                 _reachable([storage.commits]).keys()
                 - _reachable([engine.records]).keys()

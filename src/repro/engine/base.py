@@ -11,8 +11,9 @@ time scale factor t translates into measurable pressure.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass, fields
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import (
     AttemptTimeout,
@@ -116,6 +117,106 @@ class InstanceRecord:
     def normalized_cost(self) -> float:
         return self.costs.total
 
+    def row(self) -> tuple:
+        """The record as one flat tuple of atomic values, fields in
+        declaration order with ``costs`` spread over its three floats."""
+        costs = self.costs
+        return (
+            self.instance_id, self.process_id, self.period, self.stream,
+            self.arrival, self.start, self.completion, costs.communication,
+            costs.management, costs.processing, self.status, self.error,
+            self.queue_length_at_arrival, self.operators_executed,
+            self.validation_failures, self.error_type, self.error_violations,
+            self.attempts, self.fault_types,
+        )
+
+    @classmethod
+    def from_row(cls, row: tuple) -> "InstanceRecord":
+        return cls(*row[:7], CostBreakdown(*row[7:10]), *row[10:])
+
+
+_FIELDS = [f.name for f in fields(InstanceRecord)]
+#: Position of each field in an :meth:`InstanceRecord.row`.
+_COLUMNS = {name: position for position, name in enumerate(
+    _FIELDS[:7] + ["communication", "management", "processing"] + _FIELDS[8:]
+)}
+
+
+class InstanceHistory:
+    """A run's instance records as rows, which hold only atomic values so
+    that CPython stops tracking them at the first collection they survive.
+    Appending takes records, indexing and iterating decode; slicing and the
+    readers below share rows.  Append-only: checkpoints keep a watermark.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, records: Iterable[InstanceRecord] = (), rows=None):
+        self.rows = [record.row() for record in records] if rows is None else rows
+
+    @classmethod
+    def of(cls, records: Iterable[InstanceRecord]) -> "InstanceHistory":
+        """``records`` itself when it is a history, else encoded."""
+        return records if isinstance(records, cls) else cls(records)
+
+    def append(self, record: InstanceRecord) -> None:
+        self.rows.append(record.row())
+
+    def extend(self, records: Iterable[InstanceRecord]) -> None:
+        """Append records; another history's rows are shared, not re-encoded."""
+        self.rows.extend(InstanceHistory.of(records).rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(InstanceRecord.from_row, self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return InstanceHistory(rows=self.rows[index])
+        return InstanceRecord.from_row(self.rows[index])
+
+    def __delitem__(self, index) -> None:
+        del self.rows[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, InstanceHistory):
+            return self.rows == other.rows
+        return list(self) == other
+
+    def column(self, name: str) -> list:
+        """One field of every record, in order."""
+        return list(map(itemgetter(_COLUMNS[name]), self.rows))
+
+    def where(self, name: str, test: Callable[[Any], bool]) -> "InstanceHistory":
+        """The records whose field ``name`` passes ``test``, in order."""
+        position = _COLUMNS[name]
+        return InstanceHistory(rows=[r for r in self.rows if test(r[position])])
+
+    def groups(self, name: str) -> "dict[Any, InstanceHistory]":
+        """The records by field ``name``, in order of first appearance."""
+        position = _COLUMNS[name]
+        grouped: dict[Any, list[tuple]] = {}
+        for row in self.rows:
+            grouped.setdefault(row[position], []).append(row)
+        return {value: InstanceHistory(rows=rows) for value, rows in grouped.items()}
+
+    def recovered(self) -> "InstanceHistory":
+        """The records that are :attr:`InstanceRecord.recovered`."""
+        ok = self.where("status", lambda status: status == "ok")
+        return ok.where("attempts", lambda attempts: attempts > 1)
+
+    def normalized_costs(self) -> list[float]:
+        """:attr:`InstanceRecord.normalized_cost` of every record."""
+        c, m, p = (_COLUMNS[n] for n in ("communication", "management", "processing"))
+        return [row[c] + row[m] + row[p] for row in self.rows]
+
+    def elapsed(self) -> list[float]:
+        """:attr:`InstanceRecord.elapsed` of every record."""
+        arrival, completion = _COLUMNS["arrival"], _COLUMNS["completion"]
+        return [row[completion] - row[arrival] for row in self.rows]
+
 
 def _compile_anew(cached: Any, expression: Expression) -> None:
     """Run an identity-cached compiler as on an expression it has not
@@ -189,10 +290,7 @@ class IntegrationEngine:
         #: per-instance management cost (admission control keeps the
         #: self-management effect bounded).
         self.management_queue_cap = 16
-        #: Append-only: a durability checkpoint holds this list and its
-        #: length as a watermark, so nothing may change it in place
-        #: except by appending; clearing rebinds a new list.
-        self.records: list[InstanceRecord] = []
+        self.records = InstanceHistory()
         #: Execution profile of the most recent ``_execute_instance``,
         #: captured by subclasses via :meth:`_capture_profile`.
         self._last_profile: ExecutionProfile | None = None
@@ -425,7 +523,7 @@ class IntegrationEngine:
         self._processes.clear()
         self._unvalidated.clear()
         self._compiled.clear()
-        self.records = []
+        self.records = InstanceHistory()
         self.reset_workers()
         self._next_instance_id = 1
         self._last_profile = None
@@ -845,17 +943,17 @@ class IntegrationEngine:
     # -- statistics ---------------------------------------------------------------
 
     def records_for(self, process_id: str) -> list[InstanceRecord]:
-        return [r for r in self.records if r.process_id == process_id]
+        return list(self.records.where("process_id", lambda p: p == process_id))
 
     def clear_records(self) -> None:
-        self.records = []
+        self.records = InstanceHistory()
 
     def error_records(self) -> list[InstanceRecord]:
-        return [r for r in self.records if r.status != "ok"]
+        return list(self.records.where("status", lambda s: s != "ok"))
 
     def recovered_records(self) -> list[InstanceRecord]:
         """Instances that completed only after at least one retry."""
-        return [r for r in self.records if r.recovered]
+        return list(self.records.recovered())
 
     def dead_letter_records(self) -> list[InstanceRecord]:
-        return [r for r in self.records if r.status == "dead-letter"]
+        return list(self.records.where("status", lambda s: s == "dead-letter"))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import BenchmarkError
-from repro.engine.base import InstanceRecord
+from repro.engine.base import InstanceHistory, InstanceRecord
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -91,22 +91,20 @@ def compute_metrics(records: Iterable[InstanceRecord]) -> MetricReport:
     Instances that errored are excluded from the cost statistics but
     counted in ``error_count`` (a failing instance has no meaningful
     cost; its failure is reported separately, as the toolsuite's phase
-    *post* does).
+    *post* does).  Reads the columns of an :class:`InstanceHistory`
+    (other iterables of records are encoded first) and builds no record.
     """
-    by_type: dict[str, list[InstanceRecord]] = {}
-    for record in records:
-        by_type.setdefault(record.process_id, []).append(record)
-
     report = MetricReport()
+    by_type = InstanceHistory.of(records).groups("process_id")
     for process_id, type_records in by_type.items():
-        ok = [r for r in type_records if r.status == "ok"]
+        ok = type_records.where("status", lambda status: status == "ok")
         errors = len(type_records) - len(ok)
         if not ok:
             report.per_type[process_id] = ProcessTypeMetrics(
                 process_id, len(type_records), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, errors
             )
             continue
-        costs = [r.normalized_cost for r in ok]
+        costs = ok.normalized_costs()
         mu = _mean(costs)
         sigma = _std(costs)
         report.per_type[process_id] = ProcessTypeMetrics(
@@ -115,9 +113,9 @@ def compute_metrics(records: Iterable[InstanceRecord]) -> MetricReport:
             navg=mu,
             sigma=sigma,
             navg_plus=mu + sigma,
-            communication_mean=_mean([r.costs.communication for r in ok]),
-            management_mean=_mean([r.costs.management for r in ok]),
-            processing_mean=_mean([r.costs.processing for r in ok]),
+            communication_mean=_mean(ok.column("communication")),
+            management_mean=_mean(ok.column("management")),
+            processing_mean=_mean(ok.column("processing")),
             error_count=errors,
         )
     return report

@@ -53,6 +53,8 @@ from repro.toolsuite.monitor import Monitor
 
 #: Refuse request bodies beyond this (a v1 session doc is ~300 bytes).
 MAX_BODY = 64 * 1024
+#: Refuse a request head with more header lines than this (431).
+MAX_HEADERS = 100
 #: Upper bound on one long-poll (``?wait=`` is clamped to this).
 MAX_WAIT_S = 60.0
 
@@ -126,12 +128,16 @@ async def _read_request(reader: asyncio.StreamReader):
     except ValueError:
         raise _HttpError(400, "malformed request line")
     headers: dict[str, str] = {}
-    while True:
+    for _ in range(MAX_HEADERS + 1):
         line = await _readline(reader)
         if line in (b"\r\n", b"\n", b""):
             break
-        name, _, value = line.decode("latin-1").partition(":")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise _HttpError(400, f"header line without ':': {line[:64]!r}")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _HttpError(431, f"more than {MAX_HEADERS} header lines")
     raw_length = headers.get("content-length", "0") or "0"
     if not (raw_length.isascii() and raw_length.isdigit()):
         raise _HttpError(

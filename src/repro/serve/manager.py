@@ -509,9 +509,9 @@ class SessionManager:
         ]
         navg_total = sum(o.navg_plus_total() for o in outcomes)
         instance_latencies_tu = [
-            record.elapsed * outcome.spec.time
+            elapsed * outcome.spec.time
             for outcome in outcomes
-            for record in outcome.result.records
+            for elapsed in outcome.result.records.elapsed()
         ]
         wall = self._latencies.get(tenant, [])
         overhead_s = sum(s.serve_overhead_s for s in sessions)

@@ -293,7 +293,7 @@ class StorageManager:
 
     def restore_engine_state(self, engine: "IntegrationEngine") -> None:
         """Put the engine's volatile state back as of the last commit:
-        the checkpoint's record list cut back to its watermark and
+        the checkpoint's record history cut back to its watermark and
         extended by one record per commit since, in place (O(commits
         since the checkpoint)); the runtime state; and last the exact
         counters, overwriting what restore and redo accumulated (no

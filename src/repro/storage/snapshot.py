@@ -12,9 +12,9 @@ purely logical.
 A :class:`Checkpoint` bundles the snapshots of every attached database
 with the exact I/O counters and the owning engine's volatile state
 (worker heaps, id counters) at one instant.  The engine's instance
-records are held as a *watermark*, not a copy: the engine's record list
+records are held as a *watermark*, not a copy: the engine's history
 is append-only (:meth:`IntegrationEngine.clear_records` and a crash
-rebind it rather than clear it), so the list plus its length at capture
+rebind it rather than clear it), so the history plus its length at capture
 time names the history exactly, at O(1) per checkpoint.  Taking a
 checkpoint never reads through the counted query paths
 (:meth:`Table.dump_rows`), so checkpoint cadence cannot perturb the
@@ -30,6 +30,7 @@ from repro.errors import RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.database import Database
+    from repro.engine.base import InstanceHistory
 
 
 @dataclass
@@ -125,9 +126,9 @@ class Checkpoint:
     period: int
     databases: dict[str, DatabaseSnapshot]
     counters: dict[str, dict]
-    #: The engine's live, append-only record list and its length at
+    #: The engine's live, append-only record history and its length at
     #: capture time: the history is ``engine_records[:engine_record_count]``.
-    engine_records: list
+    engine_records: InstanceHistory
     engine_record_count: int
     engine_runtime: dict
 

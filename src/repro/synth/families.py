@@ -10,8 +10,9 @@ workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.engine.base import InstanceRecord
+from repro.engine.base import InstanceHistory, InstanceRecord
 from repro.metrics.navg import compute_metrics
 
 #: Synthesized process-id prefixes → family, longest prefix wins.
@@ -77,7 +78,7 @@ class FamilyRow:
 
 
 def family_breakdown(
-    records: list[InstanceRecord], time_scale: float = 1.0
+    records: Iterable[InstanceRecord], time_scale: float = 1.0
 ) -> list[FamilyRow]:
     """Per-family aggregate of a run's instance records.
 
@@ -85,33 +86,32 @@ def family_breakdown(
     each family; mean cost components are over the family's successful
     instances, reported in tu like the Monitor does.
     """
-    by_family: dict[str, list[InstanceRecord]] = {}
-    for record in records:
-        family = family_of_process(record.process_id) or "other"
-        by_family.setdefault(family, []).append(record)
+    history = InstanceHistory.of(records)
+    process_ids = set(history.column("process_id"))
+    family_of = {p: family_of_process(p) or "other" for p in process_ids}
     rows: list[FamilyRow] = []
-    for family in sorted(by_family):
-        members = by_family[family]
+    for family in sorted(set(family_of.values())):
+        members = history.where("process_id", lambda p: family_of[p] == family)
         report = compute_metrics(members)
-        ok = [r for r in members if r.status == "ok"]
+        ok = members.where("status", lambda status: status == "ok")
         count = max(len(ok), 1)
         rows.append(
             FamilyRow(
                 family=family,
-                process_types=len({r.process_id for r in members}),
+                process_types=len(set(members.column("process_id"))),
                 instances=len(members),
-                errors=sum(1 for r in members if r.status != "ok"),
+                errors=len(members) - len(ok),
                 navg_plus_total=(
                     sum(m.navg_plus for m in report.rows()) * time_scale
                 ),
                 mean_communication=(
-                    sum(r.costs.communication for r in ok) / count * time_scale
+                    sum(ok.column("communication")) / count * time_scale
                 ),
                 mean_management=(
-                    sum(r.costs.management for r in ok) / count * time_scale
+                    sum(ok.column("management")) / count * time_scale
                 ),
                 mean_processing=(
-                    sum(r.costs.processing for r in ok) / count * time_scale
+                    sum(ok.column("processing")) / count * time_scale
                 ),
             )
         )

@@ -86,7 +86,7 @@ class SynthClient:
         return BenchmarkResult(
             factors=self.factors,
             periods=self.periods,
-            records=list(self.monitor.records),
+            records=self.monitor.records[:],
             metrics=self.monitor.metrics(),
             verification=verification,
             engine_name=self.engine.engine_name,
@@ -97,7 +97,8 @@ class SynthClient:
             self.engine.deploy_all(self.workload.processes.values())
 
     def run_period(self, period: int) -> list[InstanceRecord]:
-        """Uninitialize, replant, then run every round's E1 → E2 wave."""
+        """Uninitialize, replant, then run every round's E1 → E2 wave;
+        returns the period's records as the engine built them."""
         self._deploy()
         workload = self.workload
         plan = workload.plan(period)
@@ -105,6 +106,7 @@ class SynthClient:
         workload.populate(period)
         self.engine.reset_workers()
         records_before = len(self.engine.records)
+        new_records: list[InstanceRecord] = []
 
         streams = workload.e1_streams()
         builders = {
@@ -144,6 +146,7 @@ class SynthClient:
                         stream="E1",
                     )
                 )
+                new_records.append(record)
                 frontier = max(frontier, record.completion)
             # The dependent wave, serialized at the completion frontier.
             for process_id in workload.e2_processes():
@@ -156,10 +159,10 @@ class SynthClient:
                         stream="E2",
                     )
                 )
+                new_records.append(record)
                 frontier = max(frontier, record.completion)
 
-        new_records = self.engine.records[records_before:]
-        self.monitor.absorb(new_records)
+        self.monitor.absorb(self.engine.records[records_before:])
         metrics = self.observability.metrics
         if metrics.enabled:
             metrics.counter(

@@ -30,7 +30,9 @@ from repro.cluster import (
     ReplicationStats,
 )
 from repro.db import fastpath, partition
-from repro.engine.base import InstanceRecord, IntegrationEngine, ProcessEvent
+from repro.engine.base import (
+    InstanceHistory, InstanceRecord, IntegrationEngine, ProcessEvent,
+)
 from repro.errors import BenchmarkError, ClusterError, EngineCrashed, FaultSpecError
 from repro.metrics.navg import MetricReport
 from repro.observability import Observability, Span
@@ -74,7 +76,7 @@ class BenchmarkResult:
 
     factors: ScaleFactors
     periods: int
-    records: list[InstanceRecord]
+    records: InstanceHistory
     metrics: MetricReport
     verification: VerificationReport
     engine_name: str
@@ -93,20 +95,20 @@ class BenchmarkResult:
 
     @property
     def error_instances(self) -> int:
-        return sum(1 for r in self.records if r.status != "ok")
+        return len(self.records) - self.records.column("status").count("ok")
 
     @property
     def recovered_instances(self) -> int:
         """Instances that completed only after at least one retry."""
-        return sum(1 for r in self.records if r.recovered)
+        return len(self.records.recovered())
 
     @property
     def dead_letter_instances(self) -> int:
-        return sum(1 for r in self.records if r.status == "dead-letter")
+        return self.records.column("status").count("dead-letter")
 
     @property
     def total_retries(self) -> int:
-        return sum(r.retries for r in self.records)
+        return sum(a - 1 for a in self.records.column("attempts"))
 
     @property
     def recoveries(self) -> int:
@@ -326,7 +328,7 @@ class BenchmarkClient:
         return BenchmarkResult(
             factors=self.factors,
             periods=self.periods,
-            records=list(self.monitor.records),
+            records=self.monitor.records[:],
             metrics=metrics,
             verification=verification,
             engine_name=self.engine.engine_name,
@@ -367,7 +369,8 @@ class BenchmarkClient:
     # -- one period (Fig. 7) ----------------------------------------------------------
 
     def run_period(self, period: int) -> list[InstanceRecord]:
-        """Uninitialize, initialize, run streams A∥B → C → D."""
+        """Uninitialize, initialize, run streams A∥B → C → D; returns the
+        period's records as the engine built them."""
         self._phase_pre()  # idempotent: deploys only when nothing is deployed
         tracer = self.observability.tracer
         period_span: Span | None = None
@@ -419,8 +422,9 @@ class BenchmarkClient:
                 for stream in ("A", "B", "C", "D")
             }
 
-        completions = self._run_message_streams(period, factory)
-        self._run_dependent_streams(period, completions)
+        new_records: list[InstanceRecord] = []
+        completions = self._run_message_streams(period, factory, new_records)
+        self._run_dependent_streams(period, completions, new_records)
         if self.resilience is not None:
             # Heal whatever the spec never recovered so phase post and
             # the next period start from an intact landscape.
@@ -430,8 +434,7 @@ class BenchmarkClient:
             # period ends with byte-comparable replicas.
             self.cluster.end_period()
 
-        new_records = self.engine.records[records_before:]
-        self.monitor.absorb(new_records)
+        self.monitor.absorb(self.engine.records[records_before:])
         if period_span is not None:
             duration = max((r.completion for r in new_records), default=0.0)
             for stream, span in self._stream_spans.items():
@@ -546,7 +549,7 @@ class BenchmarkClient:
         return record
 
     def _run_message_streams(
-        self, period: int, factory: MessageFactory
+        self, period: int, factory: MessageFactory, records: list[InstanceRecord]
     ) -> dict[str, float]:
         """Streams A and B: merged E1 events in deadline order."""
         schedule = build_schedule(period, self.factors)
@@ -590,13 +593,14 @@ class BenchmarkClient:
                     stream=_STREAM_OF[process_id],
                 )
             )
+            records.append(record)
             completions[process_id] = max(
                 completions.get(process_id, 0.0), record.completion
             )
         return completions
 
     def _run_dependent_streams(
-        self, period: int, completions: dict[str, float]
+        self, period: int, completions: dict[str, float], records: list[InstanceRecord]
     ) -> None:
         """The T1-dependent E2 chain plus streams C and D."""
 
@@ -610,6 +614,7 @@ class BenchmarkClient:
                     stream=_STREAM_OF[process_id],
                 )
             )
+            records.append(record)
             completions[process_id] = record.completion
             return record
 

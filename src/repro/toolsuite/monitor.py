@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.engine.base import InstanceRecord
+from repro.engine.base import InstanceHistory, InstanceRecord
 from repro.errors import BenchmarkError
 from repro.ioutil import write_text_atomic
 from repro.metrics.navg import MetricReport, compute_metrics
@@ -219,7 +219,7 @@ def sweep_rows(outcomes: "Sequence[RunOutcome]") -> list[SweepRow]:
         p95 = 0.0
         if result is not None and result.records:
             p95 = percentile(
-                [r.elapsed * outcome.spec.time for r in result.records], 95
+                [e * outcome.spec.time for e in result.records.elapsed()], 95
             )
         rows.append(
             SweepRow(
@@ -268,14 +268,15 @@ class Monitor:
         observability: Observability | None = None,
     ):
         self.time_scale = time_scale
-        self.records: list[InstanceRecord] = []
+        self.records = InstanceHistory()
         self.recoveries: list[RecoveryReport] = []
         #: Cluster failover reports (see :mod:`repro.cluster.failover`).
         self.failovers: list = []
         self.observability = observability or Observability.disabled()
 
     def absorb(self, records: Iterable[InstanceRecord]) -> None:
-        records = list(records)
+        """Book records; a history's rows are kept as they are."""
+        records = InstanceHistory.of(records)
         self.records.extend(records)
         metrics = self.observability.metrics
         if metrics.enabled and records:
@@ -332,7 +333,7 @@ class Monitor:
         return monitor
 
     def clear(self) -> None:
-        self.records.clear()
+        self.records = InstanceHistory()
         self.recoveries.clear()
         self.failovers.clear()
 
@@ -366,7 +367,7 @@ class Monitor:
 
     def metrics_for_period(self, period: int) -> MetricReport:
         """One period's NAVG+ metrics, reported in tu like :meth:`metrics`."""
-        subset = [r for r in self.records if r.period == period]
+        subset = self.records.where("period", lambda p: p == period)
         return self._scaled(compute_metrics(subset))
 
     def family_table(self) -> str:
@@ -395,7 +396,7 @@ class Monitor:
         ``repro serve`` per-tenant reports and :func:`sweep_table`.
         """
         return latency_percentiles(
-            [r.elapsed * self.time_scale for r in self.records], points
+            [e * self.time_scale for e in self.records.elapsed()], points
         )
 
     def resilience_summary(self) -> ResilienceSummary:
@@ -406,20 +407,19 @@ class Monitor:
         NAVG+ table does not show: how many instances recovered via
         retries, and what was dead-lettered, by failure class.
         """
+        dead = self.records.where("status", lambda s: s == "dead-letter")
         by_type: dict[str, int] = {}
-        for record in self.records:
-            if record.status == "dead-letter":
-                key = record.error_type or "unknown"
-                by_type[key] = by_type.get(key, 0) + 1
+        for error_type in dead.column("error_type"):
+            key = error_type or "unknown"
+            by_type[key] = by_type.get(key, 0) + 1
+        statuses = self.records.column("status")
         return ResilienceSummary(
             total=len(self.records),
-            ok=sum(1 for r in self.records if r.status == "ok"),
-            recovered=sum(1 for r in self.records if r.recovered),
-            retries=sum(r.retries for r in self.records),
-            dead_lettered=sum(
-                1 for r in self.records if r.status == "dead-letter"
-            ),
-            errors=sum(1 for r in self.records if r.status == "error"),
+            ok=statuses.count("ok"),
+            recovered=len(self.records.recovered()),
+            retries=sum(a - 1 for a in self.records.column("attempts")),
+            dead_lettered=len(dead),
+            errors=statuses.count("error"),
             dead_letters_by_type=by_type,
         )
 
@@ -483,14 +483,12 @@ class Monitor:
         The measured counterpart of Fig. 8's schedule-side series: e.g.
         P01's instance count decreasing over the benchmark periods.
         """
-        by_period: dict[int, list] = {}
-        for record in self.records:
-            if record.process_id == process_id and record.status == "ok":
-                by_period.setdefault(record.period, []).append(record)
+        own = self.records.where("process_id", lambda p: p == process_id)
+        by_period = own.where("status", lambda s: s == "ok").groups("period")
         series = []
         for period in sorted(by_period):
             records = by_period[period]
-            navg = sum(r.normalized_cost for r in records) / len(records)
+            navg = sum(records.normalized_costs()) / len(records)
             series.append((period, len(records), navg * self.time_scale))
         return series
 

@@ -1,0 +1,179 @@
+"""The instance history: records kept as rows, read back and aggregated.
+
+``InstanceRecord.row`` / ``from_row`` must round-trip every kind of
+record the four engines make — field for field, ``repr`` for ``repr``,
+pickle for pickle — and a stored row must be invisible to the cyclic
+collector once a collection has seen it.  ``compute_metrics`` reads the
+rows' columns; ``tests/oracle/metrics.py`` is the record-object body it
+replaced, and the two must agree bit for bit.
+"""
+
+import functools
+import gc
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.base import InstanceHistory, InstanceRecord, ProcessEvent
+from repro.engine.costs import CostBreakdown
+from repro.errors import XsdValidationError
+from repro.metrics.navg import compute_metrics
+from repro.mtm.message import Message
+from repro.parallel.spec import RunSpec
+from repro.resilience import FaultSpec
+from repro.toolsuite import BenchmarkClient
+from repro.xmlkit.doc import XmlElement
+from tests.oracle import metrics as oracle
+
+ENGINES = ("interpreter", "federated", "eai", "etl")
+
+#: Two poison P04 messages, two P10 instances that recover on retry and
+#: one P10 (plus one P08) that exhausts its retries.
+FAULTS = FaultSpec.from_dict({"name": "history", "seed": 7, "events": [
+    {"at": 0.0, "kind": "corrupt", "process": "P04", "count": 2, "period": 0},
+    {"at": 0.0, "kind": "engine_fault", "process": "P10", "count": 5, "period": 0},
+    {"at": 0.0, "kind": "engine_fault", "process": "P08", "count": 1, "period": 0},
+]})
+
+
+@functools.cache
+def built_records(engine: str) -> tuple[list[InstanceRecord], InstanceHistory]:
+    """The records one engine built over a faulted period, a failing
+    instance and a ``record_failure``, and the engine's history of them."""
+    client = BenchmarkClient.from_spec(
+        RunSpec(engine=engine, datasize=0.02, periods=1, seed=5, faults=FAULTS)
+    )
+    records = client.run_period(0)
+    engine = client.engine
+    engine.resilience = None  # fail fast: an "error" record, not a dead letter
+    bad_order = Message(XmlElement("ViennaOrder"), "vienna_order")
+    records.append(
+        engine.handle_event(ProcessEvent("P04", 1.0, bad_order, stream="B"))
+    )
+    records.append(
+        engine.record_failure(
+            ProcessEvent("P10", 2.0, stream="B"),
+            XsdValidationError("invalid", ["missing Kopf", "bad Datum"]),
+        )
+    )
+    return records, engine.records
+
+
+def _atomic(value) -> bool:
+    if type(value) is tuple:
+        return all(type(item) is str for item in value)
+    return type(value) in (int, float, str)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestRowsRoundTrip:
+    def test_every_kind_of_record_is_covered(self, engine):
+        records, _ = built_records(engine)
+        assert {r.status for r in records} == {"ok", "error", "dead-letter"}
+        assert any(r.recovered for r in records)
+        assert any(r.status == "dead-letter" and r.attempts > 1 for r in records)
+        assert any(r.status == "dead-letter" and r.error_violations for r in records)
+        assert any(r.status == "error" and r.error_violations for r in records)
+        assert any(r.fault_types for r in records)
+
+    def test_a_record_comes_back_field_for_field(self, engine):
+        records, _ = built_records(engine)
+        for record in records:
+            row = record.row()
+            assert type(row) is tuple and all(_atomic(v) for v in row)
+            back = InstanceRecord.from_row(row)
+            assert back == record
+            assert repr(back) == repr(record)
+            assert pickle.dumps(back) == pickle.dumps(record)
+
+    def test_the_engine_history_reads_as_the_records_it_built(self, engine):
+        records, history = built_records(engine)
+        assert history == records
+        assert [repr(r) for r in history] == [repr(r) for r in records]
+        assert history[-1] == records[-1]
+        assert history[3:9] == records[3:9]
+        assert history.column("status") == [r.status for r in records]
+        assert history.elapsed() == [r.elapsed for r in records]
+        assert history.normalized_costs() == [r.normalized_cost for r in records]
+        assert list(history.recovered()) == [r for r in records if r.recovered]
+        assert pickle.loads(pickle.dumps(history)) == history
+
+    def test_stored_rows_are_untracked_after_a_collection(self, engine):
+        records, _ = built_records(engine)
+        history = InstanceHistory(records)
+        gc.collect()
+        assert not any(gc.is_tracked(row) for row in history.rows)
+
+
+class TestHistory:
+    def test_slicing_and_extending_share_rows(self):
+        records, history = built_records("interpreter")
+        tail = history[5:]
+        merged = InstanceHistory()
+        merged.extend(tail)
+        assert merged.rows[0] is history.rows[5]
+        merged.extend(records[:2])
+        assert list(merged) == records[5:] + records[:2]
+
+    def test_watermark_cut_and_extend(self):
+        records, _ = built_records("interpreter")
+        history = InstanceHistory(records[:10])
+        del history[4:]
+        history.extend(records[10:12])
+        assert history == records[:4] + records[10:12]
+
+    def test_groups_and_where_keep_history_order(self):
+        records, history = built_records("federated")
+        groups = history.groups("process_id")
+        assert list(groups) == list(dict.fromkeys(r.process_id for r in records))
+        for process_id, group in groups.items():
+            assert group == [r for r in records if r.process_id == process_id]
+        errors = history.where("status", lambda s: s != "ok")
+        assert errors == [r for r in records if r.status != "ok"]
+
+
+def assert_bit_equal(report, expected):
+    assert list(report.per_type) == list(expected.per_type)
+    for process_id, metrics in expected.per_type.items():
+        got = report.per_type[process_id]
+        for name, value in vars(metrics).items():
+            if isinstance(value, float):
+                assert getattr(got, name).hex() == value.hex(), (process_id, name)
+            else:
+                assert getattr(got, name) == value, (process_id, name)
+    assert report.as_table() == expected.as_table()
+
+
+class TestComputeMetricsMatchesTheOracle:
+    def test_on_the_records_of_four_engines(self):
+        records = [r for engine in ENGINES for r in built_records(engine)[0]]
+        assert_bit_equal(compute_metrics(InstanceHistory(records)),
+                         oracle.compute_metrics(records))
+        # A list of records is encoded first and reads the same.
+        assert_bit_equal(compute_metrics(records), oracle.compute_metrics(records))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["P01", "P02", "SYC0", "SYU3"]),
+            st.sampled_from(["ok", "ok", "ok", "error", "dead-letter"]),
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+                min_size=3, max_size=3,
+            ),
+            st.integers(1, 4),
+        ),
+        max_size=60,
+    ))
+    def test_on_drawn_records(self, drawn):
+        records = [
+            InstanceRecord(
+                i, process_id, i % 3, "A", float(i), float(i), float(i) + sum(costs),
+                CostBreakdown(*costs), status, attempts=attempts,
+            )
+            for i, (process_id, status, costs, attempts) in enumerate(drawn)
+        ]
+        assert_bit_equal(compute_metrics(InstanceHistory(records)),
+                         oracle.compute_metrics(records))

@@ -23,6 +23,7 @@ from repro.serve import (
     TenantPolicy,
     parse_session_request,
 )
+from repro.serve.http import MAX_HEADERS
 from repro.toolsuite.monitor import Monitor
 
 
@@ -121,7 +122,10 @@ class TestRouting:
         (b"Content-Length: abc\r\n", 400),
         (b"Content-Length: -3\r\n", 400),
         (b"X-Long: " + b"a" * (1 << 17) + b"\r\n", 431),
-    ], ids=["length-not-a-number", "length-negative", "header-over-limit"])
+        (b"no colon here\r\n", 400),
+        (b"X-Many: 1\r\n" * (MAX_HEADERS + 1), 431),
+    ], ids=["length-not-a-number", "length-negative", "header-over-limit",
+            "header-without-colon", "too-many-headers"])
     def test_malformed_head_is_a_4xx_and_the_server_stays_up(
         self, fast_runs, head, status
     ):
@@ -129,9 +133,8 @@ class TestRouting:
             reader, writer = await asyncio.open_connection(
                 client.host, client.port
             )
-            writer.write(
-                b"POST /sessions HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n{}"
-            )
+            # A request that answers 200 whenever its head is well formed.
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n")
             await writer.drain()
             answered = int((await reader.readline()).split()[1])
             writer.close()

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.db import Column, Database, TableSchema
 from repro.db.active import ViewQuery
+from repro.engine.base import InstanceHistory
 from repro.errors import EngineCrashed, IntegrityError, WalError
 from repro.services.network import Network
 from repro.storage import (
@@ -35,7 +36,7 @@ from repro.storage import (
 )
 from repro.toolsuite import ScaleFactors
 from tests.oracle import storage as oracle
-from tests.storage.test_manager import FakeEngine, FakeRecord
+from tests.storage.test_manager import FakeEngine, record_at
 
 
 def _schema(name):
@@ -239,7 +240,7 @@ class Pair:
         appended, the runtime moves on, and the commit is made."""
         self.clock += 1.0
         self.commit_id += 1
-        record = FakeRecord(self.clock)
+        record = record_at(self.clock)
         runtime = {"worker_free": [self.clock], "in_system": [self.clock],
                    "next_instance_id": self.commit_id + 1}
         for engine in (self.engine, self.twin_engine):
@@ -259,12 +260,12 @@ class Pair:
 
     def clear_records(self):
         self.engine.clear_records()
-        self.twin_engine.records.clear()  # the oracle copied what it keeps
+        self.twin_engine.clear_records()
 
     def crash(self):
         """What ``IntegrationEngine.crash`` does to the volatile state."""
         for engine in (self.engine, self.twin_engine):
-            engine.records = []
+            engine.records = InstanceHistory()
             engine.restore_runtime_state(fresh_runtime())
         self.storage.on_crash(self.engine)
         self.reference.crash()

@@ -2,29 +2,32 @@
 
 import math
 import time
-from dataclasses import dataclass
 
 import pytest
 
 from repro.db.database import Database
 from repro.db.schema import Column, TableSchema
-from repro.engine.base import IntegrationEngine
+from repro.engine.base import InstanceHistory, InstanceRecord, IntegrationEngine
+from repro.engine.costs import CostBreakdown
 from repro.errors import RecoveryError, StorageError
 from repro.observability.export import export_prometheus
 from repro.observability.metrics import MetricsRegistry
 from repro.storage import RecoveryManager, StorageManager
 
 
-@dataclass
-class FakeRecord:
-    completion: float
+def record_at(completion: float) -> InstanceRecord:
+    """An instance record finishing at ``completion``: the one field the
+    storage layer reads."""
+    return InstanceRecord(
+        1, "PX", 0, "", completion, completion, completion, CostBreakdown()
+    )
 
 
 class FakeEngine:
     """Just enough engine surface for the StorageManager protocol."""
 
     def __init__(self, db: Database | None = None):
-        self.records = []
+        self.records = InstanceHistory()
         self.storage = None
         self._db = db
         self._runtime = {"worker_free": [0.0], "in_system": [],
@@ -119,7 +122,7 @@ class TestCommitPath:
     def test_commit_seals_open_buffer(self):
         storage, db, engine = self._ready()
         db.insert("t", {"k": 1})
-        storage.commit_instance(engine, FakeRecord(completion=10.0))
+        storage.commit_instance(engine, record_at(10.0))
         wal = storage.wals["cdb"]
         assert wal.open_size == 0
         assert wal.tail_size == 1
@@ -129,7 +132,7 @@ class TestCommitPath:
         storage, db, engine = self._ready(group_commit_window=8.0)
         for at in (10.0, 12.0, 17.9, 18.0, 30.0):
             db.insert("t", {"k": at})
-            storage.commit_instance(engine, FakeRecord(completion=at))
+            storage.commit_instance(engine, record_at(at))
         # Windows: [10,18) covers 10/12/17.9; 18 opens [18,26); 30 opens a third.
         assert storage.commit_count == 5
         assert storage.flushes == 3
@@ -139,7 +142,7 @@ class TestCommitPath:
         baseline = storage.checkpoints
         for at in (10.0, 100.0):
             db.insert("t", {"k": at})
-            storage.commit_instance(engine, FakeRecord(completion=at))
+            storage.commit_instance(engine, record_at(at))
         assert storage.checkpoints == baseline
 
     def test_snapshot_wal_checkpoints_on_cadence(self):
@@ -148,10 +151,10 @@ class TestCommitPath:
         )
         baseline = storage.checkpoints
         db.insert("t", {"k": 1})
-        storage.commit_instance(engine, FakeRecord(completion=10.0))
+        storage.commit_instance(engine, record_at(10.0))
         assert storage.checkpoints == baseline  # before the cadence
         db.insert("t", {"k": 2})
-        storage.commit_instance(engine, FakeRecord(completion=60.0))
+        storage.commit_instance(engine, record_at(60.0))
         assert storage.checkpoints == baseline + 1
         assert storage.wal_tail_size == 0  # checkpoint truncated the tail
         assert storage.checkpoint_state.at == 60.0
@@ -167,7 +170,7 @@ class TestCheckpointCatchUp:
         storage.begin_period(0, engine)
         dues = []
         for at in commits:
-            storage.commit_instance(engine, FakeRecord(completion=at))
+            storage.commit_instance(engine, record_at(at))
             dues.append(storage._next_checkpoint_due)
         return dues, storage.checkpoints
 
@@ -226,7 +229,7 @@ class TestCheckpointAfterRecovery:
         RecoveryManager(storage).recover(engine)
         rebuilt = engine._db.table("t")
         rebuilt.insert({"k": 3, "v": "c"})
-        storage.commit_instance(engine, FakeRecord(completion=1.0))
+        storage.commit_instance(engine, record_at(1.0))
         assert rebuilt is not dead
         assert rebuilt._generation == dead._generation
 
@@ -262,7 +265,7 @@ class TestCrashAndMetrics:
         storage.attach_engine(engine)
         storage.begin_period(0, engine)
         db.insert("t", {"k": 1})
-        storage.commit_instance(engine, FakeRecord(completion=1.0))
+        storage.commit_instance(engine, record_at(1.0))
         db.insert("t", {"k": 2})
         storage.on_crash(engine)
         text = export_prometheus(metrics)
