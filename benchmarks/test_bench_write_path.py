@@ -200,7 +200,9 @@ def transform_allocations() -> dict[str, int]:
     other stylesheet allocates exactly its output tree."""
     allocations = {}
     for name, (sheet, document) in sorted(first_documents().items()):
-        output, elements, roots = elements_allocated(sheet.transform, document)
+        (output, _events), elements, roots = elements_allocated(
+            sheet.transform, document
+        )
         if name in RESULTSET_SHEETS:
             assert type(document) is ResultSetRoot and document.rows is not None
             assert (elements, roots) == (0, 1), name

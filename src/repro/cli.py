@@ -42,7 +42,13 @@ from typing import Sequence
 from repro.db import partition as db_partition
 from repro.engine import ENGINES
 from repro.declare import choices_of, fields_of, from_text, knob_type
-from repro.errors import FaultSpecError, ReproError, ServeError
+from repro.errors import (
+    ClusterError,
+    FaultSpecError,
+    ReproError,
+    ScaleFactorError,
+    ServeError,
+)
 from repro.ioutil import write_json_atomic, write_text_atomic
 from repro.mtm.process import validate_definition
 from repro.observability.export import export_prometheus
@@ -534,16 +540,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _crash_series(args: argparse.Namespace, name: str, crashes) -> FaultSpec:
-    """The crash timeline a convergence command synthesizes from its flags."""
-    return FaultSpec(
-        name=name,
-        seed=args.seed,
-        events=tuple(
-            FaultEvent(at=at, kind="crash", point=point, period=0)
-            for at, point in crashes
-        ),
-    )
+def _convergence_spec(args: argparse.Namespace, name: str, crashes) -> RunSpec:
+    """The faulted spec of a convergence command, refused before any run:
+    its ``--faults``, else the crash timeline it synthesizes from flags."""
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    spec = _spec_from_args(args, collect_metrics=bool(args.metrics_out))
+    if spec.faults is None:
+        spec = replace(spec, faults=FaultSpec(
+            name=name,
+            seed=args.seed,
+            events=tuple(
+                FaultEvent(at=at, kind="crash", point=point, period=0)
+                for at, point in crashes
+            ),
+        ))
+        problems = spec.faults.validate()
+        if problems:
+            raise _UsageError("invalid fault spec: " + "; ".join(problems))
+    return spec
 
 
 def _faulted_vs_baseline(
@@ -587,11 +602,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     durability logs.  Convergence is byte-identity of the final landscape
     digest and of every per-instance record (hence identical NAVG+).
     """
-    spec = _spec_from_args(args, collect_metrics=bool(args.metrics_out))
-    if spec.faults is None:
-        spec = replace(spec, faults=_crash_series(
-            args, "recover-cli", [(args.crash_at, args.crash_point)]
-        ))
+    spec = _convergence_spec(
+        args, "recover-cli", [(args.crash_at, args.crash_point)]
+    )
     print(f"baseline: engine={args.engine} seed={args.seed} "
           f"d={args.datasize} t={args.time} periods={args.periods}")
     print(f"crash run: kind=crash point={args.crash_point} "
@@ -626,12 +639,11 @@ def _cmd_cluster_topology(args: argparse.Namespace) -> int:
     try:
         config = ClusterConfig(hosts=args.hosts, replicas=args.replicas,
                                vnodes=args.vnodes)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        ring = HashRing(config.host_names, seed=args.seed, vnodes=args.vnodes)
+    except ClusterError as exc:
+        raise _UsageError(str(exc)) from None
     scenario = build_scenario(seed=args.seed)
     Initializer(scenario, d=args.datasize, seed=args.seed).initialize_sources(0)
-    ring = HashRing(config.host_names, seed=args.seed, vnodes=args.vnodes)
     shard_map = ShardMap.build(scenario.all_databases.values(), ring)
     print(f"cluster topology: {args.hosts} host(s) x {args.replicas} "
           f"replica(s), {args.vnodes} vnode(s)/host, seed {args.seed}")
@@ -654,18 +666,13 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     additionally reports RTO per failover and asserts RPO=0 under
     synchronous shipping.
     """
-    spec = _spec_from_args(args, collect_metrics=bool(args.metrics_out))
-    if spec.faults is None:
-        if args.crashes < 1:
-            raise _UsageError("--crashes must be >= 1")
-        spec = replace(spec, faults=_crash_series(
-            args, "cluster-cli",
-            [
-                (args.crash_at + index * args.crash_spacing,
-                 ("arrival", "commit")[index % 2])
-                for index in range(args.crashes)
-            ],
-        ))
+    if args.faults is None and args.crashes < 1:
+        raise _UsageError("--crashes must be >= 1")
+    spec = _convergence_spec(args, "cluster-cli", [
+        (args.crash_at + index * args.crash_spacing,
+         ("arrival", "commit")[index % 2])
+        for index in range(args.crashes)
+    ])
     crashes = sum(1 for e in spec.faults.events if e.kind == "crash")
     print(f"baseline: engine={args.engine} seed={args.seed} "
           f"d={args.datasize} t={args.time} periods={args.periods} "
@@ -899,6 +906,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = _spec_from_args(
         args, ServeConfig, **({"default_policy": None} if args.closed else {})
     )
+    if not 0 <= args.port <= 65535:
+        raise _UsageError(f"--port must be in [0, 65535], got {args.port}")
 
     async def _serve() -> None:
         server = HttpServer(SessionManager(config))
@@ -1029,8 +1038,11 @@ def _cmd_storm(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    factors = ScaleFactors(datasize=args.datasize, time=args.time)
-    schedule = build_schedule(args.period, factors)
+    try:
+        factors = ScaleFactors(datasize=args.datasize, time=args.time)
+        schedule = build_schedule(args.period, factors)
+    except ScaleFactorError as exc:
+        raise _UsageError(str(exc)) from None
     print(
         f"period k={args.period}, d={args.datasize}, t={args.time} "
         f"(deadlines in engine units; 1 tu = 1/t units)"

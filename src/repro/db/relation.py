@@ -30,7 +30,6 @@ consequences the operators track explicitly:
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
@@ -69,11 +68,12 @@ class ProjectionPlan:
     ``columns`` are the output columns in mapping order, ``plain`` the
     ``(out, in)`` renames and ``inputs`` the columns they read,
     ``computed`` the ``(out, expression, compiled closure)`` triples.
-    The plan describes the mapping as it was when the plan was built;
-    whoever keeps one drops it when the mapping changes (:meth:`matches`).
+    The plan describes the mapping as it was when the plan was built:
+    keep one only for a mapping that cannot change, as
+    ``Projection.mapping`` cannot.
     """
 
-    __slots__ = ("columns", "plain", "inputs", "computed", "_sources")
+    __slots__ = ("columns", "plain", "inputs", "computed")
 
     def __init__(self, mapping: Mapping[str, "str | Expression"]):
         self.columns: tuple[str, ...] = tuple(mapping)
@@ -85,17 +85,6 @@ class ProjectionPlan:
             else:
                 self.plain.append((out_name, source))
         self.inputs = [in_name for _, in_name in self.plain]
-        self._sources = list(mapping.values())
-
-    def matches(self, mapping: Mapping[str, "str | Expression"]) -> bool:
-        """Whether ``mapping`` is still what this plan was built from.
-
-        Sources are compared by identity: ``Expression`` overloads ``==``
-        to build a comparison tree, which is always truthy.
-        """
-        return tuple(mapping) == self.columns and all(
-            map(operator.is_, mapping.values(), self._sources)
-        )
 
 
 class GroupAccumulator:

@@ -64,6 +64,10 @@ class ExecutionContext:
         #: calls log themselves (see repro.observability.profile).
         self.operator_log: list[OperatorObservation] | None = None
         self.network_log: list[NetworkObservation] | None = None
+        #: What one step of this instance leaves for a later one, keyed
+        #: by the definition that reads it back: run state stays here,
+        #: never on a definition shared by every instance.
+        self.scratch: dict[str, object] = {}
 
     # -- variables -------------------------------------------------------------
 

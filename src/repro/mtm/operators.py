@@ -12,6 +12,7 @@ UNION [DISTINCT], VALIDATE, CONVERT (XML ↔ relation), DELETE and SIGNAL.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ProcessDefinitionError, ProcessRuntimeError, ValidationError
@@ -202,11 +203,8 @@ class Translation(Operator):
 
     def execute(self, context: ExecutionContext) -> None:
         document = context.get(self.input).xml()
-        before = self.stylesheet.events_processed
-        result = self.stylesheet.transform(document)
-        context.charge_work(
-            WORK_XML, float(self.stylesheet.events_processed - before)
-        )
+        result, events = self.stylesheet.transform(document)
+        context.charge_work(WORK_XML, float(events))
         context.set(
             self.output, Message(result, context.get(self.input).message_type)
         )
@@ -244,17 +242,22 @@ class Projection(Operator):
         super().__init__(name)
         self.input = input
         self.output = output
-        self.mapping = dict(mapping)
+        self._mapping = MappingProxyType(dict(mapping))
         #: ``mapping`` as :meth:`Relation.project` runs it, built at the
-        #: first instance and rebuilt when ``mapping`` changes.
+        #: first instance.
         self._plan: ProjectionPlan | None = None
+
+    @property
+    def mapping(self) -> Mapping[str, str | Expression]:
+        """Output column -> input column or expression (read-only)."""
+        return self._mapping
 
     def execute(self, context: ExecutionContext) -> None:
         relation = context.get(self.input).relation()
         context.charge_work(WORK_RELATIONAL, float(len(relation)))
         plan = self._plan
-        if plan is None or not plan.matches(self.mapping):
-            plan = self._plan = ProjectionPlan(self.mapping)
+        if plan is None:
+            plan = self._plan = ProjectionPlan(self._mapping)
         context.set(self.output, Message(relation.project(plan)))
 
 
@@ -402,11 +405,16 @@ class Convert(Operator):
         self.output = output
         self.direction = direction
         self.columns = list(columns) if columns else None
-        self.types = dict(types) if types else None
+        self._types = MappingProxyType(dict(types)) if types else None
         self.table = table
-        #: The column -> parser table of ``types``, kept across
-        #: instances and rebuilt when ``types`` changes.
+        #: The column -> parser table of ``types``, built at the first
+        #: instance.
         self._parsers: ColumnParsers | None = None
+
+    @property
+    def types(self) -> Mapping[str, str] | None:
+        """Column -> SQL type of the parsed cells (read-only)."""
+        return self._types
 
     def execute(self, context: ExecutionContext) -> None:
         message = context.get(self.input)
@@ -414,8 +422,8 @@ class Convert(Operator):
             document = message.xml()
             context.charge_work(WORK_XML, float(document.size()))
             parsers = self._parsers
-            if parsers is None or parsers.types != (self.types or {}):
-                parsers = self._parsers = ColumnParsers(self.types)
+            if parsers is None:
+                parsers = self._parsers = ColumnParsers(self._types)
             rows = resultset_to_rows(document, parsers)
             if self.columns is None:
                 if not rows:
@@ -459,17 +467,21 @@ class ValidateRows(Operator):
             raise ProcessDefinitionError("ValidateRows needs at least one check")
         super().__init__(name)
         self.input = input
-        self.checks = dict(checks)
+        self._checks = MappingProxyType(dict(checks))
         self.output = output or input
         self.filter_invalid = filter_invalid
 
+    @property
+    def checks(self) -> Mapping[str, Expression]:
+        """Rule name -> predicate every row must satisfy (read-only)."""
+        return self._checks
+
     def execute(self, context: ExecutionContext) -> None:
         relation = context.get(self.input).relation()
-        context.charge_work(
-            WORK_RELATIONAL, float(len(relation) * len(self.checks))
-        )
+        checks = self._checks
+        context.charge_work(WORK_RELATIONAL, float(len(relation) * len(checks)))
         compiled = []
-        for rule_name, predicate in self.checks.items():
+        for rule_name, predicate in checks.items():
             relation._guard_expression(predicate)
             compiled.append((rule_name, predicate.compile()))
         narrow = relation._wide

@@ -79,34 +79,36 @@ class ProcessType:
         self.group = group
         self.description = description
         self.event_type = event_type
-        self.root = root
+        self._root = root
         #: Subprocess-only types (P14_S1 … S4) are never scheduled by the
         #: client; they are invoked via the Subprocess operator, may read
         #: the inbound ``__in`` regardless of event type, and may use
         #: RECEIVE to bind it.
         self.subprocess_only = subprocess_only
-        #: ``(root, expressions())`` of the tree last scanned.
-        self._expressions: tuple[Operator, list[tuple[Expression, bool]]] | None = None
+        #: :meth:`expressions`, scanned at its first call.
+        self._expressions: list[tuple[Expression, bool]] | None = None
+
+    @property
+    def root(self) -> Operator:
+        """The operator tree (read-only: the optimizer builds new trees)."""
+        return self._root
 
     def expressions(self) -> list[tuple[Expression, bool]]:
         """Every distinct expression of the plan, operands before the
         expression holding them, each with whether an operator field
         holds it (the plan's predicates and computed columns).
 
-        Scanned at the first call and again when ``root`` is replaced: a
-        built tree is not edited in place (docs/architecture.md), so a
-        deploy reads this list instead of every field of every operator.
+        Scanned once: a built tree is not edited (docs/architecture.md),
+        so a deploy reads this list instead of every field of every
+        operator.
         """
-        memo = self._expressions
-        if memo is None or memo[0] is not self.root:
-            held = dict.fromkeys(_held_expressions(self.root))
+        if self._expressions is None:
+            held = dict.fromkeys(_held_expressions(self._root))
             ordered: dict[Expression, None] = {}
             for expression in held:
                 _operands_first(expression, ordered)
-            memo = self._expressions = (
-                self.root, [(e, e in held) for e in ordered]
-            )
-        return memo[1]
+            self._expressions = [(e, e in held) for e in ordered]
+        return self._expressions
 
     def operators(self) -> list[Operator]:
         return self.root.iter_tree()

@@ -23,9 +23,9 @@ D      P15   Refreshing data mart materialized views           E2
 :func:`build_processes` returns every deployable process type (P01–P15
 and the P14 subprocess family) as engine-agnostic MTM definitions, fresh
 trees at every call; :func:`resident_processes` is the set a benchmark
-client deploys, kept per thread.  The
-modeled flows are intentionally *suboptimal* exactly where the paper says
-so ("we explicitly point out that the modeled processes are suboptimal") —
+client deploys, one per process.  The modeled flows are intentionally
+*suboptimal* exactly where the paper says so ("we explicitly point out
+that the modeled processes are suboptimal") —
 e.g. P05/P06 extract full tables and filter in the process, which is what
 :mod:`repro.optimizer` later improves in the ablation benchmarks.
 """
@@ -96,26 +96,26 @@ def build_processes() -> dict[str, ProcessType]:
     return {p.process_id: p for p in processes}
 
 
-_resident = threading.local()
+_resident: dict[str, ProcessType] = {}
+_resident_lock = threading.Lock()
 
 
 def resident_processes() -> dict[str, ProcessType]:
-    """This thread's deploy-ready set, built at the first call.
+    """The process's deploy-ready set, built at the first call.
 
-    What :class:`~repro.toolsuite.client.BenchmarkClient` deploys: the
-    definitions are fixed by the code and never mutated by execution
-    (docs/architecture.md), so every client of a thread deploys the same
-    trees and what is bound on them — stylesheet path plans, schema
-    tables, projection plans, column parsers — outlives a session.  One
-    set per thread, not per process: ``Translation.execute`` charges the
-    *delta* of its stylesheet's ``events_processed``, and the plan memos
-    are filled in at first use, neither of which two threads may share.
+    What :class:`~repro.toolsuite.client.BenchmarkClient` deploys: a
+    built definition is a value (docs/architecture.md), so every client
+    of every thread deploys the same trees and what is bound on them —
+    stylesheet path plans, schema tables, projection plans, column
+    parsers — outlives a session.  A memo filled at first use by two
+    threads at once is built twice from the same fields, and either
+    copy serves.
     """
-    try:
-        return _resident.processes
-    except AttributeError:
-        _resident.processes = build_processes()
-        return _resident.processes
+    if not _resident:
+        with _resident_lock:
+            if not _resident:
+                _resident.update(build_processes())
+    return _resident
 
 
 __all__ = ["PROCESS_TABLE", "build_processes", "resident_processes"]

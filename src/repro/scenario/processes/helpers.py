@@ -90,21 +90,20 @@ def extract_cdb_order(input_var: str, order_var: str, lines_var: str):
 
     The order callable parses the message; the lines callable, which a
     process runs right after it on the same document, takes the lines
-    of that parse instead of parsing again.
+    of that parse from the instance's context instead of parsing again.
     """
-    split: list = [None, None]  # the document last split, its line rows
 
     def order_value(context: ExecutionContext) -> Message:
         document = context.get(input_var).xml()
         order, lines = cdb_order_to_rows(document)
-        split[:] = document, lines
+        context.scratch[lines_var] = document, lines
         return Message(Relation(ORDER_COLUMNS, [order]))
 
     def lines_value(context: ExecutionContext) -> Message:
         document = context.get(input_var).xml()
-        if split[0] is document:
+        split = context.scratch.pop(lines_var, None)
+        if split is not None and split[0] is document:
             lines = split[1]
-            split[:] = None, None
         else:
             _, lines = cdb_order_to_rows(document)
         return Message(Relation(ORDERLINE_COLUMNS, lines))

@@ -74,9 +74,8 @@ class ColumnParsers(dict):
     column to the one value type its text round-trips (or None).
 
     :func:`resultset_to_rows` builds one per call from a plain mapping; a
-    caller converting many documents under the same ``types`` passes the
-    table itself and drops it when ``types`` no longer equals the
-    mapping it reads.
+    caller converting many documents under one ``types`` that cannot
+    change (``Convert.types``) passes the table itself.
     """
 
     __slots__ = ("types", "kept")

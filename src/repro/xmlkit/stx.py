@@ -44,7 +44,7 @@ def iter_events(root: XmlElement) -> Iterator[Event]:
     """Stream a tree as (START, tag, attrs) / (TEXT, text) / (END, tag).
 
     The event view of a tree: what :meth:`Stylesheet.transform` counts
-    into ``events_processed``, one for one and in this order.
+    and returns beside its result, one for one and in this order.
     """
     stack: list[tuple[XmlElement, int]] = [(root, 0)]
     yield (START, root.tag, dict(root.attributes))
@@ -256,19 +256,19 @@ class Stylesheet:
 
     def __init__(self, name: str, rules: Iterable[_Rule]):
         self.name = name
-        self.rules: list[_Rule] = list(rules)
-        #: Number of events processed over this stylesheet's lifetime
-        #: (feeds the engine's processing-cost model).
-        self.events_processed = 0
+        self._rules = tuple(rules)
         #: The compiled plan: a trie of :class:`_PathPlan` under a rootless
-        #: top node, grown per distinct path; valid only while ``rules``
-        #: equals ``_plan_rules``.
+        #: top node, grown per distinct path at its first element.
         self._plan = _PathPlan((), None)
-        self._plan_rules: list[_Rule] = []
+
+    @property
+    def rules(self) -> tuple[_Rule, ...]:
+        """The template rules, in order (read-only)."""
+        return self._rules
 
     def _best_rule(self, path: tuple[str, ...]) -> _Rule | None:
         best: _Rule | None = None
-        for rule in self.rules:
+        for rule in self._rules:
             if rule.matches(path):
                 if best is None or rule.specificity > best.specificity:
                     best = rule
@@ -305,11 +305,11 @@ class Stylesheet:
             name, document.attributes, document.columns, document.rows, row_tag
         )
         out.text, out.blank = document.text or None, None
-        self.events_processed += document.event_count()
         return out
 
-    def transform(self, document: XmlElement) -> XmlElement:
-        """Run the stylesheet over ``document`` and return the new tree.
+    def transform(self, document: XmlElement) -> tuple[XmlElement, int]:
+        """Run the stylesheet over ``document``: the new tree and the
+        number of events the walk accounted.
 
         One walk over the input tree, in document order.  Each distinct
         element path is matched against the rule list once per
@@ -317,8 +317,8 @@ class Stylesheet:
         take the step.  Every output element is allocated once, with one
         copy of its attributes.  The SAX events the walk stands for are
         *accounted*, in stream order — START, TEXT only for truthy text,
-        END; every event of a dropped subtree; on an exception exactly
-        the events up to it (:func:`iter_events` is that stream).
+        END; every event of a dropped subtree (:func:`iter_events` is
+        that stream).
 
         Only containers open a stack entry; a leaf is finished where it
         is met.  An unwrapped container has no output element of its
@@ -327,13 +327,10 @@ class Stylesheet:
         A result set still held as rows and a plan that only renames it
         give a result set over the same rows (:meth:`_rename_rows`).
         """
-        if self.rules != self._plan_rules:
-            self._plan_rules = list(self.rules)
-            self._plan = _PathPlan((), None)
         if type(document) is ResultSetRoot and document.rows is not None:
             renamed = self._rename_rows(document)
             if renamed is not None:
-                return renamed
+                return renamed, document.event_count()
         plan = self._plan
         steps = plan.children
         new = XmlElement.__new__
@@ -346,90 +343,87 @@ class Stylesheet:
         stack: list[tuple] = []
         result: XmlElement | None = None
         events = 0
-        try:
-            while True:
-                for node in nodes:
-                    events += 1  # START
-                    tag = node.tag
-                    try:
-                        step = steps[tag]
-                    except KeyError:
-                        step = self._compile(plan, tag)
-                    action = step.action
-                    text = node.text
-                    if action == _UNWRAP:
-                        out = None
-                        if text:
-                            events += 1  # unwrapped containers lose their text
-                    else:
-                        if action == _CALL:
-                            rule = step.rule
-                            out = rule.open_element(tag, node.attributes.copy())
-                            if out is None:  # dropped with its whole subtree
-                                events += _events_below_start(node)
-                                continue
-                            rewrite = rule.rewrite_text
-                        else:
-                            if action == _IDENTITY:
-                                name = tag
-                                attributes = node.attributes.copy()
-                                rewrite = None
-                            elif action == _RENAME:
-                                rule = step.rule
-                                name = rule.to
-                                renames = rule.attribute_renames
-                                if renames:
-                                    attributes = {
-                                        renames.get(key, key): value
-                                        for key, value in node.attributes.items()
-                                    }
-                                else:
-                                    attributes = node.attributes.copy()
-                                rewrite = None
-                            else:
-                                rule = step.rule
-                                name = rule.to or tag
-                                attributes = node.attributes.copy()
-                                rewrite = rule._rewrite
-                            if not name:
-                                raise XmlParseError("element tag must be non-empty")
-                            out = new(XmlElement)
-                            out.tag = name
-                            out.attributes = attributes
-                            out.text = None
-                            out.children = []
-                        if attach is not None:
-                            attach(out)
-                        if text:
-                            events += 1  # TEXT
-                            out.text = rewrite(text) if rewrite else text
-                    below = node.children
-                    if below:
-                        stack.append((nodes, plan, attach, out))
-                        nodes, plan, steps = iter(below), step, step.children
-                        if out is not None:
-                            attach = out.children.append
-                        break
-                    events += 1  # END of a leaf
-                    if attach is None and out is not None:
-                        result = self._only_root(result, out)
+        while True:
+            for node in nodes:
+                events += 1  # START
+                tag = node.tag
+                try:
+                    step = steps[tag]
+                except KeyError:
+                    step = self._compile(plan, tag)
+                action = step.action
+                text = node.text
+                if action == _UNWRAP:
+                    out = None
+                    if text:
+                        events += 1  # unwrapped containers lose their text
                 else:
-                    if not stack:
-                        break
-                    nodes, plan, attach, out = stack.pop()
-                    steps = plan.children
-                    events += 1  # END of a container
-                    if attach is None and out is not None:
-                        result = self._only_root(result, out)
-        finally:
-            self.events_processed += events
+                    if action == _CALL:
+                        rule = step.rule
+                        out = rule.open_element(tag, node.attributes.copy())
+                        if out is None:  # dropped with its whole subtree
+                            events += _events_below_start(node)
+                            continue
+                        rewrite = rule.rewrite_text
+                    else:
+                        if action == _IDENTITY:
+                            name = tag
+                            attributes = node.attributes.copy()
+                            rewrite = None
+                        elif action == _RENAME:
+                            rule = step.rule
+                            name = rule.to
+                            renames = rule.attribute_renames
+                            if renames:
+                                attributes = {
+                                    renames.get(key, key): value
+                                    for key, value in node.attributes.items()
+                                }
+                            else:
+                                attributes = node.attributes.copy()
+                            rewrite = None
+                        else:
+                            rule = step.rule
+                            name = rule.to or tag
+                            attributes = node.attributes.copy()
+                            rewrite = rule._rewrite
+                        if not name:
+                            raise XmlParseError("element tag must be non-empty")
+                        out = new(XmlElement)
+                        out.tag = name
+                        out.attributes = attributes
+                        out.text = None
+                        out.children = []
+                    if attach is not None:
+                        attach(out)
+                    if text:
+                        events += 1  # TEXT
+                        out.text = rewrite(text) if rewrite else text
+                below = node.children
+                if below:
+                    stack.append((nodes, plan, attach, out))
+                    nodes, plan, steps = iter(below), step, step.children
+                    if out is not None:
+                        attach = out.children.append
+                    break
+                events += 1  # END of a leaf
+                if attach is None and out is not None:
+                    result = self._only_root(result, out)
+            else:
+                if not stack:
+                    break
+                nodes, plan, attach, out = stack.pop()
+                steps = plan.children
+                events += 1  # END of a container
+                if attach is None and out is not None:
+                    result = self._only_root(result, out)
 
         if result is None:
             raise StxError(
                 f"stylesheet {self.name} dropped the document root; "
                 "no output produced"
             )
-        return result
+        return result, events
 
     def _only_root(self, result: XmlElement | None, out: XmlElement) -> XmlElement:
         if result is not None:

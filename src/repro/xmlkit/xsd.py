@@ -58,7 +58,7 @@ class XsdAttribute:
             raise XsdValidationError(f"unknown attribute type {self.type_name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class XsdElement:
     """One element declaration.
 
@@ -117,19 +117,30 @@ class XsdSchema:
 
     def __init__(self, name: str, root: XsdElement):
         self.name = name
-        self.root = root
+        self._root = root
         #: ``id(declaration) -> (attributes by name, child tags)`` for
-        #: every declaration under ``root``, derived at the first
-        #: validation; valid while ``_derived_from`` still describes
-        #: the declarations.
+        #: every declaration under ``root``.
         self._tables: dict[int, tuple[dict[str, XsdAttribute], frozenset[str]]] = {}
-        self._derived_from: list[tuple[XsdElement, str, tuple, tuple]] = []
+        pending = [root]
+        while pending:
+            decl = pending.pop()
+            if id(decl) not in self._tables:
+                self._tables[id(decl)] = (
+                    {attr.name: attr for attr in decl.attributes},
+                    frozenset(slot.element.name for slot in decl.children),
+                )
+                pending.extend(slot.element for slot in decl.children)
+
+    @property
+    def root(self) -> XsdElement:
+        """The root element declaration (read-only, like every
+        declaration under it)."""
+        return self._root
 
     def validate(self, document: XmlElement) -> list[str]:
         """Return a list of human-readable violations (empty = valid)."""
         if document.tag != self.root.name:
             return [f"root element is <{document.tag}>, expected <{self.root.name}>"]
-        self._derive_tables()
         # Collected as (where, what): a path is spelled out only for an
         # element that has something wrong with it.
         violations: list[tuple] = []
@@ -150,38 +161,6 @@ class XsdSchema:
         return not self.validate(document)
 
     # -- internals -------------------------------------------------------------
-
-    def _derive_tables(self) -> None:
-        """(Re)build the per-declaration lookup tables when needed.
-
-        Declarations are mutable: a table is only as good as the name,
-        ``attributes`` and ``children`` it was derived from, so each
-        validation first checks those still stand (the two tuples and
-        their members are immutable, so identity is enough).
-        """
-        derived_from = self._derived_from
-        if derived_from and derived_from[0][0] is self.root and all(
-            decl.name is name
-            and decl.attributes is attributes
-            and decl.children is children
-            for decl, name, attributes, children in derived_from
-        ):
-            return
-        self._tables = {}
-        self._derived_from = []
-        pending = [self.root]
-        while pending:
-            decl = pending.pop()
-            if id(decl) in self._tables:
-                continue
-            self._tables[id(decl)] = (
-                {attr.name: attr for attr in decl.attributes},
-                frozenset(slot.element.name for slot in decl.children),
-            )
-            self._derived_from.append(
-                (decl, decl.name, decl.attributes, decl.children)
-            )
-            pending.extend(slot.element for slot in decl.children)
 
     def _validate_element(
         self,

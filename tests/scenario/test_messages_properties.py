@@ -44,7 +44,7 @@ class TestSchemaConformanceAcrossSeeds:
         factory = MessageFactory(population, seed=seed)
         message = factory.vienna_order()
         assert vienna_schema().validate(message.xml()) == []
-        translated = vienna_to_cdb_stylesheet().transform(message.xml())
+        translated = vienna_to_cdb_stylesheet().transform(message.xml())[0]
         assert cdb_order_schema().validate(translated) == []
 
     @given(seed=st.integers(0, 10_000))
@@ -53,7 +53,7 @@ class TestSchemaConformanceAcrossSeeds:
         factory = MessageFactory(population, seed=seed)
         message = factory.hongkong_order()
         assert hongkong_schema().validate(message.xml()) == []
-        translated = hongkong_to_cdb_stylesheet().transform(message.xml())
+        translated = hongkong_to_cdb_stylesheet().transform(message.xml())[0]
         assert cdb_order_schema().validate(translated) == []
 
     @given(seed=st.integers(0, 10_000))
@@ -71,7 +71,7 @@ class TestSchemaConformanceAcrossSeeds:
         factory = MessageFactory(population, seed=seed, error_rate=0.0)
         message = factory.sandiego_order()
         assert sandiego_schema().validate(message.xml()) == []
-        translated = sandiego_to_cdb_stylesheet().transform(message.xml())
+        translated = sandiego_to_cdb_stylesheet().transform(message.xml())[0]
         assert cdb_order_schema().validate(translated) == []
 
     @given(seed=st.integers(0, 10_000))

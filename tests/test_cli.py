@@ -405,3 +405,36 @@ class TestStormCommand:
     def test_bad_model_knob_exits_2(self, capsys):
         assert main(["storm", "--clients", "0"]) == 2
         assert "client" in capsys.readouterr().err
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run started before the input was refused")
+
+
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["recover", "--jobs", "0"], "--jobs must be >= 1"),
+        (["cluster", "run", "--jobs", "0"], "--jobs must be >= 1"),
+        (["cluster", "topology", "--vnodes", "0"], "vnodes must be >= 1"),
+        (["schedule", "--period", "-1"], "period must be in [0, 99]"),
+        (["schedule", "--period", "500"], "period must be in [0, 99]"),
+        (["serve", "--port", "70000"], "--port must be in [0, 65535]"),
+        (["serve", "--port", "-1"], "--port must be in [0, 65535]"),
+        (["recover", "--crash-at", "nan"], "finite, got at=nan"),
+        (["recover", "--crash-at", "inf"], "finite, got at=inf"),
+        (["recover", "--crash-at", "-5"], "time must be >= 0"),
+        (["cluster", "run", "--crash-spacing", "nan"], "finite, got at=nan"),
+    ],
+)
+def test_hand_written_flags_fail_closed(argv, complaint, capsys, monkeypatch):
+    """Out-of-range flags exit 2 with one ``error:`` line, before any
+    run starts: a crash time is checked before the baseline runs."""
+    for name in ("prove_convergence", "build_scenario"):
+        monkeypatch.setattr(f"repro.cli.{name}", _no_run)
+    monkeypatch.setattr("repro.cli.asyncio.run", _no_run)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and complaint in captured.err
+    assert "Traceback" not in captured.err

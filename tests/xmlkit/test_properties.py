@@ -65,7 +65,7 @@ class TestStxProperties:
     @given(elements())
     @settings(max_examples=60)
     def test_identity_stylesheet(self, element):
-        out = Stylesheet("id", []).transform(element)
+        out = Stylesheet("id", []).transform(element)[0]
         assert out.structurally_equal(element)
 
     @given(elements())
@@ -73,7 +73,7 @@ class TestStxProperties:
     def test_rename_then_rename_back(self, element):
         forward = Stylesheet("f", [RenameRule("//a", "tmp_zz")])
         backward = Stylesheet("b", [RenameRule("//tmp_zz", "a")])
-        assert backward.transform(forward.transform(element)).structurally_equal(
+        assert backward.transform(forward.transform(element)[0])[0].structurally_equal(
             element
         )
 

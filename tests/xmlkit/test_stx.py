@@ -37,18 +37,18 @@ class TestEventStream:
 class TestRenameRule:
     def test_exact_path(self):
         sheet = Stylesheet("s", [RenameRule("/a", "z")])
-        out = sheet.transform(parse_xml("<a><b/></a>"))
+        out = sheet.transform(parse_xml("<a><b/></a>"))[0]
         assert out.tag == "z"
         assert out.find("b") is not None
 
     def test_anywhere_pattern(self):
         sheet = Stylesheet("s", [RenameRule("//b", "x")])
-        out = sheet.transform(parse_xml("<a><b/><c><b/></c></a>"))
+        out = sheet.transform(parse_xml("<a><b/><c><b/></c></a>"))[0]
         assert len([e for e in out.iter() if e.tag == "x"]) == 2
 
     def test_attribute_rename(self):
         sheet = Stylesheet("s", [RenameRule("/a", "a", {"old": "new"})])
-        out = sheet.transform(parse_xml("<a old='1' keep='2'/>"))
+        out = sheet.transform(parse_xml("<a old='1' keep='2'/>"))[0]
         assert out.attributes == {"new": "1", "keep": "2"}
 
     def test_specific_beats_anywhere(self):
@@ -56,7 +56,7 @@ class TestRenameRule:
             RenameRule("//b", "generic"),
             RenameRule("/a/b", "specific"),
         ])
-        out = sheet.transform(parse_xml("<a><b/><c><b/></c></a>"))
+        out = sheet.transform(parse_xml("<a><b/><c><b/></c></a>"))[0]
         assert out.children[0].tag == "specific"
         assert out.find("c").children[0].tag == "generic"
 
@@ -64,7 +64,7 @@ class TestRenameRule:
 class TestDropAndUnwrap:
     def test_drop_removes_subtree(self):
         sheet = Stylesheet("s", [DropRule("//secret")])
-        out = sheet.transform(parse_xml("<a><secret><deep/></secret><b/></a>"))
+        out = sheet.transform(parse_xml("<a><secret><deep/></secret><b/></a>"))[0]
         assert [c.tag for c in out.children] == ["b"]
 
     def test_drop_root_raises(self):
@@ -74,12 +74,12 @@ class TestDropAndUnwrap:
 
     def test_unwrap_keeps_children(self):
         sheet = Stylesheet("s", [UnwrapRule("//wrapper")])
-        out = sheet.transform(parse_xml("<a><wrapper><x/><y/></wrapper></a>"))
+        out = sheet.transform(parse_xml("<a><wrapper><x/><y/></wrapper></a>"))[0]
         assert [c.tag for c in out.children] == ["x", "y"]
 
     def test_unwrap_root_promotes_child(self):
         sheet = Stylesheet("s", [UnwrapRule("/envelope")])
-        out = sheet.transform(parse_xml("<envelope><body><x/></body></envelope>"))
+        out = sheet.transform(parse_xml("<envelope><body><x/></body></envelope>"))[0]
         assert out.tag == "body"
 
     def test_unwrap_root_with_multiple_children_raises(self):
@@ -89,7 +89,7 @@ class TestDropAndUnwrap:
 
     def test_nested_unwrap(self):
         sheet = Stylesheet("s", [UnwrapRule("//w1"), UnwrapRule("//w2")])
-        out = sheet.transform(parse_xml("<a><w1><w2><x/></w2></w1></a>"))
+        out = sheet.transform(parse_xml("<a><w1><w2><x/></w2></w1></a>"))[0]
         assert [c.tag for c in out.children] == ["x"]
 
 
@@ -98,17 +98,17 @@ class TestValueRule:
         sheet = Stylesheet("s", [
             ValueRule("//Stat", to="Status", value_map={"OPEN": "O"}),
         ])
-        out = sheet.transform(parse_xml("<m><Stat>OPEN</Stat></m>"))
+        out = sheet.transform(parse_xml("<m><Stat>OPEN</Stat></m>"))[0]
         assert out.find("Status").text == "O"
 
     def test_unmapped_value_passes_through(self):
         sheet = Stylesheet("s", [ValueRule("//Stat", value_map={"OPEN": "O"})])
-        out = sheet.transform(parse_xml("<m><Stat>WEIRD</Stat></m>"))
+        out = sheet.transform(parse_xml("<m><Stat>WEIRD</Stat></m>"))[0]
         assert out.find("Stat").text == "WEIRD"
 
     def test_callable_mapping(self):
         sheet = Stylesheet("s", [ValueRule("//n", value_map=lambda t: t.upper())])
-        out = sheet.transform(parse_xml("<m><n>abc</n></m>"))
+        out = sheet.transform(parse_xml("<m><n>abc</n></m>"))[0]
         assert out.find("n").text == "ABC"
 
 
@@ -120,21 +120,21 @@ class TestTemplateRule:
             return el
 
         sheet = Stylesheet("s", [TemplateRule("//rec", build)])
-        out = sheet.transform(parse_xml("<m><rec k='7'><Name>A</Name></rec></m>"))
+        out = sheet.transform(parse_xml("<m><rec k='7'><Name>A</Name></rec></m>"))[0]
         customer = out.find("Customer")
         assert customer.children[0].text == "7"
         assert customer.find("Name").text == "A"
 
     def test_build_returning_none_drops(self):
         sheet = Stylesheet("s", [TemplateRule("//rec", lambda t, a: None)])
-        out = sheet.transform(parse_xml("<m><rec><x/></rec><keep/></m>"))
+        out = sheet.transform(parse_xml("<m><rec><x/></rec><keep/></m>"))[0]
         assert [c.tag for c in out.children] == ["keep"]
 
 
 class TestStreamingBehaviour:
     def test_identity_without_rules(self):
         doc = parse_xml("<a x='1'><b>t</b></a>")
-        out = Stylesheet("s", []).transform(doc)
+        out = Stylesheet("s", []).transform(doc)[0]
         assert out.structurally_equal(doc)
         assert out is not doc
 
@@ -143,12 +143,11 @@ class TestStreamingBehaviour:
         Stylesheet("s", [RenameRule("//b", "z")]).transform(doc)
         assert doc.find("b") is not None
 
-    def test_events_processed_accumulates(self):
+    def test_each_transform_returns_its_own_events(self):
         sheet = Stylesheet("s", [])
-        sheet.transform(parse_xml("<a><b/></a>"))
-        first = sheet.events_processed
-        sheet.transform(parse_xml("<a><b/></a>"))
-        assert sheet.events_processed == 2 * first
+        _, first = sheet.transform(parse_xml("<a><b/></a>"))
+        assert first == 4  # two starts, two ends
+        assert sheet.transform(parse_xml("<a><b/></a>"))[1] == first
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(StxError):
@@ -176,7 +175,7 @@ class TestScenarioShapedTransform:
             "<CustomerRec custkey='9'><CName>Ada</CName></CustomerRec>"
             "</BeijingMasterData>"
         )
-        out = sheet.transform(source)
+        out = sheet.transform(source)[0]
         assert serialize_xml(out) == (
             "<SeoulMasterData><Customer><Custkey>9</Custkey>"
             "<Name>Ada</Name></Customer></SeoulMasterData>"
