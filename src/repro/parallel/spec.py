@@ -205,15 +205,23 @@ class RunSpec:
     def problems(self) -> list[str]:
         """Every reason this is not a valid run, as ``field: complaint``.
 
-        The declared ranges plus the synth knob string's own problems:
-        the serving translator prefixes each with ``spec.`` for its 400
-        body, the CLI prints them and exits 2, :func:`client_from_spec`
-        refuses to build anything while the list is non-empty.
+        The declared ranges plus the synth knob string's own problems
+        and the one knob a synthesized run cannot honour (the classic
+        San Diego order error rate): the serving translator prefixes
+        each with ``spec.`` for its 400 body, the CLI prints them and
+        exits 2, :func:`client_from_spec` refuses to build anything
+        while the list is non-empty.
         """
         found = problems(self)
         if self.synth:
             from repro.synth.spec import knob_problems
 
+            default = KNOBS["sandiego_error_rate"].default
+            if self.sandiego_error_rate != default:
+                found.append(
+                    "sandiego_error_rate: a classic-scenario knob, "
+                    f"meaningless with synth set: {self.sandiego_error_rate}"
+                )
             found.extend(f"synth: {p}" for p in knob_problems(self.synth))
         return found
 
@@ -365,11 +373,14 @@ def client_from_spec(spec: RunSpec, workload=None):
             f=spec.distribution,
             jitter=spec.jitter,
         )
-    scenario = (
-        workload.scenario
-        if workload is not None
-        else build_scenario(jitter=spec.jitter, seed=spec.seed)
-    )
+    if workload is not None:
+        from repro.synth.runner import SynthClient
+
+        client_class, landscape = SynthClient, workload
+        scenario = workload.scenario
+    else:
+        client_class = BenchmarkClient
+        landscape = scenario = build_scenario(jitter=spec.jitter, seed=spec.seed)
     engine = ENGINES[spec.engine](
         scenario.registry,
         worker_count=spec.engine_workers,
@@ -380,18 +391,8 @@ def client_from_spec(spec: RunSpec, workload=None):
         # are governed here.
         for db in scenario.all_databases.values():
             db.set_memory_budget(spec.mem_budget)
-    if workload is not None:
-        from repro.synth.runner import SynthClient
-
-        return SynthClient(
-            workload,
-            engine,
-            spec.factors,
-            periods=spec.periods,
-            observability=observability,
-        )
-    return BenchmarkClient(
-        scenario,
+    return client_class(
+        landscape,
         engine,
         spec.factors,
         periods=spec.periods,

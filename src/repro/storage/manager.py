@@ -98,9 +98,12 @@ class StorageManager:
         self.replication = None
         self.checkpoint_state: Checkpoint | None = None
         self.commits: list[EngineCommit] = []
-        #: ``(runtime_state, per-database counter_state)`` as of the last
-        #: commit, or of the checkpoint when none followed it.
-        self._committed: tuple[dict, dict[str, dict]] = ({}, {})
+        #: Non-database state rolled back with the databases (a CDC
+        #: feed's cursor): ``capture_state()`` / ``restore_state(s)``.
+        self.holders: list = []
+        #: ``(runtime_state, per-database counter_state, holder states)``
+        #: as of the last commit, or of the checkpoint when none followed.
+        self._committed: tuple[dict, dict[str, dict], list] = ({}, {}, [])
         self.period = -1
         self._recording = False
         self._next_commit_id = 1
@@ -131,6 +134,10 @@ class StorageManager:
             self.wals[db.name] = WriteAheadLog(db.name)
         self.databases[db.name] = db
         db.set_change_listener(self._sink(db.name))
+
+    def attach_state(self, holder) -> None:
+        """Roll ``holder``'s volatile state back with the databases."""
+        self.holders.append(holder)
 
     def attach_engine(self, engine: "IntegrationEngine") -> None:
         """Wire an engine: its internal databases plus the commit hook."""
@@ -206,7 +213,11 @@ class StorageManager:
         for wal in self.wals.values():
             wal.truncate()
         self.commits.clear()
-        self._committed = (checkpoint.engine_runtime, checkpoint.counters)
+        self._committed = (
+            checkpoint.engine_runtime,
+            checkpoint.counters,
+            [holder.capture_state() for holder in self.holders],
+        )
         self.checkpoint_state = checkpoint
         self.checkpoints += 1
         if self._metrics is not None:
@@ -233,6 +244,7 @@ class StorageManager:
         self._committed = (
             engine.runtime_state(),
             {name: db.counter_state() for name, db in self.databases.items()},
+            [holder.capture_state() for holder in self.holders],
         )
         self.commit_count += 1
         at = record.completion
@@ -297,14 +309,17 @@ class StorageManager:
         extended by one record per commit since, in place (O(commits
         since the checkpoint)); the runtime state; and last the exact
         counters, overwriting what restore and redo accumulated (no
-        double counting).  Recovery and failover both end with this."""
+        double counting); the holders' states.  Recovery and failover
+        both end with this."""
         checkpoint = self.checkpoint_state
         records = checkpoint.engine_records
         del records[checkpoint.engine_record_count:]
         records.extend(commit.record for commit in self.commits)
         engine.records = records
-        runtime, counters = self._committed
+        runtime, counters, held = self._committed
         engine.restore_runtime_state(runtime)
+        for holder, state in zip(self.holders, held):
+            holder.restore_state(state)
         for name, state in counters.items():
             db = self.databases.get(name)
             if db is not None:

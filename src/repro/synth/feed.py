@@ -1,16 +1,18 @@
 """CDC change feeds: LSN-stamped logical change capture per source.
 
 The PR-3 storage layer owns each table's single WAL ``listener`` slot,
-so CDC taps the *observer* interface instead (``Table.add_observer``):
-every append to a watched source table becomes one logical change
-record with a monotonically increasing LSN — exactly the shape a WAL
-change listener would emit, but composable with durability being on.
+so CDC taps the *observer* interface instead (``Table.add_observer``),
+composable with durability being on.
 
 The watched transaction-log tables are append-only within a benchmark
-period (fresh transaction keys per message), so ``on_insert`` captures
-every change exactly once.  The only coarse ``on_mutation`` these tables
-ever see is the period-start truncate (or a recovery ``restore_rows``),
-which the feed treats as a rebase: cursor and log reset with the table.
+period (fresh transaction keys per message), so the table *is* the
+change log: the row at position ``p`` is the change with LSN ``p + 1``
+and the feed keeps only its ack cursor.  The only coarse
+``on_mutation`` these tables ever see is the period-start truncate (or a
+recovery ``restore_rows``), on which the cursor clips to the table's
+length.  Under durability the cursor is captured with every commit
+(``StorageManager.attach_state``), so a recovery puts back the last
+committed ack: an ack whose instance crashed uncommitted is undone.
 
 :class:`ChangeFeedService` exposes the feed as a registered service
 endpoint (``pull`` / ``ack``), so the generated replication processes
@@ -19,6 +21,8 @@ pull is charged communication + external cost like any other call.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from repro.db.relation import Relation
 from repro.db.table import Table, TableObserver
@@ -30,35 +34,35 @@ LSN_COLUMN = "lsn"
 
 
 class ChangeFeed(TableObserver):
-    """An ordered log of captured row images with an ack cursor."""
+    """An ack cursor over an append-only source table."""
 
     def __init__(self, table: Table):
-        self.table_name = table.name
+        self.table = table
         #: Captured columns: LSN first, then the source table's columns.
         self.columns = (LSN_COLUMN,) + tuple(table.schema.column_names)
-        self.records: list[dict] = []
-        self.next_lsn = 1
         self.cursor = 0
         table.add_observer(self)
 
     # -- TableObserver ----------------------------------------------------------
 
     def on_insert(self, table_name: str, row: dict) -> None:
-        self.records.append({LSN_COLUMN: self.next_lsn, **row})
-        self.next_lsn += 1
+        """An append: the table already holds the change."""
 
     def on_mutation(self, table_name: str) -> None:
         """Coarse mutation (period-start truncate / recovery restore):
-        the watched table was rebuilt, so the feed rebases with it."""
-        self.records.clear()
-        self.next_lsn = 1
-        self.cursor = 0
+        the watched table was rebuilt, so the cursor clips to it."""
+        self.cursor = min(self.cursor, len(self.table))
 
     # -- feed protocol ----------------------------------------------------------
 
     def pending(self) -> list[dict]:
         """Change records past the ack cursor, in LSN order."""
-        return [r for r in self.records if r[LSN_COLUMN] > self.cursor]
+        return [
+            {LSN_COLUMN: lsn, **row}
+            for lsn, row in enumerate(
+                islice(self.table, self.cursor, None), self.cursor + 1
+            )
+        ]
 
     def ack(self, upto: int) -> int:
         """Advance the cursor (idempotent; never moves backwards)."""
@@ -67,7 +71,15 @@ class ChangeFeed(TableObserver):
 
     @property
     def drained(self) -> bool:
-        return self.cursor >= self.next_lsn - 1
+        return self.cursor >= len(self.table)
+
+    # -- durability: the cursor rolls back with the databases ---------------------
+
+    def capture_state(self) -> int:
+        return self.cursor
+
+    def restore_state(self, cursor: int) -> None:
+        self.cursor = cursor
 
 
 class ChangeFeedService(ServiceEndpoint):

@@ -267,7 +267,7 @@ def verify_workload(workload: SynthWorkload, period: int) -> VerificationReport:
                 f"cdc_feed{i}_drained",
                 workload.feeds[i].drained,
                 f"cursor={workload.feeds[i].cursor} "
-                f"lsn={workload.feeds[i].next_lsn - 1}",
+                f"lsn={len(workload.feeds[i].table)}",
             )
 
     hub = workload.scenario.databases.get("synth_hub")

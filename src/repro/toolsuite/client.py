@@ -12,6 +12,11 @@ The client owns the autonomic benchmark execution:
 * **phase post** — functional verification of the integrated data plus
   metric computation.
 
+Every workload runs through this client: a period's body is four hooks
+(deploy set, re-initialization, event emission, verification) that
+:class:`repro.synth.runner.SynthClient` overrides; everything else —
+resilience, durability, cluster, spans, recovery — is shared.
+
 Scale-factor handling: deadlines are generated in tu and converted to
 engine time units with ``1 tu = 1/t``, so raising t compresses arrivals
 against constant processing costs; the Monitor converts measured costs
@@ -21,7 +26,8 @@ back into tu.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster import (
     ClusterConfig,
@@ -32,6 +38,7 @@ from repro.cluster import (
 from repro.db import fastpath, partition
 from repro.engine.base import (
     InstanceHistory, InstanceRecord, IntegrationEngine, ProcessEvent,
+    ProcessType,
 )
 from repro.errors import BenchmarkError, ClusterError, EngineCrashed, FaultSpecError
 from repro.metrics.navg import MetricReport
@@ -46,7 +53,7 @@ from repro.resilience import (
     ResilienceContext,
     RetryPolicy,
 )
-from repro.scenario.messages import MessageFactory, Population
+from repro.scenario.messages import MessageFactory
 from repro.scenario.topology import Scenario
 from repro.scenario.xmlschemas import message_schemas
 from repro.simtime.clock import VirtualClock
@@ -124,6 +131,9 @@ class BenchmarkResult:
 class BenchmarkClient:
     """Drives one engine through the DIPBench schedule."""
 
+    #: The streams a period opens trace spans for.
+    streams: tuple[str, ...] = ("A", "B", "C", "D")
+
     def __init__(
         self,
         scenario: Scenario,
@@ -156,13 +166,6 @@ class BenchmarkClient:
             self.scenario.registry.network.bind_metrics(
                 self.observability.metrics
             )
-        self.initializer = Initializer(
-            scenario,
-            d=self.factors.datasize,
-            f=self.factors.distribution,
-            seed=seed,
-            observability=self.observability,
-        )
         self.monitor = Monitor(
             time_scale=self.factors.time, observability=self.observability
         )
@@ -256,14 +259,22 @@ class BenchmarkClient:
                 metrics=metrics if metrics.enabled else None,
             )
         self.recovery_reports: list[RecoveryReport] = []
+        self._last_period: int | None = None
         self._last_factory: MessageFactory | None = None
-        self._last_population: Population | None = None
         #: Global virtual-time offset: each period's clock restarts at
         #: zero, so finished periods push this forward to keep all spans
         #: on one monotone timeline.
         self._trace_offset = 0.0
         self._run_span: Span | None = None
         self._stream_spans: dict[str, Span] = {}
+
+    @cached_property
+    def initializer(self) -> Initializer:
+        """The classic landscape's per-period data loader."""
+        return Initializer(
+            self.scenario, d=self.factors.datasize, f=self.factors.distribution,
+            seed=self.seed, observability=self.observability,
+        )
 
     @staticmethod
     def from_spec(spec: "RunSpec"):
@@ -353,15 +364,35 @@ class BenchmarkClient:
     def _phase_pre(self) -> None:
         """Deploy the benchmark processes if the engine lacks them."""
         if not self.engine.deployed_ids:
-            from repro.scenario.processes import resident_processes
-
-            self.engine.deploy_all(resident_processes().values())
+            self.engine.deploy_all(self._processes().values())
 
     def _phase_post(self, verify: bool) -> VerificationReport:
         if not verify:
             return VerificationReport(checks=[], failures=[])
-        if self._last_factory is None:
+        if self._last_period is None:
             raise BenchmarkError("phase post before any period ran")
+        return self._verify(self._last_period)
+
+    # -- the period body: four hooks a workload overrides (SynthClient) --------------
+
+    def _processes(self) -> dict[str, ProcessType]:
+        """The process types phase pre deploys."""
+        from repro.scenario.processes import resident_processes
+
+        return resident_processes()
+
+    def _reinitialize(self, period: int) -> None:
+        """Uninitialize every external system, then load the period's
+        sources and build its message factory."""
+        self.initializer.uninitialize_all()
+        self._last_factory = MessageFactory(
+            self.initializer.initialize_sources(period),
+            seed=self.seed + 7919 * period,
+            error_rate=self.sandiego_error_rate,
+        )
+
+    def _verify(self, period: int) -> VerificationReport:
+        """Functional verification of the last period's integrated data."""
         return verify_period(
             self.scenario, self.engine, self._last_factory
         )
@@ -369,8 +400,9 @@ class BenchmarkClient:
     # -- one period (Fig. 7) ----------------------------------------------------------
 
     def run_period(self, period: int) -> list[InstanceRecord]:
-        """Uninitialize, initialize, run streams A∥B → C → D; returns the
-        period's records as the engine built them."""
+        """Re-initialize the landscape, then emit the period's events
+        (classic: streams A∥B → C → D); returns the period's records as
+        the engine built them."""
         self._phase_pre()  # idempotent: deploys only when nothing is deployed
         tracer = self.observability.tracer
         period_span: Span | None = None
@@ -389,15 +421,8 @@ class BenchmarkClient:
             # Bulk (re)initialization is unlogged: the period-begin
             # checkpoint below is the recovery baseline instead.
             self.storage.pause()
-        self.initializer.uninitialize_all()
-        population = self.initializer.initialize_sources(period)
-        factory = MessageFactory(
-            population,
-            seed=self.seed + 7919 * period,
-            error_rate=self.sandiego_error_rate,
-        )
-        self._last_factory = factory
-        self._last_population = population
+        self._reinitialize(period)
+        self._last_period = period
         self.engine.reset_workers()
         if self.resilience is not None:
             # Arm this period's fault timeline on a clean slate (prior
@@ -419,12 +444,11 @@ class BenchmarkClient:
                     parent=period_span, activate=False,
                     attributes={"stream": stream, "period": period},
                 )
-                for stream in ("A", "B", "C", "D")
+                for stream in self.streams
             }
 
         new_records: list[InstanceRecord] = []
-        completions = self._run_message_streams(period, factory, new_records)
-        self._run_dependent_streams(period, completions, new_records)
+        self._emit(period, new_records)
         if self.resilience is not None:
             # Heal whatever the spec never recovered so phase post and
             # the next period start from an intact landscape.
@@ -459,6 +483,29 @@ class BenchmarkClient:
                 "client_periods_total", help="Benchmark periods executed"
             ).inc()
         return new_records
+
+    def _dispatch(
+        self,
+        process_id: str,
+        deadline: float,
+        period: int,
+        stream: str,
+        build: Callable[[], Message] | None = None,
+    ) -> InstanceRecord:
+        """Run one event of ``stream``; ``build`` makes an E1 message at
+        its arrival, after the fault events due by then are applied, so
+        an armed corruption hits it as it is built."""
+        message = None
+        if build is not None:
+            injector = self.resilience and self.resilience.injector
+            if injector is not None:
+                injector.advance_to(deadline)
+            message = build()
+            if injector is not None:
+                injector.maybe_corrupt(process_id, message)
+        return self._handle_in_stream(
+            ProcessEvent(process_id, deadline, message, period, stream)
+        )
 
     def _handle_in_stream(self, event: ProcessEvent) -> InstanceRecord:
         """Run one event with its stream span as the span parent.
@@ -548,10 +595,10 @@ class BenchmarkClient:
             dlq.entries.remove(letter)
         return record
 
-    def _run_message_streams(
-        self, period: int, factory: MessageFactory, records: list[InstanceRecord]
-    ) -> dict[str, float]:
-        """Streams A and B: merged E1 events in deadline order."""
+    def _emit(self, period: int, records: list[InstanceRecord]) -> None:
+        """Streams A∥B → C → D (Fig. 7): A's and B's E1 events merged
+        in deadline order, the T1-dependent E2 chain, then C, then D."""
+        factory = self._last_factory
         schedule = build_schedule(period, self.factors)
         metrics = self.observability.metrics
         scheduler = EventScheduler(
@@ -571,48 +618,21 @@ class BenchmarkClient:
                     self.factors.tu_to_engine(deadline_tu), process_id
                 )
 
-        injector = (
-            self.resilience.injector if self.resilience is not None else None
-        )
         completions: dict[str, float] = {}
         for event in scheduler.drain():
             process_id = event.payload
-            if injector is not None:
-                # Apply fault events due by this arrival so an armed
-                # corruption can hit the message right as it is built.
-                injector.advance_to(event.deadline)
-            message = builders[process_id]()
-            if injector is not None:
-                injector.maybe_corrupt(process_id, message)
-            record = self._handle_in_stream(
-                ProcessEvent(
-                    process_id,
-                    deadline=event.deadline,
-                    message=message,
-                    period=period,
-                    stream=_STREAM_OF[process_id],
-                )
+            record = self._dispatch(
+                process_id, event.deadline, period,
+                _STREAM_OF[process_id], builders[process_id],
             )
             records.append(record)
             completions[process_id] = max(
                 completions.get(process_id, 0.0), record.completion
             )
-        return completions
-
-    def _run_dependent_streams(
-        self, period: int, completions: dict[str, float], records: list[InstanceRecord]
-    ) -> None:
-        """The T1-dependent E2 chain plus streams C and D."""
 
         def run_at(process_id: str, deadline: float) -> InstanceRecord:
-            record = self._handle_in_stream(
-                ProcessEvent(
-                    process_id,
-                    deadline=deadline,
-                    message=None,
-                    period=period,
-                    stream=_STREAM_OF[process_id],
-                )
+            record = self._dispatch(
+                process_id, deadline, period, _STREAM_OF[process_id]
             )
             records.append(record)
             completions[process_id] = record.completion

@@ -9,6 +9,8 @@ RPO is zero under sync shipping, and the whole story is deterministic
 across invocations.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.parallel.spec import RunSpec, run_spec
@@ -100,6 +102,22 @@ class TestByteIdentity:
         assert summary.mean_rto_tu > 0
         assert summary.max_rto_tu >= summary.mean_rto_tu
         assert "RTO" in summary.describe()
+
+
+class TestSynthesizedWorkload:
+    def test_a_crashed_synth_cluster_converges(self):
+        """A synthesized run fails over through the same client: both
+        crashes in each of two periods, and still the fault-free
+        single-host outcome, change feeds included."""
+        synth = dict(datasize=0.02, periods=2, synth="sources=2")
+        base = run_spec(replace(_baseline_spec(), **synth))
+        outcome = run_spec(_clustered_spec(**synth))
+        assert outcome.ok, outcome.error
+        assert outcome.result.failovers == 4
+        assert outcome.result.verification.ok, (
+            outcome.result.verification.failures
+        )
+        assert outcome.fingerprint() == base.fingerprint()
 
 
 class TestDeterminism:

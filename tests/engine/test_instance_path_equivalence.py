@@ -31,15 +31,8 @@ from repro.engine.base import IntegrationEngine
 from repro.mtm import message as message_module
 from repro.observability.export import export_prometheus, export_spans_jsonl
 from repro.parallel.spec import RunSpec
-from repro.resilience import (
-    CircuitBreakerBoard,
-    FaultEvent,
-    FaultInjector,
-    FaultSpec,
-    ResilienceContext,
-    RetryPolicy,
-)
-from repro.storage import StorageManager, landscape_digest
+from repro.resilience import FaultEvent, FaultSpec
+from repro.storage import landscape_digest
 from repro.synth.runner import SynthClient
 from repro.toolsuite.client import BenchmarkClient
 from tests.oracle import engine as oracle
@@ -102,38 +95,27 @@ def _poison_third(builder):
     return build
 
 
+#: One transient engine fault on the first synthesized process id.
+SYNTH_FAULTS = FaultSpec(
+    name="one-transient",
+    events=(FaultEvent(at=0.0, kind="engine_fault", process="SYC0"),),
+)
+
+
 def _synth_client(engine: str, config: str) -> SynthClient:
     spec = RunSpec(
         engine=engine, datasize=0.05, periods=1, seed=5, synth=SYNTH_KNOBS,
+        faults=SYNTH_FAULTS if config == "resilience" else None,
+        max_attempts=3,
+        durability="snapshot+wal" if config == "storage" else "off",
         collect_metrics=config == "observability",
         collect_trace=config == "observability",
     )
     client = SynthClient.from_spec(spec)
-    client._deploy()
+    client._phase_pre()
     if config == "resilience":
-        first = sorted(client.workload.processes)[0]
-        faults = FaultSpec(
-            name="one-transient",
-            events=(FaultEvent(at=0.0, kind="engine_fault", process=first),),
-        )
-        breakers = CircuitBreakerBoard()
-        client.engine.resilience = ResilienceContext(
-            policy=RetryPolicy(max_attempts=3),
-            injector=FaultInjector(
-                faults, registry=client.scenario.registry, factors=client.factors
-            ),
-            breakers=breakers,
-            seed=5,
-        )
-        client.scenario.registry.breakers = breakers
-        client.engine.resilience.begin_period(0)
+        assert sorted(client.workload.processes)[0] == "SYC0"
         client.workload.txn_message = _poison_third(client.workload.txn_message)
-    if config == "storage":
-        storage = StorageManager(mode="snapshot+wal")
-        for db in client.scenario.all_databases.values():
-            storage.attach(db)
-        storage.attach_engine(client.engine)
-        storage.begin_period(0, client.engine)
     return client
 
 

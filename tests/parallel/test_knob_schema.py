@@ -261,6 +261,19 @@ def test_the_tiny_cadence_is_a_typed_error_not_a_hang(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_the_san_diego_error_rate_is_refused_on_a_synth_spec():
+    """The one classic-scenario knob a synthesized run cannot honour."""
+    assert RunSpec(synth="sources=2").problems() == []
+    spec = RunSpec(synth="sources=2", sandiego_error_rate=0.25)
+    assert spec.problems() == [
+        "sandiego_error_rate: a classic-scenario knob, meaningless with "
+        "synth set: 0.25"
+    ]
+    outcome = run_spec(spec)
+    assert outcome.error_type == "BenchmarkError"
+    assert "sandiego_error_rate" in outcome.error
+
+
 # -- the docs ---------------------------------------------------------------------------
 
 BEGIN, END = "<!-- knob-table:begin -->", "<!-- knob-table:end -->"

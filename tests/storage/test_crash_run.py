@@ -6,14 +6,20 @@ snapshot+WAL must converge to the *same* final landscape state, the same
 per-database I/O statistics and the same per-instance records — hence
 the same NAVG+ metrics — as the fault-free run at the same seed.  And
 with durability merely enabled (no crash), everything must stay
-byte-identical to the plain run: the zero-overhead contract.
+byte-identical to the plain run: the zero-overhead contract.  A
+synthesized workload runs through the same client, so it must converge
+on every engine too — change feeds included.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.engine import ENGINES as ALL_ENGINES
 from repro.engine import FederatedEngine, MtmInterpreterEngine
 from repro.errors import FaultSpecError
 from repro.observability import Observability
+from repro.parallel.spec import RunSpec, client_from_spec, run_spec
 from repro.resilience import FaultEvent, FaultSpec
 from repro.scenario import build_scenario
 from repro.storage import landscape_digest
@@ -25,12 +31,25 @@ ENGINES = {
 }
 
 
-def crash_spec(at=300.0, point="commit"):
+def crash_spec(at=300.0, point="commit", period=0):
+    """One crash; ``period=None`` crashes every period."""
     return FaultSpec(
         name="crash",
         seed=7,
-        events=(FaultEvent(at=at, kind="crash", point=point, period=0),),
+        events=(FaultEvent(at=at, kind="crash", point=point, period=period),),
     )
+
+
+#: Every family on two sources; a period is two rounds of E1 messages,
+#: each followed by its E2 wave (consolidation, one CDC pull per source,
+#: SCD apply, dedup) — see docs/workloads.md.
+SYNTH = RunSpec(datasize=0.02, periods=2, seed=5, synth="sources=2")
+
+#: Crash times on every period's timeline: 205 tu lands in round 1's E1
+#: streams, after round 0's CDC pulls were acked; at 250 tu the commit
+#: crash takes round 1's first CDC pull, which has already acked its
+#: batch when the instance dies uncommitted.
+SYNTH_CRASH_TIMES = (205.0, 250.0)
 
 
 def run_benchmark(engine_name, durability="off", faults=None,
@@ -165,3 +184,40 @@ class TestGuards:
                 scenario, engine, ScaleFactors(datasize=0.05),
                 periods=1, seed=42, faults=crash_spec(),
             )
+
+    def test_synth_crash_spec_requires_durability(self):
+        with pytest.raises(FaultSpecError, match="durability"):
+            client_from_spec(replace(SYNTH, faults=crash_spec()))
+
+
+# -- synthesized workloads ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def synth_baseline():
+    return {name: run_spec(SYNTH.with_engine(name)) for name in ALL_ENGINES}
+
+
+@pytest.mark.parametrize("at", SYNTH_CRASH_TIMES)
+@pytest.mark.parametrize(
+    "durability,point",
+    [("wal", "commit"), ("snapshot+wal", "commit"), ("snapshot+wal", "arrival")],
+)
+@pytest.mark.parametrize("engine_name", sorted(ALL_ENGINES))
+def test_synth_crash_converges(
+    synth_baseline, engine_name, durability, point, at
+):
+    base = synth_baseline[engine_name]
+    assert base.ok and base.result.verification.ok
+    crashed = run_spec(replace(
+        SYNTH, engine=engine_name, durability=durability,
+        checkpoint_every=50.0 if durability == "snapshot+wal" else None,
+        faults=crash_spec(at, point, period=None),
+    ))
+    assert crashed.ok, crashed.error
+    assert crashed.result.recoveries == SYNTH.periods
+    assert [repr(r) for r in crashed.result.records] == [
+        repr(r) for r in base.result.records
+    ]
+    assert crashed.landscape_digest == base.landscape_digest
+    assert crashed.result.verification.ok, crashed.result.verification.failures
