@@ -1,6 +1,6 @@
 """Relational kernel: microbenchmarks and operation-count gates.
 
-Five families of evidence, all merged into ``BENCH_relops.json``:
+Four families of evidence, all merged into ``BENCH_relops.json``:
 
 * wall-clock microbenchmarks of scan/select, join and group-by at the
   d=0.1 movement-data scale (~20k fact rows), production vs the
@@ -20,10 +20,7 @@ Five families of evidence, all merged into ``BENCH_relops.json``:
 * a deterministic **batch operation-count gate** against the committed
   golden fixture ``golden_vector_opcounts.json`` (regenerate with
   ``--update-golden``): which kernels engaged, how many masks
-  compiled, zero scalar fallbacks;
-* incremental materialized-view maintenance on the scenario's real
-  P03/P09 view shapes: one appended order fact must refresh OrdersMV
-  without a full recompute.
+  compiled, zero scalar fallbacks.
 
 Plus two ledger rows: ``simplicity:tier_switches`` (src lines and tier
 knobs before and after the switches were taken out of ``repro.db``) and
@@ -39,7 +36,7 @@ import re
 import sys
 import time
 
-from benchmarks.conftest import ledger_append, run_cached, write_artifact
+from benchmarks.conftest import ledger_append, write_artifact
 
 from repro.db import Column, Database, TableSchema, col, fastpath, lit, vector
 from repro.db.relation import Relation
@@ -368,42 +365,6 @@ def test_vector_operation_count_gate(update_golden, monkeypatch):
     )
     golden = json.loads(GOLDEN_VECTOR_OPCOUNTS.read_text(encoding="utf-8"))
     assert counts == golden
-
-
-def single_insert_refresh(database: Database) -> dict[str, int]:
-    """Append one order fact, refresh OrdersMV, return the STATS delta."""
-    orders = database.table("orders")
-    pk_column = orders.schema.primary_key[0]
-    template = dict(orders.scan()[0])
-    template[pk_column] = (
-        max(row[pk_column] for row in orders.scan()) + 1
-    )
-    view = database.materialized_view("OrdersMV")
-    view.refresh(database)  # ensure a current snapshot to fold into
-    base = fastpath.STATS.copy()
-    database.insert("orders", template)
-    view.refresh(database)
-    delta = fastpath.STATS - base
-    return {
-        "mv_incremental": delta.mv_incremental,
-        "mv_full_recompute": delta.mv_full_recompute,
-        "mv_delta_rows": delta.mv_delta_rows,
-    }
-
-
-def test_mv_incremental_on_scenario_views():
-    """P03/P09 acceptance: one appended fact row never forces a full
-    recompute of the warehouse or mart OrdersMV."""
-    _, _, scenario = run_cached(datasize=0.02, periods=2)
-    mv_results = {}
-    for name in ("dwh", "dm_europe"):
-        delta = single_insert_refresh(scenario.databases[name])
-        mv_results[name] = delta
-        assert delta["mv_full_recompute"] == 0, (name, delta)
-        assert delta["mv_incremental"] == 1, (name, delta)
-        assert delta["mv_delta_rows"] == 1, (name, delta)
-    RESULTS["materialized_views"] = mv_results
-    flush_results()
 
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"

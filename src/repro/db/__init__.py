@@ -25,7 +25,7 @@ Quick tour::
 """
 
 from repro.db import fastpath, partition, vector
-from repro.db.types import SqlType, coerce_value, type_check
+from repro.db.types import SqlType, coerce_value
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.expressions import (
     BinaryOp,
@@ -40,7 +40,7 @@ from repro.db.expressions import (
     lit,
 )
 from repro.db.relation import Relation
-from repro.db.table import Table, TableObserver
+from repro.db.table import Table
 from repro.db.active import (
     MaterializedView,
     StoredProcedure,
@@ -53,7 +53,6 @@ from repro.db.database import Database, DatabaseStatistics
 __all__ = [
     "SqlType",
     "coerce_value",
-    "type_check",
     "Column",
     "ForeignKey",
     "TableSchema",
@@ -69,7 +68,6 @@ __all__ = [
     "compile_expression",
     "Relation",
     "Table",
-    "TableObserver",
     "Trigger",
     "StoredProcedure",
     "MaterializedView",

@@ -5,39 +5,24 @@ These are exactly the mechanisms the paper's reference implementation uses
 queue table; time-event process types as stored procedures; and P12/P13/P15
 refresh materialized views through procedure calls.
 
-Materialized views accept two kinds of definition:
-
-* an opaque callable ``(Database) -> Relation`` — always recomputed from
-  scratch on refresh (the original behavior); or
-* a declarative :class:`ViewQuery` (select → join* → extend* → group-by
-  over one fact table) — refreshed *incrementally* when only appends hit
-  the fact table since the last refresh, falling back to a counted full
-  recompute for every other change (updates, deletes, truncates,
-  restores, or any change to a joined dimension table).
-
-Incremental maintenance yields byte-identical snapshots because the
-fact table is append-only between refreshes: new joined rows enter the
-aggregation in exactly the position a full recompute would stream them
-(fact scan order), and every aggregate is a left fold (running SUM from
-0 like :func:`sum`, MIN/MAX keeping the earlier value on ties, AVG as
-sum/count).  The refresh also charges scan-equivalent ``rows_read`` on
-every base table so the engine's cost model — and the golden NAVG+
-numbers — cannot tell the two strategies apart.
+A materialized view's definition is an opaque callable
+``(Database) -> Relation`` or a declarative :class:`ViewQuery` (select →
+join* → extend* → group-by over one fact table); either way a refresh
+re-runs it from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ProcedureError, SchemaError
 from repro.db import fastpath
 from repro.db.expressions import Expression
-from repro.db.relation import GroupAccumulator, Relation, Row
+from repro.db.relation import Relation, Row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
-    from repro.db.table import Table
 
 
 @dataclass
@@ -124,11 +109,7 @@ class ViewQuery:
     group_keys: tuple[str, ...] = ()
     aggregates: tuple[tuple[str, tuple[str, str | None]], ...] = ()
 
-    def base_tables(self) -> tuple[str, ...]:
-        return (self.fact_table,) + tuple(j.table for j in self.joins)
-
-    def join_stream(self, db: "Database") -> Relation:
-        """The pre-aggregation relation, built like the original callables."""
+    def __call__(self, db: "Database") -> Relation:
         relation = db.query(self.fact_table)
         if self.predicate is not None:
             relation = relation.select(self.predicate)
@@ -136,18 +117,9 @@ class ViewQuery:
             relation = relation.join(join.right_relation(db), on=list(join.on))
         for name, expr in self.extend:
             relation = relation.extend(name, expr)
-        return relation
-
-    def run_full(self, db: "Database") -> Relation:
-        relation = self.join_stream(db)
         if self.aggregates:
             return relation.group_by(self.group_keys, dict(self.aggregates))
         return relation
-
-    def __call__(self, db: "Database") -> Relation:
-        # ViewQuery doubles as a plain definition callable so opaque-MV
-        # code paths (and tests) can invoke it directly.
-        return self.run_full(db)
 
 
 class MaterializedView:
@@ -157,12 +129,9 @@ class MaterializedView:
     via stored procedure calls.  The view holds a :class:`Relation`
     snapshot; ``refresh`` re-runs the definition query and reports how many
     rows the new snapshot has (the engine charges processing cost for it).
-
-    With a :class:`ViewQuery` definition the view registers itself as a
-    change observer on its base tables and applies delta maintenance on
-    refresh when only fact-table appends happened since the last one;
-    any other change flips ``_delta_dirty`` and the next refresh
-    recomputes fully (counted in ``fastpath.STATS.mv_full_recompute``).
+    Every refresh recomputes: the Initializer invalidates each view at
+    the start of a period and the schedule refreshes it once after that,
+    so there is never an earlier snapshot to fold new rows into.
     """
 
     def __init__(
@@ -179,20 +148,6 @@ class MaterializedView:
         #: Durability hook (same signature as Table.listener); refreshes
         #: are journaled as recompute instructions, not materialized rows.
         self.listener: Callable[[str, str, tuple], None] | None = None
-        # -- incremental-maintenance state (ViewQuery definitions only) --
-        self._query: ViewQuery | None = (
-            definition if isinstance(definition, ViewQuery) else None
-        )
-        #: Fact rows appended since the last refresh (shared references).
-        self._pending: list[Row] = []
-        #: True when delta maintenance cannot reproduce a full recompute.
-        self._delta_dirty = True
-        #: Aggregation state carried across incremental refreshes.
-        self._aggregator: GroupAccumulator | None = None
-        #: Joined-but-ungrouped snapshot rows (plain view shapes).
-        self._plain_rows: list[Row] | None = None
-        self._plain_columns: tuple[str, ...] | None = None
-        self._observing = False
 
     @property
     def is_populated(self) -> bool:
@@ -206,202 +161,29 @@ class MaterializedView:
             )
         return self._snapshot
 
-    # -- change tracking ----------------------------------------------------------
-
-    def observe(self, database: "Database") -> None:
-        """Attach this view as observer of its base tables (idempotent)."""
-        if self._query is None or self._observing:
-            return
-        tables = self._query.base_tables()
-        if not all(database.has_table(t) for t in tables):
-            return  # tables not created yet; retried on the next refresh
-        for table_name in tables:
-            database.table(table_name).add_observer(self)
-        self._observing = True
-
+    # No-ops that stay because bench/layers.py wraps them by name.
     def on_insert(self, table_name: str, row: Row) -> None:
-        """TableObserver hook: fact appends feed the delta, all else dirties."""
-        query = self._query
-        if (
-            query is not None
-            and table_name == query.fact_table
-            and all(j.table != table_name for j in query.joins)
-        ):
-            self._pending.append(row)
-        else:
-            self._delta_dirty = True
+        """No-op: a view tracks no changes between refreshes."""
 
     def on_mutation(self, table_name: str) -> None:
-        """TableObserver hook: non-append changes force a full recompute."""
-        self._delta_dirty = True
-
-    # -- refresh ------------------------------------------------------------------
+        """No-op: a view tracks no changes between refreshes."""
 
     def refresh(self, database: "Database") -> int:
-        """Recompute or delta-maintain the snapshot; returns the row count."""
-        query = self._query
-        if query is not None:
-            self.observe(database)
-        if (
-            query is not None
-            and self._observing
-            and self._snapshot is not None
-            and not self._delta_dirty
-        ):
-            self._refresh_incremental(database, query)
-        else:
-            self._refresh_full(database)
+        """Recompute the snapshot; returns its row count."""
+        self._snapshot = self.definition(database)
         self.refresh_count += 1
+        fastpath.STATS.mv_full_recompute += 1
         if self.listener is not None:
             self.listener(self.name, "mv_refresh", ())
-        return len(self._snapshot)  # type: ignore[arg-type]
-
-    def _refresh_full(self, database: "Database") -> None:
-        query = self._query
-        if query is None:
-            # Opaque definition: nothing observed, no delta state kept.
-            self._snapshot = self.definition(database)
-            return
-        if self._observing:
-            fastpath.STATS.mv_full_recompute += 1
-        joined = query.join_stream(database)
-        if query.aggregates:
-            aggregator = GroupAccumulator(query.group_keys, query.aggregates)
-            for row in joined.rows:
-                aggregator.add(row)
-            self._aggregator = aggregator
-            self._plain_rows = None
-            self._plain_columns = None
-            self._snapshot = Relation.from_trusted(
-                aggregator.columns(), aggregator.rows()
-            )
-        else:
-            self._aggregator = None
-            self._plain_columns = joined.columns
-            self._plain_rows = list(joined.rows)
-            self._snapshot = Relation.from_trusted(
-                joined.columns, list(joined.rows), wide=joined._wide
-            )
-        self._pending.clear()
-        self._delta_dirty = False
-
-    def _refresh_incremental(self, database: "Database", query: ViewQuery) -> None:
-        # The cost model prices a refresh as reading every base table in
-        # full; delta maintenance must not change the accounted work.
-        for table_name in query.base_tables():
-            database.table(table_name).charge_scan()
-        delta = self._delta_rows(database, query)
-        fastpath.STATS.mv_incremental += 1
-        fastpath.STATS.mv_delta_rows += len(delta)
-        if query.aggregates:
-            aggregator = self._aggregator
-            assert aggregator is not None
-            for row in delta:
-                aggregator.add(row)
-            self._snapshot = Relation.from_trusted(
-                aggregator.columns(), aggregator.rows()
-            )
-        else:
-            rows = self._plain_rows
-            assert rows is not None
-            rows.extend(delta)
-            assert self._plain_columns is not None
-            self._snapshot = Relation.from_trusted(
-                self._plain_columns, list(rows)
-            )
-        self._pending.clear()
-
-    def _delta_rows(self, database: "Database", query: ViewQuery) -> list[Row]:
-        """Run the pending fact rows through the view's operator chain.
-
-        Probes existing dimension indexes where they cover the join key
-        (uncounted — the refresh already charged scan-equivalent reads),
-        falling back to a one-off hash index over the dimension rows.
-        Reproduces ``Relation.join``'s exact semantics: inner join, NULL
-        keys never match, matches in dimension storage order, rename
-        with the ``_r`` suffix on collisions.
-        """
-        if not self._pending:
-            return []
-        predicate = (
-            query.predicate.compile() if query.predicate is not None else None
-        )
-        rows: list[Row] = []
-        for fact_row in self._pending:
-            if predicate is None or predicate(fact_row) is True:
-                rows.append(dict(fact_row))
-        left_columns = list(database.table(query.fact_table).schema.column_names)
-        for join in query.joins:
-            table = database.table(join.table)
-            right_keys = tuple(right for _, right in join.on)
-            left_keys = tuple(left for left, _ in join.on)
-            right_key_set = set(right_keys)
-            rename: list[tuple[str, str]] = []
-            for out_name, src in join.columns:
-                if out_name in right_key_set:
-                    continue
-                rename.append(
-                    (
-                        src,
-                        out_name + "_r" if out_name in left_columns else out_name,
-                    )
-                )
-            # Probe indexes over the *source* columns backing the join
-            # key: the dimension's projected key column maps back to one
-            # of its physical columns.
-            source_of = {out: src for out, src in join.columns}
-            physical_keys = tuple(source_of.get(k, k) for k in right_keys)
-            probe = table._probe_for(physical_keys)
-            if probe is None:
-                mapping: dict[tuple, list[Row]] = {}
-                for row in table._rows:
-                    key = tuple(row[c] for c in physical_keys)
-                    if any(part is None for part in key):
-                        continue
-                    mapping.setdefault(key, []).append(row)
-                lookup: Callable[[tuple], Sequence[Row]] = (
-                    lambda key, _m=mapping: _m.get(key, ())
-                )
-            else:
-                table_rows = table._rows
-                lookup = lambda key, _p=probe, _r=table_rows: [
-                    _r[pos] for pos in _p(key)
-                ]
-            joined_rows: list[Row] = []
-            for row in rows:
-                key = tuple(row[k] for k in left_keys)
-                if any(part is None for part in key):
-                    continue
-                for match in lookup(key):
-                    combined = dict(row)
-                    for src, out_name in rename:
-                        combined[out_name] = match[src]
-                    joined_rows.append(combined)
-            rows = joined_rows
-            left_columns.extend(out for _, out in rename)
-        for name, expr in query.extend:
-            fn = expr.compile()
-            for row in rows:
-                row[name] = fn(row)
-        return rows
+        return len(self._snapshot)
 
     def invalidate(self) -> None:
         """Drop the snapshot (used by the Initializer's uninitialize step)."""
-        self._drop_state()
+        self._snapshot = None
         if self.listener is not None:
             self.listener(self.name, "mv_invalidate", ())
 
     def adopt(self, other: "MaterializedView") -> None:
         """Take ``other``'s content as this view's (a promoted replica's
-        copy of the same view), unjournaled; the next refresh recomputes
-        fully."""
-        self._drop_state()
+        copy of the same view), unjournaled."""
         self._snapshot = other._snapshot
-
-    def _drop_state(self) -> None:
-        self._snapshot = None
-        self._aggregator = None
-        self._plain_rows = None
-        self._plain_columns = None
-        self._pending.clear()
-        self._delta_dirty = True

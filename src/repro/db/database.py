@@ -174,22 +174,6 @@ class Database:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    def list_indexes(self) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-        """All secondary indexes: table name -> [(index, columns), ...].
-
-        The counterpart to :meth:`Table.create_index` /
-        :meth:`Table.drop_index`; recovery uses it to re-declare indexes
-        idempotently after a snapshot restore.
-        """
-        return {
-            name: [
-                (index_name, table.index_columns(index_name))
-                for index_name in table.index_names
-            ]
-            for name, table in sorted(self._tables.items())
-            if table.index_names
-        }
-
     # -- triggers / procedures / views -----------------------------------------
 
     def create_trigger(
@@ -242,10 +226,6 @@ class Database:
             raise SchemaError(f"{self.name}: view {name} already exists")
         view = MaterializedView(name, definition)
         self._views[name] = view
-        # ViewQuery-backed views track base-table changes for delta
-        # maintenance; attachment is retried at refresh time if some base
-        # tables are created after the view.
-        view.observe(self)
         return view
 
     def materialized_view(self, name: str) -> MaterializedView:

@@ -1,15 +1,14 @@
 """Operation counters for the relational kernel of :mod:`repro.db`.
 
-Every operator has one implementation, built on four techniques:
+Every operator has one implementation, built on three techniques:
 operators share row dicts (copy-on-write: only ``project``/``extend``/
 ``join``/``group_by`` build new dicts because only they produce new
 values), predicates run as compiled closures or columnar mask kernels,
-joins probe existing table indexes, and materialized views maintain
-their snapshots incrementally.  Which rung of an operator's ladder runs
-(index probe → partition-wise → mask/column kernel → compiled scalar
-loop) is decided only from what the code observes — input size, the
-source table's generation, residency, the predicate's grammar — never
-from a user-settable switch.
+and joins probe existing table indexes.  Which rung of an operator's
+ladder runs (index probe → partition-wise → mask/column kernel →
+compiled scalar loop) is decided only from what the code observes —
+input size, the source table's generation, residency, the predicate's
+grammar — never from a user-settable switch.
 
 The reference the implementation is held to lives outside ``src/``:
 ``tests/oracle/relational.py`` re-materializes every row per operator
@@ -22,10 +21,10 @@ oracle on randomized inputs.
 
 :data:`STATS` counts *operations*, not time: how many row dicts were
 materialized, how many expressions were lowered to closures, how many
-joins went through a table index, how many MV refreshes were applied as
-deltas.  These counts are deterministic for a given workload, which is
-what lets CI gate performance regressions without trusting wall clocks
-on shared runners.
+joins went through a table index, how many MV refreshes recomputed.
+These counts are deterministic for a given workload, which is what lets
+CI gate performance regressions without trusting wall clocks on shared
+runners.
 """
 
 from __future__ import annotations
@@ -49,12 +48,11 @@ class FastpathStats:
     hash_joins: int = 0
     #: Equality predicates answered through ``Table`` index probes.
     pushdowns: int = 0
-    #: Materialized-view refreshes applied as insert deltas.
+    #: Always 0 (a materialized view refreshes by recomputing); the
+    #: field stays because ``bench/metrics.py`` reads it by name.
     mv_incremental: int = 0
-    #: Materialized-view refreshes that fell back to a full recompute.
+    #: Materialized-view refreshes (each one a full recompute).
     mv_full_recompute: int = 0
-    #: Fact rows folded into MV snapshots by delta maintenance.
-    mv_delta_rows: int = 0
     #: Selections answered by a columnar bitmask instead of a row loop.
     vector_filters: int = 0
     #: Joins built and probed over column arrays instead of row dicts.

@@ -98,10 +98,6 @@ class GroupAccumulator:
     starts at 0 exactly like :func:`sum`, ``min``/``max`` keep the
     earlier value on ties exactly like their builtin sequence forms,
     and AVG divides the same sum by the same count.
-
-    Resumable: :meth:`rows` finalizes without consuming the state, so a
-    materialized view keeps adding appended rows across refreshes and
-    finalizes to what one pass over all of them would.
     """
 
     __slots__ = ("keys", "specs", "groups", "order")

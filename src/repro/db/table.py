@@ -33,26 +33,6 @@ from repro.db.schema import TableSchema
 ChangeListener = Callable[[str, str, tuple], None]
 
 
-class TableObserver:
-    """Change-tracking hook for derived state (incremental MVs).
-
-    Distinct from :attr:`Table.listener`: the listener slot belongs to
-    the durability layer (one WAL per database, attached wholesale via
-    ``Database.set_change_listener``), while observers are a *list* of
-    independent subscribers and also hear about bulk restores that
-    bypass journaling.  ``on_insert`` fires per appended row;
-    ``on_mutation`` fires for anything else (update, delete, truncate,
-    restore, redo of those) — coarse on purpose, since subscribers fall
-    back to recomputation for non-append changes.
-    """
-
-    def on_insert(self, table_name: str, row: Row) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def on_mutation(self, table_name: str) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
 class Table:
     """One table instance inside a :class:`~repro.db.database.Database`.
 
@@ -76,8 +56,6 @@ class Table:
         self.rows_written = 0
         #: Change hook for the durability layer (None = no journaling).
         self.listener: ChangeListener | None = None
-        #: Change-tracking subscribers (incremental MV maintenance).
-        self._observers: list[TableObserver] = []
         #: Bumped on every data mutation; table-backed relation snapshots
         #: record it so index-aware joins can tell whether the table has
         #: moved on since the snapshot was taken.
@@ -232,25 +210,6 @@ class Table:
         self._reindex_row(position, old_row, new_row)
         self._generation += 1
 
-    # -- change tracking -----------------------------------------------------------
-
-    def add_observer(self, observer: TableObserver) -> None:
-        """Subscribe a change tracker (see :class:`TableObserver`)."""
-        if observer not in self._observers:
-            self._observers.append(observer)
-
-    def remove_observer(self, observer: TableObserver) -> None:
-        if observer in self._observers:
-            self._observers.remove(observer)
-
-    def _notify_insert(self, row: Row) -> None:
-        for observer in self._observers:
-            observer.on_insert(self.name, row)
-
-    def _notify_mutation(self) -> None:
-        for observer in self._observers:
-            observer.on_mutation(self.name)
-
     # -- DML -------------------------------------------------------------------
 
     def _append(self, row: Row, key: tuple | None) -> Row:
@@ -269,8 +228,6 @@ class Table:
         self._generation += 1
         if self.listener is not None:
             self.listener(self.name, "insert", (row,))
-        if self._observers:
-            self._notify_insert(row)
         return row
 
     def insert(self, values: Mapping[str, Any]) -> Row:
@@ -294,11 +251,11 @@ class Table:
         Row for row the same effects as :meth:`insert` (``replace``:
         :meth:`upsert`, so a row whose primary key is taken replaces the
         stored one instead of raising), in the same order: one change
-        record, one observer call and one ``rows_written`` step per row;
+        record and one ``rows_written`` step per row;
         a failing row leaves its predecessors stored.  Only what cannot
         change during the batch is looked up once.
         """
-        name, listener, observers = self.name, self.listener, self._observers
+        name, listener = self.name, self.listener
         normalize, pk_of = self.schema.normalize, self.schema.pk_of
         pk_index, store = self._pk_index, self._rows
         append = store.append
@@ -321,8 +278,6 @@ class Table:
                     self.rows_written += 1
                     if listener is not None:
                         listener(name, "upsert", (row,))
-                    for observer in observers:
-                        observer.on_mutation(name)
                     count += 1
                     continue
                 pk_index[key] = position
@@ -333,8 +288,6 @@ class Table:
             self._generation += 1
             if listener is not None:
                 listener(name, "insert", (row,))
-            for observer in observers:
-                observer.on_insert(name, row)
             count += 1
         return count
 
@@ -355,8 +308,6 @@ class Table:
         self.rows_written += 1
         if self.listener is not None:
             self.listener(self.name, "upsert", (row,))
-        if self._observers:
-            self._notify_mutation()
         return row
 
     def delete(self, predicate: Expression | Callable[[Row], Any] | None = None) -> int:
@@ -370,8 +321,6 @@ class Table:
                 self._generation += 1
                 if self.listener is not None:
                     self.listener(self.name, "truncate", (removed,))
-                if self._observers:
-                    self._notify_mutation()
             return removed
         # One walk decides both lists (on a partition store every walk
         # may fault partitions in): a matching row records its position
@@ -399,8 +348,6 @@ class Table:
             self._generation += 1
             if self.listener is not None:
                 self.listener(self.name, "delete_at", (tuple(removed_at),))
-            if self._observers:
-                self._notify_mutation()
         return len(removed_at)
 
     def update(
@@ -443,8 +390,6 @@ class Table:
                 self.listener(self.name, "set", (position, new_row))
         if updated:
             self.rows_written += updated
-            if self._observers:
-                self._notify_mutation()
         return updated
 
     def truncate(self) -> int:
@@ -478,8 +423,6 @@ class Table:
         self._set_rows(list(rows))
         self._rebuild_indexes()
         self._generation += 1
-        if self._observers:
-            self._notify_mutation()
 
     def redo(self, op: str, payload: tuple) -> None:
         """Re-apply one journaled change record (crash-recovery redo).
@@ -495,8 +438,6 @@ class Table:
         elif op == "set":
             position, row = payload
             self._replace_at(position, row)
-            if self._observers:
-                self._notify_mutation()
         elif op == "delete_at":
             removed_set = set(payload[0])
             self._set_rows(
@@ -504,14 +445,10 @@ class Table:
             )
             self._rebuild_indexes()
             self._generation += 1
-            if self._observers:
-                self._notify_mutation()
         elif op == "truncate":
             self._rows.clear()
             self._rebuild_indexes()
             self._generation += 1
-            if self._observers:
-                self._notify_mutation()
         elif op == "create_index":
             index_name, cols = payload
             if self.has_index(index_name):
@@ -644,9 +581,8 @@ class Table:
     def charge_scan(self) -> None:
         """Charge ``rows_read`` as a full scan would, without reading.
 
-        Index-backed rungs (predicate pushdown, incremental MV
-        maintenance) answer queries without touching every row, but the
-        engine's cost model — and the golden NAVG+ tables pinned on it —
+        Predicate pushdown answers a query through an index without
+        touching every row, but the engine's cost model — and the golden NAVG+ tables pinned on it —
         price the *logical* work.  Charging scan-equivalent reads keeps
         counters byte-identical to the full-scan reference.
         """

@@ -57,33 +57,6 @@ def validate_type_name(name: str) -> str:
     return canonical
 
 
-def type_check(sql_type: str, value: Any) -> bool:
-    """Return True if ``value`` is directly acceptable for ``sql_type``.
-
-    None is acceptable for every type; nullability is enforced at the
-    column level, not here.
-    """
-    if value is None:
-        return True
-    if sql_type in ("INTEGER", "BIGINT"):
-        return isinstance(value, int) and not isinstance(value, bool)
-    if sql_type == "DECIMAL":
-        return isinstance(value, (Decimal, int)) and not isinstance(value, bool)
-    if sql_type == "DOUBLE":
-        return isinstance(value, (float, int)) and not isinstance(value, bool)
-    if sql_type in ("VARCHAR", "CHAR", "CLOB"):
-        return isinstance(value, str)
-    if sql_type == "DATE":
-        return isinstance(value, datetime.date) and not isinstance(
-            value, datetime.datetime
-        )
-    if sql_type == "TIMESTAMP":
-        return isinstance(value, datetime.datetime)
-    if sql_type == "BOOLEAN":
-        return isinstance(value, bool)
-    raise SchemaError(f"unsupported SQL type: {sql_type!r}")
-
-
 def coerce_value(sql_type: str, value: Any) -> Any:
     """Coerce ``value`` into the Python representation for ``sql_type``.
 

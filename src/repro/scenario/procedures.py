@@ -105,12 +105,9 @@ def sp_clear_movement_data(db: Database) -> dict[str, int]:
 def orders_mv_query() -> ViewQuery:
     """OrdersMV (Fig. 3) as a declarative :class:`ViewQuery`.
 
-    The declarative form the database can maintain incrementally: P03
-    appends order facts between refreshes, so sp_refreshOrdersMV (P13)
-    folds only the new rows into the aggregate instead of recomputing
-    the view.
-    Built fresh per database so compiled-expression cache hits stay
-    deterministic per run.
+    sp_refreshOrdersMV (P13) recomputes it once per period, after P03
+    has appended the period's order facts.  Built fresh per database so
+    compiled-expression cache hits stay deterministic per run.
     """
     return ViewQuery(
         fact_table="orders",

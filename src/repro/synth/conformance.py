@@ -18,11 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.storage.digest import landscape_digest
-from repro.synth.generator import synthesize
-from repro.synth.runner import SynthClient
 from repro.synth.spec import SynthSpec
-from repro.toolsuite.schedule import ScaleFactors
 
 
 @dataclass
@@ -65,8 +61,15 @@ def run_differential(
     time: float = 1.0,
     engines: list[str] | None = None,
 ) -> ConformanceReport:
-    """Run ``spec`` on every engine and compare the outcomes."""
+    """Run ``spec`` on every engine and compare the outcomes.
+
+    Each engine's run is one :class:`~repro.parallel.spec.RunSpec`
+    executed by :func:`~repro.parallel.spec.run_spec`, so it is wired
+    and validated exactly like ``repro run --synth``; a run that fails
+    is reported as a problem.
+    """
     from repro.engine import ENGINES
+    from repro.parallel.spec import RunSpec, run_spec
 
     spec.assert_valid()
     if spec.seed is None:
@@ -74,15 +77,22 @@ def run_differential(
     names = engines if engines is not None else sorted(ENGINES)
     report = ConformanceReport(spec=spec)
     for name in names:
-        workload = synthesize(spec, f=f)
-        engine = ENGINES[name](workload.scenario.registry, worker_count=4)
-        client = SynthClient(
-            workload,
-            engine,
-            ScaleFactors(time=time, distribution=f),
-            periods=periods,
+        outcome = run_spec(
+            RunSpec(
+                engine=name,
+                synth=spec.to_string(),
+                seed=spec.seed,
+                distribution=f,
+                periods=periods,
+                time=time,
+            )
         )
-        result = client.run(verify=True)
+        if not outcome.ok:
+            report.problems.append(
+                f"{name}: run failed: {outcome.error_type}: {outcome.error}"
+            )
+            continue
+        result = outcome.result
         statuses: dict[str, Counter] = {}
         for record in result.records:
             statuses.setdefault(record.process_id, Counter())[
@@ -91,14 +101,14 @@ def run_differential(
         report.outcomes.append(
             EngineOutcome(
                 engine=name,
-                digest=landscape_digest(
-                    workload.scenario.all_databases.values()
-                ),
+                digest=outcome.landscape_digest,
                 instance_statuses=statuses,
                 verification_ok=result.verification.ok,
                 failures=list(result.verification.failures),
             )
         )
+    if not report.outcomes:
+        return report
 
     baseline = report.outcomes[0]
     for outcome in report.outcomes:

@@ -1,16 +1,12 @@
 """CDC change feeds: LSN-stamped logical change capture per source.
 
-The PR-3 storage layer owns each table's single WAL ``listener`` slot,
-so CDC taps the *observer* interface instead (``Table.add_observer``),
-composable with durability being on.
-
 The watched transaction-log tables are append-only within a benchmark
 period (fresh transaction keys per message), so the table *is* the
 change log: the row at position ``p`` is the change with LSN ``p + 1``
-and the feed keeps only its ack cursor.  The only coarse
-``on_mutation`` these tables ever see is the period-start truncate (or a
-recovery ``restore_rows``), on which the cursor clips to the table's
-length.  Under durability the cursor is captured with every commit
+and the feed keeps only its ack cursor, reading the table directly and
+subscribing to nothing.  The period-start truncate empties the table,
+and the client then calls :meth:`ChangeFeed.reset`.  Under durability
+the cursor is captured with every commit
 (``StorageManager.attach_state``), so a recovery puts back the last
 committed ack: an ack whose instance crashed uncommitted is undone.
 
@@ -25,7 +21,7 @@ from __future__ import annotations
 from itertools import islice
 
 from repro.db.relation import Relation
-from repro.db.table import Table, TableObserver
+from repro.db.table import Table
 from repro.errors import ServiceError
 from repro.services.endpoints import Envelope, ServiceEndpoint
 
@@ -33,7 +29,7 @@ from repro.services.endpoints import Envelope, ServiceEndpoint
 LSN_COLUMN = "lsn"
 
 
-class ChangeFeed(TableObserver):
+class ChangeFeed:
     """An ack cursor over an append-only source table."""
 
     def __init__(self, table: Table):
@@ -41,17 +37,10 @@ class ChangeFeed(TableObserver):
         #: Captured columns: LSN first, then the source table's columns.
         self.columns = (LSN_COLUMN,) + tuple(table.schema.column_names)
         self.cursor = 0
-        table.add_observer(self)
 
-    # -- TableObserver ----------------------------------------------------------
-
-    def on_insert(self, table_name: str, row: dict) -> None:
-        """An append: the table already holds the change."""
-
-    def on_mutation(self, table_name: str) -> None:
-        """Coarse mutation (period-start truncate / recovery restore):
-        the watched table was rebuilt, so the cursor clips to it."""
-        self.cursor = min(self.cursor, len(self.table))
+    def reset(self) -> None:
+        """Rewind to LSN 0 after the period-start truncate."""
+        self.cursor = 0
 
     # -- feed protocol ----------------------------------------------------------
 

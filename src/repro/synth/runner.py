@@ -4,8 +4,8 @@ Only the four period hooks are overridden; the phase machinery of
 :class:`~repro.toolsuite.client.BenchmarkClient` is shared, so every run
 knob acts on a synthesized run as on the classic one.
 
-Each period uninitializes the landscape (change feed cursors go back to
-zero with their tables), replants the plan's initial populations, then executes
+Each period uninitializes the landscape (change feed cursors are reset
+to zero with their tables), replants the plan's initial populations, then executes
 ``spec.rounds`` rounds: the round's E1 message streams drain through one
 deadline-ordered scheduler, after which the dependent E2 processes run
 serialized at the running completion frontier — consolidations, CDC
@@ -61,7 +61,9 @@ class SynthClient(BenchmarkClient):
         return self.workload.processes
 
     def _reinitialize(self, period: int) -> None:
-        self.scenario.uninitialize()  # feed cursors clip to the truncate
+        self.scenario.uninitialize()
+        for feed in self.workload.feeds.values():
+            feed.reset()
         self.workload.populate(period)
 
     def _emit(self, period: int, records: list[InstanceRecord]) -> None:

@@ -325,7 +325,6 @@ class BenchmarkClient:
             registry.gauge("expr_compiled").set(float(delta.expr_compiled))
             registry.gauge("db_index_joins").set(float(delta.index_joins))
             registry.gauge("db_pushdowns").set(float(delta.pushdowns))
-            registry.gauge("mv_incremental").set(float(delta.mv_incremental))
             registry.gauge("mv_full_recompute").set(
                 float(delta.mv_full_recompute)
             )

@@ -84,14 +84,6 @@ class TestIndexDdl:
         assert orders.index_names == ["idx_cust", "idx_status"]
         assert orders.index_columns("idx_cust") == ("custkey",)
 
-    def test_database_list_indexes(self):
-        db = Database("cdb")
-        db.create_table(orders_schema())
-        db.table("orders").create_index("idx_cust", ("custkey",))
-        assert db.list_indexes() == {
-            "orders": [("idx_cust", ("custkey",))],
-        }
-
 
 class TestChangeListener:
     def collect(self, table):

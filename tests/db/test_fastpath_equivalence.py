@@ -18,6 +18,7 @@ import pytest
 from repro.db import (
     Column,
     Database,
+    MaterializedView,
     TableSchema,
     ViewJoin,
     ViewQuery,
@@ -471,7 +472,8 @@ def random_order(rng, orderkey):
     "make_query", [orders_view_query, plain_view_query], ids=["grouped", "plain"]
 )
 def test_mv_incremental_vs_full_recompute(seed, make_query):
-    """Random insert/update/delete sequences: delta == full, costs equal."""
+    """Random insert/update/delete sequences: every refresh equals the
+    oracle's recompute, costs equal."""
     rng = random.Random(seed)
     db = star_schema()
     reference = oracle.mirror(db)
@@ -511,8 +513,8 @@ def test_mv_incremental_vs_full_recompute(seed, make_query):
         elif op == "refresh":
             view.refresh(db)
             assert_identical(view.snapshot, oracle.view(query, reference))
-            # Delta maintenance must charge exactly what a full
-            # recompute would: scan-equivalent reads on every base table.
+            # A refresh charges what the oracle's recompute does: one
+            # full read of every base table.
             for name in ("orders", "customer", "city", "nation"):
                 assert (
                     db.table(name).rows_read == reference[name].rows_read
@@ -540,52 +542,66 @@ def all_aggregates_view_query():
 
 @pytest.mark.parametrize("size", [1, 63, 64, 500])
 def test_mv_full_and_delta_refresh_fold_like_the_oracle(size):
-    """The view's accumulator is ``Relation.group_by``'s: a full refresh
-    over ``size`` facts, then a delta refresh over ``size`` more, each
-    equal the oracle's group-by over all facts so far — rows,
-    first-appearance order, float sums bit-equal."""
+    """A view has one refresh path, so whatever happened since the last
+    refresh — batches of ``size`` fact appends, dimension updates,
+    deletes, truncates, ``invalidate``, ``adopt`` of another view's
+    content — the next refresh equals the oracle's evaluation of the
+    same ViewQuery (rows, first-appearance order, float sums bit-equal)
+    and charges the same ``rows_read`` on every base table."""
     rng = random.Random(size)
     db = star_schema()
     reference = oracle.mirror(db)
     query = all_aggregates_view_query()
     view = db.create_materialized_view("MV", query)
+    next_key = 1
 
-    def append_facts(first_key):
-        for orderkey in range(first_key, first_key + size):
-            row = random_order(rng, orderkey)
-            row["totalprice"] = rng.choice([None, rng.random() * 100.0])
-            db.insert("orders", dict(row))
-            reference["orders"].insert(dict(row))
+    def on_both(name, action):
+        action(db.table(name))
+        action(reference[name])
 
-    for first_key, refreshed_by in (
-        (1, "mv_full_recompute"),
-        (size + 1, "mv_incremental"),
-    ):
-        append_facts(first_key)
-        base = fastpath.STATS.copy()
-        view.refresh(db)
-        assert getattr(fastpath.STATS - base, refreshed_by) == 1
-        expected = oracle.view(query, reference)
-        assert_identical(view.snapshot, expected)
-        assert repr(view.snapshot.to_dicts()) == repr(expected.rows)
-
-
-@pytest.mark.parametrize(
-    "make_query", [orders_view_query, plain_view_query], ids=["grouped", "plain"]
-)
-def test_single_insert_refresh_is_incremental(make_query):
-    """ISSUE acceptance: one appended fact row -> delta, no full recompute."""
-    db = star_schema()
-    view = db.create_materialized_view("MV", make_query())
-    db.insert("orders", random_order(random.Random(7), 1))
-    view.refresh(db)  # initial population: necessarily full
-    base = fastpath.STATS.copy()
-    db.insert("orders", random_order(random.Random(8), 2))
-    view.refresh(db)
-    delta = fastpath.STATS - base
-    assert delta.mv_full_recompute == 0
-    assert delta.mv_incremental == 1
-    assert delta.mv_delta_rows == 1
+    ops = ["append", "refresh"] + [
+        rng.choice(["append", "append", "dim_update", "delete", "truncate",
+                    "invalidate", "adopt", "refresh"])
+        for _ in range(12)
+    ] + ["refresh"]
+    for op in ops:
+        if op == "append":
+            for orderkey in range(next_key, next_key + size):
+                row = random_order(rng, orderkey)
+                row["totalprice"] = rng.choice([None, rng.random() * 100.0])
+                on_both("orders", lambda t, row=row: t.insert(dict(row)))
+            next_key += size
+        elif op == "dim_update":
+            name, assignments, predicate = rng.choice([
+                ("customer", {"citykey": lit(20)}, col("custkey") == lit(100)),
+                ("customer", {"segment": lit("Z")}, col("citykey") == lit(11)),
+                ("nation", {"name": lit("XX")}, col("nationkey") == lit(1)),
+            ])
+            on_both(name, lambda t: t.update(dict(assignments), predicate))
+        elif op == "delete":
+            predicate = col("custkey") == lit(rng.choice([100, 101, 102]))
+            on_both("orders", lambda t: t.delete(predicate))
+        elif op == "truncate":
+            on_both("orders", lambda t: t.delete(None))
+        elif op == "invalidate":
+            view.invalidate()
+        elif op == "adopt":
+            # A promoted replica's copy: current content, then moved on.
+            stale = MaterializedView("MV", query)
+            stale.refresh(db)
+            oracle.view(query, reference)
+            view.adopt(stale)
+        else:
+            base = fastpath.STATS.copy()
+            view.refresh(db)
+            assert (fastpath.STATS - base).mv_full_recompute == 1
+            expected = oracle.view(query, reference)
+            assert_identical(view.snapshot, expected)
+            assert repr(view.snapshot.to_dicts()) == repr(expected.rows)
+            for name in ("orders", "customer", "city", "nation"):
+                assert (
+                    db.table(name).rows_read == reference[name].rows_read
+                ), f"rows_read diverged on {name}"
 
 
 def test_mutation_forces_full_recompute():

@@ -1,11 +1,11 @@
-"""SQL type system: checking and coercion."""
+"""SQL type system: type names and coercion."""
 
 import datetime
 from decimal import Decimal
 
 import pytest
 
-from repro.db.types import coerce_value, type_check, validate_type_name
+from repro.db.types import coerce_value, validate_type_name
 from repro.errors import SchemaError
 
 
@@ -17,42 +17,6 @@ class TestValidateTypeName:
     def test_rejects_unknown_type(self):
         with pytest.raises(SchemaError):
             validate_type_name("BLOB")
-
-
-class TestTypeCheck:
-    def test_none_is_acceptable_for_every_type(self):
-        for sql_type in ("INTEGER", "VARCHAR", "DATE", "BOOLEAN", "DECIMAL"):
-            assert type_check(sql_type, None)
-
-    def test_integer_accepts_int_rejects_bool(self):
-        assert type_check("INTEGER", 4)
-        assert not type_check("INTEGER", True)
-        assert not type_check("INTEGER", 4.5)
-
-    def test_decimal_accepts_decimal_and_int(self):
-        assert type_check("DECIMAL", Decimal("1.5"))
-        assert type_check("DECIMAL", 3)
-        assert not type_check("DECIMAL", 1.5)
-
-    def test_varchar_and_clob_take_strings(self):
-        assert type_check("VARCHAR", "x")
-        assert type_check("CLOB", "<xml/>")
-        assert not type_check("CLOB", 7)
-
-    def test_date_rejects_datetime(self):
-        assert type_check("DATE", datetime.date(2007, 1, 1))
-        assert not type_check("DATE", datetime.datetime(2007, 1, 1))
-
-    def test_timestamp_accepts_datetime(self):
-        assert type_check("TIMESTAMP", datetime.datetime(2007, 1, 1, 9))
-
-    def test_boolean_strict(self):
-        assert type_check("BOOLEAN", True)
-        assert not type_check("BOOLEAN", 1)
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(SchemaError):
-            type_check("ARRAY", [])
 
 
 class TestCoerceValue:

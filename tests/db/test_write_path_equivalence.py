@@ -6,7 +6,7 @@ compiled per schema, kept *here*: ``seed_normalize`` is the old
 ``insert``/``insert_many``/``upsert`` bodies, verbatim.  Production code
 must store equal rows (value **and** type), raise the same exception
 types with the same messages, and leave the same indexes, counters,
-change records, observer calls and trigger fire order — on plain list
+change records and trigger fire order — on plain list
 storage and under a tiny memory budget (PartitionStore).  The bulk
 upsert (``insert_many(rows, replace=True)``) is held to a row-by-row
 loop over the seed's ``upsert``, which is what the endpoints and the
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.db import Column, Database, TableSchema, col, lit
 from repro.db.expressions import Expression
-from repro.db.table import Table, TableObserver
+from repro.db.table import Table
 from repro.db.types import EXACT_TYPE, coerce_value, validate_type_name
 from repro.errors import IntegrityError, SchemaError
 
@@ -69,8 +69,6 @@ class SeedTable(Table):
         self._generation += 1
         if self.listener is not None:
             self.listener(self.name, "insert", (row,))
-        if self._observers:
-            self._notify_insert(row)
         return row
 
     def insert_many(self, rows):
@@ -92,8 +90,6 @@ class SeedTable(Table):
         self.rows_written += 1
         if self.listener is not None:
             self.listener(self.name, "upsert", (row,))
-        if self._observers:
-            self._notify_mutation()
         return row
 
     def delete(self, predicate):
@@ -115,8 +111,6 @@ class SeedTable(Table):
             self._generation += 1
             if self.listener is not None:
                 self.listener(self.name, "delete_at", (tuple(removed_at),))
-            if self._observers:
-                self._notify_mutation()
         return len(removed_at)
 
 
@@ -256,7 +250,7 @@ op_strategy = st.one_of(
     st.tuples(st.just("insert"), row_strategy),
     st.tuples(st.just("upsert"), row_strategy),
     # Table.insert_many directly: the bulk loop over pk + two secondary
-    # indexes + listener + observer (no trigger fires at table level).
+    # indexes + listener (no trigger fires at table level).
     st.tuples(st.just("table_insert_many"), st.lists(row_strategy, max_size=6)),
     # Database.insert_many on a table with triggers (row-by-row form) ...
     st.tuples(st.just("insert_many"), st.lists(row_strategy, max_size=6)),
@@ -304,17 +298,6 @@ DELETE_PREDICATES = {
 }
 
 
-class Recorder(TableObserver):
-    def __init__(self, log):
-        self.log = log
-
-    def on_insert(self, table_name, row):
-        self.log.append(("insert", table_name, dict(row)))
-
-    def on_mutation(self, table_name):
-        self.log.append(("mutation", table_name))
-
-
 class Landscape:
     """One database wired with every hook the write path must serve."""
 
@@ -322,7 +305,7 @@ class Landscape:
         self.db = Database("d")
         if budget is not None:
             self.db.set_memory_budget(budget, partition_rows=2)
-        self.records, self.observed, self.fired = [], [], []
+        self.records, self.fired = [], []
         for schema in (ORDERS, AUDIT, NOTES):
             self.db.create_table(schema).__class__ = table_class
         orders = self.db.table("orders")
@@ -336,8 +319,6 @@ class Landscape:
                                   for p in payload))
             )
         )
-        for table in (orders, notes):
-            table.add_observer(Recorder(self.observed))
         self.db.create_trigger("first", "orders", self._log_fire)
         self.db.create_trigger("second", "orders", self._audit)
 
@@ -392,8 +373,7 @@ class Landscape:
                 table.rows_written,
                 table._generation,
             )
-        return (tables, self.records, self.observed, self.fired,
-                self.db.statistics())
+        return (tables, self.records, self.fired, self.db.statistics())
 
 
 @pytest.mark.parametrize("budget", [None, 4], ids=["resident", "budgeted"])
@@ -429,7 +409,7 @@ class TestDmlSequencesMatchSeed:
         self, budget, rows, predicates
     ):
         """Same rows gone, same ``delete_at`` positions journaled, same
-        counters, generation step, observer calls and rebuilt indexes —
+        counters, generation step and rebuilt indexes —
         for expression predicates (only ``True`` deletes, NULL does not)
         and callables (any truthy verdict deletes)."""
         new, seed = Landscape(Table, budget), Landscape(SeedTable, budget)
@@ -491,9 +471,6 @@ class TestDmlSequencesMatchSeed:
             assert [(r["nid"], r["text"]) for r in notes] == [(1, "hit"), (2, "b")]
             assert notes.rows_written == 3
             assert [op for _, op, _ in new.records] == ["insert", "insert", "upsert"]
-            assert [event[0] for event in new.observed] == [
-                "insert", "insert", "mutation"
-            ]
 
     def test_bulk_upsert_needs_a_primary_key_at_its_first_row(self, budget):
         keyless = TableSchema("log", [Column("line", "VARCHAR")])

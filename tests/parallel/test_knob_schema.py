@@ -168,14 +168,28 @@ def test_grid_identity_ignores_exactly_the_physical_knobs():
 # -- wiring -------------------------------------------------------------------------
 
 
-def test_an_engine_is_constructed_in_two_places():
+def test_an_engine_is_constructed_in_one_place():
     sites = sorted(
         str(path.relative_to(SRC))
         for path in SRC.rglob("*.py")
         if "engine" not in path.relative_to(SRC).parts[:1]
         for _ in re.findall(r"ENGINES\[", path.read_text("utf-8"))
     )
-    assert sites == ["parallel/spec.py", "synth/conformance.py"]
+    assert sites == ["parallel/spec.py"]
+
+
+def test_a_conformance_run_is_refused_like_any_run():
+    """``run_differential`` goes through ``run_spec``: a knob the spec
+    declarations refuse is a reported problem, not a silent run."""
+    from repro.synth import run_differential
+
+    spec = SynthSpec(families=("cdc",), sources=1).resolve(1)
+    report = run_differential(spec, time=1000.0, engines=["interpreter"])
+    assert not report.ok and not report.outcomes
+    assert report.problems == [
+        "interpreter: run failed: BenchmarkError: invalid run spec: "
+        "time: out of range (0, 100]: 1000.0"
+    ]
 
 
 # -- the ranges nobody checked ------------------------------------------------------------

@@ -130,7 +130,15 @@ def apply(db, op, bulk=True):
 
 
 def live_state(db):
-    return (landscape_digest([db]), db.counter_state(), db.list_indexes())
+    indexes = {
+        name: [
+            (index, db.table(name).index_columns(index))
+            for index in db.table(name).index_names
+        ]
+        for name in db.table_names
+        if db.table(name).index_names
+    }
+    return (landscape_digest([db]), db.counter_state(), indexes)
 
 
 def fields(records):
