@@ -137,8 +137,8 @@ def one_period_runner(engine: str = "interpreter",
     )
 
     def run_one_period():
-        eng.clear_records()
-        client.monitor.clear()
+        eng.records = InstanceHistory()
+        client.monitor.records = InstanceHistory()
         client.run_period(0)
         return len(eng.records)
 

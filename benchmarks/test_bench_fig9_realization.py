@@ -30,7 +30,7 @@ def render_catalog(engine: FederatedEngine) -> str:
         )
         lines.append(f"  <<TABLE>> {table_name} ({columns})")
     for trigger_name in sorted(engine.internal_db._triggers):
-        trigger = db.trigger(trigger_name)
+        trigger = db._triggers[trigger_name]
         lines.append(
             f"  <<TRIGGER for INSERT>> {trigger_name} ON {trigger.table}"
         )
@@ -56,7 +56,7 @@ def test_fig9_realization_catalog(benchmark):
     e2_types = ("P03", "P05", "P06", "P07", "P09", "P11", "P12", "P13",
                 "P14", "P15")
     for pid in e2_types:
-        assert engine.internal_db.has_procedure(pid)
+        assert pid in engine.internal_db._procedures
 
     def deploy():
         sc = build_scenario()

@@ -30,8 +30,9 @@ def test_full_100_period_run(benchmark):
     assert result.verification.ok, result.verification.summary()
     # The decreasing stream-A series plays out over the full run: by
     # period 99 only a single P01 instance remains.
-    first = client.monitor.metrics_for_period(0)["P01"].instance_count
-    last = client.monitor.metrics_for_period(99)["P01"].instance_count
+    p01 = client.monitor.records.where("process_id", lambda p: p == "P01")
+    by_period = p01.groups("period")
+    first, last = len(by_period[0]), len(by_period[99])
     assert first > last == 1
 
     summary = (

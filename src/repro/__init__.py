@@ -45,7 +45,7 @@ from repro.engine import (
     MtmInterpreterEngine,
     ProcessEvent,
 )
-from repro.metrics import compute_metrics, navg_plus
+from repro.metrics import compute_metrics
 from repro.scenario import PROCESS_TABLE, Scenario, build_processes, build_scenario
 from repro.toolsuite import (
     BenchmarkClient,
@@ -76,5 +76,4 @@ __all__ = [
     "ScaleFactors",
     "build_schedule",
     "compute_metrics",
-    "navg_plus",
 ]

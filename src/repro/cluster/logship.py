@@ -61,7 +61,6 @@ class ReplicationStats:
     transfer_cost_eu: float = 0.0
     max_lag_records: int = 0
     reseeds: int = 0
-    divergent: int = 0
 
     def describe(self) -> str:
         return (
@@ -131,7 +130,7 @@ class LogShipper:
         the run's transfer counters (see module docstring)."""
         if src == dst:
             return 0.0
-        link = self.network.link_between(src, dst)
+        link = self.network.default_link
         cost = link.latency + records / link.bandwidth
         return cost * self.network.degradation(src, dst)
 
@@ -226,32 +225,3 @@ class LogShipper:
                 "cluster_replica_lag_records",
                 help="Peak follower lag behind the primary WAL, in records",
             ).set_max(float(lag))
-
-    def divergence_report(self) -> list[str]:
-        """Caught-up followers whose table digest differs from the primary.
-
-        Must be empty on every healthy run; a non-empty report means
-        redo replay is not faithful (the property the logship tests
-        pin down).
-        """
-        from repro.storage.digest import database_digest
-
-        problems: list[str] = []
-        for db_name, followers in sorted(self.replicas.items()):
-            primary = self.storage.databases.get(db_name)
-            wal = self.storage.wals.get(db_name)
-            if primary is None or wal is None:
-                continue
-            expected = database_digest(primary, include_views=False)
-            for replica in followers:
-                if replica.applied_lsn != wal.last_lsn:
-                    continue  # lagging follower: digest can't match yet
-                found = replica.digest()
-                if found != expected:
-                    problems.append(
-                        f"{db_name}@{replica.host}: replica digest "
-                        f"{found[:16]} != primary {expected[:16]} "
-                        f"at LSN {replica.applied_lsn}"
-                    )
-        self.stats.divergent = len(problems)
-        return problems

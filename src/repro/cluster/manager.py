@@ -406,21 +406,3 @@ class ClusterManager:
                 help="Modeled recovery-time objective per failover, "
                      "engine units",
             ).observe(report.rto_eu)
-
-    # -- introspection --------------------------------------------------------------
-
-    def stats(self) -> dict:
-        """One flat dict for the CLI and the serve layer."""
-        ship = self.shipper.stats
-        return {
-            "hosts": self.config.hosts,
-            "replicas": self.config.replicas,
-            "mode": self.config.mode,
-            "dead_hosts": sorted(self.dead_hosts),
-            "failovers": len(self.failover_reports),
-            "shipped_records": ship.shipped_records,
-            "batches": ship.batches,
-            "max_lag_records": ship.max_lag_records,
-            "reseeds": ship.reseeds,
-            "rpo_records": sum(r.rpo_records for r in self.failover_reports),
-        }

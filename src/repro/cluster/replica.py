@@ -11,11 +11,10 @@ That includes materialized views: a replica deploys its primary's view
 definitions, so an ``mv_refresh`` marker recomputes the view against the
 tables as they were at the marker, as in recovery.  At each checkpoint
 barrier it recomputes its populated views, as restoring that checkpoint
-would, and promotion hands the views over with the tables.  Divergence
-detection compares table-only digests (:func:`database_digest` with
-``include_views=False``), identical on a healthy replica at every commit
-boundary: a view recomputed from a checkpoint may be fresher than the
-primary's.
+would, and promotion hands the views over with the tables.  A healthy
+replica's table-only digest (:func:`repro.storage.digest.database_digest`
+with ``include_views=False``) equals the primary's at every commit
+boundary; its views may be fresher, recomputed from a checkpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import Iterable
 
 from repro.db.database import Database
 from repro.errors import ClusterError
-from repro.storage.digest import database_digest
 from repro.storage.snapshot import DatabaseSnapshot
 from repro.storage.wal import WalRecord
 
@@ -98,10 +96,6 @@ class DatabaseReplica:
             view = self.db.materialized_view(name)
             if view.is_populated:
                 view.refresh(self.db)
-
-    def digest(self) -> str:
-        """Table-only content digest, comparable against the primary's."""
-        return database_digest(self.db, include_views=False)
 
     def promote_into(self, target: Database) -> int:
         """Copy this replica's state into the live database object.

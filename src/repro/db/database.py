@@ -187,17 +187,6 @@ class Database:
         self._triggers[name] = trigger
         return trigger
 
-    def drop_trigger(self, name: str) -> None:
-        if name not in self._triggers:
-            raise SchemaError(f"{self.name}: no trigger {name}")
-        del self._triggers[name]
-
-    def trigger(self, name: str) -> Trigger:
-        try:
-            return self._triggers[name]
-        except KeyError:
-            raise SchemaError(f"{self.name}: no trigger {name!r}") from None
-
     def create_procedure(
         self, name: str, body: Callable[..., Any], description: str = ""
     ) -> StoredProcedure:
@@ -213,9 +202,6 @@ class Database:
         except KeyError:
             raise ProcedureError(f"{self.name}: no procedure {name!r}") from None
         return procedure.call(self, **params)
-
-    def has_procedure(self, name: str) -> bool:
-        return name in self._procedures
 
     def create_materialized_view(
         self,

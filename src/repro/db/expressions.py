@@ -33,21 +33,17 @@ def compile_expression(expr: "Expression") -> CompiledExpression:
     keeps strong references to its keys, so a cached id can never be
     recycled to a different live expression.
 
-    The closures preserve ``evaluate``'s semantics exactly — SQL
-    three-valued logic, short-circuit AND/OR, and the same
-    :class:`~repro.errors.QueryError` wrapping of type errors — they
-    only skip the per-row tree walk and attribute lookups.
+    The closures carry SQL three-valued logic, short-circuit AND/OR and
+    the :class:`~repro.errors.QueryError` wrapping of type errors; the
+    tree-walking reference that tests hold them to is
+    ``tests/oracle/relational.py``'s ``evaluate``.
     """
     fastpath.STATS.expr_compiled += 1
     return expr._compile()
 
 
 class Expression(ABC):
-    """Base class: an expression evaluates against one row (a mapping)."""
-
-    @abstractmethod
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        """Evaluate against ``row``; unknown columns raise QueryError."""
+    """Base class: an expression compiles to one closure over a row."""
 
     @abstractmethod
     def referenced_columns(self) -> frozenset[str]:
@@ -120,14 +116,6 @@ class ColumnRef(Expression):
             raise QueryError("empty column name")
         self.name = name
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        try:
-            return row[self.name]
-        except KeyError:
-            raise QueryError(
-                f"unknown column {self.name!r}; row has {sorted(row)}"
-            ) from None
-
     def referenced_columns(self) -> frozenset[str]:
         return frozenset({self.name})
 
@@ -153,9 +141,6 @@ class Literal(Expression):
 
     def __init__(self, value: Any):
         self.value = value
-
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        return self.value
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset()
@@ -213,36 +198,6 @@ class BinaryOp(Expression):
         self.op = op
         self.left = left
         self.right = right
-
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        if self.op == "AND":
-            left = self.left.evaluate(row)
-            if left is False:
-                return False
-            right = self.right.evaluate(row)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return bool(left) and bool(right)
-        if self.op == "OR":
-            left = self.left.evaluate(row)
-            if left is True:
-                return True
-            right = self.right.evaluate(row)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return bool(left) or bool(right)
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        try:
-            return _BINARY_OPS[self.op](left, right)
-        except TypeError as exc:
-            raise QueryError(
-                f"type error in {left!r} {self.op} {right!r}: {exc}"
-            ) from exc
 
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
@@ -332,16 +287,6 @@ class UnaryOp(Expression):
         self.op = op
         self.operand = operand
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        if self.op == "NOT":
-            return None if value is None else not bool(value)
-        if self.op == "IS NULL":
-            return value is None
-        if self.op == "IS NOT NULL":
-            return value is not None
-        return None if value is None else -value
-
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()
 
@@ -392,13 +337,6 @@ class FunctionCall(Expression):
             raise QueryError(f"unknown function: {name!r}")
         self.name = canonical
         self.args = tuple(args)
-
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        values = [arg.evaluate(row) for arg in self.args]
-        try:
-            return _FUNCTIONS[self.name](*values)
-        except (TypeError, AttributeError, IndexError) as exc:
-            raise QueryError(f"error in {self.name}({values!r}): {exc}") from exc
 
     def referenced_columns(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()

@@ -70,10 +70,6 @@ class FastpathStats:
     def snapshot(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def __sub__(self, other: "FastpathStats") -> "FastpathStats":
         return FastpathStats(
             **{

@@ -117,10 +117,6 @@ class PartitionStats:
     def snapshot(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def __sub__(self, other: "PartitionStats") -> "PartitionStats":
         return PartitionStats(
             **{
@@ -369,7 +365,6 @@ class PartitionStore:
         "_length",
         "_spilled",
         "_spilled_rows",
-        "_epoch",
         "_views",
         "reloads",
         "spills",
@@ -396,9 +391,6 @@ class PartitionStore:
         self.reloads = 0
         self.spills = 0
         self.segment_reuses = 0
-        #: Bumped on every spill/reload/rebuild — the residency epoch
-        #: feeding cache keys and the coherence regression tests.
-        self._epoch = 0
         #: Live snapshots that must be materialized before any
         #: destructive mutation (copy-on-write; see :class:`PartitionView`).
         self._views: "weakref.WeakSet[PartitionView]" = weakref.WeakSet()
@@ -428,10 +420,6 @@ class PartitionStore:
     @property
     def spilled_partitions(self) -> int:
         return self._spilled
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
 
     def has_spilled(self) -> bool:
         return self._spilled > 0
@@ -542,7 +530,6 @@ class PartitionStore:
         self._length = 0
         self._spilled = 0
         self._spilled_rows = 0
-        self._epoch += 1
 
     def _ensure_resident(self, index: int) -> Partition:
         part = self._partitions[index]
@@ -591,7 +578,6 @@ class PartitionStore:
         self.reloads += 1
         self._spilled -= 1
         self._spilled_rows -= row_count
-        self._epoch += 1
         self.budget._charged(row_count)
         self.budget._touched(self, part.index)
         # Pin while rebalancing: with a partition bigger than the whole
@@ -625,7 +611,6 @@ class PartitionStore:
         part._slices = None
         self._spilled += 1
         self._spilled_rows += row_count
-        self._epoch += 1
         STATS.evictions += 1
         self.budget._released(row_count)
         self.budget._forgotten(self, index)
@@ -744,15 +729,6 @@ class PartitionView:
         for _, chunk in self._store.iter_partition_rows(self._length):
             yield from chunk
 
-    def iter_chunks(self) -> Iterator[tuple[Partition | None, list[Row]]]:
-        """Stream ``(partition, rows)`` chunks for partition-wise
-        operators; a frozen view yields itself as one partition-less
-        chunk."""
-        if self._rows is not None:
-            yield None, self._rows
-            return
-        yield from self._store.iter_partition_rows(self._length)
-
     def __getitem__(self, item: int | slice) -> Row | list[Row]:
         if isinstance(item, slice):
             return self._materialize()[item]
@@ -780,12 +756,6 @@ class PartitionView:
 
 
 # -- kernel hooks --------------------------------------------------------------
-
-
-def store_of(table: Any) -> PartitionStore | None:
-    """The table's partition store, or None for plain-list storage."""
-    rows = getattr(table, "_rows", None)
-    return rows if isinstance(rows, PartitionStore) else None
 
 
 def spilled_view(rows: Any) -> PartitionView | None:

@@ -127,7 +127,7 @@ class MaskKernel:
 
     ``fn`` takes one positional sequence per name in ``columns`` and
     returns a list of per-row truth values equivalent to
-    ``predicate.evaluate(row) is True``.  ``constant`` replaces ``fn``
+    ``predicate.compile()(row) is True``.  ``constant`` replaces ``fn``
     for column-free predicates.
     """
 
@@ -215,7 +215,7 @@ def _mask_sources(expr: Expression, builder: _MaskBuilder) -> tuple[str, str]:
     * ``T(a OR b) = T(a) or T(b)``,  ``F(a OR b) = F(a) and F(b)``
     * ``T(NOT a) = F(a)``,           ``F(NOT a) = T(a)``
 
-    exactly mirroring :meth:`BinaryOp.evaluate`'s short-circuit rules
+    exactly mirroring the compiled AND/OR closures' short-circuit rules
     (``NULL AND FALSE`` is FALSE, ``NULL OR TRUE`` is TRUE).
     """
     if isinstance(expr, Literal):

@@ -942,18 +942,5 @@ class IntegrationEngine:
 
     # -- statistics ---------------------------------------------------------------
 
-    def records_for(self, process_id: str) -> list[InstanceRecord]:
-        return list(self.records.where("process_id", lambda p: p == process_id))
-
-    def clear_records(self) -> None:
-        self.records = InstanceHistory()
-
     def error_records(self) -> list[InstanceRecord]:
         return list(self.records.where("status", lambda s: s != "ok"))
-
-    def recovered_records(self) -> list[InstanceRecord]:
-        """Instances that completed only after at least one retry."""
-        return list(self.records.recovered())
-
-    def dead_letter_records(self) -> list[InstanceRecord]:
-        return list(self.records.where("status", lambda s: s == "dead-letter"))

@@ -15,7 +15,10 @@ Two normalization paths are provided:
 * :func:`normalize_intervals` implements the paper's harder case —
   recovering per-instance normalized costs from wall-clock intervals of
   *concurrently* executing instances, by sharing each span of time
-  equally among the instances active during it.
+  equally among the instances active during it.  No run measures such
+  intervals; ``benchmarks/test_bench_ablation_metric.py`` exercises it.
+
+:func:`compute_metrics` applies the formula per process type.
 """
 
 from repro.metrics.normalize import ActiveInterval, normalize_intervals
@@ -23,7 +26,6 @@ from repro.metrics.navg import (
     MetricReport,
     ProcessTypeMetrics,
     compute_metrics,
-    navg_plus,
 )
 
 __all__ = [
@@ -32,5 +34,4 @@ __all__ = [
     "ProcessTypeMetrics",
     "MetricReport",
     "compute_metrics",
-    "navg_plus",
 ]

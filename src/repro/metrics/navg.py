@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.errors import BenchmarkError
 from repro.engine.base import InstanceHistory, InstanceRecord
 
 
@@ -20,13 +19,6 @@ def _std(values: Sequence[float]) -> float:
         return 0.0
     mu = _mean(values)
     return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
-
-
-def navg_plus(normalized_costs: Sequence[float]) -> float:
-    """NAVG+(P) = mean(NC) + sigma+(NC) over one process type's instances."""
-    if not normalized_costs:
-        raise BenchmarkError("NAVG+ over an empty instance set")
-    return _mean(normalized_costs) + _std(normalized_costs)
 
 
 @dataclass(frozen=True)
@@ -57,9 +49,6 @@ class MetricReport:
 
     def __getitem__(self, process_id: str) -> ProcessTypeMetrics:
         return self.per_type[process_id]
-
-    def __contains__(self, process_id: str) -> bool:
-        return process_id in self.per_type
 
     @property
     def process_ids(self) -> list[str]:

@@ -32,10 +32,6 @@ class Message:
         return payload_size(self.payload)
 
     @property
-    def is_relational(self) -> bool:
-        return isinstance(self.payload, Relation)
-
-    @property
     def is_xml(self) -> bool:
         return isinstance(self.payload, XmlElement)
 

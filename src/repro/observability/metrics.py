@@ -97,12 +97,6 @@ class Gauge(Instrument):
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def set_max(self, value: float) -> None:
         """Keep the high-water mark of ``value``."""
         if value > self.value:
@@ -146,10 +140,6 @@ class Histogram(Instrument):
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
     def cumulative_counts(self) -> list[int]:
         """Counts as cumulative ``le`` totals, +Inf last."""
@@ -219,11 +209,6 @@ class MetricsRegistry:
         """All instruments in (name, labels) order."""
         return [self._instruments[k] for k in sorted(self._instruments)]
 
-    def get(
-        self, name: str, labels: Mapping[str, str] | None = None
-    ) -> Instrument | None:
-        return self._instruments.get((name, _label_key(labels)))
-
     def merge(self, shard: "MetricsRegistry") -> None:
         """Fold another registry's instruments into this one.
 
@@ -277,9 +262,6 @@ class MetricsRegistry:
                 out[f"{instrument.name}{suffix}"] = instrument.value
         return out
 
-    def clear(self) -> None:
-        self._instruments.clear()
-
 
 class _NullInstrument:
     """Accepts every instrument method as a no-op."""
@@ -287,9 +269,6 @@ class _NullInstrument:
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

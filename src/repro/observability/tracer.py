@@ -204,63 +204,10 @@ class Tracer:
             elif span in self._stack:  # pragma: no cover - defensive
                 self._stack.remove(span)
 
-    # -- shard merging ---------------------------------------------------------
-
-    def absorb(
-        self,
-        span_rows: "list[dict[str, object]]",
-        time_offset: float = 0.0,
-    ) -> list[Span]:
-        """Rebuild spans from another tracer's exported rows.
-
-        ``span_rows`` is a list of :meth:`Span.to_dict` rows (itself
-        picklable/JSON-safe, which is how worker processes ship their
-        trace shards back to the sweep parent).  Ids are re-assigned from
-        this tracer's counter with parent links remapped, and every time
-        is shifted by ``time_offset`` so shards can be laid side by side
-        on one timeline.  Rows must list parents before children (the
-        :meth:`finished_spans` export order guarantees that).
-        """
-        id_map: dict[object, int] = {}
-        absorbed: list[Span] = []
-        for row in span_rows:
-            span = Span(
-                next(self._ids),
-                id_map.get(row["parent_id"]),
-                str(row["name"]),
-                str(row["kind"]),
-                float(row["start"]) + time_offset,  # type: ignore[arg-type]
-                tracer=None,
-                attributes=row.get("attributes") or {},  # type: ignore[arg-type]
-            )
-            if row.get("end") is not None:
-                span.end_time = float(row["end"]) + time_offset  # type: ignore[arg-type]
-            span.status = str(row.get("status", STATUS_OK))
-            span.error = str(row.get("error", ""))
-            id_map[row["span_id"]] = span.span_id
-            self.spans.append(span)
-            absorbed.append(span)
-        return absorbed
-
     # -- queries -------------------------------------------------------------
-
-    def finished_spans(self) -> list[Span]:
-        """Finished spans sorted by (start, id) — the export order."""
-        return sorted(
-            (s for s in self.spans if s.finished),
-            key=lambda s: (s.start_time, s.span_id),
-        )
 
     def spans_of_kind(self, kind: str) -> list[Span]:
         return [s for s in self.spans if s.kind == kind]
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._stack.clear()
-        self.time_offset = 0.0
 
 
 class NullSpan(Span):
@@ -302,6 +249,3 @@ class NullTracer(Tracer):
     @contextmanager
     def use_parent(self, span):  # type: ignore[override]
         yield
-
-    def absorb(self, span_rows, time_offset=0.0):  # type: ignore[override]
-        return []

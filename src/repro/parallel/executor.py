@@ -15,9 +15,9 @@ Determinism model
 * Workers return complete :class:`RunOutcome` objects; the parent stores
   them at the spec's original grid index.  Completion order is
   irrelevant — the merged result reads as if the specs ran serially.
-* Observability shards (per-worker metrics registries and span rows)
-  are merged into one registry/tracer *in grid order*, which keeps the
-  merged export independent of the worker count too.
+* Per-worker metrics registries are merged into one registry *in grid
+  order*, which keeps the merged export independent of the worker count
+  too.
 
 Worker-crash containment
 ------------------------
@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracer import Tracer
 from repro.parallel.pool import WorkerPool, _pick_start_method
 from repro.parallel.spec import RunOutcome, RunSpec, SweepError, run_spec
 
@@ -57,9 +56,6 @@ class SweepResult:
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-    def __iter__(self):
-        return iter(self.outcomes)
 
     @property
     def ok(self) -> bool:
@@ -103,24 +99,6 @@ class SweepResult:
             if outcome.metrics_shard is not None:
                 merged.merge(outcome.metrics_shard)
         return merged
-
-    def merged_trace(self) -> Tracer:
-        """One tracer with every grid point's span shard absorbed.
-
-        Grid points are laid side by side on the merged timeline, each
-        shifted past the previous point's last span end.
-        """
-        tracer = Tracer()
-        offset = 0.0
-        for outcome in self.outcomes:
-            if not outcome.spans:
-                continue
-            spans = tracer.absorb(outcome.spans, time_offset=offset)
-            offset = max(
-                (s.end_time for s in spans if s.end_time is not None),
-                default=offset,
-            )
-        return tracer
 
     def to_json(self) -> dict:
         """Deterministic JSON document (no wall-clock fields)."""

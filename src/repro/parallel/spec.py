@@ -12,7 +12,7 @@ byte-identical to running it serially.
 :func:`run_spec` executes one spec end to end and returns a
 :class:`RunOutcome` — itself picklable, carrying the full
 :class:`BenchmarkResult`, the landscape digest, and (when requested) the
-worker's metrics/trace shards for the parent to merge.
+worker's metrics shard for the parent to merge.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class RunSpec:
     Every field declares its own CLI flag, range (:func:`repro.declare.knob`)
     and ``session/v1`` membership (``wire``: ``"rw"`` accepted and echoed,
     ``"r"`` accepted only); ``physical`` marks a knob that changes where rows
-    live, never what a run computes, so it is in neither :meth:`grid_key`
-    nor :attr:`label`.  The CLI parsers, the serving translator and the
-    knob table in docs/parallel.md derive from these declarations.
+    live, never what a run computes, so it is not in :attr:`label`.  The
+    CLI parsers, the serving translator and the knob table in
+    docs/parallel.md derive from these declarations.
 
     ``sabotage`` is a test hook for the sweep executor's containment
     paths: ``"raise"`` makes :func:`run_spec` fail deterministically
@@ -191,13 +191,6 @@ class RunSpec:
             return f"{base} synth={self.synth}"
         return base
 
-    def grid_key(self) -> tuple:
-        """Deterministic sort key over the sweep dimensions."""
-        return (
-            self.engine, self.datasize, self.time,
-            self.distribution, self.seed, self.synth,
-        )
-
     def with_engine(self, engine: str) -> "RunSpec":
         """The same grid point on another engine (conformance pairs)."""
         return replace(self, engine=engine)
@@ -205,14 +198,26 @@ class RunSpec:
     def problems(self) -> list[str]:
         """Every reason this is not a valid run, as ``field: complaint``.
 
-        The declared ranges plus the synth knob string's own problems
-        and the one knob a synthesized run cannot honour (the classic
-        San Diego order error rate): the serving translator prefixes
-        each with ``spec.`` for its 400 body, the CLI prints them and
-        exits 2, :func:`client_from_spec` refuses to build anything
-        while the list is non-empty.
+        The declared ranges, the synth knob string's own problems, the
+        one knob a synthesized run cannot honour (the classic San Diego
+        order error rate) and the two knobs that need durability (crash
+        recovery and a cluster both replay the WAL): the serving
+        translator prefixes each with ``spec.`` for its 400 body, the
+        CLI prints them and exits 2, :func:`client_from_spec` refuses to
+        build anything while the list is non-empty.
         """
         found = problems(self)
+        if self.durability == "off":
+            if self.faults is not None and self.faults.has_crashes:
+                found.append(
+                    "faults: the spec schedules engine crashes, and crash "
+                    "recovery needs durability wal or snapshot+wal"
+                )
+            if self.cluster_hosts:
+                found.append(
+                    "cluster_hosts: a cluster replicates the WAL, so it "
+                    f"needs durability wal or snapshot+wal: {self.cluster_hosts}"
+                )
         if self.synth:
             from repro.synth.spec import knob_problems
 
@@ -248,6 +253,8 @@ class RunOutcome:
     result: BenchmarkResult | None = None
     landscape_digest: str = ""
     metrics_shard: MetricsRegistry | None = None
+    #: Filled by no run: a wrapper around :func:`run_spec` (the layer
+    #: profiler under ``bench/``) ships its own rows home in it.
     spans: list[dict] | None = None
     wall_seconds: float = 0.0
 
@@ -441,19 +448,12 @@ def run_spec(spec: RunSpec) -> RunOutcome:
         metrics_shard = None
         if spec.collect_metrics:
             metrics_shard = client.observability.metrics
-        spans = None
-        if spec.collect_trace:
-            spans = [
-                span.to_dict()
-                for span in client.observability.tracer.finished_spans()
-            ]
         return RunOutcome(
             spec=spec,
             status="ok",
             result=result,
             landscape_digest=digest,
             metrics_shard=metrics_shard,
-            spans=spans,
             wall_seconds=time.perf_counter() - started,
         )
     except Exception as exc:

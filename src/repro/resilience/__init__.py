@@ -22,7 +22,7 @@ Quick start::
     client = BenchmarkClient(scenario, engine, faults=spec,
                              resilience=RetryPolicy(max_attempts=4))
     result = client.run()
-    print(result.recovered_instances, result.dead_letter_instances)
+    print(client.monitor.resilience_summary().describe())
 """
 
 from repro.resilience.breaker import (

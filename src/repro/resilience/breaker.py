@@ -118,18 +118,6 @@ class CircuitBreaker:
             self.opened_at = now
             self._transition(now, OPEN)
 
-    @property
-    def time_in_open(self) -> float:
-        """Accumulated open time up to the last transition out of OPEN."""
-        total, opened = 0.0, None
-        for when, state in self.transitions:
-            if state == OPEN:
-                opened = when
-            elif opened is not None:
-                total += when - opened
-                opened = None
-        return total
-
 
 class CircuitBreakerBoard:
     """All breakers of one run, consulted by the service registry.
@@ -156,9 +144,6 @@ class CircuitBreakerBoard:
             found = CircuitBreaker(service, self.policy, self._metrics)
             self._breakers[service] = found
         return found
-
-    def __iter__(self):
-        return iter(self._breakers.values())
 
     def before_call(self, service: str) -> None:
         """Gate one call; raises :class:`CircuitOpenError` when open."""

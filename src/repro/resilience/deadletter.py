@@ -79,9 +79,3 @@ class DeadLetterQueue:
         for letter in self.entries:
             out[letter.error_type] = out.get(letter.error_type, 0) + 1
         return out
-
-    def for_process(self, process_id: str) -> list[DeadLetter]:
-        return [e for e in self.entries if e.process_id == process_id]
-
-    def clear(self) -> None:
-        self.entries.clear()

@@ -197,6 +197,3 @@ class FaultInjector:
     def corruption_schema(self, message: "Message") -> "XsdSchema | None":
         """The XSD a corrupted message must be validated against, if any."""
         return self._corrupted_messages.get(message.message_id)
-
-    def was_corrupted(self, message: "Message") -> bool:
-        return message.message_id in self._corrupted_messages

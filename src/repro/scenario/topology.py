@@ -74,12 +74,6 @@ class Scenario:
     databases: dict[str, Database] = field(default_factory=dict)
     web_service_databases: dict[str, Database] = field(default_factory=dict)
 
-    def database(self, name: str) -> Database:
-        """Any backing database, RDBMS or web-service-hidden."""
-        if name in self.databases:
-            return self.databases[name]
-        return self.web_service_databases[name]
-
     @property
     def all_databases(self) -> dict[str, Database]:
         return {**self.databases, **self.web_service_databases}

@@ -90,11 +90,6 @@ class TokenBucket:
         )
         self._stamp = now
 
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
     def try_acquire(self) -> float:
         self._refill()
         if self._tokens >= 1.0:

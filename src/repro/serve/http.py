@@ -23,7 +23,8 @@ Error mapping is part of the contract:
 * :class:`CircuitOpenError` → **503** with ``Retry-After`` (the tenant's
   breaker is open after repeated session failures),
 * :class:`SessionNotFound` → **404** (also for *another tenant's*
-  session id: existence is not leaked across tenants).
+  session id: existence is not leaked across tenants),
+* a request not read in full within :data:`READ_DEADLINE_S` → **408**.
 
 The parser is deliberately small — request line, headers,
 ``Content-Length`` body — because the server only ever talks to
@@ -55,6 +56,9 @@ from repro.toolsuite.monitor import Monitor
 MAX_BODY = 64 * 1024
 #: Refuse a request head with more header lines than this (431).
 MAX_HEADERS = 100
+#: A request not read in full by then is answered 408 and closed, so a
+#: client that sends half a request line cannot hold its handler.
+READ_DEADLINE_S = 10.0
 #: Upper bound on one long-poll (``?wait=`` is clamped to this).
 MAX_WAIT_S = 60.0
 
@@ -62,6 +66,7 @@ REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     400: "Bad Request",
+    408: "Request Timeout",
     403: "Forbidden",
     409: "Conflict",
     413: "Payload Too Large",
@@ -190,7 +195,14 @@ class HttpServer:
     ) -> None:
         try:
             try:
-                request = await _read_request(reader)
+                try:
+                    request = await asyncio.wait_for(
+                        _read_request(reader), READ_DEADLINE_S
+                    )
+                except asyncio.TimeoutError:
+                    raise _HttpError(
+                        408, f"request not read within {READ_DEADLINE_S:g}s"
+                    ) from None
                 if request is None:
                     return
                 response = await self._route(*request)

@@ -542,13 +542,3 @@ class SessionManager:
                 ) if (overhead_s + engine_s) > 0 else 0.0,
             },
         }
-
-    def report(self) -> dict:
-        """All tenants' reports plus server-wide stats."""
-        tenants = sorted(
-            set(self.store.tenants()) | set(self.rejections) - {"(untranslated)"}
-        )
-        return {
-            "server": self.stats(),
-            "tenants": {t: self.tenant_report(t) for t in tenants},
-        }

@@ -37,7 +37,7 @@ class Link:
 
 
 class Network:
-    """Host topology with per-pair links and an optional jitter model.
+    """Host topology with one link model and an optional jitter model.
 
     >>> net = Network(default_link=Link(latency=2.0, bandwidth=100.0))
     >>> net.add_host("ES"); net.add_host("IS")
@@ -58,7 +58,6 @@ class Network:
         self.jitter = jitter
         self._rng = random.Random(seed)
         self._hosts: set[str] = set()
-        self._links: dict[tuple[str, str], Link] = {}
         self._partitioned: set[tuple[str, str]] = set()
         #: Degradation factors per directed pair (failure injection):
         #: transfer cost is multiplied by the factor while present.
@@ -99,11 +98,6 @@ class Network:
         """Cross-host transfers made (same-host hops are free and not counted)."""
         return int(self._m_transfers.value)
 
-    @property
-    def payload_units_total(self) -> float:
-        """Payload units moved across hosts."""
-        return self._m_payload.value
-
     def add_host(self, name: str) -> None:
         if not name:
             raise NetworkError("host needs a name")
@@ -116,14 +110,6 @@ class Network:
     def hosts(self) -> list[str]:
         return sorted(self._hosts)
 
-    def set_link(self, src: str, dst: str, link: Link, symmetric: bool = True) -> None:
-        """Override the link parameters for a host pair."""
-        self._require(src)
-        self._require(dst)
-        self._links[(src, dst)] = link
-        if symmetric:
-            self._links[(dst, src)] = link
-
     def partition(self, src: str, dst: str, symmetric: bool = True) -> None:
         """Cut the connection (failure injection)."""
         self._require(src)
@@ -133,8 +119,7 @@ class Network:
             self._partitioned.add((dst, src))
 
     def heal(self, src: str, dst: str, symmetric: bool = True) -> None:
-        """Undo :meth:`partition`; link parameters revert to their prior
-        values (overrides set with :meth:`set_link` survive a partition)."""
+        """Undo :meth:`partition`; the link costs what it did before."""
         self._partitioned.discard((src, dst))
         if symmetric:
             self._partitioned.discard((dst, src))
@@ -160,9 +145,6 @@ class Network:
         if symmetric:
             self._degraded.pop((dst, src), None)
 
-    def is_partitioned(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._partitioned
-
     def degradation(self, src: str, dst: str) -> float:
         """The active cost multiplier for a directed pair (1.0 = clean)."""
         return self._degraded.get((src, dst), 1.0)
@@ -170,9 +152,6 @@ class Network:
     def _require(self, host: str) -> None:
         if host not in self._hosts:
             raise NetworkError(f"unknown host {host!r}; known: {self.hosts}")
-
-    def link_between(self, src: str, dst: str) -> Link:
-        return self._links.get((src, dst), self.default_link)
 
     def transfer_cost(self, src: str, dst: str, payload_units: float) -> float:
         """Cost in tu of moving ``payload_units`` from ``src`` to ``dst``.
@@ -197,7 +176,7 @@ class Network:
         self._m_transfers.inc()
         self._m_payload.inc(payload_units)
         self._m_payload_hist.observe(payload_units)
-        link = self._links.get(pair, self.default_link)
+        link = self.default_link
         cost = link.latency + payload_units / link.bandwidth
         if self.jitter:
             # Multiplicative jitter in [1 - j, 1 + j].

@@ -1,40 +1,14 @@
-"""Clock abstractions in abstract time units (tu)."""
+"""The virtual clock, in abstract time units (tu)."""
 
 from __future__ import annotations
 
-import time
-from abc import ABC, abstractmethod
 
-
-class Clock(ABC):
-    """A source of the current time, measured in abstract time units.
+class VirtualClock:
+    """Deterministic clock: time moves only when told to.
 
     All engine cost accounting and all schedule deadlines are expressed in
     tu.  The time scale factor of the benchmark maps tu to milliseconds
     (``1 tu = 1/t ms``), but nothing in the engine depends on that mapping.
-    """
-
-    @abstractmethod
-    def now(self) -> float:
-        """Return the current time in tu."""
-
-    @abstractmethod
-    def advance(self, delta: float) -> float:
-        """Move the clock forward by ``delta`` tu and return the new time.
-
-        Wall clocks implement this by sleeping; virtual clocks simply add.
-        """
-
-    def advance_to(self, deadline: float) -> float:
-        """Advance to ``deadline`` if it lies in the future; never go back."""
-        delta = deadline - self.now()
-        if delta > 0:
-            self.advance(delta)
-        return self.now()
-
-
-class VirtualClock(Clock):
-    """Deterministic clock: time moves only when told to.
 
     >>> clock = VirtualClock()
     >>> clock.now()
@@ -49,42 +23,23 @@ class VirtualClock(Clock):
         self._now = float(start)
 
     def now(self) -> float:
+        """The current time in tu."""
         return self._now
 
     def advance(self, delta: float) -> float:
+        """Move forward by ``delta`` tu and return the new time."""
         if delta < 0:
             raise ValueError(f"cannot advance a clock by {delta} tu")
         self._now += delta
         return self._now
 
+    def advance_to(self, deadline: float) -> float:
+        """Advance to ``deadline`` if it lies in the future; never go back."""
+        delta = deadline - self.now()
+        if delta > 0:
+            self.advance(delta)
+        return self.now()
+
     def reset(self, start: float = 0.0) -> None:
         """Rewind to ``start``; only meaningful between benchmark periods."""
         self._now = float(start)
-
-
-class WallClock(Clock):
-    """Adapter exposing the host wall clock in tu.
-
-    ``time_scale`` is the benchmark scale factor t: ``1 tu = 1/t ms``.
-    A larger t compresses the schedule into less real time, exactly as in
-    the paper (Section V).
-    """
-
-    def __init__(self, time_scale: float = 1.0):
-        if time_scale <= 0:
-            raise ValueError(f"time scale must be positive, got {time_scale}")
-        self.time_scale = time_scale
-        self._t0 = time.monotonic()
-
-    def _ms_per_tu(self) -> float:
-        return 1.0 / self.time_scale
-
-    def now(self) -> float:
-        elapsed_ms = (time.monotonic() - self._t0) * 1000.0
-        return elapsed_ms / self._ms_per_tu()
-
-    def advance(self, delta: float) -> float:
-        if delta < 0:
-            raise ValueError(f"cannot advance a clock by {delta} tu")
-        time.sleep(delta * self._ms_per_tu() / 1000.0)
-        return self.now()

@@ -12,10 +12,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.observability.metrics import MetricsRegistry
-from repro.simtime.clock import Clock, VirtualClock
+from repro.simtime.clock import VirtualClock
 
 
 @dataclass(order=True, frozen=True)
@@ -28,17 +28,18 @@ class ScheduledEvent:
 
 
 class EventScheduler:
-    """A discrete-event queue bound to a :class:`Clock`.
+    """A discrete-event queue bound to a :class:`VirtualClock`.
 
-    Events may be pushed in any order; :meth:`run` pops them in deadline
-    order, advances the clock to each deadline, and invokes the handler.
-    Handlers may push further events (e.g. a process that re-schedules
-    itself), which is why draining re-examines the heap after every call.
+    Events may be pushed in any order; :meth:`drain` pops them in
+    deadline order and advances the clock to each deadline.  Consumers
+    may push further events while draining (e.g. a process that
+    re-schedules itself), which is why draining re-examines the heap
+    after every event.
     """
 
     def __init__(
         self,
-        clock: Clock | None = None,
+        clock: VirtualClock | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.clock = clock if clock is not None else VirtualClock()
@@ -62,9 +63,6 @@ class EventScheduler:
                 help="High-water mark of pending events in the queue",
             )
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def push(self, deadline: float, payload: Any) -> ScheduledEvent:
         """Schedule ``payload`` for ``deadline`` (absolute, in tu)."""
         if not 0 <= deadline < math.inf:  # also false for nan
@@ -78,14 +76,6 @@ class EventScheduler:
             self._m_pushed.inc()
             self._m_peak.set_max(len(self._heap))
         return event
-
-    def push_after(self, delay: float, payload: Any) -> ScheduledEvent:
-        """Schedule ``payload`` ``delay`` tu from the current clock time."""
-        return self.push(self.clock.now() + delay, payload)
-
-    def peek(self) -> ScheduledEvent | None:
-        """Return the next event without removing it, or None if empty."""
-        return self._heap[0][2] if self._heap else None
 
     def pop(self) -> ScheduledEvent:
         """Remove and return the next event, advancing the clock to it."""
@@ -112,29 +102,17 @@ class EventScheduler:
         pushed *during* the drain at exactly ``deadline`` — they sort
         behind already-queued ties by sequence number.  After the drain
         the clock rests exactly at ``deadline`` (never behind it), so a
-        subsequent :meth:`push_after` is anchored at the drained-to time
-        instead of the last event's — without this, two schedulers that
-        drained through different event prefixes would compute different
-        absolute deadlines for the same relative delay, and worker-local
-        schedules could diverge from the serial run.
+        deadline computed from ``clock.now()`` afterwards is anchored at
+        the drained-to time instead of the last event's — without this,
+        two schedulers that drained through different event prefixes
+        would compute different absolute deadlines for the same relative
+        delay, and worker-local schedules could diverge from the serial
+        run.
         """
         while self._heap and self._heap[0][0] <= deadline:
             yield self.pop()
         self.clock.advance_to(deadline)
 
-    def run(self, handler: Callable[[ScheduledEvent], None]) -> int:
-        """Drain the queue through ``handler``; return the number handled."""
-        handled = 0
-        for event in self.drain():
-            handler(event)
-            handled += 1
-        return handled
-
     def clear(self) -> None:
         """Drop all pending events (used between benchmark periods)."""
         self._heap.clear()
-
-
-#: The scheduler is a binary heap with FIFO tie-breaking; some callers
-#: (and the parallel sweep executor's docs) refer to it by that name.
-HeapScheduler = EventScheduler

@@ -13,12 +13,11 @@ A :class:`Checkpoint` bundles the snapshots of every attached database
 with the exact I/O counters and the owning engine's volatile state
 (worker heaps, id counters) at one instant.  The engine's instance
 records are held as a *watermark*, not a copy: the engine's history
-is append-only (:meth:`IntegrationEngine.clear_records` and a crash
-rebind it rather than clear it), so the history plus its length at capture
-time names the history exactly, at O(1) per checkpoint.  Taking a
-checkpoint never reads through the counted query paths
-(:meth:`Table.dump_rows`), so checkpoint cadence cannot perturb the
-cost model — the determinism contract of :mod:`repro.storage`.
+is append-only (a crash rebinds it rather than clearing it), so the
+history plus its length at capture time names the history exactly, at
+O(1) per checkpoint.  Taking a checkpoint never reads through the
+counted query paths (:meth:`Table.dump_rows`), so checkpoint cadence
+cannot perturb the cost model — the determinism contract of :mod:`repro.storage`.
 """
 
 from __future__ import annotations

@@ -105,15 +105,6 @@ class BenchmarkResult:
         return len(self.records) - self.records.column("status").count("ok")
 
     @property
-    def recovered_instances(self) -> int:
-        """Instances that completed only after at least one retry."""
-        return len(self.records.recovered())
-
-    @property
-    def dead_letter_instances(self) -> int:
-        return self.records.column("status").count("dead-letter")
-
-    @property
     def total_retries(self) -> int:
         return sum(a - 1 for a in self.records.column("attempts"))
 

@@ -36,10 +36,6 @@ class ResilienceSummary:
     errors: int
     dead_letters_by_type: dict[str, int]
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.retries or self.dead_lettered or self.errors)
-
     def describe(self) -> str:
         parts = [
             f"instances={self.total}",
@@ -332,11 +328,6 @@ class Monitor:
             monitor.absorb_outcome(outcome)
         return monitor
 
-    def clear(self) -> None:
-        self.records = InstanceHistory()
-        self.recoveries.clear()
-        self.failovers.clear()
-
     # -- metrics --------------------------------------------------------------
 
     def _scaled(self, report: MetricReport) -> MetricReport:
@@ -364,11 +355,6 @@ class Monitor:
     def metrics(self) -> MetricReport:
         """Per-process-type NAVG+ metrics, reported in tu."""
         return self._scaled(compute_metrics(self.records))
-
-    def metrics_for_period(self, period: int) -> MetricReport:
-        """One period's NAVG+ metrics, reported in tu like :meth:`metrics`."""
-        subset = self.records.where("period", lambda p: p == period)
-        return self._scaled(compute_metrics(subset))
 
     def family_table(self) -> str:
         """Per-workload-family cost table (tu) over the absorbed records.
@@ -477,21 +463,6 @@ class Monitor:
             wall_ms=sum(r.wall_ms for r in reports),
         )
 
-    def period_series(self, process_id: str) -> list[tuple[int, int, float]]:
-        """Per-period (period, instance count, NAVG in tu) for one type.
-
-        The measured counterpart of Fig. 8's schedule-side series: e.g.
-        P01's instance count decreasing over the benchmark periods.
-        """
-        own = self.records.where("process_id", lambda p: p == process_id)
-        by_period = own.where("status", lambda s: s == "ok").groups("period")
-        series = []
-        for period in sorted(by_period):
-            records = by_period[period]
-            navg = sum(records.normalized_costs()) / len(records)
-            series.append((period, len(records), navg * self.time_scale))
-        return series
-
     # -- plots ------------------------------------------------------------------
 
     def performance_plot(
@@ -509,25 +480,3 @@ class Monitor:
     def save_plot(self, path: str, title: str = "DIPBench Performance Plot") -> None:
         """Write the SVG plot to ``path``."""
         write_text_atomic(path, self.performance_plot_svg(title))
-
-    def export_dat(self) -> str:
-        """Gnuplot-style whitespace-separated data of the metric series.
-
-        Columns: process id, instance count, NAVG, sigma, NAVG+, mean
-        C_c, mean C_m, mean C_p — the raw material of the paper's
-        performance diagrams, consumable by external plotting tools.
-        """
-        lines = ["# process n navg sigma navg_plus c_c c_m c_p"]
-        for m in self.metrics().rows():
-            lines.append(
-                f"{m.process_id} {m.instance_count} {m.navg:.4f} "
-                f"{m.sigma:.4f} {m.navg_plus:.4f} "
-                f"{m.communication_mean:.4f} {m.management_mean:.4f} "
-                f"{m.processing_mean:.4f}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def save_dat(self, path: str) -> None:
-        """Write :meth:`export_dat` to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.export_dat())

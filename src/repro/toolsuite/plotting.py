@@ -90,19 +90,3 @@ def performance_plot_svg(
         y += group_height
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def series_plot_ascii(
-    series: dict[str, list[float]],
-    title: str,
-    width: int = 60,
-) -> str:
-    """Simple multi-series scatter over an integer x-axis (Fig. 8 style)."""
-    lines = [title, "=" * len(title)]
-    peak = max((max(vals) for vals in series.values() if vals), default=1.0) or 1.0
-    for name, values in series.items():
-        lines.append(f"{name}:")
-        for index, value in enumerate(values):
-            bar = int(round(value / peak * width))
-            lines.append(f"  {index:>3} {'*' * bar} {value:.1f}")
-    return "\n".join(lines)

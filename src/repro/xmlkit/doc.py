@@ -82,19 +82,6 @@ class XmlElement:
 
     # -- comparison / display -----------------------------------------------------
 
-    def structurally_equal(self, other: "XmlElement") -> bool:
-        """Deep equality on tag, attributes, normalized text and children."""
-        if self.tag != other.tag or self.attributes != other.attributes:
-            return False
-        if (self.text or "").strip() != (other.text or "").strip():
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        return all(
-            mine.structurally_equal(theirs)
-            for mine, theirs in zip(self.children, other.children)
-        )
-
     def copy(self) -> "XmlElement":
         """Deep copy."""
         duplicate = XmlElement(self.tag, self.attributes, self.text)
@@ -200,7 +187,7 @@ class ResultSetRoot(XmlElement):
         return duplicate
 
     def event_count(self) -> int:
-        """What ``stx.iter_events`` yields for the tree the rows stand for."""
+        """The events of the tree the rows stand for (START, truthy TEXT, END)."""
         columns, rows = self.columns, self.rows
         texts = 0
         for row in rows:

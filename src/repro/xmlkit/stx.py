@@ -10,8 +10,8 @@ We reproduce that model: a :class:`Stylesheet` is an ordered list of
 template rules matched against the element *path* of the event stream.
 The transformer walks the input tree in stream order, keeps only the
 stack of open containers plus the output under construction, *accounts*
-the start/text/end events the walk stands for (:func:`iter_events` is
-the event view of a tree) and applies the best matching rule per element:
+the start/text/end events the walk stands for (the event view of a
+tree, one for one) and applies the best matching rule per element:
 
 * :class:`RenameRule` — rename the element (and optionally its attributes),
 * :class:`DropRule` — drop the whole subtree,
@@ -27,42 +27,10 @@ matching pattern wins; insertion order breaks ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.errors import StxError, XmlParseError
 from repro.xmlkit.doc import ResultSetRoot, XmlElement
-
-# ------------------------------------------------------------------ event model
-
-#: Event kinds of the streaming walk.
-START, TEXT, END = "start", "text", "end"
-
-Event = tuple  # (kind, payload) tuples; see iter_events.
-
-
-def iter_events(root: XmlElement) -> Iterator[Event]:
-    """Stream a tree as (START, tag, attrs) / (TEXT, text) / (END, tag).
-
-    The event view of a tree: what :meth:`Stylesheet.transform` counts
-    and returns beside its result, one for one and in this order.
-    """
-    stack: list[tuple[XmlElement, int]] = [(root, 0)]
-    yield (START, root.tag, dict(root.attributes))
-    if root.text:
-        yield (TEXT, root.text)
-    while stack:
-        node, child_index = stack[-1]
-        if child_index < len(node.children):
-            stack[-1] = (node, child_index + 1)
-            child = node.children[child_index]
-            yield (START, child.tag, dict(child.attributes))
-            if child.text:
-                yield (TEXT, child.text)
-            stack.append((child, 0))
-        else:
-            stack.pop()
-            yield (END, node.tag)
-
 
 # ------------------------------------------------------------------- rule types
 
@@ -254,17 +222,15 @@ class Stylesheet:
     ... ])
     """
 
+    #: No instance dict: the rules, in order, are fixed at construction.
+    __slots__ = ("name", "_rules", "_plan")
+
     def __init__(self, name: str, rules: Iterable[_Rule]):
         self.name = name
         self._rules = tuple(rules)
         #: The compiled plan: a trie of :class:`_PathPlan` under a rootless
         #: top node, grown per distinct path at its first element.
         self._plan = _PathPlan((), None)
-
-    @property
-    def rules(self) -> tuple[_Rule, ...]:
-        """The template rules, in order (read-only)."""
-        return self._rules
 
     def _best_rule(self, path: tuple[str, ...]) -> _Rule | None:
         best: _Rule | None = None
@@ -317,8 +283,8 @@ class Stylesheet:
         take the step.  Every output element is allocated once, with one
         copy of its attributes.  The SAX events the walk stands for are
         *accounted*, in stream order — START, TEXT only for truthy text,
-        END; every event of a dropped subtree (:func:`iter_events` is
-        that stream).
+        END; every event of a dropped subtree (``iter_events`` in
+        ``tests/oracle/xml.py`` is that stream).
 
         Only containers open a stack entry; a leaf is finished where it
         is met.  An unwrapped container has no output element of its

@@ -157,9 +157,6 @@ class XsdSchema:
                 violations,
             )
 
-    def is_valid(self, document: XmlElement) -> bool:
-        return not self.validate(document)
-
     # -- internals -------------------------------------------------------------
 
     def _validate_element(

@@ -1,4 +1,9 @@
-"""Expression language: evaluation, null semantics, functions."""
+"""Expression language: evaluation, null semantics, functions.
+
+Every case runs twice: through production's ``compile()`` closures and
+through the tree-walking reference in ``tests/oracle/relational.py``.
+Both must give the same value and raise the same ``QueryError`` text.
+"""
 
 import datetime
 
@@ -14,34 +19,51 @@ from repro.db.expressions import (
     lit,
 )
 from repro.errors import QueryError
+from tests.oracle import relational as oracle
 
 ROW = {"a": 5, "b": 2, "name": "Ada", "none_col": None,
        "d": datetime.date(2007, 3, 9)}
 
 
+@pytest.fixture(params=["compiled", "oracle"])
+def run(request):
+    """Evaluate an expression against ``ROW`` one way or the other."""
+    if request.param == "compiled":
+        return lambda expr, row=ROW: expr.compile()(row)
+    return lambda expr, row=ROW: oracle.evaluate(expr, row)
+
+
+def _error(evaluate, expr) -> str:
+    with pytest.raises(QueryError) as caught:
+        evaluate(expr)
+    return str(caught.value)
+
+
 class TestBasics:
-    def test_column_lookup(self):
-        assert col("a").evaluate(ROW) == 5
+    def test_column_lookup(self, run):
+        assert run(col("a")) == 5
 
-    def test_unknown_column_raises(self):
-        with pytest.raises(QueryError):
-            col("ghost").evaluate(ROW)
+    def test_unknown_column_raises(self, run):
+        message = _error(run, col("ghost"))
+        assert message.startswith("unknown column 'ghost'; row has ['a', 'b'")
 
-    def test_literal(self):
-        assert lit(7).evaluate(ROW) == 7
+    def test_literal(self, run):
+        assert run(lit(7)) == 7
 
-    def test_comparison_operators(self):
-        assert (col("a") > lit(4)).evaluate(ROW) is True
-        assert (col("a") <= col("b")).evaluate(ROW) is False
-        assert (col("a") != col("b")).evaluate(ROW) is True
+    def test_comparison_operators(self, run):
+        assert run(col("a") > lit(4)) is True
+        assert run(col("a") <= col("b")) is False
+        assert run(col("a") != col("b")) is True
 
-    def test_arithmetic(self):
-        assert (col("a") + col("b")).evaluate(ROW) == 7
-        assert (col("a") * lit(3)).evaluate(ROW) == 15
-        assert (col("a") - lit(1)).evaluate(ROW) == 4
+    def test_arithmetic(self, run):
+        assert run(col("a") + col("b")) == 7
+        assert run(col("a") * lit(3)) == 15
+        assert run(col("a") - lit(1)) == 4
+        assert run(UnaryOp("-", col("a"))) == -5
+        assert run(UnaryOp("-", col("none_col"))) is None
 
-    def test_bare_values_become_literals(self):
-        assert (col("a") == 5).evaluate(ROW) is True
+    def test_bare_values_become_literals(self, run):
+        assert run(col("a") == 5) is True
 
     def test_referenced_columns(self):
         expr = (col("a") + col("b")) > lit(0)
@@ -49,64 +71,85 @@ class TestBasics:
 
 
 class TestNullSemantics:
-    def test_comparison_with_null_is_null(self):
-        assert (col("none_col") == lit(1)).evaluate(ROW) is None
-        assert (col("none_col") < lit(1)).evaluate(ROW) is None
+    def test_comparison_with_null_is_null(self, run):
+        assert run(col("none_col") == lit(1)) is None
+        assert run(col("none_col") < lit(1)) is None
 
-    def test_and_short_circuit_false(self):
+    def test_and_short_circuit_false(self, run):
         expr = (col("a") > lit(100)) & (col("none_col") == lit(1))
-        assert expr.evaluate(ROW) is False
+        assert run(expr) is False
 
-    def test_and_with_null_is_null(self):
+    def test_and_short_circuits_before_an_unknown_column(self, run):
+        assert run((col("a") > lit(100)) & (col("ghost") == lit(1))) is False
+        assert run((col("a") > lit(0)) | (col("ghost") == lit(1))) is True
+
+    def test_and_with_null_is_null(self, run):
         expr = (col("a") > lit(0)) & (col("none_col") == lit(1))
-        assert expr.evaluate(ROW) is None
+        assert run(expr) is None
 
-    def test_or_with_true_wins_over_null(self):
+    def test_or_with_true_wins_over_null(self, run):
         expr = (col("none_col") == lit(1)) | (col("a") > lit(0))
-        assert expr.evaluate(ROW) is True
+        assert run(expr) is True
 
-    def test_or_with_null_is_null(self):
+    def test_or_with_null_is_null(self, run):
         expr = (col("none_col") == lit(1)) | (col("a") > lit(100))
-        assert expr.evaluate(ROW) is None
+        assert run(expr) is None
 
-    def test_not_null_is_null(self):
-        assert (~(col("none_col") == lit(1))).evaluate(ROW) is None
+    def test_not_null_is_null(self, run):
+        assert run(~(col("none_col") == lit(1))) is None
 
-    def test_is_null(self):
-        assert UnaryOp("IS NULL", col("none_col")).evaluate(ROW) is True
-        assert UnaryOp("IS NOT NULL", col("a")).evaluate(ROW) is True
+    def test_is_null(self, run):
+        assert run(UnaryOp("IS NULL", col("none_col"))) is True
+        assert run(UnaryOp("IS NOT NULL", col("a"))) is True
+
+    @pytest.mark.parametrize("left", [True, False, None])
+    @pytest.mark.parametrize("right", [True, False, None])
+    def test_three_valued_truth_tables(self, run, left, right):
+        and_table = {
+            (True, True): True, (True, False): False, (True, None): None,
+            (False, True): False, (False, False): False, (False, None): False,
+            (None, True): None, (None, False): False, (None, None): None,
+        }
+        or_table = {
+            (True, True): True, (True, False): True, (True, None): True,
+            (False, True): True, (False, False): False, (False, None): None,
+            (None, True): True, (None, False): None, (None, None): None,
+        }
+        assert run(lit(left) & lit(right)) is and_table[left, right]
+        assert run(lit(left) | lit(right)) is or_table[left, right]
+        assert run(~lit(left)) is (None if left is None else not left)
 
 
 class TestFunctions:
-    def test_string_functions(self):
-        assert func("UPPER", col("name")).evaluate(ROW) == "ADA"
-        assert func("LOWER", col("name")).evaluate(ROW) == "ada"
-        assert func("LENGTH", col("name")).evaluate(ROW) == 3
+    def test_string_functions(self, run):
+        assert run(func("UPPER", col("name"))) == "ADA"
+        assert run(func("LOWER", col("name"))) == "ada"
+        assert run(func("LENGTH", col("name"))) == 3
 
-    def test_substr(self):
-        assert func("SUBSTR", col("name"), 2).evaluate(ROW) == "da"
-        assert func("SUBSTR", col("name"), 1, 2).evaluate(ROW) == "Ad"
+    def test_substr(self, run):
+        assert run(func("SUBSTR", col("name"), 2)) == "da"
+        assert run(func("SUBSTR", col("name"), 1, 2)) == "Ad"
 
-    def test_concat(self):
-        assert func("CONCAT", col("name"), lit("!")).evaluate(ROW) == "Ada!"
+    def test_concat(self, run):
+        assert run(func("CONCAT", col("name"), lit("!"))) == "Ada!"
 
-    def test_concat_null_propagates(self):
-        assert func("CONCAT", col("name"), col("none_col")).evaluate(ROW) is None
+    def test_concat_null_propagates(self, run):
+        assert run(func("CONCAT", col("name"), col("none_col"))) is None
 
-    def test_coalesce(self):
-        assert func("COALESCE", col("none_col"), col("a")).evaluate(ROW) == 5
+    def test_coalesce(self, run):
+        assert run(func("COALESCE", col("none_col"), col("a"))) == 5
 
-    def test_time_dimension_functions(self):
+    def test_time_dimension_functions(self, run):
         """The DWH time dimension is built-in functions (Fig. 3)."""
-        assert func("YEAR", col("d")).evaluate(ROW) == 2007
-        assert func("MONTH", col("d")).evaluate(ROW) == 3
-        assert func("DAY", col("d")).evaluate(ROW) == 9
+        assert run(func("YEAR", col("d"))) == 2007
+        assert run(func("MONTH", col("d"))) == 3
+        assert run(func("DAY", col("d"))) == 9
 
-    def test_null_date_functions(self):
-        assert func("YEAR", col("none_col")).evaluate(ROW) is None
+    def test_null_date_functions(self, run):
+        assert run(func("YEAR", col("none_col"))) is None
 
-    def test_abs(self):
-        assert func("ABS", lit(-4)).evaluate(ROW) == 4
+    def test_abs(self, run):
+        assert run(func("ABS", lit(-4))) == 4
 
     def test_unknown_function_rejected(self):
         with pytest.raises(QueryError):
@@ -120,6 +163,31 @@ class TestFunctions:
         with pytest.raises(QueryError):
             UnaryOp("SQRT", Literal(1))
 
-    def test_type_error_becomes_query_error(self):
-        with pytest.raises(QueryError):
-            (col("a") + col("name")).evaluate(ROW)
+    def test_type_error_becomes_query_error(self, run):
+        message = _error(run, col("a") + col("name"))
+        assert message.startswith("type error in 5 + 'Ada': ")
+
+    def test_type_error_between_two_computed_operands(self, run):
+        message = _error(run, (col("a") + lit(1)) - col("name"))
+        assert message.startswith("type error in 6 - 'Ada': ")
+
+    def test_function_error_becomes_query_error(self, run):
+        message = _error(run, func("UPPER", col("a")))
+        assert message.startswith("error in UPPER([5]): ")
+
+
+def test_both_evaluators_raise_the_same_text():
+    """The oracle is a reference only if its errors read the same."""
+    failing = [
+        col("ghost"),
+        col("a") + col("name"),
+        (col("a") + lit(1)) - col("name"),
+        func("SUBSTR", col("a"), 1),
+        (col("a") > lit(0)) & (col("ghost") == lit(1)),
+    ]
+    for expr in failing:
+        with pytest.raises(QueryError) as compiled:
+            expr.compile()(ROW)
+        with pytest.raises(QueryError) as walked:
+            oracle.evaluate(expr, ROW)
+        assert str(compiled.value) == str(walked.value), expr

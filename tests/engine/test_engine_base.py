@@ -165,14 +165,7 @@ class TestEventHandling:
         engine.deploy(simple_e2("PB"))
         engine.handle_event(ProcessEvent("PA", 0.0))
         engine.handle_event(ProcessEvent("PB", 0.0))
-        assert len(engine.records_for("PA")) == 1
-
-    def test_clear_records(self):
-        engine = MtmInterpreterEngine(fresh_registry())
-        engine.deploy(simple_e2("PA"))
-        engine.handle_event(ProcessEvent("PA", 0.0))
-        engine.clear_records()
-        assert engine.records == []
+        assert len(engine.records.where("process_id", lambda p: p == "PA")) == 1
 
 
 class TestWorkerQueue:

@@ -67,13 +67,13 @@ class TestFig9Realization:
         schema = engine.internal_db.table("P_M_Queue").schema
         assert schema.column("tid").sql_type == "BIGINT"
         assert schema.column("msg").sql_type == "CLOB"
-        engine.internal_db.trigger("trg_P_M")  # exists
+        assert engine.internal_db._triggers["trg_P_M"].table == "P_M_Queue"
 
     def test_e2_deploys_stored_procedure(self, world):
         registry, _ = world
         engine = FederatedEngine(registry)
         engine.deploy(e2_process())
-        assert engine.internal_db.has_procedure("P_S")
+        assert "P_S" in engine.internal_db._procedures
 
     def test_message_round_trips_through_clob(self, world):
         registry, db = world

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.engine.base import InstanceRecord
 from repro.engine.costs import CostBreakdown
-from repro.errors import BenchmarkError
-from repro.metrics.navg import compute_metrics, navg_plus
+from repro.metrics.navg import compute_metrics
 
 
 def record(pid, total, instance_id=0, status="ok"):
@@ -26,6 +25,12 @@ def record(pid, total, instance_id=0, status="ok"):
     )
 
 
+def navg_plus(normalized_costs):
+    """NAVG+ of one process type whose instances cost these values."""
+    records = [record("P", cost, i) for i, cost in enumerate(normalized_costs)]
+    return compute_metrics(records)["P"].navg_plus
+
+
 class TestNavgPlus:
     def test_single_value_no_sigma(self):
         assert navg_plus([5.0]) == 5.0
@@ -39,7 +44,9 @@ class TestNavgPlus:
         assert navg_plus(values) == pytest.approx(expected)
 
     def test_empty_rejected(self):
-        with pytest.raises(BenchmarkError):
+        """An empty instance set has no NAVG+ row."""
+        assert compute_metrics([]).process_ids == []
+        with pytest.raises(KeyError):
             navg_plus([])
 
     @given(st.lists(st.floats(0.1, 1e6), min_size=1, max_size=50))
@@ -107,5 +114,5 @@ class TestComputeMetrics:
 
     def test_contains(self):
         report = compute_metrics([record("P01", 1.0, 1)])
-        assert "P01" in report
-        assert "P99" not in report
+        assert "P01" in report.per_type
+        assert "P99" not in report.per_type

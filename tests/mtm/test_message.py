@@ -10,12 +10,12 @@ from repro.xmlkit.doc import parse_xml
 class TestPayloadKinds:
     def test_relational(self):
         msg = Message(Relation(("k",), [{"k": 1}]))
-        assert msg.is_relational and not msg.is_xml
+        assert not msg.is_xml
         assert len(msg.relation()) == 1
 
     def test_xml(self):
         msg = Message(parse_xml("<a><b/></a>"))
-        assert msg.is_xml and not msg.is_relational
+        assert msg.is_xml
         assert msg.xml().tag == "a"
 
     def test_wrong_accessor_raises(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import MtmInterpreterEngine
+from repro.engine.base import InstanceHistory
 from repro.observability import Observability
 from repro.scenario import build_scenario
 from repro.toolsuite import BenchmarkClient, ScaleFactors
@@ -58,13 +59,15 @@ class TestPartitionedNetwork:
         scenario.network.partition("IS", "ES")
         client.run_period(0)
         scenario.network.heal("IS", "ES")
-        client.engine.clear_records()
-        client.monitor.clear()
-        observability.tracer.clear()
-        client._trace_offset = 0.0
+        client.engine.records = InstanceHistory()
+        client.monitor.records = InstanceHistory()
+        traced_before = len(observability.tracer.spans)
         records = client.run_period(0)
         assert all(r.status == "ok" for r in records)
-        spans = observability.tracer.spans_of_kind("instance")
+        spans = [
+            s for s in observability.tracer.spans[traced_before:]
+            if s.kind == "instance"
+        ]
         assert spans
         assert all(s.status == "ok" for s in spans)
 
@@ -75,10 +78,7 @@ class TestJitterReproducibility:
         scenario = build_scenario(jitter=0.3, seed=seed)
         client = _traced_client(scenario, observability, seed=seed)
         client.run_period(0)
-        return [
-            (s.name, s.kind, round(s.start_time, 9), round(s.end_time, 9))
-            for s in observability.tracer.finished_spans()
-        ], observability.prometheus()
+        return observability.spans_jsonl(), observability.prometheus()
 
     def test_fixed_seed_reproducible_across_runs(self):
         spans_a, metrics_a = self._trace_fingerprint(seed=9)

@@ -136,7 +136,7 @@ class TestZeroOverheadDefault:
                 periods=1, seed=42, observability=observability,
             )
             client.run()
-            return client.monitor.export_dat()
+            return repr(client.monitor.metrics().rows())
 
         assert run(None) == run(Observability())
 

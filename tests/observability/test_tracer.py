@@ -70,7 +70,8 @@ class TestSpans:
         tracer = Tracer()
         tracer.record("late", 5.0, 6.0)
         tracer.record("early", 1.0, 2.0)
-        assert [s.name for s in tracer.finished_spans()] == ["early", "late"]
+        rows = [json.loads(line) for line in export_spans_jsonl(tracer).split()]
+        assert [row["name"] for row in rows] == ["early", "late"]
 
 
 class TestNullTracer:

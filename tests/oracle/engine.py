@@ -54,7 +54,7 @@ from repro.mtm.message import Message
 from repro.mtm.operators import _ValidationHandled
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profile import OperatorObservation
-from repro.simtime.clock import Clock, VirtualClock
+from repro.simtime.clock import VirtualClock
 from tests.oracle.xml import resultset_to_rows, rows_to_resultset
 
 Row = dict[str, Any]
@@ -345,7 +345,7 @@ class ScheduledEvent:
 
 
 class EventScheduler:
-    """A discrete-event queue bound to a :class:`Clock`.
+    """A discrete-event queue bound to a :class:`VirtualClock`.
 
     Events may be pushed in any order; :meth:`run` pops them in deadline
     order, advances the clock to each deadline, and invokes the handler.
@@ -355,7 +355,7 @@ class EventScheduler:
 
     def __init__(
         self,
-        clock: Clock | None = None,
+        clock: VirtualClock | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.clock = clock if clock is not None else VirtualClock()

@@ -3,7 +3,7 @@
 This is the original, obviously-correct implementation that used to live
 inside ``repro.db`` behind a process-global switch: every operator
 re-materializes every row dict, every predicate walks the expression
-tree per row (:meth:`Expression.evaluate`, never ``compile()``), joins
+tree per row (:func:`evaluate`, never ``compile()``), joins
 build a hash index per call, tables answer every read with a copying
 full scan and materialized views recompute from scratch.  Production
 keeps none of it — it shares rows, compiles predicates, probes indexes,
@@ -27,7 +27,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.db.expressions import Expression
+from repro.db.expressions import (
+    _BINARY_OPS,
+    _FUNCTIONS,
+    BinaryOp,
+    ColumnRef,
+    Expression,
+    FunctionCall,
+    Literal,
+    UnaryOp,
+)
 from repro.db.schema import TableSchema
 from repro.errors import IntegrityError, QueryError, SchemaError
 
@@ -71,13 +80,66 @@ def _require_columns(rel: Rel, names: Iterable[str]) -> None:
         raise QueryError(f"unknown columns {unknown}; have {rel.columns}")
 
 
+# -- expressions -------------------------------------------------------------
+
+
+def evaluate(expr: Expression, row: Mapping[str, Any]) -> Any:
+    """Walk ``expr`` against one row: SQL three-valued logic, short-circuit
+    AND/OR, unknown columns and type errors raised as QueryError."""
+    if isinstance(expr, ColumnRef):
+        try:
+            return row[expr.name]
+        except KeyError:
+            raise QueryError(
+                f"unknown column {expr.name!r}; row has {sorted(row)}"
+            ) from None
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, BinaryOp):
+        if expr.op in ("AND", "OR"):
+            stop = expr.op == "OR"  # the value that decides the result
+            left = evaluate(expr.left, row)
+            if left is stop:
+                return stop
+            right = evaluate(expr.right, row)
+            if right is stop:
+                return stop
+            if left is None or right is None:
+                return None
+            return bool(left) or bool(right) if stop else bool(left) and bool(right)
+        left = evaluate(expr.left, row)
+        right = evaluate(expr.right, row)
+        try:
+            return _BINARY_OPS[expr.op](left, right)
+        except TypeError as exc:
+            raise QueryError(
+                f"type error in {left!r} {expr.op} {right!r}: {exc}"
+            ) from exc
+    if isinstance(expr, UnaryOp):
+        value = evaluate(expr.operand, row)
+        if expr.op == "NOT":
+            return None if value is None else not bool(value)
+        if expr.op == "IS NULL":
+            return value is None
+        if expr.op == "IS NOT NULL":
+            return value is not None
+        return None if value is None else -value
+    if isinstance(expr, FunctionCall):
+        values = [evaluate(arg, row) for arg in expr.args]
+        try:
+            return _FUNCTIONS[expr.name](*values)
+        except (TypeError, AttributeError, IndexError) as exc:
+            raise QueryError(f"error in {expr.name}({values!r}): {exc}") from exc
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 # -- operators ---------------------------------------------------------------
 
 
 def select(rel: Rel, predicate: Expression | Callable[[Row], Any]) -> Rel:
     """Keep rows whose predicate is true (NULL counts as not satisfied)."""
     if isinstance(predicate, Expression):
-        keep = [row for row in rel.rows if predicate.evaluate(row) is True]
+        keep = [row for row in rel.rows if evaluate(predicate, row) is True]
     else:
         keep = [row for row in rel.rows if predicate(row)]
     return relation(rel.columns, keep)
@@ -99,7 +161,7 @@ def project(rel: Rel, mapping: Mapping[str, str | Expression]) -> Rel:
         for out_name, in_name in plain.items():
             new_row[out_name] = row[in_name]
         for out_name, expr in computed.items():
-            new_row[out_name] = expr.evaluate(row)
+            new_row[out_name] = evaluate(expr, row)
         out_rows.append(new_row)
     return relation(tuple(mapping.keys()), out_rows)
 
@@ -116,7 +178,7 @@ def extend(rel: Rel, name: str, expr: Expression | Callable[[Row], Any]) -> Rel:
         raise QueryError(f"column {name!r} already exists")
     rows: list[Row] = []
     for row in rel.rows:
-        value = expr.evaluate(row) if isinstance(expr, Expression) else expr(row)
+        value = evaluate(expr, row) if isinstance(expr, Expression) else expr(row)
         new_row = dict(row)
         new_row[name] = value
         rows.append(new_row)
@@ -352,7 +414,7 @@ class Table:
         if predicate is None:
             kept: list[Row] = []
         elif isinstance(predicate, Expression):
-            kept = [r for r in self.rows if predicate.evaluate(r) is not True]
+            kept = [r for r in self.rows if evaluate(predicate, r) is not True]
         else:
             kept = [r for r in self.rows if not predicate(r)]
         removed = len(self.rows) - len(kept)
@@ -374,14 +436,14 @@ class Table:
         rows = list(self.rows)
         for position, row in enumerate(rows):
             if isinstance(predicate, Expression):
-                if predicate.evaluate(row) is not True:
+                if evaluate(predicate, row) is not True:
                     continue
             elif predicate is not None and not predicate(row):
                 continue
             new_values = dict(row)
             for name, value in assignments.items():
                 new_values[name] = (
-                    value.evaluate(row) if isinstance(value, Expression) else value
+                    evaluate(value, row) if isinstance(value, Expression) else value
                 )
             rows[position] = self.schema.normalize(new_values)
             updated += 1
@@ -417,7 +479,7 @@ class Table:
             return self._copies(self.rows)
         if isinstance(predicate, Expression):
             return self._copies(
-                r for r in self.rows if predicate.evaluate(r) is True
+                r for r in self.rows if evaluate(predicate, r) is True
             )
         return self._copies(r for r in self.rows if predicate(r))
 

@@ -31,11 +31,51 @@ from __future__ import annotations
 import datetime
 import re
 from decimal import Decimal
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import StxError, XmlParseError, XsdValidationError
 from repro.xmlkit.doc import XmlElement
-from repro.xmlkit.stx import END, START, TEXT, UnwrapRule, _Rule, iter_events
+from repro.xmlkit.stx import UnwrapRule, _Rule
+
+# ------------------------------------------------------------------ event model
+
+#: Event kinds of the streaming walk.
+START, TEXT, END = "start", "text", "end"
+
+
+def iter_events(root: XmlElement) -> Iterator[tuple]:
+    """Stream a tree as (START, tag, attrs) / (TEXT, text) / (END, tag).
+
+    The event view of a tree: what ``Stylesheet.transform`` counts and
+    returns beside its result, one for one and in this order.
+    """
+    stack: list[tuple[XmlElement, int]] = [(root, 0)]
+    yield (START, root.tag, dict(root.attributes))
+    if root.text:
+        yield (TEXT, root.text)
+    while stack:
+        node, child_index = stack[-1]
+        if child_index < len(node.children):
+            stack[-1] = (node, child_index + 1)
+            child = node.children[child_index]
+            yield (START, child.tag, dict(child.attributes))
+            if child.text:
+                yield (TEXT, child.text)
+            stack.append((child, 0))
+        else:
+            stack.pop()
+            yield (END, node.tag)
+
+def structurally_equal(mine: XmlElement, theirs: XmlElement) -> bool:
+    """Deep equality on tag, attributes, stripped text and children."""
+    if mine.tag != theirs.tag or mine.attributes != theirs.attributes:
+        return False
+    if (mine.text or "").strip() != (theirs.text or "").strip():
+        return False
+    if len(mine.children) != len(theirs.children):
+        return False
+    return all(map(structurally_equal, mine.children, theirs.children))
+
 
 # ------------------------------------------------------------------ stylesheet
 

@@ -40,7 +40,6 @@ def everything(outcome):
         "fingerprint": outcome.fingerprint(),
         "digest": outcome.landscape_digest,
         "metrics": export_prometheus(outcome.metrics_shard),
-        "spans": outcome.spans,
     }
 
 

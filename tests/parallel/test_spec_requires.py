@@ -1,0 +1,89 @@
+"""Knob combinations a run would refuse late are refused by ``problems()``.
+
+A crash fault and a cluster both replay the WAL, so both need
+durability.  ``RunSpec.problems()`` lists either combination, so the
+CLI exits 2, ``sweep`` refuses before it spawns a worker and
+``client_from_spec`` builds nothing.  ``checkpoint_every`` under ``wal``
+stays accepted: the CI crash-recovery matrix passes it.
+"""
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.errors import BenchmarkError
+from repro.parallel.spec import RunSpec, client_from_spec
+from repro.resilience import FaultEvent, FaultSpec
+
+CRASH = FaultSpec(
+    name="crash", events=(FaultEvent(at=250.0, kind="crash", point="commit"),)
+)
+DEGRADE = FaultSpec(
+    name="slow", events=(
+        FaultEvent(at=0.0, kind="degrade", src="IS", dst="ES", factor=2.0),
+    ),
+)
+
+
+def test_a_crash_without_durability_is_a_problem():
+    (problem,) = RunSpec(faults=CRASH).problems()
+    assert problem.startswith("faults: the spec schedules engine crashes")
+
+
+def test_a_cluster_without_durability_is_a_problem():
+    (problem,) = RunSpec(cluster_hosts=3).problems()
+    assert problem.startswith("cluster_hosts: a cluster replicates the WAL")
+    assert problem.endswith(": 3")
+
+
+@pytest.mark.parametrize("durability", ["wal", "snapshot+wal"])
+def test_durability_makes_both_valid(durability):
+    spec = RunSpec(faults=CRASH, cluster_hosts=3, durability=durability)
+    assert spec.problems() == []
+
+
+def test_faults_without_a_crash_need_no_durability():
+    assert RunSpec(faults=DEGRADE).problems() == []
+
+
+def test_a_checkpoint_cadence_under_wal_stays_accepted():
+    assert RunSpec(durability="wal", checkpoint_every=50.0).problems() == []
+
+
+def test_both_problems_are_listed_at_once():
+    assert len(RunSpec(faults=CRASH, cluster_hosts=2).problems()) == 2
+
+
+def test_client_from_spec_builds_nothing(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused spec built a landscape")
+
+    monkeypatch.setattr("repro.parallel.spec.build_scenario", no_build)
+    with pytest.raises(BenchmarkError, match="cluster_hosts: .*durability"):
+        client_from_spec(RunSpec(cluster_hosts=3))
+
+
+def _crash_file(tmp_path):
+    path = tmp_path / "crash.json"
+    path.write_text(json.dumps({"name": "crash", "events": [
+        {"at": 250.0, "kind": "crash", "point": "commit"}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--periods", "1", "--quiet"],
+    ["sweep", "--grid", "d=0.02", "--periods", "1", "--quiet"],
+    ["sweep", "--synth", "sources=2", "--periods", "1", "--quiet"],
+])
+def test_the_cli_exits_2_before_any_run(command, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a refused spec reached a run")
+
+    monkeypatch.setattr("repro.cli.client_from_spec", no_run)
+    monkeypatch.setattr("repro.cli.SweepExecutor", no_run)
+    assert main([*command, "--faults", _crash_file(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid ")
+    assert "faults: the spec schedules engine crashes" in captured.err

@@ -10,6 +10,7 @@ alone while the rest of the sweep completes.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -83,7 +84,10 @@ class TestExpandGrid:
             datasizes=[0.02, 0.05],
             seeds=[1, 2],
         )
-        keys = [s.grid_key() for s in specs]
+        keys = [
+            (s.engine, s.datasize, s.time, s.distribution, s.seed, s.synth)
+            for s in specs
+        ]
         assert keys == [
             ("interpreter", 0.02, 1.0, 0, 1, ""),
             ("interpreter", 0.02, 1.0, 0, 2, ""),
@@ -120,7 +124,7 @@ class TestRunSpec:
         spec = fast_spec()
         twin = spec.with_engine("federated")
         assert twin.engine == "federated"
-        assert twin.grid_key()[1:] == spec.grid_key()[1:]
+        assert twin == replace(spec, engine="federated")
 
     def test_label_is_stable(self):
         assert fast_spec(seed=7).label == "interpreter d=0.02 t=1 f=0 seed=7"
@@ -173,10 +177,10 @@ class TestRunSpecExecution:
             m.name == "engine_instances_total" for m in shard.collect()
         )
 
-    def test_trace_shard_only_when_requested(self):
+    def test_no_run_ships_spans(self):
+        """The spans channel belongs to a wrapper, not to a run."""
         assert run_spec(fast_spec()).spans is None
-        spans = run_spec(fast_spec(collect_trace=True)).spans
-        assert spans and any(s["kind"] == "instance" for s in spans)
+        assert run_spec(fast_spec(collect_trace=True)).spans is None
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +245,8 @@ class TestByteIdentity:
 
     def test_engine_variants_converge_per_seed(self, serial_result):
         by_key = {
-            o.spec.grid_key(): o.landscape_digest
+            (o.spec.engine, o.spec.datasize, o.spec.time, o.spec.distribution,
+             o.spec.seed, o.spec.synth): o.landscape_digest
             for o in serial_result.outcomes
         }
         for (engine, d, t, f, seed, synth), digest in by_key.items():
@@ -249,26 +254,6 @@ class TestByteIdentity:
                 continue
             twin = by_key[("federated", d, t, f, seed, synth)]
             assert digest == twin
-
-
-class TestMergedTrace:
-    def test_trace_shards_absorb_across_workers(self):
-        grid = [
-            fast_spec(seed=21, collect_trace=True),
-            fast_spec(seed=22, collect_trace=True),
-        ]
-        serial = run_sweep(grid, workers=1)
-        parallel = run_sweep(grid, workers=2)
-        serial_spans = serial.merged_trace().spans
-        parallel_spans = parallel.merged_trace().spans
-        assert len(serial_spans) == len(parallel_spans) > 0
-        assert (
-            [s.name for s in serial_spans]
-            == [s.name for s in parallel_spans]
-        )
-        # Side-by-side timeline: absorbed spans never run backwards.
-        starts = [s.start_time for s in parallel_spans]
-        assert min(starts) >= 0.0
 
 
 # ---------------------------------------------------------------------------

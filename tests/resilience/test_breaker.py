@@ -91,7 +91,7 @@ class TestStateMachine:
         assert [state for _, state in breaker.transitions] == [
             OPEN, HALF_OPEN, CLOSED,
         ]
-        assert breaker.time_in_open == pytest.approx(10.0)
+        assert [when for when, _ in breaker.transitions] == [3.0, 13.0, 13.0]
 
 
 class TestBoard:

@@ -70,7 +70,7 @@ class TestTransientRecovery:
         assert record.fault_types == ("TransientEngineFault",)
         assert record.arrival == 10.0  # deadline preserved
         assert record.start >= 14.0    # admitted only after the backoff
-        assert engine.recovered_records() == [record]
+        assert list(engine.records.recovered()) == [record]
 
     def test_retry_exhaustion_dead_letters(self):
         engine = MtmInterpreterEngine(fresh_registry())
@@ -88,7 +88,7 @@ class TestTransientRecovery:
         assert record.error_type == "TransientEngineFault"
         assert record.fault_types == ("TransientEngineFault",) * 3
         assert len(context.dead_letters) == 1
-        assert engine.dead_letter_records() == [record]
+        assert list(engine.records) == [record]
 
     def test_process_level_transient_failure_retries(self):
         engine = MtmInterpreterEngine(fresh_registry())

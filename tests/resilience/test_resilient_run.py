@@ -45,8 +45,9 @@ class TestDegradedRun:
     def test_run_completes_with_recoveries(self, degraded):
         _, result, _ = degraded
         assert result.total_instances > 150
-        assert result.recovered_instances >= 2
-        assert result.total_retries >= result.recovered_instances
+        recovered = len(result.records.recovered())
+        assert recovered >= 2
+        assert result.total_retries >= recovered
 
     def test_poison_message_dead_lettered_with_structure(self, degraded):
         _, result, _ = degraded
@@ -91,8 +92,7 @@ class TestDegradedRun:
     def test_monitor_summary_matches_result(self, degraded):
         client, result, _ = degraded
         summary = client.monitor.resilience_summary()
-        assert summary.degraded
-        assert summary.recovered == result.recovered_instances
+        assert summary.recovered == len(result.records.recovered())
         assert summary.dead_lettered == len(result.dead_letters)
         assert summary.total == result.total_instances
         assert "recovered=" in summary.describe()
@@ -132,7 +132,7 @@ class TestDeterminism:
             faults=empty, resilience=RetryPolicy()
         )
         assert plain.records == guarded.records
-        assert guarded.recovered_instances == 0
+        assert len(guarded.records.recovered()) == 0
         assert len(guarded.dead_letters) == 0
         assert plain_obs.prometheus() == guarded_obs.prometheus()
 

@@ -47,6 +47,13 @@ _STRUCTURED = (
 _MEMOS = {"_plan", "_parsers", "_tables", "_expressions"}
 
 
+def _fields(value) -> dict:
+    """An object's instance fields, from its dict or its slots."""
+    if hasattr(value, "__dict__"):
+        return vars(value)
+    return {name: getattr(value, name) for name in type(value).__slots__}
+
+
 def structure(value, _open=()):
     """A nested, comparable description of a definition's content."""
     if value is None or isinstance(value, (str, int, float, Decimal, enum.Enum)):
@@ -63,7 +70,7 @@ def structure(value, _open=()):
             return f"<cycle {type(value).__qualname__}>"
         fields = {
             name: structure(field, (*_open, id(value)))
-            for name, field in sorted(vars(value).items())
+            for name, field in sorted(_fields(value).items())
             if name not in _MEMOS
         }
         return (type(value).__qualname__, fields)
@@ -170,7 +177,7 @@ EDITS = {
     ),
     "ValidateRows.checks": lambda: setattr(_first(ValidateRows), "checks", {}),
     "Stylesheet.rules item": lambda: setitem(
-        _first(Translation).stylesheet.rules, 0, None
+        _first(Translation).stylesheet._rules, 0, None
     ),
     "Stylesheet.rules": lambda: setattr(_first(Translation).stylesheet, "rules", []),
     "XsdElement field": lambda: setattr(_first(Validate).schema.root, "name", "x"),

@@ -53,8 +53,8 @@ class TestTopology:
                 assert len(db.table(table_name)) == 0, (name, table_name)
 
     def test_database_accessor_covers_web_services(self, scenario):
-        assert scenario.database("beijing").name == "beijing_store"
-        assert scenario.database("dwh").name == "dwh"
+        assert scenario.all_databases["beijing"].name == "beijing_store"
+        assert scenario.all_databases["dwh"].name == "dwh"
 
 
 class TestProcessTable:
@@ -87,23 +87,23 @@ class TestProcessTable:
 
 class TestMessageFactory:
     def test_messages_conform_to_their_schemas(self, factory):
-        assert vienna_schema().is_valid(factory.vienna_order().xml())
-        assert mdm_schema().is_valid(factory.mdm_customer_update().xml())
-        assert hongkong_schema().is_valid(factory.hongkong_order().xml())
-        assert beijing_schema().is_valid(factory.beijing_master_data().xml())
+        assert vienna_schema().validate(factory.vienna_order().xml()) == []
+        assert mdm_schema().validate(factory.mdm_customer_update().xml()) == []
+        assert hongkong_schema().validate(factory.hongkong_order().xml()) == []
+        assert beijing_schema().validate(factory.beijing_master_data().xml()) == []
 
     def test_clean_sandiego_conforms(self, initialized):
         _, population = initialized
         clean = MessageFactory(population, seed=1, error_rate=0.0)
         for _ in range(10):
-            assert sandiego_schema().is_valid(clean.sandiego_order().xml())
+            assert sandiego_schema().validate(clean.sandiego_order().xml()) == []
         assert clean.sandiego_invalid == 0
 
     def test_dirty_sandiego_violates(self, initialized):
         _, population = initialized
         dirty = MessageFactory(population, seed=1, error_rate=1.0)
         for _ in range(10):
-            assert not sandiego_schema().is_valid(dirty.sandiego_order().xml())
+            assert sandiego_schema().validate(dirty.sandiego_order().xml())
         assert dirty.sandiego_invalid == 10
 
     def test_order_keys_unique_across_messages(self, factory):

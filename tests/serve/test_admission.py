@@ -36,7 +36,9 @@ class TestTokenBucket:
         clock = FakeClock()
         bucket = TokenBucket(rate=10.0, burst=2.0, clock=clock)
         clock.advance(100.0)
-        assert bucket.tokens == 2.0
+        # Two tokens banked however long it idled, then a 1/rate wait.
+        waits = [bucket.try_acquire() for _ in range(3)]
+        assert waits == [0.0, 0.0, pytest.approx(0.1)]
 
     def test_wait_hint_is_time_to_next_token(self):
         clock = FakeClock()

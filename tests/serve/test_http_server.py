@@ -23,6 +23,7 @@ from repro.serve import (
     TenantPolicy,
     parse_session_request,
 )
+from repro.serve import http
 from repro.serve.http import MAX_HEADERS
 from repro.toolsuite.monitor import Monitor
 
@@ -143,6 +144,26 @@ class TestRouting:
             except ConnectionError:  # the server closed with bytes unread
                 pass
             assert answered == status
+            assert (await client.healthz()).status == 200
+
+        serve_scenario(scenario)
+
+    def test_a_half_sent_request_is_408_and_the_server_stays_up(
+        self, fast_runs, monkeypatch
+    ):
+        monkeypatch.setattr(http, "READ_DEADLINE_S", 0.2)
+
+        async def scenario(client):
+            reader, writer = await asyncio.open_connection(
+                client.host, client.port
+            )
+            writer.write(b"GET /heal")  # half a request line, then silence
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            await writer.wait_closed()
+            assert answer.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+            assert b"request not read within 0.2s" in answer
             assert (await client.healthz()).status == 200
 
         serve_scenario(scenario)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.engine import ENGINES as ALL_ENGINES
 from repro.engine import FederatedEngine, MtmInterpreterEngine
-from repro.errors import FaultSpecError
+from repro.errors import BenchmarkError, FaultSpecError
 from repro.observability import Observability
 from repro.parallel.spec import RunSpec, client_from_spec, run_spec
 from repro.resilience import FaultEvent, FaultSpec
@@ -186,7 +186,8 @@ class TestGuards:
             )
 
     def test_synth_crash_spec_requires_durability(self):
-        with pytest.raises(FaultSpecError, match="durability"):
+        # Refused by RunSpec.problems(), before anything is built.
+        with pytest.raises(BenchmarkError, match="faults: .*durability"):
             client_from_spec(replace(SYNTH, faults=crash_spec()))
 
 

@@ -42,8 +42,11 @@ class FakeEngine:
     def restore_runtime_state(self, state):
         self._runtime = dict(state)
 
-    # The production bodies: clearing rebinds the append-only list.
-    clear_records = IntegrationEngine.clear_records
+    def clear_records(self):
+        """Rebind the append-only history, as a crash does."""
+        self.records = InstanceHistory()
+
+    # The production body.
     note_catalog_reroute = IntegrationEngine.note_catalog_reroute
 
 

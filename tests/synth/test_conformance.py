@@ -98,7 +98,7 @@ class TestGeneratedDataProperties:
                 for fk in db.table(table_name).schema.foreign_keys
             ]
             assert child_fks, f"src{i} declares no foreign keys"
-        hub = workload.scenario.database("synth_hub")
+        hub = workload.scenario.all_databases["synth_hub"]
         hist_fks = hub.table("dim_customer_hist").schema.foreign_keys
         assert any(
             fk.parent_table == "dim_customer" for fk in hist_fks
@@ -126,13 +126,13 @@ class TestGeneratedDataProperties:
                 assert row[kind] in TXN_KINDS
 
     def test_hub_amounts_survive_validation(self, workload):
-        hub = workload.scenario.database("synth_hub")
+        hub = workload.scenario.all_databases["synth_hub"]
         for row in hub.table("orders_hub"):
             assert row["amount"] > 0
             assert row["status"] in ORDER_STATUS
 
     def test_scd_history_versions_are_dense(self, workload):
-        hub = workload.scenario.database("synth_hub")
+        hub = workload.scenario.all_databases["synth_hub"]
         versions: dict[int, list[int]] = {}
         current: dict[int, int] = {}
         for row in hub.table("dim_customer_hist"):
@@ -144,7 +144,7 @@ class TestGeneratedDataProperties:
             assert current.get(custkey) == 1, custkey
 
     def test_golden_table_blocks_are_unique(self, workload):
-        hub = workload.scenario.database("synth_hub")
+        hub = workload.scenario.all_databases["synth_hub"]
         blocks = [
             (row["address"], row["phone"])
             for row in hub.table("golden_customer")

@@ -237,7 +237,9 @@ class TestRunDurability:
         assert main([
             "run", "--periods", "1", "--quiet", "--faults", str(spec),
         ]) == 2
-        assert "invalid fault spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid run spec: faults: ")
+        assert "durability" in err
 
 
 class TestSweepCommand:

@@ -6,12 +6,7 @@ from repro import errors
 from repro.engine.base import InstanceRecord
 from repro.engine.costs import CostBreakdown
 from repro.metrics.navg import compute_metrics
-from repro.toolsuite.monitor import Monitor
-from repro.toolsuite.plotting import (
-    performance_plot_ascii,
-    performance_plot_svg,
-    series_plot_ascii,
-)
+from repro.toolsuite.plotting import performance_plot_ascii, performance_plot_svg
 
 
 class TestErrorHierarchy:
@@ -80,37 +75,3 @@ class TestPlotting:
         svg = performance_plot_svg(self._report())
         assert "P01" in svg and "P13" in svg
         assert "200.0" in svg
-
-    def test_series_plot(self):
-        text = series_plot_ascii({"m": [1.0, 2.0, 4.0]}, "demo")
-        assert "demo" in text
-        assert "*" * 60 in text  # the peak value fills the default width
-
-    def test_series_plot_star_counts(self):
-        text = series_plot_ascii({"m": [2.0, 4.0]}, "demo", width=10)
-        lines = [l for l in text.splitlines() if "*" in l]
-        assert lines[0].count("*") == 5
-        assert lines[1].count("*") == 10
-
-
-class TestMonitorExport:
-    def test_dat_format(self):
-        monitor = Monitor()
-        monitor.absorb([_record("P01", 10.0, 1), _record("P02", 5.0, 2)])
-        dat = monitor.export_dat()
-        lines = dat.strip().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1].split()[0] == "P01"
-        assert float(lines[1].split()[2]) == 10.0
-
-    def test_save_dat(self, tmp_path):
-        monitor = Monitor()
-        monitor.absorb([_record("P01", 10.0, 1)])
-        path = tmp_path / "metrics.dat"
-        monitor.save_dat(str(path))
-        assert "P01" in path.read_text()
-
-    def test_time_scale_applied_to_dat(self):
-        monitor = Monitor(time_scale=2.0)
-        monitor.absorb([_record("P01", 10.0, 1)])
-        assert "20.0000" in monitor.export_dat()

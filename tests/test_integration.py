@@ -4,6 +4,7 @@ scale-factor effects, failure injection."""
 import pytest
 
 from repro.engine import FederatedEngine, MtmInterpreterEngine
+from repro.engine.base import InstanceHistory
 from repro.scenario import build_scenario
 from repro.toolsuite import BenchmarkClient, ScaleFactors
 
@@ -172,8 +173,8 @@ class TestFailureInjection:
         scenario.network.partition("IS", "ES")
         client.run_period(0)
         scenario.network.heal("IS", "ES")
-        engine.clear_records()
-        client.monitor.clear()
+        engine.records = InstanceHistory()
+        client.monitor.records = InstanceHistory()
         client.run_period(0)
         assert not engine.error_records()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simtime import EventScheduler, HeapScheduler, VirtualClock, WallClock
+from repro.simtime import EventScheduler, VirtualClock
 
 
 class TestVirtualClock:
@@ -39,18 +39,6 @@ class TestVirtualClock:
         assert clock.now() == 0.0
 
 
-class TestWallClock:
-    def test_time_scale_validation(self):
-        with pytest.raises(ValueError):
-            WallClock(time_scale=0)
-
-    def test_advances_monotonically(self):
-        clock = WallClock(time_scale=1000.0)  # 1 tu = 1 microsecond
-        first = clock.now()
-        clock.advance(5.0)
-        assert clock.now() >= first
-
-
 class TestEventScheduler:
     def test_pops_in_deadline_order(self):
         sched = EventScheduler()
@@ -65,17 +53,17 @@ class TestEventScheduler:
         sched.push(1.0, "second")
         assert [e.payload for e in sched.drain()] == ["first", "second"]
 
+    def test_push_after(self):
+        sched = EventScheduler()
+        sched.clock.advance(10.0)
+        event = sched.push(sched.clock.now() + 5.0, "x")
+        assert event.deadline == 15.0
+
     def test_clock_advances_with_pop(self):
         sched = EventScheduler()
         sched.push(3.0, "x")
         sched.pop()
         assert sched.clock.now() == 3.0
-
-    def test_push_after(self):
-        sched = EventScheduler()
-        sched.clock.advance(10.0)
-        event = sched.push_after(5.0, "x")
-        assert event.deadline == 15.0
 
     def test_negative_deadline_rejected(self):
         with pytest.raises(ValueError):
@@ -85,31 +73,22 @@ class TestEventScheduler:
         with pytest.raises(IndexError):
             EventScheduler().pop()
 
-    def test_peek_does_not_remove(self):
-        sched = EventScheduler()
-        sched.push(1.0, "x")
-        assert sched.peek().payload == "x"
-        assert len(sched) == 1
-
     def test_handler_may_push_more(self):
         sched = EventScheduler()
         sched.push(1.0, "seed")
         seen = []
-
-        def handler(event):
+        for event in sched.drain():
             seen.append(event.payload)
             if event.payload == "seed":
-                sched.push_after(1.0, "spawned")
-
-        handled = sched.run(handler)
-        assert handled == 2
+                sched.push(sched.clock.now() + 1.0, "spawned")
         assert seen == ["seed", "spawned"]
+        assert sched.clock.now() == 2.0
 
     def test_clear(self):
         sched = EventScheduler()
         sched.push(1.0, "x")
         sched.clear()
-        assert len(sched) == 0
+        assert list(sched.drain()) == []
 
 
 class TestExactDeadlineTies:
@@ -122,11 +101,8 @@ class TestExactDeadlineTies:
     computed afterwards cannot diverge between workers).
     """
 
-    def test_heap_scheduler_is_the_event_scheduler(self):
-        assert HeapScheduler is EventScheduler
-
     def test_drain_until_keeps_fifo_order_for_equal_deadlines(self):
-        sched = HeapScheduler()
+        sched = EventScheduler()
         for name in ("a", "b", "c"):
             sched.push(2.0, name)
         sched.push(1.0, "before")
@@ -138,7 +114,7 @@ class TestExactDeadlineTies:
     def test_drain_until_includes_boundary_pushes_in_fifo_order(self):
         """Events pushed mid-drain at exactly the boundary deadline are
         dispatched within the same drain, behind already-queued ties."""
-        sched = HeapScheduler()
+        sched = EventScheduler()
         sched.push(5.0, "first")
         sched.push(5.0, "second")
         seen = []
@@ -149,34 +125,35 @@ class TestExactDeadlineTies:
         assert seen == ["first", "second", "spawned-at-boundary"]
 
     def test_drain_until_advances_clock_to_deadline_without_events(self):
-        sched = HeapScheduler()
+        sched = EventScheduler()
         assert list(sched.drain_until(7.5)) == []
         assert sched.clock.now() == 7.5
 
     def test_drain_until_advances_clock_past_last_event(self):
-        sched = HeapScheduler()
+        sched = EventScheduler()
         sched.push(2.0, "x")
         list(sched.drain_until(9.0))
         assert sched.clock.now() == 9.0
 
     def test_push_after_anchors_at_drained_to_time(self):
-        """push_after after a drain computes from the drain deadline, not
-        from the last dispatched event — otherwise two schedulers that
-        drained through different event prefixes would schedule the same
-        relative delay at different absolute deadlines."""
-        with_event = HeapScheduler()
+        """A delay added to ``clock.now()`` after a drain counts from the
+        drain deadline, not from the last dispatched event — otherwise
+        two schedulers that drained through different event prefixes
+        would schedule the same relative delay at different absolute
+        deadlines."""
+        with_event = EventScheduler()
         with_event.push(2.0, "x")
         list(with_event.drain_until(10.0))
-        without_event = HeapScheduler()
+        without_event = EventScheduler()
         list(without_event.drain_until(10.0))
         assert (
-            with_event.push_after(5.0, "y").deadline
-            == without_event.push_after(5.0, "y").deadline
+            with_event.push(with_event.clock.now() + 5.0, "y").deadline
+            == without_event.push(without_event.clock.now() + 5.0, "y").deadline
             == 15.0
         )
 
     def test_drain_until_never_moves_clock_backwards(self):
-        sched = HeapScheduler()
+        sched = EventScheduler()
         sched.clock.advance(20.0)
         assert list(sched.drain_until(10.0)) == []
         assert sched.clock.now() == 20.0
@@ -206,7 +183,7 @@ class TestTupleHeap:
         sched = EventScheduler()
         with pytest.raises(ValueError, match="finite and >= 0"):
             sched.push(deadline, "x")
-        assert len(sched) == 0
+        assert list(sched.drain()) == []
 
     def test_nan_cannot_corrupt_the_dispatch_order(self):
         """``nan < 0`` is false: the seed accepted nan deadlines and
@@ -222,7 +199,7 @@ class TestTupleHeap:
     def test_push_after_rejects_a_nan_delay(self):
         sched = EventScheduler()
         with pytest.raises(ValueError):
-            sched.push_after(float("nan"), "x")
+            sched.push(sched.clock.now() + float("nan"), "x")
 
     def test_zero_deadline_is_accepted(self):
         sched = EventScheduler()
@@ -249,16 +226,13 @@ class TestTupleHeap:
         sched = EventScheduler()
         pushed = sched.push(2.0, "x")
         assert (pushed.deadline, pushed.seqno, pushed.payload) == (2.0, 0, "x")
-        assert sched.peek() is pushed
         assert sched.pop() is pushed
 
-    def test_peek_is_the_earliest_event_not_the_heap_entry(self):
+    def test_pop_is_the_earliest_event_not_the_heap_entry(self):
         sched = EventScheduler()
-        assert sched.peek() is None
         sched.push(5.0, "late")
         early = sched.push(1.0, "early")
-        assert sched.peek() is early
-        assert len(sched) == 2
+        assert sched.pop() is early
 
     def test_drain_until_reads_the_deadline_of_the_heap_entry(self):
         sched = EventScheduler()
@@ -266,13 +240,12 @@ class TestTupleHeap:
             sched.push(deadline, {"at": deadline})
         assert [e.deadline for e in sched.drain_until(2.0)] == [1.0, 2.0, 2.0]
         assert sched.clock.now() == 2.0
-        assert sched.peek().deadline == 3.0
+        assert sched.pop().deadline == 3.0
 
     def test_clear_drops_entries_and_keeps_sequence_numbers_unique(self):
         sched = EventScheduler()
         sched.push(1.0, "a")
         sched.push(1.0, "b")
         sched.clear()
-        assert len(sched) == 0 and sched.peek() is None
         assert list(sched.drain_until(5.0)) == []
         assert sched.push(1.0, "c").seqno == 2

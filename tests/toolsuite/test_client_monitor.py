@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import MtmInterpreterEngine
 from repro.errors import BenchmarkError
+from repro.metrics.navg import compute_metrics
 from repro.scenario import build_scenario
 from repro.toolsuite import BenchmarkClient, Monitor, ScaleFactors
 from repro.toolsuite.verification import VerificationReport
@@ -104,22 +105,14 @@ class TestMonitor:
 
     def test_metrics_for_period(self, period_result):
         _, _, client, _ = period_result
-        report = client.monitor.metrics_for_period(0)
-        assert "P04" in report
-        assert client.monitor.metrics_for_period(99).process_ids == []
 
-    def test_metrics_for_period_applies_time_scale(self, period_result):
-        """Per-period reports honour t just like the run-wide report."""
-        _, _, client, _ = period_result
-        base = client.monitor.metrics_for_period(0)
-        doubled = Monitor(time_scale=2.0)
-        doubled.absorb(client.monitor.records)
-        report = doubled.metrics_for_period(0)
-        for pid in base.process_ids:
-            assert report[pid].navg_plus == pytest.approx(
-                2 * base[pid].navg_plus
+        def for_period(period):
+            return compute_metrics(
+                client.monitor.records.where("period", lambda p: p == period)
             )
-            assert report[pid].navg == pytest.approx(2 * base[pid].navg)
+
+        assert "P04" in for_period(0).per_type
+        assert for_period(99).process_ids == []
 
     def test_ascii_plot_lists_all_types(self, period_result):
         _, _, client, _ = period_result
@@ -147,12 +140,6 @@ class TestMonitor:
 
     def test_empty_monitor_plot(self):
         assert "(no data)" in Monitor().performance_plot()
-
-    def test_clear(self):
-        monitor = Monitor()
-        monitor.absorb([])
-        monitor.clear()
-        assert monitor.records == []
 
 
 class TestVerificationReport:

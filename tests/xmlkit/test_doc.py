@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XmlParseError
 from repro.xmlkit.doc import XmlElement, parse_xml, serialize_xml
+from tests.oracle.xml import structurally_equal
 
 
 class TestBuilding:
@@ -64,22 +65,22 @@ class TestCopyEquality:
     def test_structural_equality(self):
         a = parse_xml("<a x='1'><b>t</b></a>")
         b = parse_xml("<a x='1'><b>t</b></a>")
-        assert a.structurally_equal(b)
+        assert structurally_equal(a, b)
 
     def test_attribute_difference_detected(self):
         a = parse_xml("<a x='1'/>")
         b = parse_xml("<a x='2'/>")
-        assert not a.structurally_equal(b)
+        assert not structurally_equal(a, b)
 
     def test_child_count_difference_detected(self):
         a = parse_xml("<a><b/></a>")
         b = parse_xml("<a><b/><b/></a>")
-        assert not a.structurally_equal(b)
+        assert not structurally_equal(a, b)
 
     def test_text_whitespace_normalized(self):
         a = parse_xml("<a>t</a>")
         b = XmlElement("a", text="  t  ")
-        assert a.structurally_equal(b)
+        assert structurally_equal(a, b)
 
 
 class TestParseSerialize:
@@ -101,7 +102,7 @@ class TestParseSerialize:
         doc = parse_xml("<a><b>t</b></a>")
         pretty = serialize_xml(doc, indent=2)
         assert "\n  <b>" in pretty
-        assert parse_xml(pretty).structurally_equal(doc)
+        assert structurally_equal(parse_xml(pretty), doc)
 
     def test_self_closing_for_empty(self):
         assert serialize_xml(XmlElement("empty")) == "<empty/>"

@@ -30,9 +30,9 @@ from repro.xmlkit.stx import (
     Stylesheet,
     UnwrapRule,
     ValueRule,
-    iter_events,
 )
 from tests.oracle import xml as oracle
+from tests.oracle.xml import iter_events
 
 
 def outcome(fn, *args):
@@ -313,7 +313,7 @@ class TestStylesheetsOverRows:
     )
     def test_the_two_p09_stylesheets_rename_without_a_tree(self, sheet, root, row_tag):
         rows = [{"k": 1, "v": "a"}, {"k": None, "v": ""}]
-        run = translate(sheet().rules, ("k", "v"), rows, root, row_tag)
+        run = translate(sheet()._rules, ("k", "v"), rows, root, row_tag)
         assert run.kept and run.shared and not run.read
         output = sheet().transform(run.document)[0]
         assert (output.tag, output.row_tag) == ("ResultSet", "Row")

@@ -106,8 +106,8 @@ class TestScenarioDispatch:
                 for sheet, (_, documents) in zip(sheets, cases)
             ]
 
-        expected = transform_all([Stylesheet(s.name, s.rules) for s, _ in cases])
-        shared = [Stylesheet(s.name, s.rules) for s, _ in cases]
+        expected = transform_all([Stylesheet(s.name, s._rules) for s, _ in cases])
+        shared = [Stylesheet(s.name, s._rules) for s, _ in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

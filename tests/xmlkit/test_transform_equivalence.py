@@ -36,10 +36,10 @@ from repro.xmlkit.stx import (
     TemplateRule,
     UnwrapRule,
     ValueRule,
-    iter_events,
 )
 from repro.xmlkit.xsd import XsdAttribute, XsdChild, XsdElement, XsdSchema
 from tests.oracle import xml as oracle
+from tests.oracle.xml import iter_events
 
 
 def outcome(fn, *args):
@@ -164,7 +164,7 @@ class Pair:
 
     def retarget(self, to, attribute_renames):
         """Edit the rules in place: both sheets hold the same objects."""
-        for rule in self.new.rules:
+        for rule in self.new._rules:
             if type(rule) in (RenameRule, ValueRule):
                 rule.to = to
             if type(rule) is RenameRule:
@@ -270,7 +270,7 @@ class TestTransformMatchesTheOracle:
     def test_every_scenario_stylesheet_over_a_period_of_documents(self, period_xml):
         transformed = 0
         for sheet, documents in period_xml.sheets.values():
-            pair = Pair(sheet.rules, sheet.name)
+            pair = Pair(sheet._rules, sheet.name)
             for document in documents:
                 assert pair.check(document)[0] == "ok", sheet.name
             transformed += len(documents)
