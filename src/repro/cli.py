@@ -558,6 +558,9 @@ def _convergence_spec(args: argparse.Namespace, name: str, crashes) -> RunSpec:
         problems = spec.faults.validate()
         if problems:
             raise _UsageError("invalid fault spec: " + "; ".join(problems))
+        problems = spec.problems()
+        if problems:
+            raise _UsageError("invalid run spec: " + "; ".join(problems))
     return spec
 
 

@@ -328,8 +328,10 @@ class IntegrationEngine:
         The BenchmarkClient assigns this after construction, so metric
         handles are re-bound here rather than in ``__init__``.
         """
-        self._observability = obs if obs is not None else Observability.disabled()
+        self._observability = obs if obs is not None else Observability()
         metrics = self._observability.metrics
+        if metrics is None:
+            return
         self._m_queue_wait = metrics.histogram(
             "engine_queue_wait",
             buckets=QUEUE_WAIT_BUCKETS,
@@ -345,7 +347,8 @@ class IntegrationEngine:
 
     def _enable_profiling(self, context: ExecutionContext) -> None:
         """Arm the context's operator/network logs when observing."""
-        if self._observability.enabled:
+        obs = self._observability
+        if obs.tracer is not None or obs.metrics is not None:
             context.operator_log = []
             context.network_log = []
             self._profile_fastpath_base = fastpath.STATS.copy()
@@ -625,7 +628,8 @@ class IntegrationEngine:
                 else None
             )
             res.account(record, mttr)
-        if self._observability.enabled:
+        obs = self._observability
+        if obs.tracer is not None or obs.metrics is not None:
             self._observe_instance(
                 record, self._last_profile, outcome[3] if outcome else 0.0
             )
@@ -759,8 +763,9 @@ class IntegrationEngine:
         self.records.append(record)
         if self.storage is not None:
             self.storage.commit_instance(self, record)
-        if self._observability.enabled:
-            self._observability.metrics.counter(
+        metrics = self._observability.metrics
+        if metrics is not None:
+            metrics.counter(
                 "engine_instances_total",
                 help="Process instances executed",
                 labels={
@@ -836,7 +841,7 @@ class IntegrationEngine:
         weights = [self._operator_weight(op) for op in operators]
 
         metrics = obs.metrics
-        if metrics.enabled:
+        if metrics is not None:
             metrics.counter(
                 "engine_instances_total",
                 help="Process instances executed",
@@ -853,7 +858,7 @@ class IntegrationEngine:
                 self._m_operator_cost.observe(weight)
 
         tracer = obs.tracer
-        if not tracer.enabled:
+        if tracer is None:
             return
         span = tracer.begin(
             f"{record.process_id}#{record.instance_id}",

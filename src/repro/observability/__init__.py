@@ -5,20 +5,20 @@ records; this package makes the *inside* of a run visible — operator
 execution, DB/network calls, queue waits — as hierarchical spans on the
 virtual timeline plus a shared metrics registry, with deterministic
 exporters (JSONL spans, Chrome ``trace_event`` JSON for Perfetto, and
-Prometheus text).
+Prometheus text).  A half left ``None`` is off and costs nothing.
 
 Quick start::
 
-    from repro.observability import Observability
+    from repro.observability import MetricsRegistry, Observability, Tracer
 
-    obs = Observability()
+    obs = Observability(Tracer(), MetricsRegistry())
     client = BenchmarkClient(scenario, engine, observability=obs)
     client.run()
     obs.write_chrome_trace("trace.json")   # open in ui.perfetto.dev
     print(obs.prometheus())
 """
 
-from repro.observability.context import DISABLED, Observability
+from repro.observability.context import Observability
 from repro.observability.export import (
     export_chrome_trace,
     export_prometheus,
@@ -30,7 +30,6 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     ObservabilityError,
     PAYLOAD_BUCKETS,
     QUEUE_WAIT_BUCKETS,
@@ -41,8 +40,6 @@ from repro.observability.profile import (
     OperatorObservation,
 )
 from repro.observability.tracer import (
-    NullSpan,
-    NullTracer,
     Span,
     STATUS_ERROR,
     STATUS_OK,
@@ -50,7 +47,6 @@ from repro.observability.tracer import (
 )
 
 __all__ = [
-    "DISABLED",
     "DEFAULT_BUCKETS",
     "Counter",
     "ExecutionProfile",
@@ -58,9 +54,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NetworkObservation",
-    "NullMetricsRegistry",
-    "NullSpan",
-    "NullTracer",
     "Observability",
     "ObservabilityError",
     "OperatorObservation",

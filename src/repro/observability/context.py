@@ -2,9 +2,10 @@
 
 One object carries the run's :class:`Tracer` and
 :class:`MetricsRegistry`; subsystems take it as an optional constructor
-argument (or have it attached by the :class:`BenchmarkClient`) and fall
-back to the shared disabled bundle, which makes every instrumentation
-point a no-op.
+argument (or have it attached by the :class:`BenchmarkClient`).  Either
+half may be ``None``, which is how that half is switched off: every
+instrumentation point guards on the half it touches, so an unobserved
+run builds no tracer, no span and no instrument.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ from repro.observability.export import (
     export_prometheus,
     export_spans_jsonl,
 )
-from repro.observability.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.observability.tracer import NullTracer, Tracer
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracer import Tracer
 
 
 class Observability:
     """Tracer + metrics registry for one benchmark run.
 
-    >>> obs = Observability()           # tracing + metrics on
-    >>> off = Observability.disabled()  # the zero-overhead default
-    >>> off.enabled
-    False
+    >>> obs = Observability(Tracer(), MetricsRegistry())  # both on
+    >>> off = Observability()                             # both off
+    >>> off.tracer is None and off.metrics is None
+    True
     """
 
     def __init__(
@@ -33,19 +34,10 @@ class Observability:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.tracer = tracer
+        self.metrics = metrics
 
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled or self.metrics.enabled
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """A fresh all-null bundle (NullTracer + NullMetricsRegistry)."""
-        return cls(NullTracer(), NullMetricsRegistry())
-
-    # -- export convenience ---------------------------------------------------
+    # -- export convenience (each needs its half on) -----------------------------
 
     def spans_jsonl(self) -> str:
         return export_spans_jsonl(self.tracer)
@@ -64,8 +56,3 @@ class Observability:
 
     def write_prometheus(self, path: str) -> None:
         write_text_atomic(path, self.prometheus())
-
-
-#: Shared disabled bundle for subsystems constructed without one.  Null
-#: tracers/registries store nothing, so sharing one instance is safe.
-DISABLED = Observability.disabled()

@@ -159,8 +159,6 @@ class MetricsRegistry:
     1.0
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: dict[tuple[str, _LabelKey], Instrument] = {}
 
@@ -261,49 +259,3 @@ class MetricsRegistry:
             else:
                 out[f"{instrument.name}{suffix}"] = instrument.value
         return out
-
-
-class _NullInstrument:
-    """Accepts every instrument method as a no-op."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_max(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """Zero-overhead registry: every lookup returns one shared no-op."""
-
-    enabled = False
-
-    def counter(self, name, help="", labels=None):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, help="", labels=None):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, buckets=DEFAULT_BUCKETS, help="", labels=None):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def collect(self):  # type: ignore[override]
-        return []
-
-    def merge(self, shard):  # type: ignore[override]
-        pass

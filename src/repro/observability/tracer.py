@@ -10,9 +10,8 @@ tracer carries a ``time_offset`` the benchmark client advances between
 periods; spans record offset-adjusted times, giving one globally
 monotone timeline that the Chrome-trace exporter can lay out directly.
 
-The default :class:`NullTracer` makes every call a no-op returning one
-shared :class:`NullSpan`, so instrumented hot paths cost nothing when
-tracing is off.
+Tracing off is no tracer at all: instrumented sites hold ``None`` and
+skip their span calls, so a run that traces nothing builds no span.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class Span:
         name: str,
         kind: str,
         start_time: float,
-        tracer: "Tracer | None" = None,
+        tracer: "Tracer",
         attributes: Mapping[str, object] | None = None,
     ):
         self.span_id = span_id
@@ -82,8 +81,7 @@ class Span:
 
     def end(self, at: float, status: str = STATUS_OK, error: str = "") -> None:
         """Finish the span at virtual time ``at`` (tracer offset applies)."""
-        if self._tracer is not None:
-            self._tracer._finish(self, at, status, error)
+        self._tracer._finish(self, at, status, error)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation (the JSONL exporter's row)."""
@@ -114,8 +112,6 @@ class Tracer:
     ``use_parent`` temporarily reparents — the benchmark client uses it
     to attach engine-emitted instance spans to the right stream span.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
@@ -208,44 +204,3 @@ class Tracer:
 
     def spans_of_kind(self, kind: str) -> list[Span]:
         return [s for s in self.spans if s.kind == kind]
-
-
-class NullSpan(Span):
-    """The shared do-nothing span the NullTracer hands out."""
-
-    def __init__(self) -> None:
-        super().__init__(0, None, "", "null", 0.0, tracer=None)
-
-    def set_attribute(self, key: str, value: object) -> None:
-        pass
-
-    def end(self, at: float, status: str = STATUS_OK, error: str = "") -> None:
-        pass
-
-
-_NULL_SPAN = NullSpan()
-
-
-class NullTracer(Tracer):
-    """Zero-overhead tracer: records nothing, allocates nothing per call."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    @property
-    def current(self) -> Span | None:
-        return None
-
-    def begin(self, name, start, kind="span", parent=None, attributes=None,
-              activate=True):  # type: ignore[override]
-        return _NULL_SPAN
-
-    def record(self, name, start, end, kind="span", parent=None,
-               attributes=None, status=STATUS_OK, error=""):  # type: ignore[override]
-        return _NULL_SPAN
-
-    @contextmanager
-    def use_parent(self, span):  # type: ignore[override]
-        yield

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.cluster import ClusterConfig
@@ -27,8 +28,8 @@ from repro.engine import ENGINES
 from repro.engine.base import InstanceRecord
 from repro.errors import BenchmarkError, ReproError
 from repro.observability import Observability
-from repro.observability.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.observability.tracer import NullTracer, Tracer
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracer import Tracer
 from repro.resilience import FaultSpec, RetryPolicy
 from repro.scenario import build_scenario
 from repro.storage import DURABILITY_MODES
@@ -200,8 +201,9 @@ class RunSpec:
 
         The declared ranges, the synth knob string's own problems, the
         one knob a synthesized run cannot honour (the classic San Diego
-        order error rate) and the two knobs that need durability (crash
-        recovery and a cluster both replay the WAL): the serving
+        order error rate), the two knobs that need durability (crash
+        recovery and a cluster both replay the WAL) and a crash timeline
+        that kills every cluster host in one period: the serving
         translator prefixes each with ``spec.`` for its 400 body, the
         CLI prints them and exits 2, :func:`client_from_spec` refuses to
         build anything while the list is non-empty.
@@ -217,6 +219,20 @@ class RunSpec:
                 found.append(
                     "cluster_hosts: a cluster replicates the WAL, so it "
                     f"needs durability wal or snapshot+wal: {self.cluster_hosts}"
+                )
+        if self.cluster_hosts > 0 and self.faults is not None:
+            # A crash kills one host, which stays dead until the next
+            # period; an event without a period recurs in every one.
+            crashes = [e.period for e in self.faults.events if e.kind == "crash"]
+            pinned = Counter(
+                p for p in crashes if p is not None and p < self.periods
+            )
+            worst = crashes.count(None) + max(pinned.values(), default=0)
+            if worst >= self.cluster_hosts:
+                found.append(
+                    f"faults: {worst} crashes in one period kill all "
+                    f"{self.cluster_hosts} cluster hosts, and a dead host "
+                    "stays dead until the next period"
                 )
         if self.synth:
             from repro.synth.spec import knob_problems
@@ -362,16 +378,10 @@ def client_from_spec(spec: RunSpec, workload=None):
     problems = spec.problems()
     if problems:
         raise BenchmarkError("invalid run spec: " + "; ".join(problems))
-    observability = None
-    if spec.collect_metrics or spec.collect_trace:
-        observability = Observability(
-            tracer=Tracer() if spec.collect_trace else NullTracer(),
-            metrics=(
-                MetricsRegistry()
-                if spec.collect_metrics
-                else NullMetricsRegistry()
-            ),
-        )
+    observability = Observability(
+        tracer=Tracer() if spec.collect_trace else None,
+        metrics=MetricsRegistry() if spec.collect_metrics else None,
+    )
     if spec.synth and workload is None:
         from repro.synth import SynthSpec, synthesize
 
@@ -445,15 +455,12 @@ def run_spec(spec: RunSpec) -> RunOutcome:
         client = client_from_spec(spec)
         result = client.run(verify=spec.verify)
         digest = landscape_digest(client.scenario.all_databases.values())
-        metrics_shard = None
-        if spec.collect_metrics:
-            metrics_shard = client.observability.metrics
         return RunOutcome(
             spec=spec,
             status="ok",
             result=result,
             landscape_digest=digest,
-            metrics_shard=metrics_shard,
+            metrics_shard=client.observability.metrics,
             wall_seconds=time.perf_counter() - started,
         )
     except Exception as exc:

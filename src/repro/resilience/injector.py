@@ -23,7 +23,6 @@ import random
 from typing import TYPE_CHECKING, Mapping
 
 from repro.resilience.faults import FaultEvent, FaultSpec, corrupt_document
-from repro.simtime.clock import VirtualClock
 from repro.simtime.scheduler import EventScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +51,7 @@ class FaultInjector:
         #: message_type -> inbound XSD, for corruption validation.
         self.schemas = dict(schemas or {})
         self._metrics = metrics
-        self._scheduler = EventScheduler(VirtualClock())
+        self._scheduler = EventScheduler()
         self._rng = random.Random(spec.seed)
         self._period = -1
         #: Link faults currently applied: (src, dst) -> kind.
@@ -81,7 +80,7 @@ class FaultInjector:
         self._period = period
         # Per-period RNG stream: deterministic in (seed, period) only.
         self._rng = random.Random(self.spec.seed + 7919 * period)
-        self._scheduler = EventScheduler(VirtualClock())
+        self._scheduler = EventScheduler()
         for event in self.spec.timeline(period):
             self._scheduler.push(self._to_engine(event.at), event)
 

@@ -40,7 +40,7 @@ from repro.errors import (
     TranslationError,
     UnknownTenant,
 )
-from repro.observability.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 from repro.parallel.spec import RunOutcome
 from repro.resilience import (
     BreakerPolicy,
@@ -114,11 +114,10 @@ class SessionManager:
     def __init__(
         self,
         config: ServeConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.config = config or ServeConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.clock = clock
         self.store = SessionStore()
         self.admission = AdmissionController(
@@ -127,11 +126,10 @@ class SessionManager:
             default_policy=self.config.default_policy,
             clock=clock,
         )
-        live = self.metrics if self.metrics.enabled else None
         self.breakers = CircuitBreakerBoard(
-            policy=self.config.breaker, metrics=live
+            policy=self.config.breaker, metrics=self.metrics
         )
-        self.dead_letters = DeadLetterQueue(metrics=live)
+        self.dead_letters = DeadLetterQueue(metrics=self.metrics)
         self.dispatcher = DISPATCHERS[self.config.dispatcher](
             slots=self.config.engine_slots,
             start_method=self.config.start_method,
@@ -227,12 +225,11 @@ class SessionManager:
         breaker = self.breakers.breaker(tenant)
         if not breaker.allow(t1):
             self._count_rejection(tenant, "circuit-open")
-            if self.metrics.enabled:
-                self.metrics.counter(
-                    "circuit_rejections_total",
-                    help="Calls rejected by an open circuit breaker",
-                    labels={"service": tenant},
-                ).inc()
+            self.metrics.counter(
+                "circuit_rejections_total",
+                help="Calls rejected by an open circuit breaker",
+                labels={"service": tenant},
+            ).inc()
             raise CircuitOpenError(
                 f"circuit breaker for tenant {tenant!r} is {breaker.state} "
                 f"(repeated session failures; retry later)"
@@ -252,28 +249,25 @@ class SessionManager:
         session.admission_s = self.clock() - t1
         session._enqueued_at = self.clock()  # type: ignore[attr-defined]
         self._queue.put_nowait(session)
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "serve_sessions_submitted_total",
-                help="Sessions admitted into the request queue",
-                labels={"tenant": tenant},
-            ).inc()
-            depth = self.metrics.gauge(
-                "serve_queue_depth_peak",
-                help="High-water mark of the request queue",
-            )
-            depth.set_max(float(self._queue.qsize()))
+        self.metrics.counter(
+            "serve_sessions_submitted_total",
+            help="Sessions admitted into the request queue",
+            labels={"tenant": tenant},
+        ).inc()
+        self.metrics.gauge(
+            "serve_queue_depth_peak",
+            help="High-water mark of the request queue",
+        ).set_max(float(self._queue.qsize()))
         return session
 
     def _count_rejection(self, tenant: str, reason: str) -> None:
         per_tenant = self.rejections.setdefault(tenant, {})
         per_tenant[reason] = per_tenant.get(reason, 0) + 1
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "serve_rejections_total",
-                help="Sessions rejected before entering the queue",
-                labels={"tenant": tenant, "reason": reason},
-            ).inc()
+        self.metrics.counter(
+            "serve_rejections_total",
+            help="Sessions rejected before entering the queue",
+            labels={"tenant": tenant, "reason": reason},
+        ).inc()
 
     # -- execution slots ------------------------------------------------------------
 
@@ -377,8 +371,6 @@ class SessionManager:
             )
         agg["failovers"] += len(reports)
         agg["rpo_records"] += sum(r.rpo_records for r in reports)
-        if not self.metrics.enabled:
-            return
         labels = {"tenant": session.tenant}
         if repl is not None:
             self.metrics.gauge(
@@ -409,8 +401,6 @@ class SessionManager:
     def _book_metrics(self, session: Session) -> None:
         latency = session.serve_overhead_s + session.engine_wall_s
         self._latencies.setdefault(session.tenant, []).append(latency)
-        if not self.metrics.enabled:
-            return
         labels = {"tenant": session.tenant}
         self.metrics.counter(
             "serve_sessions_total",

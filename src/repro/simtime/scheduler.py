@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.observability.metrics import MetricsRegistry
-from repro.simtime.clock import VirtualClock
 
 
 @dataclass(order=True, frozen=True)
@@ -28,21 +27,17 @@ class ScheduledEvent:
 
 
 class EventScheduler:
-    """A discrete-event queue bound to a :class:`VirtualClock`.
+    """A discrete-event queue over virtual time.
 
     Events may be pushed in any order; :meth:`drain` pops them in
-    deadline order and advances the clock to each deadline.  Consumers
+    deadline order.  The queue keeps no clock: an event's deadline is
+    the time it happens, and consumers read it from the event.  Consumers
     may push further events while draining (e.g. a process that
     re-schedules itself), which is why draining re-examines the heap
     after every event.
     """
 
-    def __init__(
-        self,
-        clock: VirtualClock | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self, metrics: MetricsRegistry | None = None):
         #: ``(deadline, seqno, event)`` entries: the unique seqno decides
         #: every tie, so the heap orders plain tuples at C level and never
         #: compares events or payloads.
@@ -78,40 +73,33 @@ class EventScheduler:
         return event
 
     def pop(self) -> ScheduledEvent:
-        """Remove and return the next event, advancing the clock to it."""
+        """Remove and return the next event."""
         if not self._heap:
             raise IndexError("pop from an empty event scheduler")
-        deadline, _, event = heapq.heappop(self._heap)
-        self.clock.advance_to(deadline)
+        event = heapq.heappop(self._heap)[2]
         if self._metrics is not None:
             self._m_dispatched.inc()
         return event
 
     def drain(self) -> Iterator[ScheduledEvent]:
-        """Yield all events in deadline order, advancing the clock."""
+        """Yield all events in deadline order."""
         while self._heap:
             yield self.pop()
 
     def drain_until(self, deadline: float) -> Iterator[ScheduledEvent]:
-        """Yield events due at or before ``deadline``, advancing the clock.
+        """Yield events due at or before ``deadline``.
 
         The fault injector uses this to apply every fault whose time has
         come whenever the engine advances virtual time.
 
         Equal deadlines dispatch in push (FIFO) order, including events
         pushed *during* the drain at exactly ``deadline`` — they sort
-        behind already-queued ties by sequence number.  After the drain
-        the clock rests exactly at ``deadline`` (never behind it), so a
-        deadline computed from ``clock.now()`` afterwards is anchored at
-        the drained-to time instead of the last event's — without this,
-        two schedulers that drained through different event prefixes
-        would compute different absolute deadlines for the same relative
-        delay, and worker-local schedules could diverge from the serial
-        run.
+        behind already-queued ties by sequence number — so the dispatch
+        order is a pure function of push order, whichever worker runs
+        the schedule.
         """
         while self._heap and self._heap[0][0] <= deadline:
             yield self.pop()
-        self.clock.advance_to(deadline)
 
     def clear(self) -> None:
         """Drop all pending events (used between benchmark periods)."""

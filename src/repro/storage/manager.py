@@ -87,9 +87,7 @@ class StorageManager:
         self.mode = mode
         self.checkpoint_every = checkpoint_every
         self.group_commit_window = group_commit_window
-        self._metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
+        self._metrics = metrics
         self.databases: dict[str, "Database"] = {}
         self.wals: dict[str, WriteAheadLog] = {}
         #: Optional cluster replication hook (a ClusterManager): told

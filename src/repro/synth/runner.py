@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import partial
 
 from repro.engine.base import InstanceRecord, IntegrationEngine, ProcessType
-from repro.simtime.clock import VirtualClock
 from repro.simtime.scheduler import EventScheduler
 from repro.synth.generator import SynthWorkload
 from repro.toolsuite.client import BenchmarkClient
@@ -77,7 +76,7 @@ class SynthClient(BenchmarkClient):
         }
         for r, rnd in enumerate(workload.plan(period).rounds):
             round_base = r * _ROUND_SPACING_TU
-            scheduler = EventScheduler(VirtualClock())
+            scheduler = EventScheduler()
             for s, (process_id, source, kind) in enumerate(streams):
                 rows = getattr(rnd, kind).get(source, ())
                 for k, row in enumerate(rows):

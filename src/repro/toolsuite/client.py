@@ -56,7 +56,6 @@ from repro.resilience import (
 from repro.scenario.messages import MessageFactory
 from repro.scenario.topology import Scenario
 from repro.scenario.xmlschemas import message_schemas
-from repro.simtime.clock import VirtualClock
 from repro.simtime.scheduler import EventScheduler
 from repro.storage import RecoveryManager, RecoveryReport, StorageManager
 from repro.toolsuite.initializer import Initializer
@@ -151,12 +150,11 @@ class BenchmarkClient:
         #: One observability context for the whole run; threaded through
         #: the engine, network, initializer, and monitor so every layer
         #: reports into the same tracer and metrics registry.
-        self.observability = observability or Observability.disabled()
-        if self.observability.enabled:
-            self.engine.observability = self.observability
-            self.scenario.registry.network.bind_metrics(
-                self.observability.metrics
-            )
+        self.observability = observability or Observability()
+        self.engine.observability = self.observability
+        metrics = self.observability.metrics
+        if metrics is not None:
+            self.scenario.registry.network.bind_metrics(metrics)
         self.monitor = Monitor(
             time_scale=self.factors.time, observability=self.observability
         )
@@ -167,7 +165,6 @@ class BenchmarkClient:
         self.fault_spec = faults
         self.resilience: ResilienceContext | None = None
         if faults is not None or resilience is not None:
-            metrics = self.observability.metrics
             injector = None
             if faults is not None:
                 problems = faults.validate(
@@ -183,19 +180,15 @@ class BenchmarkClient:
                     registry=self.scenario.registry,
                     factors=self.factors,
                     schemas=message_schemas(),
-                    metrics=metrics if metrics.enabled else None,
+                    metrics=metrics,
                 )
-            breakers = CircuitBreakerBoard(
-                metrics=metrics if metrics.enabled else None
-            )
+            breakers = CircuitBreakerBoard(metrics=metrics)
             self.resilience = ResilienceContext(
                 policy=resilience,
                 injector=injector,
                 breakers=breakers,
-                dead_letters=DeadLetterQueue(
-                    metrics=metrics if metrics.enabled else None
-                ),
-                metrics=metrics if metrics.enabled else None,
+                dead_letters=DeadLetterQueue(metrics=metrics),
+                metrics=metrics,
                 seed=seed + (faults.seed if faults is not None else 0),
             )
             self.engine.resilience = self.resilience
@@ -207,7 +200,6 @@ class BenchmarkClient:
         #: to engine units like every other schedule quantity.
         self.storage: StorageManager | None = None
         if durability != "off":
-            metrics = self.observability.metrics
             self.storage = StorageManager(
                 mode=durability,
                 checkpoint_every=(
@@ -215,7 +207,7 @@ class BenchmarkClient:
                     if checkpoint_every is not None
                     else None
                 ),
-                metrics=metrics if metrics.enabled else None,
+                metrics=metrics,
             )
             for db in self.scenario.all_databases.values():
                 self.storage.attach(db)
@@ -240,14 +232,13 @@ class BenchmarkClient:
                     "a cluster replicates the WAL, so it needs durability "
                     "on; pass durability='wal' or 'snapshot+wal'"
                 )
-            metrics = self.observability.metrics
             self.cluster = ClusterManager(
                 cluster,
                 self.storage,
                 self.scenario.registry.network,
                 self.factors,
                 seed=self.seed,
-                metrics=metrics if metrics.enabled else None,
+                metrics=metrics,
             )
         self.recovery_reports: list[RecoveryReport] = []
         self._last_period: int | None = None
@@ -285,7 +276,7 @@ class BenchmarkClient:
         # sweep) or get one each (parallel sweep workers).
         fastpath_base = fastpath.STATS.copy()
         partition_base = partition.STATS.copy()
-        if tracer.enabled:
+        if tracer is not None:
             tracer.time_offset = 0.0
             self._run_span = tracer.begin(
                 "run",
@@ -308,9 +299,9 @@ class BenchmarkClient:
             self._run_span.end(self._trace_offset)
             self._run_span = None
         verification = self._phase_post(verify)
-        if self.observability.metrics.enabled:
+        registry = self.observability.metrics
+        if registry is not None:
             delta = fastpath.STATS - fastpath_base
-            registry = self.observability.metrics
             registry.gauge("db_rows_copied").set(float(delta.rows_copied))
             registry.gauge("db_rows_shared").set(float(delta.rows_shared))
             registry.gauge("expr_compiled").set(float(delta.expr_compiled))
@@ -396,7 +387,7 @@ class BenchmarkClient:
         self._phase_pre()  # idempotent: deploys only when nothing is deployed
         tracer = self.observability.tracer
         period_span: Span | None = None
-        if tracer.enabled:
+        if tracer is not None:
             # Each period's virtual clock restarts at zero: shift this
             # period's spans past everything already recorded.
             tracer.time_offset = self._trace_offset
@@ -427,7 +418,7 @@ class BenchmarkClient:
             # and revive whatever failovers the last period killed.
             self.cluster.begin_period(period)
         records_before = len(self.engine.records)
-        if tracer.enabled:
+        if tracer is not None:
             self._stream_spans = {
                 stream: tracer.begin(
                     stream, start=0.0, kind="stream",
@@ -468,7 +459,7 @@ class BenchmarkClient:
             )
             self._trace_offset += duration
         metrics = self.observability.metrics
-        if metrics.enabled:
+        if metrics is not None:
             metrics.counter(
                 "client_periods_total", help="Benchmark periods executed"
             ).inc()
@@ -590,10 +581,7 @@ class BenchmarkClient:
         in deadline order, the T1-dependent E2 chain, then C, then D."""
         factory = self._last_factory
         schedule = build_schedule(period, self.factors)
-        metrics = self.observability.metrics
-        scheduler = EventScheduler(
-            VirtualClock(), metrics=metrics if metrics.enabled else None
-        )
+        scheduler = EventScheduler(metrics=self.observability.metrics)
 
         builders = {
             "P01": lambda: factory.beijing_master_data(),

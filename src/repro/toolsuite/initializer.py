@@ -43,7 +43,7 @@ class Initializer:
         self.f = f
         self.seed = seed
         self.profile = profile or GeneratorProfile()
-        self.observability = observability or Observability.disabled()
+        self.observability = observability or Observability()
 
     # -- helpers -----------------------------------------------------------------
 
@@ -63,10 +63,11 @@ class Initializer:
         """Empty every external system."""
         self.scenario.uninitialize()
         obs = self.observability
-        if obs.enabled:
+        if obs.tracer is not None:
             # Initialization happens before the period's virtual clock
             # starts running, so the span is an instant at period start.
             obs.tracer.record("uninitialize", 0.0, 0.0, kind="init")
+        if obs.metrics is not None:
             obs.metrics.counter(
                 "initializer_uninitialize_total",
                 help="Per-period uninitializations of all external systems",
@@ -74,35 +75,32 @@ class Initializer:
 
     def initialize_sources(self, period: int = 0) -> Population:
         """Load fresh source data; returns the planted key population."""
-        obs = self.observability
-        if obs.enabled:
-            return self._initialize_sources_observed(period)
-        return self._initialize_sources(period)
-
-    def _initialize_sources_observed(self, period: int) -> Population:
         population = self._initialize_sources(period)
-        planted = sum(len(keys) for keys in population.customer_keys.values())
-        self.observability.tracer.record(
-            "initialize-sources", 0.0, 0.0, kind="init",
-            attributes={
-                "period": period,
-                "customers": planted,
-                "products": len(population.product_keys),
-            },
-        )
+        tracer = self.observability.tracer
         metrics = self.observability.metrics
-        metrics.counter(
-            "initializer_periods_total",
-            help="Per-period source initializations",
-        ).inc()
-        metrics.counter(
-            "initializer_customers_total",
-            help="Customer keys planted across all sources",
-        ).inc(planted)
-        metrics.counter(
-            "initializer_products_total",
-            help="Product keys planted in the catalog",
-        ).inc(len(population.product_keys))
+        planted = sum(len(keys) for keys in population.customer_keys.values())
+        if tracer is not None:
+            tracer.record(
+                "initialize-sources", 0.0, 0.0, kind="init",
+                attributes={
+                    "period": period,
+                    "customers": planted,
+                    "products": len(population.product_keys),
+                },
+            )
+        if metrics is not None:
+            metrics.counter(
+                "initializer_periods_total",
+                help="Per-period source initializations",
+            ).inc()
+            metrics.counter(
+                "initializer_customers_total",
+                help="Customer keys planted across all sources",
+            ).inc(planted)
+            metrics.counter(
+                "initializer_products_total",
+                help="Product keys planted in the catalog",
+            ).inc(len(population.product_keys))
         return population
 
     def _initialize_sources(self, period: int = 0) -> Population:

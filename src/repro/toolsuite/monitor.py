@@ -268,14 +268,14 @@ class Monitor:
         self.recoveries: list[RecoveryReport] = []
         #: Cluster failover reports (see :mod:`repro.cluster.failover`).
         self.failovers: list = []
-        self.observability = observability or Observability.disabled()
+        self.observability = observability or Observability()
 
     def absorb(self, records: Iterable[InstanceRecord]) -> None:
         """Book records; a history's rows are kept as they are."""
         records = InstanceHistory.of(records)
         self.records.extend(records)
         metrics = self.observability.metrics
-        if metrics.enabled and records:
+        if metrics is not None and records:
             metrics.counter(
                 "monitor_records_absorbed_total",
                 help="Instance records absorbed by the Monitor",

@@ -155,8 +155,8 @@ def run_once(workload: str, engine: str, config: str) -> dict:
         ),
         "traces": list(client.engine.traces),
         "profiles": profiles,
-        "spans": export_spans_jsonl(obs.tracer) if obs.tracer.enabled else "",
-        "metrics": export_prometheus(obs.metrics) if obs.metrics.enabled else "",
+        "spans": export_spans_jsonl(obs.tracer) if obs.tracer is not None else "",
+        "metrics": export_prometheus(obs.metrics) if obs.metrics is not None else "",
         "dead_letters": [repr(d) for d in res.dead_letters.entries] if res else [],
         "next_message_id": next_message_id,
         "transfers": client.scenario.registry.network.transfer_count,

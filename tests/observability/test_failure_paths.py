@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import MtmInterpreterEngine
 from repro.engine.base import InstanceHistory
-from repro.observability import Observability
+from repro.observability import MetricsRegistry, Observability, Tracer
 from repro.scenario import build_scenario
 from repro.toolsuite import BenchmarkClient, ScaleFactors
 
@@ -19,7 +19,7 @@ def _traced_client(scenario, observability, seed=5):
 
 class TestPartitionedNetwork:
     def test_error_record_and_error_status_span(self):
-        observability = Observability()
+        observability = Observability(Tracer(), MetricsRegistry())
         scenario = build_scenario(seed=5)
         client = _traced_client(scenario, observability)
         scenario.network.partition("IS", "ES")
@@ -44,7 +44,7 @@ class TestPartitionedNetwork:
         assert "operator" not in child_kinds
 
     def test_partition_errors_counted(self):
-        observability = Observability()
+        observability = Observability(Tracer(), MetricsRegistry())
         scenario = build_scenario(seed=5)
         client = _traced_client(scenario, observability)
         scenario.network.partition("IS", "ES")
@@ -53,7 +53,7 @@ class TestPartitionedNetwork:
         assert snapshot["network_partition_errors_total"] > 0
 
     def test_heal_restores_clean_runs_and_spans(self):
-        observability = Observability()
+        observability = Observability(Tracer(), MetricsRegistry())
         scenario = build_scenario(seed=5)
         client = _traced_client(scenario, observability)
         scenario.network.partition("IS", "ES")
@@ -74,7 +74,7 @@ class TestPartitionedNetwork:
 
 class TestJitterReproducibility:
     def _trace_fingerprint(self, seed):
-        observability = Observability()
+        observability = Observability(Tracer(), MetricsRegistry())
         scenario = build_scenario(jitter=0.3, seed=seed)
         client = _traced_client(scenario, observability, seed=seed)
         client.run_period(0)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine import FederatedEngine, MtmInterpreterEngine
-from repro.observability import Observability
+from repro.observability import MetricsRegistry, Observability, Tracer
 from repro.scenario import build_scenario
 from repro.toolsuite import BenchmarkClient, ScaleFactors
 
@@ -13,7 +13,7 @@ from repro.toolsuite import BenchmarkClient, ScaleFactors
 @pytest.fixture(scope="module")
 def traced_run():
     """One traced two-period interpreter run shared by read-only tests."""
-    observability = Observability()
+    observability = Observability(Tracer(), MetricsRegistry())
     scenario = build_scenario(seed=42)
     engine = MtmInterpreterEngine(scenario.registry)
     client = BenchmarkClient(
@@ -126,7 +126,7 @@ class TestMetricsSideOfTheRun:
 
 class TestZeroOverheadDefault:
     def test_default_run_identical_to_traced_run(self):
-        """NullTracer default changes no benchmark numbers."""
+        """The unobserved default changes no benchmark numbers."""
 
         def run(observability):
             scenario = build_scenario(seed=42)
@@ -138,7 +138,7 @@ class TestZeroOverheadDefault:
             client.run()
             return repr(client.monitor.metrics().rows())
 
-        assert run(None) == run(Observability())
+        assert run(None) == run(Observability(Tracer(), MetricsRegistry()))
 
     def test_federated_default_run_untraced(self):
         scenario = build_scenario(seed=3)
@@ -147,13 +147,13 @@ class TestZeroOverheadDefault:
             scenario, engine, ScaleFactors(datasize=0.02), periods=1, seed=3
         )
         client.run()
-        assert not client.observability.enabled
-        assert list(client.observability.tracer.spans) == []
+        assert client.observability.metrics is None
+        assert client.observability.tracer is None
 
 
 class TestFederatedTracing:
     def test_federated_engine_also_produces_operator_spans(self):
-        observability = Observability()
+        observability = Observability(Tracer(), MetricsRegistry())
         scenario = build_scenario(seed=11)
         engine = FederatedEngine(scenario.registry)
         client = BenchmarkClient(

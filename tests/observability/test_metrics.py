@@ -6,7 +6,6 @@ from repro.observability import (
     Counter,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     ObservabilityError,
     export_prometheus,
 )
@@ -95,17 +94,6 @@ class TestRegistry:
             ("a", (("k", "2"),)),
             ("z", ()),
         ]
-
-
-class TestNullRegistry:
-    def test_everything_is_a_noop(self):
-        reg = NullMetricsRegistry()
-        reg.counter("x").inc()
-        reg.gauge("y").set(3)
-        reg.histogram("z").observe(1.0)
-        assert reg.collect() == []
-        assert reg.snapshot() == {}
-        assert not reg.enabled
 
 
 class TestPrometheusExport:

@@ -1,12 +1,10 @@
-"""Tracer: span hierarchy, time offsets, null tracer, span exporters."""
+"""Tracer: span hierarchy, time offsets, span exporters."""
 
 import json
 
 import pytest
 
 from repro.observability import (
-    NullTracer,
-    Observability,
     Tracer,
     export_chrome_trace,
     export_spans_jsonl,
@@ -72,25 +70,6 @@ class TestSpans:
         tracer.record("early", 1.0, 2.0)
         rows = [json.loads(line) for line in export_spans_jsonl(tracer).split()]
         assert [row["name"] for row in rows] == ["early", "late"]
-
-
-class TestNullTracer:
-    def test_records_nothing(self):
-        tracer = NullTracer()
-        span = tracer.begin("x", start=0.0)
-        span.end(1.0)
-        tracer.record("y", 0.0, 1.0)
-        with tracer.use_parent(span):
-            pass
-        assert list(tracer.spans) == []
-        assert not tracer.enabled
-        assert tracer.current is None
-
-    def test_disabled_bundle_uses_nulls(self):
-        obs = Observability.disabled()
-        assert not obs.enabled
-        assert obs.spans_jsonl() == ""
-        assert json.loads(obs.chrome_trace())["traceEvents"] == []
 
 
 class TestJsonlExport:

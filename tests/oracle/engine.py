@@ -24,7 +24,7 @@ classes for the length of a ``with`` block.
 Independence is the point: nothing here may import ``IntegrationEngine``,
 the operator or block classes, the plan types, ``repro.simtime.scheduler``
 or ``repro.xmlkit.convert`` (records, cost breakdowns, observations,
-messages, errors, the clock and ``Relation`` as a row container are
+messages, errors and ``Relation`` as a row container are
 shared vocabulary — the input of the oracle, not what it checks).
 """
 
@@ -54,7 +54,6 @@ from repro.mtm.message import Message
 from repro.mtm.operators import _ValidationHandled
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profile import OperatorObservation
-from repro.simtime.clock import VirtualClock
 from tests.oracle.xml import resultset_to_rows, rows_to_resultset
 
 Row = dict[str, Any]
@@ -211,7 +210,8 @@ def handle_event(self, event) -> InstanceRecord:
             else None
         )
         res.account(record, mttr)
-    if self._observability.enabled:
+    obs = self._observability
+    if obs.tracer is not None or obs.metrics is not None:
         self._observe_instance(record, self._last_profile, inbound_cost)
     return record
 
@@ -345,20 +345,16 @@ class ScheduledEvent:
 
 
 class EventScheduler:
-    """A discrete-event queue bound to a :class:`VirtualClock`.
+    """A discrete-event queue that keeps its own virtual time ``now``.
 
     Events may be pushed in any order; :meth:`run` pops them in deadline
-    order, advances the clock to each deadline, and invokes the handler.
+    order, advances ``now`` to each deadline, and invokes the handler.
     Handlers may push further events (e.g. a process that re-schedules
     itself), which is why draining re-examines the heap after every call.
     """
 
-    def __init__(
-        self,
-        clock: VirtualClock | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self, metrics: MetricsRegistry | None = None):
+        self.now = 0.0
         self._heap: list[ScheduledEvent] = []
         self._counter = itertools.count()
         self._metrics = metrics
@@ -391,30 +387,30 @@ class EventScheduler:
         return event
 
     def push_after(self, delay: float, payload: Any) -> ScheduledEvent:
-        """Schedule ``payload`` ``delay`` tu from the current clock time."""
-        return self.push(self.clock.now() + delay, payload)
+        """Schedule ``payload`` ``delay`` tu after ``now``."""
+        return self.push(self.now + delay, payload)
 
     def peek(self) -> ScheduledEvent | None:
         """Return the next event without removing it, or None if empty."""
         return self._heap[0] if self._heap else None
 
     def pop(self) -> ScheduledEvent:
-        """Remove and return the next event, advancing the clock to it."""
+        """Remove and return the next event, advancing ``now`` to it."""
         if not self._heap:
             raise IndexError("pop from an empty event scheduler")
         event = heapq.heappop(self._heap)
-        self.clock.advance_to(event.deadline)
+        self.now = max(self.now, event.deadline)
         if self._metrics is not None:
             self._m_dispatched.inc()
         return event
 
     def drain(self) -> Iterator[ScheduledEvent]:
-        """Yield all events in deadline order, advancing the clock."""
+        """Yield all events in deadline order, advancing ``now``."""
         while self._heap:
             yield self.pop()
 
     def drain_until(self, deadline: float) -> Iterator[ScheduledEvent]:
-        """Yield events due at or before ``deadline``, advancing the clock.
+        """Yield events due at or before ``deadline``, advancing ``now``.
 
         The fault injector uses this to apply every fault whose time has
         come whenever the engine advances virtual time.
@@ -422,7 +418,7 @@ class EventScheduler:
         Equal deadlines dispatch in push (FIFO) order, including events
         pushed *during* the drain at exactly ``deadline`` — they sort
         behind already-queued ties by sequence number.  After the drain
-        the clock rests exactly at ``deadline`` (never behind it), so a
+        ``now`` rests exactly at ``deadline`` (never behind it), so a
         subsequent :meth:`push_after` is anchored at the drained-to time
         instead of the last event's — without this, two schedulers that
         drained through different event prefixes would compute different
@@ -431,7 +427,7 @@ class EventScheduler:
         """
         while self._heap and self._heap[0].deadline <= deadline:
             yield self.pop()
-        self.clock.advance_to(deadline)
+        self.now = max(self.now, deadline)
 
     def run(self, handler: Callable[[ScheduledEvent], None]) -> int:
         """Drain the queue through ``handler``; return the number handled."""

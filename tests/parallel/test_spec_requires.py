@@ -4,7 +4,10 @@ A crash fault and a cluster both replay the WAL, so both need
 durability.  ``RunSpec.problems()`` lists either combination, so the
 CLI exits 2, ``sweep`` refuses before it spawns a worker and
 ``client_from_spec`` builds nothing.  ``checkpoint_every`` under ``wal``
-stays accepted: the CI crash-recovery matrix passes it.
+stays accepted: the CI crash-recovery matrix passes it.  A crash
+kills one cluster host, which stays dead until the next period, so a
+timeline with as many crashes in one period as the cluster has hosts
+is refused too: built anyway, it dies mid-run with a ``ClusterError``.
 """
 
 import json
@@ -12,7 +15,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ClusterError
 from repro.parallel.spec import RunSpec, client_from_spec
 from repro.resilience import FaultEvent, FaultSpec
 
@@ -87,3 +90,80 @@ def test_the_cli_exits_2_before_any_run(command, tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid ")
     assert "faults: the spec schedules engine crashes" in captured.err
+
+
+def _crashes(*periods):
+    """One commit-point crash per entry, pinned to that period (None:
+    every period), 20 tu apart from 20 tu on."""
+    return FaultSpec(name="crashes", events=tuple(
+        FaultEvent(at=20.0 * (i + 1), kind="crash", point="commit", period=p)
+        for i, p in enumerate(periods)
+    ))
+
+
+def _cluster(faults, hosts=2, periods=1):
+    return RunSpec(
+        engine="interpreter", datasize=0.02, periods=periods, seed=5,
+        durability="wal", cluster_hosts=hosts, faults=faults,
+    )
+
+
+def test_crashes_that_kill_every_host_in_one_period_are_a_problem():
+    (problem,) = _cluster(_crashes(None, None)).problems()
+    assert problem == (
+        "faults: 2 crashes in one period kill all 2 cluster hosts, and a "
+        "dead host stays dead until the next period"
+    )
+
+
+def test_fewer_crashes_per_period_than_hosts_are_accepted():
+    assert _cluster(_crashes(None, None), hosts=3).problems() == []
+    assert _cluster(_crashes(0, 1), periods=2).problems() == []
+
+
+def test_an_unpinned_crash_counts_toward_every_period():
+    (problem,) = _cluster(_crashes(1, None), periods=2).problems()
+    assert problem.startswith("faults: 2 crashes in one period")
+
+
+def test_a_crash_pinned_past_the_last_period_does_not_count():
+    assert _cluster(_crashes(None, 2), periods=2).problems() == []
+    assert _cluster(_crashes(None, 1), periods=2).problems() != []
+
+
+def test_the_refused_timeline_dies_mid_run_when_built_anyway(monkeypatch):
+    """What the refusal predicts: the second crash finds no live host."""
+    spec = _cluster(_crashes(None, None))
+    monkeypatch.setattr(RunSpec, "problems", lambda self: [])
+    client = client_from_spec(spec)
+    with pytest.raises(ClusterError, match="every cluster host is dead"):
+        client.run()
+
+
+def test_client_from_spec_refuses_the_timeline_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused spec built a landscape")
+
+    monkeypatch.setattr("repro.parallel.spec.build_scenario", no_build)
+    with pytest.raises(BenchmarkError, match="faults: 2 crashes in one period"):
+        client_from_spec(_cluster(_crashes(None, None)))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--crashes", "2"],
+    ["--faults", "FILE"],
+])
+def test_cluster_run_exits_2_before_any_run(flags, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a refused spec reached a run")
+
+    monkeypatch.setattr("repro.cli.prove_convergence", no_run)
+    path = tmp_path / "crashes.json"
+    path.write_text(json.dumps({"name": "two", "events": [
+        {"at": 20.0, "kind": "crash", "point": "commit"},
+        {"at": 40.0, "kind": "crash", "point": "arrival"}]}))
+    flags = [str(path) if flag == "FILE" else flag for flag in flags]
+    assert main(["cluster", "run", "--hosts", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid run spec: faults: 2 crashes")

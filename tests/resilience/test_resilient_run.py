@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.engine import MtmInterpreterEngine
-from repro.observability import Observability
+from repro.observability import MetricsRegistry, Observability, Tracer
 from repro.resilience import FaultSpec, RetryPolicy
 from repro.scenario import build_scenario
 from repro.toolsuite import BenchmarkClient, ScaleFactors
@@ -24,7 +24,7 @@ EXAMPLE_SPEC = os.path.join(
 def run_benchmark(faults=None, resilience=None, periods=1, seed=42):
     scenario = build_scenario()
     engine = MtmInterpreterEngine(scenario.registry)
-    observability = Observability()
+    observability = Observability(Tracer(), MetricsRegistry())
     client = BenchmarkClient(
         scenario, engine, ScaleFactors(datasize=0.05),
         periods=periods, seed=seed, observability=observability,

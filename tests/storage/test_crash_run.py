@@ -18,7 +18,7 @@ import pytest
 from repro.engine import ENGINES as ALL_ENGINES
 from repro.engine import FederatedEngine, MtmInterpreterEngine
 from repro.errors import BenchmarkError, FaultSpecError
-from repro.observability import Observability
+from repro.observability import MetricsRegistry, Observability, Tracer
 from repro.parallel.spec import RunSpec, client_from_spec, run_spec
 from repro.resilience import FaultEvent, FaultSpec
 from repro.scenario import build_scenario
@@ -162,7 +162,7 @@ class TestCrashRecovery:
         assert "none" in summary.describe()
 
     def test_recovery_metrics_exported(self):
-        observability = Observability()
+        observability = Observability(Tracer(), MetricsRegistry())
         run_benchmark(
             "interpreter", durability="snapshot+wal", checkpoint_every=50.0,
             faults=crash_spec(), observability=observability,

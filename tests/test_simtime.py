@@ -1,42 +1,8 @@
-"""Virtual clocks and the discrete-event scheduler."""
+"""The discrete-event scheduler."""
 
 import pytest
 
-from repro.simtime import EventScheduler, VirtualClock
-
-
-class TestVirtualClock:
-    def test_starts_at_zero(self):
-        assert VirtualClock().now() == 0.0
-
-    def test_advance(self):
-        clock = VirtualClock()
-        assert clock.advance(2.5) == 2.5
-        assert clock.now() == 2.5
-
-    def test_advance_to_future(self):
-        clock = VirtualClock()
-        clock.advance_to(10.0)
-        assert clock.now() == 10.0
-
-    def test_advance_to_past_is_noop(self):
-        clock = VirtualClock(start=5.0)
-        clock.advance_to(1.0)
-        assert clock.now() == 5.0
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock(start=-1)
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance(9)
-        clock.reset()
-        assert clock.now() == 0.0
+from repro.simtime import EventScheduler
 
 
 class TestEventScheduler:
@@ -53,18 +19,6 @@ class TestEventScheduler:
         sched.push(1.0, "second")
         assert [e.payload for e in sched.drain()] == ["first", "second"]
 
-    def test_push_after(self):
-        sched = EventScheduler()
-        sched.clock.advance(10.0)
-        event = sched.push(sched.clock.now() + 5.0, "x")
-        assert event.deadline == 15.0
-
-    def test_clock_advances_with_pop(self):
-        sched = EventScheduler()
-        sched.push(3.0, "x")
-        sched.pop()
-        assert sched.clock.now() == 3.0
-
     def test_negative_deadline_rejected(self):
         with pytest.raises(ValueError):
             EventScheduler().push(-1.0, "x")
@@ -80,9 +34,9 @@ class TestEventScheduler:
         for event in sched.drain():
             seen.append(event.payload)
             if event.payload == "seed":
-                sched.push(sched.clock.now() + 1.0, "spawned")
+                spawned = sched.push(event.deadline + 1.0, "spawned")
         assert seen == ["seed", "spawned"]
-        assert sched.clock.now() == 2.0
+        assert spawned.deadline == 2.0
 
     def test_clear(self):
         sched = EventScheduler()
@@ -94,11 +48,9 @@ class TestEventScheduler:
 class TestExactDeadlineTies:
     """Regressions pinning FIFO order at equal deadlines.
 
-    The parallel sweep executor gives every worker its own scheduler and
-    clock; byte-identity with the serial run requires that equal-deadline
-    dispatch order is a pure function of push order, and that draining
-    always leaves the clock at the drain deadline (so relative delays
-    computed afterwards cannot diverge between workers).
+    The parallel sweep executor gives every worker its own scheduler;
+    byte-identity with the serial run requires that equal-deadline
+    dispatch order is a pure function of push order.
     """
 
     def test_drain_until_keeps_fifo_order_for_equal_deadlines(self):
@@ -123,40 +75,6 @@ class TestExactDeadlineTies:
             if event.payload == "first":
                 sched.push(5.0, "spawned-at-boundary")
         assert seen == ["first", "second", "spawned-at-boundary"]
-
-    def test_drain_until_advances_clock_to_deadline_without_events(self):
-        sched = EventScheduler()
-        assert list(sched.drain_until(7.5)) == []
-        assert sched.clock.now() == 7.5
-
-    def test_drain_until_advances_clock_past_last_event(self):
-        sched = EventScheduler()
-        sched.push(2.0, "x")
-        list(sched.drain_until(9.0))
-        assert sched.clock.now() == 9.0
-
-    def test_push_after_anchors_at_drained_to_time(self):
-        """A delay added to ``clock.now()`` after a drain counts from the
-        drain deadline, not from the last dispatched event — otherwise
-        two schedulers that drained through different event prefixes
-        would schedule the same relative delay at different absolute
-        deadlines."""
-        with_event = EventScheduler()
-        with_event.push(2.0, "x")
-        list(with_event.drain_until(10.0))
-        without_event = EventScheduler()
-        list(without_event.drain_until(10.0))
-        assert (
-            with_event.push(with_event.clock.now() + 5.0, "y").deadline
-            == without_event.push(without_event.clock.now() + 5.0, "y").deadline
-            == 15.0
-        )
-
-    def test_drain_until_never_moves_clock_backwards(self):
-        sched = EventScheduler()
-        sched.clock.advance(20.0)
-        assert list(sched.drain_until(10.0)) == []
-        assert sched.clock.now() == 20.0
 
 
 class _NeverCompared:
@@ -199,7 +117,7 @@ class TestTupleHeap:
     def test_push_after_rejects_a_nan_delay(self):
         sched = EventScheduler()
         with pytest.raises(ValueError):
-            sched.push(sched.clock.now() + float("nan"), "x")
+            sched.push(10.0 + float("nan"), "x")
 
     def test_zero_deadline_is_accepted(self):
         sched = EventScheduler()
@@ -239,7 +157,6 @@ class TestTupleHeap:
         for deadline in (3.0, 1.0, 2.0, 2.0):
             sched.push(deadline, {"at": deadline})
         assert [e.deadline for e in sched.drain_until(2.0)] == [1.0, 2.0, 2.0]
-        assert sched.clock.now() == 2.0
         assert sched.pop().deadline == 3.0
 
     def test_clear_drops_entries_and_keeps_sequence_numbers_unique(self):
