@@ -8,7 +8,8 @@ databases in parallel.
 
 It demonstrates the full public surface a benchmark user touches:
 schemas, endpoints, XSD validation, STX translation, the operator
-algebra, static process validation and the engine's cost breakdown.
+algebra, static process validation, the engine's cost breakdown and the
+operator spans an observed engine records.
 
 Run with::
 
@@ -32,6 +33,7 @@ from repro.mtm import (
     Validate,
 )
 from repro.mtm.process import assert_valid_definition
+from repro.observability import Observability, Tracer
 from repro.services import DatabaseService, Envelope, Network, ServiceRegistry
 from repro.xmlkit import (
     RenameRule,
@@ -137,7 +139,8 @@ def main() -> None:
     process = build_price_replication()
     assert_valid_definition(process)  # static checks before deployment
 
-    engine = MtmInterpreterEngine(registry, trace=True)
+    tracer = Tracer()
+    engine = MtmInterpreterEngine(registry, observability=Observability(tracer))
     engine.deploy(process)
 
     updates = [
@@ -164,9 +167,14 @@ def main() -> None:
     assert north.table("price_list").get(7)["price"] == south.table(
         "price_list"
     ).get(7)["price"]
-    print("\nexecution trace of the last instance:")
-    for line in engine.traces[-1][1]:
-        print("  ", line)
+    print("\noperator tree of PRICE_REPL:")
+    for operator in process.root.iter_tree():
+        print("  ", f"{operator.kind}:{operator.name}")
+    last = tracer.spans_of_kind("instance")[-1]
+    print("\noperator spans of the last instance:")
+    for span in tracer.spans_of_kind("operator"):
+        if span.parent_id == last.span_id:
+            print("  ", span.name)
 
 
 if __name__ == "__main__":

@@ -100,15 +100,11 @@ class DatabaseReplica:
     def promote_into(self, target: Database) -> int:
         """Copy this replica's state into the live database object.
 
-        Tables are reconciled (extra tables on the target — committed
-        drops the replica already replayed — are removed), then every
-        view the target defines takes this replica's content for it.
-        Returns the number of rows restored.
+        Tables are restored from the replica, then every view the target
+        defines takes this replica's content for it.  Returns the number
+        of rows restored.
         """
         snapshot = DatabaseSnapshot.capture(self.db)
-        for name in list(target.table_names):
-            if name not in snapshot.tables:
-                target.drop_table(name)
         restored = snapshot.restore_tables(target)
         for name in target.view_names:
             target.materialized_view(name).adopt(self.db.materialized_view(name))

@@ -5,11 +5,12 @@ scenario (Fig. 1): the regional source databases (Berlin, Paris, Trondheim,
 Chicago, Baltimore, Madison), the local and global consolidated databases,
 the data warehouse and the three data marts.
 
-It provides typed tables with primary-key/not-null constraints and secondary
-indexes, a relational operator algebra (selection, projection, hash join,
-union-distinct, grouping, sorting), and the *active* features the paper's
-reference implementation relies on (Fig. 9): insert triggers, stored
-procedures and materialized views with explicit refresh.
+It provides typed tables with not-null constraints and a primary key that
+is each table's one index, a relational operator algebra (selection,
+projection, hash join, union-distinct, grouping, sorting), and the
+*active* features the paper's reference implementation relies on
+(Fig. 9): insert triggers, stored procedures and materialized views with
+explicit refresh.
 
 Quick tour::
 

@@ -149,18 +149,6 @@ class Database:
         for table in self._tables.values():
             table.attach_store(self._budget)
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise SchemaError(f"{self.name}: no table {name}")
-        del self._tables[name]
-        self._triggers = {
-            trig_name: trig
-            for trig_name, trig in self._triggers.items()
-            if trig.table != name
-        }
-        if self._listener is not None:
-            self._listener(name, "drop_table", ())
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]
@@ -268,8 +256,8 @@ class Database:
         With a ``predicate``/``columns``, equivalent to
         ``query(t).select(predicate).keep(*columns)`` — but leading
         ``column = literal`` conjuncts that are covered by the table's
-        primary key or a secondary index are answered by an index probe
-        instead of a scan.  The full predicate is still
+        primary key are answered by an index probe instead of a scan.
+        The full predicate is still
         re-checked on every candidate row, and the table is charged the
         same scan-equivalent ``rows_read`` a full scan would cost, so
         results and cost accounting are byte-identical either way.
@@ -376,9 +364,6 @@ class Database:
             if target in self._tables:
                 del self._tables[target]
             self.create_table(payload[0])
-        elif op == "drop_table":
-            if target in self._tables:
-                self.drop_table(target)
         elif op == "mv_refresh":
             self.materialized_view(target).refresh(self)
         elif op == "mv_invalidate":

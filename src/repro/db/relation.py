@@ -24,8 +24,8 @@ consequences the operators track explicitly:
   ``columns`` tuple stays authoritative, and every export boundary
   (``to_dicts``, ``iter_narrow``) projects through it;
 * a relation produced by ``Table.to_relation`` remembers its source
-  table (``_source``), which lets ``join`` probe the table's existing
-  pk/secondary indexes instead of building a hash index per call.
+  table (``_source``), which lets ``join`` probe the table's primary-key
+  index instead of building a hash index per call.
 """
 
 from __future__ import annotations
@@ -399,9 +399,9 @@ class Relation:
 
         A right side still backed by an unmodified table snapshot
         (``Table.to_relation``, optionally narrowed with ``keep``/
-        ``distinct``) is joined by probing the table's existing
-        pk/secondary index covering the right key columns — no per-call
-        hash index, same output.
+        ``distinct``) is joined by probing the table's pk index when the
+        pk covers the right key columns — no per-call hash index, same
+        output.
         """
         if how not in ("inner", "left"):
             raise QueryError(f"unsupported join type: {how!r}")

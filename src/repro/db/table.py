@@ -1,16 +1,15 @@
-"""Mutable tables: storage, constraints, indexes and DML.
+"""Mutable tables: storage, constraints, the primary-key index and DML.
 
 Tables enforce column types (with coercion), NOT NULL and primary-key
-uniqueness on every write.  Secondary hash indexes can be declared for the
-equality lookups the scenario runs constantly (e.g. finding a customer's
-master data during message enrichment, P04).
+uniqueness on every write.  The primary key is a table's one index: a
+hash from key to row position that point reads (:meth:`Table.get`),
+predicate pushdown (:meth:`Table.probe_candidates`) and index joins
+probe.
 
-Indexes are maintained *incrementally* on the row-level paths (insert,
-upsert, update): the pk entry and each secondary bucket are patched in
-place, with :func:`bisect.insort` keeping bucket positions ascending so
-lookups return rows in exactly the order a full rebuild would.  Only the
-bulk paths (multi-row delete, truncate, snapshot restore) still pay the
-O(n) rebuild.
+The pk index is maintained *incrementally* on the row-level paths
+(insert, upsert, update): the entry is patched in place.  Only the bulk
+paths (multi-row delete, truncate, snapshot restore) pay the O(n)
+rebuild.
 
 Every mutation can be observed through :attr:`Table.listener` — the hook
 the :mod:`repro.storage` write-ahead log uses to journal logical change
@@ -20,7 +19,6 @@ one ``is None`` test per statement, keeping the plain run byte-identical.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import IntegrityError, QueryError, SchemaError
@@ -49,8 +47,6 @@ class Table:
         self._pk_index: dict[tuple, int] | None = (
             {} if schema.primary_key else None
         )
-        # name -> (columns, mapping key -> list of row positions)
-        self._secondary: dict[str, tuple[tuple[str, ...], dict[tuple, list[int]]]] = {}
         # Counters feeding the engine's processing-cost model.
         self.rows_read = 0
         self.rows_written = 0
@@ -120,46 +116,7 @@ class Table:
         else:
             self._rows = rows
 
-    # -- index management ----------------------------------------------------------
-
-    def create_index(self, index_name: str, columns: Sequence[str]) -> None:
-        """Create a secondary hash index over ``columns``."""
-        if index_name in self._secondary:
-            raise SchemaError(f"index {index_name!r} already exists on {self.name}")
-        cols = tuple(columns)
-        for column in cols:
-            if not self.schema.has_column(column):
-                raise SchemaError(f"table {self.name}: no column {column!r}")
-        mapping: dict[tuple, list[int]] = {}
-        for position, row in enumerate(self._rows):
-            mapping.setdefault(tuple(row[c] for c in cols), []).append(position)
-        self._secondary[index_name] = (cols, mapping)
-        if self.listener is not None:
-            self.listener(self.name, "create_index", (index_name, cols))
-
-    def drop_index(self, index_name: str) -> None:
-        """Drop a secondary index (parity with :meth:`create_index`)."""
-        if index_name not in self._secondary:
-            raise SchemaError(f"table {self.name}: no index {index_name!r}")
-        del self._secondary[index_name]
-        if self.listener is not None:
-            self.listener(self.name, "drop_index", (index_name,))
-
-    def has_index(self, index_name: str) -> bool:
-        return index_name in self._secondary
-
-    @property
-    def index_names(self) -> list[str]:
-        return sorted(self._secondary)
-
-    def index_columns(self, index_name: str) -> tuple[str, ...]:
-        """The indexed column tuple of one secondary index."""
-        try:
-            return self._secondary[index_name][0]
-        except KeyError:
-            raise SchemaError(
-                f"table {self.name}: no index {index_name!r}"
-            ) from None
+    # -- index maintenance ------------------------------------------------------
 
     def _rebuild_indexes(self) -> None:
         """Full O(n) rebuild — the bulk path (delete/truncate/restore)."""
@@ -168,19 +125,12 @@ class Table:
                 self.schema.pk_of(row): position
                 for position, row in enumerate(self._rows)
             }
-        for index_name, (cols, _) in list(self._secondary.items()):
-            mapping: dict[tuple, list[int]] = {}
-            for position, row in enumerate(self._rows):
-                mapping.setdefault(tuple(row[c] for c in cols), []).append(position)
-            self._secondary[index_name] = (cols, mapping)
 
-    def _reindex_row(self, position: int, old_row: Row, new_row: Row) -> None:
-        """Incrementally move one replaced row's index entries.
-
-        Buckets keep ascending positions (``insort``) so lookups return
-        rows in the same order a full rebuild would produce; emptied
-        buckets are removed to match the rebuilt shape.
-        """
+    def _replace_at(self, position: int, new_row: Row) -> None:
+        """Replace the row at ``position``, moving its pk entry in place
+        when the key changed."""
+        old_row = self._rows[position]
+        self._rows[position] = new_row
         if self._pk_index is not None:
             old_key = self.schema.pk_of(old_row)
             new_key = self.schema.pk_of(new_row)
@@ -188,26 +138,6 @@ class Table:
                 if self._pk_index.get(old_key) == position:
                     del self._pk_index[old_key]
                 self._pk_index[new_key] = position
-        for cols, mapping in self._secondary.values():
-            old_key = tuple(old_row[c] for c in cols)
-            new_key = tuple(new_row[c] for c in cols)
-            if old_key == new_key:
-                continue
-            bucket = mapping.get(old_key)
-            if bucket is not None:
-                try:
-                    bucket.remove(position)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                if not bucket:
-                    del mapping[old_key]
-            insort(mapping.setdefault(new_key, []), position)
-
-    def _replace_at(self, position: int, new_row: Row) -> None:
-        """Replace the row at ``position``, patching indexes in place."""
-        old_row = self._rows[position]
-        self._rows[position] = new_row
-        self._reindex_row(position, old_row, new_row)
         self._generation += 1
 
     # -- DML -------------------------------------------------------------------
@@ -218,12 +148,9 @@ class Table:
         The one append step behind :meth:`insert` and :meth:`upsert`
         (:meth:`insert_many` runs the same steps with lookups hoisted).
         """
-        position = len(self._rows)
         if key is not None:
-            self._pk_index[key] = position
+            self._pk_index[key] = len(self._rows)
         self._rows.append(row)
-        for cols, mapping in self._secondary.values():
-            mapping.setdefault(tuple([row[c] for c in cols]), []).append(position)
         self.rows_written += 1
         self._generation += 1
         if self.listener is not None:
@@ -259,14 +186,12 @@ class Table:
         normalize, pk_of = self.schema.normalize, self.schema.pk_of
         pk_index, store = self._pk_index, self._rows
         append = store.append
-        secondary = list(self._secondary.values())
         keyless_upsert = replace and pk_index is None
         count = 0
         for values in rows:
             if keyless_upsert:
                 raise IntegrityError(f"table {name}: upsert needs a primary key")
             row = normalize(values)
-            position = len(store)
             if pk_index is not None:
                 key = pk_of(row)
                 if key in pk_index:
@@ -280,10 +205,8 @@ class Table:
                         listener(name, "upsert", (row,))
                     count += 1
                     continue
-                pk_index[key] = position
+                pk_index[key] = len(store)
             append(row)
-            for cols, mapping in secondary:
-                mapping.setdefault(tuple([row[c] for c in cols]), []).append(position)
             self.rows_written += 1
             self._generation += 1
             if listener is not None:
@@ -425,12 +348,7 @@ class Table:
         self._generation += 1
 
     def redo(self, op: str, payload: tuple) -> None:
-        """Re-apply one journaled change record (crash-recovery redo).
-
-        Index DDL redo is idempotent: re-declaring an existing index
-        drops and recreates it, so replaying a tail over a restored
-        snapshot converges regardless of where the checkpoint fell.
-        """
+        """Re-apply one journaled change record (crash-recovery redo)."""
         if op == "insert":
             self.insert(payload[0])
         elif op == "upsert":
@@ -449,14 +367,6 @@ class Table:
             self._rows.clear()
             self._rebuild_indexes()
             self._generation += 1
-        elif op == "create_index":
-            index_name, cols = payload
-            if self.has_index(index_name):
-                self.drop_index(index_name)
-            self.create_index(index_name, cols)
-        elif op == "drop_index":
-            if self.has_index(payload[0]):
-                self.drop_index(payload[0])
         else:
             raise QueryError(f"table {self.name}: unknown redo op {op!r}")
 
@@ -481,23 +391,9 @@ class Table:
         return self._rows[position]
 
     def lookup(self, index_name: str, key: tuple | Any) -> list[Row]:
-        """Equality lookup via a secondary index."""
-        try:
-            cols, mapping = self._secondary[index_name]
-        except KeyError:
-            raise QueryError(
-                f"table {self.name}: no index {index_name!r}"
-            ) from None
-        if not isinstance(key, tuple):
-            key = (key,)
-        if len(key) != len(cols):
-            raise QueryError(
-                f"index {index_name} expects {len(cols)} key parts, got {len(key)}"
-            )
-        positions = mapping.get(key, [])
-        self.rows_read += len(positions)
-        fastpath.STATS.rows_shared += len(positions)
-        return [self._rows[p] for p in positions]
+        """Equality lookup via a named index: a table has none to name."""
+        # Kept because the benchmark's layer table wraps it by name.
+        raise QueryError(f"table {self.name}: no index {index_name!r}")
 
     def column_data(self) -> dict[str, Any]:
         """The table as per-column value sequences (columnar image).
@@ -596,64 +492,34 @@ class Table:
         Returns a callable mapping a key tuple (values in ``cols`` order)
         to row positions in ascending order — the same row order a
         per-call hash index built over the rows would produce — or None
-        when neither the pk nor any secondary index covers exactly these
-        columns.
+        when the pk does not cover exactly these columns.
         """
-        pk = tuple(self.schema.primary_key or ())
-        if (
-            self._pk_index is not None
-            and len(pk) == len(cols)
-            and set(pk) == set(cols)
-        ):
-            index = self._pk_index
-            reorder = None if pk == cols else tuple(cols.index(c) for c in pk)
+        pk = self.schema.primary_key
+        if self._pk_index is None or len(pk) != len(cols) or set(pk) != set(cols):
+            return None
+        index = self._pk_index
+        reorder = None if pk == cols else tuple(cols.index(c) for c in pk)
 
-            def probe_pk(key: tuple) -> Sequence[int]:
-                if reorder is not None:
-                    key = tuple(key[i] for i in reorder)
-                position = index.get(key)
-                return () if position is None else (position,)
+        def probe_pk(key: tuple) -> Sequence[int]:
+            if reorder is not None:
+                key = tuple(key[i] for i in reorder)
+            position = index.get(key)
+            return () if position is None else (position,)
 
-            return probe_pk
-        for index_name in sorted(self._secondary):
-            icols, mapping = self._secondary[index_name]
-            if len(icols) == len(cols) and set(icols) == set(cols):
-                reorder = (
-                    None if icols == cols else tuple(cols.index(c) for c in icols)
-                )
-
-                def probe_secondary(
-                    key: tuple,
-                    _mapping: dict[tuple, list[int]] = mapping,
-                    _reorder: tuple[int, ...] | None = reorder,
-                ) -> Sequence[int]:
-                    if _reorder is not None:
-                        key = tuple(key[i] for i in _reorder)
-                    return _mapping.get(key, ())
-
-                return probe_secondary
-        return None
+        return probe_pk
 
     def probe_candidates(self, eq: Mapping[str, Any]) -> list[Row] | None:
         """Index-backed candidate rows for an equality binding, uncounted.
 
-        ``eq`` maps column names to required values.  When the pk or a
-        secondary index is covered by the bound columns, returns the
-        matching rows (by reference, in storage order) — a *superset*
-        filter for the original predicate, which the caller must still
-        apply in full.  Returns None when no index applies; never touches
-        ``rows_read`` (the caller charges scan-equivalent cost).
+        ``eq`` maps column names to required values.  When the pk is
+        covered by the bound columns, returns the matching row (by
+        reference) — a *superset* filter for the original predicate,
+        which the caller must still apply in full.  Returns None when the
+        pk does not apply; never touches ``rows_read`` (the caller
+        charges scan-equivalent cost).
         """
-        if not eq:
+        pk = self.schema.primary_key
+        if self._pk_index is None or not set(pk) <= set(eq):
             return None
-        bound = set(eq)
-        pk = tuple(self.schema.primary_key or ())
-        if self._pk_index is not None and pk and set(pk) <= bound:
-            position = self._pk_index.get(tuple(eq[c] for c in pk))
-            return [] if position is None else [self._rows[position]]
-        for index_name in sorted(self._secondary):
-            icols, mapping = self._secondary[index_name]
-            if icols and set(icols) <= bound:
-                positions = mapping.get(tuple(eq[c] for c in icols), [])
-                return [self._rows[p] for p in positions]
-        return None
+        position = self._pk_index.get(tuple(eq[c] for c in pk))
+        return [] if position is None else [self._rows[position]]

@@ -294,10 +294,6 @@ class IntegrationEngine:
         #: Execution profile of the most recent ``_execute_instance``,
         #: captured by subclasses via :meth:`_capture_profile`.
         self._last_profile: ExecutionProfile | None = None
-        #: Fast-path counter snapshot taken when profiling was armed,
-        #: so _capture_profile can attribute kernel work per instance.
-        self._profile_fastpath_base = fastpath.STATS.copy()
-        self._profile_partition_base = partition.STATS.copy()
         #: Retry/backoff + fault-injection context (attached by the
         #: BenchmarkClient, like observability); None = fail-fast, the
         #: exact pre-resilience behavior.
@@ -310,10 +306,6 @@ class IntegrationEngine:
         #: exact pre-storage behavior.
         self.storage: "StorageManager | None" = None
         self.observability = observability
-        #: Whether instances keep an operator trace log, and the logs of
-        #: completed instances when they do.
-        self.trace = False
-        self.traces: list[tuple[str, list[str]]] = []
 
     # -- observability ---------------------------------------------------------
 
@@ -786,7 +778,6 @@ class IntegrationEngine:
             self.registry,
             self.host,
             subprocess_runner=self._run_subprocess,
-            trace=self.trace,
         )
         context.parallel_efficiency = self.parallel_efficiency
         context.attempt = self._current_attempt

@@ -52,7 +52,6 @@ class FederatedEngine(IntegrationEngine):
         costs: CostParameters | None = None,
         worker_count: int = 4,
         parallel_efficiency: float = 0.6,
-        trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
         mem_budget: int | None = None,
@@ -74,7 +73,6 @@ class FederatedEngine(IntegrationEngine):
         #: Volatile routing metadata: ``db name -> current primary host``
         #: (written by the cluster layer's failover rerouting).
         self.catalog_routes: dict[str, str] = {}
-        self.trace = trace
         self._next_tid = 1
         # Per-execution scratch: the context used by the running trigger or
         # procedure body (triggers receive only (db, row), so the engine
@@ -172,8 +170,6 @@ class FederatedEngine(IntegrationEngine):
         finally:
             self._active_context = None
         self._capture_profile(context)
-        if self.trace:
-            self.traces.append((process.process_id, context.trace_log))
         management = self.cost_parameters.management_cost(queue_length)
         if event.message is not None:
             management += self.cost_parameters.receive_overhead
@@ -238,7 +234,6 @@ class FederatedEngine(IntegrationEngine):
         self._next_tid = 1
         self._active_context = None
         self._active_process = None
-        self.traces.clear()
         super().crash()
 
     # -- introspection -------------------------------------------------------------

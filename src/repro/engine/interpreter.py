@@ -40,7 +40,6 @@ class MtmInterpreterEngine(IntegrationEngine):
         costs: CostParameters | None = None,
         worker_count: int | None = None,
         parallel_efficiency: float | None = None,
-        trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
         mem_budget: int | None = None,
@@ -57,7 +56,6 @@ class MtmInterpreterEngine(IntegrationEngine):
             resilience=resilience,
             mem_budget=mem_budget,
         )
-        self.trace = trace
 
     def deploy(self, process: ProcessType) -> None:
         """Install one process and warm its plan cache.
@@ -78,8 +76,6 @@ class MtmInterpreterEngine(IntegrationEngine):
             context.set("__in", event.message)
         process.root._run(context)
         self._capture_profile(context)
-        if self.trace:
-            self.traces.append((process.process_id, context.trace_log))
         costs = CostBreakdown(
             communication=context.communication_cost,
             management=self.cost_parameters.management_cost(queue_length),

@@ -40,7 +40,7 @@ class Sequence(Operator):
 
     def execute(self, context: ExecutionContext) -> None:
         try:
-            if context.operator_log is None and not context.trace_enabled:
+            if context.operator_log is None:
                 # Nothing observes the steps: what is left of
                 # ``Operator._run`` is the count.
                 for step in self.steps:
@@ -50,7 +50,7 @@ class Sequence(Operator):
                 for step in self.steps:
                     step._run(context)
         except _ValidationHandled:
-            context.trace(f"sequence:{self.name}: stopped by failed validation")
+            pass  # the failure branch ran; the rest of the flow is skipped
 
 
 @dataclass
@@ -96,13 +96,9 @@ class Switch(Operator):
         context.charge_work(WORK_CONTROL, 1.0)
         for case in self.cases:
             if case.guard(context):
-                if context.trace_enabled:
-                    context.trace(f"switch:{self.name} -> {case.label or 'case'}")
                 case.body._run(context)
                 return
         if self.otherwise is not None:
-            if context.trace_enabled:
-                context.trace(f"switch:{self.name} -> otherwise")
             self.otherwise._run(context)
 
 
@@ -182,11 +178,6 @@ class Fork(Operator):
                 kind_sum = sum(w[kind] for _, w in branch_costs)
                 kind_max = max(w[kind] for _, w in branch_costs)
                 context.work_units[kind] -= (kind_sum - kind_max) * efficiency
-        if context.trace_enabled:
-            context.trace(
-                f"fork:{self.name}: {len(self.branches)} branches, "
-                f"costs={[round(c, 3) for c, _ in branch_costs]}"
-            )
 
 
 class Subprocess(Operator):

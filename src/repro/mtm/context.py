@@ -43,7 +43,6 @@ class ExecutionContext:
         caller_host: str,
         subprocess_runner: Callable[[str, Message | None, "ExecutionContext"], Message | None]
         | None = None,
-        trace: bool = False,
     ):
         self.registry = registry
         self.caller_host = caller_host
@@ -52,8 +51,6 @@ class ExecutionContext:
         self.work_units: dict[str, float] = dict.fromkeys(WORK_KINDS, 0.0)
         self.operators_executed = 0
         self._subprocess_runner = subprocess_runner
-        self.trace_enabled = trace
-        self.trace_log: list[str] = []
         #: 1-based execution attempt of the owning instance (> 1 while a
         #: resilience retry is re-running the process).
         self.attempt = 1
@@ -120,9 +117,3 @@ class ExecutionContext:
                 f"engine provided no subprocess runner (needed for {process_id})"
             )
         return self._subprocess_runner(process_id, message, self)
-
-    # -- tracing ---------------------------------------------------------------
-
-    def trace(self, text: str) -> None:
-        if self.trace_enabled:
-            self.trace_log.append(text)

@@ -64,8 +64,6 @@ class Operator:
 
     def _run(self, context: ExecutionContext) -> None:
         context.operators_executed += 1
-        if context.trace_enabled:
-            context.trace(f"{self.kind}:{self.name}")
         log = context.operator_log
         if log is None or not self.profile_leaf:
             self.execute(context)

@@ -1,9 +1,9 @@
 """Deterministic snapshots: per-database captures and run checkpoints.
 
-A :class:`DatabaseSnapshot` holds one database's table rows, index
-declarations and materialized-view population state.  Rows are held *by
-reference*: :class:`~repro.db.table.Table` replaces a changed row with a
-new dict and never mutates a stored one, so the dicts a snapshot shares
+A :class:`DatabaseSnapshot` holds one database's table rows and
+materialized-view population state.  Rows are held *by reference*:
+:class:`~repro.db.table.Table` replaces a changed row with a new dict
+and never mutates a stored one, so the dicts a snapshot shares
 with the live table (and with every later restore) cannot change under
 it.  View *content* is not held: a view is a pure function of its base
 tables, so restore recomputes it — cheaper, and it keeps snapshots
@@ -34,13 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class TableSnapshot:
-    """Rows + index declarations of one table (schema by reference:
-    :class:`TableSchema` is immutable; rows by reference: stored row
-    dicts are never mutated)."""
+    """Rows of one table (schema by reference: :class:`TableSchema` is
+    immutable; rows by reference: stored row dicts are never mutated)."""
 
     schema: Any
     rows: list[dict]
-    indexes: list[tuple[str, tuple[str, ...]]]
 
 
 @dataclass
@@ -58,12 +56,7 @@ class DatabaseSnapshot:
         for name in db.table_names:
             table = db.table(name)
             snapshot.tables[name] = TableSnapshot(
-                schema=table.schema,
-                rows=table.dump_rows(),
-                indexes=[
-                    (index_name, table.index_columns(index_name))
-                    for index_name in table.index_names
-                ],
+                schema=table.schema, rows=table.dump_rows()
             )
         for name in db.view_names:
             snapshot.views[name] = db.materialized_view(name).is_populated
@@ -79,9 +72,8 @@ class DatabaseSnapshot:
         Existing tables are restored *in place* (their triggers survive —
         redeployment owns active logic, the snapshot owns data); missing
         tables (a crashed engine's rebuilt catalog) are recreated from
-        the captured schema.  Index sets are reconciled idempotently via
-        drop/create.  Populated views are recomputed from the restored
-        base tables, which is deterministic by construction.
+        the captured schema.  Populated views are recomputed from the
+        restored base tables, which is deterministic by construction.
         """
         restored = self.restore_tables(db)
         for name, populated in self.views.items():
@@ -107,13 +99,6 @@ class DatabaseSnapshot:
                 table = db.create_table(snap.schema)
             table.restore_rows(snap.rows)
             restored += len(snap.rows)
-            wanted = dict(snap.indexes)
-            for index_name in table.index_names:
-                if table.index_columns(index_name) != wanted.get(index_name):
-                    table.drop_index(index_name)
-            for index_name, columns in snap.indexes:
-                if not table.has_index(index_name):
-                    table.create_index(index_name, columns)
         return restored
 
 

@@ -1,8 +1,8 @@
 """The per-database logical write-ahead log.
 
 Records are *logical/physiological*: row-level change instructions
-(insert/upsert/set/delete_at/truncate), table and index DDL, and
-materialized-view recompute markers — exactly the vocabulary
+(insert/upsert/set/delete_at/truncate), ``create_table`` (the one DDL
+record), and materialized-view recompute markers — exactly the vocabulary
 :meth:`repro.db.database.Database.redo` replays.  Trigger and procedure
 side-effects are journaled as their own records when they originally
 run, so redo never re-fires active logic.

@@ -38,18 +38,6 @@ class TestDdl:
     def test_table_names_sorted(self, db):
         assert db.table_names == ["customer", "orders"]
 
-    def test_drop_table(self, db):
-        db.drop_table("orders")
-        assert not db.has_table("orders")
-
-    def test_drop_unknown_table(self, db):
-        with pytest.raises(SchemaError):
-            db.drop_table("ghost")
-
-    def test_drop_table_removes_its_triggers(self, db):
-        db.create_trigger("t", "orders", lambda d, r: None)
-        db.drop_table("orders")
-        assert "t" not in db._triggers
 
 
 class TestTriggers:

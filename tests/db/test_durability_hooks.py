@@ -1,12 +1,12 @@
-"""Storage-facing table/database surface: incremental index maintenance,
-index DDL parity, change listeners, redo, counters and statistics deltas."""
+"""Storage-facing table/database surface: incremental pk-index
+maintenance, change listeners, redo, counters and statistics deltas."""
 
 import pytest
 
 from repro.db.database import Database, DatabaseStatistics
 from repro.db.schema import Column, TableSchema
 from repro.db.table import Table
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError
 
 
 def orders_schema():
@@ -24,33 +24,32 @@ def orders_schema():
 @pytest.fixture()
 def orders():
     table = Table(orders_schema())
-    table.create_index("idx_cust", ("custkey",))
     for k, c, s in ((1, 10, "open"), (2, 20, "open"), (3, 10, "done")):
         table.insert({"orderkey": k, "custkey": c, "status": s})
     return table
 
 
-def rebuilt_lookup(table, index_name, key):
-    """The ground truth: what a full index rebuild would answer."""
+def rebuilt_pk_index(table):
+    """The ground truth: the pk index a full rebuild over the rows builds."""
     clone = Table(table.schema)
     clone.restore_rows([dict(r) for r in table])
-    clone.create_index(index_name, table.index_columns(index_name))
-    return clone.lookup(index_name, key)
+    return clone._pk_index
 
 
 class TestIncrementalIndexMaintenance:
     def test_upsert_moves_secondary_bucket(self, orders):
+        # The pk entry keeps its position; the row behind it is replaced.
         orders.upsert({"orderkey": 2, "custkey": 10, "status": "open"})
-        assert [r["orderkey"] for r in orders.lookup("idx_cust", (10,))] \
-            == [1, 2, 3]
-        assert orders.lookup("idx_cust", (20,)) == []
+        assert [r["orderkey"] for r in orders] == [1, 2, 3]
+        assert orders.get(2)["custkey"] == 10
+        assert orders._pk_index == rebuilt_pk_index(orders)
 
     def test_update_patches_pk_and_secondary(self, orders):
         orders.update({"custkey": 99},
                       lambda row: row["orderkey"] == 1)
-        assert orders.lookup("idx_cust", (10,))[0]["orderkey"] == 3
-        assert orders.lookup("idx_cust", (99,))[0]["orderkey"] == 1
         assert orders.get(1)["custkey"] == 99
+        assert orders.get(3)["custkey"] == 10
+        assert orders._pk_index == rebuilt_pk_index(orders)
 
     def test_update_of_pk_column_rekeys(self, orders):
         orders.update({"orderkey": 7},
@@ -59,30 +58,15 @@ class TestIncrementalIndexMaintenance:
         assert orders.get(7)["custkey"] == 20
 
     def test_incremental_matches_full_rebuild_order(self, orders):
-        # Interleave inserts and updates, then compare against a clone
-        # whose index was built in one pass over the final rows.
+        # Interleave inserts, updates and upserts (one rekeying a row),
+        # then compare against a clone whose index was built in one pass
+        # over the final rows.
         orders.insert({"orderkey": 4, "custkey": 10, "status": "open"})
         orders.update({"custkey": 10}, lambda row: row["orderkey"] == 2)
+        orders.update({"orderkey": 8}, lambda row: row["orderkey"] == 3)
         orders.upsert({"orderkey": 5, "custkey": 10, "status": "new"})
-        assert orders.lookup("idx_cust", (10,)) \
-            == rebuilt_lookup(orders, "idx_cust", (10,))
-
-
-class TestIndexDdl:
-    def test_drop_index(self, orders):
-        orders.drop_index("idx_cust")
-        assert not orders.has_index("idx_cust")
-        with pytest.raises(QueryError):
-            orders.lookup("idx_cust", (10,))
-
-    def test_drop_unknown_index(self, orders):
-        with pytest.raises(SchemaError, match="no index"):
-            orders.drop_index("ghost")
-
-    def test_index_introspection(self, orders):
-        orders.create_index("idx_status", ("status",))
-        assert orders.index_names == ["idx_cust", "idx_status"]
-        assert orders.index_columns("idx_cust") == ("custkey",)
+        orders.upsert({"orderkey": 1, "custkey": 30, "status": "done"})
+        assert orders._pk_index == rebuilt_pk_index(orders)
 
 
 class TestChangeListener:
@@ -126,6 +110,23 @@ class TestRedo:
     def test_redo_unknown_op_rejected(self, orders):
         with pytest.raises(QueryError, match="redo"):
             orders.redo("warp", ())
+
+    @pytest.mark.parametrize("op, payload", [
+        ("create_index", ("idx_cust", ("custkey",))),
+        ("drop_index", ("idx_cust",)),
+        ("drop_table", ()),
+    ])
+    def test_redo_rejects_index_ddl_and_drops(self, op, payload):
+        """The primary key is a table's one index and a database never
+        drops a table: a log carrying such DDL fails loudly instead of
+        half-applying."""
+        db = Database("cdb")
+        db.create_table(orders_schema())
+        db.insert("orders", {"orderkey": 1, "custkey": 10})
+        with pytest.raises(QueryError, match=f"unknown redo op '{op}'"):
+            db.redo("orders", op, payload)
+        assert db.table_names == ["orders"]
+        assert len(db.table("orders")) == 1
 
 
 class TestStatistics:

@@ -1,4 +1,4 @@
-"""Table storage: DML, constraints, indexes."""
+"""Table storage: DML, constraints, the primary-key index."""
 
 import pytest
 
@@ -149,41 +149,11 @@ class TestReads:
 
 
 class TestSecondaryIndexes:
-    def test_lookup(self, customers):
-        customers.insert_many(
-            {"custkey": i, "city": "B" if i % 2 else "P"} for i in range(10)
-        )
-        customers.create_index("by_city", ["city"])
-        assert len(customers.lookup("by_city", "B")) == 5
-
-    def test_index_maintained_on_insert(self, customers):
-        customers.create_index("by_city", ["city"])
-        customers.insert({"custkey": 1, "city": "B"})
-        assert len(customers.lookup("by_city", "B")) == 1
-
-    def test_index_rebuilt_on_delete(self, customers):
-        customers.create_index("by_city", ["city"])
-        customers.insert_many({"custkey": i, "city": "B"} for i in range(3))
-        customers.delete(col("custkey") == lit(0))
-        assert len(customers.lookup("by_city", "B")) == 2
-
-    def test_duplicate_index_name(self, customers):
-        customers.create_index("i", ["city"])
-        with pytest.raises(SchemaError):
-            customers.create_index("i", ["name"])
-
-    def test_unknown_index_column(self, customers):
-        with pytest.raises(SchemaError):
-            customers.create_index("i", ["ghost"])
+    """A table's one index is its primary key: no index has a name."""
 
     def test_unknown_index_lookup(self, customers):
         with pytest.raises(QueryError):
             customers.lookup("ghost", 1)
-
-    def test_key_arity_checked(self, customers):
-        customers.create_index("i", ["city", "name"])
-        with pytest.raises(QueryError):
-            customers.lookup("i", "B")
 
 
 class TestStatistics:

@@ -320,18 +320,16 @@ TABLE_SCHEMA = TableSchema(
 )
 
 
-def make_table(rows, with_index=False):
+def make_table(rows):
     db = Database("eq")
     table = db.create_table(TABLE_SCHEMA)
     for i, row in enumerate(rows):
         table.insert(dict(row, pk=i))
-    if with_index:
-        table.create_index("by_k", ["k"])
     return db, table
 
 
 def make_reference(rows):
-    """The oracle's twin of :func:`make_table` (it has no indexes)."""
+    """The oracle's twin of :func:`make_table` (it has no pk index)."""
     return oracle.Table(TABLE_SCHEMA, [dict(r, pk=i) for i, r in enumerate(rows)])
 
 
@@ -388,13 +386,17 @@ class TestTableBackedVectorEquivalence:
     def test_query_pushdown_parity(self, seed, rungs):
         rng = random.Random(seed)
         rows = random_rows(rng)
-        predicate = col("k") == lit(rng.choice([0, 1, 2, 3, 7]))
-        reference = make_reference(rows)
-        expected = oracle.select(reference.to_relation(), predicate)
-        for _ in rungs():
-            db, table = make_table(rows, with_index=True)
-            assert_identical(db.query("t", predicate=predicate), expected)
-            assert table.rows_read == reference.rows_read
+        # A scan-and-filter query and a pk-probed one.
+        for predicate in (
+            col("k") == lit(rng.choice([0, 1, 2, 3, 7])),
+            col("pk") == lit(rng.randrange(6)),
+        ):
+            reference = make_reference(rows)
+            expected = oracle.select(reference.to_relation(), predicate)
+            for _ in rungs():
+                db, table = make_table(rows)
+                assert_identical(db.query("t", predicate=predicate), expected)
+                assert table.rows_read == reference.rows_read
 
     def test_index_probe_beats_vector_join(self, seed, rungs):
         """Table-snapshot right sides keep taking the index probe."""
@@ -402,14 +404,14 @@ class TestTableBackedVectorEquivalence:
         table_rows, left_rows = random_rows(rng), random_rows(rng)
         expected = oracle.join(
             oracle.relation(COLUMNS, left_rows),
-            oracle.keep(make_reference(table_rows).to_relation(), "k", "v"),
-            on=[("k", "k")],
+            oracle.keep(make_reference(table_rows).to_relation(), "pk", "v"),
+            on=[("k", "pk")],
         )
         for _ in rungs():
-            db, _ = make_table(table_rows, with_index=True)
+            db, _ = make_table(table_rows)
             base = fastpath.STATS.copy()
             got = relation(left_rows).join(
-                db.query("t").keep("k", "v"), on=[("k", "k")]
+                db.query("t").keep("pk", "v"), on=[("k", "pk")]
             )
             delta = fastpath.STATS - base
             assert_identical(got, expected)

@@ -5,7 +5,7 @@ compiled per schema, kept *here*: ``seed_normalize`` is the old
 ``Table._normalize`` body and :class:`SeedTable` the old
 ``insert``/``insert_many``/``upsert`` bodies, verbatim.  Production code
 must store equal rows (value **and** type), raise the same exception
-types with the same messages, and leave the same indexes, counters,
+types with the same messages, and leave the same pk index, counters,
 change records and trigger fire order — on plain list
 storage and under a tiny memory budget (PartitionStore).  The bulk
 upsert (``insert_many(rows, replace=True)``) is held to a row-by-row
@@ -61,10 +61,7 @@ class SeedTable(Table):
                     f"table {self.name}: duplicate primary key {key}"
                 )
             self._pk_index[key] = len(self._rows)
-        position = len(self._rows)
         self._rows.append(row)
-        for cols, mapping in self._secondary.values():
-            mapping.setdefault(tuple(row[c] for c in cols), []).append(position)
         self.rows_written += 1
         self._generation += 1
         if self.listener is not None:
@@ -249,12 +246,12 @@ row_strategy = st.fixed_dictionaries(
 op_strategy = st.one_of(
     st.tuples(st.just("insert"), row_strategy),
     st.tuples(st.just("upsert"), row_strategy),
-    # Table.insert_many directly: the bulk loop over pk + two secondary
-    # indexes + listener (no trigger fires at table level).
+    # Table.insert_many directly: the bulk loop over the pk index +
+    # listener (no trigger fires at table level).
     st.tuples(st.just("table_insert_many"), st.lists(row_strategy, max_size=6)),
     # Database.insert_many on a table with triggers (row-by-row form) ...
     st.tuples(st.just("insert_many"), st.lists(row_strategy, max_size=6)),
-    # Bulk upsert: hits and misses in one batch, over the same indexes.
+    # Bulk upsert: hits and misses in one batch, over the same pk index.
     st.tuples(st.just("upsert_many"), st.lists(row_strategy, max_size=6)),
     st.tuples(
         st.just("notes_upsert_many"),
@@ -308,11 +305,6 @@ class Landscape:
         self.records, self.fired = [], []
         for schema in (ORDERS, AUDIT, NOTES):
             self.db.create_table(schema).__class__ = table_class
-        orders = self.db.table("orders")
-        orders.create_index("by_cust", ("cust",))
-        orders.create_index("by_status_cust", ("status", "cust"))
-        notes = self.db.table("notes")
-        notes.create_index("by_text", ("text",))
         self.db.set_change_listener(
             lambda table, op, payload: self.records.append(
                 (table, op, tuple(dict(p) if isinstance(p, dict) else p
@@ -368,7 +360,6 @@ class Landscape:
             tables[name] = (
                 [[(k, type(v), repr(v)) for k, v in row.items()] for row in table],
                 table._pk_index,
-                {index: table._secondary[index] for index in table.index_names},
                 table.rows_read,
                 table.rows_written,
                 table._generation,
@@ -409,7 +400,7 @@ class TestDmlSequencesMatchSeed:
         self, budget, rows, predicates
     ):
         """Same rows gone, same ``delete_at`` positions journaled, same
-        counters, generation step and rebuilt indexes —
+        counters, generation step and rebuilt pk index —
         for expression predicates (only ``True`` deletes, NULL does not)
         and callables (any truthy verdict deletes)."""
         new, seed = Landscape(Table, budget), Landscape(SeedTable, budget)
@@ -438,7 +429,7 @@ class TestDmlSequencesMatchSeed:
         orders = new.db.table("orders")
         assert [r["oid"] for r in orders] == [1, 2]
         assert orders.rows_written == 2
-        assert [r["oid"] for r in orders.lookup("by_cust", 10)] == [1, 2]
+        assert orders._pk_index == {(1, 1): 0, (2, 1): 1}
         assert [f for f in new.fired if f[0] == "first"] == [
             ("first", 1, 1), ("first", 2, 1)
         ]

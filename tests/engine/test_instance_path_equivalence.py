@@ -8,11 +8,11 @@ parent commit: one attempt loop in ``handle_event``, every step through
 dataclasses.  One period of P01–P15 at d=0.02 and one period of the
 bench's synth knob string run on all four engines, bare and with each
 attachment ``handle_event`` reads (resilience with one transient fault
-and one poison message, storage, observability) and with ``trace=True``
+and one poison message, storage, observability) and with a tracer alone
 — once on production, once under ``seed_bodies()`` — and must agree on
 every instance record field for field (costs by ``float.hex``), every
-operator observation, span, metric and trace line, the dead letters, the
-number of messages created and the landscape digest.
+operator observation, span and metric, the dead letters, the number of
+messages created and the landscape digest.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _classic_client(engine: str, config: str) -> BenchmarkClient:
         faults=CLASSIC_FAULTS if config == "resilience" else None,
         durability="snapshot+wal" if config == "storage" else "off",
         collect_metrics=config == "observability",
-        collect_trace=config == "observability",
+        collect_trace=config in ("observability", "trace"),
     )
     client = BenchmarkClient.from_spec(spec)
     client._phase_pre()
@@ -109,7 +109,7 @@ def _synth_client(engine: str, config: str) -> SynthClient:
         max_attempts=3,
         durability="snapshot+wal" if config == "storage" else "off",
         collect_metrics=config == "observability",
-        collect_trace=config == "observability",
+        collect_trace=config in ("observability", "trace"),
     )
     client = SynthClient.from_spec(spec)
     client._phase_pre()
@@ -137,8 +137,6 @@ def run_once(workload: str, engine: str, config: str) -> dict:
     ):
         build = _classic_client if workload == "classic" else _synth_client
         client = build(engine, config)
-        if config == "trace":
-            client.engine.trace = True
         records = client.run_period(0)
         next_message_id = next(message_module._message_counter)
     res = client.engine.resilience
@@ -153,7 +151,6 @@ def run_once(workload: str, engine: str, config: str) -> dict:
                 *client.engine.durable_databases(),
             ]
         ),
-        "traces": list(client.engine.traces),
         "profiles": profiles,
         "spans": export_spans_jsonl(obs.tracer) if obs.tracer is not None else "",
         "metrics": export_prometheus(obs.metrics) if obs.metrics is not None else "",
@@ -183,7 +180,7 @@ def test_production_equals_the_seed_bodies(workload, engine, config):
         assert production["profiles"] and production["spans"]
         assert "engine_operators_total" in production["metrics"]
     if config == "trace":
-        assert len(production["traces"]) == len(production["records"])
+        assert production["spans"] and not production["metrics"]
 
 
 def test_seed_bodies_are_installed_and_removed():

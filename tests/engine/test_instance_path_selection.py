@@ -119,12 +119,11 @@ class TestAttachBetweenTwoEvents:
         engine = MtmInterpreterEngine(fresh_registry())
         engine.deploy(simple_e2(steps=2))
         engine.handle_event(event(deadline=0.0))
-        assert engine.traces == []
-        engine.trace = True
+        tracer = Tracer()
+        engine.observability = Observability(tracer)
         engine.handle_event(event(deadline=10.0))
-        assert engine.traces == [
-            ("PX", ["sequence:sequence", "signal:signal", "signal:signal"])
-        ]
+        assert [s.name for s in tracer.spans_of_kind("operator")] \
+            == ["signal:signal", "signal:signal"]
 
     def test_failure_on_a_bare_engine_is_the_fail_fast_record(self):
         engine = MtmInterpreterEngine(fresh_registry())

@@ -16,6 +16,7 @@ from repro.mtm import (
     Signal,
     Subprocess,
 )
+from repro.observability import Observability, Tracer
 from repro.services import DatabaseService, Envelope, Network, ServiceRegistry
 
 
@@ -61,13 +62,18 @@ class TestExecution:
 
     def test_trace_collection(self, world):
         registry, _ = world
-        engine = MtmInterpreterEngine(registry, trace=True)
+        tracer = Tracer()
+        engine = MtmInterpreterEngine(
+            registry, observability=Observability(tracer)
+        )
         engine.deploy(
             ProcessType("P_T", ProcessGroup.A, "t", EventType.E2_SCHEDULE,
                         Sequence([Signal(name="end")]))
         )
         engine.handle_event(ProcessEvent("P_T", 0.0))
-        assert engine.traces == [("P_T", ["sequence:sequence", "signal:end"])]
+        assert [s.name for s in tracer.spans_of_kind("instance")] == ["P_T#1"]
+        assert [s.name for s in tracer.spans_of_kind("operator")] \
+            == ["signal:end"]
 
 
 class TestSubprocesses:

@@ -280,9 +280,11 @@ class TestSignalAndBookkeeping:
 
     def test_trace(self, registry):
         reg, _ = registry
-        traced = ExecutionContext(reg, "IS", trace=True)
+        traced = ExecutionContext(reg, "IS")
+        traced.operator_log = []
         run(Signal(name="end"), traced)
-        assert traced.trace_log == ["signal:end"]
+        assert [(o.kind, o.name) for o in traced.operator_log] \
+            == [("signal", "end")]
 
     def test_unknown_work_kind(self, ctx):
         with pytest.raises(ProcessRuntimeError):

@@ -5,7 +5,7 @@ and the event scheduler had before the instance path stopped re-deriving
 what a deployed definition fixes, verbatim: :func:`handle_event` is one
 150-line attempt loop with the attempt and the record constructor
 written out inside it; :func:`run_operator` (``Operator._run``)
-formats a trace line and tests the operator log for every operator and
+tests the operator log for every operator and
 :func:`sequence_execute` sends every step through it; :func:`project`
 re-splits its mapping and re-fetches the compiled closures on every
 call, as :func:`convert_execute` does with its column parsers (through
@@ -16,7 +16,7 @@ through ``execute`` directly, gives ``handle_event`` one attempt body
 and orders ``(deadline, seqno, event)`` tuples;
 ``tests/engine/test_instance_path_equivalence.py`` holds it to *this*
 module: same instance records field for field (costs by ``float.hex``),
-same operator and trace logs, same landscape digests.
+same operator logs, same landscape digests.
 
 :func:`seed_bodies` installs the whole reference over the production
 classes for the length of a ``with`` block.
@@ -221,7 +221,6 @@ def handle_event(self, event) -> InstanceRecord:
 
 def run_operator(self, context) -> None:
     context.operators_executed += 1
-    context.trace(f"{self.kind}:{self.name}")
     log = context.operator_log
     if log is None or not self.profile_leaf:
         self.execute(context)
@@ -263,7 +262,7 @@ def sequence_execute(self, context) -> None:
         for step in self.steps:
             step._run(context)
     except _ValidationHandled:
-        context.trace(f"sequence:{self.name}: stopped by failed validation")
+        pass
 
 
 def projection_execute(self, context) -> None:

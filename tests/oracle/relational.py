@@ -366,8 +366,8 @@ class Table:
     """A table without indexes or sharing: every read is a copying scan.
 
     ``rows_read``/``rows_written`` count the *logical* work the engine's
-    cost model prices — a point lookup reads one row, an index lookup
-    its matches, a scan or snapshot the whole table — which is what
+    cost model prices — a point lookup reads one row, a scan or
+    snapshot the whole table — which is what
     production must keep charging however it answers the read.
     """
 
@@ -462,14 +462,6 @@ class Table:
         self.rows_read += 1
         found = [r for r in self.rows if self.schema.pk_of(r) == key]
         return self._copies(found)[0] if found else None
-
-    def lookup(self, columns: Sequence[str], key: tuple | Any) -> list[Row]:
-        """Equality lookup over ``columns``, charged per matching row."""
-        if not isinstance(key, tuple):
-            key = (key,)
-        found = [r for r in self.rows if tuple(r[c] for c in columns) == key]
-        self.rows_read += len(found)
-        return self._copies(found)
 
     def scan(
         self, predicate: Expression | Callable[[Row], Any] | None = None

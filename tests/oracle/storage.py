@@ -49,7 +49,6 @@ from repro.mtm.process import ProcessType, assert_valid_definition
 class TableCapture:
     schema: Any
     rows: list[dict]
-    indexes: list[tuple[str, tuple[str, ...]]]
 
 
 @dataclass
@@ -69,12 +68,7 @@ def capture(db: Database) -> DatabaseCapture:
     for name in db.table_names:
         table = db.table(name)
         snapshot.tables[name] = TableCapture(
-            schema=table.schema,
-            rows=[dict(row) for row in table],
-            indexes=[
-                (index_name, table.index_columns(index_name))
-                for index_name in table.index_names
-            ],
+            schema=table.schema, rows=[dict(row) for row in table]
         )
     for name in db.view_names:
         snapshot.views[name] = db.materialized_view(name).is_populated
@@ -91,13 +85,6 @@ def restore(snapshot: DatabaseCapture, db: Database) -> int:
             table = db.create_table(snap.schema)
         table.restore_rows([dict(row) for row in snap.rows])
         restored += len(snap.rows)
-        wanted = dict(snap.indexes)
-        for index_name in table.index_names:
-            if table.index_columns(index_name) != wanted.get(index_name):
-                table.drop_index(index_name)
-        for index_name, columns in snap.indexes:
-            if not table.has_index(index_name):
-                table.create_index(index_name, columns)
     for name, populated in snapshot.views.items():
         try:
             view = db.materialized_view(name)

@@ -117,11 +117,6 @@ class TestExecutionNeverEditsADefinition:
             outcome = run_spec(spec)
             assert outcome.ok, outcome.error
             assert outcome.result.total_instances > 0
-        # An operator-trace run (``trace=True``), the way the CLI asks.
-        client = BenchmarkClient.from_spec(specs[0])
-        client.engine.trace = True
-        client.run()
-        assert client.engine.traces
 
         assert fingerprint(resident_processes()) == before
         assert fingerprint(resident_processes()) == fingerprint(build_processes())

@@ -19,7 +19,6 @@ def make_db():
             primary_key=("orderkey",),
         )
     )
-    db.table("orders").create_index("idx_status", ("status",))
     db.create_materialized_view("open_mv", lambda d: d.query("orders"))
     for k, status in ((1, "open"), (2, "done"), (3, "open")):
         db.insert("orders", {"orderkey": k, "status": status})
@@ -34,16 +33,18 @@ class TestCaptureRestore:
         assert snapshot.row_count == 3
 
         db.insert("orders", {"orderkey": 9, "status": "junk"})
-        db.table("orders").drop_index("idx_status")
+        db.table("orders").update(
+            {"orderkey": 4}, lambda row: row["orderkey"] == 1
+        )
         restored = snapshot.restore_into(db)
 
         assert restored == 3
         assert len(db.table("orders")) == 3
-        assert db.table("orders").has_index("idx_status")
+        # The pk index is rebuilt over the restored rows.
         assert db.table("orders").get(9) is None
-        # Index is live again, not just declared.
-        assert [r["orderkey"] for r in
-                db.table("orders").lookup("idx_status", ("open",))] == [1, 3]
+        assert db.table("orders").get(4) is None
+        assert [db.table("orders").get(k)["status"] for k in (1, 2, 3)] \
+            == ["open", "done", "open"]
 
     def test_restore_recreates_missing_tables(self):
         db = make_db()
@@ -152,36 +153,16 @@ class TestSharedRows:
             snapshot.restore_into(db)
             assert database_digest(db) == expected
 
-    def test_index_ddl_between_checkpoints_is_captured(self):
-        # create_index / drop_index do not bump the table's generation,
-        # so "same generation" does not mean "same snapshot".
-        db = make_db()
-        table = db.table("orders")
-        first = DatabaseSnapshot.capture(db)
-        generation = table._generation
-        table.create_index("idx_key_status", ("orderkey", "status"))
-        second = DatabaseSnapshot.capture(db)
-        table.drop_index("idx_status")
-        third = DatabaseSnapshot.capture(db)
-        assert table._generation == generation
-        assert first.tables["orders"].indexes == [("idx_status", ("status",))]
-        assert second.tables["orders"].indexes == [
-            ("idx_key_status", ("orderkey", "status")),
-            ("idx_status", ("status",)),
-        ]
-        assert third.tables["orders"].indexes == [
-            ("idx_key_status", ("orderkey", "status"))
-        ]
-
     def test_recreated_table_is_captured_not_its_namesake(self):
-        # A fresh table restarts its generation count and reaches
-        # numbers the dropped one already had under the same name.
+        # A fresh table (redo of a journaled create_table) restarts its
+        # generation count and reaches numbers the replaced one already
+        # had under the same name.
         db = make_db()
         old = db.table("orders")
         first = DatabaseSnapshot.capture(db)
-        db.drop_table("orders")
-        fresh = db.create_table(old.schema)
-        fresh.create_index("idx_status", ("status",))
+        db.redo("orders", "create_table", (old.schema,))
+        fresh = db.table("orders")
+        assert fresh is not old
         for k in (7, 8, 9):
             fresh.insert({"orderkey": k, "status": "fresh"})
         assert fresh._generation == old._generation

@@ -26,6 +26,10 @@ class TestExamples:
         assert "status=ok" in out
         assert "store_north price_list" in out
         assert "fork:fan_out" in out
+        # Both fork branches ran: each left an operator span.
+        spans = out.split("operator spans of the last instance:")[1]
+        assert "invoke:replicate_north" in spans
+        assert "invoke:replicate_south" in spans
 
     def test_degraded_run(self, capsys):
         out = run_example("degraded_run.py", capsys)
