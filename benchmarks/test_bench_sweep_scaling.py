@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.parallel import expand_grid, run_sweep
+from repro.parallel import SweepExecutor, expand_grid
 
 from benchmarks.conftest import write_artifact
 
@@ -31,7 +31,7 @@ GRID = expand_grid(
 
 def timed_sweep(workers: int):
     started = time.perf_counter()
-    result = run_sweep(GRID, workers=workers)
+    result = SweepExecutor(workers=workers).run(GRID)
     elapsed = time.perf_counter() - started
     assert result.ok, [o.error for o in result.failed]
     return result, elapsed
@@ -76,5 +76,5 @@ def test_bench_sweep_scaling(benchmark):
         assert best > 0.5, f"overhead too high on 1 core: {speedups}"
 
     benchmark.pedantic(
-        lambda: run_sweep(GRID[:2], workers=2), rounds=2, iterations=1
+        lambda: SweepExecutor(workers=2).run(GRID[:2]), rounds=2, iterations=1
     )

@@ -14,8 +14,8 @@ a virtual host:
    host id.  No randomness, no real clocks: two runs elect identically.
 3. **Promotion** — the winner catches up any LSN gap from the durable
    WAL (the measured RPO exposure), copies its state into the live
-   database object, and the federated catalog is rerouted to the new
-   primary placement.
+   database object, and the cluster's placement routes the database
+   to the new primary.
 4. **Redispatch** — the in-flight message the crash interrupted is
    parked in the dead-letter queue during the failover and redispatched
    (with its pristine copy) once the new primary serves.
@@ -88,7 +88,7 @@ class FailoverReport:
     #: Databases recovered from checkpoint + WAL redo because no live
     #: follower survived (degraded path; 0 on a healthy cluster).
     rebuilt_from_log: int = 0
-    #: Federated-catalog routes repointed at new primaries.
+    #: Database routes (placement entries) repointed at new primaries.
     rerouted: int = 0
     rpo_records: int = 0
     catchup_records: int = 0

@@ -352,9 +352,6 @@ class ClusterManager:
         storage.restore_engine_state(engine)
         storage.resume()
 
-        routes = {name: placement[0] for name, placement in self.placement.items()}
-        engine.note_catalog_reroute(routes)
-
         report = FailoverReport(
             index=len(self.failover_reports),
             period=self.period,

@@ -481,12 +481,6 @@ class IntegrationEngine:
         (the federated engine's catalog; empty for stateless engines)."""
         return []
 
-    def note_catalog_reroute(self, routes: "dict[str, str]") -> None:
-        """Cluster hook: the failover protocol repointed database routes
-        (``db name -> new primary host``).  Routing metadata is volatile
-        engine state — stateless engines ignore it; the federated engine
-        records it in its catalog view."""
-
     def runtime_state(self) -> dict:
         """Volatile scheduling state, captured at each durable commit.
 

@@ -67,12 +67,7 @@ class FederatedEngine(IntegrationEngine):
             mem_budget=mem_budget,
         )
         #: The engine's own catalog: queue tables, triggers, procedures.
-        self.internal_db = Database("federation_catalog")
-        if self.mem_budget is not None:
-            self.internal_db.set_memory_budget(self.mem_budget)
-        #: Volatile routing metadata: ``db name -> current primary host``
-        #: (written by the cluster layer's failover rerouting).
-        self.catalog_routes: dict[str, str] = {}
+        self.internal_db = self._new_catalog()
         self._next_tid = 1
         # Per-execution scratch: the context used by the running trigger or
         # procedure body (triggers receive only (db, row), so the engine
@@ -211,15 +206,12 @@ class FederatedEngine(IntegrationEngine):
         super().restore_runtime_state(state)
         self._next_tid = state.get("next_tid", 1)
 
-    def note_catalog_reroute(self, routes: dict[str, str]) -> None:
-        """Cluster failover repointed the federation's database routes.
-
-        The routes live beside the catalog as volatile metadata — never
-        as catalog *rows*, which would perturb the replicated queue
-        tables' digests.  ``catalog_routes`` is what the wrappers would
-        consult to reach each database's current primary.
-        """
-        self.catalog_routes = dict(routes)
+    def _new_catalog(self) -> Database:
+        """An empty federation catalog under the engine's memory budget."""
+        catalog = Database("federation_catalog")
+        if self.mem_budget is not None:
+            catalog.set_memory_budget(self.mem_budget)
+        return catalog
 
     def crash(self) -> None:
         """A crash also loses the in-memory federation catalog.
@@ -229,8 +221,7 @@ class FederatedEngine(IntegrationEngine):
         ``StorageManager.reattach_engine`` re-binds the WAL before
         recovery restores the committed queue rows.
         """
-        self.internal_db = Database("federation_catalog")
-        self.catalog_routes = {}
+        self.internal_db = self._new_catalog()
         self._next_tid = 1
         self._active_context = None
         self._active_process = None

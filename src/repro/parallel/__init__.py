@@ -13,7 +13,9 @@ the same seeds.
 * :func:`client_from_spec` — the one place a spec becomes a wired client,
 * :func:`run_spec` — execute one spec, failures contained per point,
 * :func:`expand_grid` / :func:`parse_grid_axes` — grid construction,
-* :class:`SweepExecutor` / :func:`run_sweep` — the worker pool,
+* :class:`SweepExecutor` — serial, or fanned out over the worker pool,
+* :class:`WorkerPool` — the persistent worker processes it and the
+  serving layer run on,
 * :class:`SweepResult` — grid-ordered outcomes + merged shards,
 * :func:`prove_convergence` — a faulted run against its fault-free twin.
 """
@@ -23,7 +25,6 @@ from repro.parallel.executor import (
     SweepExecutor,
     SweepResult,
     prove_convergence,
-    run_sweep,
 )
 from repro.parallel.grid import expand_grid, grid_from_axes, parse_grid_axes
 from repro.parallel.pool import WorkerPool
@@ -31,7 +32,6 @@ from repro.parallel.spec import (
     RunOutcome,
     RunSpec,
     SweepError,
-    SweepSabotage,
     client_from_spec,
     run_spec,
 )
@@ -42,13 +42,11 @@ __all__ = [
     "run_spec",
     "client_from_spec",
     "SweepError",
-    "SweepSabotage",
     "expand_grid",
     "grid_from_axes",
     "parse_grid_axes",
     "SweepExecutor",
     "SweepResult",
-    "run_sweep",
     "ConvergenceReport",
     "prove_convergence",
     "WorkerPool",

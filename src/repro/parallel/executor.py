@@ -22,15 +22,15 @@ Determinism model
 Worker-crash containment
 ------------------------
 
-The pool (:class:`repro.parallel.pool.WorkerPool`) is hand-rolled over
-``Pipe``-connected worker processes rather than ``concurrent.futures``
+The pool (:class:`repro.parallel.pool.WorkerPool`) runs one thread per
+``Pipe``-connected worker process rather than a ``ProcessPoolExecutor``,
 because a worker that dies outright (OOM kill, segfault, ``os._exit``)
-must fail **only its own grid point**: the pool detects the broken pipe,
-records the point as ``"crashed"`` with ``error_type="WorkerCrashed"``,
-replaces the worker, and the sweep completes.
-(``ProcessPoolExecutor`` marks the whole pool broken instead.)  The
-same pool, in its persistent form, executes sessions for the
-:mod:`repro.serve` front-end.
+must fail **only its own grid point**: the thread that owns it sees the
+broken pipe, records the point as ``"crashed"`` with
+``error_type="WorkerCrashed"``, starts a replacement, and the sweep
+completes.  (``ProcessPoolExecutor`` marks the whole pool broken
+instead.)  The same pool executes sessions for the :mod:`repro.serve`
+front-end.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.observability.metrics import MetricsRegistry
-from repro.parallel.pool import WorkerPool, _pick_start_method
+from repro.parallel.pool import START_METHOD, WorkerPool
 from repro.parallel.spec import RunOutcome, RunSpec, SweepError, run_spec
 
 
@@ -117,15 +117,10 @@ class SweepExecutor:
     processes (capped at the number of specs).
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        start_method: str | None = None,
-    ):
+    def __init__(self, workers: int = 1):
         if workers < 1:
             raise SweepError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = _pick_start_method(start_method)
 
     def run(self, specs: Sequence[RunSpec]) -> SweepResult:
         specs = list(specs)
@@ -133,7 +128,7 @@ class SweepExecutor:
             raise SweepError("nothing to sweep: no RunSpecs given")
         started = time.perf_counter()
         if self.workers == 1 or len(specs) == 1:
-            outcomes = [self._run_serial(spec) for spec in specs]
+            outcomes = [run_spec(spec) for spec in specs]
             return SweepResult(
                 outcomes=outcomes,
                 workers=1,
@@ -145,48 +140,23 @@ class SweepExecutor:
             outcomes=outcomes,
             workers=min(self.workers, len(specs)),
             wall_seconds=time.perf_counter() - started,
-            start_method=self.start_method,
+            start_method=START_METHOD,
         )
-
-    # -- serial path -----------------------------------------------------------
-
-    @staticmethod
-    def _run_serial(spec: RunSpec) -> RunOutcome:
-        if spec.sabotage == "hard-exit":
-            # Mirror the pool's containment outcome instead of killing
-            # the calling process: serial and parallel sweeps stay
-            # byte-identical even under sabotage.
-            return RunOutcome.crashed(spec)
-        return run_spec(spec)
-
-    # -- pool path ---------------------------------------------------------------
 
     def _run_pool(self, specs: list[RunSpec]) -> list[RunOutcome]:
         """Fan the batch out over a :class:`WorkerPool`.
 
-        Specs are submitted in grid order (the pool dispatches FIFO) and
+        Specs are submitted in grid order (the pool starts them FIFO) and
         outcomes are collected at the spec's original grid index, so
         completion order — the only thing the worker count changes — is
         invisible in the merged result.
         """
-        pool = WorkerPool(
-            workers=min(self.workers, len(specs)),
-            start_method=self.start_method,
-        )
+        pool = WorkerPool(workers=min(self.workers, len(specs)))
         try:
             futures = [pool.submit(spec) for spec in specs]
             return [future.result() for future in futures]
         finally:
             pool.close()
-
-
-def run_sweep(
-    specs: Sequence[RunSpec],
-    workers: int = 1,
-    start_method: str | None = None,
-) -> SweepResult:
-    """Convenience wrapper: build an executor and run the sweep."""
-    return SweepExecutor(workers=workers, start_method=start_method).run(specs)
 
 
 @dataclass

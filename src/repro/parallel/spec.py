@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.cluster import ClusterConfig
 from repro.declare import fields_of, knob, problems
@@ -41,61 +41,52 @@ class SweepError(ReproError):
     """Sweep misconfiguration: bad grid axes, bad worker counts."""
 
 
-class SweepSabotage(ReproError):
-    """Deterministic self-inflicted failure (the ``sabotage`` test hook)."""
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One benchmark configuration, as plain picklable data.
 
     Every field declares its own CLI flag, range (:func:`repro.declare.knob`)
-    and ``session/v1`` membership (``wire``: ``"rw"`` accepted and echoed,
-    ``"r"`` accepted only); ``physical`` marks a knob that changes where rows
-    live, never what a run computes, so it is not in :attr:`label`.  The
+    and ``session/v1`` membership (``wire=True``: accepted and echoed);
+    ``physical`` marks a knob that changes where rows live, never what a
+    run computes, so it is not in :attr:`label`.  The
     CLI parsers, the serving translator and the knob table in
     docs/parallel.md derive from these declarations.
-
-    ``sabotage`` is a test hook for the sweep executor's containment
-    paths: ``"raise"`` makes :func:`run_spec` fail deterministically
-    before building anything, ``"hard-exit"`` makes a pool worker die
-    without a Python traceback (simulating an OOM kill / segfault).
     """
 
     engine: str = knob(
-        "interpreter", "--engine", "engine realization to run", wire="rw",
+        "interpreter", "--engine", "engine realization to run", wire=True,
         choices=lambda: sorted(ENGINES),
         complaint="{name}: unknown engine {value!r} (choose from {choices})",
     )
     datasize: float = knob(
-        0.05, "--datasize", "scale factor d", wire="rw", bounds="(0, 10]"
+        0.05, "--datasize", "scale factor d", wire=True, bounds="(0, 10]"
     )
     time: float = knob(
-        1.0, "--time", "scale factor t", wire="rw", bounds="(0, 100]"
+        1.0, "--time", "scale factor t", wire=True, bounds="(0, 100]"
     )
     distribution: int = knob(
         0, "--distribution",
         "scale factor f: 0 uniform, 1 zipf, 2 normal, 3 exponential",
-        wire="rw", choices=(0, 1, 2, 3),
+        wire=True, choices=(0, 1, 2, 3),
     )
     periods: int = knob(
         1, "--periods", "benchmark periods to execute (1-100)",
-        wire="rw", bounds="[1, 100]",
+        wire=True, bounds="[1, 100]",
     )
     seed: int = knob(
         42, "--seed", "seed of everything the run draws at random",
-        wire="rw",
+        wire=True,
     )
     jitter: float = knob(
         0.0, "--jitter", "network jitter fraction in [0, 1)",
-        wire="rw", bounds="[0, 1)",
+        wire=True, bounds="[0, 1)",
     )
     engine_workers: int = knob(
         4, "--workers",
         "engine worker-pool size: the engine's virtual concurrency",
-        wire="rw", bounds="[1, inf)", complaint="{name}: must be >= 1: {value}",
+        wire=True, bounds="[1, inf)", complaint="{name}: must be >= 1: {value}",
     )
-    sandiego_error_rate: float = knob(0.15, wire="rw", bounds="[0, 1]")
+    sandiego_error_rate: float = knob(0.15, wire=True, bounds="[0, 1]")
     faults: FaultSpec | None = knob(
         None, "--faults",
         "fault spec file: its deterministic fault schedule is injected "
@@ -111,14 +102,14 @@ class RunSpec:
         "off", "--durability",
         "durability mode: off, wal (period-baseline checkpoint + redo "
         "log) or snapshot+wal (plus periodic checkpoints)",
-        wire="rw", choices=("off",) + DURABILITY_MODES,
+        wire=True, choices=("off",) + DURABILITY_MODES,
     )
     #: In tu.  Below the lower bound every cadence means the same thing
     #: (a checkpoint at every commit), so it is refused as a typo.
     checkpoint_every: float | None = knob(
         None, "--checkpoint-every",
         "checkpoint cadence in tu under --durability snapshot+wal",
-        metavar="TU", wire="rw", bounds="[1e-06, 1e+09]",
+        metavar="TU", wire=True, bounds="[1e-06, 1e+09]",
     )
     #: Cluster overlay: 0 hosts = single-host classic run; >= 2 builds a
     #: consistent-hash cluster with ``cluster_replicas`` log-shipped
@@ -141,14 +132,10 @@ class RunSpec:
         1, "--repl-batch", "async shipping batch size in records"
     )
     verify: bool = knob(
-        True, "--no-verify", "skip phase-post verification", wire="rw"
+        True, "--no-verify", "skip phase-post verification", wire=True
     )
     collect_metrics: bool = False
     collect_trace: bool = False
-    sabotage: str = knob(
-        "", wire="r", choices=("", "raise", "hard-exit"),
-        complaint="{name}: unknown hook {value!r}",
-    )
     #: The spec's own ``seed`` is inherited by the synthesizer unless
     #: the knob string pins one.
     synth: str = knob(
@@ -156,7 +143,7 @@ class RunSpec:
         "synthesized-workload knob string (repro.synth), e.g. "
         "sources=3,depth=2,families=cdc+scd; empty runs the classic "
         "DIPBench scenario",
-        metavar="KNOBS", wire="rw",
+        metavar="KNOBS", wire=True,
     )
     #: A budgeted run occupies the same grid point (and must
     #: fingerprint identically) as its unbudgeted twin.
@@ -191,10 +178,6 @@ class RunSpec:
         if self.synth:
             return f"{base} synth={self.synth}"
         return base
-
-    def with_engine(self, engine: str) -> "RunSpec":
-        """The same grid point on another engine (conformance pairs)."""
-        return replace(self, engine=engine)
 
     def problems(self) -> list[str]:
         """Every reason this is not a valid run, as ``field: complaint``.
@@ -450,8 +433,6 @@ def run_spec(spec: RunSpec) -> RunOutcome:
 
     started = time.perf_counter()
     try:
-        if spec.sabotage == "raise":
-            raise SweepSabotage(f"sabotaged grid point: {spec.label}")
         client = client_from_spec(spec)
         result = client.run(verify=spec.verify)
         digest = landscape_digest(client.scenario.all_databases.values())

@@ -30,7 +30,7 @@ class InlineDispatcher:
 
     name = "inline"
 
-    def __init__(self, slots: int = 2, start_method: str | None = None):
+    def __init__(self, slots: int = 2):
         self.slots = slots
         self._executor = ThreadPoolExecutor(
             max_workers=slots, thread_name_prefix="repro-serve"
@@ -49,9 +49,9 @@ class PoolDispatcher:
 
     name = "pool"
 
-    def __init__(self, slots: int = 2, start_method: str | None = None):
+    def __init__(self, slots: int = 2):
         self.slots = slots
-        self._pool = WorkerPool(workers=slots, start_method=start_method)
+        self._pool = WorkerPool(workers=slots)
 
     async def run(self, spec: RunSpec) -> RunOutcome:
         return await asyncio.wrap_future(self._pool.submit(spec))

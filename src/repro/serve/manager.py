@@ -85,7 +85,6 @@ class ServeConfig:
     dispatcher: str = knob("pool", "--dispatcher", "pool = worker processes, inline "
                            "= threads in the server process",
                            choices=tuple(DISPATCHERS))
-    start_method: str | None = knob(None)
     cache: bool = knob(True, "--no-cache", "disable the deterministic result cache")
     tenants: dict[str, TenantPolicy] = knob(
         factory=dict, flag="--tenant", help="declare a tenant with its admission "
@@ -131,8 +130,7 @@ class SessionManager:
         )
         self.dead_letters = DeadLetterQueue(metrics=self.metrics)
         self.dispatcher = DISPATCHERS[self.config.dispatcher](
-            slots=self.config.engine_slots,
-            start_method=self.config.start_method,
+            slots=self.config.engine_slots
         )
         self.state = SERVING
         self._queue: "asyncio.Queue[Session]" = asyncio.Queue()

@@ -24,8 +24,8 @@ Contract ``dipbench.session/v1``
 Every ``spec`` field is optional (defaults match the CLI) and every
 *unknown* field is rejected — boundary protection, not silent dropping:
 a misspelled knob must fail loudly, or the tenant benchmarks something
-other than what they asked for.  ``sabotage`` is accepted as a
-documented test hook (it exists on :class:`RunSpec` for exactly this).
+other than what they asked for.  Every accepted field is echoed back in
+the session document.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def spec_to_json(spec: RunSpec) -> dict:
     return {
         name: getattr(spec, name)
         for name, knob in KNOBS.items()
-        if knob.metadata.get("wire") == "rw" and getattr(spec, name) != ""
+        if knob.metadata.get("wire") and getattr(spec, name) != ""
     }
 
 

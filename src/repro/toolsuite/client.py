@@ -546,7 +546,7 @@ class BenchmarkClient:
         The distributed variant of :meth:`_recover_and_resume`: redeploy
         and reattach as usual, park the interrupted message in the
         dead-letter queue, run the failover protocol (detection →
-        election → promotion → catalog reroute), then redispatch the
+        election → promotion → reroute), then redispatch the
         parked message — with the pristine copy when the crash hit at
         the commit point.  The first served completion closes the
         failover's RTO clock.

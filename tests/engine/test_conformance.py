@@ -17,7 +17,7 @@ process types of Table I.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -71,7 +71,7 @@ class Capture:
 
 
 def _run(engine: str) -> Capture:
-    client = BenchmarkClient.from_spec(SPEC.with_engine(engine))
+    client = BenchmarkClient.from_spec(replace(SPEC, engine=engine))
     result = client.run()
     table_rows = {
         f"{name}.{table}": len(db.table(table))

@@ -10,13 +10,15 @@ two threads at once, and through crash redeploys.
 """
 
 import asyncio
+import multiprocessing
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.observability.export import export_prometheus
-from repro.parallel import RunSpec, WorkerPool, run_spec
+from repro.parallel import RunSpec, run_spec
 from repro.scenario.processes import resident_processes
 from repro.serve.dispatch import InlineDispatcher
 from tests.cluster.test_failover import CRASHES  # arrival + commit, every period
@@ -48,11 +50,9 @@ def fresh_process():
     """``run(spec)`` in an interpreter that has run nothing else yet
     (one spawned worker per call)."""
     def run(spec):
-        pool = WorkerPool(workers=1, start_method="spawn")
-        try:
-            return pool.submit(spec).result(timeout=120)
-        finally:
-            pool.close()
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            return pool.submit(run_spec, spec).result(timeout=120)
 
     return run
 

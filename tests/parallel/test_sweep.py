@@ -9,8 +9,8 @@ alone while the rest of the sweep completes.
 
 from __future__ import annotations
 
+import os
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -23,8 +23,9 @@ from repro.parallel import (
     grid_from_axes,
     parse_grid_axes,
     run_spec,
-    run_sweep,
 )
+from repro.parallel import pool as pool_module
+from repro.parallel import spec as spec_module
 
 #: Small enough to keep the suite quick, large enough that every stream
 #: (A/B/C/D) actually runs instances.
@@ -120,12 +121,6 @@ class TestRunSpec:
         spec = fast_spec(collect_metrics=True)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_with_engine_changes_only_the_engine(self):
-        spec = fast_spec()
-        twin = spec.with_engine("federated")
-        assert twin.engine == "federated"
-        assert twin == replace(spec, engine="federated")
-
     def test_label_is_stable(self):
         assert fast_spec(seed=7).label == "interpreter d=0.02 t=1 f=0 seed=7"
 
@@ -155,13 +150,6 @@ class TestRunSpecExecution:
         before = outcome.fingerprint()
         outcome.wall_seconds = 999.0
         assert outcome.fingerprint() == before
-
-    def test_sabotage_raise_is_contained(self):
-        outcome = run_spec(fast_spec(sabotage="raise"))
-        assert not outcome.ok
-        assert outcome.status == "error"
-        assert outcome.error_type == "SweepSabotage"
-        assert outcome.result is None
 
     def test_unknown_engine_is_contained(self):
         outcome = run_spec(fast_spec(engine="quantum"))
@@ -198,12 +186,12 @@ GRID = expand_grid(
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_sweep(GRID, workers=1)
+    return SweepExecutor(workers=1).run(GRID)
 
 
 @pytest.fixture(scope="module")
 def parallel_result():
-    return run_sweep(GRID, workers=3)
+    return SweepExecutor(workers=3).run(GRID)
 
 
 class TestByteIdentity:
@@ -260,17 +248,41 @@ class TestByteIdentity:
 # worker-crash containment
 # ---------------------------------------------------------------------------
 
-CONTAINMENT_GRID = [
-    fast_spec(seed=31),
-    fast_spec(seed=32, sabotage="hard-exit"),
-    fast_spec(seed=33, sabotage="raise"),
-    fast_spec(seed=34),
-]
+CONTAINMENT_GRID = [fast_spec(seed=seed) for seed in (31, 32, 33, 34)]
+#: In a pool worker, the second grid point kills its process outright ...
+CRASH_SEED = 32
+#: ... and the third fails to build its client, in a worker or inline.
+FAILING_SEED = 33
 
 
 @pytest.fixture(scope="module")
-def contained_parallel():
-    return run_sweep(CONTAINMENT_GRID, workers=2)
+def failing_client():
+    """``client_from_spec`` raising for one seed, patched in before any
+    worker forks."""
+    real = spec_module.client_from_spec
+
+    def failing(spec, workload=None):
+        if spec.seed == FAILING_SEED:
+            raise RuntimeError(f"no client for {spec.label}")
+        return real(spec, workload)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spec_module, "client_from_spec", failing)
+        yield
+
+
+@pytest.fixture(scope="module")
+def contained_parallel(failing_client):
+    real = pool_module.run_spec
+
+    def crashing(spec):
+        if spec.seed == CRASH_SEED:
+            os._exit(70)
+        return real(spec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool_module, "run_spec", crashing)
+        return SweepExecutor(workers=2).run(CONTAINMENT_GRID)
 
 
 class TestCrashContainment:
@@ -286,7 +298,8 @@ class TestCrashContainment:
 
     def test_error_outcome_keeps_exception_type(self, contained_parallel):
         errored = contained_parallel.outcomes[2]
-        assert errored.error_type == "SweepSabotage"
+        assert errored.error_type == "RuntimeError"
+        assert "no client" in errored.error
 
     def test_survivors_still_verify(self, contained_parallel):
         for index in (0, 3):
@@ -298,11 +311,16 @@ class TestCrashContainment:
         assert len(contained_parallel.failed) == 2
 
     def test_serial_sweep_mirrors_the_containment(self, contained_parallel):
-        serial = run_sweep(CONTAINMENT_GRID, workers=1)
-        assert serial.fingerprint() == contained_parallel.fingerprint()
+        """Inline, the failing point fails the same way; only a worker
+        process can die, so the crash point stays out."""
+        survivors = [
+            o for o in contained_parallel.outcomes if o.spec.seed != CRASH_SEED
+        ]
+        serial = SweepExecutor(workers=1).run([o.spec for o in survivors])
+        assert [o.status for o in serial.outcomes] == ["ok", "error", "ok"]
         assert (
-            [o.status for o in serial.outcomes]
-            == [o.status for o in contained_parallel.outcomes]
+            [o.fingerprint() for o in serial.outcomes]
+            == [o.fingerprint() for o in survivors]
         )
 
 
@@ -314,10 +332,6 @@ class TestExecutorValidation:
     def test_empty_grid_rejected(self):
         with pytest.raises(SweepError, match="nothing to sweep"):
             SweepExecutor(workers=1).run([])
-
-    def test_unavailable_start_method_rejected(self):
-        with pytest.raises(SweepError, match="not available"):
-            SweepExecutor(workers=2, start_method="hyperdrive")
 
     def test_single_spec_runs_inline(self):
         result = SweepExecutor(workers=4).run([fast_spec(seed=41)])

@@ -28,13 +28,17 @@ from repro.serve.http import MAX_HEADERS
 from repro.toolsuite.monitor import Monitor
 
 
+#: The stand-in run fails every spec from this seed up.
+FAILING_SEED = 900
+
+
 @pytest.fixture()
 def fast_runs(monkeypatch):
     """Instant deterministic stand-in for engine execution."""
 
     def fake_run_spec(spec):
-        if spec.sabotage == "raise":
-            return RunOutcome.failed(spec, RuntimeError("sabotaged run"))
+        if spec.seed >= FAILING_SEED:
+            return RunOutcome.failed(spec, RuntimeError("failed run"))
         time.sleep(0.002)
         return RunOutcome(
             spec=spec, status="ok",
@@ -232,6 +236,14 @@ class TestSessionFlow:
 
         serve_scenario(scenario)
 
+    def test_no_field_reaches_a_test_hook(self, fast_runs):
+        async def scenario(client):
+            reply = await client.post_session(_doc(sabotage="hard-exit"))
+            assert reply.status == 400
+            assert reply.doc["problems"] == ["spec.sabotage: unknown field"]
+
+        serve_scenario(scenario)
+
     def test_closed_enrollment_rejects_unknown_tenant(self, fast_runs):
         config = _config(
             tenants={"vip": TenantPolicy(name="vip")}, default_policy=None
@@ -309,7 +321,7 @@ class TestBackpressureOverHttp:
         async def scenario(client):
             for seed in range(3):
                 posted = await client.post_session(
-                    _doc(seed=seed, sabotage="raise")
+                    _doc(seed=FAILING_SEED + seed)
                 )
                 await client.get_session(posted.doc["id"], "acme", wait=10)
             reply = await client.post_session(_doc(seed=99))

@@ -49,13 +49,17 @@ def _config(**kwargs):
     return ServeConfig(**kwargs)
 
 
+#: The stand-in runs fail every spec from this seed up.
+FAILING_SEED = 900
+
+
 @pytest.fixture()
 def fast_runs(monkeypatch):
     """Replace engine execution with an instant deterministic stand-in."""
 
     def fake_run_spec(spec):
-        if spec.sabotage == "raise":
-            return RunOutcome.failed(spec, RuntimeError("sabotaged run"))
+        if spec.seed >= FAILING_SEED:
+            return RunOutcome.failed(spec, RuntimeError("failed run"))
         time.sleep(0.002)
         return RunOutcome(
             spec=spec, status="ok",
@@ -229,7 +233,7 @@ class TestCircuitBreaker:
             )
             await manager.start()
             for seed in (1, 2):
-                session = manager.submit(_doc(seed=seed, sabotage="raise"))
+                session = manager.submit(_doc(seed=FAILING_SEED + seed))
                 await manager.wait(session, timeout=5)
                 assert session.state == FAILED
             # Breaker open: the next submission is rejected up front.
@@ -256,7 +260,7 @@ class TestCircuitBreaker:
         async def scenario():
             manager = SessionManager(_config())
             await manager.start()
-            session = manager.submit(_doc(seed=1, sabotage="raise"))
+            session = manager.submit(_doc(seed=FAILING_SEED))
             await manager.wait(session, timeout=5)
             await manager.shutdown()
             return manager, session
@@ -359,7 +363,7 @@ class TestIsolationAndReporting:
             await manager.wait(first, timeout=5)
             repeat = manager.submit(_doc(seed=1))
             await manager.wait(repeat, timeout=5)
-            failed = manager.submit(_doc(seed=2, sabotage="raise"))
+            failed = manager.submit(_doc(seed=FAILING_SEED))
             await manager.wait(failed, timeout=5)
             await manager.shutdown()
             return manager
@@ -398,8 +402,8 @@ class TestIsolationAndReporting:
                 self.metrics = _NoRows()
 
         def fake_run_spec(spec):
-            if spec.sabotage == "raise":
-                return RunOutcome.failed(spec, RuntimeError("sabotaged run"))
+            if spec.seed >= FAILING_SEED:
+                return RunOutcome.failed(spec, RuntimeError("failed run"))
             outcome = RunOutcome(
                 spec=spec, status="ok",
                 landscape_digest="d", wall_seconds=0.001,
@@ -417,7 +421,7 @@ class TestIsolationAndReporting:
             repeat = manager.submit(_doc(seed=1))  # cache hit
             await manager.wait(repeat, timeout=5)
             failed = manager.submit(
-                _doc(tenant="globex", seed=2, sabotage="raise")
+                _doc(tenant="globex", seed=FAILING_SEED)
             )
             await manager.wait(failed, timeout=5)
             stats = manager.stats()

@@ -174,6 +174,18 @@ class TestCrashRecovery:
         assert "storage_redo_records_count 1" in text
         assert "storage_checkpoints_total" in text
 
+    def test_a_crash_keeps_the_federated_catalog_budget(self):
+        """The recovered catalog spills under the run's budget as the
+        lost one did."""
+        client = client_from_spec(RunSpec(
+            engine="federated", datasize=0.02, periods=1, seed=5,
+            durability="snapshot+wal", mem_budget=200, faults=crash_spec(),
+        ))
+        result = client.run()
+        assert result.recoveries == 1
+        budget = client.engine.internal_db.memory_budget
+        assert budget is not None and budget.limit_rows == 200
+
 
 class TestGuards:
     def test_crash_spec_requires_durability(self):
@@ -196,7 +208,7 @@ class TestGuards:
 
 @pytest.fixture(scope="module")
 def synth_baseline():
-    return {name: run_spec(SYNTH.with_engine(name)) for name in ALL_ENGINES}
+    return {name: run_spec(replace(SYNTH, engine=name)) for name in ALL_ENGINES}
 
 
 @pytest.mark.parametrize("at", SYNTH_CRASH_TIMES)

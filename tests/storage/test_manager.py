@@ -7,7 +7,7 @@ import pytest
 
 from repro.db.database import Database
 from repro.db.schema import Column, TableSchema
-from repro.engine.base import InstanceHistory, InstanceRecord, IntegrationEngine
+from repro.engine.base import InstanceHistory, InstanceRecord
 from repro.engine.costs import CostBreakdown
 from repro.errors import RecoveryError, StorageError
 from repro.observability.export import export_prometheus
@@ -45,9 +45,6 @@ class FakeEngine:
     def clear_records(self):
         """Rebind the append-only history, as a crash does."""
         self.records = InstanceHistory()
-
-    # The production body.
-    note_catalog_reroute = IntegrationEngine.note_catalog_reroute
 
 
 def make_db(name="cdb"):

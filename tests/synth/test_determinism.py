@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.parallel import RunSpec, run_spec, run_sweep
+from repro.parallel import RunSpec, SweepExecutor, run_spec
 from repro.synth import (
     SynthSpec,
     SynthSpecError,
@@ -189,8 +189,8 @@ class TestRunFingerprints:
             RunSpec(**dict(SYNTH_SPEC, seed=12)),
             RunSpec(**dict(SYNTH_SPEC, synth="families=scd,sources=1")),
         ]
-        serial = run_sweep(grid, workers=1)
-        parallel = run_sweep(grid, workers=3)
+        serial = SweepExecutor(workers=1).run(grid)
+        parallel = SweepExecutor(workers=3).run(grid)
         assert serial.fingerprint() == parallel.fingerprint()
         assert serial.to_json() == parallel.to_json()
         assert parallel.ok
