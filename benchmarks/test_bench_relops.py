@@ -390,7 +390,7 @@ def test_tier_switch_ledger_row():
             for name in re.findall(r"REPRO_[A-Z_]+", path.read_text("utf-8"))
         }
     )
-    assert env_knobs == ["REPRO_MEM_BUDGET", "REPRO_SPILL_DIR"]
+    assert env_knobs == ["REPRO_SPILL_DIR"]
     src_lines = count_src_lines()
     ledger_append(
         "simplicity:tier_switches",

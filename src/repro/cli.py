@@ -216,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _spec_options(
         recover, RunSpec,
         "engine datasize time periods seed engine_workers durability "
-        "checkpoint_every faults",
+        "checkpoint_every faults mem_budget",
         durability=durable, checkpoint_every=50.0,
     )
     recover.add_argument("--crash-at", type=float, default=300.0,

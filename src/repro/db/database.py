@@ -97,12 +97,9 @@ class Database:
         # redeployment re-establishes them before redo runs.
         self._listener: ChangeListener | None = None
         #: Row-count budget governing partition residency across all
-        #: tables (None = plain fully-resident storage).  Defaults from
-        #: ``REPRO_MEM_BUDGET``; engines and the CLI override per run.
+        #: tables (None = plain fully-resident storage, the default; a
+        #: run's ``RunSpec.mem_budget`` is set by ``client_from_spec``).
         self._budget: partition.MemoryBudget | None = None
-        env_budget = partition.budget_rows_from_env()
-        if env_budget is not None:
-            self.set_memory_budget(env_budget)
 
     def __repr__(self) -> str:
         return f"Database({self.name}, tables={sorted(self._tables)})"

@@ -38,6 +38,13 @@ baseline; only the :data:`STATS` spill counters (and wall clock) tell
 the difference.  Unbudgeted tables keep using a plain ``list``; no
 per-row overhead is added to resident storage.
 
+A run's budget has one source, ``RunSpec.mem_budget`` (``--mem-budget``),
+which ``client_from_spec`` applies to every landscape database and to
+the engine's own catalog; any other database stays unbudgeted until
+:meth:`~repro.db.database.Database.set_memory_budget` is called.  Spill
+segments go under ``REPRO_SPILL_DIR`` (default: the system temp
+directory).
+
 Why *range* partitioning by insertion position rather than hashing row
 keys: stored row order is part of the determinism contract (digests and
 scans walk it), and position ranges preserve it for free.  Hash
@@ -133,21 +140,7 @@ class PartitionStats:
 STATS = PartitionStats()
 
 
-# -- knobs ---------------------------------------------------------------------
-
-
-def budget_rows_from_env() -> int | None:
-    """The ``REPRO_MEM_BUDGET`` default (rows per database), or None."""
-    raw = os.environ.get("REPRO_MEM_BUDGET", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise StorageError(
-            f"REPRO_MEM_BUDGET must be an integer row count, got {raw!r}"
-        ) from None
-    return value if value > 0 else None
+# -- partition size ------------------------------------------------------------
 
 
 def default_capacity(limit_rows: int) -> int:

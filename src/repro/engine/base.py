@@ -246,14 +246,9 @@ class IntegrationEngine:
         parallel_efficiency: float = 1.0,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        mem_budget: int | None = None,
     ):
         if worker_count < 1:
             raise EngineError(f"worker count must be >= 1, got {worker_count}")
-        if mem_budget is not None and mem_budget < 1:
-            raise EngineError(
-                f"memory budget must be >= 1 row, got {mem_budget}"
-            )
         if not 0.0 <= parallel_efficiency <= 1.0:
             raise EngineError(
                 f"parallel efficiency must be in [0, 1]: {parallel_efficiency}"
@@ -267,11 +262,6 @@ class IntegrationEngine:
         self.cost_parameters = costs or CostParameters()
         self.worker_count = worker_count
         self.parallel_efficiency = parallel_efficiency
-        #: Per-database resident-row budget for spillable table
-        #: partitions (see :mod:`repro.db.partition`); None keeps plain
-        #: fully-resident storage.  Applied by the clients to every
-        #: scenario database.
-        self.mem_budget = mem_budget
         self._processes: dict[str, ProcessType] = {}
         #: Deployed definitions still waiting for a subprocess reference
         #: to resolve, hence not validated yet (see :meth:`deploy`).

@@ -54,7 +54,6 @@ class FederatedEngine(IntegrationEngine):
         parallel_efficiency: float = 0.6,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        mem_budget: int | None = None,
     ):
         super().__init__(
             registry,
@@ -64,10 +63,9 @@ class FederatedEngine(IntegrationEngine):
             parallel_efficiency,
             observability=observability,
             resilience=resilience,
-            mem_budget=mem_budget,
         )
         #: The engine's own catalog: queue tables, triggers, procedures.
-        self.internal_db = self._new_catalog()
+        self.internal_db = Database("federation_catalog")
         self._next_tid = 1
         # Per-execution scratch: the context used by the running trigger or
         # procedure body (triggers receive only (db, row), so the engine
@@ -206,22 +204,21 @@ class FederatedEngine(IntegrationEngine):
         super().restore_runtime_state(state)
         self._next_tid = state.get("next_tid", 1)
 
-    def _new_catalog(self) -> Database:
-        """An empty federation catalog under the engine's memory budget."""
-        catalog = Database("federation_catalog")
-        if self.mem_budget is not None:
-            catalog.set_memory_budget(self.mem_budget)
-        return catalog
-
     def crash(self) -> None:
         """A crash also loses the in-memory federation catalog.
 
-        A *fresh* catalog replaces it; redeployment recreates queue
-        tables, triggers and procedures, and the client's
-        ``StorageManager.reattach_engine`` re-binds the WAL before
-        recovery restores the committed queue rows.
+        A *fresh* catalog replaces it under the lost one's memory
+        budget; redeployment recreates queue tables, triggers and
+        procedures, and the client's ``StorageManager.reattach_engine``
+        re-binds the WAL before recovery restores the committed queue
+        rows.
         """
-        self.internal_db = self._new_catalog()
+        budget = self.internal_db.memory_budget
+        self.internal_db = Database("federation_catalog")
+        if budget is not None:
+            self.internal_db.set_memory_budget(
+                budget.limit_rows, budget.partition_rows
+            )
         self._next_tid = 1
         self._active_context = None
         self._active_process = None

@@ -42,7 +42,6 @@ class MtmInterpreterEngine(IntegrationEngine):
         parallel_efficiency: float | None = None,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        mem_budget: int | None = None,
     ):
         super().__init__(
             registry,
@@ -54,7 +53,6 @@ class MtmInterpreterEngine(IntegrationEngine):
             else parallel_efficiency,
             observability=observability,
             resilience=resilience,
-            mem_budget=mem_budget,
         )
 
     def deploy(self, process: ProcessType) -> None:

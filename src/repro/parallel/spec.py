@@ -151,8 +151,8 @@ class RunSpec:
         None, "--mem-budget",
         "per-database resident-row budget: tables partition and spill "
         "cold partitions to disk past this many rows, results stay "
-        "byte-identical (default unlimited; env REPRO_MEM_BUDGET)",
-        metavar="ROWS", physical=True,
+        "byte-identical (default unlimited)",
+        metavar="ROWS", physical=True, bounds="[1, inf)",
     )
 
     @property
@@ -351,7 +351,8 @@ def client_from_spec(spec: RunSpec, workload=None):
 
     The one place a run's landscape is wired: scenario (or synthesized
     workload) -> engine -> observability -> memory budget on every
-    landscape database.  A sweep worker, a served session and every CLI
+    landscape database and the engine's catalog (the only place a
+    budget is set).  A sweep worker, a served session and every CLI
     command receive nothing but the spec and construct their *own*
     landscape, engine and virtual clocks from it, so no state is shared
     between runs — which is what makes a parallel sweep byte-identical
@@ -382,14 +383,11 @@ def client_from_spec(spec: RunSpec, workload=None):
         client_class = BenchmarkClient
         landscape = scenario = build_scenario(jitter=spec.jitter, seed=spec.seed)
     engine = ENGINES[spec.engine](
-        scenario.registry,
-        worker_count=spec.engine_workers,
-        mem_budget=spec.mem_budget,
+        scenario.registry, worker_count=spec.engine_workers
     )
     if spec.mem_budget is not None:
-        # The engine budgets its own catalog; the landscape's databases
-        # are governed here.
-        for db in scenario.all_databases.values():
+        for db in (*scenario.all_databases.values(),
+                   *engine.durable_databases()):
             db.set_memory_budget(spec.mem_budget)
     return client_class(
         landscape,

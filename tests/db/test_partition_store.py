@@ -21,7 +21,6 @@ from repro.db.partition import (
     MemoryBudget,
     Partition,
     PartitionStore,
-    budget_rows_from_env,
     default_capacity,
 )
 from repro.errors import StorageError
@@ -51,17 +50,6 @@ def make_store(n=100, limit=40, capacity=10):
 
 
 class TestBudgetKnobs:
-    def test_env_budget_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEM_BUDGET", raising=False)
-        assert budget_rows_from_env() is None
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "5000")
-        assert budget_rows_from_env() == 5000
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "0")
-        assert budget_rows_from_env() is None
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "lots")
-        with pytest.raises(StorageError):
-            budget_rows_from_env()
-
     def test_default_capacity_clamps(self):
         assert default_capacity(10) == partition.MIN_PARTITION_ROWS
         assert default_capacity(800) == 100

@@ -113,7 +113,8 @@ class TestRejection:
             ("jitter", 1.0),
             ("engine_workers", 0),
             ("durability", "raid"),
-            ("sabotage", "unplug"),
+            ("checkpoint_every", 0.0),
+            ("sandiego_error_rate", 1.5),
         ],
     )
     def test_range_validation(self, field, value):

@@ -413,6 +413,9 @@ def _no_run(*args, **kwargs):
     raise AssertionError("a run started before the input was refused")
 
 
+_NO_BUDGET = "invalid run spec: mem_budget: out of range [1, inf): {}"
+
+
 @pytest.mark.parametrize(
     "argv, complaint",
     [
@@ -427,12 +430,18 @@ def _no_run(*args, **kwargs):
         (["recover", "--crash-at", "inf"], "finite, got at=inf"),
         (["recover", "--crash-at", "-5"], "time must be >= 0"),
         (["cluster", "run", "--crash-spacing", "nan"], "finite, got at=nan"),
+        (["run", "--mem-budget", "0"], _NO_BUDGET.format(0)),
+        (["profile", "--mem-budget", "0"], _NO_BUDGET.format(0)),
+        (["sweep", "--mem-budget", "-3"], _NO_BUDGET.format(-3)),
+        (["recover", "--mem-budget", "0"], _NO_BUDGET.format(0)),
     ],
 )
 def test_hand_written_flags_fail_closed(argv, complaint, capsys, monkeypatch):
     """Out-of-range flags exit 2 with one ``error:`` line, before any
-    run starts: a crash time is checked before the baseline runs."""
-    for name in ("prove_convergence", "build_scenario"):
+    run starts: a crash time is checked before the baseline runs, a
+    memory budget before the engine is built."""
+    for name in ("prove_convergence", "build_scenario", "client_from_spec",
+                 "SweepExecutor"):
         monkeypatch.setattr(f"repro.cli.{name}", _no_run)
     monkeypatch.setattr("repro.cli.asyncio.run", _no_run)
     assert main(argv) == 2
