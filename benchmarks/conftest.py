@@ -15,14 +15,8 @@ import pathlib
 
 import pytest
 
-from repro.engine import (
-    EaiEngine,
-    EtlEngine,
-    FederatedEngine,
-    MtmInterpreterEngine,
-)
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.engine.base import InstanceHistory
+from repro.parallel import RunSpec, client_from_spec
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -72,15 +66,8 @@ def pytest_runtest_makereport(item, call):
             {"outcome": report.outcome, "seconds": round(report.duration, 3)},
         )
 
-#: (engine, datasize, time, distribution, periods, jitter) -> BenchmarkResult
+#: RunSpec -> (BenchmarkResult, client, scenario)
 _RUN_CACHE: dict = {}
-
-ENGINES = {
-    "interpreter": MtmInterpreterEngine,
-    "federated": FederatedEngine,
-    "eai": EaiEngine,
-    "etl": EtlEngine,
-}
 
 
 def run_cached(
@@ -92,22 +79,16 @@ def run_cached(
     jitter: float = 0.2,
 ):
     """Run (or fetch) one full benchmark at the given configuration."""
-    key = (engine, datasize, time, distribution, periods, jitter)
-    if key not in _RUN_CACHE:
-        scenario = build_scenario(jitter=jitter)
-        eng = ENGINES[engine](scenario.registry)
-        client = BenchmarkClient(
-            scenario,
-            eng,
-            ScaleFactors(datasize=datasize, time=time,
-                         distribution=distribution),
-            periods=periods,
-            seed=5,
-        )
+    spec = RunSpec(
+        engine=engine, datasize=datasize, time=time,
+        distribution=distribution, periods=periods, seed=5, jitter=jitter,
+    )
+    if spec not in _RUN_CACHE:
+        client = client_from_spec(spec)
         result = client.run()
         assert result.verification.ok, result.verification.summary()
-        _RUN_CACHE[key] = (result, client, scenario)
-    return _RUN_CACHE[key]
+        _RUN_CACHE[spec] = (result, client, client.scenario)
+    return _RUN_CACHE[spec]
 
 
 def src_lines() -> int:
@@ -129,18 +110,15 @@ def one_period_runner(engine: str = "interpreter",
                       datasize: float = 0.05,
                       time: float = 1.0):
     """A callable executing exactly one fresh period (the timed unit)."""
-    scenario = build_scenario()
-    eng = ENGINES[engine](scenario.registry)
-    client = BenchmarkClient(
-        scenario, eng, ScaleFactors(datasize=datasize, time=time),
-        periods=1, seed=5,
-    )
+    client = client_from_spec(RunSpec(
+        engine=engine, datasize=datasize, time=time, periods=1, seed=5,
+    ))
 
     def run_one_period():
-        eng.records = InstanceHistory()
+        client.engine.records = InstanceHistory()
         client.monitor.records = InstanceHistory()
         client.run_period(0)
-        return len(eng.records)
+        return len(client.engine.records)
 
     return run_one_period
 

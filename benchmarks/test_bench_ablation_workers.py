@@ -7,21 +7,16 @@ parallelism stops paying — the sizing question every integration-system
 operator faces.
 """
 
-from repro.engine import MtmInterpreterEngine
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 from benchmarks.conftest import write_artifact
 
 
 def run_with_workers(workers: int):
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry, worker_count=workers)
-    client = BenchmarkClient(
-        scenario, engine,
-        ScaleFactors(datasize=0.05, time=4.0),  # compressed schedule
-        periods=2, seed=5,
-    )
+    client = client_from_spec(RunSpec(
+        datasize=0.05, time=4.0,  # compressed schedule
+        periods=2, seed=5, engine_workers=workers,
+    ))
     result = client.run(verify=False)
     assert result.error_instances == 0
     records = [r for r in result.records if r.process_id == "P04"]

@@ -6,20 +6,15 @@ paper's reference datasize and verifies the final state, timing the
 complete phase *work*.
 """
 
-from repro.engine import MtmInterpreterEngine
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 from benchmarks.conftest import write_artifact
 
 
 def test_full_100_period_run(benchmark):
     def full_run():
-        scenario = build_scenario()
-        engine = MtmInterpreterEngine(scenario.registry)
-        client = BenchmarkClient(
-            scenario, engine, ScaleFactors(datasize=0.05),
-            periods=100, seed=5,
+        client = client_from_spec(
+            RunSpec(datasize=0.05, periods=100, seed=5)
         )
         result = client.run()
         return result, client

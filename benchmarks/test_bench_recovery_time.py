@@ -14,14 +14,13 @@ commits made (counted, not timed).
 
 import gc
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
-from repro.engine import MtmInterpreterEngine
-from repro.parallel.spec import RunSpec
+from repro.parallel.spec import RunSpec, client_from_spec
 from repro.resilience import FaultEvent, FaultSpec
-from repro.scenario import build_scenario
 from repro.storage import StorageManager, landscape_digest
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.toolsuite import BenchmarkClient
 
 from benchmarks.conftest import RESULTS_DIR, ledger_append, write_artifact
 
@@ -37,21 +36,17 @@ def crash_spec():
 
 
 def run_once(durability=None, checkpoint_every=None):
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    kwargs = {}
+    spec = RunSpec(datasize=0.05, periods=1, seed=42)
     if durability is not None:
-        kwargs = {
-            "durability": durability,
-            "checkpoint_every": checkpoint_every,
-            "faults": crash_spec(),
-        }
-    client = BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=0.05),
-        periods=1, seed=42, **kwargs,
-    )
+        spec = replace(
+            spec, durability=durability, checkpoint_every=checkpoint_every,
+            faults=crash_spec(),
+        )
+    client = client_from_spec(spec)
     result = client.run()
-    return client, result, landscape_digest(scenario.all_databases.values())
+    return client, result, landscape_digest(
+        client.scenario.all_databases.values()
+    )
 
 
 def shared_rows_ledger_row(curve_unchanged):

@@ -15,25 +15,22 @@ from __future__ import annotations
 
 import json
 
+from repro.parallel import RunSpec, client_from_spec
 from repro.synth import SynthSpec, synthesize
 from repro.synth.families import family_breakdown
-from repro.synth.runner import SynthClient
-from repro.toolsuite import ScaleFactors
 
-from benchmarks.conftest import ENGINES, write_artifact
+from benchmarks.conftest import write_artifact
 
 DEPTHS = (0, 2, 4)
 NOISES = (0.0, 0.3)
 
 
 def _run_point(depth: int, noise: float) -> dict:
-    spec = SynthSpec(
+    knobs = SynthSpec(
         sources=2, depth=depth, noise=noise, transform_mix="balanced"
-    ).resolve(5)
-    workload = synthesize(spec, f=1)
-    engine = ENGINES["interpreter"](workload.scenario.registry)
-    client = SynthClient(
-        workload, engine, ScaleFactors(time=1.0, distribution=1), periods=2
+    ).to_string()
+    client = client_from_spec(
+        RunSpec(synth=knobs, seed=5, distribution=1, periods=2)
     )
     result = client.run()
     assert result.verification.ok, result.verification.summary()

@@ -17,13 +17,9 @@ Run with::
 """
 
 import os
+from dataclasses import replace
 
-from repro import (
-    BenchmarkClient,
-    MtmInterpreterEngine,
-    ScaleFactors,
-    build_scenario,
-)
+from repro.parallel import RunSpec, client_from_spec
 from repro.resilience import FaultSpec
 from repro.storage import landscape_digest
 
@@ -31,22 +27,17 @@ SPEC_PATH = os.path.join(os.path.dirname(__file__), "faults_crash.json")
 
 
 def execute(faults: FaultSpec | None):
-    scenario = build_scenario()
-    client = BenchmarkClient(
-        scenario,
-        MtmInterpreterEngine(scenario.registry),
-        ScaleFactors(datasize=0.05),
-        periods=1,
-        seed=42,
-        faults=faults,
-        **(
-            {"durability": "snapshot+wal", "checkpoint_every": 50.0}
-            if faults is not None
-            else {}
-        ),
-    )
+    spec = RunSpec(datasize=0.05, periods=1, seed=42)
+    if faults is not None:
+        spec = replace(
+            spec, faults=faults, durability="snapshot+wal",
+            checkpoint_every=50.0,
+        )
+    client = client_from_spec(spec)
     result = client.run()
-    return client, result, landscape_digest(scenario.all_databases.values())
+    return client, result, landscape_digest(
+        client.scenario.all_databases.values()
+    )
 
 
 def main() -> None:

@@ -140,7 +140,8 @@ def main() -> None:
     assert_valid_definition(process)  # static checks before deployment
 
     tracer = Tracer()
-    engine = MtmInterpreterEngine(registry, observability=Observability(tracer))
+    engine = MtmInterpreterEngine(registry)
+    engine.observability = Observability(tracer)
     engine.deploy(process)
 
     updates = [

@@ -11,21 +11,13 @@ Run with::
     python examples/data_quality_report.py
 """
 
-from repro import (
-    BenchmarkClient,
-    MtmInterpreterEngine,
-    ScaleFactors,
-    build_scenario,
-)
+from repro.parallel import RunSpec, client_from_spec
 from repro.toolsuite import measure_quality
 
 
 def main() -> None:
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=0.05), periods=1, seed=42
-    )
+    client = client_from_spec(RunSpec(datasize=0.05, periods=1, seed=42))
+    scenario = client.scenario
 
     # Peek at the dirt *before* the run: initialize one period's sources
     # manually and count non-conforming master data.

@@ -14,13 +14,8 @@ Run with::
 
 import os
 
-from repro import (
-    BenchmarkClient,
-    MtmInterpreterEngine,
-    ScaleFactors,
-    build_scenario,
-)
-from repro.resilience import FaultSpec, RetryPolicy
+from repro.parallel import RunSpec, client_from_spec
+from repro.resilience import FaultSpec
 
 SPEC_PATH = os.path.join(os.path.dirname(__file__), "faults_basic.json")
 
@@ -31,17 +26,11 @@ def main() -> None:
     print(spec.describe())
     print()
 
-    # 2. A normal benchmark client, plus the fault spec and a retry policy.
-    scenario = build_scenario()
-    client = BenchmarkClient(
-        scenario,
-        MtmInterpreterEngine(scenario.registry),
-        ScaleFactors(datasize=0.05, time=1.0, distribution=0),
-        periods=2,
-        seed=42,
-        faults=spec,
-        resilience=RetryPolicy(max_attempts=4),
-    )
+    # 2. A normal benchmark run, plus the fault spec and a retry budget.
+    client = client_from_spec(RunSpec(
+        datasize=0.05, time=1.0, distribution=0, periods=2, seed=42,
+        faults=spec, max_attempts=4,
+    ))
     result = client.run()
 
     # 3. What survived, what retried, what was quarantined.

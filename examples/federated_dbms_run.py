@@ -17,23 +17,19 @@ Run with::
 
 import pathlib
 
-from repro import BenchmarkClient, FederatedEngine, ScaleFactors, build_scenario
+from repro.parallel import RunSpec, client_from_spec
 
 OUT_DIR = pathlib.Path(__file__).parent
 
 
 def run_experiment(datasize: float, periods: int = 3):
-    scenario = build_scenario(jitter=0.2)  # the paper used a wireless LAN
-    engine = FederatedEngine(scenario.registry)
-    client = BenchmarkClient(
-        scenario,
-        engine,
-        ScaleFactors(datasize=datasize, time=1.0),
-        periods=periods,
-        seed=42,
-    )
+    client = client_from_spec(RunSpec(
+        engine="federated", datasize=datasize, time=1.0,
+        periods=periods, seed=42,
+        jitter=0.2,  # the paper used a wireless LAN
+    ))
     result = client.run()
-    return result, client, engine
+    return result, client, client.engine
 
 
 def main() -> None:

@@ -13,19 +13,11 @@ Run with::
     python examples/scale_factor_study.py
 """
 
-from repro import (
-    BenchmarkClient,
-    MtmInterpreterEngine,
-    ScaleFactors,
-    build_scenario,
-)
+from repro.parallel import RunSpec, client_from_spec
 
 
-def run(factors: ScaleFactors, periods: int = 2):
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(scenario, engine, factors, periods=periods,
-                             seed=7)
+def run(periods: int = 2, **factors):
+    client = client_from_spec(RunSpec(periods=periods, seed=7, **factors))
     result = client.run()
     assert result.verification.ok
     return result
@@ -35,7 +27,7 @@ def sweep_datasize() -> None:
     print("datasize sweep (t=1.0, uniform)")
     print(f"{'d':>6}{'instances':>11}{'P04 NAVG+':>12}{'P13 NAVG+':>12}")
     for d in (0.02, 0.05, 0.1):
-        result = run(ScaleFactors(datasize=d))
+        result = run(datasize=d)
         print(
             f"{d:>6}{result.total_instances:>11}"
             f"{result.metrics['P04'].navg_plus:>12.1f}"
@@ -48,7 +40,7 @@ def sweep_time() -> None:
     print("time sweep (d=0.05, uniform) — NAVG+ reported in tu")
     print(f"{'t':>6}{'P04 NAVG+':>12}{'P10 NAVG+':>12}")
     for t in (0.5, 1.0, 2.0, 4.0):
-        result = run(ScaleFactors(datasize=0.05, time=t))
+        result = run(datasize=0.05, time=t)
         print(
             f"{t:>6}{result.metrics['P04'].navg_plus:>12.1f}"
             f"{result.metrics['P10'].navg_plus:>12.1f}"
@@ -63,7 +55,7 @@ def sweep_distribution() -> None:
     names = {0: "uniform", 1: "zipf", 2: "normal", 3: "exponential"}
     print(f"{'f':>14}{'P09 NAVG+':>12}{'P12 NAVG+':>12}{'errors':>8}")
     for f, name in names.items():
-        result = run(ScaleFactors(datasize=0.05, distribution=f))
+        result = run(datasize=0.05, distribution=f)
         print(
             f"{name:>14}{result.metrics['P09'].navg_plus:>12.1f}"
             f"{result.metrics['P12'].navg_plus:>12.1f}"

@@ -15,7 +15,7 @@ Run with::
     python examples/synth_workload.py
 """
 
-from repro.engine import ENGINES
+from repro.parallel import RunSpec, client_from_spec
 from repro.synth import (
     SynthSpec,
     build_manifest,
@@ -24,8 +24,6 @@ from repro.synth import (
     synthesize,
 )
 from repro.synth.families import label_process
-from repro.synth.runner import SynthClient
-from repro.toolsuite import ScaleFactors
 
 
 def main() -> None:
@@ -51,9 +49,9 @@ def main() -> None:
 
     # 3. Run it like any benchmark workload — the engines execute the
     #    generated process definitions unchanged.
-    engine = ENGINES["etl"](workload.scenario.registry, worker_count=4)
-    client = SynthClient(
-        workload, engine, ScaleFactors(time=1.0, distribution=1), periods=2
+    client = client_from_spec(
+        RunSpec(engine="etl", distribution=1, periods=2, seed=spec.seed),
+        workload=workload,
     )
     result = client.run()
     print(

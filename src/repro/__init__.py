@@ -8,15 +8,9 @@ in pure Python.
 
 Quickstart::
 
-    from repro import (
-        BenchmarkClient, MtmInterpreterEngine, ScaleFactors, build_scenario,
-    )
+    from repro.parallel import RunSpec, client_from_spec
 
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(scenario, engine,
-                             ScaleFactors(datasize=0.05, time=1.0),
-                             periods=5)
+    client = client_from_spec(RunSpec(datasize=0.05, time=1.0, periods=5))
     result = client.run()
     print(result.metrics.as_table())
     print(client.monitor.performance_plot())

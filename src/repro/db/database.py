@@ -98,7 +98,7 @@ class Database:
         self._listener: ChangeListener | None = None
         #: Row-count budget governing partition residency across all
         #: tables (None = plain fully-resident storage, the default; a
-        #: run's ``RunSpec.mem_budget`` is set by ``client_from_spec``).
+        #: run's ``RunSpec.mem_budget`` is set by the client's constructor).
         self._budget: partition.MemoryBudget | None = None
 
     def __repr__(self) -> str:

@@ -39,11 +39,11 @@ the difference.  Unbudgeted tables keep using a plain ``list``; no
 per-row overhead is added to resident storage.
 
 A run's budget has one source, ``RunSpec.mem_budget`` (``--mem-budget``),
-which ``client_from_spec`` applies to every landscape database and to
-the engine's own catalog; any other database stays unbudgeted until
-:meth:`~repro.db.database.Database.set_memory_budget` is called.  Spill
-segments go under ``REPRO_SPILL_DIR`` (default: the system temp
-directory).
+which the ``BenchmarkClient`` constructor applies to every landscape
+database and to the engine's own catalog; any other database stays
+unbudgeted until :meth:`~repro.db.database.Database.set_memory_budget`
+is called.  Spill segments go under ``REPRO_SPILL_DIR`` (default: the
+system temp directory).
 
 Why *range* partitioning by insertion position rather than hashing row
 keys: stored row order is part of the determinism contract (digests and

@@ -244,8 +244,6 @@ class IntegrationEngine:
         costs: CostParameters | None = None,
         worker_count: int = 4,
         parallel_efficiency: float = 1.0,
-        observability: Observability | None = None,
-        resilience: "ResilienceContext | None" = None,
     ):
         if worker_count < 1:
             raise EngineError(f"worker count must be >= 1, got {worker_count}")
@@ -287,7 +285,7 @@ class IntegrationEngine:
         #: Retry/backoff + fault-injection context (attached by the
         #: BenchmarkClient, like observability); None = fail-fast, the
         #: exact pre-resilience behavior.
-        self.resilience = resilience
+        self.resilience: "ResilienceContext | None" = None
         #: 1-based attempt number of the execution currently in flight,
         #: exposed to operators through the execution context.
         self._current_attempt = 1
@@ -295,7 +293,7 @@ class IntegrationEngine:
         #: StorageManager.attach_engine); None = no durability, the
         #: exact pre-storage behavior.
         self.storage: "StorageManager | None" = None
-        self.observability = observability
+        self.observability = None
 
     # -- observability ---------------------------------------------------------
 

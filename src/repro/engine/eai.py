@@ -57,27 +57,24 @@ class EaiEngine(MtmInterpreterEngine):
     """Message-oriented middleware as the system under test.
 
     Structurally an MTM interpreter (EAI servers execute integration
-    flows natively) with the EAI cost profile and a larger worker pool —
-    message brokers are built for high fan-in concurrency.
+    flows natively) with the EAI cost profile.
     """
 
     engine_name = "eai-server"
     default_costs = EAI_COSTS
-    default_worker_count = 8
 
 
 class EtlEngine(MtmInterpreterEngine):
     """A batch ETL tool as the system under test.
 
     Structurally an MTM interpreter with the ETL cost profile and a
-    small worker pool — ETL jobs are few and fat, not many and thin.
-    The ``receive_overhead`` models the per-message pickup an ETL tool
-    pays when misused as an online message handler.
+    lower parallel efficiency — ETL jobs are few and fat, not many and
+    thin.  The ``receive_overhead`` models the per-message pickup an
+    ETL tool pays when misused as an online message handler.
     """
 
     engine_name = "etl-tool"
     default_costs = ETL_COSTS
-    default_worker_count = 2
     default_parallel_efficiency = 0.8
 
     def _execute_instance(self, process, event, queue_length):

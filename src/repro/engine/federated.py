@@ -22,7 +22,6 @@ relational bulk processes stay cheap (optimizer-covered).
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING
 
 from repro.errors import EngineError
 from repro.db.database import Database
@@ -32,12 +31,8 @@ from repro.engine.costs import CostBreakdown, FEDERATED_COSTS, CostParameters
 from repro.mtm.context import WORK_XML, ExecutionContext
 from repro.mtm.message import Message
 from repro.mtm.process import EventType, ProcessType
-from repro.observability import Observability
 from repro.services.registry import ServiceRegistry
 from repro.xmlkit.doc import parse_xml, serialize_xml
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.policy import ResilienceContext
 
 
 class FederatedEngine(IntegrationEngine):
@@ -52,17 +47,10 @@ class FederatedEngine(IntegrationEngine):
         costs: CostParameters | None = None,
         worker_count: int = 4,
         parallel_efficiency: float = 0.6,
-        observability: Observability | None = None,
-        resilience: "ResilienceContext | None" = None,
     ):
         super().__init__(
-            registry,
-            host,
-            costs or FEDERATED_COSTS,
-            worker_count,
+            registry, host, costs or FEDERATED_COSTS, worker_count,
             parallel_efficiency,
-            observability=observability,
-            resilience=resilience,
         )
         #: The engine's own catalog: queue tables, triggers, procedures.
         self.internal_db = Database("federation_catalog")

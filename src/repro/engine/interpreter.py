@@ -7,16 +7,10 @@ an EAI/ETL engine with a worker pool, a plan cache and native operators.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine.base import IntegrationEngine, ProcessEvent
 from repro.engine.costs import CostBreakdown, INTERPRETER_COSTS, CostParameters
 from repro.mtm.process import ProcessType
-from repro.observability import Observability
 from repro.services.registry import ServiceRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.policy import ResilienceContext
 
 
 class MtmInterpreterEngine(IntegrationEngine):
@@ -30,7 +24,6 @@ class MtmInterpreterEngine(IntegrationEngine):
     #: The profile an argument left at None falls back to; subclasses
     #: that model another kind of integration system override these.
     default_costs = INTERPRETER_COSTS
-    default_worker_count = 4
     default_parallel_efficiency = 1.0
 
     def __init__(
@@ -38,21 +31,17 @@ class MtmInterpreterEngine(IntegrationEngine):
         registry: ServiceRegistry,
         host: str = "IS",
         costs: CostParameters | None = None,
-        worker_count: int | None = None,
+        worker_count: int = 4,
         parallel_efficiency: float | None = None,
-        observability: Observability | None = None,
-        resilience: "ResilienceContext | None" = None,
     ):
         super().__init__(
             registry,
             host,
             costs or self.default_costs,
-            self.default_worker_count if worker_count is None else worker_count,
+            worker_count,
             self.default_parallel_efficiency
             if parallel_efficiency is None
             else parallel_efficiency,
-            observability=observability,
-            resilience=resilience,
         )
 
     def deploy(self, process: ProcessType) -> None:

@@ -9,11 +9,11 @@ Prometheus text).  A half left ``None`` is off and costs nothing.
 
 Quick start::
 
-    from repro.observability import MetricsRegistry, Observability, Tracer
+    from repro.parallel import RunSpec, client_from_spec
 
-    obs = Observability(Tracer(), MetricsRegistry())
-    client = BenchmarkClient(scenario, engine, observability=obs)
+    client = client_from_spec(RunSpec(collect_trace=True, collect_metrics=True))
     client.run()
+    obs = client.observability
     obs.write_chrome_trace("trace.json")   # open in ui.perfetto.dev
     print(obs.prometheus())
 """

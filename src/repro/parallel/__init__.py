@@ -10,7 +10,8 @@ grid order, so a parallel sweep is byte-identical to the serial one at
 the same seeds.
 
 * :class:`RunSpec` — one picklable benchmark configuration,
-* :func:`client_from_spec` — the one place a spec becomes a wired client,
+* :func:`client_from_spec` — a spec's client (classic or synthesized),
+  whose constructor wires the run,
 * :func:`run_spec` — execute one spec, failures contained per point,
 * :func:`expand_grid` / :func:`parse_grid_axes` — grid construction,
 * :class:`SweepExecutor` — serial, or fanned out over the worker pool,

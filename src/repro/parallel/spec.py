@@ -5,7 +5,7 @@ one point of the paper's (datasize, time, distribution) scale grid, at
 one seed, on one engine, with the run's resilience fault timeline and
 durability settings carried along.  It contains no live objects: a
 worker process receives nothing but the spec and builds its own
-landscape, engine and clocks from it (``BenchmarkClient.from_spec``),
+landscape, engine and clocks from it (:func:`client_from_spec`),
 which is what makes sweeping the grid across ``multiprocessing`` workers
 byte-identical to running it serially.
 
@@ -22,16 +22,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.cluster import ClusterConfig
 from repro.declare import fields_of, knob, problems
 from repro.engine import ENGINES
 from repro.engine.base import InstanceRecord
-from repro.errors import BenchmarkError, ReproError
-from repro.observability import Observability
+from repro.errors import ReproError
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracer import Tracer
-from repro.resilience import FaultSpec, RetryPolicy
-from repro.scenario import build_scenario
+from repro.resilience import FaultSpec
 from repro.storage import DURABILITY_MODES
 from repro.toolsuite.client import BenchmarkClient, BenchmarkResult
 from repro.toolsuite.schedule import ScaleFactors
@@ -97,6 +93,7 @@ class RunSpec:
     max_attempts: int = knob(
         4, "--max-attempts",
         "retry budget per process instance under --faults",
+        bounds="[1, inf)",
     )
     durability: str = knob(
         "off", "--durability",
@@ -126,10 +123,11 @@ class RunSpec:
     )
     repl_lag: float = knob(
         0.0, "--repl-lag", "async replication lag window in tu",
-        metavar="TU",
+        metavar="TU", bounds="[0, inf)",
     )
     repl_batch: int = knob(
-        1, "--repl-batch", "async shipping batch size in records"
+        1, "--repl-batch", "async shipping batch size in records",
+        bounds="[1, inf)",
     )
     verify: bool = knob(
         True, "--no-verify", "skip phase-post verification", wire=True
@@ -182,28 +180,39 @@ class RunSpec:
     def problems(self) -> list[str]:
         """Every reason this is not a valid run, as ``field: complaint``.
 
-        The declared ranges, the synth knob string's own problems, the
-        one knob a synthesized run cannot honour (the classic San Diego
-        order error rate), the two knobs that need durability (crash
-        recovery and a cluster both replay the WAL) and a crash timeline
-        that kills every cluster host in one period: the serving
-        translator prefixes each with ``spec.`` for its 400 body, the
-        CLI prints them and exits 2, :func:`client_from_spec` refuses to
-        build anything while the list is non-empty.
+        The declared ranges, the cluster's shape (0 or at least 2 hosts,
+        replicas in [1, hosts - 1]), the synth knob string's own
+        problems, the one knob a synthesized run cannot honour (the
+        classic San Diego order error rate), the two knobs that need
+        durability (crash recovery and a cluster both replay the WAL)
+        and a crash timeline that kills every cluster host in one
+        period: the serving translator prefixes each with ``spec.`` for
+        its 400 body, the CLI prints them and exits 2, the client's
+        constructor refuses to build anything while the list is
+        non-empty.
         """
         found = problems(self)
+        hosts = self.cluster_hosts
+        clustered = hosts >= 2
+        if hosts and not clustered:
+            found.append(f"cluster_hosts: must be 0 or >= 2: {hosts}")
+        elif clustered and not 1 <= self.cluster_replicas < hosts:
+            found.append(
+                f"cluster_replicas: must be in [1, {hosts - 1}] with "
+                f"{hosts} cluster hosts: {self.cluster_replicas}"
+            )
         if self.durability == "off":
             if self.faults is not None and self.faults.has_crashes:
                 found.append(
                     "faults: the spec schedules engine crashes, and crash "
                     "recovery needs durability wal or snapshot+wal"
                 )
-            if self.cluster_hosts:
+            if clustered:
                 found.append(
                     "cluster_hosts: a cluster replicates the WAL, so it "
-                    f"needs durability wal or snapshot+wal: {self.cluster_hosts}"
+                    f"needs durability wal or snapshot+wal: {hosts}"
                 )
-        if self.cluster_hosts > 0 and self.faults is not None:
+        if clustered and self.faults is not None:
             # A crash kills one host, which stays dead until the next
             # period; an event without a period recurs in every one.
             crashes = [e.period for e in self.faults.events if e.kind == "crash"]
@@ -211,10 +220,10 @@ class RunSpec:
                 p for p in crashes if p is not None and p < self.periods
             )
             worst = crashes.count(None) + max(pinned.values(), default=0)
-            if worst >= self.cluster_hosts:
+            if worst >= hosts:
                 found.append(
                     f"faults: {worst} crashes in one period kill all "
-                    f"{self.cluster_hosts} cluster hosts, and a dead host "
+                    f"{hosts} cluster hosts, and a dead host "
                     "stays dead until the next period"
                 )
         if self.synth:
@@ -347,76 +356,16 @@ class RunOutcome:
 
 
 def client_from_spec(spec: RunSpec, workload=None):
-    """Build the fully wired client of one picklable :class:`RunSpec`.
-
-    The one place a run's landscape is wired: scenario (or synthesized
-    workload) -> engine -> observability -> memory budget on every
-    landscape database and the engine's catalog (the only place a
-    budget is set).  A sweep worker, a served session and every CLI
-    command receive nothing but the spec and construct their *own*
-    landscape, engine and virtual clocks from it, so no state is shared
-    between runs — which is what makes a parallel sweep byte-identical
-    to the serial one.  ``workload`` hands over an already synthesized
-    workload (``repro synth run`` has built one for its manifest).
+    """The client of one :class:`RunSpec`: a synthesized-workload client
+    when the spec sets ``synth`` or ``workload`` hands over an already
+    synthesized one (``repro synth run`` has built it for its manifest),
+    the classic one otherwise.  The client's constructor wires the run.
     """
-    problems = spec.problems()
-    if problems:
-        raise BenchmarkError("invalid run spec: " + "; ".join(problems))
-    observability = Observability(
-        tracer=Tracer() if spec.collect_trace else None,
-        metrics=MetricsRegistry() if spec.collect_metrics else None,
-    )
-    if spec.synth and workload is None:
-        from repro.synth import SynthSpec, synthesize
-
-        workload = synthesize(
-            SynthSpec.parse(spec.synth).resolve(spec.seed),
-            f=spec.distribution,
-            jitter=spec.jitter,
-        )
-    if workload is not None:
+    if spec.synth or workload is not None:
         from repro.synth.runner import SynthClient
 
-        client_class, landscape = SynthClient, workload
-        scenario = workload.scenario
-    else:
-        client_class = BenchmarkClient
-        landscape = scenario = build_scenario(jitter=spec.jitter, seed=spec.seed)
-    engine = ENGINES[spec.engine](
-        scenario.registry, worker_count=spec.engine_workers
-    )
-    if spec.mem_budget is not None:
-        for db in (*scenario.all_databases.values(),
-                   *engine.durable_databases()):
-            db.set_memory_budget(spec.mem_budget)
-    return client_class(
-        landscape,
-        engine,
-        spec.factors,
-        periods=spec.periods,
-        seed=spec.seed,
-        sandiego_error_rate=spec.sandiego_error_rate,
-        observability=observability,
-        faults=spec.faults,
-        resilience=(
-            RetryPolicy(max_attempts=spec.max_attempts)
-            if spec.faults is not None
-            else None
-        ),
-        durability=spec.durability,
-        checkpoint_every=spec.checkpoint_every,
-        cluster=(
-            ClusterConfig(
-                hosts=spec.cluster_hosts,
-                replicas=spec.cluster_replicas,
-                mode=spec.repl_mode,
-                repl_lag=spec.repl_lag,
-                repl_batch=spec.repl_batch,
-            )
-            if spec.cluster_hosts
-            else None
-        ),
-    )
+        return SynthClient(spec, workload)
+    return BenchmarkClient(spec)
 
 
 def run_spec(spec: RunSpec) -> RunOutcome:

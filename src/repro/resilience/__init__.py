@@ -16,11 +16,11 @@ Two halves:
 
 Quick start::
 
-    from repro.resilience import FaultSpec, RetryPolicy
+    from repro.parallel import RunSpec, client_from_spec
+    from repro.resilience import FaultSpec
 
-    spec = FaultSpec.load("examples/faults_basic.json")
-    client = BenchmarkClient(scenario, engine, faults=spec,
-                             resilience=RetryPolicy(max_attempts=4))
+    faults = FaultSpec.load("examples/faults_basic.json")
+    client = client_from_spec(RunSpec(faults=faults, max_attempts=4))
     result = client.run()
     print(client.monitor.resilience_summary().describe())
 """

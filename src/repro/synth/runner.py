@@ -16,13 +16,17 @@ correct results", exactly like streams C and D of the classic schedule.
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
-from repro.engine.base import InstanceRecord, IntegrationEngine, ProcessType
+from repro.engine.base import InstanceRecord, ProcessType
+from repro.scenario.topology import Scenario
 from repro.simtime.scheduler import EventScheduler
 from repro.synth.generator import SynthWorkload
 from repro.toolsuite.client import BenchmarkClient
-from repro.toolsuite.schedule import ScaleFactors
 from repro.toolsuite.verification import VerificationReport
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.parallel.spec import RunSpec
 
 #: Virtual-time layout of one period, in tu: rounds are spaced far
 #: enough apart that a round's E1 arrivals never collide with the
@@ -35,26 +39,30 @@ _STREAM_OFFSET_TU = 0.13
 class SynthClient(BenchmarkClient):
     """Benchmark client for synthesized workloads.
 
-    ``knobs`` are :class:`BenchmarkClient`'s keyword arguments; ``seed``
-    defaults to the workload's resolved seed.
+    ``workload`` hands over an already synthesized workload; without
+    one, the spec's ``synth`` knob string is synthesized at the spec's
+    seed.
     """
 
     streams = ("E1", "E2")
 
-    def __init__(
-        self,
-        workload: SynthWorkload,
-        engine: IntegrationEngine,
-        factors: ScaleFactors | None = None,
-        periods: int = 1,
-        **knobs,
-    ):
-        knobs.setdefault("seed", workload.spec.seed)
-        super().__init__(workload.scenario, engine, factors, periods, **knobs)
+    def __init__(self, spec: "RunSpec", workload: SynthWorkload | None = None):
         self.workload = workload
+        super().__init__(spec)
         if self.storage is not None:
-            for feed in workload.feeds.values():
+            for feed in self.workload.feeds.values():
                 self.storage.attach_state(feed)
+
+    def _landscape(self) -> Scenario:
+        if self.workload is None:
+            from repro.synth import SynthSpec, synthesize
+
+            self.workload = synthesize(
+                SynthSpec.parse(self.spec.synth).resolve(self.spec.seed),
+                f=self.spec.distribution,
+                jitter=self.spec.jitter,
+            )
+        return self.workload.scenario
 
     def _processes(self) -> dict[str, ProcessType]:
         return self.workload.processes

@@ -36,25 +36,27 @@ from repro.cluster import (
     ReplicationStats,
 )
 from repro.db import fastpath, partition
+from repro.declare import refuse
+from repro.engine import ENGINES
 from repro.engine.base import (
-    InstanceHistory, InstanceRecord, IntegrationEngine, ProcessEvent,
-    ProcessType,
+    InstanceHistory, InstanceRecord, ProcessEvent, ProcessType,
 )
-from repro.errors import BenchmarkError, ClusterError, EngineCrashed, FaultSpecError
+from repro.errors import BenchmarkError, EngineCrashed, FaultSpecError
 from repro.metrics.navg import MetricReport
 from repro.observability import Observability, Span
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracer import Tracer
 from repro.mtm.message import Message
 from repro.resilience import (
     CircuitBreakerBoard,
     DeadLetter,
     DeadLetterQueue,
     FaultInjector,
-    FaultSpec,
     ResilienceContext,
     RetryPolicy,
 )
 from repro.scenario.messages import MessageFactory
-from repro.scenario.topology import Scenario
+from repro.scenario.topology import Scenario, build_scenario
 from repro.scenario.xmlschemas import message_schemas
 from repro.simtime.scheduler import EventScheduler
 from repro.storage import RecoveryManager, RecoveryReport, StorageManager
@@ -119,38 +121,38 @@ class BenchmarkResult:
 
 
 class BenchmarkClient:
-    """Drives one engine through the DIPBench schedule."""
+    """Drives one engine through the DIPBench schedule.
+
+    The constructor is the one place a run is wired from its
+    :class:`~repro.parallel.spec.RunSpec`: it refuses a spec with
+    problems, then builds the landscape, the engine, observability, the
+    memory budget of every database, resilience, storage and the
+    cluster.  No state is shared between clients, which is what makes a
+    parallel sweep byte-identical to the serial one.
+    """
 
     #: The streams a period opens trace spans for.
     streams: tuple[str, ...] = ("A", "B", "C", "D")
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        engine: IntegrationEngine,
-        factors: ScaleFactors | None = None,
-        periods: int = 100,
-        seed: int = 42,
-        sandiego_error_rate: float = 0.15,
-        observability: Observability | None = None,
-        faults: FaultSpec | None = None,
-        resilience: RetryPolicy | None = None,
-        durability: str = "off",
-        checkpoint_every: float | None = None,
-        cluster: ClusterConfig | None = None,
-    ):
-        if periods < 1 or periods > 100:
-            raise BenchmarkError(f"periods must be in [1, 100]: {periods}")
-        self.scenario = scenario
-        self.engine = engine
-        self.factors = factors or ScaleFactors()
-        self.periods = periods
-        self.seed = seed
-        self.sandiego_error_rate = sandiego_error_rate
+    def __init__(self, spec: "RunSpec"):
+        refuse(BenchmarkError, "run spec", spec.problems())
+        self.spec = spec
+        self.factors = spec.factors
+        self.scenario = self._landscape()
+        self.engine = ENGINES[spec.engine](
+            self.scenario.registry, worker_count=spec.engine_workers
+        )
+        if spec.mem_budget is not None:
+            for db in (*self.scenario.all_databases.values(),
+                       *self.engine.durable_databases()):
+                db.set_memory_budget(spec.mem_budget)
         #: One observability context for the whole run; threaded through
         #: the engine, network, initializer, and monitor so every layer
         #: reports into the same tracer and metrics registry.
-        self.observability = observability or Observability()
+        self.observability = Observability(
+            tracer=Tracer() if spec.collect_trace else None,
+            metrics=MetricsRegistry() if spec.collect_metrics else None,
+        )
         self.engine.observability = self.observability
         metrics = self.observability.metrics
         if metrics is not None:
@@ -158,38 +160,30 @@ class BenchmarkClient:
         self.monitor = Monitor(
             time_scale=self.factors.time, observability=self.observability
         )
-        #: Fault injection + recovery policies.  Attached exactly when a
-        #: fault spec or a retry policy is given; otherwise the engine
-        #: keeps its classic fail-fast path, byte-identical to a client
-        #: built without these arguments.
-        self.fault_spec = faults
+        #: Fault injection + recovery policies, attached exactly when the
+        #: spec carries a fault timeline; otherwise the engine keeps its
+        #: classic fail-fast path.
+        faults = spec.faults
         self.resilience: ResilienceContext | None = None
-        if faults is not None or resilience is not None:
-            injector = None
-            if faults is not None:
-                problems = faults.validate(
-                    hosts=self.scenario.registry.network.hosts,
-                    services=self.scenario.registry.service_names,
-                )
-                if problems:
-                    raise FaultSpecError(
-                        "invalid fault spec: " + "; ".join(problems)
-                    )
-                injector = FaultInjector(
+        if faults is not None:
+            refuse(FaultSpecError, "fault spec", faults.validate(
+                hosts=self.scenario.registry.network.hosts,
+                services=self.scenario.registry.service_names,
+            ))
+            breakers = CircuitBreakerBoard(metrics=metrics)
+            self.resilience = ResilienceContext(
+                policy=RetryPolicy(max_attempts=spec.max_attempts),
+                injector=FaultInjector(
                     faults,
                     registry=self.scenario.registry,
                     factors=self.factors,
                     schemas=message_schemas(),
                     metrics=metrics,
-                )
-            breakers = CircuitBreakerBoard(metrics=metrics)
-            self.resilience = ResilienceContext(
-                policy=resilience,
-                injector=injector,
+                ),
                 breakers=breakers,
                 dead_letters=DeadLetterQueue(metrics=metrics),
                 metrics=metrics,
-                seed=seed + (faults.seed if faults is not None else 0),
+                seed=spec.seed + faults.seed,
             )
             self.engine.resilience = self.resilience
             self.scenario.registry.breakers = breakers
@@ -199,12 +193,12 @@ class BenchmarkClient:
         #: recovery possible.  ``checkpoint_every`` is in tu, converted
         #: to engine units like every other schedule quantity.
         self.storage: StorageManager | None = None
-        if durability != "off":
+        if spec.durability != "off":
             self.storage = StorageManager(
-                mode=durability,
+                mode=spec.durability,
                 checkpoint_every=(
-                    self.factors.tu_to_engine(checkpoint_every)
-                    if checkpoint_every is not None
+                    self.factors.tu_to_engine(spec.checkpoint_every)
+                    if spec.checkpoint_every is not None
                     else None
                 ),
                 metrics=metrics,
@@ -212,32 +206,23 @@ class BenchmarkClient:
             for db in self.scenario.all_databases.values():
                 self.storage.attach(db)
             self.storage.attach_engine(self.engine)
-        if (
-            faults is not None
-            and faults.has_crashes
-            and self.storage is None
-        ):
-            raise FaultSpecError(
-                "fault spec schedules engine crashes but durability is "
-                "off; crash recovery needs --durability wal or "
-                "snapshot+wal"
-            )
         #: The multi-host overlay: consistent-hash placement, WAL
-        #: log-shipping replicas and crash failover.  Requires the
-        #: durability layer — replication ships its WALs.
+        #: log-shipping replicas and crash failover, replicating the
+        #: durability layer's WALs (``problems()`` requires it).
         self.cluster: ClusterManager | None = None
-        if cluster is not None:
-            if self.storage is None:
-                raise ClusterError(
-                    "a cluster replicates the WAL, so it needs durability "
-                    "on; pass durability='wal' or 'snapshot+wal'"
-                )
+        if spec.cluster_hosts:
             self.cluster = ClusterManager(
-                cluster,
+                ClusterConfig(
+                    hosts=spec.cluster_hosts,
+                    replicas=spec.cluster_replicas,
+                    mode=spec.repl_mode,
+                    repl_lag=spec.repl_lag,
+                    repl_batch=spec.repl_batch,
+                ),
                 self.storage,
                 self.scenario.registry.network,
                 self.factors,
-                seed=self.seed,
+                seed=spec.seed,
                 metrics=metrics,
             )
         self.recovery_reports: list[RecoveryReport] = []
@@ -255,8 +240,12 @@ class BenchmarkClient:
         """The classic landscape's per-period data loader."""
         return Initializer(
             self.scenario, d=self.factors.datasize, f=self.factors.distribution,
-            seed=self.seed, observability=self.observability,
+            seed=self.spec.seed, observability=self.observability,
         )
+
+    def _landscape(self) -> Scenario:
+        """The landscape the run drives: the Fig. 1 scenario."""
+        return build_scenario(jitter=self.spec.jitter, seed=self.spec.seed)
 
     @staticmethod
     def from_spec(spec: "RunSpec"):
@@ -287,12 +276,12 @@ class BenchmarkClient:
                     "datasize": self.factors.datasize,
                     "time": self.factors.time,
                     "distribution": self.factors.distribution,
-                    "periods": self.periods,
-                    "seed": self.seed,
+                    "periods": self.spec.periods,
+                    "seed": self.spec.seed,
                 },
             )
         self._phase_pre()
-        for period in range(self.periods):
+        for period in range(self.spec.periods):
             self.run_period(period)
         if self._run_span is not None:
             tracer.time_offset = 0.0
@@ -319,7 +308,7 @@ class BenchmarkClient:
         metrics = self.monitor.metrics()
         return BenchmarkResult(
             factors=self.factors,
-            periods=self.periods,
+            periods=self.spec.periods,
             records=self.monitor.records[:],
             metrics=metrics,
             verification=verification,
@@ -368,8 +357,8 @@ class BenchmarkClient:
         self.initializer.uninitialize_all()
         self._last_factory = MessageFactory(
             self.initializer.initialize_sources(period),
-            seed=self.seed + 7919 * period,
-            error_rate=self.sandiego_error_rate,
+            seed=self.spec.seed + 7919 * period,
+            error_rate=self.spec.sandiego_error_rate,
         )
 
     def _verify(self, period: int) -> VerificationReport:
@@ -520,7 +509,7 @@ class BenchmarkClient:
         reported out of band; the schedule itself is untouched, which is
         what lets the recovered run converge byte-identically.
         """
-        if self.storage is None:  # unreachable: validated in __init__
+        if self.storage is None:  # unreachable: RunSpec.problems() refuses it
             raise BenchmarkError(
                 "engine crashed but durability is off"
             ) from crash

@@ -12,7 +12,7 @@ from repro.datagen.generators import GeneratorProfile
 from repro.engine import FederatedEngine, MtmInterpreterEngine
 from repro.scenario import build_processes, build_scenario
 from repro.scenario.messages import MessageFactory
-from repro.toolsuite import BenchmarkClient, Initializer, ScaleFactors
+from repro.toolsuite import Initializer
 
 
 @pytest.fixture()
@@ -57,12 +57,3 @@ def federated(scenario):
 def factory(initialized):
     _, population = initialized
     return MessageFactory(population, seed=3, error_rate=0.3)
-
-
-@pytest.fixture()
-def quick_client(scenario):
-    """A 1-period client at the paper's d=0.05 reference configuration."""
-    eng = MtmInterpreterEngine(scenario.registry)
-    return BenchmarkClient(
-        scenario, eng, ScaleFactors(datasize=0.05), periods=1, seed=5
-    )

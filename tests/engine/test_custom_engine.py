@@ -7,11 +7,10 @@ enough to run the full benchmark and get comparable NAVG+ metrics.
 
 import pytest
 
-from repro.engine import IntegrationEngine
+from repro.engine import ENGINES, IntegrationEngine
 from repro.engine.costs import CostBreakdown, CostParameters
 from repro.mtm.context import ExecutionContext
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 
 class FlatRateEngine(IntegrationEngine):
@@ -56,12 +55,13 @@ class FlatRateEngine(IntegrationEngine):
 class TestCustomEngine:
     @pytest.fixture(scope="class")
     def result(self):
-        scenario = build_scenario()
-        engine = FlatRateEngine(scenario.registry)
-        client = BenchmarkClient(
-            scenario, engine, ScaleFactors(datasize=0.05), periods=1, seed=5
-        )
-        return client.run()
+        # A third-party engine registers itself; a spec then names it.
+        ENGINES["flat-rate"] = FlatRateEngine
+        try:
+            spec = RunSpec(engine="flat-rate", datasize=0.05, periods=1, seed=5)
+            return client_from_spec(spec).run()
+        finally:
+            del ENGINES["flat-rate"]
 
     def test_full_benchmark_runs(self, result):
         assert result.engine_name == "flat-rate"

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.engine import EaiEngine, FederatedEngine, MtmInterpreterEngine
 from repro.engine.eai import EAI_COSTS
 from repro.engine.costs import FEDERATED_COSTS
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 
 class TestEaiProfile:
@@ -17,25 +15,22 @@ class TestEaiProfile:
         assert EAI_COSTS.relational_unit > FEDERATED_COSTS.relational_unit
         assert EAI_COSTS.receive_overhead == 0.0
 
-    def test_defaults_favor_concurrency(self):
-        scenario = build_scenario()
-        engine = EaiEngine(scenario.registry)
-        assert engine.worker_count == 8
-        assert engine.engine_name == "eai-server"
+    def test_pool_comes_from_the_spec(self):
+        for workers in (4, 8):
+            engine = client_from_spec(
+                RunSpec(engine="eai", engine_workers=workers)
+            ).engine
+            assert engine.worker_count == workers
+            assert engine.engine_name == "eai-server"
 
 
 class TestEaiBenchmark:
     @pytest.fixture(scope="class")
     def three_way(self):
         results = {}
-        for name, cls in (("interpreter", MtmInterpreterEngine),
-                          ("federated", FederatedEngine),
-                          ("eai", EaiEngine)):
-            scenario = build_scenario()
-            engine = cls(scenario.registry)
-            client = BenchmarkClient(
-                scenario, engine, ScaleFactors(datasize=0.05),
-                periods=2, seed=5,
+        for name in ("interpreter", "federated", "eai"):
+            client = client_from_spec(
+                RunSpec(engine=name, datasize=0.05, periods=2, seed=5)
             )
             results[name] = client.run()
         return results

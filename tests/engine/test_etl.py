@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.engine import EaiEngine, EtlEngine, FederatedEngine
 from repro.engine.eai import EAI_COSTS, ETL_COSTS
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 
 class TestEtlProfile:
@@ -15,22 +13,18 @@ class TestEtlProfile:
         assert ETL_COSTS.receive_overhead > 0
 
     def test_defaults(self):
-        scenario = build_scenario()
-        engine = EtlEngine(scenario.registry)
+        engine = client_from_spec(RunSpec(engine="etl")).engine
         assert engine.engine_name == "etl-tool"
-        assert engine.worker_count == 2
+        assert engine.worker_count == RunSpec().engine_workers
 
 
 class TestEtlBenchmark:
     @pytest.fixture(scope="class")
     def pair(self):
         results = {}
-        for name, cls in (("etl", EtlEngine), ("eai", EaiEngine)):
-            scenario = build_scenario()
-            engine = cls(scenario.registry)
-            client = BenchmarkClient(
-                scenario, engine, ScaleFactors(datasize=0.05),
-                periods=2, seed=5,
+        for name in ("etl", "eai"):
+            client = client_from_spec(
+                RunSpec(engine=name, datasize=0.05, periods=2, seed=5)
             )
             results[name] = client.run()
         return results

@@ -63,9 +63,8 @@ class TestExecution:
     def test_trace_collection(self, world):
         registry, _ = world
         tracer = Tracer()
-        engine = MtmInterpreterEngine(
-            registry, observability=Observability(tracer)
-        )
+        engine = MtmInterpreterEngine(registry)
+        engine.observability = Observability(tracer)
         engine.deploy(
             ProcessType("P_T", ProcessGroup.A, "t", EventType.E2_SCHEDULE,
                         Sequence([Signal(name="end")]))

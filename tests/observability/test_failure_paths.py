@@ -2,26 +2,21 @@
 
 import pytest
 
-from repro.engine import MtmInterpreterEngine
 from repro.engine.base import InstanceHistory
-from repro.observability import MetricsRegistry, Observability, Tracer
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 
-def _traced_client(scenario, observability, seed=5):
-    engine = MtmInterpreterEngine(scenario.registry)
-    return BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=0.02), periods=1, seed=seed,
-        observability=observability,
-    )
+def _traced_client(seed=5, jitter=0.0):
+    return client_from_spec(RunSpec(
+        datasize=0.02, periods=1, seed=seed, jitter=jitter,
+        collect_trace=True, collect_metrics=True,
+    ))
 
 
 class TestPartitionedNetwork:
     def test_error_record_and_error_status_span(self):
-        observability = Observability(Tracer(), MetricsRegistry())
-        scenario = build_scenario(seed=5)
-        client = _traced_client(scenario, observability)
+        client = _traced_client()
+        scenario, observability = client.scenario, client.observability
         scenario.network.partition("IS", "ES")
         records = client.run_period(0)
 
@@ -44,18 +39,16 @@ class TestPartitionedNetwork:
         assert "operator" not in child_kinds
 
     def test_partition_errors_counted(self):
-        observability = Observability(Tracer(), MetricsRegistry())
-        scenario = build_scenario(seed=5)
-        client = _traced_client(scenario, observability)
+        client = _traced_client()
+        scenario, observability = client.scenario, client.observability
         scenario.network.partition("IS", "ES")
         client.run_period(0)
         snapshot = observability.metrics.snapshot()
         assert snapshot["network_partition_errors_total"] > 0
 
     def test_heal_restores_clean_runs_and_spans(self):
-        observability = Observability(Tracer(), MetricsRegistry())
-        scenario = build_scenario(seed=5)
-        client = _traced_client(scenario, observability)
+        client = _traced_client()
+        scenario, observability = client.scenario, client.observability
         scenario.network.partition("IS", "ES")
         client.run_period(0)
         scenario.network.heal("IS", "ES")
@@ -74,9 +67,8 @@ class TestPartitionedNetwork:
 
 class TestJitterReproducibility:
     def _trace_fingerprint(self, seed):
-        observability = Observability(Tracer(), MetricsRegistry())
-        scenario = build_scenario(jitter=0.3, seed=seed)
-        client = _traced_client(scenario, observability, seed=seed)
+        client = _traced_client(seed=seed, jitter=0.3)
+        observability = client.observability
         client.run_period(0)
         return observability.spans_jsonl(), observability.prometheus()
 

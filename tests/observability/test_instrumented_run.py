@@ -4,24 +4,22 @@ import json
 
 import pytest
 
-from repro.engine import FederatedEngine, MtmInterpreterEngine
-from repro.observability import MetricsRegistry, Observability, Tracer
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
+
+
+def _client(engine="interpreter", periods=1, seed=42, observed=True):
+    return client_from_spec(RunSpec(
+        engine=engine, datasize=0.02, periods=periods, seed=seed,
+        collect_trace=observed, collect_metrics=observed,
+    ))
 
 
 @pytest.fixture(scope="module")
 def traced_run():
     """One traced two-period interpreter run shared by read-only tests."""
-    observability = Observability(Tracer(), MetricsRegistry())
-    scenario = build_scenario(seed=42)
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=0.02), periods=2, seed=42,
-        observability=observability,
-    )
+    client = _client(periods=2)
     result = client.run()
-    return observability, client, result
+    return client.observability, client, result
 
 
 class TestSpanCoverage:
@@ -128,24 +126,15 @@ class TestZeroOverheadDefault:
     def test_default_run_identical_to_traced_run(self):
         """The unobserved default changes no benchmark numbers."""
 
-        def run(observability):
-            scenario = build_scenario(seed=42)
-            engine = MtmInterpreterEngine(scenario.registry)
-            client = BenchmarkClient(
-                scenario, engine, ScaleFactors(datasize=0.02),
-                periods=1, seed=42, observability=observability,
-            )
+        def run(observed):
+            client = _client(observed=observed)
             client.run()
             return repr(client.monitor.metrics().rows())
 
-        assert run(None) == run(Observability(Tracer(), MetricsRegistry()))
+        assert run(False) == run(True)
 
     def test_federated_default_run_untraced(self):
-        scenario = build_scenario(seed=3)
-        engine = FederatedEngine(scenario.registry)
-        client = BenchmarkClient(
-            scenario, engine, ScaleFactors(datasize=0.02), periods=1, seed=3
-        )
+        client = _client("federated", seed=3, observed=False)
         client.run()
         assert client.observability.metrics is None
         assert client.observability.tracer is None
@@ -153,13 +142,8 @@ class TestZeroOverheadDefault:
 
 class TestFederatedTracing:
     def test_federated_engine_also_produces_operator_spans(self):
-        observability = Observability(Tracer(), MetricsRegistry())
-        scenario = build_scenario(seed=11)
-        engine = FederatedEngine(scenario.registry)
-        client = BenchmarkClient(
-            scenario, engine, ScaleFactors(datasize=0.02), periods=1,
-            seed=11, observability=observability,
-        )
+        client = _client("federated", seed=11)
+        observability = client.observability
         result = client.run()
         tracer = observability.tracer
         assert len(tracer.spans_of_kind("instance")) == result.total_instances

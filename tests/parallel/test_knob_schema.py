@@ -174,7 +174,7 @@ def test_an_engine_is_constructed_in_one_place():
         if "engine" not in path.relative_to(SRC).parts[:1]
         for _ in re.findall(r"ENGINES\[", path.read_text("utf-8"))
     )
-    assert sites == ["parallel/spec.py"]
+    assert sites == ["toolsuite/client.py"]
 
 
 def test_a_conformance_run_is_refused_like_any_run():

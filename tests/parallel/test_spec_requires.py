@@ -8,6 +8,9 @@ stays accepted: the CI crash-recovery matrix passes it.  A crash
 kills one cluster host, which stays dead until the next period, so a
 timeline with as many crashes in one period as the cluster has hosts
 is refused too: built anyway, it dies mid-run with a ``ClusterError``.
+So is a cluster shape or a retry budget the run could not build: a
+single host, replicas outside [1, hosts - 1], an empty shipping batch,
+a negative lag, no attempt at all.
 """
 
 import json
@@ -62,7 +65,7 @@ def test_client_from_spec_builds_nothing(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a refused spec built a landscape")
 
-    monkeypatch.setattr("repro.parallel.spec.build_scenario", no_build)
+    monkeypatch.setattr("repro.toolsuite.client.build_scenario", no_build)
     with pytest.raises(BenchmarkError, match="cluster_hosts: .*durability"):
         client_from_spec(RunSpec(cluster_hosts=3))
 
@@ -144,7 +147,7 @@ def test_client_from_spec_refuses_the_timeline_before_building(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a refused spec built a landscape")
 
-    monkeypatch.setattr("repro.parallel.spec.build_scenario", no_build)
+    monkeypatch.setattr("repro.toolsuite.client.build_scenario", no_build)
     with pytest.raises(BenchmarkError, match="faults: 2 crashes in one period"):
         client_from_spec(_cluster(_crashes(None, None)))
 
@@ -167,3 +170,51 @@ def test_cluster_run_exits_2_before_any_run(flags, tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: invalid run spec: faults: 2 crashes")
+
+
+@pytest.mark.parametrize("knobs,problem", [
+    ({"cluster_hosts": 1}, "cluster_hosts: must be 0 or >= 2: 1"),
+    ({"cluster_hosts": -1}, "cluster_hosts: must be 0 or >= 2: -1"),
+    ({"cluster_hosts": 3, "cluster_replicas": 3},
+     "cluster_replicas: must be in [1, 2] with 3 cluster hosts: 3"),
+    ({"cluster_hosts": 2, "cluster_replicas": 0},
+     "cluster_replicas: must be in [1, 1] with 2 cluster hosts: 0"),
+    ({"repl_batch": 0}, "repl_batch: out of range [1, inf): 0"),
+    ({"repl_lag": -1.0}, "repl_lag: out of range [0, inf): -1.0"),
+    ({"max_attempts": 0, "faults": DEGRADE},
+     "max_attempts: out of range [1, inf): 0"),
+])
+def test_a_shape_the_run_cannot_build_is_the_only_problem(knobs, problem):
+    assert RunSpec(durability="wal", **knobs).problems() == [problem]
+
+
+def test_a_bad_host_count_is_not_blamed_on_durability():
+    assert RunSpec(cluster_hosts=-1).problems() == [
+        "cluster_hosts: must be 0 or >= 2: -1"
+    ]
+
+
+@pytest.mark.parametrize("knobs", [
+    {"cluster_hosts": 1}, {"repl_batch": 0},
+    {"max_attempts": 0, "faults": DEGRADE},
+])
+def test_the_client_refuses_the_shape_before_building(knobs, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused spec built a landscape")
+
+    monkeypatch.setattr("repro.toolsuite.client.build_scenario", no_build)
+    with pytest.raises(BenchmarkError, match="^invalid run spec: "):
+        client_from_spec(RunSpec(durability="wal", **knobs))
+
+
+def test_a_one_host_cluster_run_exits_2_naming_the_hosts(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a refused spec reached a run")
+
+    monkeypatch.setattr("repro.cli.prove_convergence", no_run)
+    assert main(["cluster", "run", "--hosts", "1", "--crashes", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid run spec: cluster_hosts: must be 0 or >= 2: 1\n"
+    )

@@ -8,24 +8,16 @@ be rejected up front, with an error naming both offending events.
 
 import pytest
 
-from repro.engine import ENGINES
 from repro.errors import FaultSpecError
+from repro.parallel import RunSpec, client_from_spec
 from repro.resilience import FaultEvent, FaultSpec
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient
 
 
 def _client_with(events):
-    scenario = build_scenario(seed=3)
-    engine = ENGINES["interpreter"](scenario.registry)
-    return BenchmarkClient(
-        scenario,
-        engine,
-        periods=1,
-        seed=3,
+    return client_from_spec(RunSpec(
+        periods=1, seed=3, durability="wal",
         faults=FaultSpec(name="t", events=tuple(events)),
-        durability="wal",
-    )
+    ))
 
 
 class TestOverlappingSameKind:

@@ -10,35 +10,28 @@ import os
 
 import pytest
 
-from repro.engine import MtmInterpreterEngine
-from repro.observability import MetricsRegistry, Observability, Tracer
-from repro.resilience import FaultSpec, RetryPolicy
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
+from repro.resilience import FaultSpec
 
 EXAMPLE_SPEC = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "faults_basic.json"
 )
 
 
-def run_benchmark(faults=None, resilience=None, periods=1, seed=42):
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    observability = Observability(Tracer(), MetricsRegistry())
-    client = BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=0.05),
-        periods=periods, seed=seed, observability=observability,
-        faults=faults, resilience=resilience,
-    )
+def run_benchmark(faults=None, periods=1, seed=42):
+    client = client_from_spec(RunSpec(
+        datasize=0.05, periods=periods, seed=seed, faults=faults,
+        collect_trace=True, collect_metrics=True,
+    ))
     result = client.run()
-    return client, result, observability
+    return client, result, client.observability
 
 
 @pytest.fixture(scope="module")
 def degraded():
     """One period under the canned example spec, shared by read-only tests."""
     spec = FaultSpec.load(EXAMPLE_SPEC)
-    return run_benchmark(faults=spec, resilience=RetryPolicy())
+    return run_benchmark(faults=spec)
 
 
 class TestDegradedRun:
@@ -118,9 +111,7 @@ class TestDeterminism:
     def test_same_seed_same_spec_identical_results(self, degraded):
         _, first, first_obs = degraded
         spec = FaultSpec.load(EXAMPLE_SPEC)
-        _, second, second_obs = run_benchmark(
-            faults=spec, resilience=RetryPolicy()
-        )
+        _, second, second_obs = run_benchmark(faults=spec)
         assert first.records == second.records
         assert first.dead_letters == second.dead_letters
         assert first_obs.prometheus() == second_obs.prometheus()
@@ -128,9 +119,7 @@ class TestDeterminism:
     def test_empty_spec_byte_identical_to_plain_run(self):
         _, plain, plain_obs = run_benchmark()
         empty = FaultSpec(name="empty", seed=42, events=())
-        _, guarded, guarded_obs = run_benchmark(
-            faults=empty, resilience=RetryPolicy()
-        )
+        _, guarded, guarded_obs = run_benchmark(faults=empty)
         assert plain.records == guarded.records
         assert len(guarded.records.recovered()) == 0
         assert len(guarded.dead_letters) == 0
@@ -139,20 +128,15 @@ class TestDeterminism:
 
 class TestClientBoundary:
     def test_engine_exception_recorded_and_period_continues(self):
-        scenario = build_scenario()
-        engine = MtmInterpreterEngine(scenario.registry)
-        original = engine.handle_event
+        client = client_from_spec(RunSpec(datasize=0.05, periods=1, seed=42))
+        original = client.engine.handle_event
 
         def explode_on_p04(event):
             if event.process_id == "P04" and event.deadline > 50.0:
                 raise RuntimeError("engine blew up mid-period")
             return original(event)
 
-        engine.handle_event = explode_on_p04
-        client = BenchmarkClient(
-            scenario, engine, ScaleFactors(datasize=0.05),
-            periods=1, seed=42,
-        )
+        client.engine.handle_event = explode_on_p04
         result = client.run()  # must not abort the period
         failed = [r for r in result.records if r.status == "error"]
         assert failed

@@ -16,19 +16,12 @@ from dataclasses import replace
 import pytest
 
 from repro.engine import ENGINES as ALL_ENGINES
-from repro.engine import FederatedEngine, MtmInterpreterEngine
-from repro.errors import BenchmarkError, FaultSpecError
-from repro.observability import MetricsRegistry, Observability, Tracer
+from repro.errors import BenchmarkError
 from repro.parallel.spec import RunSpec, client_from_spec, run_spec
 from repro.resilience import FaultEvent, FaultSpec
-from repro.scenario import build_scenario
 from repro.storage import landscape_digest
-from repro.toolsuite import BenchmarkClient, ScaleFactors
 
-ENGINES = {
-    "interpreter": MtmInterpreterEngine,
-    "federated": FederatedEngine,
-}
+ENGINES = ("interpreter", "federated")
 
 
 def crash_spec(at=300.0, point="commit", period=0):
@@ -53,19 +46,15 @@ SYNTH_CRASH_TIMES = (205.0, 250.0)
 
 
 def run_benchmark(engine_name, durability="off", faults=None,
-                  checkpoint_every=None, observability=None):
-    scenario = build_scenario()
-    engine = ENGINES[engine_name](scenario.registry)
-    kwargs = {}
-    if durability != "off":
-        kwargs["durability"] = durability
-        kwargs["checkpoint_every"] = checkpoint_every
-    client = BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=0.05),
-        periods=1, seed=42, faults=faults,
-        observability=observability, **kwargs,
-    )
+                  checkpoint_every=None, observed=False):
+    client = client_from_spec(RunSpec(
+        engine=engine_name, datasize=0.05, periods=1, seed=42,
+        faults=faults, durability=durability,
+        checkpoint_every=checkpoint_every,
+        collect_trace=observed, collect_metrics=observed,
+    ))
     result = client.run()
+    scenario = client.scenario
     digest = landscape_digest(scenario.all_databases.values())
     statistics = {
         name: db.statistics()
@@ -162,12 +151,11 @@ class TestCrashRecovery:
         assert "none" in summary.describe()
 
     def test_recovery_metrics_exported(self):
-        observability = Observability(Tracer(), MetricsRegistry())
-        run_benchmark(
+        client, _, _, _ = run_benchmark(
             "interpreter", durability="snapshot+wal", checkpoint_every=50.0,
-            faults=crash_spec(), observability=observability,
+            faults=crash_spec(), observed=True,
         )
-        text = observability.prometheus()
+        text = client.observability.prometheus()
         assert "storage_crashes_total 1" in text
         assert "storage_recoveries_total 1" in text
         assert "storage_recovery_time_count 1" in text
@@ -189,13 +177,9 @@ class TestCrashRecovery:
 
 class TestGuards:
     def test_crash_spec_requires_durability(self):
-        scenario = build_scenario()
-        engine = MtmInterpreterEngine(scenario.registry)
-        with pytest.raises(FaultSpecError, match="durability"):
-            BenchmarkClient(
-                scenario, engine, ScaleFactors(datasize=0.05),
-                periods=1, seed=42, faults=crash_spec(),
-            )
+        # Refused by RunSpec.problems(), before anything is built.
+        with pytest.raises(BenchmarkError, match="faults: .*durability"):
+            client_from_spec(RunSpec(datasize=0.05, faults=crash_spec()))
 
     def test_synth_crash_spec_requires_durability(self):
         # Refused by RunSpec.problems(), before anything is built.

@@ -13,12 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import ENGINES
-from repro.synth import (
-    SynthSpec,
-    run_differential,
-    synthesize,
-)
-from repro.synth.runner import SynthClient
+from repro.parallel import RunSpec, client_from_spec
+from repro.synth import SynthSpec, run_differential
 from repro.synth.schema import ORDER_STATUS, SEGMENTS, TXN_KINDS
 
 #: ≥6 sampled points of the knob space; each new family appears alone
@@ -68,14 +64,12 @@ class TestDifferentialConformance:
 
 
 def _run_workload(knobs: str, f: int = 1, periods: int = 1):
-    spec = SynthSpec.parse(knobs).resolve(17)
-    workload = synthesize(spec, f=f)
-    engine = ENGINES["interpreter"](
-        workload.scenario.registry, worker_count=4
-    )
-    result = SynthClient(workload, engine, periods=periods).run()
+    client = client_from_spec(RunSpec(
+        synth=knobs, seed=17, distribution=f, periods=periods,
+    ))
+    result = client.run()
     assert result.verification.ok, result.verification.summary()
-    return workload
+    return client.workload
 
 
 class TestGeneratedDataProperties:

@@ -3,21 +3,20 @@ scale-factor effects, failure injection."""
 
 import pytest
 
-from repro.engine import FederatedEngine, MtmInterpreterEngine
 from repro.engine.base import InstanceHistory
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 
-def run_benchmark(engine_cls=MtmInterpreterEngine, periods=2,
-                  factors=None, **engine_kwargs):
-    scenario = build_scenario()
-    engine = engine_cls(scenario.registry, **engine_kwargs)
-    client = BenchmarkClient(
-        scenario, engine, factors or ScaleFactors(datasize=0.05),
-        periods=periods, seed=5,
+def run_benchmark(engine="interpreter", periods=2, **knobs):
+    client = client_from_spec(
+        RunSpec(engine=engine, periods=periods, seed=5, **knobs)
     )
-    return client.run(), scenario, engine
+    return client.run(), client.scenario, client.engine
+
+
+def period_client(**knobs):
+    """A 1-period client at seed 5, for tests that drive its periods."""
+    return client_from_spec(RunSpec(periods=1, seed=5, **knobs))
 
 
 class TestMultiPeriod:
@@ -84,14 +83,14 @@ class TestPaperShapeClaims:
 class TestEngineComparison:
     @pytest.fixture(scope="class")
     def both(self):
-        interp, _, _ = run_benchmark(MtmInterpreterEngine, periods=2)
-        federated, _, _ = run_benchmark(FederatedEngine, periods=2)
+        interp, _, _ = run_benchmark("interpreter", periods=2)
+        federated, _, _ = run_benchmark("federated", periods=2)
         return interp.metrics, federated.metrics
 
     def test_both_engines_functionally_correct(self):
-        for engine_cls in (MtmInterpreterEngine, FederatedEngine):
-            result, _, _ = run_benchmark(engine_cls, periods=1)
-            assert result.verification.ok, engine_cls.__name__
+        for engine in ("interpreter", "federated"):
+            result, _, _ = run_benchmark(engine, periods=1)
+            assert result.verification.ok, engine
 
     def test_federated_pays_xml_premium_on_message_types(self, both):
         """System A's concurrent (XML) processes are disproportionately
@@ -109,25 +108,25 @@ class TestEngineComparison:
         assert bulk_ratio < message_ratio
 
     def test_engine_name_recorded(self, both):
-        result, _, _ = run_benchmark(FederatedEngine, periods=1)
+        result, _, _ = run_benchmark("federated", periods=1)
         assert result.engine_name == "federated-dbms"
 
 
 class TestScaleFactorEffects:
     def test_datasize_raises_instance_counts(self):
         small, _, _ = run_benchmark(periods=1,
-                                    factors=ScaleFactors(datasize=0.05))
+                                    datasize=0.05)
         large, _, _ = run_benchmark(periods=1,
-                                    factors=ScaleFactors(datasize=0.1))
+                                    datasize=0.1)
         assert large.total_instances > small.total_instances
 
     def test_datasize_raises_e1_costs(self):
         """Fig. 11: doubling d visibly affects the E1 (message) types via
         schedule pressure."""
         small, _, _ = run_benchmark(periods=2,
-                                    factors=ScaleFactors(datasize=0.05))
+                                    datasize=0.05)
         large, _, _ = run_benchmark(periods=2,
-                                    factors=ScaleFactors(datasize=0.1))
+                                    datasize=0.1)
         for pid in ("P09", "P13"):
             assert large.metrics[pid].navg > small.metrics[pid].navg, pid
 
@@ -135,9 +134,9 @@ class TestScaleFactorEffects:
         """Raising t shortens intervals, reducing self-management time:
         NAVG+ (in tu) grows superlinearly."""
         relaxed, _, _ = run_benchmark(periods=2,
-                                      factors=ScaleFactors(time=1.0))
+                                      time=1.0)
         compressed, _, _ = run_benchmark(periods=2,
-                                         factors=ScaleFactors(time=4.0))
+                                         time=4.0)
         # In tu, a perfectly pressure-free system would scale exactly by t.
         for pid in ("P04", "P10"):
             assert compressed.metrics[pid].navg_plus > \
@@ -146,7 +145,7 @@ class TestScaleFactorEffects:
     def test_distribution_factor_runs_clean(self):
         for f in (1, 2, 3):
             result, _, _ = run_benchmark(
-                periods=1, factors=ScaleFactors(distribution=f)
+                periods=1, distribution=f
             )
             assert result.error_instances == 0
             assert result.verification.ok
@@ -154,10 +153,8 @@ class TestScaleFactorEffects:
 
 class TestFailureInjection:
     def test_network_partition_fails_instances_not_engine(self):
-        scenario = build_scenario()
-        engine = MtmInterpreterEngine(scenario.registry)
-        client = BenchmarkClient(scenario, engine, ScaleFactors(),
-                                 periods=1, seed=5)
+        client = period_client()
+        scenario, engine = client.scenario, client.engine
         scenario.network.partition("IS", "ES")
         client.run_period(0)
         errors = engine.error_records()
@@ -166,10 +163,8 @@ class TestFailureInjection:
                    for r in errors)
 
     def test_healed_network_recovers(self):
-        scenario = build_scenario()
-        engine = MtmInterpreterEngine(scenario.registry)
-        client = BenchmarkClient(scenario, engine, ScaleFactors(),
-                                 periods=1, seed=5)
+        client = period_client()
+        scenario, engine = client.scenario, client.engine
         scenario.network.partition("IS", "ES")
         client.run_period(0)
         scenario.network.heal("IS", "ES")
@@ -179,11 +174,8 @@ class TestFailureInjection:
         assert not engine.error_records()
 
     def test_all_sandiego_invalid_still_verifies(self):
-        scenario = build_scenario()
-        engine = MtmInterpreterEngine(scenario.registry)
-        client = BenchmarkClient(scenario, engine, ScaleFactors(),
-                                 periods=1, seed=5, sandiego_error_rate=1.0)
-        result = client.run()
+        client = period_client(sandiego_error_rate=1.0)
+        result, scenario = client.run(), client.scenario
         assert result.verification.ok
         cdb = scenario.databases["sales_cleaning"]
         assert len(cdb.table("failed_messages")) == 53  # every P10 message

@@ -2,22 +2,18 @@
 
 import pytest
 
-from repro.engine import MtmInterpreterEngine
 from repro.errors import BenchmarkError
 from repro.metrics.navg import compute_metrics
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, Monitor, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
+from repro.toolsuite import Monitor
 from repro.toolsuite.verification import VerificationReport
 
 
 @pytest.fixture(scope="module")
 def period_result():
     """One full period at d=0.05, shared across the read-only tests."""
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=0.05), periods=1, seed=5
-    )
+    client = client_from_spec(RunSpec(datasize=0.05, periods=1, seed=5))
+    scenario, engine = client.scenario, client.engine
     result = client.run()
     return scenario, engine, client, result
 
@@ -82,12 +78,10 @@ class TestPeriodChoreography:
         assert result.verification.ok, result.verification.summary()
 
     def test_period_bounds_validated(self):
-        scenario = build_scenario()
-        engine = MtmInterpreterEngine(scenario.registry)
-        with pytest.raises(BenchmarkError):
-            BenchmarkClient(scenario, engine, periods=0)
-        with pytest.raises(BenchmarkError):
-            BenchmarkClient(scenario, engine, periods=101)
+        with pytest.raises(BenchmarkError, match="periods: out of range"):
+            client_from_spec(RunSpec(periods=0))
+        with pytest.raises(BenchmarkError, match="periods: out of range"):
+            client_from_spec(RunSpec(periods=101))
 
 
 class TestMonitor:

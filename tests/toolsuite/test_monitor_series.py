@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.engine import MtmInterpreterEngine
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 
 
 @pytest.fixture(scope="module")
 def multi_period_client():
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(
-        scenario, engine, ScaleFactors(datasize=1.0), periods=3, seed=5
-    )
+    client = client_from_spec(RunSpec(datasize=1.0, periods=3, seed=5))
     client.run(verify=False)
     return client
 

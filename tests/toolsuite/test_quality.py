@@ -2,21 +2,18 @@
 
 import pytest
 
-from repro.engine import MtmInterpreterEngine
+from repro.parallel import RunSpec, client_from_spec
 from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors, measure_quality
+from repro.toolsuite import measure_quality
 from repro.toolsuite.quality import LayerQuality, measure_layer
 
 
 @pytest.fixture(scope="module")
 def finished_run():
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(scenario, engine, ScaleFactors(), periods=1,
-                             seed=5)
+    client = client_from_spec(RunSpec(periods=1, seed=5))
     result = client.run()
     assert result.verification.ok
-    return scenario
+    return client.scenario
 
 
 class TestLayerQuality:

@@ -8,21 +8,16 @@ decorative.
 
 import pytest
 
-from repro.engine import MtmInterpreterEngine
-from repro.scenario import build_scenario
-from repro.toolsuite import BenchmarkClient, ScaleFactors
+from repro.parallel import RunSpec, client_from_spec
 from repro.toolsuite.verification import verify_period
 
 
 @pytest.fixture()
 def finished():
-    scenario = build_scenario()
-    engine = MtmInterpreterEngine(scenario.registry)
-    client = BenchmarkClient(scenario, engine, ScaleFactors(), periods=1,
-                             seed=5)
+    client = client_from_spec(RunSpec(periods=1, seed=5))
     result = client.run()
     assert result.verification.ok
-    return scenario, engine, client._last_factory
+    return client.scenario, client.engine, client._last_factory
 
 
 def failing_checks(scenario, engine, factory):
