@@ -84,7 +84,7 @@ PARTNER_SCHEMA = XsdSchema(
 PARTNER_TO_HOUSE = Stylesheet(
     "partner_to_house",
     [
-        RenameRule("/PriceUpdate", "HousePriceUpdate", {"item": "prodkey"}),
+        RenameRule("/PriceUpdate", "HousePriceUpdate"),
         RenameRule("//NewPrice", "Price"),
     ],
 )
@@ -97,7 +97,7 @@ def upsert_request(store: str):
     def build(context):
         doc = context.get("msg2").xml()
         row = {
-            "prodkey": int(doc.attributes["prodkey"]),
+            "prodkey": int(doc.attributes["item"]),
             "price": doc.child_text("Price"),
         }
         return Envelope.update_request("price_list", [row], mode="upsert")
@@ -116,7 +116,7 @@ def build_price_replication() -> ProcessType:
                 Receive("msg1", expected_type="price_update"),
                 Validate("msg1", PARTNER_SCHEMA),
                 Translation("msg1", "msg2", PARTNER_TO_HOUSE),
-                ExtractField("msg2", "key", "/HousePriceUpdate/@prodkey",
+                ExtractField("msg2", "key", "/HousePriceUpdate/@item",
                              convert=int),
                 Fork(
                     [

@@ -42,6 +42,7 @@ from typing import Sequence
 from repro.db import partition as db_partition
 from repro.engine import ENGINES
 from repro.declare import choices_of, fields_of, from_text, knob_type
+from repro.declare import problems as declared_problems
 from repro.errors import (
     ClusterError,
     FaultSpecError,
@@ -116,8 +117,16 @@ def _spec_options(parser, spec, names: str, **overrides) -> None:
     )
 
 
-def _spec_from_args(args: argparse.Namespace, spec: type = RunSpec, **fixed):
-    """The ``spec`` a namespace filled by :func:`_spec_options` describes."""
+def _spec_from_args(
+    args: argparse.Namespace, spec: type = RunSpec, check=RunSpec.problems,
+    **fixed,
+):
+    """The ``spec`` a namespace filled by :func:`_spec_options` describes.
+
+    A RunSpec is refused with what ``check`` finds in it: every problem
+    of a run, or (:func:`repro.declare.problems`) only the declared
+    ranges, for a command that inspects a run without starting one.
+    """
     values, found = {}, []
     try:
         for name, dest in args.spec_dests[spec].items():
@@ -135,9 +144,10 @@ def _spec_from_args(args: argparse.Namespace, spec: type = RunSpec, **fixed):
         raise _UsageError(str(exc)) from None
     if found:
         raise _UsageError("; ".join(found))
-    problems = built.problems() if isinstance(built, RunSpec) else []
-    if problems:
-        raise _UsageError("invalid run spec: " + "; ".join(problems))
+    if isinstance(built, RunSpec):
+        found = check(built)
+    if found:
+        raise _UsageError("invalid run spec: " + "; ".join(found))
     return built
 
 
@@ -639,19 +649,22 @@ def _cmd_cluster_topology(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, HashRing, ShardMap
     from repro.toolsuite.initializer import Initializer
 
+    spec = _spec_from_args(args, check=declared_problems)
     try:
-        config = ClusterConfig(hosts=args.hosts, replicas=args.replicas,
+        config = ClusterConfig(hosts=spec.cluster_hosts,
+                               replicas=spec.cluster_replicas,
                                vnodes=args.vnodes)
-        ring = HashRing(config.host_names, seed=args.seed, vnodes=args.vnodes)
+        ring = HashRing(config.host_names, seed=spec.seed, vnodes=args.vnodes)
     except ClusterError as exc:
         raise _UsageError(str(exc)) from None
-    scenario = build_scenario(seed=args.seed)
-    Initializer(scenario, d=args.datasize, seed=args.seed).initialize_sources(0)
+    scenario = build_scenario(seed=spec.seed)
+    Initializer(scenario, d=spec.datasize, seed=spec.seed).initialize_sources(0)
     shard_map = ShardMap.build(scenario.all_databases.values(), ring)
-    print(f"cluster topology: {args.hosts} host(s) x {args.replicas} "
-          f"replica(s), {args.vnodes} vnode(s)/host, seed {args.seed}")
+    print(f"cluster topology: {spec.cluster_hosts} host(s) x "
+          f"{spec.cluster_replicas} replica(s), {args.vnodes} vnode(s)/host, "
+          f"seed {spec.seed}")
     for name in sorted(scenario.all_databases):
-        placement = ring.preference(name, 1 + args.replicas)
+        placement = ring.preference(name, 1 + spec.cluster_replicas)
         print(f"  {name}: primary {placement[0]}, "
               f"followers {', '.join(placement[1:]) or 'none'}")
     print(shard_map.describe())
@@ -1041,13 +1054,14 @@ def _cmd_storm(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args, check=declared_problems)
+    factors = spec.factors
     try:
-        factors = ScaleFactors(datasize=args.datasize, time=args.time)
         schedule = build_schedule(args.period, factors)
     except ScaleFactorError as exc:
         raise _UsageError(str(exc)) from None
     print(
-        f"period k={args.period}, d={args.datasize}, t={args.time} "
+        f"period k={args.period}, d={spec.datasize}, t={spec.time} "
         f"(deadlines in engine units; 1 tu = 1/t units)"
     )
     for pid in ("P01", "P02", "P04", "P08", "P10"):

@@ -4,11 +4,11 @@ The protocol a :class:`ClusterManager` runs when a ``crash`` fault kills
 a virtual host:
 
 1. **Failure detection** — virtual-time heartbeats every
-   ``heartbeat_interval`` tu; a host is declared dead after
+   ``HEARTBEAT_INTERVAL`` tu; a host is declared dead after
    ``miss_threshold`` consecutive missed beats.  Heartbeats are modeled
    (they never enter the event schedule), so detection time is a pure
-   function of the crash time and the two knobs — deterministic, and
-   strictly positive.
+   function of the crash time, the interval and the threshold —
+   deterministic, and strictly positive.
 2. **Leader election** — among the dead primary's live followers, the
    one with the highest applied LSN wins; ties break on the smallest
    host id.  No randomness, no real clocks: two runs elect identically.

@@ -56,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.manager import StorageManager
     from repro.toolsuite.schedule import ScaleFactors
 
+#: Virtual time between two failure-detector heartbeats, in tu.
+HEARTBEAT_INTERVAL = 5.0
+
 #: Histogram buckets for RTO, in engine units.
 RTO_BUCKETS = (5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
 
@@ -65,7 +68,7 @@ class ClusterConfig:
     """One cluster topology + replication policy (picklable).
 
     ``repl_lag`` is in tu (like every schedule quantity) and only
-    matters in ``async`` mode; ``heartbeat_interval`` is in tu too.
+    matters in ``async`` mode.
     """
 
     hosts: int = 3
@@ -74,7 +77,6 @@ class ClusterConfig:
     repl_lag: float = 0.0
     repl_batch: int = 1
     vnodes: int = 8
-    heartbeat_interval: float = 5.0
     miss_threshold: int = 2
 
     def __post_init__(self) -> None:
@@ -99,11 +101,6 @@ class ClusterConfig:
         if self.repl_batch < 1:
             raise ClusterError(
                 f"replication batch must be >= 1, got {self.repl_batch}"
-            )
-        if self.heartbeat_interval <= 0:
-            raise ClusterError(
-                f"heartbeat interval must be > 0, "
-                f"got {self.heartbeat_interval}"
             )
         if self.miss_threshold < 1:
             raise ClusterError(
@@ -137,7 +134,7 @@ class ClusterManager:
             network.add_host(host)
         self.ring = HashRing(config.host_names, seed=seed, vnodes=config.vnodes)
         self.heartbeat = HeartbeatConfig(
-            interval=factors.tu_to_engine(config.heartbeat_interval),
+            interval=factors.tu_to_engine(HEARTBEAT_INTERVAL),
             miss_threshold=config.miss_threshold,
         )
         self.shipper = LogShipper(

@@ -53,15 +53,6 @@ class Distribution(ABC):
             raise ScaleFactorError("choice over an empty sequence")
         return items[self.sample_int(0, len(items) - 1)]
 
-    def shuffle(self, items: list[T]) -> list[T]:
-        """Fisher–Yates shuffle driven by the underlying uniform RNG."""
-        out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self._rng.randint(0, i)
-            out[i], out[j] = out[j], out[i]
-        return out
-
-
 class UniformDistribution(Distribution):
     """Plain uniform values (scale factor f = 0)."""
 

@@ -47,14 +47,6 @@ class TextSynthesizer:
         """TPC-style keyed name, e.g. ``Customer#000000042``."""
         return f"{prefix}#{key:0{width}d}"
 
-    def phrase(self, word_count: int = 4) -> str:
-        """A short adjective/noun phrase used for comments."""
-        words = []
-        for index in range(word_count):
-            pool = _ADJECTIVES if index % 2 == 0 else _NOUNS
-            words.append(self._dist.choice(pool))
-        return " ".join(words)
-
     def product_name(self) -> str:
         """e.g. ``polished steel spindle``."""
         return (

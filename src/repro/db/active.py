@@ -37,12 +37,9 @@ class Trigger:
     name: str
     table: str
     body: Callable[["Database", Row], None]
-    enabled: bool = True
     fire_count: int = field(default=0, init=False)
 
     def fire(self, database: "Database", row: Row) -> None:
-        if not self.enabled:
-            return
         self.fire_count += 1
         self.body(database, row)
 

@@ -810,9 +810,8 @@ def maybe_grace_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     rename: Mapping[str, str],
-    how: str,
 ) -> list[Row] | None:
-    """Grace hash join when the build (right) side is a spilled table
+    """Grace inner hash join when the build (right) side is a spilled table
     snapshot — the one input a hash join must hold whole.
 
     Returns the joined rows (exactly the monolithic hash join's output
@@ -831,14 +830,11 @@ def maybe_grace_join(
     STATS.grace_joins += 1
 
     rename_items = list(rename.items())
-    null_right = {out: None for out in rename.values()}
     narrow = left._wide
     left_columns = left.columns
-    is_left_join = how == "left"
 
-    # (left position, right position, combined row); left-join null
-    # extensions use right position -1 so the final position sort
-    # reproduces the monolithic join's emission order exactly.
+    # (left position, right position, combined row): the final position
+    # sort reproduces the monolithic join's emission order exactly.
     out: list[tuple[int, int, Row]] = []
 
     left_spool = _BucketSpool(buckets, capacity)
@@ -852,14 +848,6 @@ def maybe_grace_join(
         for position, row in enumerate(left.rows):
             key = tuple(row[k] for k in left_keys)
             if any(part is None for part in key):
-                if is_left_join:
-                    combined = (
-                        {name: row[name] for name in left_columns}
-                        if narrow
-                        else dict(row)
-                    )
-                    combined.update(null_right)
-                    out.append((position, -1, combined))
                 continue
             left_spool.add(_bucket_of(key, buckets), (position, key, row))
 
@@ -880,14 +868,6 @@ def maybe_grace_join(
                         for in_name, out_name in rename_items:
                             combined[out_name] = match[in_name]
                         out.append((position, right_position, combined))
-                elif is_left_join:
-                    combined = (
-                        {name: row[name] for name in left_columns}
-                        if narrow
-                        else dict(row)
-                    )
-                    combined.update(null_right)
-                    out.append((position, -1, combined))
     finally:
         left_spool.close()
         right_spool.close()

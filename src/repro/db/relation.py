@@ -224,10 +224,6 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({self.columns}, {len(self.rows)} rows)"
 
-    @classmethod
-    def empty(cls, columns: Sequence[str]) -> "Relation":
-        return cls(columns, [])
-
     def _require_columns(self, names: Iterable[str]) -> None:
         unknown = [n for n in names if n not in self.columns]
         if unknown:
@@ -388,14 +384,12 @@ class Relation:
         self,
         other: "Relation",
         on: Sequence[tuple[str, str]],
-        how: str = "inner",
         suffix: str = "_r",
     ) -> "Relation":
-        """Hash join on equality of column pairs ``(left_col, right_col)``.
-
-        ``how`` is ``inner`` or ``left``.  Right-side columns that collide
-        with left-side names get ``suffix`` appended (join keys from the
-        right are dropped since they equal the left's).
+        """Inner hash join on equality of column pairs ``(left_col,
+        right_col)``.  Right-side columns that collide with left-side
+        names get ``suffix`` appended (join keys from the right are
+        dropped since they equal the left's).
 
         A right side still backed by an unmodified table snapshot
         (``Table.to_relation``, optionally narrowed with ``keep``/
@@ -403,8 +397,6 @@ class Relation:
         pk covers the right key columns — no per-call hash index, same
         output.
         """
-        if how not in ("inner", "left"):
-            raise QueryError(f"unsupported join type: {how!r}")
         if not on:
             raise QueryError("join needs at least one key pair")
         left_keys = [pair[0] for pair in on]
@@ -429,7 +421,7 @@ class Relation:
             # both sides to disk and join bucket-at-a-time (grace hash
             # join) — same rows, same order, bounded residency.
             graced = partition.maybe_grace_join(
-                self, other, left_keys, right_keys, rename, how
+                self, other, left_keys, right_keys, rename
             )
             if graced is not None:
                 fastpath.STATS.rows_copied += len(graced)
@@ -445,7 +437,7 @@ class Relation:
                 and vector.should_batch(len(self.rows) + len(other.rows))
             ):
                 batched = vector.join_rows(
-                    self, other, left_keys, right_keys, rename, how
+                    self, other, left_keys, right_keys, rename
                 )
                 if batched is not None:
                     fastpath.STATS.rows_copied += len(batched)
@@ -469,20 +461,14 @@ class Relation:
                 return [right_rows[p] for p in positions]
 
         out_rows: list[Row] = []
-        null_right = {out: None for out in rename.values()}
         narrow_left = self._wide
         for row in self.rows:
             key = tuple(row[k] for k in left_keys)
             matches = [] if any(part is None for part in key) else lookup(key, [])
-            if matches:
-                for match in matches:
-                    combined = self._narrow_row(row) if narrow_left else dict(row)
-                    for in_name, out_name in rename.items():
-                        combined[out_name] = match[in_name]
-                    out_rows.append(combined)
-            elif how == "left":
+            for match in matches:
                 combined = self._narrow_row(row) if narrow_left else dict(row)
-                combined.update(null_right)
+                for in_name, out_name in rename.items():
+                    combined[out_name] = match[in_name]
                 out_rows.append(combined)
         fastpath.STATS.rows_copied += len(out_rows)
         return Relation.from_trusted(out_columns, out_rows)

@@ -345,9 +345,8 @@ def join_rows(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     rename: Mapping[str, str],
-    how: str,
 ) -> list["Row"] | None:
-    """Vectorized hash join: column-array index build + probe.
+    """Vectorized inner hash join: column-array index build + probe.
 
     Produces exactly the scalar hash join's output — same combined-dict
     construction, left order preserved, right matches in storage order,
@@ -385,12 +384,10 @@ def join_rows(
     left_rows = left.rows
     right_rows = right.rows
     rename_items = list(rename.items())
-    null_right = {out: None for out in rename.values()}
     multi = len(left_keys) > 1
     lookup = index.get
     out_rows: list[Row] = []
     append = out_rows.append
-    is_left_join = how == "left"
     for position, key in enumerate(left_probe):
         if multi:
             bucket = None if any(part is None for part in key) else lookup(key)
@@ -404,8 +401,4 @@ def join_rows(
                 for in_name, out_name in rename_items:
                     combined[out_name] = match[in_name]
                 append(combined)
-        elif is_left_join:
-            combined = dict(left_rows[position])
-            combined.update(null_right)
-            append(combined)
     return out_rows

@@ -16,7 +16,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import (
-    AttemptTimeout,
     DeploymentError,
     EngineCrashed,
     EngineError,
@@ -24,7 +23,7 @@ from repro.errors import (
 )
 from repro.db import fastpath, partition, vector
 from repro.db.expressions import Expression, compile_expression
-from repro.engine.costs import CostBreakdown, CostParameters
+from repro.engine.costs import CostBreakdown, CostParameters, INTERPRETER_COSTS
 from repro.mtm.context import ExecutionContext
 from repro.mtm.message import Message
 from repro.mtm.process import EventType, ProcessType, assert_valid_definition
@@ -236,30 +235,24 @@ class IntegrationEngine:
 
     #: Human-readable engine kind for plots/reports.
     engine_name = "abstract"
+    #: The integration-system host of the landscape every engine runs on.
+    host = "IS"
+    #: Where E1 messages physically come from: the applications
+    #: (Vienna, San Diego, MDM, Hongkong) all live on the external
+    #: systems host, so inbound delivery is a network transfer too.
+    message_source_host = "ES"
+    #: The unit prices of the kind of integration system modeled
+    #: (the interpreter's balanced profile unless a subclass overrides).
+    cost_parameters: CostParameters = INTERPRETER_COSTS
+    #: Share of a Fork's branch costs that overlap (1.0 = the slowest
+    #: branch only, 0.0 = the sum of the branches).
+    parallel_efficiency = 1.0
 
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        host: str = "IS",
-        costs: CostParameters | None = None,
-        worker_count: int = 4,
-        parallel_efficiency: float = 1.0,
-    ):
+    def __init__(self, registry: ServiceRegistry, worker_count: int = 4):
         if worker_count < 1:
             raise EngineError(f"worker count must be >= 1, got {worker_count}")
-        if not 0.0 <= parallel_efficiency <= 1.0:
-            raise EngineError(
-                f"parallel efficiency must be in [0, 1]: {parallel_efficiency}"
-            )
         self.registry = registry
-        self.host = host
-        #: Where E1 messages physically come from: the applications
-        #: (Vienna, San Diego, MDM, Hongkong) all live on the external
-        #: systems host, so inbound delivery is a network transfer too.
-        self.message_source_host = "ES"
-        self.cost_parameters = costs or CostParameters()
         self.worker_count = worker_count
-        self.parallel_efficiency = parallel_efficiency
         self._processes: dict[str, ProcessType] = {}
         #: Deployed definitions still waiting for a subprocess reference
         #: to resolve, hence not validated yet (see :meth:`deploy`).
@@ -541,7 +534,7 @@ class IntegrationEngine:
                 # back ...) and move the breaker clock before each attempt.
                 res.at(attempt_time)
                 injector = res.injector
-                if injector is not None and injector.take_crash("arrival"):
+                if injector.take_crash("arrival"):
                     self.crash()
                     raise EngineCrashed(
                         f"{self.engine_name} crashed before admitting "
@@ -553,7 +546,7 @@ class IntegrationEngine:
                 # effects uncommitted.  The pristine message copy lets
                 # the client re-dispatch the instance with exactly the
                 # original input after recovery.
-                if injector is not None and injector.take_crash("commit"):
+                if injector.take_crash("commit"):
                     armed = EngineCrashed(
                         f"{self.engine_name} lost an in-flight "
                         f"{event.process_id} instance at commit",
@@ -624,23 +617,13 @@ class IntegrationEngine:
         running, when the injector scheduled one.
         """
         self._last_profile = None
-        if res is not None:
-            self._raise_injected_faults(event, res)
+        self._raise_injected_faults(event, res)
         costs, operators, failures = self._execute_instance(
             process, event, queue_length
         )
         if armed is not None:
             self.crash()
             raise armed
-        if (
-            res is not None
-            and res.policy.timeout is not None
-            and costs.total > res.policy.timeout
-        ):
-            raise AttemptTimeout(
-                f"{event.process_id}: attempt cost {costs.total:.2f} "
-                f"exceeded the {res.policy.timeout:.2f} budget"
-            )
         # Inbound message delivery is itself a network transfer
         # (C_c includes waiting for external systems, Section V).
         inbound_cost = 0.0
@@ -702,7 +685,7 @@ class IntegrationEngine:
         its declared XSD and raises a real ``XsdValidationError``
         (poison, dead-lettered).
         """
-        if res is None or res.injector is None:
+        if res is None:
             return
         if res.injector.take_engine_fault(event.process_id):
             raise TransientEngineFault(

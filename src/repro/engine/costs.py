@@ -93,17 +93,3 @@ class CostBreakdown:
     @property
     def total(self) -> float:
         return self.communication + self.management + self.processing
-
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            self.communication + other.communication,
-            self.management + other.management,
-            self.processing + other.processing,
-        )
-
-    def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown(
-            self.communication * factor,
-            self.management * factor,
-            self.processing * factor,
-        )

@@ -61,7 +61,7 @@ class EaiEngine(MtmInterpreterEngine):
     """
 
     engine_name = "eai-server"
-    default_costs = EAI_COSTS
+    cost_parameters = EAI_COSTS
 
 
 class EtlEngine(MtmInterpreterEngine):
@@ -74,8 +74,8 @@ class EtlEngine(MtmInterpreterEngine):
     """
 
     engine_name = "etl-tool"
-    default_costs = ETL_COSTS
-    default_parallel_efficiency = 0.8
+    cost_parameters = ETL_COSTS
+    parallel_efficiency = 0.8
 
     def _execute_instance(self, process, event, queue_length):
         costs, operators, failures = super()._execute_instance(

@@ -27,7 +27,7 @@ from repro.errors import EngineError
 from repro.db.database import Database
 from repro.db.schema import Column, TableSchema
 from repro.engine.base import IntegrationEngine, ProcessEvent
-from repro.engine.costs import CostBreakdown, FEDERATED_COSTS, CostParameters
+from repro.engine.costs import CostBreakdown, FEDERATED_COSTS
 from repro.mtm.context import WORK_XML, ExecutionContext
 from repro.mtm.message import Message
 from repro.mtm.process import EventType, ProcessType
@@ -39,19 +39,11 @@ class FederatedEngine(IntegrationEngine):
     """Federated-DBMS realization of the benchmark processes ("System A")."""
 
     engine_name = "federated-dbms"
+    cost_parameters = FEDERATED_COSTS
+    parallel_efficiency = 0.6
 
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        host: str = "IS",
-        costs: CostParameters | None = None,
-        worker_count: int = 4,
-        parallel_efficiency: float = 0.6,
-    ):
-        super().__init__(
-            registry, host, costs or FEDERATED_COSTS, worker_count,
-            parallel_efficiency,
-        )
+    def __init__(self, registry: ServiceRegistry, worker_count: int = 4):
+        super().__init__(registry, worker_count)
         #: The engine's own catalog: queue tables, triggers, procedures.
         self.internal_db = Database("federation_catalog")
         self._next_tid = 1

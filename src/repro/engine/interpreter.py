@@ -8,9 +8,8 @@ an EAI/ETL engine with a worker pool, a plan cache and native operators.
 from __future__ import annotations
 
 from repro.engine.base import IntegrationEngine, ProcessEvent
-from repro.engine.costs import CostBreakdown, INTERPRETER_COSTS, CostParameters
+from repro.engine.costs import CostBreakdown
 from repro.mtm.process import ProcessType
-from repro.services.registry import ServiceRegistry
 
 
 class MtmInterpreterEngine(IntegrationEngine):
@@ -20,29 +19,6 @@ class MtmInterpreterEngine(IntegrationEngine):
     """
 
     engine_name = "mtm-interpreter"
-
-    #: The profile an argument left at None falls back to; subclasses
-    #: that model another kind of integration system override these.
-    default_costs = INTERPRETER_COSTS
-    default_parallel_efficiency = 1.0
-
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        host: str = "IS",
-        costs: CostParameters | None = None,
-        worker_count: int = 4,
-        parallel_efficiency: float | None = None,
-    ):
-        super().__init__(
-            registry,
-            host,
-            costs or self.default_costs,
-            worker_count,
-            self.default_parallel_efficiency
-            if parallel_efficiency is None
-            else parallel_efficiency,
-        )
 
     def deploy(self, process: ProcessType) -> None:
         """Install one process and warm its plan cache.

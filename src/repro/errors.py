@@ -109,10 +109,6 @@ class CircuitOpenError(ResilienceError):
     """A call was rejected because the endpoint's circuit breaker is open."""
 
 
-class AttemptTimeout(ResilienceError):
-    """One execution attempt exceeded the policy's virtual-time budget."""
-
-
 # --------------------------------------------------------------------- storage
 
 

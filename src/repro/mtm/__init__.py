@@ -27,7 +27,6 @@ from repro.mtm.operators import (
     Assign,
     ExtractField,
     Convert,
-    Delete,
     Invoke,
     Join,
     Operator,
@@ -59,7 +58,6 @@ __all__ = [
     "ValidateRows",
     "ExtractField",
     "Convert",
-    "Delete",
     "Signal",
     "Sequence",
     "Switch",

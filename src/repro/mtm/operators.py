@@ -260,7 +260,8 @@ class Projection(Operator):
 
 
 class Join(Operator):
-    """Hash join of two relation-valued messages (message enrichment, P04)."""
+    """Inner hash join of two relation-valued messages (message
+    enrichment, P04)."""
 
     kind = "join"
 
@@ -270,7 +271,6 @@ class Join(Operator):
         right: str,
         output: str,
         on: Sequence[tuple[str, str]],
-        how: str = "inner",
         name: str = "",
     ):
         super().__init__(name)
@@ -278,13 +278,12 @@ class Join(Operator):
         self.right = right
         self.output = output
         self.on = list(on)
-        self.how = how
 
     def execute(self, context: ExecutionContext) -> None:
         left = context.get(self.left).relation()
         right = context.get(self.right).relation()
         context.charge_work(WORK_RELATIONAL, float(len(left) + len(right)))
-        context.set(self.output, Message(left.join(right, self.on, self.how)))
+        context.set(self.output, Message(left.join(right, self.on)))
 
 
 class Union(Operator):
@@ -508,21 +507,6 @@ class ValidateRows(Operator):
             relation.columns, good_rows, wide=relation._wide
         )
         context.set(self.output, Message(result))
-
-
-class Delete(Operator):
-    """Remove a message variable (frees intermediate results; the paper's
-    local materialization points are dropped after use, Fig. 9b)."""
-
-    kind = "delete"
-
-    def __init__(self, variable: str, name: str = ""):
-        super().__init__(name)
-        self.variable = variable
-
-    def execute(self, context: ExecutionContext) -> None:
-        context.variables.pop(self.variable, None)
-        context.charge_work(WORK_CONTROL, 1.0)
 
 
 class Signal(Operator):

@@ -21,7 +21,6 @@ from repro.mtm.blocks import Fork, Sequence, Subprocess, Switch
 from repro.mtm.operators import (
     Assign,
     Convert,
-    Delete,
     ExtractField,
     Invoke,
     Join,

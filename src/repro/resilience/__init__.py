@@ -9,10 +9,11 @@ Two halves:
   simtime scheduler so the same seed always yields the same fault
   timeline.
 * **Resilience policies** — per-process retry with exponential backoff
-  and jitter in virtual time, per-attempt timeouts, per-endpoint
-  circuit breakers with half-open probing, and a dead-letter queue for
-  poison messages, so a failed instance degrades gracefully instead of
-  aborting the benchmark period.
+  and jitter in virtual time (fixed constants; the attempt cap is the
+  one knob), per-endpoint circuit breakers with a single half-open
+  probe, and a dead-letter queue for poison messages, so a failed
+  instance degrades gracefully instead of aborting the benchmark
+  period.
 
 Quick start::
 

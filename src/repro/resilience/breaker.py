@@ -5,8 +5,8 @@ until ``failure_threshold`` consecutive failures open it; while *open*
 every call is rejected immediately with :class:`CircuitOpenError` —
 failing fast instead of burning retries against a dead endpoint.  After
 ``reset_timeout`` virtual time units the breaker turns *half-open* and
-lets ``half_open_probes`` probe calls through: one success closes it
-again, one failure re-opens it.
+lets one probe call through: its success closes it again, its failure
+re-opens it.
 
 Time is whatever the engine says it is (the event deadline / retry
 time), so breaker behaviour is as deterministic as the rest of the run.
@@ -38,7 +38,6 @@ class BreakerPolicy:
     #: sheds load without condemning every in-flight instance.
     failure_threshold: int = 3
     reset_timeout: float = 20.0
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -48,10 +47,6 @@ class BreakerPolicy:
         if self.reset_timeout <= 0:
             raise ResilienceError(
                 f"reset timeout must be > 0: {self.reset_timeout}"
-            )
-        if self.half_open_probes < 1:
-            raise ResilienceError(
-                f"half-open probes must be >= 1: {self.half_open_probes}"
             )
 
 
@@ -69,7 +64,8 @@ class CircuitBreaker:
         self.state = CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        self._probes_left = 0
+        #: Whether the half-open breaker has let its one probe through.
+        self._probed = False
         self.transitions: list[tuple[float, str]] = []
         self._metrics = metrics
 
@@ -92,16 +88,16 @@ class CircuitBreaker:
             ).inc()
 
     def allow(self, now: float) -> bool:
-        """May a call go through at ``now``?  (Consumes half-open probes.)"""
+        """May a call go through at ``now``?  (Consumes the half-open probe.)"""
         if self.state == OPEN:
             if now - self.opened_at < self.policy.reset_timeout:
                 return False
             self._transition(now, HALF_OPEN)
-            self._probes_left = self.policy.half_open_probes
+            self._probed = False
         if self.state == HALF_OPEN:
-            if self._probes_left <= 0:
+            if self._probed:
                 return False
-            self._probes_left -= 1
+            self._probed = True
         return True
 
     def record_success(self, now: float) -> None:

@@ -178,24 +178,6 @@ class FaultEvent:
         tail = f" for {self.duration:g}tu" if self.duration is not None else ""
         return f"t={self.at:8.1f}  [{scope}]  {self.kind:<12} {target}{tail}"
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"at": self.at, "kind": self.kind}
-        for name in ("src", "dst", "service", "process"):
-            value = getattr(self, name)
-            if value:
-                out[name] = value
-        if self.kind in _PROCESS_KINDS and self.count != 1:
-            out["count"] = self.count
-        if self.kind == "degrade":
-            out["factor"] = self.factor
-        if self.kind in _CRASH_KINDS:
-            out["point"] = self.point
-        if self.duration is not None:
-            out["duration"] = self.duration
-        if self.period is not None:
-            out["period"] = self.period
-        return out
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
         return load(cls, data, FaultSpecError)
@@ -390,16 +372,6 @@ class FaultSpec:
 
     # -- JSON ------------------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "seed": self.seed,
-                "events": [event.to_dict() for event in self.events],
-            },
-            indent=2,
-        ) + "\n"
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
         """A parsed JSON document as a spec; raises one
@@ -423,10 +395,6 @@ class FaultSpec:
             raise FaultSpecError(
                 f"cannot load fault spec {path}: {exc}"
             ) from None
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
 
 
 def corrupt_document(document: XmlElement, rng) -> str:

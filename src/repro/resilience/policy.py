@@ -1,8 +1,7 @@
 """Retry/backoff policy and the per-run resilience context.
 
 The :class:`RetryPolicy` prices failure handling in virtual time:
-exponential backoff with seeded jitter, an attempt cap, and an optional
-per-attempt timeout expressed as a virtual-time cost budget.  The
+exponential backoff with seeded jitter and an attempt cap.  The
 :class:`ResilienceContext` bundles everything an engine needs while
 executing one run — policy, fault injector, circuit-breaker board,
 dead-letter queue, and the metric instruments that make recovery
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import (
-    AttemptTimeout,
     CircuitOpenError,
     EndpointUnavailableError,
     NetworkError,
@@ -31,6 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.metrics import MetricsRegistry
     from repro.resilience.injector import FaultInjector
 
+#: The backoff schedule in engine units: the first delay, its growth
+#: factor per failed attempt, its cap, and the seeded stretch of every
+#: delay by a factor in ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]``.
+BASE_DELAY = 4.0
+BACKOFF_MULTIPLIER = 2.0
+MAX_DELAY = 64.0
+BACKOFF_JITTER = 0.1
+
 #: Backoff-delay histogram buckets in engine units.
 BACKOFF_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
@@ -40,7 +46,6 @@ RETRYABLE_ERRORS = (
     EndpointUnavailableError,
     TransientEngineFault,
     CircuitOpenError,
-    AttemptTimeout,
 )
 
 
@@ -54,43 +59,23 @@ class RetryPolicy:
     """Exponential backoff with jitter, in virtual time units.
 
     ``delay(n)`` for attempt n (1-based) is
-    ``base_delay * multiplier**(n-1)``, capped at ``max_delay`` and
-    stretched by a seeded jitter factor in ``[1 - jitter, 1 + jitter]``.
-    ``timeout`` bounds one attempt's modeled cost (C_c + C_m + C_p); an
-    attempt over budget counts as a retryable :class:`AttemptTimeout`.
+    ``BASE_DELAY * BACKOFF_MULTIPLIER**(n-1)``, capped at ``MAX_DELAY``
+    and stretched by a seeded jitter factor in
+    ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]``.
     """
 
     max_attempts: int = 4
-    base_delay: float = 4.0
-    multiplier: float = 2.0
-    max_delay: float = 64.0
-    jitter: float = 0.1
-    timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ResilienceError(
                 f"max attempts must be >= 1: {self.max_attempts}"
             )
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ResilienceError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ResilienceError(
-                f"backoff multiplier must be >= 1: {self.multiplier}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ResilienceError(f"jitter must be in [0, 1): {self.jitter}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ResilienceError(f"timeout must be > 0: {self.timeout}")
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff before the attempt after failed attempt ``attempt``."""
-        raw = min(
-            self.base_delay * self.multiplier ** (attempt - 1), self.max_delay
-        )
-        if self.jitter:
-            raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return raw
+        raw = min(BASE_DELAY * BACKOFF_MULTIPLIER ** (attempt - 1), MAX_DELAY)
+        return raw * (1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0))
 
 
 class ResilienceContext:
@@ -98,21 +83,17 @@ class ResilienceContext:
 
     def __init__(
         self,
-        policy: RetryPolicy | None = None,
-        injector: "FaultInjector | None" = None,
-        breakers: CircuitBreakerBoard | None = None,
-        dead_letters: DeadLetterQueue | None = None,
+        policy: RetryPolicy,
+        injector: "FaultInjector",
+        breakers: CircuitBreakerBoard,
+        dead_letters: DeadLetterQueue,
         metrics: "MetricsRegistry | None" = None,
         seed: int = 0,
     ):
-        self.policy = policy or RetryPolicy()
+        self.policy = policy
         self.injector = injector
         self.breakers = breakers
-        # `or` would discard a passed-in queue: an empty DeadLetterQueue
-        # is falsy through __len__.
-        self.dead_letters = (
-            dead_letters if dead_letters is not None else DeadLetterQueue()
-        )
+        self.dead_letters = dead_letters
         self._metrics = metrics
         #: Jitter RNG: consumed only on retries, so fault-free runs stay
         #: byte-identical to runs without any resilience layer.
@@ -122,20 +103,15 @@ class ResilienceContext:
 
     def at(self, now: float) -> None:
         """Advance the fault timeline and breaker clock to ``now``."""
-        if self.injector is not None:
-            self.injector.advance_to(now)
-        if self.breakers is not None:
-            self.breakers.now = now
+        self.injector.advance_to(now)
+        self.breakers.now = now
 
     def begin_period(self, period: int) -> None:
-        if self.injector is not None:
-            self.injector.begin_period(period)
-        if self.breakers is not None:
-            self.breakers.reset()
+        self.injector.begin_period(period)
+        self.breakers.reset()
 
     def end_period(self) -> None:
-        if self.injector is not None:
-            self.injector.end_period()
+        self.injector.end_period()
 
     # -- retry decisions -------------------------------------------------------
 

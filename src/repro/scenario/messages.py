@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from repro.datagen.distributions import Distribution, UniformDistribution
+from repro.datagen.distributions import UniformDistribution
 from repro.datagen.text import TextSynthesizer
 from repro.mtm.message import Message
 from repro.scenario.topology import KEY_RANGES
@@ -53,12 +53,11 @@ class MessageFactory:
     def __init__(
         self,
         population: Population,
-        distribution: Distribution | None = None,
         seed: int = 11,
         error_rate: float = 0.15,
     ):
         self.population = population
-        self.distribution = distribution or UniformDistribution(seed)
+        self.distribution = UniformDistribution(seed)
         self.text = TextSynthesizer(self.distribution)
         self.error_rate = error_rate
         self._vienna_orders = itertools.count(KEY_RANGES["vienna_orders"] + 1)

@@ -119,22 +119,6 @@ def mdm_schema() -> XsdSchema:
     return XsdSchema("XSD_MDM_Europe", root)
 
 
-def europe_customer_schema() -> XsdSchema:
-    """The flat Europe-schema customer message P02 produces before routing."""
-    root = XsdElement(
-        "EuropeCustomer",
-        children=(
-            XsdChild(XsdElement("Custkey", content="integer")),
-            XsdChild(XsdElement("Name", content="string")),
-            XsdChild(XsdElement("Address", content="string")),
-            XsdChild(XsdElement("Citykey", content="integer")),
-            XsdChild(XsdElement("Phone", content="string"), 0, 1),
-            XsdChild(XsdElement("Segment", content="string"), 0, 1),
-        ),
-    )
-    return XsdSchema("XSD_EuropeCustomer", root)
-
-
 # ------------------------------------------------------------ Hongkong (orders)
 
 def hongkong_schema() -> XsdSchema:
@@ -185,23 +169,6 @@ def beijing_schema() -> XsdSchema:
         "BeijingMasterData", children=(XsdChild(record, 1, None),)
     )
     return XsdSchema("XSD_Beijing", root)
-
-
-def seoul_schema() -> XsdSchema:
-    """XSD_Seoul: element-structured customer master-data records."""
-    customer = XsdElement(
-        "Customer",
-        children=(
-            XsdChild(XsdElement("Custkey", content="integer")),
-            XsdChild(XsdElement("Citykey", content="integer"), 0, 1),
-            XsdChild(XsdElement("Name", content="string")),
-            XsdChild(XsdElement("Address", content="string")),
-            XsdChild(XsdElement("Phone", content="string"), 0, 1),
-            XsdChild(XsdElement("Segment", content="string"), 0, 1),
-        ),
-    )
-    root = XsdElement("SeoulMasterData", children=(XsdChild(customer, 1, None),))
-    return XsdSchema("XSD_Seoul", root)
 
 
 # ------------------------------------------------------------ STX stylesheets
@@ -392,33 +359,6 @@ def seoul_resultset_stylesheet() -> Stylesheet:
             RenameRule("/SeoulRS/Record", "Row"),
         ],
     )
-
-
-#: The canonical order-message schema everything is translated into.
-def cdb_order_schema() -> XsdSchema:
-    line = XsdElement(
-        "Line",
-        children=(
-            XsdChild(XsdElement("Linenumber", content="integer")),
-            XsdChild(XsdElement("Prodkey", content="integer")),
-            XsdChild(XsdElement("Quantity", content="integer")),
-            XsdChild(XsdElement("Extendedprice", content="decimal")),
-            XsdChild(XsdElement("Discount", content="decimal"), 0, 1),
-        ),
-    )
-    root = XsdElement(
-        "CdbOrder",
-        children=(
-            XsdChild(XsdElement("Orderkey", content="integer")),
-            XsdChild(XsdElement("Custkey", content="integer")),
-            XsdChild(XsdElement("Orderdate", content="date")),
-            XsdChild(XsdElement("Status", content="string")),
-            XsdChild(XsdElement("Priority", content="string"), 0, 1),
-            XsdChild(XsdElement("Totalprice", content="decimal"), 0, 1),
-            XsdChild(XsdElement("Lines", children=(XsdChild(line, 1, None),))),
-        ),
-    )
-    return XsdSchema("XSD_CdbOrder", root)
 
 
 # ----------------------------------------------------- inbound message schemas

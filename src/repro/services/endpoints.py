@@ -125,18 +125,13 @@ class DatabaseService(ServiceEndpoint):
       a stored procedure; response body is its return value.
     """
 
-    def __init__(
-        self,
-        name: str,
-        host: str,
-        database: Database,
-        external_unit: float = 0.02,
-    ):
+    #: Cost (tu) per row read/written inside a stored procedure; the
+    #: caller books it under C_c as external processing time.
+    external_unit = 0.02
+
+    def __init__(self, name: str, host: str, database: Database):
         super().__init__(name, host)
         self.database = database
-        #: Cost (tu) per row read/written inside a stored procedure; the
-        #: caller books it under C_c as external processing time.
-        self.external_unit = external_unit
 
     def operations(self) -> list[str]:
         return ["query", "update", "execute"]

@@ -50,7 +50,6 @@ class Network:
         default_link: Link = Link(latency=1.0, bandwidth=200.0),
         jitter: float = 0.0,
         seed: int = 0,
-        metrics: MetricsRegistry | None = None,
     ):
         if not 0.0 <= jitter < 1.0:
             raise NetworkError(f"jitter must be in [0, 1): {jitter}")
@@ -62,11 +61,11 @@ class Network:
         #: Degradation factors per directed pair (failure injection):
         #: transfer cost is multiplied by the factor while present.
         self._degraded: dict[tuple[str, str], float] = {}
-        # Transfer statistics live in a metrics registry (private by
-        # default, shared with the run's Observability when bound), so
-        # the benchmark's communication statistics and the observability
-        # exports come from one set of instruments.
-        self.bind_metrics(metrics or MetricsRegistry())
+        # Transfer statistics live in a metrics registry (private until
+        # the run's Observability registry is bound), so the benchmark's
+        # communication statistics and the observability exports come
+        # from one set of instruments.
+        self.bind_metrics(MetricsRegistry())
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Register this network's instruments into ``registry``."""

@@ -46,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Valid durability modes (the CLI's ``--durability`` values, sans off).
 DURABILITY_MODES = ("wal", "snapshot+wal")
 
+#: Commits within this many engine units of a window's first commit
+#: share its one modeled flush (group commit).
+GROUP_COMMIT_WINDOW = 8.0
+
 #: Histogram buckets for modeled recovery time, in engine units.
 RECOVERY_TIME_BUCKETS = (5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
 #: Histogram buckets for redo-tail length, in records.
@@ -68,7 +72,6 @@ class StorageManager:
         self,
         mode: str = "snapshot+wal",
         checkpoint_every: float | None = None,
-        group_commit_window: float = 8.0,
         metrics: "MetricsRegistry | None" = None,
     ):
         if mode not in DURABILITY_MODES:
@@ -80,13 +83,8 @@ class StorageManager:
                 "checkpoint interval must be finite and > 0, "
                 f"got {checkpoint_every}"
             )
-        if group_commit_window < 0:
-            raise StorageError(
-                f"group-commit window must be >= 0, got {group_commit_window}"
-            )
         self.mode = mode
         self.checkpoint_every = checkpoint_every
-        self.group_commit_window = group_commit_window
         self._metrics = metrics
         self.databases: dict[str, "Database"] = {}
         self.wals: dict[str, WriteAheadLog] = {}
@@ -250,7 +248,7 @@ class StorageManager:
             self.replication.on_commit(commit_id, at)
         if self._flush_window_end is None or at >= self._flush_window_end:
             self.flushes += 1
-            self._flush_window_end = at + self.group_commit_window
+            self._flush_window_end = at + GROUP_COMMIT_WINDOW
             flushed = True
         else:
             flushed = False

@@ -467,12 +467,12 @@ class BenchmarkClient:
         an armed corruption hits it as it is built."""
         message = None
         if build is not None:
-            injector = self.resilience and self.resilience.injector
-            if injector is not None:
-                injector.advance_to(deadline)
+            res = self.resilience
+            if res is not None:
+                res.injector.advance_to(deadline)
             message = build()
-            if injector is not None:
-                injector.maybe_corrupt(process_id, message)
+            if res is not None:
+                res.injector.maybe_corrupt(process_id, message)
         return self._handle_in_stream(
             ProcessEvent(process_id, deadline, message, period, stream)
         )

@@ -62,11 +62,6 @@ class ScaleFactors:
         """Convert schedule tu into engine time units (1 tu = 1/t units)."""
         return tu / self.time
 
-    def engine_to_tu(self, units: float) -> float:
-        """Convert measured engine units back into tu for reporting."""
-        return units * self.time
-
-
 def instances_p01(period: int, d: float) -> int:
     """Number of P01 instances in period k: floor((100-k)*d/2) + 1."""
     if not 0 <= period <= 99:

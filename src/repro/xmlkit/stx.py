@@ -13,7 +13,7 @@ stack of open containers plus the output under construction, *accounts*
 the start/text/end events the walk stands for (the event view of a
 tree, one for one) and applies the best matching rule per element:
 
-* :class:`RenameRule` — rename the element (and optionally its attributes),
+* :class:`RenameRule` — rename the element,
 * :class:`DropRule` — drop the whole subtree,
 * :class:`ValueRule` — rename and rewrite the text via a mapping/callable,
 * :class:`TemplateRule` — full control: a callable builds the replacement
@@ -26,7 +26,6 @@ matching pattern wins; insertion order breaks ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from repro.errors import StxError, XmlParseError
@@ -62,24 +61,14 @@ class _Rule:
 
 
 class RenameRule(_Rule):
-    """Rename an element, optionally renaming attributes too."""
+    """Rename an element; its attributes and text pass unchanged."""
 
-    def __init__(
-        self,
-        match: str,
-        to: str,
-        attribute_renames: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, match: str, to: str):
         super().__init__(match)
         self.to = to
-        self.attribute_renames = dict(attribute_renames or {})
 
     def open_element(self, tag: str, attributes: dict[str, str]) -> XmlElement | None:
-        renamed = {
-            self.attribute_renames.get(name, name): value
-            for name, value in attributes.items()
-        }
-        return XmlElement(self.to, renamed)
+        return XmlElement(self.to, attributes)
 
     def rewrite_text(self, text: str) -> str:
         return text
@@ -151,17 +140,15 @@ class TemplateRule(_Rule):
         self,
         match: str,
         build: Callable[[str, dict[str, str]], XmlElement | None],
-        text: Callable[[str], str] | None = None,
     ):
         super().__init__(match)
         self._build = build
-        self._text = text
 
     def open_element(self, tag: str, attributes: dict[str, str]) -> XmlElement | None:
         return self._build(tag, attributes)
 
     def rewrite_text(self, text: str) -> str:
-        return self._text(text) if self._text else text
+        return text
 
 
 # ------------------------------------------------------------------- stylesheet
@@ -199,7 +186,7 @@ def _renamed(step: _PathPlan, tag: str) -> str | None:
     """The tag ``step`` gives an element if it renames it and nothing else."""
     if step.action == _IDENTITY:
         return tag
-    if step.action == _RENAME and not step.rule.attribute_renames:
+    if step.action == _RENAME:
         return step.rule.to
     return None
 
@@ -251,7 +238,7 @@ class Stylesheet:
     def _rename_rows(self, document: ResultSetRoot) -> ResultSetRoot | None:
         """``document`` translated without its tree when the plan renames
         the root and row tags and nothing else (each step identity or a
-        :class:`RenameRule` without attribute renames) and keeps every
+        :class:`RenameRule`) and keeps every
         column; else None.  Steps are resolved in walk order and no
         further than the first that does not qualify, so the walk finds
         the plan as it would have left it."""
@@ -333,31 +320,17 @@ class Stylesheet:
                         rewrite = rule.rewrite_text
                     else:
                         if action == _IDENTITY:
-                            name = tag
-                            attributes = node.attributes.copy()
-                            rewrite = None
+                            name, rewrite = tag, None
                         elif action == _RENAME:
-                            rule = step.rule
-                            name = rule.to
-                            renames = rule.attribute_renames
-                            if renames:
-                                attributes = {
-                                    renames.get(key, key): value
-                                    for key, value in node.attributes.items()
-                                }
-                            else:
-                                attributes = node.attributes.copy()
-                            rewrite = None
+                            name, rewrite = step.rule.to, None
                         else:
                             rule = step.rule
-                            name = rule.to or tag
-                            attributes = node.attributes.copy()
-                            rewrite = rule._rewrite
+                            name, rewrite = rule.to or tag, rule._rewrite
                         if not name:
                             raise XmlParseError("element tag must be non-empty")
                         out = new(XmlElement)
                         out.tag = name
-                        out.attributes = attributes
+                        out.attributes = node.attributes.copy()
                         out.text = None
                         out.children = []
                     if attach is not None:

@@ -63,15 +63,15 @@ class XsdElement:
     """One element declaration.
 
     ``content`` is the simple type of the text content (or None for pure
-    container elements).  ``children`` is an *ordered sequence* of child
-    declarations, each with ``min_occurs``/``max_occurs`` (None = unbounded).
+    container elements); empty text content is valid for any type.
+    ``children`` is an *ordered sequence* of child declarations, each with
+    ``min_occurs``/``max_occurs`` (None = unbounded).
     """
 
     name: str
     content: str | None = None
     attributes: tuple[XsdAttribute, ...] = ()
     children: tuple["XsdChild", ...] = ()
-    allow_empty_content: bool = True
 
     def __post_init__(self) -> None:
         if self.content is not None and self.content not in _SIMPLE_TYPES:
@@ -205,13 +205,7 @@ class XsdSchema:
             if text:
                 violations.append((path, f": unexpected text content {text!r}"))
             return
-        if not text:
-            if not decl.allow_empty_content:
-                violations.append(
-                    (path, f": empty content, expected {decl.content}")
-                )
-            return
-        if not _check_simple(decl.content, text):
+        if text and not _check_simple(decl.content, text):
             violations.append(
                 (path, f": {text!r} is not a valid {decl.content}")
             )

@@ -121,15 +121,6 @@ class TestSkew:
             ExponentialDistribution(rate=0)
 
 
-class TestShuffle:
-    def test_shuffle_is_permutation(self):
-        dist = UniformDistribution(5)
-        items = list(range(20))
-        shuffled = dist.shuffle(items)
-        assert sorted(shuffled) == items
-        assert items == list(range(20))  # input untouched
-
-
 class TestProperties:
     @given(st.integers(0, 3), st.integers(0, 1000),
            st.integers(0, 50), st.integers(1, 50))

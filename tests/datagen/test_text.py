@@ -23,9 +23,6 @@ class TestNames:
     def test_keyed_name_width(self, text):
         assert text.keyed_name("P", 1, width=3) == "P#001"
 
-    def test_phrase_word_count(self, text):
-        assert len(text.phrase(5).split()) == 5
-
     def test_product_name_three_words(self, text):
         assert len(text.product_name().split()) == 3
 

@@ -80,20 +80,13 @@ def run_workload(db):
     out = {}
     sel = db.query("orders", (col("amount") > lit(100.0)))
     out["select"] = sel.to_dicts()
-    joined = db.query("orders").join(
-        db.query("customers"), on=[("cust", "cid")], how="inner"
-    )
+    joined = db.query("orders").join(db.query("customers"), on=[("cust", "cid")])
     out["join_inner"] = joined.to_dicts()
-    out["join_left"] = (
-        db.query("orders")
-        .join(db.query("customers"), on=[("cust", "cid")], how="left")
-        .to_dicts()
-    )
     # Non-indexed key: no probe, so a spilled side goes through the
     # grace hash join instead of the index join.
     out["join_nonindexed"] = (
         db.query("orders")
-        .join(db.query("customers"), on=[("cust", "tier")], how="inner")
+        .join(db.query("customers"), on=[("cust", "tier")])
         .to_dicts()
     )
     out["group"] = (
@@ -253,7 +246,7 @@ def join_side(schema, rows, residency):
     return db
 
 
-def run_join(shape, how, left_residency, right_residency):
+def run_join(shape, left_residency, right_residency):
     """One non-indexed join; returns its rows plus every counter the
     residency of the inputs must not (or must) show up in."""
     left_rows, right_rows = join_inputs(shape)
@@ -270,7 +263,7 @@ def run_join(shape, how, left_residency, right_residency):
     left = left_db.query("facts")
     if shape == "wide_left":
         left = left.keep("fid", "k", "note")
-    joined = left.join(right_db.query("dims"), on=[("k", "k2")], how=how)
+    joined = left.join(right_db.query("dims"), on=[("k", "k2")])
     fast = fastpath.STATS - fast_base
     for db in (left_db, right_db):
         budget = db.memory_budget
@@ -288,14 +281,12 @@ def run_join(shape, how, left_residency, right_residency):
     }, spilled, fast, partition.STATS - part_base
 
 
-@pytest.mark.parametrize("how", ["inner", "left"])
 @pytest.mark.parametrize(
     "shape",
     ["null_keys", "duplicate_keys", "wide_left", "empty_left", "empty_right"],
 )
-def test_join_rungs_agree_with_the_oracle(shape, how):
-    """{left, right, both, neither spilled} x {inner, left} x input
-    shapes: every rung emits the oracle's rows in the oracle's order and
+def test_join_rungs_agree_with_the_oracle(shape):
+    """{left, right, both, neither spilled} x input shapes: every rung emits the oracle's rows in the oracle's order and
     charges what the unbudgeted run charges; grace engages iff the build
     (right) side is spilled, and a spilled probe side streams through
     the scalar loop, never the columnar kernel."""
@@ -307,9 +298,8 @@ def test_join_rungs_agree_with_the_oracle(shape, how):
         expected_left,
         oracle.Table(JOIN_RIGHT, right_rows).to_relation(),
         on=[("k", "k2")],
-        how=how,
     )
-    unbudgeted, _, _, _ = run_join(shape, how, "list", "list")
+    unbudgeted, _, _, _ = run_join(shape, "list", "list")
     assert unbudgeted["columns"] == expected.columns
     assert unbudgeted["rows"] == expected.rows
     assert [list(r) for r in unbudgeted["rows"]] == [
@@ -318,7 +308,7 @@ def test_join_rungs_agree_with_the_oracle(shape, how):
     for left_residency in RESIDENCIES:
         for right_residency in RESIDENCIES:
             got, spilled, fast, part = run_join(
-                shape, how, left_residency, right_residency
+                shape, left_residency, right_residency
             )
             where = f"left={left_residency} right={right_residency}"
             assert got == unbudgeted, where
@@ -344,10 +334,8 @@ def test_grace_join_end_to_end_with_a_spilled_build_side():
     """No scenario process has a spilled build side, so the grace rung
     is driven here: both sides bucketed through ``_BucketSpool`` files
     (chunks of one partition), output in monolithic order."""
-    got, spilled, fast, part = run_join(
-        "duplicate_keys", "left", "list", "spilled"
-    )
-    expected, _, _, _ = run_join("duplicate_keys", "left", "list", "list")
+    got, spilled, fast, part = run_join("duplicate_keys", "list", "spilled")
+    expected, _, _, _ = run_join("duplicate_keys", "list", "list")
     assert spilled == {"left": False, "right": True}
     assert part.grace_joins == 1
     assert part.grace_rows_spilled > 0
@@ -375,12 +363,6 @@ def reference_workload(seed):
         orders.to_relation(), customers.to_relation(), on=[("cust", "cid")]
     )
     out["join_inner"] = joined.rows
-    out["join_left"] = oracle.join(
-        orders.to_relation(),
-        customers.to_relation(),
-        on=[("cust", "cid")],
-        how="left",
-    ).rows
     out["join_nonindexed"] = oracle.join(
         orders.to_relation(), customers.to_relation(), on=[("cust", "tier")]
     ).rows

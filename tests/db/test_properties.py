@@ -99,16 +99,6 @@ class TestJoinProperties:
         expected = sum(left_counts[k] * right_counts[k] for k in left_counts)
         assert len(joined) == expected
 
-    @given(rows_strategy, rows_strategy)
-    @settings(max_examples=50)
-    def test_left_join_preserves_left_cardinality_when_right_unique(self, a, b):
-        left = make(a)
-        right = Relation(
-            ("k", "w"), [{"k": row["k"], "w": row["v"]} for row in b]
-        ).distinct(("k",))
-        joined = left.join(right, on=[("k", "k")], how="left")
-        assert len(joined) == len(left)
-
 
 class TestGroupByProperties:
     @given(rows_strategy)

@@ -25,9 +25,6 @@ class TestConstruction:
         with pytest.raises(QueryError):
             Relation(("a", "a"), [])
 
-    def test_empty(self):
-        assert len(Relation.empty(("x",))) == 0
-
 
 class TestSelect:
     def test_expression_predicate(self):
@@ -116,13 +113,6 @@ class TestJoin:
         assert len(joined) == 1
         assert joined.rows[0]["name"] == "A"
 
-    def test_left_join_pads_with_null(self):
-        left = Relation(("k",), [{"k": 1}, {"k": 2}])
-        right = Relation(("k", "v"), [{"k": 1, "v": "x"}])
-        joined = left.join(right, on=[("k", "k")], how="left")
-        assert len(joined) == 2
-        assert joined.select(col("k") == lit(2)).rows[0]["v"] is None
-
     def test_null_keys_never_join(self):
         left = Relation(("k",), [{"k": None}])
         right = Relation(("k", "v"), [{"k": None, "v": "x"}])
@@ -146,10 +136,6 @@ class TestJoin:
                                            {"a": 1, "b": 3, "v": "y"}])
         joined = left.join(right, on=[("a", "a"), ("b", "b")])
         assert len(joined) == 1
-
-    def test_bad_join_type(self):
-        with pytest.raises(QueryError):
-            rel((1, "x")).join(rel((1, "x")), on=[("k", "k")], how="outer")
 
     def test_empty_on_rejected(self):
         with pytest.raises(QueryError):

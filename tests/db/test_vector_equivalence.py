@@ -181,17 +181,16 @@ class TestVectorOperatorEquivalence:
     def test_join_inner_and_left(self, seed, rungs):
         rng = random.Random(seed)
         rows, other = random_rows(rng), random_rows(rng)
-        for how in ("inner", "left"):
-            vd, sd = both_rungs(
-                rungs,
-                lambda r, o: r.join(o, on=[("k", "k")], how=how),
-                lambda r, o: oracle.join(r, o, on=[("k", "k")], how=how),
-                rows,
-                other,
-            )
-            assert vd.vector_joins == 1
-            assert vd.hash_joins == 0  # the batch kernel replaced it
-            assert sd.hash_joins == 1
+        vd, sd = both_rungs(
+            rungs,
+            lambda r, o: r.join(o, on=[("k", "k")]),
+            lambda r, o: oracle.join(r, o, on=[("k", "k")]),
+            rows,
+            other,
+        )
+        assert vd.vector_joins == 1
+        assert vd.hash_joins == 0  # the batch kernel replaced it
+        assert sd.hash_joins == 1
 
     def test_join_multi_key(self, seed, rungs):
         rng = random.Random(seed)
@@ -255,7 +254,7 @@ class TestVectorOperatorEquivalence:
         def pipeline(r):
             return (
                 r.select(is_not_null(col("k")))
-                .join(r, on=[("k", "k")], how="left")
+                .join(r, on=[("k", "k")])
                 .group_by(("k",), aggregates)
                 .order_by(("k",))
             )
@@ -265,7 +264,6 @@ class TestVectorOperatorEquivalence:
                 oracle.select(r, is_not_null(col("k"))),
                 r,
                 on=[("k", "k")],
-                how="left",
             )
             return oracle.order_by(
                 oracle.group_by(joined, ("k",), aggregates), ("k",)

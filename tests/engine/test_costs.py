@@ -46,11 +46,3 @@ class TestCostBreakdown:
     def test_total(self):
         b = CostBreakdown(1.0, 2.0, 3.0)
         assert b.total == 6.0
-
-    def test_addition(self):
-        a = CostBreakdown(1, 1, 1)
-        b = CostBreakdown(2, 2, 2)
-        assert (a + b).total == 9
-
-    def test_scaled(self):
-        assert CostBreakdown(1, 2, 3).scaled(2.0).total == 12.0

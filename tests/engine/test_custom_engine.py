@@ -19,9 +19,10 @@ class FlatRateEngine(IntegrationEngine):
     engine a vendor might enter into the benchmark."""
 
     engine_name = "flat-rate"
+    cost_parameters = CostParameters()
 
     def __init__(self, registry, flat_rate: float = 0.8, **kwargs):
-        super().__init__(registry, costs=CostParameters(), **kwargs)
+        super().__init__(registry, **kwargs)
         self.flat_rate = flat_rate
 
     def _execute_instance(self, process, event, queue_length):

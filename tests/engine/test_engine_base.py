@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import Database
-from repro.engine import MtmInterpreterEngine, ProcessEvent
+from repro.engine import ENGINES, MtmInterpreterEngine, ProcessEvent
 from repro.engine.costs import CostParameters
 from repro.errors import DeploymentError, EngineError
 from repro.mtm import (
@@ -93,9 +93,11 @@ class TestDeployment:
         with pytest.raises(EngineError):
             MtmInterpreterEngine(fresh_registry(), worker_count=0)
 
-    def test_parallel_efficiency_validated(self):
-        with pytest.raises(EngineError):
-            MtmInterpreterEngine(fresh_registry(), parallel_efficiency=1.5)
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_engine_declares_its_cost_profile(self, name):
+        engine_class = ENGINES[name]
+        assert isinstance(engine_class.cost_parameters, CostParameters)
+        assert 0.0 <= engine_class.parallel_efficiency <= 1.0
 
 
 class TestEventHandling:
@@ -170,11 +172,9 @@ class TestEventHandling:
 
 class TestWorkerQueue:
     def _engine(self, workers):
-        engine = MtmInterpreterEngine(
-            fresh_registry(),
-            worker_count=workers,
-            costs=CostParameters(control_unit=10.0, plan_cost=0.0,
-                                 reorg_per_queued=0.0),
+        engine = MtmInterpreterEngine(fresh_registry(), worker_count=workers)
+        engine.cost_parameters = CostParameters(
+            control_unit=10.0, plan_cost=0.0, reorg_per_queued=0.0
         )
         engine.deploy(simple_e2("PA", steps=1))  # 10 units service time
         return engine
@@ -194,11 +194,9 @@ class TestWorkerQueue:
         assert second.wait == 0.0
 
     def test_queue_length_feeds_management_cost(self):
-        engine = MtmInterpreterEngine(
-            fresh_registry(),
-            worker_count=1,
-            costs=CostParameters(control_unit=10.0, plan_cost=1.0,
-                                 reorg_per_queued=5.0),
+        engine = MtmInterpreterEngine(fresh_registry(), worker_count=1)
+        engine.cost_parameters = CostParameters(
+            control_unit=10.0, plan_cost=1.0, reorg_per_queued=5.0
         )
         engine.deploy(simple_e2("PA"))
         first = engine.handle_event(ProcessEvent("PA", 0.0))

@@ -13,12 +13,9 @@ from repro.services import Network, ServiceRegistry
 def make_engine(workers: int, service_units: float = 5.0):
     net = Network()
     net.add_host("IS")
-    engine = MtmInterpreterEngine(
-        ServiceRegistry(net),
-        worker_count=workers,
-        costs=CostParameters(
-            control_unit=service_units, plan_cost=0.0, reorg_per_queued=0.0
-        ),
+    engine = MtmInterpreterEngine(ServiceRegistry(net), worker_count=workers)
+    engine.cost_parameters = CostParameters(
+        control_unit=service_units, plan_cost=0.0, reorg_per_queued=0.0
     )
     engine.deploy(
         ProcessType("PX", ProcessGroup.B, "t", EventType.E2_SCHEDULE,
@@ -103,11 +100,9 @@ class TestManagementCostMonotonicity:
         pay at least as much C_m (up to the cap)."""
         net = Network()
         net.add_host("IS")
-        engine = MtmInterpreterEngine(
-            ServiceRegistry(net),
-            worker_count=1,
-            costs=CostParameters(control_unit=10.0, plan_cost=1.0,
-                                 reorg_per_queued=0.5),
+        engine = MtmInterpreterEngine(ServiceRegistry(net), worker_count=1)
+        engine.cost_parameters = CostParameters(
+            control_unit=10.0, plan_cost=1.0, reorg_per_queued=0.5
         )
         engine.deploy(
             ProcessType("PX", ProcessGroup.B, "t", EventType.E2_SCHEDULE,

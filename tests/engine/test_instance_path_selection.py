@@ -26,9 +26,9 @@ from repro.errors import (
 from repro.mtm import (
     Assign,
     Convert,
-    Delete,
     EventType,
     Message,
+    Operator,
     ProcessGroup,
     ProcessType,
     Projection,
@@ -43,6 +43,8 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
 from repro.optimizer.rules import merge_projections
 from repro.resilience import (
+    CircuitBreakerBoard,
+    DeadLetterQueue,
     FaultEvent,
     FaultInjector,
     FaultSpec,
@@ -62,6 +64,19 @@ def event(process_id="PX", deadline=0.0, message=None):
 # ------------------------------------------------------------- path selection
 
 
+class _Unbind(Operator):
+    """Drops a message variable, which the flow check cannot follow."""
+
+    kind = "unbind"
+
+    def __init__(self, variable: str):
+        super().__init__()
+        self.variable = variable
+
+    def execute(self, context: ExecutionContext) -> None:
+        context.variables.pop(self.variable, None)
+
+
 class TestAttachBetweenTwoEvents:
     def test_resilience_attached_mid_run_retries_the_next_event(self):
         engine = MtmInterpreterEngine(fresh_registry())
@@ -75,6 +90,8 @@ class TestAttachBetweenTwoEvents:
         engine.resilience = ResilienceContext(
             policy=RetryPolicy(max_attempts=3),
             injector=FaultInjector(faults, registry=engine.registry),
+            breakers=CircuitBreakerBoard(),
+            dead_letters=DeadLetterQueue(),
         )
         engine.resilience.begin_period(0)
         second = engine.handle_event(event(deadline=10.0))
@@ -130,8 +147,8 @@ class TestAttachBetweenTwoEvents:
         engine.deploy(
             ProcessType(
                 "PF", ProcessGroup.B, "t", EventType.E2_SCHEDULE,
-                # Deployment's flow check does not see a DELETE unbind.
-                Sequence([Assign("ghost", 1), Delete("ghost"),
+                # Deployment's flow check does not see an unbind.
+                Sequence([Assign("ghost", 1), _Unbind("ghost"),
                           Projection("ghost", "out", {"a": "a"})]),
             ),
         )

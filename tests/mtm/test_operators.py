@@ -14,7 +14,6 @@ from repro.mtm.message import Message
 from repro.mtm.operators import (
     Assign,
     Convert,
-    Delete,
     ExtractField,
     Invoke,
     Join,
@@ -89,14 +88,6 @@ class TestAssignDelete:
         msg = Message("x", "t")
         run(Assign("v", msg), ctx)
         assert ctx.get("v") is msg
-
-    def test_delete(self, ctx):
-        ctx.set("v", Message(1))
-        run(Delete("v"), ctx)
-        assert not ctx.has("v")
-
-    def test_delete_missing_is_noop(self, ctx):
-        run(Delete("ghost"), ctx)
 
     def test_unbound_read_raises(self, ctx):
         with pytest.raises(ProcessRuntimeError, match="unbound"):

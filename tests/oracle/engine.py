@@ -44,7 +44,6 @@ from repro.db.relation import Relation
 from repro.engine.base import InstanceRecord
 from repro.engine.costs import CostBreakdown
 from repro.errors import (
-    AttemptTimeout,
     EngineCrashed,
     EngineError,
     ProcessRuntimeError,
@@ -88,9 +87,7 @@ def handle_event(self, event) -> InstanceRecord:
             # Apply due fault events (partitions heal, endpoints come
             # back ...) and move the breaker clock before each attempt.
             res.at(attempt_time)
-            if res.injector is not None and res.injector.take_crash(
-                "arrival"
-            ):
+            if res.injector.take_crash("arrival"):
                 self.crash()
                 raise EngineCrashed(
                     f"{self.engine_name} crashed before admitting "
@@ -101,11 +98,7 @@ def handle_event(self, event) -> InstanceRecord:
         # the instance runs, then dies with its effects uncommitted.
         # The pristine message copy lets the client re-dispatch the
         # instance with exactly the original input after recovery.
-        crash_at_commit = (
-            res is not None
-            and res.injector is not None
-            and res.injector.take_crash("commit")
-        )
+        crash_at_commit = res is not None and res.injector.take_crash("commit")
         pristine = (
             event.message.copy()
             if crash_at_commit and event.message is not None
@@ -128,15 +121,6 @@ def handle_event(self, event) -> InstanceRecord:
                     f"{event.process_id} instance at commit",
                     pristine_message=pristine,
                     at=attempt_time,
-                )
-            if (
-                res is not None
-                and res.policy.timeout is not None
-                and costs.total > res.policy.timeout
-            ):
-                raise AttemptTimeout(
-                    f"{event.process_id}: attempt cost {costs.total:.2f} "
-                    f"exceeded the {res.policy.timeout:.2f} budget"
                 )
             # Inbound message delivery is itself a network transfer
             # (C_c includes waiting for external systems, Section V).

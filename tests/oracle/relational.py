@@ -218,16 +218,13 @@ def join(
     rel: Rel,
     other: Rel,
     on: Sequence[tuple[str, str]],
-    how: str = "inner",
     suffix: str = "_r",
 ) -> Rel:
-    """Hash join on equality of ``(left_col, right_col)`` pairs.
+    """Inner hash join on equality of ``(left_col, right_col)`` pairs.
 
     Left order preserved, right matches in row order, NULL keys never
     join; colliding right-side names get ``suffix``, right keys drop.
     """
-    if how not in ("inner", "left"):
-        raise QueryError(f"unsupported join type: {how!r}")
     if not on:
         raise QueryError("join needs at least one key pair")
     left_keys = [pair[0] for pair in on]
@@ -250,19 +247,13 @@ def join(
         index.setdefault(key, []).append(row)
 
     out_rows: list[Row] = []
-    null_right = {out: None for out in rename.values()}
     for row in rel.rows:
         key = tuple(row[k] for k in left_keys)
         matches = [] if any(part is None for part in key) else index.get(key, [])
-        if matches:
-            for match in matches:
-                combined = dict(row)
-                for in_name, out_name in rename.items():
-                    combined[out_name] = match[in_name]
-                out_rows.append(combined)
-        elif how == "left":
+        for match in matches:
             combined = dict(row)
-            combined.update(null_right)
+            for in_name, out_name in rename.items():
+                combined[out_name] = match[in_name]
             out_rows.append(combined)
     return relation(rel.columns + tuple(rename.values()), out_rows)
 

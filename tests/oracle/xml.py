@@ -405,8 +405,6 @@ def _validate_content(node, decl, path: str, violations: list[str]) -> None:
             violations.append(f"{path}: unexpected text content {text!r}")
         return
     if not text:
-        if not decl.allow_empty_content:
-            violations.append(f"{path}: empty content, expected {decl.content}")
         return
     if not _check_simple(decl.content, text):
         violations.append(

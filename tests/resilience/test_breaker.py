@@ -12,8 +12,7 @@ from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
 def breaker():
     return CircuitBreaker(
         "dwh",
-        BreakerPolicy(failure_threshold=3, reset_timeout=10.0,
-                      half_open_probes=1),
+        BreakerPolicy(failure_threshold=3, reset_timeout=10.0),
     )
 
 
@@ -23,7 +22,6 @@ class TestBreakerPolicy:
         [
             {"failure_threshold": 0},
             {"reset_timeout": 0.0},
-            {"half_open_probes": 0},
         ],
     )
     def test_invalid_knobs(self, kwargs):

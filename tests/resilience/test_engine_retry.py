@@ -13,6 +13,7 @@ from repro.mtm import (
     Signal,
 )
 from repro.resilience import (
+    CircuitBreakerBoard,
     DeadLetterQueue,
     FaultEvent,
     FaultInjector,
@@ -36,14 +37,12 @@ def simple_e2(pid="PX"):
     )
 
 
-def make_context(registry, *events, max_attempts=4, timeout=None):
+def make_context(registry, *events, max_attempts=4):
     spec = FaultSpec(name="t", seed=1, events=tuple(events))
     return ResilienceContext(
-        policy=RetryPolicy(
-            max_attempts=max_attempts, base_delay=4.0, multiplier=2.0,
-            jitter=0.0, timeout=timeout,
-        ),
+        policy=RetryPolicy(max_attempts=max_attempts),
         injector=FaultInjector(spec, registry=registry),
+        breakers=CircuitBreakerBoard(),
         dead_letters=DeadLetterQueue(),
         seed=1,
     )
@@ -69,7 +68,7 @@ class TestTransientRecovery:
         assert record.recovered and record.retries == 1
         assert record.fault_types == ("TransientEngineFault",)
         assert record.arrival == 10.0  # deadline preserved
-        assert record.start >= 14.0    # admitted only after the backoff
+        assert record.start >= 13.6    # after the backoff: 4 tu, jitter 10 %
         assert list(engine.records.recovered()) == [record]
 
     def test_retry_exhaustion_dead_letters(self):
@@ -129,19 +128,6 @@ class TestPoisonHandling:
         assert record.error_type == "ZeroDivisionError"
         letter = next(iter(context.dead_letters))
         assert letter.error_type == "ZeroDivisionError"
-
-    def test_attempt_timeout_is_retryable(self):
-        engine = MtmInterpreterEngine(fresh_registry())
-        context = make_context(engine.registry, timeout=0.0001)
-        engine.resilience = context
-        start_period(context)
-        engine.deploy(simple_e2("PT"))
-        record = engine.handle_event(ProcessEvent("PT", 0.0))
-        # Every attempt exceeds the budget, so the instance retries its
-        # way into the dead-letter queue with a timeout classification.
-        assert record.status == "dead-letter"
-        assert record.attempts == 4
-        assert record.error_type == "AttemptTimeout"
 
 
 class TestLegacyPathUnchanged:

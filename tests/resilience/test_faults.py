@@ -130,29 +130,6 @@ class TestTimeline:
 
 
 class TestJsonRoundTrip:
-    def test_round_trip(self):
-        spec = FaultSpec(
-            name="rt",
-            seed=9,
-            events=(
-                FaultEvent(at=1.0, kind="partition", src="A", dst="B",
-                           duration=2.0, period=0),
-                FaultEvent(at=3.0, kind="degrade", src="A", dst="B",
-                           factor=3.0),
-                FaultEvent(at=4.0, kind="corrupt", process="P04", count=2),
-            ),
-        )
-        assert FaultSpec.from_json(spec.to_json()) == spec
-
-    def test_load_dump_round_trip(self, tmp_path):
-        spec = FaultSpec(
-            name="file", seed=3,
-            events=(FaultEvent(at=1.0, kind="outage", service="dwh"),),
-        )
-        path = str(tmp_path / "spec.json")
-        spec.dump(path)
-        assert FaultSpec.load(path) == spec
-
     def test_unknown_event_key_rejected(self):
         with pytest.raises(FaultSpecError, match="unknown keys"):
             FaultEvent.from_dict({"at": 1.0, "kind": "outage", "sevrice": "x"})

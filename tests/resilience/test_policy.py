@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.errors import (
-    AttemptTimeout,
     CircuitOpenError,
     EndpointUnavailableError,
     NetworkError,
@@ -15,52 +14,61 @@ from repro.errors import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience import (
+    CircuitBreakerBoard,
     DeadLetterQueue,
+    FaultInjector,
+    FaultSpec,
     ResilienceContext,
     RetryPolicy,
     is_retryable,
 )
+from repro.resilience import policy as policy_module
+from repro.services import Network, ServiceRegistry
+
+
+def context_of(
+    metrics: MetricsRegistry | None = None,
+    dead_letters: DeadLetterQueue | None = None,
+    seed: int = 0,
+) -> ResilienceContext:
+    return ResilienceContext(
+        policy=RetryPolicy(),
+        injector=FaultInjector(FaultSpec(), registry=ServiceRegistry(Network())),
+        breakers=CircuitBreakerBoard(),
+        dead_letters=dead_letters if dead_letters is not None else DeadLetterQueue(),
+        metrics=metrics,
+        seed=seed,
+    )
 
 
 class TestRetryPolicyValidation:
     def test_defaults_valid(self):
         RetryPolicy()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"base_delay": -1.0},
-            {"multiplier": 0.5},
-            {"jitter": 1.0},
-            {"jitter": -0.1},
-            {"timeout": 0.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"max_attempts": 0}])
     def test_invalid_knobs(self, kwargs):
         with pytest.raises(ResilienceError):
             RetryPolicy(**kwargs)
 
 
 class TestBackoff:
-    def test_exponential_growth_without_jitter(self):
-        policy = RetryPolicy(base_delay=4.0, multiplier=2.0,
-                             max_delay=64.0, jitter=0.0)
+    def test_exponential_growth_without_jitter(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "BACKOFF_JITTER", 0.0)
+        policy = RetryPolicy()
         rng = random.Random(0)
         assert [policy.delay(n, rng) for n in (1, 2, 3, 4)] == [
             4.0, 8.0, 16.0, 32.0,
         ]
 
-    def test_capped_at_max_delay(self):
-        policy = RetryPolicy(base_delay=4.0, multiplier=2.0,
-                             max_delay=10.0, jitter=0.0)
-        assert policy.delay(5, random.Random(0)) == 10.0
+    def test_capped_at_max_delay(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "BACKOFF_JITTER", 0.0)
+        assert RetryPolicy().delay(8, random.Random(0)) == 64.0
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(base_delay=8.0, multiplier=1.0, jitter=0.25)
+        policy = RetryPolicy()
         rng = random.Random(1)
         delays = [policy.delay(1, rng) for _ in range(200)]
-        assert all(6.0 <= d <= 10.0 for d in delays)
+        assert all(3.6 <= d <= 4.4 for d in delays)
         assert len(set(delays)) > 1
 
     def test_jitter_deterministic_per_seed(self):
@@ -82,7 +90,6 @@ class TestClassification:
             EndpointUnavailableError("x"),
             TransientEngineFault("x"),
             CircuitOpenError("x"),
-            AttemptTimeout("x"),
         ],
     )
     def test_transient_errors_retry(self, exc):
@@ -103,7 +110,7 @@ class TestClassification:
 class TestResilienceContext:
     def test_next_delay_deterministic_per_seed(self):
         def delays(seed):
-            context = ResilienceContext(policy=RetryPolicy(), seed=seed)
+            context = context_of(seed=seed)
             return [context.next_delay(n) for n in (1, 2, 3)]
 
         assert delays(7) == delays(7)
@@ -111,7 +118,7 @@ class TestResilienceContext:
 
     def test_observe_retry_emits_metrics(self):
         registry = MetricsRegistry()
-        context = ResilienceContext(metrics=registry, seed=0)
+        context = context_of(metrics=registry)
         context.observe_retry("P04", 4.5)
         counter = registry.counter(
             "resilience_retries_total", labels={"process": "P04"}
@@ -123,7 +130,7 @@ class TestResilienceContext:
         from repro.engine.costs import CostBreakdown
 
         queue = DeadLetterQueue()
-        context = ResilienceContext(dead_letters=queue, seed=0)
+        context = context_of(dead_letters=queue)
         record = InstanceRecord(
             instance_id=1, process_id="P04", period=0, stream="B",
             arrival=1.0, start=1.0, completion=1.0, costs=CostBreakdown(),
@@ -143,7 +150,7 @@ class TestResilienceContext:
         from repro.engine.costs import CostBreakdown
 
         registry = MetricsRegistry()
-        context = ResilienceContext(metrics=registry, seed=0)
+        context = context_of(metrics=registry)
         record = InstanceRecord(
             instance_id=2, process_id="P08", period=0, stream="B",
             arrival=1.0, start=5.0, completion=6.0, costs=CostBreakdown(),

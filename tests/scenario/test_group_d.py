@@ -119,10 +119,10 @@ class TestP15:
         from repro.engine import MtmInterpreterEngine
         from repro.scenario import build_processes
 
-        parallel = MtmInterpreterEngine(scenario.registry,
-                                        parallel_efficiency=1.0)
-        serial = MtmInterpreterEngine(scenario.registry,
-                                      parallel_efficiency=0.0)
+        parallel = MtmInterpreterEngine(scenario.registry)
+        parallel.parallel_efficiency = 1.0
+        serial = MtmInterpreterEngine(scenario.registry)
+        serial.parallel_efficiency = 0.0
         for engine in (parallel, serial):
             engine.deploy_all(build_processes().values())
         parallel.handle_event(ProcessEvent("P14", 0.0, stream="D"))

@@ -68,10 +68,6 @@ class TestConstruction:
         with pytest.raises(StorageError, match="checkpoint interval"):
             StorageManager(checkpoint_every=0)
 
-    def test_negative_window_rejected(self):
-        with pytest.raises(StorageError, match="group-commit window"):
-            StorageManager(group_commit_window=-1.0)
-
 
 class TestRecordingLifecycle:
     def test_writes_not_journaled_until_period_begins(self):
@@ -129,7 +125,7 @@ class TestCommitPath:
         assert storage.commits[0].at == 10.0
 
     def test_group_commit_window_amortizes_flushes(self):
-        storage, db, engine = self._ready(group_commit_window=8.0)
+        storage, db, engine = self._ready()
         for at in (10.0, 12.0, 17.9, 18.0, 30.0):
             db.insert("t", {"k": at})
             storage.commit_instance(engine, record_at(at))

@@ -434,6 +434,14 @@ _NO_BUDGET = "invalid run spec: mem_budget: out of range [1, inf): {}"
         (["profile", "--mem-budget", "0"], _NO_BUDGET.format(0)),
         (["sweep", "--mem-budget", "-3"], _NO_BUDGET.format(-3)),
         (["recover", "--mem-budget", "0"], _NO_BUDGET.format(0)),
+        (["schedule", "--datasize", "11"],
+         "invalid run spec: datasize: out of range (0, 10]: 11.0"),
+        (["schedule", "--time", "1000"],
+         "invalid run spec: time: out of range (0, 100]: 1000.0"),
+        (["cluster", "topology", "--datasize", "11"],
+         "invalid run spec: datasize: out of range (0, 10]: 11.0"),
+        (["cluster", "topology", "--datasize", "0"],
+         "invalid run spec: datasize: out of range (0, 10]: 0.0"),
     ],
 )
 def test_hand_written_flags_fail_closed(argv, complaint, capsys, monkeypatch):

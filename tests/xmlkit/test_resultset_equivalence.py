@@ -278,8 +278,6 @@ renames = st.one_of(
 )
 others = st.one_of(
     st.builds(RenameRule, st.sampled_from(["//a", "/ResultSet/Row/b"]), st.just("z")),
-    st.just(RenameRule("/ResultSet/Row", "R", {"id": "key"})),
-    st.just(RenameRule("/ResultSet", "RS", {"table": "name"})),
     st.builds(DropRule, st.sampled_from(["//Row", "//a", "/ResultSet"])),
     st.builds(ValueRule, st.sampled_from(["//a", "//Row"]), st.just("v"),
               st.just({"1": "one"})),
@@ -327,11 +325,9 @@ class TestStylesheetsOverRows:
             ValueRule("//Row", "v"),
             DropRule("//a"),
             UnwrapRule("//Row"),
-            RenameRule("/ResultSet/Row", "R", {"id": "key"}),
-            RenameRule("/ResultSet", "RS", {"table": "name"}),
         ],
         ids=["column-renamed", "row-value-rule", "column-dropped",
-             "row-unwrapped", "row-attribute-renames", "root-attribute-renames"],
+             "row-unwrapped"],
     )
     def test_any_other_plan_reads_the_tree(self, rule):
         run = translate([rule], ("a", "b"), [{"a": 1, "b": 2}])

@@ -43,10 +43,10 @@ class TestRenameRule:
         out = sheet.transform(parse_xml("<a><b/><c><b/></c></a>"))[0]
         assert len([e for e in out.iter() if e.tag == "x"]) == 2
 
-    def test_attribute_rename(self):
-        sheet = Stylesheet("s", [RenameRule("/a", "a", {"old": "new"})])
+    def test_rename_keeps_attributes(self):
+        sheet = Stylesheet("s", [RenameRule("/a", "b")])
         out = sheet.transform(parse_xml("<a old='1' keep='2'/>"))[0]
-        assert out.attributes == {"new": "1", "keep": "2"}
+        assert (out.tag, out.attributes) == ("b", {"old": "1", "keep": "2"})
 
     def test_specific_beats_anywhere(self):
         sheet = Stylesheet("s", [

@@ -122,7 +122,6 @@ rules = st.one_of(
         RenameRule,
         patterns,
         st.sampled_from(["x", "y", ""]),
-        st.sampled_from([None, {"id": "key"}, {"id": "k", "k": "id"}]),
     ),
     st.builds(DropRule, patterns),
     st.builds(
@@ -136,7 +135,6 @@ rules = st.one_of(
         TemplateRule,
         patterns,
         st.sampled_from([_wrapped, _marked, lambda tag, attributes: None, _boom]),
-        st.sampled_from([None, str.strip, _boom]),
     ),
     st.builds(LoudRename, patterns, st.just("loud")),
 )
@@ -162,13 +160,11 @@ class Pair:
         assert new == old
         return new
 
-    def retarget(self, to, attribute_renames):
+    def retarget(self, to):
         """Edit the rules in place: both sheets hold the same objects."""
         for rule in self.new._rules:
             if type(rule) in (RenameRule, ValueRule):
                 rule.to = to
-            if type(rule) is RenameRule:
-                rule.attribute_renames = dict(attribute_renames)
 
 
 class TestTransformMatchesTheOracle:
@@ -183,23 +179,19 @@ class TestTransformMatchesTheOracle:
     @given(
         st.lists(rules, max_size=4),
         st.lists(
-            st.tuples(
-                st.sampled_from(["z", ""]),
-                st.sampled_from([{}, {"k": "kk"}]),
-                trees(depth=4),
-            ),
+            st.tuples(st.sampled_from(["z", ""]), trees(depth=4)),
             min_size=1,
             max_size=5,
         ),
     )
     def test_rules_edited_between_transforms(self, rule_list, steps):
-        """A rule's target and attribute renames edited in place: the
-        next transform honours it, as the oracle's does (the rule list
-        itself is a tuple and refuses edits)."""
+        """A rule's target edited in place: the next transform honours
+        it, as the oracle's does (the rule list itself is a tuple and
+        refuses edits)."""
         pair = Pair(rule_list)
         pair.check(XmlElement("a", None, "1", [XmlElement("b"), XmlElement("c")]))
-        for to, attribute_renames, document in steps:
-            pair.retarget(to, attribute_renames)
+        for to, document in steps:
+            pair.retarget(to)
             pair.check(document)
 
     DOC = "<a id='1'>t<b k='2'>1<c>x</c><c/></b><b>  </b><d><b>1-URGENT</b></d></a>"
@@ -228,11 +220,6 @@ class TestTransformMatchesTheOracle:
                 id="template-returning-none",
             ),
             pytest.param([TemplateRule("//c", _boom)], "raised", id="template-raises"),
-            pytest.param(
-                [TemplateRule("//c", _wrapped, text=_boom)],
-                "raised",
-                id="template-text-raises",
-            ),
             pytest.param(
                 [ValueRule("//d/b", value_map=_boom)],
                 "raised",
@@ -474,7 +461,6 @@ def demo_schema():
         "b",
         content="integer",
         attributes=(XsdAttribute("id", "integer", required=True),),
-        allow_empty_content=False,
     )
     note = XsdElement("c", content="string", attributes=(XsdAttribute("k"),))
     group = XsdElement(
