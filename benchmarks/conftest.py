@@ -115,8 +115,7 @@ def one_period_runner(engine: str = "interpreter",
     ))
 
     def run_one_period():
-        client.engine.records = InstanceHistory()
-        client.monitor.records = InstanceHistory()
+        client.engine.records = InstanceHistory()  # the Monitor reads it too
         client.run_period(0)
         return len(client.engine.records)
 

@@ -27,10 +27,16 @@ do *after* period 0–1 bound every plan:
 
 A second gate runs 141 units and counts what the collector walks: after
 ``gc.collect()``, the tracked objects at period 40 exceed those at
-period 5 by at most 2 000 (the parent: 83 337, two per instance kept),
-and no stored history row is tracked.  Collections and full-collection
-ms over the last 100 units go to the ledger beside the parent's, as
-measurements, not gates.
+period 5 by at most 2 000 (83 337 when each instance was kept as two
+objects), the client's Monitor and engine hold one history of every
+record, and no value stored in it is tracked.  Collections and
+full-collection ms over the last 100 units go to the ledger beside the
+parent's, as measurements, not gates.
+
+A third gate counts bytes: with ``tracemalloc`` on from the start, what
+a synth period retains from period 5 to 25 (after ``gc.collect()``)
+stays at most 350 KB a period (725 KB when the engine and the Monitor
+each kept a list of row tuples and every period's plan was memoized).
 
 The end-to-end claim belongs to ``python3 -m bench``
 (docs/performance.md, "The instance path", "The instance history").
@@ -39,6 +45,7 @@ The end-to-end claim belongs to ``python3 -m bench``
 import gc
 import sys
 import time
+import tracemalloc
 
 from benchmarks.conftest import ledger_append
 
@@ -152,8 +159,8 @@ def test_steady_synth_periods_rebind_nothing():
 #: period 5, at the parent: an ``InstanceRecord`` and its
 #: ``CostBreakdown`` held per instance, twice 1 166 a period.
 PARENT_OBJECT_GROWTH = 83_337
-#: What may still grow: ``SynthWorkload`` memoizes one plan per distinct
-#: period (≈ 49 tracked objects each, 1 715 over these 35 periods).
+#: What may still grow: allocator and cache noise (``SynthWorkload``
+#: keeps the last period's plan only).
 OBJECT_GROWTH_CEILING = 2_000
 #: Units the collector is watched over, after period 40.
 GC_UNITS = 100
@@ -187,10 +194,10 @@ def collector_runs(client, periods) -> dict:
 
 
 def test_the_instance_history_is_invisible_to_the_collector():
-    """A synth unit stops paying for the run so far: the history is rows
-    the collector untracks, so what a full collection walks does not
-    grow with the instances kept (docs/performance.md, "The instance
-    history")."""
+    """A synth unit stops paying for the run so far: the history is typed
+    columns the collector does not walk, so what a full collection walks
+    does not grow with the instances kept (docs/performance.md, "The
+    instance history")."""
     client = SynthClient.from_spec(
         RunSpec(engine="interpreter", datasize=0.05, periods=4, seed=5,
                 synth=SYNTH_KNOBS)
@@ -202,9 +209,12 @@ def test_the_instance_history_is_invisible_to_the_collector():
             gc.collect()
             tracked[period] = len(gc.get_objects())
     growth = tracked[40] - tracked[5]
-    rows = client.engine.records.rows + client.monitor.records.rows
-    assert len(rows) == 2 * 41 * 1166
-    assert not any(gc.is_tracked(row) for row in rows)
+    history = client.engine.records
+    assert client.monitor.records is history
+    assert len(history) == len(history.column("period")) == 41 * 1166
+    stored = [value for column in history.columns if type(column) is list
+              for value in column]
+    assert not any(gc.is_tracked(value) for value in stored)
     assert growth <= OBJECT_GROWTH_CEILING
 
     collector = collector_runs(client, range(41, 41 + GC_UNITS))
@@ -223,6 +233,49 @@ def test_the_instance_history_is_invisible_to_the_collector():
             "collector_per_100_units": {
                 "before": PARENT_COLLECTOR, "after": collector,
                 "python": ".".join(map(str, sys.version_info[:2])),
+            },
+        },
+    )
+
+
+# ------------------------------------ the bytes a period keeps
+
+#: ``tracemalloc`` bytes a synth period retained over periods 5-25 when
+#: the engine and the Monitor each kept row tuples and every period's
+#: plan was memoized (interpreter, bench knobs, seed 5).
+PARENT_RETAINED_PER_PERIOD = 742_093
+RETAINED_PER_PERIOD_CEILING = 350 * 1024
+
+
+def test_a_synth_period_retains_what_the_run_must_keep():
+    """One history, shared by the engine and the Monitor, in typed
+    columns, and one period plan: a period keeps its records' columns
+    and little else (docs/performance.md, "The instance history")."""
+    tracemalloc.start()
+    try:
+        client = SynthClient.from_spec(
+            RunSpec(engine="interpreter", datasize=0.05, periods=4, seed=5,
+                    synth=SYNTH_KNOBS)
+        )
+        traced = {}
+        for period in range(26):
+            client.run_period(period)
+            if period in (5, 25):
+                gc.collect()
+                traced[period] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    retained = (traced[25] - traced[5]) / 20
+    print(f"\nretained per synth period {retained / 1024:.1f} KB")
+    assert retained <= RETAINED_PER_PERIOD_CEILING
+    ledger_append(
+        "history:retained_per_period",
+        {
+            "config": "interpreter synth bench knobs seed 5; tracemalloc "
+                      "traced bytes after gc.collect(), (period 25 - "
+                      "period 5) / 20",
+            "bytes_per_period": {
+                "before": PARENT_RETAINED_PER_PERIOD, "after": round(retained),
             },
         },
     )

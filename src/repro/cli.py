@@ -391,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ctopo, RunSpec, "cluster_hosts cluster_replicas seed datasize",
         cluster_hosts=3,
     )
-    ctopo.add_argument("--vnodes", type=int, default=8)
 
     synth = commands.add_parser(
         "synth",
@@ -647,21 +646,21 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_cluster_topology(args: argparse.Namespace) -> int:
     """Print ring placement and shard map of an initialized landscape."""
     from repro.cluster import ClusterConfig, HashRing, ShardMap
+    from repro.cluster.manager import VNODES
     from repro.toolsuite.initializer import Initializer
 
     spec = _spec_from_args(args, check=declared_problems)
     try:
         config = ClusterConfig(hosts=spec.cluster_hosts,
-                               replicas=spec.cluster_replicas,
-                               vnodes=args.vnodes)
-        ring = HashRing(config.host_names, seed=spec.seed, vnodes=args.vnodes)
+                               replicas=spec.cluster_replicas)
+        ring = HashRing(config.host_names, seed=spec.seed, vnodes=VNODES)
     except ClusterError as exc:
         raise _UsageError(str(exc)) from None
     scenario = build_scenario(seed=spec.seed)
     Initializer(scenario, d=spec.datasize, seed=spec.seed).initialize_sources(0)
     shard_map = ShardMap.build(scenario.all_databases.values(), ring)
     print(f"cluster topology: {spec.cluster_hosts} host(s) x "
-          f"{spec.cluster_replicas} replica(s), {args.vnodes} vnode(s)/host, "
+          f"{spec.cluster_replicas} replica(s), {VNODES} vnode(s)/host, "
           f"seed {spec.seed}")
     for name in sorted(scenario.all_databases):
         placement = ring.preference(name, 1 + spec.cluster_replicas)

@@ -58,6 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Virtual time between two failure-detector heartbeats, in tu.
 HEARTBEAT_INTERVAL = 5.0
+#: Consecutive missed heartbeats after which a host is declared dead.
+MISS_THRESHOLD = 2
+#: Ring points per host (``repro cluster topology`` prints this ring).
+VNODES = 8
 
 #: Histogram buckets for RTO, in engine units.
 RTO_BUCKETS = (5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
@@ -76,8 +80,6 @@ class ClusterConfig:
     mode: str = "sync"
     repl_lag: float = 0.0
     repl_batch: int = 1
-    vnodes: int = 8
-    miss_threshold: int = 2
 
     def __post_init__(self) -> None:
         if self.hosts < 2:
@@ -101,10 +103,6 @@ class ClusterConfig:
         if self.repl_batch < 1:
             raise ClusterError(
                 f"replication batch must be >= 1, got {self.repl_batch}"
-            )
-        if self.miss_threshold < 1:
-            raise ClusterError(
-                f"miss threshold must be >= 1, got {self.miss_threshold}"
             )
 
     @property
@@ -132,10 +130,10 @@ class ClusterManager:
         self._metrics = metrics
         for host in config.host_names:
             network.add_host(host)
-        self.ring = HashRing(config.host_names, seed=seed, vnodes=config.vnodes)
+        self.ring = HashRing(config.host_names, seed=seed, vnodes=VNODES)
         self.heartbeat = HeartbeatConfig(
             interval=factors.tu_to_engine(HEARTBEAT_INTERVAL),
-            miss_threshold=config.miss_threshold,
+            miss_threshold=MISS_THRESHOLD,
         )
         self.shipper = LogShipper(
             storage,

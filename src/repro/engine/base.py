@@ -11,8 +11,11 @@ time scale factor t translates into measurable pressure.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from functools import cache
+from operator import countOf
+from struct import Struct
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import (
@@ -134,87 +137,132 @@ class InstanceRecord:
         return cls(*row[:7], CostBreakdown(*row[7:10]), *row[10:])
 
 
-_FIELDS = [f.name for f in fields(InstanceRecord)]
-#: Position of each field in an :meth:`InstanceRecord.row`.
-_COLUMNS = {name: position for position, name in enumerate(
-    _FIELDS[:7] + ["communication", "management", "processing"] + _FIELDS[8:]
-)}
+#: Each field of an :meth:`InstanceRecord.row` with the typecode of its
+#: ``array`` column, or ``""`` for a list.
+_LAYOUT = [
+    (f.name, {"int": "q", "float": "d"}.get(getattr(f.type, "__name__", f.type), ""))
+    for record_field in fields(InstanceRecord)
+    for f in (fields(CostBreakdown) if record_field.name == "costs" else (record_field,))
+]
+_COLUMNS = {name: position for position, (name, _) in enumerate(_LAYOUT)}
+_EXACT = {"q": int, "d": float}
+_packer = cache(lambda count, code: Struct(f"{count}{code}").pack)
+_BATCH = 128  # rows buffered before they move into the columns
 
 
 class InstanceHistory:
-    """A run's instance records as rows, which hold only atomic values so
-    that CPython stops tracking them at the first collection they survive.
-    Appending takes records, indexing and iterating decode; slicing and the
-    readers below share rows.  Append-only: checkpoints keep a watermark.
-    """
+    """A run's instance records in one column per field: an ``array`` for
+    each int and float field, a list of atomic values for the rest, so a
+    kept record owns no object.  Rows move into the columns ``_BATCH`` at
+    a time or before a read; a record whose numeric field is not exactly
+    of its declared type is refused then.  Slicing copies; ``where`` and
+    ``groups`` return read-only selections (positions ``at``) of the same
+    columns.  Append-only: checkpoints keep a watermark."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("columns", "_pending", "_at")
 
-    def __init__(self, records: Iterable[InstanceRecord] = (), rows=None):
-        self.rows = [record.row() for record in records] if rows is None else rows
+    def __init__(self, records: Iterable[InstanceRecord] = (), columns=None, at=None):
+        self.columns = columns or [array(code) if code else [] for _, code in _LAYOUT]
+        self._pending, self._at = [], at
+        self.extend(records)
 
     @classmethod
     def of(cls, records: Iterable[InstanceRecord]) -> "InstanceHistory":
         """``records`` itself when it is a history, else encoded."""
         return records if isinstance(records, cls) else cls(records)
 
+    def _flush(self) -> None:
+        rows = self._pending
+        if not rows:
+            return
+        transposed = list(zip(*rows))
+        for (name, code), values in zip(_LAYOUT, transposed):
+            exact = _EXACT.get(code)
+            if exact and countOf(map(type, values), exact) != len(rows):
+                bad = next(i for i, v in enumerate(values) if type(v) is not exact)
+                raise TypeError(f"instance record {rows.pop(bad)[0]!r} refused: "
+                                f"{name} is {values[bad]!r}, not a {exact.__name__}")
+        for column, (_, code), values in zip(self.columns, _LAYOUT, transposed):
+            if code:
+                column.frombytes(_packer(len(rows), code)(*values))
+            else:
+                column += values
+        rows.clear()
+
+    def _values(self, name: str):
+        """One field of every record, in order (the column when whole)."""
+        self._flush()
+        column = self.columns[_COLUMNS[name]]
+        return column if self._at is None else map(column.__getitem__, self._at)
+
     def append(self, record: InstanceRecord) -> None:
-        self.rows.append(record.row())
+        self._pending.append(record.row())
+        if len(self._pending) >= _BATCH:
+            self._flush()
 
     def extend(self, records: Iterable[InstanceRecord]) -> None:
-        """Append records; another history's rows are shared, not re-encoded."""
-        self.rows.extend(InstanceHistory.of(records).rows)
+        """Append records; another history's columns are copied."""
+        if isinstance(records, InstanceHistory):
+            self._flush()
+            for name, column in zip(_COLUMNS, self.columns):
+                column.extend(records._values(name))
+            return
+        self._pending.extend(map(InstanceRecord.row, records))
+        if len(self._pending) >= _BATCH:
+            self._flush()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0]) + len(self._pending) if self._at is None else len(self._at)
 
     def __iter__(self):
-        return map(InstanceRecord.from_row, self.rows)
+        return map(InstanceRecord.from_row, zip(*map(self._values, _COLUMNS)))
 
     def __getitem__(self, index):
+        self._flush()
+        if isinstance(index, slice) and self._at is None:
+            return InstanceHistory(columns=[column[index] for column in self.columns])
         if isinstance(index, slice):
-            return InstanceHistory(rows=self.rows[index])
-        return InstanceRecord.from_row(self.rows[index])
+            return InstanceHistory(columns=self.columns, at=self._at[index])
+        position = index if self._at is None else self._at[index]
+        return InstanceRecord.from_row([column[position] for column in self.columns])
 
     def __delitem__(self, index) -> None:
-        del self.rows[index]
+        self._flush()
+        for column in self.columns:
+            del column[index]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, InstanceHistory):
-            return self.rows == other.rows
+            return all(self.column(name) == other.column(name) for name in _COLUMNS)
         return list(self) == other
 
     def column(self, name: str) -> list:
         """One field of every record, in order."""
-        return list(map(itemgetter(_COLUMNS[name]), self.rows))
+        return list(self._values(name))
 
     def where(self, name: str, test: Callable[[Any], bool]) -> "InstanceHistory":
         """The records whose field ``name`` passes ``test``, in order."""
-        position = _COLUMNS[name]
-        return InstanceHistory(rows=[r for r in self.rows if test(r[position])])
+        at = range(len(self)) if self._at is None else self._at
+        pairs = zip(at, self._values(name))
+        return InstanceHistory(columns=self.columns, at=[p for p, v in pairs if test(v)])
 
     def groups(self, name: str) -> "dict[Any, InstanceHistory]":
         """The records by field ``name``, in order of first appearance."""
-        position = _COLUMNS[name]
-        grouped: dict[Any, list[tuple]] = {}
-        for row in self.rows:
-            grouped.setdefault(row[position], []).append(row)
-        return {value: InstanceHistory(rows=rows) for value, rows in grouped.items()}
+        grouped: dict[Any, list[int]] = {}
+        at = range(len(self)) if self._at is None else self._at
+        for position, value in zip(at, self._values(name)):
+            grouped.setdefault(value, []).append(position)
+        return {v: InstanceHistory(columns=self.columns, at=ps) for v, ps in grouped.items()}
 
     def recovered(self) -> "InstanceHistory":
         """The records that are :attr:`InstanceRecord.recovered`."""
         ok = self.where("status", lambda status: status == "ok")
         return ok.where("attempts", lambda attempts: attempts > 1)
 
-    def normalized_costs(self) -> list[float]:
-        """:attr:`InstanceRecord.normalized_cost` of every record."""
-        c, m, p = (_COLUMNS[n] for n in ("communication", "management", "processing"))
-        return [row[c] + row[m] + row[p] for row in self.rows]
-
     def elapsed(self) -> list[float]:
         """:attr:`InstanceRecord.elapsed` of every record."""
-        arrival, completion = _COLUMNS["arrival"], _COLUMNS["completion"]
-        return [row[completion] - row[arrival] for row in self.rows]
+        pairs = zip(self._values("arrival"), self._values("completion"))
+        return [completion - arrival for arrival, completion in pairs]
 
 
 def _compile_anew(cached: Any, expression: Expression) -> None:

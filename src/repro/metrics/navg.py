@@ -93,7 +93,8 @@ def compute_metrics(records: Iterable[InstanceRecord]) -> MetricReport:
                 process_id, len(type_records), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, errors
             )
             continue
-        costs = ok.normalized_costs()
+        parts = [ok.column(n) for n in ("communication", "management", "processing")]
+        costs = [c + m + p for c, m, p in zip(*parts)]
         mu = _mean(costs)
         sigma = _std(costs)
         report.per_type[process_id] = ProcessTypeMetrics(
@@ -102,9 +103,9 @@ def compute_metrics(records: Iterable[InstanceRecord]) -> MetricReport:
             navg=mu,
             sigma=sigma,
             navg_plus=mu + sigma,
-            communication_mean=_mean(ok.column("communication")),
-            management_mean=_mean(ok.column("management")),
-            processing_mean=_mean(ok.column("processing")),
+            communication_mean=_mean(parts[0]),
+            management_mean=_mean(parts[1]),
+            processing_mean=_mean(parts[2]),
             error_count=errors,
         )
     return report

@@ -416,12 +416,13 @@ class SynthWorkload:
     matched: list[SourceDialect]
     feeds: dict[int, ChangeFeed]
     groups: list[list[int]]
-    _plans: dict[int, PeriodPlan] = field(default_factory=dict)
+    #: The last period's plan only: a run never comes back to a period.
+    _plan: PeriodPlan | None = None
 
     def plan(self, period: int) -> PeriodPlan:
-        if period not in self._plans:
-            self._plans[period] = build_period_plan(self.spec, self.f, period)
-        return self._plans[period]
+        if self._plan is None or self._plan.period != period:
+            self._plan = build_period_plan(self.spec, self.f, period)
+        return self._plan
 
     def source_db(self, index: int) -> Database:
         return self.scenario.databases[f"src{index}"]

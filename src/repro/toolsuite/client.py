@@ -428,7 +428,9 @@ class BenchmarkClient:
             # period ends with byte-comparable replicas.
             self.cluster.end_period()
 
-        self.monitor.absorb(self.engine.records[records_before:])
+        # The engine's history, never a copy (recovery may have rebound it).
+        added = len(self.engine.records) - records_before
+        self.monitor.follow(self.engine.records, added)
         if period_span is not None:
             duration = max((r.completion for r in new_records), default=0.0)
             for stream, span in self._stream_spans.items():

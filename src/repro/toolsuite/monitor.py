@@ -271,15 +271,21 @@ class Monitor:
         self.observability = observability or Observability()
 
     def absorb(self, records: Iterable[InstanceRecord]) -> None:
-        """Book records; a history's rows are kept as they are."""
+        """Book records, copied into the Monitor's own history."""
         records = InstanceHistory.of(records)
         self.records.extend(records)
+        self.follow(self.records, len(records))
+
+    def follow(self, history: InstanceHistory, added: int) -> None:
+        """Read ``history`` itself from now on (a client's Monitor reads
+        its engine's); ``added`` of its records are new to the Monitor."""
+        self.records = history
         metrics = self.observability.metrics
-        if metrics is not None and records:
+        if metrics is not None and added:
             metrics.counter(
                 "monitor_records_absorbed_total",
                 help="Instance records absorbed by the Monitor",
-            ).inc(len(records))
+            ).inc(added)
 
     def absorb_recovery(self, report: RecoveryReport) -> None:
         """Book one crash recovery performed by the client."""
@@ -289,43 +295,26 @@ class Monitor:
         """Book one cluster failover (a :class:`FailoverReport`)."""
         self.failovers.append(report)
 
-    def absorb_outcome(self, outcome: "RunOutcome") -> None:
-        """Absorb everything one sweep grid point produced.
-
-        The outcome's records are in engine units of *its* run; pooling
-        only makes sense across grid points that share the time scale
-        factor, so mismatching outcomes are rejected rather than
-        silently mis-scaled.
-        """
-        if outcome.result is None:
-            return
-        if outcome.spec.time != self.time_scale:
-            raise BenchmarkError(
-                f"cannot pool grid point {outcome.label!r} "
-                f"(t={outcome.spec.time:g}) into a Monitor scaled at "
-                f"t={self.time_scale:g}"
-            )
-        self.absorb(outcome.result.records)
-        for report in outcome.result.recovery_reports:
-            self.absorb_recovery(report)
-        for report in outcome.result.failover_reports:
-            self.absorb_failover(report)
-
     @classmethod
     def merged(cls, outcomes: "Sequence[RunOutcome]") -> "Monitor":
-        """One Monitor pooling every completed grid point's records.
-
-        All outcomes must share the time scale factor (see
-        :meth:`absorb_outcome`); records merge in grid order, so the
-        pooled statistics are identical whichever worker count produced
-        the outcomes.
+        """One Monitor pooling every completed grid point's records, in
+        grid order, so the pooled statistics are identical whichever
+        worker count produced the outcomes.  Records are in engine units
+        of *their* run, so pooling grid points of another time scale
+        factor than the first is refused rather than silently mis-scaled.
         """
         completed = [o for o in outcomes if o.result is not None]
-        if not completed:
-            return cls()
-        monitor = cls(time_scale=completed[0].spec.time)
+        monitor = cls(time_scale=completed[0].spec.time if completed else 1.0)
         for outcome in completed:
-            monitor.absorb_outcome(outcome)
+            if outcome.spec.time != monitor.time_scale:
+                raise BenchmarkError(
+                    f"cannot pool grid point {outcome.label!r} "
+                    f"(t={outcome.spec.time:g}) into a Monitor scaled at "
+                    f"t={monitor.time_scale:g}"
+                )
+            monitor.absorb(outcome.result.records)
+            monitor.recoveries.extend(outcome.result.recovery_reports)
+            monitor.failovers.extend(outcome.result.failover_reports)
         return monitor
 
     # -- metrics --------------------------------------------------------------

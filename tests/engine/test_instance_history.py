@@ -1,16 +1,24 @@
-"""The instance history: records kept as rows, read back and aggregated.
+"""The instance history: records kept in typed columns, read back and
+aggregated.
 
 ``InstanceRecord.row`` / ``from_row`` must round-trip every kind of
 record the four engines make — field for field, ``repr`` for ``repr``,
-pickle for pickle — and a stored row must be invisible to the cyclic
-collector once a collection has seen it.  ``compute_metrics`` reads the
-rows' columns; ``tests/oracle/metrics.py`` is the record-object body it
-replaced, and the two must agree bit for bit.
+pickle for pickle — and so must the history's columns.  A kept record
+owns no object: its numeric fields are machine values in ``array``
+columns, its other fields atomic values the collector stops tracking,
+≤ 160 bytes of columns in all; a numeric field of another type than
+declared is refused, never stored as something that reads back
+differently.  ``compute_metrics`` reads the columns;
+``tests/oracle/metrics.py`` is the record-object body it replaced, and
+the two must agree bit for bit.
 """
 
+import dataclasses
 import functools
 import gc
 import pickle
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -96,26 +104,81 @@ class TestRowsRoundTrip:
         assert history[3:9] == records[3:9]
         assert history.column("status") == [r.status for r in records]
         assert history.elapsed() == [r.elapsed for r in records]
-        assert history.normalized_costs() == [r.normalized_cost for r in records]
+        parts = (history.column(n) for n in ("communication", "management", "processing"))
+        assert [sum(costs) for costs in zip(*parts)] == [
+            r.normalized_cost for r in records
+        ]
         assert list(history.recovered()) == [r for r in records if r.recovered]
         assert pickle.loads(pickle.dumps(history)) == history
 
     def test_stored_rows_are_untracked_after_a_collection(self, engine):
+        """No per-record object is stored: one column per field, numeric
+        ones arrays of machine values, the rest lists of atomic values
+        the collector no longer tracks."""
         records, _ = built_records(engine)
         history = InstanceHistory(records)
+        assert history.column("status") == [r.status for r in records]
         gc.collect()
-        assert not any(gc.is_tracked(row) for row in history.rows)
+        assert len(history.columns) == len(records[0].row())
+        for column, kind in zip(history.columns, map(type, records[0].row())):
+            assert len(column) == len(records)
+            if kind in (int, float):
+                assert type(column) is array
+                assert column.typecode == {int: "q", float: "d"}[kind]
+            else:
+                assert type(column) is list
+                assert not any(gc.is_tracked(value) for value in column)
 
 
 class TestHistory:
-    def test_slicing_and_extending_share_rows(self):
+    def test_slicing_and_extending_keep_order(self):
         records, history = built_records("interpreter")
         tail = history[5:]
+        assert tail == records[5:]
+        assert all(a is not b for a, b in zip(tail.columns, history.columns))
         merged = InstanceHistory()
         merged.extend(tail)
-        assert merged.rows[0] is history.rows[5]
         merged.extend(records[:2])
-        assert list(merged) == records[5:] + records[:2]
+        merged.extend(history.where("status", lambda s: s != "ok")[1:3])
+        errors = [r for r in records if r.status != "ok"]
+        assert list(merged) == records[5:] + records[:2] + errors[1:3]
+        assert [repr(r) for r in merged[-4:]] == [
+            repr(r) for r in records[:2] + errors[1:3]
+        ]
+
+    def test_a_record_keeps_at_most_160_bytes_of_columns(self):
+        records, _ = built_records("interpreter")
+        history = InstanceHistory()
+        for i in range(10_000):
+            history.append(records[i % len(records)])
+        assert len(history.column("period")) == 10_000
+        size = sum(sys.getsizeof(column) for column in history.columns)
+        assert size / 10_000 <= 160
+
+    @pytest.mark.parametrize("name, value", [
+        ("arrival", 3), ("completion", True), ("processing", 7),
+        ("attempts", True), ("period", False), ("instance_id", 2.0),
+    ])
+    def test_a_numeric_field_of_another_type_is_refused(self, name, value):
+        """An ``int`` where a float is declared, a ``bool`` where an int
+        is, would read back as another value of another ``repr``: the
+        move into the columns refuses the record and keeps the rest."""
+        records, _ = built_records("interpreter")
+        record = records[3]
+        if name == "processing":
+            bad = dataclasses.replace(
+                record, costs=dataclasses.replace(record.costs, processing=value)
+            )
+        else:
+            bad = dataclasses.replace(record, **{name: value})
+        history = InstanceHistory(records[:3])
+        history.append(bad)
+        history.append(records[4])
+        with pytest.raises(TypeError, match=name):
+            history.column("status")
+        assert [repr(r) for r in history] == [
+            repr(r) for r in records[:3] + records[4:5]
+        ]
 
     def test_watermark_cut_and_extend(self):
         records, _ = built_records("interpreter")

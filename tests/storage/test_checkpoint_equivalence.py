@@ -335,7 +335,7 @@ def walk(ops, clustered=False, hosts=3):
 
 
 class TestDurabilityMatchesTheOracle:
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=250, deadline=None, derandomize=True)
     @given(ops=st.lists(op_strategy, max_size=40), clustered=st.booleans())
     def test_random_sequences(self, ops, clustered):
         pair = walk(ops, clustered)

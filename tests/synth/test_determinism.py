@@ -130,6 +130,25 @@ class TestPlanDeterminism:
         spec = SynthSpec().resolve(42)
         assert build_period_plan(spec, 0, 0) != build_period_plan(spec, 0, 1)
 
+    def test_a_plan_rebuilt_after_the_slot_moved_on_is_the_first(self):
+        """A workload keeps the last period's plan only; running two
+        periods moves the slot on, and the plan built again for the
+        first equals its first build, so the run mutated nothing of it."""
+        from repro.synth.runner import SynthClient
+
+        client = SynthClient.from_spec(RunSpec(
+            engine="interpreter", datasize=0.02, periods=2, seed=5,
+            synth="sources=2,rounds=2",
+        ))
+        first = client.workload.plan(0)
+        before = repr(first)
+        client.run_period(0)
+        client.run_period(1)
+        assert client.workload.plan(1) is client.workload.plan(1)
+        rebuilt = client.workload.plan(0)
+        assert rebuilt is not first
+        assert repr(rebuilt) == repr(first) == before
+
 
 class TestManifestDeterminism:
     @pytest.mark.parametrize("knobs", SAMPLED_KNOBS)

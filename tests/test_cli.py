@@ -421,7 +421,7 @@ _NO_BUDGET = "invalid run spec: mem_budget: out of range [1, inf): {}"
     [
         (["recover", "--jobs", "0"], "--jobs must be >= 1"),
         (["cluster", "run", "--jobs", "0"], "--jobs must be >= 1"),
-        (["cluster", "topology", "--vnodes", "0"], "vnodes must be >= 1"),
+        (["cluster", "topology", "--hosts", "0"], "a cluster needs at least 2 hosts"),
         (["schedule", "--period", "-1"], "period must be in [0, 99]"),
         (["schedule", "--period", "500"], "period must be in [0, 99]"),
         (["serve", "--port", "70000"], "--port must be in [0, 65535]"),

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import BenchmarkError
 from repro.metrics.navg import compute_metrics
 from repro.parallel import RunSpec, client_from_spec
+from repro.resilience import FaultEvent, FaultSpec
 from repro.toolsuite import Monitor
 from repro.toolsuite.verification import VerificationReport
 
@@ -168,3 +169,58 @@ class TestVerificationReport:
         assert not report.ok
         assert any("integrity" in f or "partition" in f
                    for f in report.failures)
+
+
+# -- one history: the Monitor reads the engine's ------------------------------
+
+ENGINES = ("interpreter", "federated", "eai", "etl")
+
+
+def _crashes(*periods):
+    """One commit-point crash per entry, pinned to that period, 20 tu
+    apart from 20 tu on."""
+    return FaultSpec(name="crashes", events=tuple(
+        FaultEvent(at=20.0 * (i + 1), kind="crash", point="commit", period=p)
+        for i, p in enumerate(periods)
+    ))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_the_monitor_reads_the_engine_history(engine):
+    """The client's Monitor keeps no copy: after every period it holds
+    the engine's history object itself, and still counts each record
+    it takes in once; the result is a copy of that one history."""
+    client = client_from_spec(RunSpec(
+        engine=engine, datasize=0.02, periods=2, seed=5, collect_metrics=True,
+    ))
+    for period in range(2):
+        client.run_period(period)
+        assert client.monitor.records is client.engine.records
+    absorbed = client.observability.metrics.counter(
+        "monitor_records_absorbed_total"
+    ).value
+    assert absorbed == len(client.engine.records) > 0
+
+
+@pytest.mark.parametrize("spec, restored, failovers", [
+    (RunSpec(engine="interpreter", datasize=0.02, periods=3, seed=5,
+             durability="snapshot+wal", checkpoint_every=50.0,
+             faults=_crashes(1, 2)),
+     [90, 176], []),
+    (RunSpec(engine="interpreter", datasize=0.02, periods=2, seed=5,
+             durability="wal", cluster_hosts=3, faults=_crashes(0, 1)),
+     [], [(748, 1, 1), (704, 0, 1)]),
+], ids=["durable-crash", "cluster-failover"])
+def test_recovery_rebinds_the_one_history(spec, restored, failovers):
+    """Recovery and failover put the checkpoint's history back on the
+    engine; the Monitor follows it, and what each report restored is
+    what it restored when the Monitor kept a copy of its own."""
+    client = client_from_spec(spec)
+    result = client.run()
+    assert client.monitor.records is client.engine.records
+    assert result.records == client.engine.records
+    assert [r.records_restored for r in result.recovery_reports] == restored
+    assert [
+        (f.rows_restored, f.catchup_records, f.redispatched)
+        for f in result.failover_reports
+    ] == failovers

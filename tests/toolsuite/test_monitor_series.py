@@ -17,7 +17,7 @@ def period_series(client, process_id):
     own = client.monitor.records.where("process_id", lambda p: p == process_id)
     by_period = own.where("status", lambda s: s == "ok").groups("period")
     return [
-        (period, len(records), sum(records.normalized_costs()) / len(records))
+        (period, len(records), sum(r.normalized_cost for r in records) / len(records))
         for period, records in sorted(by_period.items())
     ]
 
