@@ -35,8 +35,9 @@ parent's, as measurements, not gates.
 
 A third gate counts bytes: with ``tracemalloc`` on from the start, what
 a synth period retains from period 5 to 25 (after ``gc.collect()``)
-stays at most 350 KB a period (725 KB when the engine and the Monitor
-each kept a list of row tuples and every period's plan was memoized).
+stays at most 120 KB a period (725 KB when the engine and the Monitor
+each kept a list of row tuples and every period's plan was memoized,
+180 KB when the history kept a column per field).
 
 The end-to-end claim belongs to ``python3 -m bench``
 (docs/performance.md, "The instance path", "The instance history").
@@ -241,16 +242,19 @@ def test_the_instance_history_is_invisible_to_the_collector():
 # ------------------------------------ the bytes a period keeps
 
 #: ``tracemalloc`` bytes a synth period retained over periods 5-25 when
-#: the engine and the Monitor each kept row tuples and every period's
-#: plan was memoized (interpreter, bench knobs, seed 5).
-PARENT_RETAINED_PER_PERIOD = 742_093
-RETAINED_PER_PERIOD_CEILING = 350 * 1024
+#: the history kept one column per field, seven of them lists
+#: (interpreter, bench knobs, seed 5); 742 093 before that, when the
+#: engine and the Monitor each kept row tuples and every period's plan
+#: was memoized.
+PARENT_RETAINED_PER_PERIOD = 185_720
+RETAINED_PER_PERIOD_CEILING = 120 * 1024
 
 
 def test_a_synth_period_retains_what_the_run_must_keep():
-    """One history, shared by the engine and the Monitor, in typed
-    columns, and one period plan: a period keeps its records' columns
-    and little else (docs/performance.md, "The instance history")."""
+    """One history, shared by the engine and the Monitor, as eight typed
+    columns and a shape code a record, and one period plan: a period
+    keeps its records' columns and little else (docs/performance.md,
+    "The instance history")."""
     tracemalloc.start()
     try:
         client = SynthClient.from_spec(

@@ -51,13 +51,19 @@ class Distribution(ABC):
         """Pick one item; skewed distributions favour early positions."""
         if not items:
             raise ScaleFactorError("choice over an empty sequence")
-        return items[self.sample_int(0, len(items) - 1)]
+        span = len(items)
+        return items[min(int(self.sample_unit() * span), span - 1)]
+
 
 class UniformDistribution(Distribution):
     """Plain uniform values (scale factor f = 0)."""
 
-    def sample_unit(self) -> float:
-        return self._rng.random()
+    #: The generator's own ``random`` (bound in ``__init__``): one frame a draw.
+    sample_unit = None
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed)
+        self.sample_unit = self._rng.random
 
 
 class ZipfDistribution(Distribution):

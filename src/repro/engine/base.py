@@ -14,7 +14,8 @@ import heapq
 from array import array
 from dataclasses import dataclass, fields
 from functools import cache
-from operator import countOf
+from itertools import chain, repeat
+from operator import countOf, itemgetter
 from struct import Struct
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -137,34 +138,41 @@ class InstanceRecord:
         return cls(*row[:7], CostBreakdown(*row[7:10]), *row[10:])
 
 
-#: Each field of an :meth:`InstanceRecord.row` with the typecode of its
-#: ``array`` column, or ``""`` for a list.
-_LAYOUT = [
-    (f.name, {"int": "q", "float": "d"}.get(getattr(f.type, "__name__", f.type), ""))
+#: Each field of an :meth:`InstanceRecord.row` with its exact type.
+_KINDS = {
+    f.name: {"int": int, "float": float, "str": str}.get(getattr(f.type, "__name__", f.type), tuple)
     for record_field in fields(InstanceRecord)
     for f in (fields(CostBreakdown) if record_field.name == "costs" else (record_field,))
-]
-_COLUMNS = {name: position for position, (name, _) in enumerate(_LAYOUT)}
-_EXACT = {"q": int, "d": float}
+}
+#: The per-instance numbers, an ``array`` column each; every other field
+#: belongs to the record's shape.
+_NUMBERS = ("instance_id", "period", "arrival", "start", "completion",
+            "communication", "management", "processing")
+_TYPECODES = ["d" if _KINDS[name] is float else "q" for name in _NUMBERS] + ["I"]
+_SHAPE = {name: i for i, name in enumerate(n for n in _KINDS if n not in _NUMBERS)}
+_pick_numbers = itemgetter(*map(list(_KINDS).index, _NUMBERS))
+_pick_shape = itemgetter(*map(list(_KINDS).index, _SHAPE))
+_to_row = itemgetter(*map([*_NUMBERS, *_SHAPE].index, _KINDS))
 _packer = cache(lambda count, code: Struct(f"{count}{code}").pack)
 _BATCH = 128  # rows buffered before they move into the columns
 
 
 class InstanceHistory:
-    """A run's instance records in one column per field: an ``array`` for
-    each int and float field, a list of atomic values for the rest, so a
-    kept record owns no object.  Rows move into the columns ``_BATCH`` at
-    a time or before a read; a record whose numeric field is not exactly
-    of its declared type is refused then.  Slicing copies; ``where`` and
-    ``groups`` return read-only selections (positions ``at``) of the same
-    columns.  Append-only: checkpoints keep a watermark."""
+    """A run's instance records as an ``array`` column per per-instance
+    number and an ``array('I')`` of codes into ``shapes``, the distinct
+    tuples of every other field, so a kept record owns no object.  Rows
+    move into the columns ``_BATCH`` at a time or before a read; a record
+    with a field not exactly of its declared type is refused then, so no
+    shape merges values of different ``repr``.  Slicing copies; ``where``
+    and ``groups`` return read-only selections (positions ``at``) of the
+    same columns.  Append-only: checkpoints keep a watermark."""
 
-    __slots__ = ("columns", "_pending", "_at")
+    __slots__ = ("columns", "shapes", "_pending", "_at")
 
-    def __init__(self, records: Iterable[InstanceRecord] = (), columns=None, at=None):
-        self.columns = columns or [array(code) if code else [] for _, code in _LAYOUT]
-        self._pending, self._at = [], at
-        self.extend(records)
+    def __init__(self, records: Iterable[InstanceRecord] = (), columns=None, shapes=None, at=None):
+        self.columns = columns or list(map(array, _TYPECODES))
+        self.shapes = {} if shapes is None else shapes
+        self._pending, self._at = list(map(InstanceRecord.row, records)), at
 
     @classmethod
     def of(cls, records: Iterable[InstanceRecord]) -> "InstanceHistory":
@@ -176,64 +184,86 @@ class InstanceHistory:
         if not rows:
             return
         transposed = list(zip(*rows))
-        for (name, code), values in zip(_LAYOUT, transposed):
-            exact = _EXACT.get(code)
-            if exact and countOf(map(type, values), exact) != len(rows):
-                bad = next(i for i, v in enumerate(values) if type(v) is not exact)
-                raise TypeError(f"instance record {rows.pop(bad)[0]!r} refused: "
-                                f"{name} is {values[bad]!r}, not a {exact.__name__}")
-        for column, (_, code), values in zip(self.columns, _LAYOUT, transposed):
-            if code:
-                column.frombytes(_packer(len(rows), code)(*values))
-            else:
-                column += values
+        for (name, kind), values in zip(_KINDS.items(), transposed):
+            if countOf(map(type, values), kind) != len(rows) or kind is tuple and any(values) and (
+                countOf(map(type, chain.from_iterable(values)), str) != sum(map(len, values))
+            ):
+                bad = next(i for i, v in enumerate(values) if type(v) is not kind
+                           or kind is tuple and not all(type(m) is str for m in v))
+                raise TypeError(f"instance record {rows.pop(bad)[0]!r} refused: {name} is "
+                                f"{values[bad]!r}, not exactly a {kind.__name__}")
+        for column, values in zip(self.columns, _pick_numbers(transposed)):
+            column.frombytes(_packer(len(rows), column.typecode)(*values))
+        self.columns[-1].extend(self._codes_of(zip(*_pick_shape(transposed))))
         rows.clear()
 
+    def _codes_of(self, shapes: Iterable[tuple]):
+        """The code of each shape, a new shape getting the next one."""
+        return map(self.shapes.setdefault, shapes, map(len, repeat(self.shapes)))
+
     def _values(self, name: str):
-        """One field of every record, in order (the column when whole)."""
+        """One field (``"shape"``: the shape code) of every record, in order."""
         self._flush()
-        column = self.columns[_COLUMNS[name]]
-        return column if self._at is None else map(column.__getitem__, self._at)
+        column = self.columns[-1 if name in _SHAPE or name == "shape" else _NUMBERS.index(name)]
+        values = column if self._at is None else map(column.__getitem__, self._at)
+        if name in _SHAPE:
+            return map(list(map(itemgetter(_SHAPE[name]), self.shapes)).__getitem__, values)
+        return values
+
+    def _select(self, at: list[int]) -> "InstanceHistory":
+        return InstanceHistory(columns=self.columns, shapes=self.shapes, at=at)
+
+    def _writable(self) -> None:
+        if self._at is not None:
+            raise TypeError("a selection of an instance history is read-only")
 
     def append(self, record: InstanceRecord) -> None:
+        if self._at is not None:
+            self._writable()
         self._pending.append(record.row())
         if len(self._pending) >= _BATCH:
             self._flush()
 
     def extend(self, records: Iterable[InstanceRecord]) -> None:
-        """Append records; another history's columns are copied."""
+        """Append records; another history's columns are copied, its shape
+        codes mapped to this history's."""
+        self._writable()
         if isinstance(records, InstanceHistory):
             self._flush()
-            for name, column in zip(_COLUMNS, self.columns):
+            for name, column in zip(_NUMBERS, self.columns):
                 column.extend(records._values(name))
+            codes = list(self._codes_of(records.shapes))
+            self.columns[-1].extend(list(map(codes.__getitem__, records._values("shape"))))
             return
         self._pending.extend(map(InstanceRecord.row, records))
         if len(self._pending) >= _BATCH:
             self._flush()
 
     def __len__(self) -> int:
-        return len(self.columns[0]) + len(self._pending) if self._at is None else len(self._at)
+        return len(self.columns[-1]) + len(self._pending) if self._at is None else len(self._at)
 
     def __iter__(self):
-        return map(InstanceRecord.from_row, zip(*map(self._values, _COLUMNS)))
+        numbers = zip(*map(self._values, _NUMBERS))
+        shapes = map(list(self.shapes).__getitem__, self._values("shape"))
+        return map(InstanceRecord.from_row, map(_to_row, map(tuple.__add__, numbers, shapes)))
 
     def __getitem__(self, index):
         self._flush()
         if isinstance(index, slice) and self._at is None:
-            return InstanceHistory(columns=[column[index] for column in self.columns])
+            return InstanceHistory(columns=[c[index] for c in self.columns], shapes=self.shapes)
         if isinstance(index, slice):
-            return InstanceHistory(columns=self.columns, at=self._at[index])
-        position = index if self._at is None else self._at[index]
-        return InstanceRecord.from_row([column[position] for column in self.columns])
+            return self._select(self._at[index])
+        return next(iter(self._select([index if self._at is None else self._at[index]])))
 
     def __delitem__(self, index) -> None:
+        self._writable()
         self._flush()
         for column in self.columns:
             del column[index]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, InstanceHistory):
-            return all(self.column(name) == other.column(name) for name in _COLUMNS)
+            return all(self.column(name) == other.column(name) for name in _KINDS)
         return list(self) == other
 
     def column(self, name: str) -> list:
@@ -243,8 +273,7 @@ class InstanceHistory:
     def where(self, name: str, test: Callable[[Any], bool]) -> "InstanceHistory":
         """The records whose field ``name`` passes ``test``, in order."""
         at = range(len(self)) if self._at is None else self._at
-        pairs = zip(at, self._values(name))
-        return InstanceHistory(columns=self.columns, at=[p for p, v in pairs if test(v)])
+        return self._select([p for p, v in zip(at, self._values(name)) if test(v)])
 
     def groups(self, name: str) -> "dict[Any, InstanceHistory]":
         """The records by field ``name``, in order of first appearance."""
@@ -252,7 +281,7 @@ class InstanceHistory:
         at = range(len(self)) if self._at is None else self._at
         for position, value in zip(at, self._values(name)):
             grouped.setdefault(value, []).append(position)
-        return {v: InstanceHistory(columns=self.columns, at=ps) for v, ps in grouped.items()}
+        return {value: self._select(at) for value, at in grouped.items()}
 
     def recovered(self) -> "InstanceHistory":
         """The records that are :attr:`InstanceRecord.recovered`."""

@@ -210,6 +210,7 @@ def build_period_plan(spec: SynthSpec, f: int, period: int) -> PeriodPlan:
     groups = source_groups(spec)
     group_of = {i: g for g, members in enumerate(groups) for i in members}
     order_keys: dict[int, list[int]] = {i: [] for i in range(spec.sources)}
+    known_orders: dict[int, set[int]] = {i: set() for i in range(spec.sources)}
     txn_seq: dict[int, int] = {i: 0 for i in range(spec.sources)}
     new_cust_seq: dict[int, int] = {i: 0 for i in range(spec.sources)}
     for r in range(spec.rounds):
@@ -236,7 +237,8 @@ def build_period_plan(spec: SynthSpec, f: int, period: int) -> PeriodPlan:
                             + group_of[i] * 10_000
                             + dist.sample_int(0, 4_999)
                         )
-                        if orderkey not in order_keys[i]:
+                        if orderkey not in known_orders[i]:
+                            known_orders[i].add(orderkey)
                             order_keys[i].append(orderkey)
                     amount = round(dist.sample_float(10.0, 500.0), 2)
                     if coin.sample_unit() < spec.noise:
@@ -266,9 +268,10 @@ def build_period_plan(spec: SynthSpec, f: int, period: int) -> PeriodPlan:
             if "scd" in spec.families:
                 rows = []
                 state = current_customers[i]
+                keys = list(state)  # kept in step with state for dist.choice
                 for _ in range(messages):
-                    if coin.sample_unit() < spec.update_ratio and state:
-                        custkey = dist.choice(list(state))
+                    if coin.sample_unit() < spec.update_ratio and keys:
+                        custkey = dist.choice(keys)
                         image = dict(state[custkey])
                         if coin.sample_unit() < 0.5:
                             # Type-2 change: a new address and phone.
@@ -299,6 +302,8 @@ def build_period_plan(spec: SynthSpec, f: int, period: int) -> PeriodPlan:
                             ),
                             "segment": dist.choice(SEGMENTS),
                         }
+                    if image["custkey"] not in state:
+                        keys.append(image["custkey"])
                     state[image["custkey"]] = dict(image)
                     rows.append(image)
                 rnd.cust_updates[i] = rows

@@ -1,5 +1,7 @@
 """Value distributions: determinism, ranges, skew (with hypothesis)."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.datagen.distributions import (
     make_distribution,
 )
 from repro.errors import ScaleFactorError
+from tests.oracle.synth_plan import ParentPath
 
 ALL_FAMILIES = [
     UniformDistribution,
@@ -129,3 +132,50 @@ class TestProperties:
         dist = make_distribution(f, seed)
         value = dist.sample_int(lo, lo + width)
         assert lo <= value <= lo + width
+
+    @given(st.integers(0, 3), st.integers(-2**40, 2**40), st.lists(
+        st.one_of(
+            st.tuples(st.just("int"), st.integers(-10**6, 10**6), st.integers(-3, 10**6)),
+            st.tuples(st.just("float"), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+            st.tuples(st.just("choice"), st.lists(st.integers(), max_size=9), st.none()),
+            st.tuples(st.just("unit"), st.none(), st.none()),
+        ),
+        max_size=40,
+    ))
+    @settings(max_examples=200)
+    def test_every_family_draws_as_the_base_class_path(self, f, seed, draws):
+        """A uniform draw runs one Python frame, and ``choice`` no longer
+        goes through ``sample_int``: every family still yields the
+        values, and raises the errors, of ``choice`` → ``sample_int`` →
+        ``sample_unit`` (``tests/oracle/synth_plan.py``) over one seed."""
+        fast = make_distribution(f, seed)
+        reference = ParentPath(make_distribution(f, seed))
+        for kind, a, b in draws:
+            results = []
+            for dist in (fast, reference):
+                call = {
+                    "int": lambda: dist.sample_int(a, a + b),
+                    "float": lambda: dist.sample_float(a, b),
+                    "choice": lambda: dist.choice(a),
+                    "unit": dist.sample_unit,
+                }[kind]
+                try:
+                    results.append(repr(call()))
+                except ScaleFactorError as error:
+                    results.append(f"ScaleFactorError: {error}")
+            assert results[0] == results[1], kind
+
+    def test_a_uniform_draw_is_one_python_frame(self):
+        dist, calls = make_distribution(0, 5), []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            dist.choice("abc"), dist.sample_int(1, 9), dist.sample_float(0.0, 1.0)
+            dist.sample_unit()
+        finally:
+            sys.setprofile(None)
+        assert calls == ["choice", "sample_int", "sample_float"]
