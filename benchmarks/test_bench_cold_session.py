@@ -17,15 +17,19 @@ stylesheets / schemas built                                       7 / 1   0 / 0
 ``ColumnParsers`` built by ``Convert.execute``                        8       0
 path steps compiled by ``Stylesheet._compile``                       89       0
 ``assert_valid_definition`` calls per deploy                         19      19
-``fastpath.expr_compiled`` / ``masks_compiled``              135 / 21 (*)  138 / 24
+``fastpath.expr_compiled`` (†)                                  135 (*)     138
 ``hasher.update`` calls per ``landscape_digest``            4 526–4 924     208
 ==========================================================  ==========  ======
 
-(*) the parent's *first* session of a process counts 138 / 24: three
+(*) the parent's *first* session of a process counts 138: three
 module-level ``lit(False)`` (``scenario/processes/helpers.py``) are
 shared by every build and stay cached afterwards.  A deployment now
 compiles every distinct expression of its plans whatever an earlier one
 left cached, so every session counts what a fresh process counts.
+
+(†) the row also counted ``masks_compiled``, 21 per session at the
+parent and 24 at the change, until the columnar mask compiler was
+deleted: a deployment now compiles closures only.
 
 The update bound is 4 per database + 2 per table or view + rows / 512
 (14 databases, 74 tables, 4 views, ≈ 2 250 rows at d=0.02: ≤ 216; the

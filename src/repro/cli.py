@@ -834,7 +834,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         entry = breakdown.setdefault(
             op_kind,
             {"count": 0, "cost": 0.0, "work": 0.0, "communication": 0.0,
-             "vectorized": 0, "fallbacks": 0},
+             "vectorized": 0},
         )
         entry["count"] += 1
         entry["cost"] += span.duration
@@ -846,15 +846,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             for key, value in span.attributes.items()
             if key.startswith("work_")
         )
-        # Per-operator columnar activity (db_* attributes are the
+        # Per-operator columnar joins (db_* attributes are the
         # fast-path counter deltas the operator charged).
-        entry["vectorized"] += sum(
-            int(span.attributes.get(f"db_{counter}", 0))
-            for counter in ("vector_filters", "vector_joins")
-        )
-        entry["fallbacks"] += int(
-            span.attributes.get("db_vector_fallbacks", 0)
-        )
+        entry["vectorized"] += int(span.attributes.get("db_vector_joins", 0))
 
     print(
         f"engine={result.engine_name} d={args.datasize} t={args.time} "
@@ -868,7 +862,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print()
     print(
         f"{'operator':<16}{'count':>8}{'cost':>12}{'work':>12}{'comm':>10}"
-        f"{'vect':>8}{'fallb':>8}"
+        f"{'vect':>8}"
     )
     for op_kind in sorted(
         breakdown, key=lambda k: breakdown[k]["cost"], reverse=True
@@ -877,7 +871,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(
             f"{op_kind:<16}{int(entry['count']):>8}{entry['cost']:>12.2f}"
             f"{entry['work']:>12.1f}{entry['communication']:>10.1f}"
-            f"{int(entry['vectorized']):>8}{int(entry['fallbacks']):>8}"
+            f"{int(entry['vectorized']):>8}"
         )
     print("fast-path counters:")
     for key, value in stats.items():

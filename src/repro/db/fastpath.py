@@ -3,12 +3,11 @@
 Every operator has one implementation, built on three techniques:
 operators share row dicts (copy-on-write: only ``project``/``extend``/
 ``join``/``group_by`` build new dicts because only they produce new
-values), predicates run as compiled closures or columnar mask kernels,
-and joins probe existing table indexes.  Which rung of an operator's
-ladder runs (index probe → partition-wise → mask/column kernel →
-compiled scalar loop) is decided only from what the code observes —
-input size, the source table's generation, residency, the predicate's
-grammar — never from a user-settable switch.
+values), predicates run as compiled closures, and joins probe existing
+table indexes.  Which rung of a join's ladder runs (index probe →
+partition-wise → column kernel → scalar hash join) is decided only from
+what the code observes — input size, the source table's generation,
+residency — never from a user-settable switch.
 
 The reference the implementation is held to lives outside ``src/``:
 ``tests/oracle/relational.py`` re-materializes every row per operator
@@ -53,18 +52,18 @@ class FastpathStats:
     mv_incremental: int = 0
     #: Materialized-view refreshes (each one a full recompute).
     mv_full_recompute: int = 0
-    #: Selections answered by a columnar bitmask instead of a row loop.
+    #: Always 0 (a selection runs its compiled closure); the field
+    #: stays because ``bench/metrics.py`` reads it by name.
     vector_filters: int = 0
     #: Joins built and probed over column arrays instead of row dicts.
     vector_joins: int = 0
     #: Always 0 (group-by has one row-streaming body); the field stays
     #: because ``bench/metrics.py`` reads it by name.
     vector_group_bys: int = 0
-    #: Predicates lowered to fused mask kernels (cache misses).
-    masks_compiled: int = 0
     #: Columnar table images (re)built from the row store.
     column_builds: int = 0
-    #: Vectorized evaluations that fell back to the scalar row loop.
+    #: Always 0 (no columnar rung falls back mid-batch); the field
+    #: stays because ``bench/metrics.py`` reads it by name.
     vector_fallbacks: int = 0
 
     def snapshot(self) -> dict[str, int]:

@@ -22,9 +22,8 @@ a real storage hierarchy:
   spill is *dirty* and rewrites its segment on the next eviction;
   reload verifies the tag so a stale segment can never silently serve
   old rows;
-* partition-wise operators keep the working set bounded: vectorized
-  scans filter partition-by-partition over per-partition column slices
-  (cached on the partition, keyed by its generation), group-by streams
+* partition-wise operators keep the working set bounded: selections
+  run their compiled predicate partition-by-partition, group-by streams
   partitions into running accumulators, a spilled *probe* side streams
   partition-at-a-time through the ordinary hash join, and a spilled
   *build* side runs as a grace hash join — both sides bucketed to disk
@@ -69,9 +68,9 @@ import tempfile
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from itertools import compress, count
+from itertools import count
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 from zlib import crc32
 
 from repro.errors import StorageError
@@ -112,7 +111,7 @@ class PartitionStats:
     rows_spilled: int = 0
     #: Rows faulted back from spill segments.
     rows_reloaded: int = 0
-    #: Vectorized scans answered partition-by-partition.
+    #: Selections answered partition-by-partition.
     partitioned_filters: int = 0
     #: Group-bys streamed over partitions into running accumulators.
     partitioned_group_bys: int = 0
@@ -290,8 +289,6 @@ class Partition:
         "spilled_generation",
         "path",
         "pins",
-        "_slices",
-        "_slices_generation",
     )
 
     def __init__(self, index: int, rows: list[Row]):
@@ -309,34 +306,12 @@ class Partition:
         #: Non-zero while an iterator or kernel walks this partition —
         #: the eviction loop skips pinned partitions.
         self.pins = 0
-        # Columnar slices of this partition, keyed by the generation
-        # they were transposed at (the partition-level analogue of
-        # Table._column_cache — and the reason a spill/reload cycle can
-        # never serve a stale columnar image).
-        self._slices: dict[str, Sequence[Any]] | None = None
-        self._slices_generation = -1
 
     def n_rows(self) -> int:
         return len(self.rows) if self.rows is not None else self.count
 
     def mutated(self) -> None:
         self.generation += 1
-        self._slices = None
-
-    def column_slices(self, names: Sequence[str]) -> list[Sequence[Any]]:
-        """Per-partition columnar views of ``names`` (resident only).
-
-        Cached on the partition keyed by its generation; dropped on
-        eviction with the rows themselves.
-        """
-        if self._slices is None or self._slices_generation != self.generation:
-            self._slices = {}
-            self._slices_generation = self.generation
-        rows = self.rows
-        for name in names:
-            if name not in self._slices:
-                self._slices[name] = [row[name] for row in rows]
-        return [self._slices[name] for name in names]
 
 
 class PartitionStore:
@@ -480,7 +455,6 @@ class PartitionStore:
             self._reload(part)
         part.rows.append(row)
         part.generation += 1
-        part._slices = None
         self._length += 1
         budget.resident_rows = resident = budget.resident_rows + 1
         if resident > budget.peak_resident_rows:
@@ -601,7 +575,6 @@ class PartitionStore:
             self.segment_reuses += 1
         part.count = row_count
         part.rows = None
-        part._slices = None
         self._spilled += 1
         self._spilled_rows += row_count
         STATS.evictions += 1
@@ -764,28 +737,17 @@ def spilled_view(rows: Any) -> PartitionView | None:
 
 
 def partitioned_filter(
-    store: PartitionStore, kernel: Any, limit: int | None = None
-) -> list[Row] | None:
-    """Partition-wise vectorized selection (the spilled ``filter_rows``).
-
-    Applies the mask kernel per partition over its cached column slices
-    and concatenates the survivors — masks are row-local, so the result
-    equals the whole-table mask application byte for byte, with only one
-    partition resident at a time.
+    store: PartitionStore, fn: Callable[[Row], Any], limit: int | None = None
+) -> list[Row]:
+    """Partition-wise selection (the spilled ``Relation.select`` and a
+    budgeted ``Table.scan``): the compiled predicate ``fn`` runs over
+    one pinned partition at a time, so only that partition need be
+    resident; the survivors keep position order, ``limit`` clips the
+    store to a snapshot's first rows.
     """
     out: list[Row] = []
-    for part, rows in store.iter_partition_rows(limit):
-        if rows is part.rows:
-            columns = part.column_slices(kernel.columns)
-        else:  # clipped snapshot tail: ad-hoc gather, don't poison the cache
-            columns = [[row[name] for row in rows] for name in kernel.columns]
-        try:
-            mask = kernel.fn(*columns)
-        except TypeError:
-            fastpath.STATS.vector_fallbacks += 1
-            return None
-        out.extend(compress(rows, mask))
-    fastpath.STATS.vector_filters += 1
+    for _, rows in store.iter_partition_rows(limit):
+        out += [row for row in rows if fn(row) is True]
     STATS.partitioned_filters += 1
     return out
 

@@ -266,11 +266,11 @@ class Relation:
         """
         if isinstance(predicate, Expression):
             self._guard_expression(predicate)
-            keep = vector.filter_rows(
-                self.rows, self.columns, predicate, self._live_table()
-            )
-            if keep is None:
-                fn = predicate.compile()
+            fn = predicate.compile()
+            view = partition.spilled_view(self.rows)
+            if view is not None:
+                keep = partition.partitioned_filter(view.store, fn, len(view))
+            else:
                 keep = [row for row in self.rows if fn(row) is True]
         else:
             keep = [row for row in self.rows if predicate(row)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import IntegrityError, QueryError, SchemaError
-from repro.db import fastpath, partition, vector
+from repro.db import fastpath, partition
 from repro.db.expressions import Expression
 from repro.db.relation import Relation, Row
 from repro.db.schema import TableSchema
@@ -400,7 +400,7 @@ class Table:
 
         Lazily transposed from the row store and cached until the next
         mutation bumps ``_generation``.  Purely a physical layout for
-        the vector kernels: building it never charges ``rows_read``
+        the columnar join: building it never charges ``rows_read``
         (callers charge logical reads exactly as the scalar path does).
         Values are the stored objects by reference.
         """
@@ -413,10 +413,7 @@ class Table:
         if self.partition_store is not None:
             # Store-backed: a cached whole-table image would pin the
             # full working set and defeat the memory budget.  Gather in
-            # one streaming pass and return it uncached — the kernels
-            # that matter take the per-partition paths instead, whose
-            # column slices cache on the partitions themselves (keyed by
-            # partition generation, dropped on eviction).
+            # one streaming pass and return it uncached.
             names = self.schema.column_names
             gathered: dict[str, list] = {name: [] for name in names}
             for row in self._rows:
@@ -440,11 +437,11 @@ class Table:
         if predicate is None:
             rows = list(self._rows)
         elif isinstance(predicate, Expression):
-            rows = vector.filter_rows(
-                self._rows, self.schema.column_names, predicate, self
-            )
-            if rows is None:
-                fn = predicate.compile()
+            fn = predicate.compile()
+            store = self.partition_store
+            if store is not None:
+                rows = partition.partitioned_filter(store, fn)
+            else:
                 rows = [r for r in self._rows if fn(r) is True]
         else:
             rows = [r for r in self._rows if predicate(r)]

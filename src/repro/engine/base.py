@@ -25,7 +25,7 @@ from repro.errors import (
     EngineError,
     TransientEngineFault,
 )
-from repro.db import fastpath, partition, vector
+from repro.db import fastpath, partition
 from repro.db.expressions import Expression, compile_expression
 from repro.engine.costs import CostBreakdown, CostParameters, INTERPRETER_COSTS
 from repro.mtm.context import ExecutionContext
@@ -155,6 +155,7 @@ _pick_shape = itemgetter(*map(list(_KINDS).index, _SHAPE))
 _to_row = itemgetter(*map([*_NUMBERS, *_SHAPE].index, _KINDS))
 _packer = cache(lambda count, code: Struct(f"{count}{code}").pack)
 _BATCH = 128  # rows buffered before they move into the columns
+_INT64 = (-(1 << 63), (1 << 63) - 1)  # what a "q" column holds
 
 
 class InstanceHistory:
@@ -163,9 +164,11 @@ class InstanceHistory:
     tuples of every other field, so a kept record owns no object.  Rows
     move into the columns ``_BATCH`` at a time or before a read; a record
     with a field not exactly of its declared type is refused then, so no
-    shape merges values of different ``repr``.  Slicing copies; ``where``
-    and ``groups`` return read-only selections (positions ``at``) of the
-    same columns.  Append-only: checkpoints keep a watermark."""
+    shape merges values of different ``repr``, and so is one whose
+    ``instance_id`` or ``period`` a 64-bit column cannot hold.  Slicing
+    copies; ``where`` and ``groups`` return read-only selections
+    (positions ``at``) of the same columns.  Append-only: checkpoints
+    keep a watermark."""
 
     __slots__ = ("columns", "shapes", "_pending", "_at")
 
@@ -192,7 +195,13 @@ class InstanceHistory:
                            or kind is tuple and not all(type(m) is str for m in v))
                 raise TypeError(f"instance record {rows.pop(bad)[0]!r} refused: {name} is "
                                 f"{values[bad]!r}, not exactly a {kind.__name__}")
-        for column, values in zip(self.columns, _pick_numbers(transposed)):
+        numbers = _pick_numbers(transposed)
+        for name, column, values in zip(_NUMBERS, self.columns, numbers):
+            if column.typecode == "q" and not _INT64[0] <= min(values) <= max(values) <= _INT64[1]:
+                bad = next(i for i, v in enumerate(values) if not _INT64[0] <= v <= _INT64[1])
+                raise OverflowError(f"instance record {rows.pop(bad)[0]!r} refused: {name} is "
+                                    f"{values[bad]!r}, outside a 64-bit integer")
+        for column, values in zip(self.columns, numbers):
             column.frombytes(_packer(len(rows), column.typecode)(*values))
         self.columns[-1].extend(self._codes_of(zip(*_pick_shape(transposed))))
         rows.clear()
@@ -452,9 +461,6 @@ class IntegrationEngine:
         per plan — the interpreter's "plan cache", and the federated
         engine's analogue of preparing trigger/procedure bodies —
         instead of the first instance of each type paying compilation.
-        Predicates are additionally lowered to columnar mask kernels
-        (``repro.db.vector.compile_mask``) so the batch path never
-        compiles mid-run either.
 
         A deployment compiles each distinct expression once, also one
         whose closure an earlier deployment of the same tree left in
@@ -462,12 +468,10 @@ class IntegrationEngine:
         definitions and not by what ran before in the process.
         """
         compiled = self._compiled
-        for expression, held in process.expressions():
+        for expression in process.expressions():
             if expression not in compiled:
                 compiled.add(expression)
                 _compile_anew(compile_expression, expression)
-                if held:
-                    _compile_anew(vector.compile_mask, expression)
 
     def deploy_all(self, processes: Iterable[ProcessType]) -> None:
         for process in processes:

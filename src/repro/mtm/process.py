@@ -85,28 +85,26 @@ class ProcessType:
         #: RECEIVE to bind it.
         self.subprocess_only = subprocess_only
         #: :meth:`expressions`, scanned at its first call.
-        self._expressions: list[tuple[Expression, bool]] | None = None
+        self._expressions: list[Expression] | None = None
 
     @property
     def root(self) -> Operator:
         """The operator tree (read-only: the optimizer builds new trees)."""
         return self._root
 
-    def expressions(self) -> list[tuple[Expression, bool]]:
+    def expressions(self) -> list[Expression]:
         """Every distinct expression of the plan, operands before the
-        expression holding them, each with whether an operator field
-        holds it (the plan's predicates and computed columns).
+        expression holding them.
 
         Scanned once: a built tree is not edited (docs/architecture.md),
         so a deploy reads this list instead of every field of every
         operator.
         """
         if self._expressions is None:
-            held = dict.fromkeys(_held_expressions(self._root))
             ordered: dict[Expression, None] = {}
-            for expression in held:
+            for expression in _held_expressions(self._root):
                 _operands_first(expression, ordered)
-            self._expressions = [(e, e in held) for e in ordered]
+            self._expressions = list(ordered)
         return self._expressions
 
     def operators(self) -> list[Operator]:

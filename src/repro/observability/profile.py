@@ -36,7 +36,7 @@ class OperatorObservation:
     network_calls: list[NetworkObservation] = field(default_factory=list)
     #: Relational-kernel counter deltas attributed to this operator
     #: (non-zero ``repro.db.fastpath`` entries only — e.g. index probes,
-    #: vectorized filter/join/group-by batches, scalar fallbacks).
+    #: columnar joins, compiled expressions).
     fastpath: dict[str, int] = field(default_factory=dict)
 
 

@@ -6,8 +6,8 @@ reference model in ``tests/oracle/relational.py``: same ``columns``,
 same rows in the same order, same ``rows_read``/``rows_written``
 accounting.  Every test here runs the same operation through both over
 seeded random inputs — including NULL keys, duplicate keys and empty
-relations — at each batch gate (``rungs``: scalar loops, then column
-kernels) and compares outputs exactly.
+relations — at each batch gate (``rungs``: the scalar join, the
+columnar join, neither batched) and compares outputs exactly.
 """
 
 import datetime

@@ -13,8 +13,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.db import Column, Database, TableSchema, col, fastpath, lit
+from repro.db import Column, Database, TableSchema, col, fastpath, func, lit
 from repro.db import partition
+from repro.db.expressions import UnaryOp
 from repro.parallel.spec import RunSpec, run_spec
 from tests.oracle import relational as oracle
 
@@ -187,6 +188,72 @@ def test_tight_budget_engages_partitioned_operators():
     assert delta.evictions > 0
     assert delta.grace_joins > 0
     assert delta.partitioned_group_bys > 0
+
+
+# -- one filter path, at every residency -------------------------------------
+
+#: Selections over SCHEMA_A: comparisons, NULL logic, a function call,
+#: arithmetic, a column-column comparison, and two that raise (a
+#: str/int comparison and an unknown column).
+SELECTIONS = [
+    col("amount") > lit(100.0),
+    (col("cust") == lit(None)) | UnaryOp("IS NULL", col("status")),
+    ~((col("status") == lit("paid")) | (col("cust") < lit(20))),
+    UnaryOp("IS NOT NULL", col("cust")) & (col("amount") >= lit(0.0)),
+    func("COALESCE", col("status"), lit("none")) == lit("none"),
+    col("amount") * lit(2.0) > col("oid"),
+    col("cust") == col("oid"),
+    col("status") > lit(0),
+    col("missing") == lit(1),
+]
+
+
+def outcome(read):
+    """``("ok", rows)`` or ``("error", type, text)`` of one read."""
+    try:
+        return "ok", read()
+    except Exception as exc:  # noqa: BLE001 - parity capture
+        return "error", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("budget", [*BUDGETS, 10_000])
+def test_every_selection_runs_its_closure_like_the_oracle(budget, rungs):
+    """``Table.scan`` and ``Relation.select`` over a resident table, a
+    store that fits its budget and spilled ones, at every batch gate: the
+    oracle's rows in its order, the stored dicts themselves, its
+    ``rows_read`` and its error text — and a budgeted read goes
+    partition by partition."""
+    orders, _ = seed_rows(0)
+    for gate in rungs():
+        for predicate in SELECTIONS:
+            reference = oracle.Table(SCHEMA_A, orders)
+            db = build_db(budget, seed=0)
+            table = db.table("orders")
+            stored = {id(row) for row in table._rows}
+            base, part_base = fastpath.STATS.copy(), partition.STATS.copy()
+            scanned = outcome(lambda: table.scan(predicate))
+            snapshot = table.to_relation()
+            spilled = partition.spilled_view(snapshot.rows) is not None
+            selected = outcome(lambda: snapshot.select(predicate).rows)
+            delta, part = fastpath.STATS - base, partition.STATS - part_base
+            where = f"budget={budget} gate={gate} {predicate!r}"
+            assert scanned == outcome(lambda: reference.scan(predicate)), where
+            assert selected == outcome(
+                lambda: oracle.select(reference.to_relation(), predicate).rows
+            ), where
+            assert table.rows_read == reference.rows_read, where
+            # Shared, never copied: the stored dicts themselves (a
+            # spilled partition reloads as new dicts, so the identity
+            # check is for resident storage).
+            assert delta.rows_copied == 0, where
+            for result in (scanned, selected):
+                if result[0] == "ok" and budget is None:
+                    assert all(id(row) in stored for row in result[1]), where
+            assert delta.vector_filters == delta.vector_fallbacks == 0, where
+            assert spilled == (budget in (120, 16)), where
+            if budget is not None:  # a read that raised counts nothing
+                answered = (scanned[0] == "ok") + (spilled and selected[0] == "ok")
+                assert part.partitioned_filters == answered, where
 
 
 # -- the join ladder, rung by rung ---------------------------------------------

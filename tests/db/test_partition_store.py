@@ -436,17 +436,6 @@ class TestColumnCacheCoherence:
         _ = table.get((63,))
         assert table.column_data()["v"][3] == "mutant"
 
-    def test_partition_slices_keyed_by_generation(self):
-        store, _ = make_store(n=20, limit=100, capacity=10)
-        part = store._partitions[0]
-        first = part.column_slices(("v",))
-        assert part.column_slices(("v",)) is not None
-        part.rows[0]["v"] = "changed"
-        part.mutated()
-        second = part.column_slices(("v",))
-        assert list(second[0])[0] == "changed"
-        assert first is not second
-
     def test_budget_attach_detach_round_trip(self):
         db, table = self._db()
         assert table.partition_store is not None

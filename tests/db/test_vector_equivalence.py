@@ -1,18 +1,18 @@
-"""Differential conformance: columnar batch kernels vs scalar loops vs oracle.
+"""Differential conformance: the columnar join vs the scalar join vs oracle.
 
-``repro.db.vector`` answers selections with compiled bitmask kernels
-and joins with column-array probes; group-by has one body (the
-accumulator in ``repro.db.relation``) whatever the size.  Every batch
-kernel must be observationally identical to the
-scalar loop it replaces and to the reference model in
+``repro.db.vector`` answers large joins with column-array probes;
+selections run one way, as the predicate's compiled closure, and
+group-by has one body (the accumulator in ``repro.db.relation``)
+whatever the size.  Every operator must be observationally identical at
+every batch gate and to the reference model in
 ``tests/oracle/relational.py``: same ``columns``, same rows in the same
-order, same ``rows_read`` accounting, same errors — and the two
-production rungs must also agree on ``rows_copied``/``rows_shared``.
-Every test here runs the same operation on both rungs — scalar (the
-default batch gate; inputs here stay below it) and batched (the gate
-patched to 1, so it never masks a kernel) — over seeded random inputs
-including NULL keys, duplicate keys and empty relations, and compares
-outputs and counters exactly.
+order, same ``rows_read`` accounting, same errors — and the production
+rungs must also agree on ``rows_copied``/``rows_shared``.  Every test
+here runs the same operation at the default batch gate (inputs here
+stay below it: the scalar join), the gate patched to 1 (every non-empty
+join batched) and the gate at ``sys.maxsize`` (nothing batched) — over
+seeded random inputs including NULL keys, duplicate keys and empty
+relations, and compares outputs and counters exactly.
 
 The suite ends with whole-benchmark differentials: full runs at
 d ∈ {0.05, 0.1} whose result fingerprints and landscape digests must be
@@ -20,7 +20,6 @@ byte-identical whichever rung every operator takes.
 """
 
 import random
-import sys
 
 import pytest
 
@@ -59,11 +58,10 @@ W_VALUES = [None, -1.5, 0.0, 2.5, 10.0]
 
 COLUMNS = ("k", "v", "w")
 
-#: Kernel counters both rungs must charge identically: they feed the
-#: accounting the NAVG+ work model observes.  (masks_compiled and
-#: expr_compiled legitimately differ — they count which compiler ran,
-#: not work done; per-table rows_read/rows_written parity is asserted in
-#: the table-backed tests.)
+#: Kernel counters every rung must charge identically: they feed the
+#: accounting the NAVG+ work model observes.  (expr_compiled legitimately
+#: differs — it counts closure-cache misses, not work done; per-table
+#: rows_read/rows_written parity is asserted in the table-backed tests.)
 PARITY_COUNTERS = ("rows_copied", "rows_shared")
 
 
@@ -107,7 +105,7 @@ def assert_identical(got, expected):
 
 
 def both_rungs(rungs, produce, expect, *inputs):
-    """Run ``produce`` per rung against ``expect``; return the STATS
+    """Run ``produce`` at every gate against ``expect``; return the STATS
     deltas ``(vector, scalar)`` after asserting their parity."""
     expected = expect(*[oracle.relation(COLUMNS, rows) for rows in inputs])
     deltas = {}
@@ -117,12 +115,18 @@ def both_rungs(rungs, produce, expect, *inputs):
         got = produce(*relations)
         deltas[gate] = fastpath.STATS - base
         assert_identical(got, expected)
-    scalar_delta, vector_delta = deltas[DEFAULT_GATE], deltas[1]
-    for counter in PARITY_COUNTERS:
-        assert getattr(vector_delta, counter) == getattr(
-            scalar_delta, counter
-        ), f"{counter} diverged between vector and scalar rungs"
-    return vector_delta, scalar_delta
+    for gate, delta in deltas.items():
+        for counter in PARITY_COUNTERS:
+            assert getattr(delta, counter) == getattr(
+                deltas[DEFAULT_GATE], counter
+            ), f"{counter} diverged at gate {gate}"
+    return deltas[1], deltas[DEFAULT_GATE]
+
+
+def assert_closure_selects(*deltas):
+    """No rung answered a selection any other way than its closure."""
+    for delta in deltas:
+        assert delta.vector_filters == delta.vector_fallbacks == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -136,8 +140,7 @@ class TestVectorOperatorEquivalence:
             lambda r: oracle.select(r, predicate),
             rows,
         )
-        assert vd.vector_filters == 1
-        assert sd.vector_filters == 0
+        assert_closure_selects(vd, sd)
 
     def test_select_null_semantics(self, seed, rungs):
         rows = random_rows(random.Random(seed))
@@ -153,7 +156,7 @@ class TestVectorOperatorEquivalence:
                 lambda r: oracle.select(r, predicate),
                 rows,
             )
-            assert vd.vector_filters == 1
+            assert_closure_selects(vd)
 
     def test_select_column_column(self, seed, rungs):
         rows = random_rows(random.Random(seed))
@@ -164,19 +167,18 @@ class TestVectorOperatorEquivalence:
             lambda r: oracle.select(r, predicate),
             rows,
         )
-        assert vd.vector_filters == 1
+        assert_closure_selects(vd)
 
     def test_select_unsupported_falls_back(self, seed, rungs):
-        """Grammar the mask compiler rejects runs the scalar loop."""
+        """A function call in the predicate selects like the oracle."""
         rows = random_rows(random.Random(seed))
         predicate = func("COALESCE", col("w"), lit(0.0)) > lit(1.0)
-        vd, _ = both_rungs(
+        both_rungs(
             rungs,
             lambda r: r.select(predicate),
             lambda r: oracle.select(r, predicate),
             rows,
         )
-        assert vd.vector_filters == 0  # declined, not answered
 
     def test_join_inner_and_left(self, seed, rungs):
         rng = random.Random(seed)
@@ -272,15 +274,20 @@ class TestVectorOperatorEquivalence:
         both_rungs(rungs, pipeline, reference, rows)
 
     def test_threshold_gates_the_kernels(self, seed, rungs):
-        rows = random_rows(random.Random(seed))
-        predicate = col("k") > lit(0)
-        expected = oracle.select(oracle.relation(COLUMNS, rows), predicate)
-        for _ in rungs(len(rows) + 1):
+        """One row short of the gate, the join stays the scalar one."""
+        rng = random.Random(seed)
+        rows, other = random_rows(rng), random_rows(rng)
+        expected = oracle.join(
+            oracle.relation(COLUMNS, rows),
+            oracle.relation(COLUMNS, other),
+            on=[("k", "k")],
+        )
+        for _ in rungs(len(rows) + len(other) + 1):
             base = fastpath.STATS.copy()
-            gated = relation(rows).select(predicate)
+            gated = relation(rows).join(relation(other), on=[("k", "k")])
             delta = fastpath.STATS - base
         assert_identical(gated, expected)
-        assert delta.vector_filters == 0  # below threshold: scalar loop
+        assert delta.vector_joins == 0 and delta.hash_joins == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -339,47 +346,56 @@ class TestTableBackedVectorEquivalence:
         predicate = (col("k") > lit(0)) | is_null(col("v"))
         reference = make_reference(rows)
         expected = reference.scan(predicate)
-        for gate in rungs():
+        for _ in rungs():
             _, table = make_table(rows)
             base = fastpath.STATS.copy()
             assert table.scan(predicate) == expected
             delta = fastpath.STATS - base
             assert table.rows_read == reference.rows_read
-            assert delta.vector_filters == (1 if gate == 1 and rows else 0)
+            assert_closure_selects(delta)
 
     def test_columnar_image_is_cached_until_mutation(self, seed, rungs):
+        """A table snapshot on the left of a batched join reads its key
+        column from the table's image, built once per generation; the
+        detached right side is gathered ad hoc every time."""
         rng = random.Random(seed)
-        rows = random_rows(rng)
+        rows, other = random_rows(rng), random_rows(rng)
+        if not other:
+            other = [{"k": 1, "v": "a", "w": 0.0}]
         reference = make_reference(rows)
-        predicate = col("k") == lit(1)
+        right = oracle.relation(COLUMNS, other)
+        on = [("k", "k")]
+        added = {"pk": 10_000, "k": 1, "v": "z", "w": 1.0}
         for _ in rungs(1):
-            _, table = make_table(rows)
+            db, table = make_table(rows)
             base = fastpath.STATS.copy()
-            first = table.scan(predicate)
-            second = table.scan(predicate)
+            first = db.query("t").join(relation(other), on=on)
+            second = db.query("t").join(relation(other), on=on)
             cached = fastpath.STATS - base
-            table.insert({"pk": 10_000, "k": 1, "v": "z", "w": 1.0})
-            third = table.scan(predicate)
+            table.insert(dict(added))
+            third = db.query("t").join(relation(other), on=on)
             rebuilt = fastpath.STATS - base
-        assert first == second == reference.scan(predicate)
-        if rows:
-            assert cached.column_builds == 1  # second scan reused the image
-            assert rebuilt.column_builds == 2  # the insert invalidated it
-        reference.insert({"pk": 10_000, "k": 1, "v": "z", "w": 1.0})
-        assert third == reference.scan(predicate)
+        expected = oracle.join(reference.to_relation(), right, on=on)
+        assert_identical(first, expected)
+        assert_identical(second, expected)
+        assert cached.vector_joins == 2
+        assert cached.column_builds == 3  # one image, two ad-hoc gathers
+        assert rebuilt.column_builds == 5  # the insert invalidated the image
+        reference.insert(dict(added))
+        assert_identical(third, oracle.join(reference.to_relation(), right, on=on))
 
     def test_update_invalidates_columnar_image(self, seed, rungs):
         rng = random.Random(seed)
         rows = random_rows(rng)
         if not rows:
             rows = [{"k": 1, "v": "a", "w": 0.0}]
-        predicate = col("v") == lit("z")
+        probe = [{"k": 7, "v": "x", "w": 0.0}]  # 7 is no drawn key
         for _ in rungs(1):
-            _, table = make_table(rows)
-            assert table.scan(predicate) == []
-            table.update({"v": lit("z")}, col("pk") == lit(0))
-            changed = table.scan(predicate)
-        assert [row["pk"] for row in changed] == [0]
+            db, table = make_table(rows)
+            assert db.query("t").join(relation(probe), on=[("k", "k")]).rows == []
+            table.update({"k": lit(7)}, col("pk") == lit(0))
+            changed = db.query("t").join(relation(probe), on=[("k", "k")])
+        assert [row["pk"] for row in changed.rows] == [0]
 
     def test_query_pushdown_parity(self, seed, rungs):
         rng = random.Random(seed)
@@ -557,12 +573,9 @@ def test_mv_sequences_vector_vs_scalar(seed, rungs):
 
 # ------------------------------------------------------- whole-benchmark runs
 
-#: Default gate, every batch on the kernels, every batch on the scalar loop.
-GATES = (DEFAULT_GATE, 1, sys.maxsize)
-
 
 def assert_one_fingerprint(rungs, spec):
-    outcomes = [run_spec(spec) for _ in rungs(*GATES)]
+    outcomes = [run_spec(spec) for _ in rungs()]
     for outcome in outcomes:
         assert outcome.status == "ok"
         assert outcome.result.verification.ok

@@ -223,6 +223,21 @@ class TestHistory:
         selections[2].append(records[0])  # a slice is a history of its own
         assert len(selections[2]) == len(history) + 1
 
+    @pytest.mark.parametrize("name, value", [
+        ("instance_id", 2**70), ("instance_id", -2**63 - 1), ("period", 2**63),
+    ])
+    def test_a_number_outside_int64_is_refused(self, name, value):
+        """A 64-bit column cannot hold the number: the record is refused
+        with an ``OverflowError`` naming the field and the rest are
+        kept, so the history stays readable."""
+        records, _ = built_records("interpreter")
+        history = InstanceHistory(records[:3])
+        history.append(dataclasses.replace(records[3], **{name: value}))
+        history.append(records[4])
+        with pytest.raises(OverflowError, match=name):
+            history.column("status")
+        assert [repr(r) for r in history] == [repr(r) for r in records[:3] + records[4:5]]
+
     @pytest.mark.parametrize("name, retype", [
         ("attempts", bool), ("validation_failures", bool),
         ("queue_length_at_arrival", float), ("operators_executed", float),
@@ -276,6 +291,11 @@ _WRONG = [
     ("status", _Str("ok")), ("process_id", b"P01"), ("error_violations", ["x"]),
     ("fault_types", ("x", 1)), ("fault_types", _Tuple()), ("error_type", None),
 ]
+#: An ``instance_id`` or ``period`` its 64-bit column cannot hold.
+_OUTSIDE_INT64 = st.tuples(
+    st.sampled_from(["instance_id", "period"]),
+    st.integers(max_value=-2**63 - 1) | st.integers(min_value=2**63),
+)
 
 
 def _reprs(records) -> list[str]:
@@ -314,11 +334,13 @@ class TestRoundTripProperties:
         assert _reprs(one) == _reprs(kept[:cut] + first[:2])
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(_RECORDS, st.none() | st.sampled_from(_WRONG)), max_size=30))
+    @given(st.lists(st.tuples(_RECORDS, st.none() | st.sampled_from(_WRONG) | _OUTSIDE_INT64),
+                    max_size=30))
     def test_a_mistyped_field_is_refused_and_the_rest_kept(self, drawn):
         """Whatever shapes are kept already, a record with a field of
-        another type is refused (one ``TypeError`` naming the field per
-        such record) and every other record reads back."""
+        another type, or an ``instance_id`` / ``period`` outside int64,
+        is refused (one ``TypeError`` / ``OverflowError`` naming the
+        field per such record) and every other record reads back."""
         history, kept, refused = InstanceHistory(), [], 0
         for record, wrong in drawn:
             if wrong is None:
@@ -326,12 +348,13 @@ class TestRoundTripProperties:
             else:
                 record = dataclasses.replace(record, **dict([wrong]))
             history.append(record)
+        names = {name for name, _ in _WRONG} | {"instance_id", "period"}
         while True:
             try:
                 history.column("status")
                 break
-            except TypeError as error:
-                assert any(f"{name} is" in str(error) for name, _ in _WRONG)
+            except (TypeError, OverflowError) as error:
+                assert any(f"{name} is" in str(error) for name in names)
                 refused += 1
         assert refused == len(drawn) - len(kept)
         assert _reprs(history) == _reprs(kept)

@@ -221,8 +221,8 @@ def test_a_deploy_validates_every_definition_and_compiles_every_expression(
         before = fastpath.STATS.copy()
         client._phase_pre()
         delta = fastpath.STATS - before
-        deltas.append((delta.expr_compiled, delta.masks_compiled))
+        deltas.append(delta.expr_compiled)
         assert sorted(validated) == sorted(resident_processes())
         assert len(validated) == 19
     assert deltas[0] == deltas[1] == deltas[2]
-    assert deltas[0][0] > 0 and deltas[0][1] > 0
+    assert deltas[0] > 0
