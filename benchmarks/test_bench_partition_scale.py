@@ -8,8 +8,10 @@ merges the evidence into ``BENCH_partition.json``:
   the unbudgeted run (the spill tier is physical, never logical);
 * peak table-resident rows stay bounded by ``budget + partition_rows``
   (one partition of slack for the pinned working partition);
-* wall-clock and ``ru_maxrss`` per budget, so the paid I/O premium and
-  the memory actually saved are inspectable side by side;
+* wall-clock per budget, so the paid I/O premium is inspectable next to
+  the peak table-resident rows the budget bounds (no ``ru_maxrss``: a
+  process-wide high-water mark would carry the peak of whatever ran
+  earlier in the same pytest process, not this budget's);
 * the unbudgeted run stores tables as plain lists — zero partition
   overhead when no budget is set;
 * at d=0.05 the fault counts — deterministic per seed, unlike the wall
@@ -22,7 +24,6 @@ Each configuration also lands one row in ``results/LEDGER.jsonl`` via
 """
 
 import json
-import resource
 import time
 from dataclasses import replace
 
@@ -76,7 +77,6 @@ def run_point(spec: RunSpec):
     }
     measurements = {
         "wall_seconds": round(wall, 3),
-        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "peak_resident_rows": max(
             (b.peak_resident_rows for b in budgets.values()), default=0
         ),

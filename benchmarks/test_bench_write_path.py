@@ -20,6 +20,11 @@ scenario's own shapes and lands three rows in ``results/LEDGER.jsonl``:
   allocations against the parent's, P09's result-set elements, and the
   collector's runs per period.
 
+The same period's rows stored by copy (a relation typed like its target
+table) and through ``TableSchema.normalize`` are asserted exactly too,
+so a relation operator that stops declaring its types fails here
+(``write_path:declared_types``, docs/perf-log/PR-46.md).
+
 The timings explain the end-to-end ``python3 -m bench`` result; they
 claim nothing by themselves and gate nothing.  The counts repeat
 exactly and are asserted (docs/perf-log/PR-19.md, PR-25.md); the
@@ -35,6 +40,7 @@ from benchmarks.conftest import ledger_append, src_lines
 
 from repro.datagen.generators import DataGenerator
 from repro.db import Database
+from repro.db.schema import TableSchema
 from repro.db.table import Table
 from repro.parallel.spec import RunSpec, run_spec
 from repro.scenario import build_scenario
@@ -269,6 +275,51 @@ def test_a_period_parses_upserts_and_allocates_once():
             "src_loc": {"before": 28600, "after": src_lines()},
         },
     )
+
+
+# ------------------------------------ rows stored by copy, counted
+
+#: Rows one ``interpreter`` d=0.05 seed-5 period hands each per-row
+#: writer.  Before typed relations every one of the 6 736 was normalized.
+PERIOD_ROWS_COPIED = 4_077
+PERIOD_ROWS_NORMALIZED = 2_659
+
+
+def test_a_period_copies_the_relations_typed_like_their_target():
+    """Rows read from tables reach ``Table.insert_many`` as relations
+    that declare their column types, and are stored by copy; generated,
+    XML and message rows are the boundary and are normalized."""
+    counts = {"normalize": 0, "copy_stored": 0}
+    originals = {name: vars(TableSchema)[name] for name in counts}
+
+    def counting(name):
+        compiled = originals[name]
+
+        def get(schema):
+            writer = compiled.__get__(schema, TableSchema)
+
+            def counted(row):
+                counts[name] += 1
+                return writer(row)
+
+            return counted
+
+        return property(get)
+
+    for name in counts:
+        setattr(TableSchema, name, counting(name))
+    try:
+        client = BenchmarkClient.from_spec(
+            RunSpec(engine="interpreter", datasize=0.05, periods=1, seed=5)
+        )
+        client.run_period(0)
+    finally:
+        for name, compiled in originals.items():
+            setattr(TableSchema, name, compiled)
+    assert counts == {
+        "normalize": PERIOD_ROWS_NORMALIZED,
+        "copy_stored": PERIOD_ROWS_COPIED,
+    }
 
 
 # ------------------------------------- a result set stays rows, counted

@@ -223,7 +223,7 @@ class Database:
         return row
 
     def insert_many(
-        self, table_name: str, rows: Iterable[Mapping[str, Any]]
+        self, table_name: str, rows: "Relation | Iterable[Mapping[str, Any]]"
     ) -> int:
         """Insert rows in order, firing the table's triggers after each.
 
@@ -235,7 +235,7 @@ class Database:
         if not triggers:
             return table.insert_many(rows)
         count = 0
-        for values in rows:
+        for values in rows.iter_narrow() if isinstance(rows, Relation) else rows:
             row = table.insert(values)
             for trigger in triggers:
                 trigger.fire(self, row)
@@ -275,7 +275,7 @@ class Database:
                     check = predicate.compile()
                     kept = [row for row in candidates if check(row) is True]
                     relation = Relation.from_trusted(
-                        table.schema.column_names, kept
+                        table.schema.column_names, kept, types=table.schema.exact_types
                     )
         if relation is None:
             relation = table.to_relation()

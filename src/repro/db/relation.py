@@ -26,6 +26,11 @@ consequences the operators track explicitly:
 * a relation produced by ``Table.to_relation`` remembers its source
   table (``_source``), which lets ``join`` probe the table's primary-key
   index instead of building a hash index per call.
+
+A relation read from tables declares ``types``, the exact Python type of
+each column's stored cells; an operator that only passes stored values
+on keeps it, one that makes values declares none (``Table.insert_many``
+stores a relation typed like its table by copy).
 """
 
 from __future__ import annotations
@@ -170,7 +175,7 @@ class Relation:
     ('x',)
     """
 
-    __slots__ = ("columns", "rows", "_wide", "_source")
+    __slots__ = ("columns", "rows", "types", "_wide", "_source")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Mapping[str, Any]]):
         self.columns: tuple[str, ...] = tuple(columns)
@@ -185,6 +190,7 @@ class Relation:
             materialized.append({name: row[name] for name in self.columns})
         fastpath.STATS.rows_copied += len(materialized)
         self.rows: list[Row] = materialized
+        self.types: tuple[type, ...] | None = None
         self._wide = False
         self._source: tuple[Any, int] | None = None
 
@@ -195,6 +201,7 @@ class Relation:
         rows: list[Row],
         wide: bool = False,
         source: tuple[Any, int] | None = None,
+        types: tuple[type, ...] | None = None,
     ) -> "Relation":
         """Wrap already-validated rows without copying them.
 
@@ -203,11 +210,12 @@ class Relation:
         each carry at least the declared ``columns``.  ``wide`` marks
         rows that may carry *more* keys than declared (``keep`` sharing);
         ``source`` links a table snapshot ``(table, generation)`` for
-        index-aware joins.
+        index-aware joins; ``types`` declares stored cells' exact types.
         """
         rel = cls.__new__(cls)
         rel.columns = tuple(columns)
         rel.rows = rows
+        rel.types = types
         rel._wide = wide
         rel._source = source
         fastpath.STATS.rows_shared += len(rows)
@@ -253,6 +261,13 @@ class Relation:
             return source[0]
         return None
 
+    def _types_of(self, names: Iterable[str]) -> tuple[type, ...] | None:
+        """The declared types of ``names``, or None if none are declared."""
+        if self.types is None:
+            return None
+        by_name = dict(zip(self.columns, self.types))
+        return tuple(by_name[name] for name in names)
+
     def _narrow_row(self, row: Row) -> Row:
         """One row as an exact-width dict (copy-on-write helper)."""
         return {name: row[name] for name in self.columns}
@@ -274,7 +289,7 @@ class Relation:
                 keep = [row for row in self.rows if fn(row) is True]
         else:
             keep = [row for row in self.rows if predicate(row)]
-        return Relation.from_trusted(self.columns, keep, wide=self._wide)
+        return Relation.from_trusted(self.columns, keep, wide=self._wide, types=self.types)
 
     def project(
         self,
@@ -308,14 +323,16 @@ class Relation:
                 new_row[out_name] = fn(row)
             out_rows.append(new_row)
         fastpath.STATS.rows_copied += len(out_rows)
-        return Relation.from_trusted(plan.columns, out_rows)
+        types = None if compiled else self._types_of(plan.inputs)
+        return Relation.from_trusted(plan.columns, out_rows, types=types)
 
     def keep(self, *names: str) -> "Relation":
         """Projection without renaming: keep the named columns."""
         self._require_columns(names)
         wide = self._wide or tuple(names) != self.columns
         return Relation.from_trusted(
-            names, self.rows, wide=wide, source=self._source
+            names, self.rows, wide=wide, source=self._source,
+            types=self._types_of(names),
         )
 
     def extend(self, name: str, expr: Expression | Callable[[Row], Any]) -> "Relation":
@@ -359,7 +376,7 @@ class Relation:
                 out.append(row)
         source = self._source if len(out) == len(self.rows) else None
         return Relation.from_trusted(
-            self.columns, out, wide=self._wide, source=source
+            self.columns, out, wide=self._wide, source=source, types=self.types
         )
 
     def union_all(self, other: "Relation") -> "Relation":
@@ -372,6 +389,7 @@ class Relation:
             self.columns,
             self.rows + other.rows,
             wide=self._wide or other._wide,
+            types=self.types if self.types == other.types else None,
         )
 
     def union_distinct(
@@ -412,6 +430,8 @@ class Relation:
             rename[name] = name + suffix if name in self.columns else name
 
         out_columns = self.columns + tuple(rename.values())
+        right_types = other._types_of(rename)
+        types = None if None in (self.types, right_types) else self.types + right_types
 
         table = other._live_table()
         probe = table._probe_for(tuple(right_keys)) if table is not None else None
@@ -425,7 +445,7 @@ class Relation:
             )
             if graced is not None:
                 fastpath.STATS.rows_copied += len(graced)
-                return Relation.from_trusted(out_columns, graced)
+                return Relation.from_trusted(out_columns, graced, types=types)
             # Only the probe side spilled: the right rows are in memory
             # already, so index them as usual and stream the left view
             # through the scalar probe loop below, one pinned partition
@@ -441,7 +461,7 @@ class Relation:
                 )
                 if batched is not None:
                     fastpath.STATS.rows_copied += len(batched)
-                    return Relation.from_trusted(out_columns, batched)
+                    return Relation.from_trusted(out_columns, batched, types=types)
             fastpath.STATS.hash_joins += 1
             index: dict[tuple, list[Row]] = {}
             for row in other.rows:
@@ -471,7 +491,7 @@ class Relation:
                     combined[out_name] = match[in_name]
                 out_rows.append(combined)
         fastpath.STATS.rows_copied += len(out_rows)
-        return Relation.from_trusted(out_columns, out_rows)
+        return Relation.from_trusted(out_columns, out_rows, types=types)
 
     def group_by(
         self,

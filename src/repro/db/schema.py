@@ -159,6 +159,33 @@ class TableSchema:
 
         return normalize
 
+    @cached_property
+    def exact_types(self) -> tuple[type, ...]:
+        """Per column, in order, the exact Python type of its stored cells."""
+        return tuple(EXACT_TYPE[c.sql_type] for c in self.columns)
+
+    @cached_property
+    def copy_stored(self) -> Callable[[dict[str, Any]], dict[str, Any]]:
+        """``copy_stored(row)``: :meth:`normalize` of a row of stored cells.
+
+        Only for rows keyed by :attr:`column_names` in order whose cells
+        were stored under columns of the same :attr:`exact_types`, which
+        ``normalize`` returns unchanged: an exact-typed cell as it is, any
+        other stored cell being a ``str``/``Decimal``/``date``/``datetime``
+        subclass that :func:`coerce_value` returns as it is (stored ints,
+        floats and bools are exact).  Left: NOT NULL, same text and order.
+        """
+        table = self.name
+        required = tuple(c.name for c in self.columns if not c.nullable)
+
+        def copy_stored(row: dict[str, Any]) -> dict[str, Any]:
+            for name in required:
+                if row[name] is None:
+                    raise IntegrityError(f"table {table}: column {name} is NOT NULL")
+            return row.copy()
+
+        return copy_stored
+
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.sql_type}" for c in self.columns)
         return f"TableSchema({self.name}: {cols})"

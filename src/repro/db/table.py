@@ -170,7 +170,7 @@ class Table:
         return self._append(row, key)
 
     def insert_many(
-        self, rows: Iterable[Mapping[str, Any]], replace: bool = False
+        self, rows: "Relation | Iterable[Mapping[str, Any]]", replace: bool = False
     ) -> int:
         """Bulk insert — or, with ``replace``, bulk upsert; returns the
         number of rows written.
@@ -181,9 +181,19 @@ class Table:
         record and one ``rows_written`` step per row;
         a failing row leaves its predecessors stored.  Only what cannot
         change during the batch is looked up once.
+
+        A narrow relation of this schema's columns and ``exact_types`` is
+        stored by :meth:`TableSchema.copy_stored`, which says why.
         """
+        schema = self.schema
         name, listener = self.name, self.listener
-        normalize, pk_of = self.schema.normalize, self.schema.pk_of
+        normalize, pk_of = schema.normalize, schema.pk_of
+        if isinstance(rows, Relation):
+            if (rows.columns, rows.types, rows._wide) == (
+                schema.column_names, schema.exact_types, False
+            ):
+                normalize = schema.copy_stored
+            rows = rows.iter_narrow()
         pk_index, store = self._pk_index, self._rows
         append = store.append
         keyless_upsert = replace and pk_index is None
@@ -467,6 +477,7 @@ class Table:
             self.schema.column_names,
             rows,
             source=(self, self._generation),
+            types=self.schema.exact_types,
         )
 
     # -- index probing ---------------------------------------------------------------

@@ -58,9 +58,11 @@ class Message:
         if isinstance(payload, XmlElement):
             payload = payload.copy()
         elif isinstance(payload, Relation):
-            # to_dicts() materializes exact-width row copies, so the new
-            # relation can adopt them without re-validation.
-            payload = Relation.from_trusted(payload.columns, payload.to_dicts())
+            # to_dicts() materializes exact-width copies of the same
+            # values, so the new relation adopts them and their types.
+            payload = Relation.from_trusted(
+                payload.columns, payload.to_dicts(), types=payload.types
+            )
         return Message(payload, self.message_type, headers=dict(self.headers))
 
 

@@ -504,7 +504,7 @@ class ValidateRows(Operator):
         if violations:
             context.validation_failures.append(violations)
         result = Relation.from_trusted(
-            relation.columns, good_rows, wide=relation._wide
+            relation.columns, good_rows, wide=relation._wide, types=relation.types
         )
         context.set(self.output, Message(result))
 

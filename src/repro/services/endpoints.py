@@ -152,10 +152,8 @@ class DatabaseService(ServiceEndpoint):
         spec = request.body
         table = self.database.table(spec["table"])
         mode = spec.get("mode", "insert")
+        # A relation goes whole to the table, which narrows or copies it.
         rows = spec["rows"]
-        # iter_narrow() projects away any extra keys a zero-copy wide
-        # relation may physically carry before rows reach table storage.
-        rows = rows.iter_narrow() if isinstance(rows, Relation) else rows
         if mode == "insert":
             count = self.database.insert_many(spec["table"], rows)
         elif mode == "upsert":

@@ -12,7 +12,11 @@ upsert (``insert_many(rows, replace=True)``) is held to a row-by-row
 loop over the seed's ``upsert``, which is what the endpoints and the
 Initializer ran before it.  ``Table.delete(predicate)`` is held to the
 two-scan body it had before it collected removed positions and
-survivors in one walk.
+survivors in one walk.  A relation typed like its target table
+(``Relation.types`` equal to ``TableSchema.exact_types``) is stored by
+copy instead of through ``normalize``; ``insert_many`` of such relations,
+built from tables through the operators that keep their types, is held
+to the seed normalizing the same rows one by one.
 """
 
 import datetime
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.db import Column, Database, TableSchema, col, lit
 from repro.db.expressions import Expression
+from repro.db.relation import Relation
 from repro.db.table import Table
 from repro.db.types import EXACT_TYPE, coerce_value, validate_type_name
 from repro.errors import IntegrityError, SchemaError
@@ -490,3 +495,250 @@ class TestDmlSequencesMatchSeed:
                              table.rows_written, table._generation))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][:2] == ("table log: upsert needs a primary key", ["a"])
+
+
+# ------------------------------------------ typed relations: the copy path
+#
+# A relation read from tables declares its column types, and
+# ``Table.insert_many`` stores one typed like its target by copying each
+# row after the NOT NULL check.  Held to the seed row by row: the seed
+# normalizes ``iter_narrow()`` rows one ``insert``/``upsert`` at a time.
+
+SRC = TableSchema(
+    "src",
+    [
+        Column("k", "INTEGER", nullable=False),
+        Column("name", "VARCHAR"),
+        Column("amt", "DOUBLE"),
+        Column("day", "DATE"),
+    ],
+    primary_key=("k",),
+)
+TAGS = TableSchema(
+    "tags",
+    [Column("tk", "BIGINT", nullable=False), Column("tag", "VARCHAR")],
+    primary_key=("tk",),
+)
+
+
+def typed_targets():
+    """Fresh target schemas (their per-row writers get spied on), each
+    with the path a non-wide relation of its columns must take."""
+    def schema(name, types, nullable_name=True, key=("k",), extra=()):
+        k, name_type, amt, day = types
+        return TableSchema(
+            name,
+            [
+                Column("k", k, nullable=False),
+                Column("name", name_type, nullable=nullable_name),
+                Column("amt", amt),
+                Column("day", day),
+                *extra,
+            ],
+            primary_key=key,
+        )
+
+    return {
+        # INTEGER -> BIGINT, VARCHAR -> CHAR, nullable -> NOT NULL.
+        "bigint_char": (schema("bigint_char", ("BIGINT", "CHAR", "DOUBLE", "DATE"),
+                               nullable_name=False), "copy_stored"),
+        "int_clob": (schema("int_clob", ("INTEGER", "CLOB", "DOUBLE", "DATE")), "copy_stored"),
+        "keyless": (schema("keyless", ("INTEGER", "VARCHAR", "DOUBLE", "DATE"),
+                           key=()), "copy_stored"),
+        # DOUBLE -> DECIMAL: same names, another exact type.
+        "decimal": (schema("decimal", ("INTEGER", "VARCHAR", "DECIMAL", "DATE")),
+                    "normalize"),
+        "joined": (schema("joined", ("BIGINT", "VARCHAR", "DOUBLE", "DATE"),
+                          extra=(Column("tag", "CLOB", nullable=False),)), "copy_stored"),
+    }
+
+
+def spy(schema, calls):
+    """Count the rows ``schema``'s two per-row writers are handed."""
+    for attr in ("normalize", "copy_stored"):
+        writer = getattr(schema, attr)
+
+        def counted(row, writer=writer, attr=attr):
+            calls[attr] += 1
+            return writer(row)
+
+        vars(schema)[attr] = counted
+
+
+class TypedLandscape(Landscape):
+    """Source tables (filled through ``normalize``) and one target."""
+
+    def __init__(self, table_class, budget, target, source_rows, tag_rows,
+                 prefill):
+        self.db = Database("d")
+        if budget is not None:
+            self.db.set_memory_budget(budget, partition_rows=2)
+        self.records, self.fired = [], []
+        for schema in (SRC, TAGS, target):
+            self.db.create_table(schema)
+        self.db.table(target.name).__class__ = table_class
+        for values in source_rows:
+            self.db.table("src").upsert(values)
+        for values in tag_rows:
+            self.db.table("tags").upsert(values)
+        self.target = self.db.table(target.name)
+        self.apply_rows(prefill, replace=True, bulk=False)
+        self.db.set_change_listener(
+            lambda table, op, payload: self.records.append(
+                (table, op, tuple(dict(p) if isinstance(p, dict) else p
+                                  for p in payload))
+            )
+        )
+
+    def relation(self, steps, final):
+        rel = self.db.query("src")
+        for step in steps:
+            if step == "select":
+                rel = rel.select(col("k") > lit(1))
+            elif step == "select_callable":
+                rel = rel.select(lambda row: row["k"] % 2 == 0)
+            elif step == "select_none":
+                rel = rel.select(col("name") == lit(None))
+            elif step == "pushdown":
+                rel = rel.union_all(self.db.query("src", col("k") == lit(3)))
+            elif step == "distinct":
+                rel = rel.distinct(("k",))
+            elif step == "keep":
+                rel = rel.keep(*SRC.column_names)
+            elif step == "union_self":
+                rel = rel.union_all(rel)  # duplicate keys mid-batch
+            elif step == "project":
+                rel = rel.project({c: c for c in SRC.column_names})
+        if final == "join":
+            return rel.join(self.db.query("tags"), [("k", "tk")])
+        if final == "wide":
+            joined = rel.join(self.db.query("tags"), [("k", "tk")])
+            return joined.keep(*SRC.column_names)
+        return rel
+
+    def apply_rows(self, rows, replace, bulk):
+        try:
+            if bulk:
+                return self.target.insert_many(rows, replace=replace)
+            if isinstance(rows, Relation):
+                rows = rows.iter_narrow()
+            count = 0
+            for values in rows:
+                (self.target.upsert if replace else self.target.insert)(values)
+                count += 1
+            return count
+        except Exception as exc:  # compared, not handled
+            return (type(exc), str(exc))
+
+
+src_row = st.fixed_dictionaries(
+    {
+        "k": st.sampled_from([0, 1, 2, 3, 4, 5, "6", MyInt(7)]),
+        "name": st.sampled_from(["a", "", "12", MyStr("sub"), None]),
+        "amt": st.sampled_from([None, 1.5, -0.0, 2, "3.25"]),
+        "day": st.sampled_from([
+            None, datetime.date(2021, 3, 4), MyDate(2022, 2, 2), "2020-01-02",
+            datetime.datetime(2021, 3, 4, 5, 6, 7),
+        ]),
+    }
+)
+tag_row = st.fixed_dictionaries(
+    {
+        "tk": st.integers(min_value=0, max_value=7),
+        "tag": st.sampled_from(["x", MyStr("y"), None]),
+    }
+)
+CHAIN_STEPS = ("select", "select_callable", "select_none", "pushdown",
+               "distinct", "keep", "union_self", "project")
+
+
+@pytest.mark.parametrize("budget", [None, 4], ids=["resident", "budgeted"])
+class TestTypedRelationsMatchSeed:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source_rows=st.lists(src_row, max_size=8),
+        tag_rows=st.lists(tag_row, max_size=6),
+        prefill=st.lists(src_row, max_size=3),
+        steps=st.lists(st.sampled_from(CHAIN_STEPS), max_size=4),
+        final=st.sampled_from(["as_is", "join", "wide"]),
+        target_name=st.sampled_from(
+            ["bigint_char", "int_clob", "keyless", "decimal"]
+        ),
+        replace=st.booleans(),
+    )
+    def test_insert_many_of_a_typed_relation_matches_the_seed(
+        self, budget, source_rows, tag_rows, prefill, steps, final,
+        target_name, replace,
+    ):
+        targets = typed_targets()
+        if final == "join":
+            target_name = "joined"
+            prefill = [dict(row, tag="p") for row in prefill]
+        target, path = targets[target_name]
+        if final == "wide":
+            path = "normalize"
+        calls = {"normalize": 0, "copy_stored": 0}
+        spy(target, calls)
+        new = TypedLandscape(Table, budget, target, source_rows, tag_rows, prefill)
+        seed = TypedLandscape(SeedTable, budget, target, source_rows, tag_rows,
+                              prefill)
+        calls.update(normalize=0, copy_stored=0)
+        assert new.state() == seed.state()
+
+        new_rel, seed_rel = new.relation(steps, final), seed.relation(steps, final)
+        assert new_rel.types is not None
+        result = new.apply_rows(new_rel, replace, bulk=True)
+        assert result == seed.apply_rows(seed_rel, replace, bulk=False)
+        assert new.state() == seed.state()
+        unused = "normalize" if path == "copy_stored" else "copy_stored"
+        assert calls[unused] == 0, (path, calls)
+        if isinstance(result, int):
+            assert calls[path] == result == len(new_rel)
+
+    def test_copied_rows_keep_their_stored_objects_and_subclasses(self, budget):
+        (target, _), calls = typed_targets()["int_clob"], {
+            "normalize": 0, "copy_stored": 0}
+        spy(target, calls)
+        rows = [{"k": 1, "name": MyStr("sub"), "amt": 1.5,
+                 "day": MyDate(2022, 2, 2)}]
+        land = TypedLandscape(Table, budget, target, rows, [], [])
+        assert land.apply_rows(land.db.query("src"), False, bulk=True) == 1
+        (stored,) = list(land.target)
+        (source,) = list(land.db.table("src"))
+        assert stored == source and stored is not source
+        assert all(stored[c] is source[c] for c in SRC.column_names)
+        assert (type(stored["name"]), type(stored["day"])) == (MyStr, MyDate)
+        assert calls == {"normalize": 0, "copy_stored": 1}
+
+    def test_a_null_into_not_null_and_a_duplicate_leave_predecessors(
+        self, budget
+    ):
+        rows = [
+            {"k": 1, "name": "a"},
+            {"k": 2, "name": None},
+            {"k": 3, "name": "c"},
+        ]
+        for steps, error in (
+            ((), (IntegrityError, "table bigint_char: column name is NOT NULL")),
+            (("select", "union_self"),
+             (IntegrityError, "table bigint_char: duplicate primary key (2,)")),
+        ):
+            target, _ = typed_targets()["bigint_char"]
+            sides = [TypedLandscape(cls, budget, target, rows, [], [])
+                     for cls in (Table, SeedTable)]
+            if steps:
+                for side in sides:
+                    side.db.table("src").update({"name": "b"}, col("k") == lit(2))
+            new_rel, seed_rel = (side.relation(steps, "as_is") for side in sides)
+            assert sides[0].apply_rows(new_rel, False, bulk=True) == error
+            assert sides[1].apply_rows(seed_rel, False, bulk=False) == error
+            assert sides[0].state() == sides[1].state()
+            assert len(sides[0].target) == (1 if not steps else 2)
+
+    def test_an_empty_relation_writes_nothing(self, budget):
+        for name in ("bigint_char", "keyless"):
+            target, _ = typed_targets()[name]
+            land = TypedLandscape(Table, budget, target, [], [], [])
+            for replace in (False, True):
+                assert land.apply_rows(land.db.query("src"), replace, bulk=True) == 0
+            assert land.records == [] and land.target.rows_written == 0
