@@ -91,14 +91,6 @@ def run_cached(
     return _RUN_CACHE[spec]
 
 
-def src_lines() -> int:
-    """Lines of ``src/repro/**/*.py`` — the ledger's ``src_loc`` figure."""
-    src = pathlib.Path(__file__).parent.parent / "src" / "repro"
-    return sum(
-        len(path.read_text("utf-8").splitlines()) for path in src.rglob("*.py")
-    )
-
-
 def write_artifact(name: str, content: str) -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / name

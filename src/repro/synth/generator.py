@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.datagen.distributions import Distribution, make_distribution
 from repro.db.database import Database
@@ -52,7 +53,6 @@ from repro.services.network import Link, Network
 from repro.services.registry import ServiceRegistry
 from repro.synth.feed import LSN_COLUMN, ChangeFeed, ChangeFeedService
 from repro.synth.schema import (
-    CANONICAL_COLUMNS,
     CANONICAL_TYPES,
     ORDER_STATUS,
     SEGMENTS,
@@ -74,9 +74,8 @@ _STREETS = (
     "Maple Drive", "Pine Court", "Willow Way", "Aspen Place",
 )
 
-_CUSTOMER_COLS = [name for name, _, _ in CANONICAL_COLUMNS["customer"]]
-_ORDER_COLS = [name for name, _, _ in CANONICAL_COLUMNS["orders"]]
-_TXN_COLS = [name for name, _, _ in CANONICAL_COLUMNS["txn"]]
+#: Canonical entity → its column names, in order.
+_COLS = {entity: list(types) for entity, types in CANONICAL_TYPES.items()}
 
 
 def _sub_seed(seed: int, *tags) -> int:
@@ -119,9 +118,33 @@ class PeriodPlan:
         return sum(
             len(rows)
             for rnd in self.rounds
-            for per_source in (rnd.orders, rnd.txns, rnd.cust_updates)
-            for rows in per_source.values()
+            for feed in _FEEDS
+            for rows in getattr(rnd, feed.kind).values()
         )
+
+
+class _Feed(NamedTuple):
+    """One E1 family's message feed into every source."""
+
+    family: str
+    prefix: str  # process id prefix, completed by the source index
+    entity: str  # the canonical entity the feed writes
+    kind: str  # the RoundPlan field holding its messages
+    mode: str  # the insert mode of its write
+    stem: str  # description: "synth <stem> into source <i>"
+    message_type: str
+
+
+#: The E1 feeds in scheduling order: the feed processes and the stream
+#: catalog are both built from this table.
+_FEEDS = (
+    _Feed("pipeline", "SYU", "orders", "orders", "upsert", "order feed",
+          "SynthOrder"),
+    _Feed("cdc", "SYT", "txn", "txns", "insert", "transaction feed",
+          "SynthTxn"),
+    _Feed("scd", "SYM", "customer", "cust_updates", "upsert",
+          "master-data update", "SynthCustomer"),
+)
 
 
 def build_period_plan(spec: SynthSpec, f: int, period: int) -> PeriodPlan:
@@ -448,15 +471,15 @@ class SynthWorkload:
     # -- E1 message building ----------------------------------------------------
 
     def order_message(self, row: dict) -> Message:
-        document = rows_to_resultset(_ORDER_COLS, [row], table="orders")
+        document = rows_to_resultset(_COLS["orders"], [row], table="orders")
         return Message(document, message_type="SynthOrder")
 
     def txn_message(self, row: dict) -> Message:
-        document = rows_to_resultset(_TXN_COLS, [row], table="txn")
+        document = rows_to_resultset(_COLS["txn"], [row], table="txn")
         return Message(document, message_type="SynthTxn")
 
     def customer_message(self, row: dict) -> Message:
-        document = rows_to_resultset(_CUSTOMER_COLS, [row], table="customer")
+        document = rows_to_resultset(_COLS["customer"], [row], table="customer")
         return Message(document, message_type="SynthCustomer")
 
     # -- stream catalog ---------------------------------------------------------
@@ -464,16 +487,12 @@ class SynthWorkload:
     def e1_streams(self) -> list[tuple[str, int, str]]:
         """(process id, source index, kind) of every E1 stream, in the
         fixed scheduling order."""
-        streams: list[tuple[str, int, str]] = []
-        if "pipeline" in self.spec.families:
-            streams += [(f"SYU{i}", i, "orders") for i in range(self.spec.sources)]
-        if "cdc" in self.spec.families:
-            streams += [(f"SYT{i}", i, "txns") for i in range(self.spec.sources)]
-        if "scd" in self.spec.families:
-            streams += [
-                (f"SYM{i}", i, "cust_updates") for i in range(self.spec.sources)
-            ]
-        return streams
+        return [
+            (f"{feed.prefix}{i}", i, feed.kind)
+            for feed in _FEEDS
+            if feed.family in self.spec.families
+            for i in range(self.spec.sources)
+        ]
 
     def e2_processes(self) -> list[str]:
         """Dependent process ids in their serialized execution order."""
@@ -601,6 +620,22 @@ def _to_canonical(mapping: dict[str, str], canonical_cols: list[str]) -> dict:
     return {name: mapping[name] for name in canonical_cols}
 
 
+def _gather(
+    matched: list[SourceDialect], members: list[int] | range, entity: str
+) -> tuple[list, list[str]]:
+    """Query each member source's ``entity`` table and project it to
+    canonical columns: the steps, and their outputs in member order."""
+    steps: list = []
+    for i in members:
+        m = matched[i]
+        steps += [
+            Invoke(f"src{i}", query_request(m.table(entity)), output=f"q{i}"),
+            Projection(f"q{i}", f"c{i}",
+                       _to_canonical(m.columns(entity), _COLS[entity])),
+        ]
+    return steps, [f"c{i}" for i in members]
+
+
 def _transform_stages(
     spec: SynthSpec, in_var: str, tag: str
 ) -> tuple[list, str]:
@@ -626,7 +661,7 @@ def _transform_stages(
                     f"{out}_x",
                     out,
                     "xml_to_relation",
-                    columns=_ORDER_COLS,
+                    columns=_COLS["orders"],
                     types=CANONICAL_TYPES["orders"],
                 )
             )
@@ -635,7 +670,7 @@ def _transform_stages(
                 Selection(var, out, col("amount") > lit(0.0))
             )
         else:
-            projection = {name: name for name in _ORDER_COLS}
+            projection = {name: name for name in _COLS["orders"]}
             projection["amount"] = col("amount") + lit(0.0)
             steps.append(Projection(var, out, projection))
         var = out
@@ -654,161 +689,53 @@ def _build_processes(
 
     # E1 feeds, one per source per enabled family.
     for i, m in enumerate(matched):
-        if "pipeline" in spec.families:
-            add(
-                ProcessType(
-                    f"SYU{i}",
-                    ProcessGroup.A,
-                    f"synth order feed into source {i}",
-                    EventType.E1_MESSAGE,
-                    Sequence(
-                        [
-                            Receive("msg", expected_type="SynthOrder"),
-                            Convert(
-                                "msg",
-                                "rows",
-                                "xml_to_relation",
-                                columns=_ORDER_COLS,
-                                types=CANONICAL_TYPES["orders"],
-                            ),
-                            ValidateRows(
-                                "rows",
-                                checks={
-                                    "amount_positive": col("amount") > lit(0.0)
-                                },
-                                output="valid",
-                                filter_invalid=True,
-                            ),
-                            Projection(
-                                "valid",
-                                "out_rows",
-                                _to_dialect(m.columns("orders"), _ORDER_COLS),
-                            ),
-                            Invoke(
-                                f"src{i}",
-                                insert_request(
-                                    m.table("orders"), "out_rows", mode="upsert"
-                                ),
-                                output="ack",
-                            ),
-                        ]
-                    ),
-                )
-            )
-        if "cdc" in spec.families:
-            add(
-                ProcessType(
-                    f"SYT{i}",
-                    ProcessGroup.A,
-                    f"synth transaction feed into source {i}",
-                    EventType.E1_MESSAGE,
-                    Sequence(
-                        [
-                            Receive("msg", expected_type="SynthTxn"),
-                            Convert(
-                                "msg",
-                                "rows",
-                                "xml_to_relation",
-                                columns=_TXN_COLS,
-                                types=CANONICAL_TYPES["txn"],
-                            ),
-                            Projection(
-                                "rows",
-                                "out_rows",
-                                _to_dialect(m.columns("txn"), _TXN_COLS),
-                            ),
-                            Invoke(
-                                f"src{i}",
-                                insert_request(
-                                    m.table("txn"), "out_rows", mode="insert"
-                                ),
-                                output="ack",
-                            ),
-                        ]
-                    ),
-                )
-            )
-        if "scd" in spec.families:
-            add(
-                ProcessType(
-                    f"SYM{i}",
-                    ProcessGroup.A,
-                    f"synth master-data update into source {i}",
-                    EventType.E1_MESSAGE,
-                    Sequence(
-                        [
-                            Receive("msg", expected_type="SynthCustomer"),
-                            Convert(
-                                "msg",
-                                "rows",
-                                "xml_to_relation",
-                                columns=_CUSTOMER_COLS,
-                                types=CANONICAL_TYPES["customer"],
-                            ),
-                            Projection(
-                                "rows",
-                                "out_rows",
-                                _to_dialect(
-                                    m.columns("customer"), _CUSTOMER_COLS
-                                ),
-                            ),
-                            Invoke(
-                                f"src{i}",
-                                insert_request(
-                                    m.table("customer"),
-                                    "out_rows",
-                                    mode="upsert",
-                                ),
-                                output="ack",
-                            ),
-                        ]
-                    ),
-                )
-            )
+        for feed in _FEEDS:
+            if feed.family not in spec.families:
+                continue
+            columns = _COLS[feed.entity]
+            steps = [
+                Receive("msg", expected_type=feed.message_type),
+                Convert("msg", "rows", "xml_to_relation", columns=columns,
+                        types=CANONICAL_TYPES[feed.entity]),
+            ]
+            rows = "rows"
+            if feed.family == "pipeline":
+                # One check object per process, never shared: a deploy
+                # compiles each distinct expression object, and tests pin
+                # those counts.
+                steps.append(ValidateRows(
+                    "rows", checks={"amount_positive": col("amount") > lit(0.0)},
+                    output="valid", filter_invalid=True,
+                ))
+                rows = "valid"
+            steps += [
+                Projection(rows, "out_rows",
+                           _to_dialect(m.columns(feed.entity), columns)),
+                Invoke(f"src{i}", insert_request(
+                    m.table(feed.entity), "out_rows", mode=feed.mode
+                ), output="ack"),
+            ]
+            add(ProcessType(
+                f"{feed.prefix}{i}", ProcessGroup.A,
+                f"synth {feed.stem} into source {i}",
+                EventType.E1_MESSAGE, Sequence(steps),
+            ))
 
     # Pipeline consolidations: one DAG per source group.
     if "pipeline" in spec.families:
         for g, members in enumerate(groups):
-            steps: list = []
-            inputs: list[str] = []
-            for i in members:
-                m = matched[i]
-                steps.append(
-                    Invoke(
-                        f"src{i}",
-                        query_request(m.table("orders")),
-                        output=f"q{i}",
-                    )
-                )
-                steps.append(
-                    Projection(
-                        f"q{i}",
-                        f"c{i}",
-                        _to_canonical(m.columns("orders"), _ORDER_COLS),
-                    )
-                )
-                inputs.append(f"c{i}")
-            steps.append(
-                Union(inputs, "merged", distinct_key=("orderkey",))
-            )
+            steps, inputs = _gather(matched, members, "orders")
+            steps.append(Union(inputs, "merged", distinct_key=("orderkey",)))
             stages, final_var = _transform_stages(spec, "merged", f"p{g}")
-            steps.extend(stages)
-            steps.append(
-                Invoke(
-                    HUB_DB,
-                    insert_request("orders_hub", final_var, mode="upsert"),
-                    output="ack",
-                )
-            )
-            add(
-                ProcessType(
-                    f"SYP{g}",
-                    ProcessGroup.B,
-                    f"synth consolidation of sources {members}",
-                    EventType.E2_SCHEDULE,
-                    Sequence(steps),
-                )
-            )
+            steps += stages
+            steps.append(Invoke(HUB_DB, insert_request(
+                "orders_hub", final_var, mode="upsert"
+            ), output="ack"))
+            add(ProcessType(
+                f"SYP{g}", ProcessGroup.B,
+                f"synth consolidation of sources {members}",
+                EventType.E2_SCHEDULE, Sequence(steps),
+            ))
 
     # CDC replication pulls, one per source.
     if "cdc" in spec.families:
@@ -827,7 +754,7 @@ def _build_processes(
                             Projection(
                                 "changes",
                                 "canon",
-                                _to_canonical(m.columns("txn"), _TXN_COLS),
+                                _to_canonical(m.columns("txn"), _COLS["txn"]),
                             ),
                             Invoke(
                                 REPLICA_DB,
@@ -848,68 +775,22 @@ def _build_processes(
 
     # SCD dimension maintenance: one global apply over all sources.
     if "scd" in spec.families:
-        steps = []
-        inputs = []
-        for i, m in enumerate(matched):
-            steps.append(
-                Invoke(
-                    f"src{i}",
-                    query_request(m.table("customer")),
-                    output=f"q{i}",
-                )
-            )
-            steps.append(
-                Projection(
-                    f"q{i}",
-                    f"c{i}",
-                    _to_canonical(m.columns("customer"), _CUSTOMER_COLS),
-                )
-            )
-            inputs.append(f"c{i}")
+        steps, inputs = _gather(matched, range(spec.sources), "customer")
         steps += [
             Union(inputs, "allcust", distinct_key=("custkey",)),
             Selection("allcust", "clean", col("name") != lit("")),
-            Invoke(
-                HUB_DB,
-                insert_request("scd_staging", "clean", mode="upsert"),
-                output="staged",
-            ),
-            Invoke(
-                HUB_DB,
-                execute_request("sp_scd_apply"),
-                output="applied",
-            ),
+            Invoke(HUB_DB, insert_request("scd_staging", "clean", mode="upsert"),
+                   output="staged"),
+            Invoke(HUB_DB, execute_request("sp_scd_apply"), output="applied"),
         ]
-        add(
-            ProcessType(
-                "SYS",
-                ProcessGroup.C,
-                "synth type-1/type-2 dimension maintenance",
-                EventType.E2_SCHEDULE,
-                Sequence(steps),
-            )
-        )
+        add(ProcessType(
+            "SYS", ProcessGroup.C, "synth type-1/type-2 dimension maintenance",
+            EventType.E2_SCHEDULE, Sequence(steps),
+        ))
 
     # Dirty-data dedup / entity matching into the golden table.
     if "dirty" in spec.families:
-        steps = []
-        inputs = []
-        for i, m in enumerate(matched):
-            steps.append(
-                Invoke(
-                    f"src{i}",
-                    query_request(m.table("customer")),
-                    output=f"q{i}",
-                )
-            )
-            steps.append(
-                Projection(
-                    f"q{i}",
-                    f"c{i}",
-                    _to_canonical(m.columns("customer"), _CUSTOMER_COLS),
-                )
-            )
-            inputs.append(f"c{i}")
+        steps, inputs = _gather(matched, range(spec.sources), "customer")
         steps += [
             Union(inputs, "allc", distinct_key=None),
             Selection("allc", "cleanc", col("name") != lit("")),
@@ -917,19 +798,13 @@ def _build_processes(
             # blocking key — first occurrence wins, recovering exactly
             # one golden record per real-world entity.
             Union(["cleanc"], "golden", distinct_key=("address", "phone")),
-            Invoke(
-                HUB_DB,
-                insert_request("golden_customer", "golden", mode="upsert"),
-                output="ack",
-            ),
+            Invoke(HUB_DB, insert_request(
+                "golden_customer", "golden", mode="upsert"
+            ), output="ack"),
         ]
-        add(
-            ProcessType(
-                "SYD",
-                ProcessGroup.C,
-                "synth dedup/entity matching into the golden table",
-                EventType.E2_SCHEDULE,
-                Sequence(steps),
-            )
-        )
+        add(ProcessType(
+            "SYD", ProcessGroup.C,
+            "synth dedup/entity matching into the golden table",
+            EventType.E2_SCHEDULE, Sequence(steps),
+        ))
     return processes

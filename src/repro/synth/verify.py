@@ -23,8 +23,6 @@ from __future__ import annotations
 from repro.synth.generator import PeriodPlan, SynthWorkload
 from repro.toolsuite.verification import VerificationReport
 
-_ENTITY_OF_FAMILY = {"pipeline": "orders", "cdc": "txn", "scd": "customer"}
-
 
 def _read_canonical(workload: SynthWorkload, i: int, entity: str) -> list[dict]:
     """A source table's rows mapped back to canonical columns."""

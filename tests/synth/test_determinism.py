@@ -9,6 +9,7 @@ a different scenario.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,8 @@ from repro.synth import (
     manifest_to_json,
     synthesize,
 )
+from repro.synth.runner import SynthClient
+from tests.scenario.test_resident_definitions import structure
 
 #: A deterministic sample of the knob space, covering every family and
 #: every transform mix at least once.
@@ -179,6 +182,49 @@ class TestManifestDeterminism:
         assert set(manifest["databases"]) == set(
             workload.scenario.databases
         )
+
+
+# ---------------------------------------------------------------------------
+# synthesized definitions: pinned content and expression sharing
+# ---------------------------------------------------------------------------
+
+#: knob string → (digest of every process's id, description and
+#: structure in insertion order, ``expr_compiled`` of one deploy), at
+#: seed 7 and f=1.  A deploy compiles each distinct expression *object*
+#: once, so the count pins which steps share an expression.
+PINNED_DEFINITIONS = {
+    "sources=5,fan_out=2,depth=3,families=pipeline+cdc+scd+dirty,"
+    "transform_mix=xml": (
+        "7adbbbafe9627068f56d2aa59c62b603206bc8f0f98a777ecd167c812d1c6ab0", 21,
+    ),
+    "families=cdc+scd": (
+        "0e6659560188dadbb107beaba0086642f92d33934ba4fed5c516531df0bc35af", 3,
+    ),
+    "families=dirty": (
+        "832f7d9680a4e734cd0d5ca7e91e3ce861ad84367a2b10599a940fcc02ffb284", 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("knobs", PINNED_DEFINITIONS)
+def test_synthesized_definitions_are_pinned(knobs):
+    from repro.db import fastpath
+
+    digest, compiled = PINNED_DEFINITIONS[knobs]
+    workload = synthesize(SynthSpec.parse(knobs).resolve(7), f=1)
+    h = hashlib.sha256()
+    for pid, process in workload.processes.items():
+        h.update(json.dumps(
+            [pid, process.description, structure(process)]
+        ).encode())
+    assert h.hexdigest() == digest
+    client = SynthClient.from_spec(RunSpec(
+        engine="interpreter", datasize=0.02, periods=1, seed=7,
+        distribution=1, synth=knobs,
+    ))
+    before = fastpath.STATS.copy()
+    client._phase_pre()
+    assert (fastpath.STATS - before).expr_compiled == compiled
 
 
 # ---------------------------------------------------------------------------
