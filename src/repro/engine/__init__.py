@@ -1,9 +1,13 @@
 """Integration engines: the systems under test.
 
-Two engines execute the platform-independent MTM process definitions:
+Four engines execute the platform-independent MTM process definitions
+through one instance body (:meth:`IntegrationEngine._execute_instance`)
+and differ by price list and trigger:
 
 * :class:`MtmInterpreterEngine` — a dedicated integration system that
-  interprets operator trees directly (think EAI server / ETL tool),
+  interprets operator trees directly,
+* :class:`EaiEngine` and :class:`EtlEngine` — the same interpreter with
+  an EAI server's and a batch ETL tool's prices,
 * :class:`FederatedEngine` — the paper's reference realization on a
   federated DBMS (Section VI, Fig. 9): event-type-E1 processes become a
   queue table plus an AFTER INSERT trigger, event-type-E2 processes become
@@ -12,8 +16,8 @@ Two engines execute the platform-independent MTM process definitions:
   "proprietary XML functionalities … are apparently not included in the
   optimizer".
 
-Both engines run in virtual time: per-instance costs are assembled from
-the three categories of the paper's cost model — communication C_c,
+All run in virtual time: per-instance costs are assembled from the
+three categories of the paper's cost model — communication C_c,
 management C_m and processing C_p — and instances queue for a bounded
 worker pool, which is where the schedule-pressure effects of the time
 scale factor come from.

@@ -313,10 +313,12 @@ def _compile_anew(cached: Any, expression: Expression) -> None:
 
 
 class IntegrationEngine:
-    """Base engine: deployment, the worker queue, instance bookkeeping.
+    """Base engine: deployment, the worker queue, the instance body.
 
-    Subclasses implement :meth:`_execute_instance` which runs the process
-    logic and returns (costs, operators_executed, validation_failures).
+    An engine is a name, a price list (:attr:`cost_parameters`,
+    :attr:`parallel_efficiency`) and, where the system triggers a process
+    its own way, :meth:`_run_process`; :meth:`_execute_instance` runs
+    and prices every instance the same way on each of them.
     """
 
     #: Human-readable engine kind for plots/reports.
@@ -344,7 +346,7 @@ class IntegrationEngine:
         #: to resolve, hence not validated yet (see :meth:`deploy`).
         self._unvalidated: dict[str, ProcessType] = {}
         #: Expressions this deployment has compiled (definitions share
-        #: some: see :meth:`_warm_plan_cache`).
+        #: some: see :meth:`deploy`).
         self._compiled: set[Expression] = set()
         self._next_instance_id = 1
         #: Completion times of busy workers (virtual-time worker pool).
@@ -358,8 +360,8 @@ class IntegrationEngine:
         #: self-management effect bounded).
         self.management_queue_cap = 16
         self.records = InstanceHistory()
-        #: Execution profile of the most recent ``_execute_instance``,
-        #: captured by subclasses via :meth:`_capture_profile`.
+        #: Execution profile of the most recent ``_execute_instance``
+        #: when observing (None otherwise).
         self._last_profile: ExecutionProfile | None = None
         #: Retry/backoff + fault-injection context (attached by the
         #: BenchmarkClient, like observability); None = fail-fast, the
@@ -404,41 +406,20 @@ class IntegrationEngine:
             "engine_operators_total", help="Leaf operators executed"
         )
 
-    def _enable_profiling(self, context: ExecutionContext) -> None:
-        """Arm the context's operator/network logs when observing."""
-        obs = self._observability
-        if obs.tracer is not None or obs.metrics is not None:
-            context.operator_log = []
-            context.network_log = []
-            self._profile_fastpath_base = fastpath.STATS.copy()
-            self._profile_partition_base = partition.STATS.copy()
-
-    def _capture_profile(self, context: ExecutionContext) -> None:
-        """Stash the context's logs for the span emission in handle_event."""
-        if context.operator_log is not None:
-            delta = fastpath.STATS - self._profile_fastpath_base
-            counters = {
-                key: value
-                for key, value in delta.snapshot().items()
-                if value
-            }
-            # Spill activity rides in the same per-instance counter dict
-            # under a partition_ prefix; unbudgeted runs spill nothing,
-            # so their profile payloads stay byte-identical.
-            spill_delta = partition.STATS - self._profile_partition_base
-            for key, value in spill_delta.snapshot().items():
-                if value:
-                    counters[f"partition_{key}"] = value
-            self._last_profile = ExecutionProfile(
-                operators=context.operator_log,
-                network_calls=context.network_log or [],
-                fastpath=counters,
-            )
-
     # -- deployment -----------------------------------------------------------
 
     def deploy(self, process: ProcessType) -> None:
-        """Validate and install one process type."""
+        """Validate and install one process type, and warm its plan cache.
+
+        Every expression of the tree is compiled here (see
+        ``repro.db.expressions.compile_expression``) — an integration
+        system's plan cache, a DBMS preparing its trigger and procedure
+        bodies at CREATE time — so no instance pays compilation.  A
+        deployment compiles each distinct expression once, also one
+        whose closure an earlier deployment of the same tree left in
+        the cache: what a deploy compiles, and counts, is fixed by the
+        definitions and not by what ran before in the process.
+        """
         if process.process_id in self._processes:
             raise DeploymentError(
                 f"{self.engine_name}: {process.process_id} already deployed"
@@ -452,25 +433,9 @@ class IntegrationEngine:
             if all(s in self._processes for s in waiting.subprocess_ids()):
                 assert_valid_definition(waiting)
                 del self._unvalidated[waiting.process_id]
-
-    def _warm_plan_cache(self, process: ProcessType) -> None:
-        """Compile every expression of a process tree at deploy time.
-
-        Both engines call this from deploy so the compiled-closure cache
-        (see ``repro.db.expressions.compile_expression``) is warmed once
-        per plan — the interpreter's "plan cache", and the federated
-        engine's analogue of preparing trigger/procedure bodies —
-        instead of the first instance of each type paying compilation.
-
-        A deployment compiles each distinct expression once, also one
-        whose closure an earlier deployment of the same tree left in
-        the cache: what a deploy compiles, and counts, is fixed by the
-        definitions and not by what ran before in the process.
-        """
-        compiled = self._compiled
         for expression in process.expressions():
-            if expression not in compiled:
-                compiled.add(expression)
+            if expression not in self._compiled:
+                self._compiled.add(expression)
                 _compile_anew(compile_expression, expression)
 
     def deploy_all(self, processes: Iterable[ProcessType]) -> None:
@@ -817,7 +782,52 @@ class IntegrationEngine:
     def _execute_instance(
         self, process: ProcessType, event: ProcessEvent, queue_length: int
     ) -> tuple[CostBreakdown, int, int]:
-        raise NotImplementedError
+        """Run one instance and price it as C_c + C_m + C_p; returns
+        (costs, operators executed, validation failures).  Override
+        :meth:`_run_process` to trigger a process differently, this
+        method to price it differently."""
+        context = self._new_context()
+        obs = self._observability
+        observed = obs.tracer is not None or obs.metrics is not None
+        if observed:
+            context.operator_log = []
+            context.network_log = []
+            fastpath_base = fastpath.STATS.copy()
+            partition_base = partition.STATS.copy()
+        message = event.message
+        if message is not None:
+            context.set("__in", message)
+        self._run_process(process, event, context)
+        if observed:
+            delta = fastpath.STATS - fastpath_base
+            counters = {
+                key: value for key, value in delta.snapshot().items() if value
+            }
+            # Spill activity rides in the same per-instance counter dict
+            # under a partition_ prefix; unbudgeted runs spill nothing,
+            # so their profile payloads stay byte-identical.
+            spill_delta = partition.STATS - partition_base
+            for key, value in spill_delta.snapshot().items():
+                if value:
+                    counters[f"partition_{key}"] = value
+            self._last_profile = ExecutionProfile(context.operator_log, counters)
+        prices = self.cost_parameters
+        management = prices.management_cost(queue_length)
+        if message is not None:
+            management += prices.receive_overhead
+        costs = CostBreakdown(
+            context.communication_cost,
+            management,
+            prices.processing_cost(context.work_units),
+        )
+        return costs, context.operators_executed, len(context.validation_failures)
+
+    def _run_process(
+        self, process: ProcessType, event: ProcessEvent, context: ExecutionContext
+    ) -> None:
+        """Trigger one instance on ``context`` (``__in`` already bound
+        for a message): an integration system runs the operator tree."""
+        process.root._run(context)
 
     def _new_context(self) -> ExecutionContext:
         context = ExecutionContext(

@@ -42,8 +42,9 @@ class CostParameters:
     #: C_m: additional management price per instance already queued when
     #: a new instance arrives (self-management pressure).
     reorg_per_queued: float = 0.4
-    #: Extra fixed price per received message (queue-table insert;
-    #: only the federated realization pays this).
+    #: C_m: extra fixed price per received message (the federated
+    #: queue-table insert, an ETL tool's per-message pickup; 0.0 for
+    #: the interpreter and the EAI server).
     receive_overhead: float = 0.0
 
     def processing_cost(self, work_units: dict[str, float]) -> float:

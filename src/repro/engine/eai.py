@@ -69,20 +69,11 @@ class EtlEngine(MtmInterpreterEngine):
 
     Structurally an MTM interpreter with the ETL cost profile and a
     lower parallel efficiency — ETL jobs are few and fat, not many and
-    thin.  The ``receive_overhead`` models the per-message pickup an
-    ETL tool pays when misused as an online message handler.
+    thin.  Its ``receive_overhead`` models the per-message pickup (the
+    file-drop / polling overhead) an ETL tool pays when misused as an
+    online message handler.
     """
 
     engine_name = "etl-tool"
     cost_parameters = ETL_COSTS
     parallel_efficiency = 0.8
-
-    def _execute_instance(self, process, event, queue_length):
-        costs, operators, failures = super()._execute_instance(
-            process, event, queue_length
-        )
-        if event.message is not None:
-            # Per-message pickup: the file-drop / polling overhead of a
-            # batch tool handling online traffic.
-            costs.management += self.cost_parameters.receive_overhead
-        return costs, operators, failures

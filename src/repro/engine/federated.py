@@ -27,7 +27,7 @@ from repro.errors import EngineError
 from repro.db.database import Database
 from repro.db.schema import Column, TableSchema
 from repro.engine.base import IntegrationEngine, ProcessEvent
-from repro.engine.costs import CostBreakdown, FEDERATED_COSTS
+from repro.engine.costs import FEDERATED_COSTS
 from repro.mtm.context import WORK_XML, ExecutionContext
 from repro.mtm.message import Message
 from repro.mtm.process import EventType, ProcessType
@@ -51,7 +51,6 @@ class FederatedEngine(IntegrationEngine):
         # procedure body (triggers receive only (db, row), so the engine
         # threads the context through this slot).
         self._active_context: ExecutionContext | None = None
-        self._active_process: ProcessType | None = None
 
     # -- deployment ----------------------------------------------------------
 
@@ -61,9 +60,6 @@ class FederatedEngine(IntegrationEngine):
             self._deploy_queue_table(process)
         else:
             self._deploy_procedure(process)
-        # The DBMS analogue of preparing the trigger/procedure body:
-        # every expression of the plan is compiled once at CREATE time.
-        self._warm_plan_cache(process)
 
     def queue_table_name(self, process_id: str) -> str:
         return f"{process_id}_Queue"
@@ -98,8 +94,7 @@ class FederatedEngine(IntegrationEngine):
                 # price of the queue-table realization.
                 document = parse_xml(clob)
                 context.charge_work(WORK_XML, float(document.size()))
-                inbound = Message(document, context.variables["__in"].message_type
-                                  if context.has("__in") else "")
+                inbound = Message(document, context.get("__in").message_type)
                 context.set("__in", inbound)
             process.root._run(context)
 
@@ -128,46 +123,30 @@ class FederatedEngine(IntegrationEngine):
 
     # -- execution ---------------------------------------------------------------
 
-    def _execute_instance(
-        self, process: ProcessType, event: ProcessEvent, queue_length: int
-    ) -> tuple[CostBreakdown, int, int]:
-        context = self._new_context()
-        self._enable_profiling(context)
+    def _run_process(
+        self, process: ProcessType, event: ProcessEvent, context: ExecutionContext
+    ) -> None:
+        """Fig. 9: INSERT INTO P0x_Queue VALUES (@msg) — serialization,
+        then the trigger runs the body — or EXECUTE the procedure, with
+        ``context`` as the running body's."""
+        message = event.message
         self._active_context = context
         try:
-            if event.message is not None:
-                context.set("__in", event.message)
-                self._enqueue_message(process, event.message, context)
-            else:
+            if message is None:
                 self.internal_db.call_procedure(process.process_id)
+                return
+            clob = None  # non-XML payloads ride along in the context
+            if message.is_xml:
+                clob = serialize_xml(message.xml())
+                context.charge_work(WORK_XML, float(message.xml().size()))
+            tid = self._next_tid
+            self._next_tid += 1
+            self.internal_db.insert(
+                self.queue_table_name(process.process_id),
+                {"tid": tid, "msg": clob},
+            )
         finally:
             self._active_context = None
-        self._capture_profile(context)
-        management = self.cost_parameters.management_cost(queue_length)
-        if event.message is not None:
-            management += self.cost_parameters.receive_overhead
-        costs = CostBreakdown(
-            communication=context.communication_cost,
-            management=management,
-            processing=self.cost_parameters.processing_cost(context.work_units),
-        )
-        return costs, context.operators_executed, len(context.validation_failures)
-
-    def _enqueue_message(
-        self, process: ProcessType, message: Message, context: ExecutionContext
-    ) -> None:
-        """INSERT INTO P0x_Queue VALUES (@msg): serialization + trigger."""
-        if message.is_xml:
-            clob = serialize_xml(message.xml())
-            context.charge_work(WORK_XML, float(message.xml().size()))
-        else:
-            clob = None  # non-XML payloads ride along in the context
-        tid = self._next_tid
-        self._next_tid += 1
-        self.internal_db.insert(
-            self.queue_table_name(process.process_id),
-            {"tid": tid, "msg": clob},
-        )
 
     # -- durability ----------------------------------------------------------------
 
@@ -201,7 +180,6 @@ class FederatedEngine(IntegrationEngine):
             )
         self._next_tid = 1
         self._active_context = None
-        self._active_process = None
         super().crash()
 
     # -- introspection -------------------------------------------------------------

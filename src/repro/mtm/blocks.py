@@ -169,7 +169,7 @@ class Fork(Operator):
         # should cost its *longest* branch, not the sum.  We credit back
         # (sum - max) per cost bucket, scaled by the engine's parallel
         # efficiency (1.0 = perfectly parallel data marts, 0.0 = serial).
-        efficiency = getattr(context, "parallel_efficiency", 1.0)
+        efficiency = context.parallel_efficiency
         if efficiency > 0.0 and branch_costs:
             comm_sum = sum(c for c, _ in branch_costs)
             comm_max = max(c for c, _ in branch_costs)

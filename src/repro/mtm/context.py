@@ -54,6 +54,9 @@ class ExecutionContext:
         #: 1-based execution attempt of the owning instance (> 1 while a
         #: resilience retry is re-running the process).
         self.attempt = 1
+        #: Share of a Fork's branch costs that overlap; the engine sets
+        #: its own (1.0 = the slowest branch only, 0.0 = their sum).
+        self.parallel_efficiency = 1.0
         #: Validation failures routed to failed-data destinations (P10).
         self.validation_failures: list[list[str]] = []
         #: Observability hooks: when an engine runs with tracing/metrics

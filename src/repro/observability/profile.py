@@ -45,7 +45,6 @@ class ExecutionProfile:
     """Everything one instance execution logged, in execution order."""
 
     operators: list[OperatorObservation] = field(default_factory=list)
-    network_calls: list[NetworkObservation] = field(default_factory=list)
     #: Relational-kernel operation deltas for this instance (non-zero
     #: ``repro.db.fastpath`` counters: rows copied/shared, compiled
     #: expressions, index joins, MV maintenance).

@@ -495,17 +495,12 @@ class SynthWorkload:
         ]
 
     def e2_processes(self) -> list[str]:
-        """Dependent process ids in their serialized execution order."""
-        ids: list[str] = []
-        if "pipeline" in self.spec.families:
-            ids += [f"SYP{g}" for g in range(len(self.groups))]
-        if "cdc" in self.spec.families:
-            ids += [f"SYC{i}" for i in range(self.spec.sources)]
-        if "scd" in self.spec.families:
-            ids.append("SYS")
-        if "dirty" in self.spec.families:
-            ids.append("SYD")
-        return ids
+        """Dependent process ids in their serialized execution order,
+        which is their insertion order in :attr:`processes`."""
+        return [
+            process_id for process_id, process in self.processes.items()
+            if process.event_type is EventType.E2_SCHEDULE
+        ]
 
 
 def synthesize(spec: SynthSpec, f: int = 0, jitter: float = 0.0) -> SynthWorkload:
